@@ -15,22 +15,24 @@ type Predictor interface {
 	Update(pc uint64, taken bool)
 }
 
-// counter is a 2-bit saturating counter; taken when >= 2.
+// counter is a 2-bit saturating counter stored XOR 2, so that the zero
+// byte is the "weakly taken" state every counter starts in and a fresh
+// table needs no initialisation pass. value decodes it to 0..3; taken when
+// the value is >= 2.
 type counter uint8
 
-func (c counter) taken() bool { return c >= 2 }
+func (c counter) value() uint8 { return uint8(c) ^ 2 }
+
+func (c counter) taken() bool { return c.value() >= 2 }
 
 func (c counter) train(taken bool) counter {
-	if taken {
-		if c < 3 {
-			return c + 1
-		}
-		return c
+	v := c.value()
+	if taken && v < 3 {
+		v++
+	} else if !taken && v > 0 {
+		v--
 	}
-	if c > 0 {
-		return c - 1
-	}
-	return c
+	return counter(v ^ 2)
 }
 
 // TwoBcgskew is the 2bcgskew predictor.
@@ -45,18 +47,11 @@ type TwoBcgskew struct {
 
 // New2bcgskew builds the predictor from the Table 1 sizing.
 func New2bcgskew(p config.BranchParams) *TwoBcgskew {
-	init := func(n int) []counter {
-		t := make([]counter, n)
-		for i := range t {
-			t[i] = 2 // weakly taken
-		}
-		return t
-	}
 	return &TwoBcgskew{
-		bim:  init(p.BimodalEntries),
-		g0:   init(p.GshareEntries),
-		g1:   init(p.GshareEntries),
-		meta: init(p.MetaEntries),
+		bim:  make([]counter, p.BimodalEntries),
+		g0:   make([]counter, p.GshareEntries),
+		g1:   make([]counter, p.GshareEntries),
+		meta: make([]counter, p.MetaEntries),
 		mask: (1 << uint(p.HistBits)) - 1,
 	}
 }

@@ -149,18 +149,32 @@ func TestManyBranchesNoCatastrophicAliasing(t *testing.T) {
 }
 
 func TestCounterSaturation(t *testing.T) {
-	c := counter(0)
+	var c counter
+	if v := c.value(); v != 2 {
+		t.Fatalf("zero counter decodes to %d, want 2 (weakly taken)", v)
+	}
 	for i := 0; i < 10; i++ {
 		c = c.train(true)
 	}
-	if c != 3 {
-		t.Errorf("counter did not saturate at 3: %d", c)
+	if v := c.value(); v != 3 {
+		t.Errorf("counter did not saturate at 3: %d", v)
 	}
 	for i := 0; i < 10; i++ {
 		c = c.train(false)
 	}
-	if c != 0 {
-		t.Errorf("counter did not saturate at 0: %d", c)
+	if v := c.value(); v != 0 {
+		t.Errorf("counter did not saturate at 0: %d", v)
+	}
+}
+
+// TestFreshPredictorPredictsTaken pins the initial state: every counter of
+// a new predictor starts weakly taken, so every PC predicts taken.
+func TestFreshPredictorPredictsTaken(t *testing.T) {
+	p := New2bcgskew(config.Baseline().Branch)
+	for pc := uint64(0); pc < 1<<18; pc++ {
+		if !p.Predict(pc) {
+			t.Fatalf("fresh predictor predicts not-taken at pc %#x", pc)
+		}
 	}
 }
 

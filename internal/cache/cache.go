@@ -12,6 +12,7 @@ import (
 	"mtvp/internal/config"
 	"mtvp/internal/prefetch"
 	"mtvp/internal/stats"
+	"mtvp/internal/table"
 )
 
 // HitLevel identifies where an access was satisfied.
@@ -50,7 +51,7 @@ type line struct {
 
 type level struct {
 	cp       config.CacheParams
-	lines    []line
+	lines    table.Paged[line]
 	setMask  uint64
 	lineBits uint
 	tick     uint64
@@ -64,25 +65,26 @@ func newLevel(cp config.CacheParams) *level {
 	}
 	return &level{
 		cp:       cp,
-		lines:    make([]line, sets*cp.Assoc),
+		lines:    table.NewSets[line](sets, cp.Assoc),
 		setMask:  uint64(sets - 1),
 		lineBits: lb,
 	}
 }
 
-func (l *level) set(addr uint64) []line {
-	s := (addr >> l.lineBits) & l.setMask
-	i := int(s) * l.cp.Assoc
-	return l.lines[i : i+l.cp.Assoc]
-}
+func (l *level) setIndex(addr uint64) int { return int((addr >> l.lineBits) & l.setMask) }
+
+// set returns the ways of the set addr maps to, or nil when no line of the
+// set's page was ever filled: every lookup there misses.
+func (l *level) set(addr uint64) []line { return l.lines.PeekSet(l.setIndex(addr)) }
 
 func (l *level) tag(addr uint64) uint64 { return addr >> l.lineBits }
 
-// lookup checks for addr, updating LRU on a hit. It returns the cycle the
-// hit's data is available given an access at cycle now: at least the access
-// latency, later if the line's fill is still in flight.
-func (l *level) lookup(addr uint64, now int64) (int64, bool) {
-	set, tag := l.set(addr), l.tag(addr)
+// lookup checks set, addr's set as returned by l.set, for addr, updating
+// LRU on a hit. It returns the cycle the hit's data is available given an
+// access at cycle now: at least the access latency, later if the line's
+// fill is still in flight.
+func (l *level) lookup(set []line, addr uint64, now int64) (int64, bool) {
+	tag := l.tag(addr)
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			l.tick++
@@ -111,8 +113,13 @@ func (l *level) probe(addr uint64) bool {
 
 // fill installs addr's line with data arriving at ready, evicting the LRU
 // way. A line already present keeps the earlier of the two ready times.
-func (l *level) fill(addr uint64, ready int64) {
-	set, tag := l.set(addr), l.tag(addr)
+// set is addr's set from an earlier l.set, or nil to find it here; a set
+// whose page was never written is allocated.
+func (l *level) fill(set []line, addr uint64, ready int64) {
+	if set == nil {
+		set = l.lines.AtSet(l.setIndex(addr))
+	}
+	tag := l.tag(addr)
 	victim := 0
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -173,7 +180,8 @@ func (h *Hierarchy) lineAddr(addr uint64) uint64 {
 // out-of-order issue can mistrain it, the interaction §5.1 describes.
 func (h *Hierarchy) Load(pc, addr uint64, now int64) (int64, HitLevel) {
 	h.st.Loads++
-	if avail, ok := h.dl1.lookup(addr, now); ok {
+	d1 := h.dl1.set(addr)
+	if avail, ok := h.dl1.lookup(d1, addr, now); ok {
 		return avail, HitL1
 	}
 	h.st.DL1Miss++
@@ -185,8 +193,8 @@ func (h *Hierarchy) Load(pc, addr uint64, now int64) (int64, HitLevel) {
 			if n := now + int64(h.dl1.cp.Latency); n > ready {
 				ready = n
 			}
-			h.dl1.fill(addr, ready)
-			h.l2.fill(addr, ready)
+			h.dl1.fill(d1, addr, ready)
+			h.l2.fill(nil, addr, ready)
 			h.streamAdvance(now)
 			h.pref.Train(pc, addr, now)
 			return ready, HitStream
@@ -195,21 +203,23 @@ func (h *Hierarchy) Load(pc, addr uint64, now int64) (int64, HitLevel) {
 		h.streamAdvance(now)
 	}
 
-	if avail, ok := h.l2.lookup(addr, now); ok {
-		h.dl1.fill(addr, avail)
+	s2 := h.l2.set(addr)
+	if avail, ok := h.l2.lookup(s2, addr, now); ok {
+		h.dl1.fill(d1, addr, avail)
 		return avail, HitL2
 	}
 	h.st.L2Miss++
-	if avail, ok := h.l3.lookup(addr, now); ok {
-		h.dl1.fill(addr, avail)
-		h.l2.fill(addr, avail)
+	s3 := h.l3.set(addr)
+	if avail, ok := h.l3.lookup(s3, addr, now); ok {
+		h.dl1.fill(d1, addr, avail)
+		h.l2.fill(s2, addr, avail)
 		return avail, HitL3
 	}
 	h.st.L3Miss++
 	ready := now + int64(h.memLat)
-	h.dl1.fill(addr, ready)
-	h.l2.fill(addr, ready)
-	h.l3.fill(addr, ready)
+	h.dl1.fill(d1, addr, ready)
+	h.l2.fill(s2, addr, ready)
+	h.l3.fill(s3, addr, ready)
 	return ready, HitMem
 }
 
@@ -225,13 +235,11 @@ func (h *Hierarchy) streamAdvance(now int64) {
 			return
 		}
 		h.st.PrefIssued++
-		var ready int64
-		switch {
-		case h.l2.probe(la):
-			ready, _ = h.l2.lookup(la, now)
-		case h.l3.probe(la):
-			ready, _ = h.l3.lookup(la, now)
-		default:
+		ready, ok := h.l2.lookup(h.l2.set(la), la, now)
+		if !ok {
+			ready, ok = h.l3.lookup(h.l3.set(la), la, now)
+		}
+		if !ok {
 			ready = now + int64(h.memLat)
 		}
 		h.pref.Complete(la, ready)
@@ -242,29 +250,32 @@ func (h *Hierarchy) streamAdvance(now int64) {
 // L1; stores are not on the load critical path, so no latency is returned).
 func (h *Hierarchy) Store(addr uint64) {
 	h.st.Stores++
-	if _, ok := h.dl1.lookup(addr, 0); !ok {
-		h.dl1.fill(addr, 0)
+	d1 := h.dl1.set(addr)
+	if _, ok := h.dl1.lookup(d1, addr, 0); !ok {
+		h.dl1.fill(d1, addr, 0)
 	}
 }
 
 // InstFetch models an instruction-cache access for the line at addr and
 // returns the cycle the instructions are available.
 func (h *Hierarchy) InstFetch(addr uint64, now int64) int64 {
-	if avail, ok := h.icache.lookup(addr, now); ok {
+	si := h.icache.set(addr)
+	if avail, ok := h.icache.lookup(si, addr, now); ok {
 		return avail
 	}
 	var ready int64
-	if avail, ok := h.l2.lookup(addr, now); ok {
+	s2, s3 := h.l2.set(addr), h.l3.set(addr)
+	if avail, ok := h.l2.lookup(s2, addr, now); ok {
 		ready = avail
-	} else if avail, ok := h.l3.lookup(addr, now); ok {
+	} else if avail, ok := h.l3.lookup(s3, addr, now); ok {
 		ready = avail
-		h.l2.fill(addr, ready)
+		h.l2.fill(s2, addr, ready)
 	} else {
 		ready = now + int64(h.memLat)
-		h.l2.fill(addr, ready)
-		h.l3.fill(addr, ready)
+		h.l2.fill(s2, addr, ready)
+		h.l3.fill(s3, addr, ready)
 	}
-	h.icache.fill(addr, ready)
+	h.icache.fill(si, addr, ready)
 	return ready
 }
 

@@ -584,12 +584,65 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: Recovery.DeadlockBudget must be >= 0, got %d", c.Recovery.DeadlockBudget)
 	}
 	for _, cp := range []CacheParams{c.ICache, c.DL1, c.L2, c.L3} {
-		if cp.Sets() < 1 {
-			return fmt.Errorf("config: cache %s has no sets", cp.Name)
+		if err := cp.validate(); err != nil {
+			return err
 		}
-		if cp.Sets()&(cp.Sets()-1) != 0 {
-			return fmt.Errorf("config: cache %s set count %d is not a power of two", cp.Name, cp.Sets())
+	}
+	for _, t := range c.tableSizes() {
+		if t.entries < 1 {
+			return fmt.Errorf("config: %s must be >= 1, got %d", t.name, t.entries)
 		}
 	}
 	return nil
+}
+
+// validate checks one cache level's geometry. Sets divides by Assoc and
+// LineBytes, and the hierarchy derives line and set indexes by shifting
+// and masking, so both the line size and the set count must be powers of
+// two.
+func (cp CacheParams) validate() error {
+	switch {
+	case cp.Assoc < 1:
+		return fmt.Errorf("config: cache %s Assoc must be >= 1, got %d", cp.Name, cp.Assoc)
+	case cp.LineBytes < 1 || cp.LineBytes&(cp.LineBytes-1) != 0:
+		return fmt.Errorf("config: cache %s LineBytes %d is not a power of two", cp.Name, cp.LineBytes)
+	case cp.Sets() < 1:
+		return fmt.Errorf("config: cache %s has no sets", cp.Name)
+	case cp.Sets()&(cp.Sets()-1) != 0:
+		return fmt.Errorf("config: cache %s set count %d is not a power of two", cp.Name, cp.Sets())
+	}
+	return nil
+}
+
+type tableSize struct {
+	name    string
+	entries int
+}
+
+// tableSizes lists the entry counts of the branch predictor, the enabled
+// prefetcher and the selected Wang–Franklin or (D)FCM value predictor. The
+// VPQ-stride and equality/LCV sizes are checked with their other knobs in
+// Validate.
+func (c *Config) tableSizes() []tableSize {
+	ts := []tableSize{
+		{"Branch.MetaEntries", c.Branch.MetaEntries},
+		{"Branch.GshareEntries", c.Branch.GshareEntries},
+		{"Branch.BimodalEntries", c.Branch.BimodalEntries},
+	}
+	if c.Prefetch.Enabled {
+		ts = append(ts,
+			tableSize{"Prefetch.Entries", c.Prefetch.Entries},
+			tableSize{"Prefetch.StreamBuffers", c.Prefetch.StreamBuffers})
+	}
+	switch c.VP.Predictor {
+	case PredWangFranklin:
+		ts = append(ts,
+			tableSize{"VP.WF.VHTEntries", c.VP.WF.VHTEntries},
+			tableSize{"VP.WF.ValPHTEntries", c.VP.WF.ValPHTEntries})
+	case PredDFCM, PredFCM:
+		ts = append(ts,
+			tableSize{"VP.DFCM.L1Entries", c.VP.DFCM.L1Entries},
+			tableSize{"VP.DFCM.L2Entries", c.VP.DFCM.L2Entries})
+	}
+	return ts
 }

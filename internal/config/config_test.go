@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestBaselineMatchesTable1(t *testing.T) {
 	c := Baseline()
@@ -103,6 +106,78 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d validated", i)
 		}
+	}
+}
+
+// TestValidateRejectsBadGeometry covers every cache level's geometry and
+// every table size the engine builds: each must come back as an error,
+// never as a divide-by-zero panic in Validate or an index panic later in
+// the engine.
+func TestValidateRejectsBadGeometry(t *testing.T) {
+	type tc struct {
+		name    string
+		mutate  func(*Config)
+		errHint string
+	}
+	var cases []tc
+	levels := []struct {
+		name string
+		cp   func(*Config) *CacheParams
+	}{
+		{"IL1", func(c *Config) *CacheParams { return &c.ICache }},
+		{"DL1", func(c *Config) *CacheParams { return &c.DL1 }},
+		{"L2", func(c *Config) *CacheParams { return &c.L2 }},
+		{"L3", func(c *Config) *CacheParams { return &c.L3 }},
+	}
+	for _, l := range levels {
+		cp := l.cp
+		cases = append(cases,
+			tc{l.name + " zero assoc", func(c *Config) { cp(c).Assoc = 0 }, l.name + " Assoc"},
+			tc{l.name + " negative assoc", func(c *Config) { cp(c).Assoc = -2 }, l.name + " Assoc"},
+			tc{l.name + " zero line", func(c *Config) { cp(c).LineBytes = 0 }, l.name + " LineBytes"},
+			tc{l.name + " 48-byte line", func(c *Config) { cp(c).LineBytes = 48 }, l.name + " LineBytes"},
+			tc{l.name + " zero size", func(c *Config) { cp(c).SizeBytes = 0 }, l.name + " has no sets"},
+			tc{l.name + " 3-set size", func(c *Config) { cp(c).SizeBytes = 3 * cp(c).Assoc * cp(c).LineBytes }, "power of two"},
+		)
+	}
+	tables := []struct {
+		field  string
+		mutate func(*Config)
+	}{
+		{"Branch.MetaEntries", func(c *Config) { c.Branch.MetaEntries = 0 }},
+		{"Branch.GshareEntries", func(c *Config) { c.Branch.GshareEntries = 0 }},
+		{"Branch.BimodalEntries", func(c *Config) { c.Branch.BimodalEntries = 0 }},
+		{"Prefetch.Entries", func(c *Config) { c.Prefetch.Entries = 0 }},
+		{"Prefetch.StreamBuffers", func(c *Config) { c.Prefetch.StreamBuffers = 0 }},
+		{"VP.WF.VHTEntries", func(c *Config) { c.VP.WF.VHTEntries = 0 }},
+		{"VP.WF.ValPHTEntries", func(c *Config) { c.VP.WF.ValPHTEntries = -1 }},
+		{"VP.DFCM.L1Entries", func(c *Config) { c.VP.Predictor = PredDFCM; c.VP.DFCM.L1Entries = 0 }},
+		{"VP.DFCM.L2Entries", func(c *Config) { c.VP.Predictor = PredFCM; c.VP.DFCM.L2Entries = 0 }},
+	}
+	for _, tb := range tables {
+		cases = append(cases, tc{tb.field, tb.mutate, tb.field})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Baseline()
+			tc.mutate(&c)
+			err := c.Validate()
+			if err == nil {
+				t.Fatal("validated")
+			}
+			if !strings.Contains(err.Error(), tc.errHint) {
+				t.Errorf("error %q missing %q", err, tc.errHint)
+			}
+		})
+	}
+
+	// Sizes of tables the configuration does not build are not checked.
+	c := Baseline()
+	c.VP.Predictor = PredDFCM
+	c.VP.WF.VHTEntries = 0
+	c.Prefetch.Enabled, c.Prefetch.Entries = false, 0
+	if err := c.Validate(); err != nil {
+		t.Errorf("unused zero-size tables rejected: %v", err)
 	}
 }
 

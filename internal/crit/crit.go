@@ -15,6 +15,7 @@ import (
 
 	"mtvp/internal/cache"
 	"mtvp/internal/config"
+	"mtvp/internal/table"
 )
 
 // Decision is a load-selection outcome.
@@ -95,7 +96,7 @@ type ilpEntry struct {
 // no-prediction windows for comparison, it periodically forces a confident
 // load to go unpredicted (one in every sampleEvery encounters).
 type ILPPred struct {
-	entries []ilpEntry
+	entries table.Paged[ilpEntry]
 	mode    config.VPMode
 
 	// minSamples is how many windows of a mode are gathered before its
@@ -110,7 +111,7 @@ type ILPPred struct {
 // mode caps the most aggressive decision available.
 func NewILPPred(entries int, mode config.VPMode) *ILPPred {
 	return &ILPPred{
-		entries:     make([]ilpEntry, entries),
+		entries:     table.New[ilpEntry](entries),
 		mode:        mode,
 		minSamples:  4,
 		sampleEvery: 16,
@@ -118,7 +119,7 @@ func NewILPPred(entries int, mode config.VPMode) *ILPPred {
 }
 
 func (s *ILPPred) entry(pc uint64) *ilpEntry {
-	e := &s.entries[pc%uint64(len(s.entries))]
+	e := s.entries.At(int(pc % uint64(s.entries.Len())))
 	if !e.valid || e.pc != pc {
 		*e = ilpEntry{pc: pc, valid: true}
 	}
@@ -170,18 +171,20 @@ func (s *ILPPred) Observe(pc uint64, mode Decision, insts, cycles uint64) {
 // Dump renders the selector's populated entries (for diagnostics/tests).
 func (s *ILPPred) Dump() string {
 	var b []byte
-	for i := range s.entries {
-		e := &s.entries[i]
-		if !e.valid || e.seen < 32 {
-			continue
+	s.entries.EachPage(func(page []ilpEntry) {
+		for i := range page {
+			e := &page[i]
+			if !e.valid || e.seen < 32 {
+				continue
+			}
+			b = append(b, []byte(fmt.Sprintf(
+				"pc=%#x seen=%d none{n=%d r=%d} stvp{n=%d r=%d} mtvp{n=%d r=%d}\n",
+				e.pc, e.seen,
+				e.modes[DecideNone].samples, e.modes[DecideNone].rate(),
+				e.modes[DecideSTVP].samples, e.modes[DecideSTVP].rate(),
+				e.modes[DecideMTVP].samples, e.modes[DecideMTVP].rate()))...)
 		}
-		b = append(b, []byte(fmt.Sprintf(
-			"pc=%#x seen=%d none{n=%d r=%d} stvp{n=%d r=%d} mtvp{n=%d r=%d}\n",
-			e.pc, e.seen,
-			e.modes[DecideNone].samples, e.modes[DecideNone].rate(),
-			e.modes[DecideSTVP].samples, e.modes[DecideSTVP].rate(),
-			e.modes[DecideMTVP].samples, e.modes[DecideMTVP].rate()))...)
-	}
+	})
 	return string(b)
 }
 

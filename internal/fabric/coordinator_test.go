@@ -14,9 +14,9 @@ import (
 // fakeClock drives lease expiry deterministically.
 type fakeClock struct{ t time.Time }
 
-func (f *fakeClock) now() time.Time             { return f.t }
-func (f *fakeClock) advance(d time.Duration)    { f.t = f.t.Add(d) }
-func newFakeClock() *fakeClock                  { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func (f *fakeClock) now() time.Time          { return f.t }
+func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
+func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 
 func testSpec(name string, n int) CampaignSpec {
 	spec := CampaignSpec{Name: name, Fingerprint: "fp"}

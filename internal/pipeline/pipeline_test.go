@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"testing"
 
 	"mtvp/internal/config"
@@ -337,5 +338,41 @@ func TestMultiValueSpawnsAndSaves(t *testing.T) {
 	}
 	if st.MultiValueSaves == 0 {
 		t.Error("no multi-value saves on a bimodal workload")
+	}
+}
+
+// TestNewAllocatesLittle guards engine construction cost: the Table 1
+// caches and predictor tables are paged on first write (internal/table),
+// so building an engine must not zero megabytes of structures a short run
+// never touches. Eagerly allocated, Baseline and MTVP8 cost about 3.8 MB
+// each.
+func TestNewAllocatesLittle(t *testing.T) {
+	const limit = 512 << 10
+	prog, image := chaseBench(64, 1).Build(1)
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"baseline", config.Baseline()},
+		{"mtvp8", config.Baseline().WithMTVP(8, config.PredWangFranklin, config.SelILPPred)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The minimum over a few builds keeps stray allocations by
+			// the runtime out of the figure.
+			least := uint64(1 << 62)
+			for i := 0; i < 3; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := New(&tc.cfg, prog, image, &stats.Stats{}); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			if least >= limit {
+				t.Errorf("pipeline.New allocates %d KB, want < %d KB", least>>10, limit>>10)
+			}
+			t.Logf("pipeline.New allocates %d KB", least>>10)
+		})
 	}
 }

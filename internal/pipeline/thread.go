@@ -61,10 +61,10 @@ type thread struct {
 	fetchBuf     []*uop // fetched, not yet dispatched; live from fbHead
 	fbHead       int
 	fetchBlocked int64 // no fetch until this cycle
-	blockedOn    *uop   // mispredicted branch gating fetch (nil = time gate)
-	stallFetch   bool   // SFP: stalled after spawning, until resolution
-	retiring     bool   // confirmed-away parent draining its final commits
-	icount       int    // uops in front end + queues (ICOUNT fetch policy)
+	blockedOn    *uop  // mispredicted branch gating fetch (nil = time gate)
+	stallFetch   bool  // SFP: stalled after spawning, until resolution
+	retiring     bool  // confirmed-away parent draining its final commits
+	icount       int   // uops in front end + queues (ICOUNT fetch policy)
 	// pipeWarm models the paper's single-fetch-path handoff: the spawn
 	// happens at the rename stage, so the front end's already-fetched
 	// post-load instructions are delivered to the child with no bubble.

@@ -1,6 +1,9 @@
 package vpred
 
-import "mtvp/internal/config"
+import (
+	"mtvp/internal/config"
+	"mtvp/internal/table"
+)
 
 // DFCM is an order-N differential finite context method predictor with
 // Burtscher's improved index function: the level-1 table, indexed by PC,
@@ -10,8 +13,8 @@ import "mtvp/internal/config"
 // Wang–Franklin — more correct predictions but also more mispredictions.
 type DFCM struct {
 	p  config.DFCMParams
-	l1 []dfcmL1
-	l2 []dfcmL2
+	l1 table.Paged[dfcmL1]
+	l2 table.Paged[dfcmL2]
 }
 
 type dfcmL1 struct {
@@ -28,16 +31,15 @@ type dfcmL2 struct {
 
 // NewDFCM builds an order-p.Order DFCM predictor.
 func NewDFCM(p config.DFCMParams) *DFCM {
-	d := &DFCM{
+	return &DFCM{
 		p:  p,
-		l1: make([]dfcmL1, p.L1Entries),
-		l2: make([]dfcmL2, p.L2Entries),
+		l1: table.New[dfcmL1](p.L1Entries),
+		l2: table.New[dfcmL2](p.L2Entries),
 	}
-	return d
 }
 
-func (d *DFCM) l1Entry(pc uint64) *dfcmL1 {
-	return &d.l1[pc%uint64(len(d.l1))]
+func (d *DFCM) l1Index(pc uint64) int {
+	return int(pc % uint64(d.l1.Len()))
 }
 
 // index implements Burtscher's improved (D)FCM index function: each stride
@@ -54,16 +56,19 @@ func (d *DFCM) index(e *dfcmL1) uint64 {
 		h ^= (f & 0xffff) >> uint(i*2) << uint(i*5)
 	}
 	h ^= e.pc << 3
-	return h % uint64(len(d.l2))
+	return h % uint64(d.l2.Len())
 }
 
 // Lookup implements Predictor. The actual value is ignored.
 func (d *DFCM) Lookup(pc, _ uint64) Prediction {
-	e := d.l1Entry(pc)
-	if !e.valid || e.pc != pc || len(e.deltas) < d.p.Order {
+	e := d.l1.Peek(d.l1Index(pc))
+	if e == nil || !e.valid || e.pc != pc || len(e.deltas) < d.p.Order {
 		return Prediction{}
 	}
-	l2 := &d.l2[d.index(e)]
+	var l2 dfcmL2 // a never-trained context predicts stride 0, conf 0
+	if p := d.l2.Peek(int(d.index(e))); p != nil {
+		l2 = *p
+	}
 	return Prediction{
 		Valid:     true,
 		Value:     uint64(int64(e.last) + l2.delta),
@@ -74,14 +79,14 @@ func (d *DFCM) Lookup(pc, _ uint64) Prediction {
 
 // Train implements Predictor.
 func (d *DFCM) Train(pc, actual uint64) {
-	e := d.l1Entry(pc)
+	e := d.l1.At(d.l1Index(pc))
 	if !e.valid || e.pc != pc {
 		*e = dfcmL1{pc: pc, last: actual, valid: true, deltas: make([]int64, 0, d.p.Order)}
 		return
 	}
 	delta := int64(actual) - int64(e.last)
 	if len(e.deltas) >= d.p.Order {
-		l2 := &d.l2[d.index(e)]
+		l2 := d.l2.At(int(d.index(e)))
 		if l2.delta == delta {
 			if l2.conf < d.p.ConfMax {
 				l2.conf += d.p.ConfInc
@@ -104,6 +109,6 @@ func (d *DFCM) Train(pc, actual uint64) {
 }
 
 // Footprint implements Sizer: level-1 plus level-2 entries.
-func (d *DFCM) Footprint() int { return len(d.l1) + len(d.l2) }
+func (d *DFCM) Footprint() int { return d.l1.Len() + d.l2.Len() }
 
 var _ Predictor = (*DFCM)(nil)

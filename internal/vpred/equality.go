@@ -1,6 +1,9 @@
 package vpred
 
-import "mtvp/internal/config"
+import (
+	"mtvp/internal/config"
+	"mtvp/internal/table"
+)
 
 // eqEntry is one equality predictor entry: the last committed value for the
 // PC and a pair of dueling saturating counters voting "next value equals the
@@ -23,17 +26,17 @@ type eqEntry struct {
 // 2*neq+1 — and the eq counter has reached the configured threshold.
 type EqualityLCV struct {
 	p      config.EqualityParams
-	table  []eqEntry
+	table  table.Paged[eqEntry]
 	trains uint64 // total trainings, for the deterministic decay period
 }
 
 // NewEqualityLCV builds the predictor from its configured sizing.
 func NewEqualityLCV(p config.EqualityParams) *EqualityLCV {
-	return &EqualityLCV{p: p, table: make([]eqEntry, p.TableEntries)}
+	return &EqualityLCV{p: p, table: table.New[eqEntry](p.TableEntries)}
 }
 
-func (q *EqualityLCV) entry(pc uint64) *eqEntry {
-	return &q.table[pc%uint64(len(q.table))]
+func (q *EqualityLCV) index(pc uint64) int {
+	return int(pc % uint64(q.table.Len()))
 }
 
 // highEq reports whether the entry votes "equal" with high confidence:
@@ -43,8 +46,8 @@ func highEq(e *eqEntry) bool { return e.eq > 2*e.neq+1 }
 
 // Lookup implements Predictor. The actual value is ignored.
 func (q *EqualityLCV) Lookup(pc, _ uint64) Prediction {
-	e := q.entry(pc)
-	if !e.valid || e.pc != pc {
+	e := q.table.Peek(q.index(pc))
+	if e == nil || !e.valid || e.pc != pc {
 		return Prediction{}
 	}
 	return Prediction{
@@ -58,7 +61,7 @@ func (q *EqualityLCV) Lookup(pc, _ uint64) Prediction {
 // Train implements Predictor: updates the dueling counters with the
 // equality outcome, refreshes the LCV, and runs the periodic decay sweep.
 func (q *EqualityLCV) Train(pc, actual uint64) {
-	e := q.entry(pc)
+	e := q.table.At(q.index(pc))
 	if !e.valid || e.pc != pc {
 		*e = eqEntry{pc: pc, value: actual, valid: true}
 	} else {
@@ -85,22 +88,25 @@ func (q *EqualityLCV) Train(pc, actual uint64) {
 
 // decay drains one step of bias from every entry, sequentially per counter
 // as in the exemplar (the second comparison sees the first decrement).
+// Pages never written hold only invalid entries, so it skips them.
 func (q *EqualityLCV) decay() {
-	for i := range q.table {
-		e := &q.table[i]
-		if !e.valid {
-			continue
+	q.table.EachPage(func(page []eqEntry) {
+		for i := range page {
+			e := &page[i]
+			if !e.valid {
+				continue
+			}
+			if e.eq > e.neq {
+				e.eq--
+			}
+			if e.neq > e.eq {
+				e.neq--
+			}
 		}
-		if e.eq > e.neq {
-			e.eq--
-		}
-		if e.neq > e.eq {
-			e.neq--
-		}
-	}
+	})
 }
 
 // Footprint implements Sizer.
-func (q *EqualityLCV) Footprint() int { return len(q.table) }
+func (q *EqualityLCV) Footprint() int { return q.table.Len() }
 
 var _ Predictor = (*EqualityLCV)(nil)

@@ -1,6 +1,9 @@
 package vpred
 
-import "mtvp/internal/config"
+import (
+	"mtvp/internal/config"
+	"mtvp/internal/table"
+)
 
 // FCM is an order-N finite context method predictor (Sazeides & Smith): the
 // level-1 table, indexed by PC, keeps a hash of the last N values; the
@@ -10,8 +13,8 @@ import "mtvp/internal/config"
 // sequences but not unseen stride continuations.
 type FCM struct {
 	p  config.DFCMParams // same sizing knobs as DFCM
-	l1 []fcmL1
-	l2 []fcmL2
+	l1 table.Paged[fcmL1]
+	l2 table.Paged[fcmL2]
 }
 
 type fcmL1 struct {
@@ -30,13 +33,13 @@ type fcmL2 struct {
 func NewFCM(p config.DFCMParams) *FCM {
 	return &FCM{
 		p:  p,
-		l1: make([]fcmL1, p.L1Entries),
-		l2: make([]fcmL2, p.L2Entries),
+		l1: table.New[fcmL1](p.L1Entries),
+		l2: table.New[fcmL2](p.L2Entries),
 	}
 }
 
-func (f *FCM) l1Entry(pc uint64) *fcmL1 {
-	return &f.l1[pc%uint64(len(f.l1))]
+func (f *FCM) l1Index(pc uint64) int {
+	return int(pc % uint64(f.l1.Len()))
 }
 
 // index folds the value history with Burtscher's select-fold-shift scheme.
@@ -47,16 +50,19 @@ func (f *FCM) index(e *fcmL1) uint64 {
 		h ^= (x & 0xffff) >> uint(i*2) << uint(i*5)
 	}
 	h ^= e.pc << 3
-	return h % uint64(len(f.l2))
+	return h % uint64(f.l2.Len())
 }
 
 // Lookup implements Predictor. The actual value is ignored.
 func (f *FCM) Lookup(pc, _ uint64) Prediction {
-	e := f.l1Entry(pc)
-	if !e.valid || e.pc != pc || e.warmed < f.p.Order {
+	e := f.l1.Peek(f.l1Index(pc))
+	if e == nil || !e.valid || e.pc != pc || e.warmed < f.p.Order {
 		return Prediction{}
 	}
-	l2 := &f.l2[f.index(e)]
+	var l2 fcmL2 // a never-trained context predicts 0, conf 0
+	if p := f.l2.Peek(int(f.index(e))); p != nil {
+		l2 = *p
+	}
 	return Prediction{
 		Valid:     true,
 		Value:     l2.value,
@@ -67,12 +73,12 @@ func (f *FCM) Lookup(pc, _ uint64) Prediction {
 
 // Train implements Predictor.
 func (f *FCM) Train(pc, actual uint64) {
-	e := f.l1Entry(pc)
+	e := f.l1.At(f.l1Index(pc))
 	if !e.valid || e.pc != pc {
 		*e = fcmL1{pc: pc, hist: make([]uint64, f.p.Order), valid: true}
 	}
 	if e.warmed >= f.p.Order {
-		l2 := &f.l2[f.index(e)]
+		l2 := f.l2.At(int(f.index(e)))
 		if l2.value == actual {
 			if l2.conf < f.p.ConfMax {
 				l2.conf += f.p.ConfInc
@@ -93,6 +99,6 @@ func (f *FCM) Train(pc, actual uint64) {
 }
 
 // Footprint implements Sizer: level-1 plus level-2 entries.
-func (f *FCM) Footprint() int { return len(f.l1) + len(f.l2) }
+func (f *FCM) Footprint() int { return f.l1.Len() + f.l2.Len() }
 
 var _ Predictor = (*FCM)(nil)

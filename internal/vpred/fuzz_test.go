@@ -107,8 +107,8 @@ func FuzzEqualityLCVPredictor(f *testing.F) {
 					t.Fatalf("op %d: twins diverge: %+v vs %+v", i, pa, pb)
 				}
 				if pa.Confident {
-					e := &a.table[pc%uint64(len(a.table))]
-					if !e.valid || e.pc != pc || pa.Value != e.value {
+					e := a.table.Peek(a.index(pc))
+					if e == nil || !e.valid || e.pc != pc || pa.Value != e.value {
 						t.Fatalf("op %d: confident prediction %#x does not match stored entry", i, pa.Value)
 					}
 				}
@@ -117,13 +117,16 @@ func FuzzEqualityLCVPredictor(f *testing.F) {
 				a.Train(pc, v)
 				b.Train(pc, v)
 			}
-			for j := range a.table {
-				e := &a.table[j]
-				if e.eq < 0 || e.eq > p.CounterMax || e.neq < 0 || e.neq > p.CounterMax {
-					t.Fatalf("op %d: entry %d counters (%d,%d) outside [0,%d]",
-						i, j, e.eq, e.neq, p.CounterMax)
+			// Unwritten pages hold zero counters, inside the bound.
+			a.table.EachPage(func(page []eqEntry) {
+				for j := range page {
+					e := &page[j]
+					if e.eq < 0 || e.eq > p.CounterMax || e.neq < 0 || e.neq > p.CounterMax {
+						t.Fatalf("op %d: entry %d counters (%d,%d) outside [0,%d]",
+							i, j, e.eq, e.neq, p.CounterMax)
+					}
 				}
-			}
+			})
 		}
 		if got := a.Footprint(); got != foot {
 			t.Fatalf("footprint grew %d -> %d", foot, got)

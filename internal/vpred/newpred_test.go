@@ -101,7 +101,7 @@ func TestVPQStrideHysteresis(t *testing.T) {
 
 	// One break: stride must still be 8 (conf took a hit but is not spent).
 	vq.Train(pc, last+1000)
-	if e := vq.entry(pc); e.stride != 8 {
+	if e := vq.table.Peek(vq.index(pc)); e.stride != 8 {
 		t.Fatalf("stride flipped to %d after one break with saturated confidence", e.stride)
 	}
 	// Keep breaking until confidence is exhausted: then the stride flips.
@@ -110,7 +110,7 @@ func TestVPQStrideHysteresis(t *testing.T) {
 		cur += 1000
 		vq.Train(pc, cur)
 	}
-	if e := vq.entry(pc); e.stride != 1000 {
+	if e := vq.table.Peek(vq.index(pc)); e.stride != 1000 {
 		t.Fatalf("stride = %d after sustained breaks, want 1000 adopted", e.stride)
 	}
 }
@@ -167,14 +167,14 @@ func TestEqualityDecay(t *testing.T) {
 	if pr := q.Lookup(quiet, 0); !pr.Confident {
 		t.Fatalf("not confident after saturation: %+v", pr)
 	}
-	eq0 := q.entry(quiet).eq
+	eq0 := q.table.Peek(q.index(quiet)).eq
 
 	// Only the busy PC trains now; every 8th training decays the whole
 	// table, including the quiet entry.
 	for i := 0; i < int(p.DecayPeriod)*p.CounterMax; i++ {
 		q.Train(busy, uint64(i))
 	}
-	e := q.entry(quiet)
+	e := q.table.Peek(q.index(quiet))
 	if e.eq >= eq0 {
 		t.Fatalf("quiet entry eq %d did not decay from %d", e.eq, eq0)
 	}

@@ -331,40 +331,64 @@ func TestConfidenceBounds(t *testing.T) {
 	eq := NewEqualityLCV(eqp)
 	vq := NewVPQStride(config.DefaultVPQStride())
 
+	// The checks walk the written pages: entries on pages never written
+	// read as zero, trivially inside every bound.
 	checkWF := func(step int) {
-		for i := range wf.pht {
-			for s, c := range wf.pht[i].conf {
-				if c < 0 || int(c) > wfp.ConfMax {
-					t.Fatalf("step %d: WF pht[%d] slot %d confidence %d outside [0,%d]",
-						step, i, s, c, wfp.ConfMax)
+		wf.pht.EachPage(func(page []wfPHTEntry) {
+			for i := range page {
+				for s, c := range page[i].conf {
+					if c < 0 || int(c) > wfp.ConfMax {
+						t.Fatalf("step %d: WF pht slot %d confidence %d outside [0,%d]",
+							step, s, c, wfp.ConfMax)
+					}
 				}
 			}
-		}
+		})
 	}
-	checkL2 := func(step int, name string, confAt func(i int) int, n int) {
-		for i := 0; i < n; i++ {
-			if c := confAt(i); c < 0 || c > dp.ConfMax {
-				t.Fatalf("step %d: %s l2[%d] confidence %d outside [0,%d]",
-					step, name, i, c, dp.ConfMax)
+	checkL2 := func(step int, name string, confs []int) {
+		for _, c := range confs {
+			if c < 0 || c > dp.ConfMax {
+				t.Fatalf("step %d: %s l2 confidence %d outside [0,%d]",
+					step, name, c, dp.ConfMax)
 			}
 		}
+	}
+	dfcmConfs := func() (cs []int) {
+		dfcm.l2.EachPage(func(page []dfcmL2) {
+			for i := range page {
+				cs = append(cs, page[i].conf)
+			}
+		})
+		return cs
+	}
+	fcmConfs := func() (cs []int) {
+		fcm.l2.EachPage(func(page []fcmL2) {
+			for i := range page {
+				cs = append(cs, page[i].conf)
+			}
+		})
+		return cs
 	}
 	checkEq := func(step int) {
-		for i := range eq.table {
-			e := &eq.table[i]
-			if e.eq < 0 || e.eq > eqp.CounterMax || e.neq < 0 || e.neq > eqp.CounterMax {
-				t.Fatalf("step %d: eqlcv[%d] counters (%d,%d) outside [0,%d]",
-					step, i, e.eq, e.neq, eqp.CounterMax)
+		eq.table.EachPage(func(page []eqEntry) {
+			for i := range page {
+				e := &page[i]
+				if e.eq < 0 || e.eq > eqp.CounterMax || e.neq < 0 || e.neq > eqp.CounterMax {
+					t.Fatalf("step %d: eqlcv counters (%d,%d) outside [0,%d]",
+						step, e.eq, e.neq, eqp.CounterMax)
+				}
 			}
-		}
+		})
 	}
 	checkVQ := func(step int) {
-		for i := range vq.table {
-			if c := vq.table[i].conf; c < 0 || c > vq.p.ConfMax {
-				t.Fatalf("step %d: vpq svp[%d] confidence %d outside [0,%d]",
-					step, i, c, vq.p.ConfMax)
+		vq.table.EachPage(func(page []svpEntry) {
+			for i := range page {
+				if c := page[i].conf; c < 0 || c > vq.p.ConfMax {
+					t.Fatalf("step %d: vpq svp confidence %d outside [0,%d]",
+						step, c, vq.p.ConfMax)
+				}
 			}
-		}
+		})
 		if occ := vq.occupancy(); occ < 0 || occ > len(vq.queue) {
 			t.Fatalf("step %d: VPQ occupancy %d outside [0,%d]", step, occ, len(vq.queue))
 		}
@@ -381,8 +405,8 @@ func TestConfidenceBounds(t *testing.T) {
 		// always scan the first steps, where saturation bugs surface.
 		if i < 64 || i%997 == 0 {
 			checkWF(i)
-			checkL2(i, "dfcm", func(j int) int { return dfcm.l2[j].conf }, len(dfcm.l2))
-			checkL2(i, "fcm", func(j int) int { return fcm.l2[j].conf }, len(fcm.l2))
+			checkL2(i, "dfcm", dfcmConfs())
+			checkL2(i, "fcm", fcmConfs())
 			checkEq(i)
 			checkVQ(i)
 		}
@@ -429,19 +453,19 @@ func TestTableAliasingInBounds(t *testing.T) {
 	wf := preds["wf-tiny"].(*WangFranklin)
 	for _, pc := range pcs {
 		for _, hist := range vals {
-			if idx := wf.phtIndex(pc, hist); idx >= uint64(len(wf.pht)) {
+			if idx := wf.phtIndex(pc, hist); idx >= uint64(wf.pht.Len()) {
 				t.Fatalf("WF pht index %d out of bounds for pc %#x hist %#x", idx, pc, hist)
 			}
 		}
 	}
 	dfcm := preds["dfcm-tiny"].(*DFCM)
 	e := &dfcmL1{pc: ^uint64(0), deltas: []int64{1 << 62, -(1 << 62), -1}}
-	if idx := dfcm.index(e); idx >= uint64(len(dfcm.l2)) {
+	if idx := dfcm.index(e); idx >= uint64(dfcm.l2.Len()) {
 		t.Fatalf("DFCM l2 index %d out of bounds", idx)
 	}
 	fcm := preds["fcm-tiny"].(*FCM)
 	fe := &fcmL1{pc: 1 << 63, hist: []uint64{^uint64(0), 0, 1 << 62}}
-	if idx := fcm.index(fe); idx >= uint64(len(fcm.l2)) {
+	if idx := fcm.index(fe); idx >= uint64(fcm.l2.Len()) {
 		t.Fatalf("FCM l2 index %d out of bounds", idx)
 	}
 	vq := preds["vpq-tiny"].(*VPQStride)

@@ -1,6 +1,9 @@
 package vpred
 
-import "mtvp/internal/config"
+import (
+	"mtvp/internal/config"
+	"mtvp/internal/table"
+)
 
 // SharingStats counts cross-context interference observed on the bank's
 // tables. All counters are observational: they never influence predictions
@@ -58,7 +61,7 @@ const ownerProbeSlots = 4096
 type Bank struct {
 	mode  config.SharingMode
 	preds []Predictor
-	owner []ownerSlot
+	owner table.Paged[ownerSlot] // no entries unless the probe runs
 	stats SharingStats
 }
 
@@ -74,7 +77,7 @@ func NewBank(cfg *config.Config) *Bank {
 	case b.mode == config.ShareShared || contexts == 1:
 		b.preds = []Predictor{New(cfg)}
 		if b.mode == config.ShareShared && contexts > 1 {
-			b.owner = make([]ownerSlot, ownerProbeSlots)
+			b.owner = table.New[ownerSlot](ownerProbeSlots)
 		}
 	case b.mode == config.SharePrivate:
 		b.preds = make([]Predictor, contexts)
@@ -102,9 +105,9 @@ func (b *Bank) pred(ctx int) Predictor {
 // predictor and by the observational interference probe.
 func (b *Bank) Lookup(ctx int, pc, actual uint64) Prediction {
 	pr := b.pred(ctx).Lookup(pc, actual)
-	if b.owner != nil && pr.Valid {
-		o := &b.owner[pc%uint64(len(b.owner))]
-		if o.valid && o.pc == pc && int(o.ctx) != ctx {
+	if b.owner.Len() > 0 && pr.Valid {
+		o := b.owner.Peek(b.ownerIndex(pc))
+		if o != nil && o.valid && o.pc == pc && int(o.ctx) != ctx {
 			b.stats.CrossLookups++
 			if pr.Confident {
 				if pr.Value == actual {
@@ -121,8 +124,8 @@ func (b *Bank) Lookup(ctx int, pc, actual uint64) Prediction {
 // Train trains context ctx's predictor state with the committed value of
 // the load at pc.
 func (b *Bank) Train(ctx int, pc, actual uint64) {
-	if b.owner != nil {
-		o := &b.owner[pc%uint64(len(b.owner))]
+	if b.owner.Len() > 0 {
+		o := b.owner.At(b.ownerIndex(pc))
 		if o.valid && int(o.ctx) != ctx {
 			if o.pc == pc {
 				b.stats.CrossTrains++
@@ -135,6 +138,10 @@ func (b *Bank) Train(ctx int, pc, actual uint64) {
 	b.pred(ctx).Train(pc, actual)
 }
 
+func (b *Bank) ownerIndex(pc uint64) int {
+	return int(pc % uint64(b.owner.Len()))
+}
+
 // Stats returns the interference counters accumulated so far.
 func (b *Bank) Stats() SharingStats { return b.stats }
 
@@ -144,7 +151,7 @@ func (b *Bank) Mode() config.SharingMode { return b.mode }
 // Footprint implements Sizer: total table entries across every instance in
 // the bank, plus the probe.
 func (b *Bank) Footprint() int {
-	n := len(b.owner)
+	n := b.owner.Len()
 	for _, p := range b.preds {
 		if s, ok := p.(Sizer); ok {
 			n += s.Footprint()

@@ -1,6 +1,9 @@
 package vpred
 
-import "mtvp/internal/config"
+import (
+	"mtvp/internal/config"
+	"mtvp/internal/table"
+)
 
 // svpEntry is one PC-tagged stride value predictor entry: last retired
 // value, stride, and a saturating confidence counter.
@@ -34,7 +37,7 @@ type vpqSlot struct {
 // lookup/train history.
 type VPQStride struct {
 	p     config.VPQStrideParams
-	table []svpEntry
+	table table.Paged[svpEntry]
 	queue []vpqSlot
 
 	head, tail           int
@@ -45,13 +48,13 @@ type VPQStride struct {
 func NewVPQStride(p config.VPQStrideParams) *VPQStride {
 	return &VPQStride{
 		p:     p,
-		table: make([]svpEntry, p.TableEntries),
+		table: table.New[svpEntry](p.TableEntries),
 		queue: make([]vpqSlot, p.QueueEntries),
 	}
 }
 
-func (v *VPQStride) entry(pc uint64) *svpEntry {
-	return &v.table[pc%uint64(len(v.table))]
+func (v *VPQStride) index(pc uint64) int {
+	return int(pc % uint64(v.table.Len()))
 }
 
 // Phase-bit ring primitives: head == tail with equal phase bits means
@@ -130,8 +133,8 @@ func (v *VPQStride) retire(pc uint64) {
 // Lookup implements Predictor. The actual value is ignored. A tag hit
 // enqueues one VPQ instance for the in-flight load it predicts.
 func (v *VPQStride) Lookup(pc, _ uint64) Prediction {
-	e := v.entry(pc)
-	if !e.valid || e.pc != pc {
+	e := v.table.Peek(v.index(pc))
+	if e == nil || !e.valid || e.pc != pc {
 		return Prediction{}
 	}
 	n := v.inflight(pc)
@@ -148,7 +151,7 @@ func (v *VPQStride) Lookup(pc, _ uint64) Prediction {
 // load's VPQ instance, then trains or replaces the SVP entry.
 func (v *VPQStride) Train(pc, actual uint64) {
 	v.retire(pc)
-	e := v.entry(pc)
+	e := v.table.At(v.index(pc))
 	if !e.valid || e.pc != pc {
 		*e = svpEntry{pc: pc, last: actual, valid: true}
 		return
@@ -171,6 +174,6 @@ func (v *VPQStride) Train(pc, actual uint64) {
 }
 
 // Footprint implements Sizer: SVP entries plus VPQ slots.
-func (v *VPQStride) Footprint() int { return len(v.table) + len(v.queue) }
+func (v *VPQStride) Footprint() int { return v.table.Len() + len(v.queue) }
 
 var _ Predictor = (*VPQStride)(nil)

@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"mtvp/internal/config"
+	"mtvp/internal/table"
 )
 
 // Candidate is one predicted value with its confidence.
@@ -120,7 +121,7 @@ func (Oracle) Footprint() int { return 0 }
 
 // LastValue predicts that a load returns the same value as last time.
 type LastValue struct {
-	entries   []lvEntry
+	entries   table.Paged[lvEntry]
 	threshold int
 	confMax   int
 }
@@ -136,20 +137,20 @@ type lvEntry struct {
 // confidence parameters.
 func NewLastValue(entries, threshold, confMax int) *LastValue {
 	return &LastValue{
-		entries:   make([]lvEntry, entries),
+		entries:   table.New[lvEntry](entries),
 		threshold: threshold,
 		confMax:   confMax,
 	}
 }
 
-func (p *LastValue) entry(pc uint64) *lvEntry {
-	return &p.entries[pc%uint64(len(p.entries))]
+func (p *LastValue) index(pc uint64) int {
+	return int(pc % uint64(p.entries.Len()))
 }
 
 // Lookup implements Predictor.
 func (p *LastValue) Lookup(pc, _ uint64) Prediction {
-	e := p.entry(pc)
-	if !e.valid || e.pc != pc {
+	e := p.entries.Peek(p.index(pc))
+	if e == nil || !e.valid || e.pc != pc {
 		return Prediction{}
 	}
 	return Prediction{
@@ -162,7 +163,7 @@ func (p *LastValue) Lookup(pc, _ uint64) Prediction {
 
 // Train implements Predictor.
 func (p *LastValue) Train(pc, actual uint64) {
-	e := p.entry(pc)
+	e := p.entries.At(p.index(pc))
 	if !e.valid || e.pc != pc {
 		*e = lvEntry{pc: pc, value: actual, conf: 1, valid: true}
 		return
@@ -181,11 +182,11 @@ func (p *LastValue) Train(pc, actual uint64) {
 }
 
 // Footprint implements Sizer.
-func (p *LastValue) Footprint() int { return len(p.entries) }
+func (p *LastValue) Footprint() int { return p.entries.Len() }
 
 // Stride predicts last value plus the last observed stride.
 type Stride struct {
-	entries   []strideEntry
+	entries   table.Paged[strideEntry]
 	threshold int
 	confMax   int
 }
@@ -202,20 +203,20 @@ type strideEntry struct {
 // confidence parameters.
 func NewStride(entries, threshold, confMax int) *Stride {
 	return &Stride{
-		entries:   make([]strideEntry, entries),
+		entries:   table.New[strideEntry](entries),
 		threshold: threshold,
 		confMax:   confMax,
 	}
 }
 
-func (p *Stride) entry(pc uint64) *strideEntry {
-	return &p.entries[pc%uint64(len(p.entries))]
+func (p *Stride) index(pc uint64) int {
+	return int(pc % uint64(p.entries.Len()))
 }
 
 // Lookup implements Predictor.
 func (p *Stride) Lookup(pc, _ uint64) Prediction {
-	e := p.entry(pc)
-	if !e.valid || e.pc != pc {
+	e := p.entries.Peek(p.index(pc))
+	if e == nil || !e.valid || e.pc != pc {
 		return Prediction{}
 	}
 	return Prediction{
@@ -228,7 +229,7 @@ func (p *Stride) Lookup(pc, _ uint64) Prediction {
 
 // Train implements Predictor.
 func (p *Stride) Train(pc, actual uint64) {
-	e := p.entry(pc)
+	e := p.entries.At(p.index(pc))
 	if !e.valid || e.pc != pc {
 		*e = strideEntry{pc: pc, last: actual, valid: true}
 		return
@@ -249,7 +250,7 @@ func (p *Stride) Train(pc, actual uint64) {
 }
 
 // Footprint implements Sizer.
-func (p *Stride) Footprint() int { return len(p.entries) }
+func (p *Stride) Footprint() int { return p.entries.Len() }
 
 var (
 	_ Predictor = Oracle{}

@@ -1,6 +1,9 @@
 package vpred
 
-import "mtvp/internal/config"
+import (
+	"mtvp/internal/config"
+	"mtvp/internal/table"
+)
 
 // Slot identifiers inside one Wang–Franklin VHT entry. The paper's
 // configuration uses five learned values, hardwired zero and one, and a
@@ -37,8 +40,8 @@ type wfPHTEntry struct {
 type WangFranklin struct {
 	p       config.WangFranklinParams
 	liberal int // secondary threshold for multi-value mode (0 = p.Threshold)
-	vht     []wfVHTEntry
-	pht     []wfPHTEntry
+	vht     table.Paged[wfVHTEntry]
+	pht     table.Paged[wfPHTEntry]
 	histMsk uint64
 }
 
@@ -52,21 +55,21 @@ func NewWangFranklin(p config.WangFranklinParams, liberalThreshold int) *WangFra
 	return &WangFranklin{
 		p:       p,
 		liberal: liberalThreshold,
-		vht:     make([]wfVHTEntry, p.VHTEntries),
-		pht:     make([]wfPHTEntry, p.ValPHTEntries),
+		vht:     table.New[wfVHTEntry](p.VHTEntries),
+		pht:     table.New[wfPHTEntry](p.ValPHTEntries),
 		histMsk: (1 << uint(p.HistLen*wfSlotBits)) - 1,
 	}
 }
 
-func (w *WangFranklin) vhtEntry(pc uint64) *wfVHTEntry {
-	return &w.vht[pc%uint64(len(w.vht))]
+func (w *WangFranklin) vhtIndex(pc uint64) int {
+	return int(pc % uint64(w.vht.Len()))
 }
 
 func (w *WangFranklin) phtIndex(pc, hist uint64) uint64 {
 	// Mix the pattern history with PC bits so different loads sharing a
 	// pattern do not fully alias.
 	h := hist ^ (pc << 7) ^ (pc >> 3)
-	return h % uint64(len(w.pht))
+	return h % uint64(w.pht.Len())
 }
 
 // slotValue returns the candidate value slot s proposes.
@@ -89,11 +92,14 @@ func (w *WangFranklin) activeSlots() int {
 
 // Lookup implements Predictor. The actual value is ignored.
 func (w *WangFranklin) Lookup(pc, _ uint64) Prediction {
-	e := w.vhtEntry(pc)
-	if !e.valid || e.pc != pc {
+	e := w.vht.Peek(w.vhtIndex(pc))
+	if e == nil || !e.valid || e.pc != pc {
 		return Prediction{}
 	}
-	ph := &w.pht[w.phtIndex(pc, e.hist)]
+	var ph wfPHTEntry // a never-trained pattern has zero confidence
+	if p := w.pht.Peek(int(w.phtIndex(pc, e.hist))); p != nil {
+		ph = *p
+	}
 
 	best, bestConf := -1, -1
 	for s := 0; s < wfSlots; s++ {
@@ -153,7 +159,7 @@ func (w *WangFranklin) Lookup(pc, _ uint64) Prediction {
 // describes (stride speculatively at use, the rest at commit — the
 // simulator trains in per-thread program order, which matches both).
 func (w *WangFranklin) Train(pc, actual uint64) {
-	e := w.vhtEntry(pc)
+	e := w.vht.At(w.vhtIndex(pc))
 	if !e.valid || e.pc != pc {
 		*e = wfVHTEntry{pc: pc, last: actual, valid: true}
 		for i := 0; i < w.activeSlots(); i++ {
@@ -161,7 +167,7 @@ func (w *WangFranklin) Train(pc, actual uint64) {
 		}
 		return
 	}
-	ph := &w.pht[w.phtIndex(pc, e.hist)]
+	ph := w.pht.At(int(w.phtIndex(pc, e.hist)))
 
 	matched := -1
 	for s := 0; s < wfSlots; s++ {
@@ -206,6 +212,6 @@ func (w *WangFranklin) Train(pc, actual uint64) {
 }
 
 // Footprint implements Sizer: VHT plus ValPHT entries.
-func (w *WangFranklin) Footprint() int { return len(w.vht) + len(w.pht) }
+func (w *WangFranklin) Footprint() int { return w.vht.Len() + w.pht.Len() }
 
 var _ Predictor = (*WangFranklin)(nil)
