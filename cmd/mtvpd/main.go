@@ -5,6 +5,7 @@
 //
 //	mtvpd serve -addr :8100 -token T -journal-dir /var/lib/mtvp
 //	mtvpd work  -coordinator http://sweep-host:8100 -token T -slots 8
+//	mtvpd tail  -coordinator http://sweep-host:8100 -token T fig2
 //
 // `serve` runs the coordinator: it accepts campaigns (mtvpbench
 // -coordinator, mtvpreport -coordinator, or any fabric client), shards
@@ -22,21 +23,14 @@
 // agent never re-derives experiment presets), streams heartbeats, and
 // reports results. Any number of agents may attach and detach at any time.
 //
-// The fabric does not trust its fleet. Every result carries an attestation
-// digest over (campaign, cell key, config fingerprint, payload); results
-// whose digests do not verify are rejected without charging the cell's
-// retry budget, and repeat offenders are quarantined fleet-wide (visible
-// as `trust` in /api/v1/fleet and the mtvp_fleet_trust gauge). `serve
-// -verify k` additionally requires k distinct workers to agree on each
-// cell's digest, with the coordinator's own re-execution as tiebreaker,
-// and `-spot-ppm` audits a sampled fraction of cells the same way.
-// `serve -max-queued-cells` / `-max-campaigns-per-tenant` shed excess
-// load with 429 + Retry-After, which clients and agents honor with
-// jittered backoff. `work -chaos <profile>` rehearses all of this by
-// injecting seeded, reproducible network faults (drops, delays,
-// duplicates, reorders, payload damage) in front of the agent, and
-// `work -byzantine` makes the agent corrupt every payload it reports —
-// together they let an operator drill the trust machinery end to end.
+// `tail` prints a campaign's straggler analytics: per-worker lease
+// latency with relative slowdown, and the slowest cells with their span
+// breakdowns.
+//
+// The fleet is trusted: workers are the operator's own machines. Every
+// result still carries an attestation digest over (campaign, cell key,
+// config fingerprint, payload), so a payload damaged in transit or at rest
+// is rejected and its cell requeued without charging its retry budget.
 //
 // Both subcommands shut down gracefully on SIGINT or SIGTERM and then exit
 // 0: `serve` stops its listener and flushes every campaign journal;
@@ -48,13 +42,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -62,7 +54,6 @@ import (
 
 	"mtvp/internal/experiments"
 	"mtvp/internal/fabric"
-	"mtvp/internal/fabric/chaos"
 	"mtvp/internal/telemetry"
 	"mtvp/internal/version"
 )
@@ -132,11 +123,6 @@ func serveCmd(args []string) int {
 		journalDir = fs.String("journal-dir", "", "directory for per-campaign specs and fsynced result journals (\"\" = in-memory only, no crash resume)")
 		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "job lease time-to-live; a lease not heartbeat-extended within it expires and the cell requeues")
 		retries    = fs.Int("retries", 3, "requeue budget per cell (lost workers and reported failures both spend it)")
-		verify     = fs.Int("verify", 0, "redundant-execution factor: lease every cell to this many distinct workers and require a digest quorum (<2 disables; splits on the coordinator's own re-execution)")
-		spotPPM    = fs.Uint("spot-ppm", 0, "spot-check rate in parts per million: audited cells are re-leased to a second worker for a confirming vote even with -verify off")
-		spotSeed   = fs.Uint64("spot-seed", 0, "seed for the spot-check sampling stream (deterministic; 0 selects a fixed default)")
-		maxCells   = fs.Int("max-queued-cells", 0, "admission limit: shed campaign submits (429 + Retry-After) that would push the total queued-cell count past this (0 = unlimited)")
-		maxTenant  = fs.Int("max-campaigns-per-tenant", 0, "admission limit: shed submits from a tenant (campaign name) that already has this many running campaigns (0 = unlimited)")
 		quiet      = fs.Bool("quiet", false, "suppress coordinator event logging on stderr")
 	)
 	fs.Parse(args)
@@ -148,17 +134,11 @@ func serveCmd(args []string) int {
 	reg := telemetry.NewRegistry()
 	version.Register(reg)
 	co, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
-		LeaseTTL:              *leaseTTL,
-		Retries:               *retries,
-		JournalDir:            *journalDir,
-		Registry:              reg,
-		Logf:                  logf,
-		Verify:                *verify,
-		SpotCheckPPM:          uint32(*spotPPM),
-		SpotCheckSeed:         *spotSeed,
-		LocalRun:              experiments.RunSpec, // tiebreaker for split verification votes
-		MaxQueuedCells:        *maxCells,
-		MaxCampaignsPerTenant: *maxTenant,
+		LeaseTTL:   *leaseTTL,
+		Retries:    *retries,
+		JournalDir: *journalDir,
+		Registry:   reg,
+		Logf:       logf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -193,11 +173,6 @@ func workCmd(args []string) int {
 		slots       = fs.Int("slots", 0, "cells simulated concurrently (0 = GOMAXPROCS)")
 		poll        = fs.Duration("poll", 500*time.Millisecond, "idle backoff between lease attempts when the queue is empty (jittered ±50%)")
 		reportTO    = fs.Duration("report-timeout", 0, "per-attempt timeout for result uploads (0 selects 10s)")
-		jitterSeed  = fs.Uint64("jitter-seed", 0, "seed for the poll/retry jitter streams (0 selects a fixed default)")
-		chaosProf   = fs.String("chaos", "", "inject seeded network faults between this agent and the coordinator via an in-process chaos proxy: "+chaosNames()+" (\"\" disables)")
-		chaosSeed   = fs.Uint64("chaos-seed", 1, "seed for the -chaos fault schedule (same seed + profile + traffic = same faults)")
-		byzantine   = fs.Bool("byzantine", false, "TESTING AID: corrupt every result payload after attesting it, exercising the coordinator's rejection and quarantine paths")
-		drag        = fs.Duration("drag", 0, "TESTING AID: slow every cell by this much, making this agent a deliberate straggler for the fleet analytics to catch (0 = off)")
 		quiet       = fs.Bool("quiet", false, "suppress agent event logging on stderr")
 	)
 	fs.Parse(args)
@@ -209,59 +184,14 @@ func workCmd(args []string) int {
 	ctx, cancel := signalCtx(logf)
 	defer cancel()
 
-	target := *coordinator
-	if *chaosProf != "" {
-		prof, ok := chaos.ByName(*chaosProf)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "mtvpd: unknown chaos profile %q (have: %s)\n", *chaosProf, chaosNames())
-			return 1
-		}
-		proxy, err := chaos.NewProxy("127.0.0.1:0", target, prof, *chaosSeed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer func() {
-			proxy.Close()
-			logf("mtvpd: chaos faults injected: %s", chaos.FormatCounts(proxy.T.Counts()))
-		}()
-		logf("mtvpd: chaos profile %q (seed %d) proxying %s via %s", *chaosProf, *chaosSeed, target, proxy.URL())
-		target = proxy.URL()
-	}
-	var tamper func(json.RawMessage) json.RawMessage
-	if *byzantine {
-		logf("mtvpd: BYZANTINE MODE: every result payload will be corrupted after attestation")
-		tamper = func(json.RawMessage) json.RawMessage {
-			return json.RawMessage(`{"byzantine":true}`)
-		}
-	}
-	run := fabric.RunFunc(experiments.RunSpec)
-	if *drag > 0 {
-		logf("mtvpd: DRAG MODE: every cell slowed by %s (deliberate straggler)", *drag)
-		d, inner := *drag, run
-		run = func(ctx context.Context, spec fabric.JobSpec, progress func(uint64, uint64)) (json.RawMessage, error) {
-			res, err := inner(ctx, spec, progress)
-			if err != nil {
-				return nil, err
-			}
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(d):
-			}
-			return res, nil
-		}
-	}
 	err := fabric.RunWorker(ctx, fabric.WorkerConfig{
-		Coordinator:   target,
+		Coordinator:   *coordinator,
 		Token:         *token,
 		Name:          *name,
 		Slots:         *slots,
 		Poll:          *poll,
 		ReportTimeout: *reportTO,
-		JitterSeed:    *jitterSeed,
-		Run:           run,
-		Tamper:        tamper,
+		Run:           experiments.RunSpec,
 		Logf:          logf,
 	})
 	if err != nil {
@@ -377,16 +307,6 @@ func printTimeline(w io.Writer, tl fabric.CampaignTimeline) {
 		}
 		tw.Flush()
 	}
-}
-
-// chaosNames lists the built-in chaos profiles for flag help.
-func chaosNames() string {
-	var names []string
-	for _, p := range chaos.Profiles() {
-		names = append(names, p.Name)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
 }
 
 func orNone(s string) string {

@@ -141,19 +141,17 @@ func TestRemoteSweepMatchesLocalByteForByte(t *testing.T) {
 	}
 }
 
-// TestRemoteSweepSurvivesByzantineWorkerAndChaos is the untrusted-fleet
-// acceptance test at the paper-artifact level: two honest workers and one
-// always-tampering byzantine worker, all talking through a seeded lossy
-// network, still render the exact local Fig2 bytes, and the byzantine
-// worker ends quarantined.
-func TestRemoteSweepSurvivesByzantineWorkerAndChaos(t *testing.T) {
+// TestRemoteSweepSurvivesLossyWire is the lossy-network acceptance test at
+// the paper-artifact level: two workers talking through a seeded lossy
+// network still render the exact local Fig2 bytes.
+func TestRemoteSweepSurvivesLossyWire(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs real simulations across a hostile fleet")
+		t.Skip("runs real simulations across a lossy network")
 	}
 
 	local := renderFig2(t, fabricOpts())
 
-	co, url, _ := startFabric(t, 0, fabric.CoordinatorConfig{
+	_, url, _ := startFabric(t, 0, fabric.CoordinatorConfig{
 		LeaseTTL: 2 * time.Second, Retries: 8,
 	})
 	lossy, ok := chaos.ByName("lossy")
@@ -166,14 +164,14 @@ func TestRemoteSweepSurvivesByzantineWorkerAndChaos(t *testing.T) {
 	}
 	t.Cleanup(func() { proxy.Close() })
 
-	worker := func(name string, tamper func(json.RawMessage) json.RawMessage) {
+	for _, name := range []string{"w0", "w1"} {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			fabric.RunWorker(ctx, fabric.WorkerConfig{
 				Coordinator: proxy.URL(), Token: "test-token", Name: name, Slots: 2,
-				Poll: 10 * time.Millisecond, Run: RunSpec, Tamper: tamper,
+				Poll: 10 * time.Millisecond, Run: RunSpec,
 			})
 		}()
 		t.Cleanup(func() {
@@ -185,22 +183,12 @@ func TestRemoteSweepSurvivesByzantineWorkerAndChaos(t *testing.T) {
 			}
 		})
 	}
-	worker("honest-0", nil)
-	worker("honest-1", nil)
-	worker("byzantine", func(json.RawMessage) json.RawMessage {
-		return json.RawMessage(`{"ipc":99.9,"EVIL":true}`)
-	})
 
 	o := fabricOpts()
 	o.Coordinator, o.Token = url, "test-token"
-	hostile := renderFig2(t, o)
-	if hostile != local {
-		t.Errorf("hostile-fleet report differs from local:\n--- local ---\n%s--- hostile ---\n%s", local, hostile)
-	}
-	for _, w := range co.Fleet() {
-		if w.Name == "byzantine" && (w.Trust != "disabled" || w.Corrupt < 2) {
-			t.Errorf("byzantine worker must end quarantined: %+v", w)
-		}
+	lossyOut := renderFig2(t, o)
+	if lossyOut != local {
+		t.Errorf("lossy-wire report differs from local:\n--- local ---\n%s--- lossy ---\n%s", local, lossyOut)
 	}
 	t.Logf("injected faults: %s", chaos.FormatCounts(proxy.T.Counts()))
 }

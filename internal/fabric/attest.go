@@ -6,14 +6,9 @@ package fabric
 // bytes). The worker computes it over the bytes it is about to send; the
 // coordinator recomputes it over the bytes it received against the spec it
 // handed out. Anything in between — a bit-flipped wire, a stale worker
-// binary resolving the config differently, a hostile agent rewriting
-// payloads — breaks the digest and the result is rejected before it can
-// reach the journal or a report.
-//
-// The digest is also the quorum token of `-verify k` redundancy: two
-// workers agree on a cell exactly when their digests match, which (sha256
-// collisions aside) means their payload bytes match, which is precisely the
-// byte-identical-report property the fabric promises.
+// binary resolving the config differently, a damaged journal record —
+// breaks the digest and the result is rejected before it can reach the
+// journal or a report.
 
 import (
 	"crypto/sha256"

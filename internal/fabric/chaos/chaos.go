@@ -12,13 +12,12 @@
 // same fault schedule, so a fabric failure under chaos is reproducible
 // from its seed.
 //
-// Two deployment shapes:
+// Only tests use it, in two shapes:
 //
 //   - Transport wraps an http.RoundTripper, injecting faults inside one
-//     process (unit/e2e tests wrap a worker's or client's transport).
+//     process.
 //   - Proxy is a listening reverse proxy built on Transport, for putting a
-//     lossy network between real processes (the CI chaos job runs real
-//     mtvpd binaries through it).
+//     lossy network between a test's workers and its coordinator.
 package chaos
 
 import (

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,11 +20,8 @@ type Client struct {
 	token string
 	hc    *http.Client
 	// Poll is the status-poll period used by Wait (0 selects 500ms). Actual
-	// sleeps are jittered ±50% from a seeded stream so many clients polling
-	// one coordinator spread out instead of beating in sync.
+	// sleeps are jittered ±50% from a fixed-seed stream.
 	Poll time.Duration
-	// JitterSeed seeds the poll-jitter stream (0 selects a fixed default).
-	JitterSeed uint64
 }
 
 // NewClient builds a client for the coordinator at base (e.g.
@@ -65,17 +61,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	switch {
 	case resp.StatusCode == http.StatusNoContent:
 		return errNoContent
-	case resp.StatusCode == http.StatusTooManyRequests:
-		// Admission-control shedding: surface the server's Retry-After as a
-		// typed error so callers back off for the advertised interval.
-		retry := 1 * time.Second
-		if s := resp.Header.Get("Retry-After"); s != "" {
-			if secs, err := strconv.Atoi(s); err == nil && secs > 0 {
-				retry = time.Duration(secs) * time.Second
-			}
-		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return &OverloadError{Reason: string(bytes.TrimSpace(msg)), RetryAfter: retry}
 	case resp.StatusCode >= 300:
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
 		return fmt.Errorf("fabric: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
@@ -86,27 +71,11 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Submit registers a campaign and returns its (deterministic) ID. A
-// submission shed by admission control (429) is retried after the
-// coordinator's advertised Retry-After until ctx ends, at which point the
-// *OverloadError is returned.
+// Submit registers a campaign and returns its (deterministic) ID.
 func (c *Client) Submit(ctx context.Context, spec CampaignSpec) (SubmitResponse, error) {
-	dice := fault.NewDice(c.JitterSeed)
-	for {
-		var resp SubmitResponse
-		err := c.do(ctx, http.MethodPost, PathCampaigns, spec, &resp)
-		var over *OverloadError
-		if !errors.As(err, &over) {
-			return resp, err
-		}
-		t := time.NewTimer(jitter(dice, over.RetryAfter))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return SubmitResponse{}, over
-		case <-t.C:
-		}
-	}
+	var resp SubmitResponse
+	err := c.do(ctx, http.MethodPost, PathCampaigns, spec, &resp)
+	return resp, err
 }
 
 // Status fetches one campaign's live counters.
@@ -185,7 +154,7 @@ func (c *Client) Wait(ctx context.Context, id string, onStatus func(CampaignStat
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
 	}
-	dice := fault.NewDice(c.JitterSeed)
+	dice := fault.NewDice(0)
 	for {
 		st, err := c.Status(ctx, id)
 		if err == nil {

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -38,42 +37,12 @@ type CoordinatorConfig struct {
 	// re-running completed cells.
 	JournalDir string
 	// PruneAfter retires a worker from the fleet view after this much
-	// silence with no leases held (0 selects 10×LeaseTTL). Workers under
-	// trust quarantine are never pruned — their record is the point.
+	// silence with no leases held (0 selects 10×LeaseTTL).
 	PruneAfter time.Duration
-
-	// Verify is the byzantine-defense redundancy factor k: each cell is
-	// leased to k distinct workers and accepted only when a majority of the
-	// k attestation digests agree (<2 disables redundancy; a single honest
-	// digest then suffices). Workers whose digest loses a quorum are struck
-	// toward fleet quarantine.
-	Verify int
-	// SpotCheckPPM re-leases a completed cell to a second worker for a
-	// confirming vote at this parts-per-million rate even when Verify is
-	// off — a random audit of a fleet that is normally trusted. Rolls come
-	// from a seeded splitmix64 stream (fault.Dice), so a spot-check
-	// schedule is reproducible from SpotCheckSeed.
-	SpotCheckPPM uint32
-	// SpotCheckSeed seeds the spot-check dice (0 selects a fixed default).
-	SpotCheckSeed uint64
-	// LocalRun, when non-nil, is the coordinator-local tiebreaker: when all
-	// k verification votes are in and no digest has a majority, the
-	// coordinator re-executes the cell itself and its digest decides the
-	// quorum. Without it, disagreement widens the electorate (one more
-	// worker per round, paced by the cell's retry budget).
-	LocalRun RunFunc
-
-	// MaxQueuedCells caps the total number of cells waiting for a lease
-	// across all campaigns (0 = unlimited). A submit that would exceed it
-	// is shed with an OverloadError (HTTP 429 + Retry-After).
-	MaxQueuedCells int
-	// MaxCampaignsPerTenant caps concurrently running campaigns sharing one
-	// campaign name — the fabric's tenant key (0 = unlimited).
-	MaxCampaignsPerTenant int
 
 	// Registry, when non-nil, exports the live fleet view: aggregate
 	// counters plus per-worker labeled gauges (leases held, heartbeat age,
-	// jobs done/failed, cycle rate, trust level, corrupt results).
+	// jobs done/failed, cycle rate, lease-duration quantiles).
 	Registry *telemetry.Registry
 	// Logf, when non-nil, receives coordinator progress lines.
 	Logf func(format string, args ...any)
@@ -102,70 +71,26 @@ func (c CoordinatorConfig) pruneAfter() time.Duration {
 	return 10 * c.leaseTTL()
 }
 
-func (c CoordinatorConfig) verifyK() int {
-	if c.Verify < 2 {
-		return 1
-	}
-	return c.Verify
-}
+// FailLostWorker classifies a cell whose lease expired because its worker
+// stopped heartbeating — the fabric's worker-loss fault class, beyond the
+// harness's own set.
+const FailLostWorker harness.FailKind = "lost-worker"
 
-// fleetTuning is the fleet-level adaptation of the pipeline's misprediction
-// quarantine: one attested-corrupt result (WrongCost == ClampAt) clamps a
-// worker to suspect, a second disables it outright. Suspects rehabilitate
-// through corroborated results (CorrectCredit each); a disabled worker only
-// recovers through passive decay, one point per DecayEvery expiry scans.
-var fleetTuning = fault.QuarantineTuning{
-	WrongCost: 32, CorrectCredit: 2,
-	ClampAt: 32, DisableAt: 64, ScoreMax: 96,
-	DecayEvery: 16,
-}
-
-// OverloadError is admission-control shedding: the coordinator refused new
-// load and the caller should retry no sooner than RetryAfter. The HTTP
-// layer maps it to 429 + Retry-After.
-type OverloadError struct {
-	Reason     string
-	RetryAfter time.Duration
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("fabric: overloaded: %s (retry after %s)", e.Reason, e.RetryAfter)
-}
-
-// Fault kinds the coordinator classifies cells with, beyond the harness's
-// own set.
-const (
-	// FailLostWorker classifies a cell whose lease expired because its
-	// worker stopped heartbeating — the fabric's worker-loss fault class.
-	FailLostWorker harness.FailKind = "lost-worker"
-	// FailNoQuorum classifies a cell whose verification votes never
-	// reached a majority before its retry budget ran out — a byzantine
-	// disagreement the fleet could not resolve.
-	FailNoQuorum harness.FailKind = "no-quorum"
-	// FailTiebreak classifies a cell whose coordinator-local tiebreak
-	// re-execution itself failed.
-	FailTiebreak harness.FailKind = "tiebreak-error"
-)
-
-// jobState is one cell's position in the lease/vote lifecycle.
+// jobState is one cell's position in the lease lifecycle.
 type jobState int
 
 const (
-	// jobPending: queued for (more) leases and/or collecting attestation
-	// votes. With Verify off this is the classic queued-or-leased state.
+	// jobPending: queued for a lease or leased to one worker.
 	jobPending jobState = iota
-	// jobTiebreak: all votes in, no majority; a coordinator-local
-	// re-execution is in flight and will decide the quorum.
-	jobTiebreak
 	jobDone
 	jobFailed
 )
 
-// leaseInfo is one active lease granted to one worker.
+// leaseInfo is the active lease on a cell, granted to one worker.
 type leaseInfo struct {
+	worker     string
 	expiry     time.Time
-	lastCycles uint64    // last heartbeat's cycle count (rate derivation)
-	lastBeatAt time.Time // last heartbeat wall time
+	lastBeatAt time.Time // last heartbeat wall time (rate derivation)
 	everBeaten bool
 
 	// Observability: the lease's span identity and attempt ordinal, the
@@ -180,49 +105,26 @@ type leaseInfo struct {
 	foldedCommits uint64
 }
 
-// vote is one worker's attested result for a cell.
-type vote struct {
-	worker  string
-	digest  string
-	result  json.RawMessage
-	attempt int // the lease attempt that produced the vote (0: unknown/late)
-}
-
-// job is one cell's coordinator-side state. A cell may hold several leases
-// at once under -verify k; votes accumulate until one digest reaches a
-// majority of needVotes.
+// job is one cell's coordinator-side state. A cell holds at most one live
+// lease; its first attested result completes it.
 type job struct {
-	spec       JobSpec
-	state      jobState
-	leases     map[string]*leaseInfo
-	queued     bool // currently listed in the campaign queue
-	attempts   int
-	budget     *fault.Backoff // requeue budget (worker loss, failures, quorum widening)
-	needVotes  int            // distinct attestations wanted (1 = trust the first)
-	votes      []vote
-	spotRolled bool // the spot-check dice has been consumed for this cell
-	result     json.RawMessage
-	digest     string
-	failure    *harness.JobFailure
+	spec     JobSpec
+	state    jobState
+	lease    *leaseInfo // nil while queued or terminal
+	queued   bool       // currently listed in the campaign queue
+	attempts int
+	budget   *fault.Backoff // requeue budget (worker loss, failures)
+	result   json.RawMessage
+	digest   string
+	failure  *harness.JobFailure
 
-	// Observability: the cell's trace ID, its currently-open queue span
-	// (ID, "" when none), and whether the verify span has been opened.
-	trace      string
-	openQueue  string
-	verifyOpen bool
+	// Observability: the cell's trace ID and its currently-open queue span
+	// (ID, "" when none).
+	trace     string
+	openQueue string
 }
 
-// voted reports whether worker already cast a vote for this cell.
-func (j *job) voted(worker string) bool {
-	for _, v := range j.votes {
-		if v.worker == worker {
-			return true
-		}
-	}
-	return false
-}
-
-// campaign is one tenant's batch of cells.
+// campaign is one submitted batch of cells.
 type campaign struct {
 	id          string
 	name        string
@@ -236,7 +138,6 @@ type campaign struct {
 	failed      int
 	requeues    int
 	corrupt     int
-	spotChecks  int
 
 	// Observability: the bounded span store, the heartbeat-delta progress
 	// accumulators, the aggregate cycle-rate EWMA, and its time series.
@@ -268,35 +169,23 @@ type workerInfo struct {
 	done      uint64
 	failed    uint64
 	lost      uint64
-	corrupt   uint64  // attestation-digest rejections
-	outvoted  uint64  // verification quorums lost
 	cycleRate float64 // EWMA cycles/sec
 
 	// Straggler analytics: the durations of the worker's closed lease spans
 	// (milliseconds) and its last heartbeat-reported live heap.
 	durations *obs.Digest
 	heapMB    float64
-
-	// quar is the fleet-level trust state machine (fault.Quarantine with
-	// fleetTuning): healthy → clamped (results need corroboration) →
-	// disabled (no leases, results rejected).
-	quar *fault.Quarantine
-
-	corruptCtr *telemetry.Counter // labeled per-worker corrupt counter
 }
 
-// Coordinator owns the multi-tenant lease state machine. All methods are
-// safe for concurrent use; the HTTP server (server.go) is a thin layer
-// over them.
+// Coordinator owns the lease state machine. All methods are safe for
+// concurrent use; the HTTP server (server.go) is a thin layer over them.
 type Coordinator struct {
 	cfg CoordinatorConfig
 
 	mu        sync.Mutex
 	campaigns map[string]*campaign
-	order     []string // campaign submission order (fair-share rotation)
-	rr        int      // round-robin cursor into order
+	order     []string // campaign submission order = lease order
 	workers   map[string]*workerInfo
-	spot      *fault.Dice // seeded spot-check roller
 
 	metrics *fleetMetrics
 }
@@ -312,14 +201,9 @@ type fleetMetrics struct {
 	resultsFailed *telemetry.Counter
 	dedups        *telemetry.Counter
 	corrupt       *telemetry.Counter
-	quarantines   *telemetry.Counter
-	spotChecks    *telemetry.Counter
-	tiebreaks     *telemetry.Counter
-	sheds         *telemetry.Counter
 	campaignsLive *telemetry.Gauge
 	jobsQueued    *telemetry.Gauge
 	jobsLeased    *telemetry.Gauge
-	quarantined   *telemetry.Gauge
 	simCycles     *telemetry.Counter
 	simCommits    *telemetry.Counter
 }
@@ -334,7 +218,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:       cfg,
 		campaigns: map[string]*campaign{},
 		workers:   map[string]*workerInfo{},
-		spot:      fault.NewDice(cfg.SpotCheckSeed),
 	}
 	if reg := cfg.Registry; reg != nil {
 		co.metrics = &fleetMetrics{
@@ -347,14 +230,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			resultsFailed: reg.Counter("mtvp_fabric_results_failed_total", "failed cell results reported"),
 			dedups:        reg.Counter("mtvp_fabric_result_dedups_total", "double-completions deduped on job key"),
 			corrupt:       reg.Counter("mtvp_fabric_results_corrupt_total", "results rejected for a missing or mismatching attestation digest"),
-			quarantines:   reg.Counter("mtvp_fabric_quarantines_total", "workers disabled by the fleet trust quarantine"),
-			spotChecks:    reg.Counter("mtvp_fabric_spot_checks_total", "cells escalated to redundant verification by the seeded spot-checker"),
-			tiebreaks:     reg.Counter("mtvp_fabric_tiebreaks_total", "coordinator-local re-executions resolving vote disagreements"),
-			sheds:         reg.Counter("mtvp_fabric_submits_shed_total", "campaign submissions shed by admission control (429)"),
 			campaignsLive: reg.Gauge("mtvp_fabric_campaigns_running", "campaigns currently running"),
 			jobsQueued:    reg.Gauge("mtvp_fabric_jobs_queued", "cells waiting for a lease across all campaigns"),
 			jobsLeased:    reg.Gauge("mtvp_fabric_jobs_leased", "cell leases currently active across all campaigns"),
-			quarantined:   reg.Gauge("mtvp_fabric_workers_quarantined", "workers currently disabled by the fleet trust quarantine"),
 			simCycles:     reg.Counter("mtvp_fabric_sim_cycles_total", "simulated cycles accumulated from worker heartbeat deltas"),
 			simCommits:    reg.Counter("mtvp_fabric_sim_commits_total", "useful committed instructions accumulated from worker heartbeat deltas"),
 		}
@@ -397,8 +275,7 @@ func CampaignID(spec CampaignSpec) string {
 
 // Submit registers a campaign (idempotently: a spec with a known identity
 // attaches to the existing campaign) and persists it when a journal
-// directory is configured. Load beyond the admission limits is shed with
-// an *OverloadError.
+// directory is configured.
 func (co *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 	if spec.Name == "" || len(spec.Jobs) == 0 {
 		return SubmitResponse{}, fmt.Errorf("fabric: campaign needs a name and at least one job")
@@ -420,14 +297,6 @@ func (co *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 	if _, ok := co.campaigns[id]; ok {
 		return SubmitResponse{ID: id, Attached: true}, nil
 	}
-	// Admission control. An attach above never sheds — it adds no load.
-	if err := co.admitLocked(spec); err != nil {
-		if co.metrics != nil {
-			co.metrics.sheds.Inc()
-		}
-		co.logf("campaign %q shed by admission control: %v", spec.Name, err)
-		return SubmitResponse{}, err
-	}
 	c, err := co.installLocked(id, spec, nil, nil)
 	if err != nil {
 		return SubmitResponse{}, err
@@ -444,39 +313,6 @@ func (co *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 	co.logf("campaign %s (%s): %d cells submitted", id, c.name, len(c.order))
 	co.updateGaugesLocked()
 	return SubmitResponse{ID: id}, nil
-}
-
-// admitLocked enforces the overload limits on a new (non-attaching) spec.
-func (co *Coordinator) admitLocked(spec CampaignSpec) error {
-	retry := co.cfg.leaseTTL()
-	if lim := co.cfg.MaxCampaignsPerTenant; lim > 0 {
-		n := 0
-		for _, id := range co.order {
-			c := co.campaigns[id]
-			if c.name == spec.Name && c.state() == StateRunning {
-				n++
-			}
-		}
-		if n >= lim {
-			return &OverloadError{
-				Reason:     fmt.Sprintf("tenant %q already has %d running campaign(s), limit %d", spec.Name, n, lim),
-				RetryAfter: retry,
-			}
-		}
-	}
-	if lim := co.cfg.MaxQueuedCells; lim > 0 {
-		queued := 0
-		for _, c := range co.campaigns {
-			queued += len(c.queue)
-		}
-		if queued+len(spec.Jobs) > lim {
-			return &OverloadError{
-				Reason:     fmt.Sprintf("%d cells queued + %d submitted exceeds the %d-cell admission limit", queued, len(spec.Jobs), lim),
-				RetryAfter: retry,
-			}
-		}
-	}
-	return nil
 }
 
 // installLocked builds the campaign state from a spec plus (on reload) the
@@ -496,11 +332,9 @@ func (co *Coordinator) installLocked(id string, spec CampaignSpec, prior map[str
 	}
 	for _, s := range spec.Jobs {
 		j := &job{
-			spec:      s,
-			leases:    map[string]*leaseInfo{},
-			budget:    fault.NewBackoff(co.cfg.retries(), 64),
-			needVotes: co.cfg.verifyK(),
-			trace:     obs.TraceID(id, s.Key),
+			spec:   s,
+			budget: fault.NewBackoff(co.cfg.retries(), 64),
+			trace:  obs.TraceID(id, s.Key),
 		}
 		if rec := prior[s.Key]; rec != nil && rec.Status == harness.StatusDone && len(rec.Result) > 0 &&
 			co.reverifyLocked(id, s, rec) {
@@ -646,62 +480,42 @@ func (co *Coordinator) reload() error {
 	return nil
 }
 
-// wantingLocked is how many more leases a cell should be granted: votes it
-// still needs, minus votes already cast by trusted workers, minus leases in
-// flight.
-func (co *Coordinator) wantingLocked(j *job) int {
-	if j.state != jobPending {
-		return 0
-	}
-	trusted := 0
-	for _, v := range j.votes {
-		if w := co.workers[v.worker]; w == nil || w.quar.State() != fault.QDisabled {
-			trusted++
-		}
-	}
-	return j.needVotes - trusted - len(j.leases)
-}
-
-// enqueueLocked lists a cell in its campaign queue if it wants more leases
-// and is not already listed, opening a queue span for the new wait.
+// enqueueLocked lists a pending, unleased cell in its campaign queue if it
+// is not already listed, opening a queue span for the new wait.
 func (co *Coordinator) enqueueLocked(c *campaign, j *job, key string) {
-	if j.state == jobPending && !j.queued && co.wantingLocked(j) > 0 {
-		c.queue = append(c.queue, key)
-		j.queued = true
-		if j.openQueue == "" {
-			j.openQueue = obs.SpanID(j.trace, obs.KindQueue, j.attempts+1)
-			c.trace.Start(obs.Span{
-				Trace: j.trace, ID: j.openQueue,
-				Parent: obs.SpanID(j.trace, obs.KindCell, 0),
-				Kind:   obs.KindQueue, Key: key, Attempt: j.attempts + 1,
-				Start: co.now(),
-			})
-		}
+	if j.state != jobPending || j.queued || j.lease != nil {
+		return
+	}
+	c.queue = append(c.queue, key)
+	j.queued = true
+	if j.openQueue == "" {
+		j.openQueue = obs.SpanID(j.trace, obs.KindQueue, j.attempts+1)
+		c.trace.Start(obs.Span{
+			Trace: j.trace, ID: j.openQueue,
+			Parent: obs.SpanID(j.trace, obs.KindCell, 0),
+			Kind:   obs.KindQueue, Key: key, Attempt: j.attempts + 1,
+			Start: co.now(),
+		})
 	}
 }
 
 // dequeueLocked delists a cell from its campaign queue.
 func (co *Coordinator) dequeueLocked(c *campaign, j *job, key string) {
-	if j.queued {
-		c.queue = removeKey(c.queue, key)
-		j.queued = false
+	if !j.queued {
+		return
 	}
-}
-
-// removeKey drops the first occurrence of key from q in place.
-func removeKey(q []string, key string) []string {
-	for i, k := range q {
+	for i, k := range c.queue {
 		if k == key {
-			return append(q[:i], q[i+1:]...)
+			c.queue = append(c.queue[:i], c.queue[i+1:]...)
+			break
 		}
 	}
-	return q
+	j.queued = false
 }
 
-// Lease grants the next cell to worker, fair-share round-robin across
-// running campaigns. ok is false when no work is queued for this worker —
-// including when the worker is trust-quarantined, which gets no work at
-// all. Under -verify k a cell is never leased twice to the same worker.
+// Lease grants the next queued cell to worker. Campaigns are served in
+// submission order and cells in queue order. ok is false when nothing is
+// queued.
 func (co *Coordinator) Lease(worker string) (Lease, bool) {
 	if worker == "" {
 		return Lease{}, false
@@ -710,22 +524,15 @@ func (co *Coordinator) Lease(worker string) (Lease, bool) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	w := co.touchWorkerLocked(worker, now)
-	if w.quar.State() == fault.QDisabled {
-		return Lease{}, false
-	}
-	// Round-robin by campaign: start at the cursor, take the first
-	// campaign with leasable work for THIS worker, advance the cursor past
-	// it.
-	for i := 0; i < len(co.order); i++ {
-		c := co.campaigns[co.order[(co.rr+i)%len(co.order)]]
-		if c.cancelled {
+	for _, id := range co.order {
+		c := co.campaigns[id]
+		if c.cancelled || len(c.queue) == 0 {
 			continue
 		}
-		j, key := co.pickLocked(c, worker)
-		if j == nil {
-			continue
-		}
-		co.rr = (co.rr + i + 1) % len(co.order)
+		key := c.queue[0]
+		c.queue = c.queue[1:]
+		j := c.jobs[key]
+		j.queued = false
 		j.attempts++
 		// Spans: the wait is over — close the open queue span and open the
 		// lease span for this attempt, parented under the cell root.
@@ -740,15 +547,13 @@ func (co *Coordinator) Lease(worker string) (Lease, bool) {
 			Kind:   obs.KindLease, Key: key, Worker: worker,
 			Attempt: j.attempts, Start: now,
 		})
-		j.leases[worker] = &leaseInfo{
+		j.lease = &leaseInfo{
+			worker:     worker,
 			expiry:     now.Add(co.cfg.leaseTTL()),
 			lastBeatAt: now,
 			attempt:    j.attempts,
 			spanID:     spanID,
 			granted:    now,
-		}
-		if co.wantingLocked(j) <= 0 {
-			co.dequeueLocked(c, j, key)
 		}
 		w.leases++
 		if co.metrics != nil {
@@ -768,57 +573,31 @@ func (co *Coordinator) Lease(worker string) (Lease, bool) {
 	return Lease{}, false
 }
 
-// pickLocked scans a campaign's queue for the first cell leasable by
-// worker, dropping stale entries as it goes. A cell the worker already
-// voted on or already holds a lease for is skipped but stays queued for
-// other workers; a cell that still wants further leases after this one is
-// rotated to the back of the queue.
-func (co *Coordinator) pickLocked(c *campaign, worker string) (*job, string) {
-	for idx := 0; idx < len(c.queue); {
-		key := c.queue[idx]
-		j := c.jobs[key]
-		if j.state != jobPending || co.wantingLocked(j) <= 0 {
-			// Stale entry: the cell reached a terminal state or collected
-			// its leases while still listed. Never re-lease it.
-			j.queued = false
-			c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
-			continue
-		}
-		if j.voted(worker) || j.leases[worker] != nil {
-			idx++ // ineligible for this worker, fine for others
-			continue
-		}
-		if co.wantingLocked(j) > 1 {
-			// Still wants more after this grant: rotate to the back so
-			// sibling cells get their first lease ahead of its second.
-			c.queue = append(append(c.queue[:idx], c.queue[idx+1:]...), key)
-		}
-		return j, key
+// heldLease returns j's lease if worker holds it, nil otherwise.
+func (j *job) heldLease(worker string) *leaseInfo {
+	if j.lease != nil && j.lease.worker == worker {
+		return j.lease
 	}
-	return nil, ""
+	return nil
 }
 
 // Heartbeat extends a lease and feeds the fleet view. ok is false when the
 // worker no longer owns the lease (expired and requeued, already completed
-// by someone else, campaign cancelled, worker quarantined): the worker
-// should abandon the cell.
+// by someone else, campaign cancelled): the worker should abandon the cell.
 func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 	now := co.now()
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	w := co.touchWorkerLocked(req.Worker, now)
-	if w == nil || w.quar.State() == fault.QDisabled {
-		return false
-	}
 	c := co.campaigns[req.Campaign]
-	if c == nil || c.cancelled {
+	if w == nil || c == nil || c.cancelled {
 		return false
 	}
 	j := c.jobs[req.Key]
 	if j == nil || j.state != jobPending {
 		return false
 	}
-	li := j.leases[req.Worker]
+	li := j.heldLease(req.Worker)
 	if li == nil {
 		return false
 	}
@@ -826,17 +605,13 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 	if req.HeapMB > 0 {
 		w.heapMB = req.HeapMB
 	}
-	dt := now.Sub(li.lastBeatAt).Seconds()
-	switch {
-	case req.Seq != 0 && req.Seq <= li.lastSeq:
-		// Duplicate delivery (retry, chaos proxy): the lease extends but the
-		// deltas were already folded — folding again would double-count.
-	case req.Seq != 0:
-		// Delta protocol: fold the simulated progress accumulated since the
-		// last *acked* heartbeat into the campaign and fleet accumulators,
-		// exactly once per Seq. A lost ack makes the worker re-send an
-		// overlapping delta under a fresh Seq; clamping against the absolute
-		// counters (monotonic within a lease) keeps the fold exact.
+	// Fold the simulated progress accumulated since the last *acked*
+	// heartbeat into the campaign and fleet accumulators, exactly once per
+	// Seq: a duplicate delivery (retry, chaos proxy) only extends the lease.
+	// A lost ack makes the worker re-send an overlapping delta under a fresh
+	// Seq; clamping against the absolute counters (monotonic within a
+	// lease) keeps the fold exact.
+	if req.Seq > li.lastSeq {
 		li.lastSeq = req.Seq
 		dc, dm := req.DCycles, req.DCommits
 		if req.Cycles >= li.foldedCycles && dc > req.Cycles-li.foldedCycles {
@@ -859,7 +634,7 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 				s.Commits += dm
 			})
 		}
-		if dt > 0 && li.everBeaten {
+		if dt := now.Sub(li.lastBeatAt).Seconds(); dt > 0 && li.everBeaten {
 			inst := float64(dc) / dt
 			if w.cycleRate == 0 {
 				w.cycleRate = inst
@@ -873,18 +648,7 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 			}
 			c.rateSeries.Add(now, c.cycleRate)
 		}
-	default:
-		// Legacy worker (no Seq): derive the rate from absolute counters.
-		if dt > 0 && li.everBeaten && req.Cycles >= li.lastCycles {
-			inst := float64(req.Cycles-li.lastCycles) / dt
-			if w.cycleRate == 0 {
-				w.cycleRate = inst
-			} else {
-				w.cycleRate = 0.75*w.cycleRate + 0.25*inst
-			}
-		}
 	}
-	li.lastCycles = req.Cycles
 	li.lastBeatAt = now
 	li.everBeaten = true
 	if co.metrics != nil {
@@ -893,26 +657,26 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 	return true
 }
 
-// dropLeaseLocked removes worker's lease on j (the job's next state is the
-// caller's business). It reports whether a lease was held.
-func (co *Coordinator) dropLeaseLocked(j *job, worker string) bool {
-	if j.leases[worker] == nil {
+// dropLeaseLocked clears j's lease (the job's next state is the caller's
+// business). It reports whether a lease was held.
+func (co *Coordinator) dropLeaseLocked(j *job) bool {
+	if j.lease == nil {
 		return false
 	}
-	delete(j.leases, worker)
-	if w := co.workers[worker]; w != nil && w.leases > 0 {
+	if w := co.workers[j.lease.worker]; w != nil && w.leases > 0 {
 		w.leases--
 	}
+	j.lease = nil
 	return true
 }
 
-// revokeLeaseLocked is dropLeaseLocked plus observability: it closes the
-// lease's span with the revocation's status and note and feeds the lease
-// duration into the worker's straggler digest. Every lease-ending path goes
-// through here except campaign cancellation (EndOpen closes those spans
-// wholesale).
+// revokeLeaseLocked drops worker's lease on j, if worker holds it, and
+// closes the lease's span with the revocation's status and note, feeding
+// the lease duration into the worker's straggler digest. Every
+// lease-ending path goes through here except campaign cancellation
+// (EndOpen closes those spans wholesale).
 func (co *Coordinator) revokeLeaseLocked(c *campaign, j *job, worker, status, note string) bool {
-	li := j.leases[worker]
+	li := j.heldLease(worker)
 	if li == nil {
 		return false
 	}
@@ -937,16 +701,13 @@ func (co *Coordinator) revokeLeaseLocked(c *campaign, j *job, worker, status, no
 			}
 		}
 	}
-	return co.dropLeaseLocked(j, worker)
+	return co.dropLeaseLocked(j)
 }
 
 // Result records a cell's terminal outcome. Successful results must carry
-// a valid attestation digest; they are then recorded as votes and the cell
-// completes once a digest reaches a majority of the cell's needed votes
-// (immediately, with verification off). Corrupt results are rejected
-// without reaching the journal and without charging the cell's retry
-// budget, and count against the worker's fleet trust. Failures spend the
-// cell's requeue budget.
+// a valid attestation digest; the first one completes the cell. Corrupt
+// results are rejected without reaching the journal and without charging
+// the cell's retry budget. Failures spend the cell's requeue budget.
 func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	now := co.now()
 	co.mu.Lock()
@@ -966,11 +727,7 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	if req.Released {
 		// Voluntary handback (draining worker): requeue at no budget cost.
 		if j.state == jobPending && co.revokeLeaseLocked(c, j, req.Worker, obs.StatusReleased, "released by draining worker") {
-			co.enqueueLocked(c, j, req.Key)
-			c.requeues++
-			if co.metrics != nil {
-				co.metrics.requeues.Inc()
-			}
+			co.requeueLocked(c, j, req.Key)
 			co.logf("campaign %s: %s released by draining worker %s, requeued", c.id, req.Key, req.Worker)
 			co.updateGaugesLocked()
 			return ResultResponse{Accepted: true}, nil
@@ -978,7 +735,7 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 		return ResultResponse{Accepted: false}, nil
 	}
 	if req.OK {
-		resp := co.voteLocked(c, j, w, req)
+		resp := co.acceptLocked(c, j, w, req)
 		co.updateGaugesLocked()
 		return resp, nil
 	}
@@ -1007,59 +764,45 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	return ResultResponse{Accepted: true}, nil
 }
 
-// voteLocked processes one successful, digest-carrying result report.
-func (co *Coordinator) voteLocked(c *campaign, j *job, w *workerInfo, req ResultRequest) ResultResponse {
-	// A quarantined worker's word is worth nothing, not even a dedup.
-	if w == nil || w.quar.State() == fault.QDisabled {
-		co.logf("campaign %s: rejected result for %s from quarantined worker %q", c.id, req.Key, req.Worker)
-		return ResultResponse{Accepted: false}
+// requeueLocked puts a cell whose lease ended back on the queue and counts
+// the requeue.
+func (co *Coordinator) requeueLocked(c *campaign, j *job, key string) {
+	co.enqueueLocked(c, j, key)
+	c.requeues++
+	if co.metrics != nil {
+		co.metrics.requeues.Inc()
 	}
+}
 
+// acceptLocked processes one successful, digest-carrying result report.
+func (co *Coordinator) acceptLocked(c *campaign, j *job, w *workerInfo, req ResultRequest) ResultResponse {
+	if w == nil {
+		return ResultResponse{Accepted: false} // anonymous results are never accepted
+	}
 	// Attestation: recompute the canonical digest over the bytes received
 	// against the spec handed out. A mismatch (or a missing digest) means
 	// the payload is not provably the simulator's output for this cell —
-	// reject it before it can touch the journal, requeue the cell at no
-	// budget cost, and strike the worker's trust.
+	// reject it before it can touch the journal and requeue the cell at no
+	// budget cost.
 	if want := ResultDigest(c.id, j.spec, req.Result); req.Digest != want {
 		c.corrupt++
-		w.corrupt++
-		if w.corruptCtr != nil {
-			w.corruptCtr.Inc()
-		}
 		if co.metrics != nil {
 			co.metrics.corrupt.Inc()
 		}
 		co.logf("campaign %s: CORRUPT result for %s from %q (digest %.24q, want %.24q)",
 			c.id, req.Key, req.Worker, req.Digest, want)
 		if co.revokeLeaseLocked(c, j, req.Worker, obs.StatusCorrupt, "attestation digest mismatch") {
-			co.enqueueLocked(c, j, req.Key)
-			c.requeues++
-			if co.metrics != nil {
-				co.metrics.requeues.Inc()
-			}
+			co.requeueLocked(c, j, req.Key)
 		}
-		co.strikeLocked(w, "corrupt result for "+req.Key)
 		return ResultResponse{Accepted: false}
 	}
 
 	if j.state == jobDone {
-		// Double completion: a worker we presumed dead finished anyway. A
-		// matching digest is a benign race; a differing digest means this
-		// worker disagrees with an accepted quorum — strike it.
-		if req.Digest != j.digest && j.digest != "" {
-			w.outvoted++
-			co.strikeLocked(w, "late disagreement on "+req.Key)
-		}
+		// Double completion: a worker we presumed dead finished anyway.
 		if co.metrics != nil {
 			co.metrics.dedups.Inc()
 		}
 		co.logf("campaign %s: deduped double completion of %s from %s", c.id, req.Key, req.Worker)
-		return ResultResponse{Accepted: false}
-	}
-	if j.voted(req.Worker) {
-		if co.metrics != nil {
-			co.metrics.dedups.Inc()
-		}
 		return ResultResponse{Accepted: false}
 	}
 
@@ -1069,7 +812,7 @@ func (co *Coordinator) voteLocked(c *campaign, j *job, w *workerInfo, req Result
 	// expired gets no execute span — its lease timeline ended at expiry.
 	now := co.now()
 	attempt := 0
-	if li := j.leases[req.Worker]; li != nil {
+	if li := j.heldLease(req.Worker); li != nil {
 		attempt = li.attempt
 		start := li.granted
 		var cyc, com uint64
@@ -1115,153 +858,22 @@ func (co *Coordinator) voteLocked(c *campaign, j *job, w *workerInfo, req Result
 			Worker: req.Worker, Attempt: attempt,
 			Start: now, End: now, Status: obs.StatusOK,
 		})
+		co.revokeLeaseLocked(c, j, req.Worker, obs.StatusOK, "")
 	}
-	co.revokeLeaseLocked(c, j, req.Worker, obs.StatusOK, "")
-	j.votes = append(j.votes, vote{
-		worker:  req.Worker,
-		digest:  req.Digest,
-		result:  append(json.RawMessage(nil), req.Result...),
-		attempt: attempt,
-	})
-	// A clamped (suspect) worker's solo word is not enough: raise the
-	// cell's bar to two agreeing votes.
-	if w.quar.State() == fault.QClamped && j.needVotes < 2 {
-		j.needVotes = 2
-		co.logf("campaign %s: %s reported by suspect worker %q, requiring corroboration", c.id, req.Key, req.Worker)
-	}
-	// Seeded spot-check: even a trusted fleet gets audited. Roll once per
-	// cell, at its first vote, so the audit re-leases completed work.
-	if !j.spotRolled && co.cfg.SpotCheckPPM > 0 {
-		j.spotRolled = true
-		if j.needVotes < 2 && co.spot.Roll(co.cfg.SpotCheckPPM) {
-			j.needVotes = 2
-			c.spotChecks++
-			if co.metrics != nil {
-				co.metrics.spotChecks.Inc()
-			}
-			co.logf("campaign %s: spot-checking %s (re-leasing for a confirming vote)", c.id, req.Key)
-		}
-	}
-	// Spans: under verification (k>1, a suspect's corroboration bar, or a
-	// spot check) the vote collection gets a verify span with one instant
-	// per vote cast.
-	if j.needVotes > 1 {
-		verifyID := obs.SpanID(j.trace, obs.KindVerify, 0)
-		if !j.verifyOpen {
-			j.verifyOpen = true
-			c.trace.Start(obs.Span{
-				Trace: j.trace, ID: verifyID,
-				Parent: obs.SpanID(j.trace, obs.KindCell, 0),
-				Kind:   obs.KindVerify, Key: req.Key, Start: now,
-			})
-		}
-		c.trace.Start(obs.Span{
-			Trace: j.trace, ID: obs.SpanID(j.trace, obs.KindVote, len(j.votes)),
-			Parent: verifyID, Kind: obs.KindVote, Key: req.Key,
-			Worker: req.Worker, Attempt: len(j.votes),
-			Start: now, End: now, Status: obs.StatusOK,
-			Note: fmt.Sprintf("digest %.16s", req.Digest),
-		})
-	}
-	co.settleLocked(c, j, req.Key)
+	w.done++
+	co.finalizeLocked(c, j, req.Key, req.Worker, attempt, req.Digest, req.Result)
 	return ResultResponse{Accepted: true}
 }
 
-// settleLocked examines a pending cell's votes: finalize on majority,
-// escalate on full-house disagreement, or keep collecting.
-func (co *Coordinator) settleLocked(c *campaign, j *job, key string) {
-	digest, count, trusted := co.tallyLocked(j)
-	quorum := j.needVotes/2 + 1
-	if count >= quorum {
-		co.finalizeLocked(c, j, key, digest, nil)
-		return
-	}
-	if trusted >= j.needVotes {
-		// Every wanted vote is in and none has a majority: a byzantine
-		// disagreement. The coordinator-local tiebreaker decides if
-		// configured; otherwise widen the electorate one worker per round,
-		// paced by the cell's retry budget.
-		switch {
-		case co.cfg.LocalRun != nil && j.state != jobTiebreak:
-			j.state = jobTiebreak
-			co.dequeueLocked(c, j, key)
-			if co.metrics != nil {
-				co.metrics.tiebreaks.Inc()
-			}
-			co.logf("campaign %s: vote disagreement on %s, running local tiebreak", c.id, key)
-			go co.runTiebreak(c.id, key, j.spec)
-		case j.budget.Allow():
-			j.needVotes++
-			c.requeues++
-			if co.metrics != nil {
-				co.metrics.requeues.Inc()
-			}
-			co.logf("campaign %s: vote disagreement on %s, widening electorate to %d", c.id, key, j.needVotes)
-			co.enqueueLocked(c, j, key)
-		default:
-			co.failLocked(c, j, key, harness.JobFailure{
-				Key: key, Seed: j.spec.Seed, Kind: FailNoQuorum,
-				Attempts: j.attempts,
-				Err:      fmt.Sprintf("%d attestation votes, no digest reached the %d-vote quorum", trusted, quorum),
-			}, "")
-		}
-		return
-	}
-	co.enqueueLocked(c, j, key)
-}
-
-// tallyLocked counts votes per digest, ignoring votes cast by workers that
-// have since been quarantined. It returns the leading digest (first to
-// reach its count, deterministically), its count, and the trusted total.
-func (co *Coordinator) tallyLocked(j *job) (top string, topCount, trusted int) {
-	counts := map[string]int{}
-	var order []string
-	for _, v := range j.votes {
-		if w := co.workers[v.worker]; w != nil && w.quar.State() == fault.QDisabled {
-			continue
-		}
-		trusted++
-		counts[v.digest]++
-		if counts[v.digest] == 1 {
-			order = append(order, v.digest)
-		}
-	}
-	for _, d := range order {
-		if counts[d] > topCount {
-			top, topCount = d, counts[d]
-		}
-	}
-	return top, topCount, trusted
-}
-
-// finalizeLocked completes a cell on the winning digest. result overrides
-// the payload (the tiebreaker's local bytes); nil selects the first vote
-// matching the digest — byte-identical to any other matching vote, since
-// the digest covers the payload. Voters on the winning side earn trust
-// credit; voters on any other digest are outvoted and struck.
-func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, digest string, result json.RawMessage) {
+// finalizeLocked completes a cell with worker's attested result. attempt
+// is the lease attempt that produced it (0 for a late report whose lease
+// had already ended).
+func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, worker string, attempt int, digest string, result json.RawMessage) {
 	now := co.now()
-	var winner string
-	winningAttempt := 0
-	for _, v := range j.votes {
-		if v.digest == digest {
-			if result == nil {
-				result = v.result
-			}
-			if winner == "" {
-				winner = v.worker
-				winningAttempt = v.attempt
-			}
-			break
-		}
-	}
-	if winner == "" {
-		winner = "coordinator" // tiebreak-only quorum: the local run decided
-	}
-	// Revoke leases still in flight; their late reports dedup against the
-	// accepted digest.
-	for wname := range j.leases {
-		co.revokeLeaseLocked(c, j, wname, obs.StatusReleased, "superseded by accepted quorum")
+	// A late success supersedes the lease a requeue handed to another
+	// worker; that worker's own report will dedup.
+	if j.lease != nil {
+		co.revokeLeaseLocked(c, j, j.lease.worker, obs.StatusReleased, "superseded by an accepted result")
 	}
 	co.dequeueLocked(c, j, key)
 	if j.openQueue != "" {
@@ -1269,34 +881,29 @@ func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, digest string, r
 		j.openQueue = ""
 	}
 	if j.state == jobFailed {
-		// Budget exhausted earlier, but a quorum formed anyway: revive the
+		// Budget exhausted earlier, but a result arrived anyway: revive the
 		// cell (the journal's latest-record-wins reload agrees).
 		c.failed--
-		co.logf("campaign %s: late quorum revived failed cell %s", c.id, key)
+		co.logf("campaign %s: late result revived failed cell %s", c.id, key)
 	}
 	j.state = jobDone
 	j.result = append(json.RawMessage(nil), result...)
 	j.digest = digest
 	j.failure = nil
 	c.done++
-	c.jnl.Done(key, j.attempts, json.RawMessage(j.result), winner, digest)
-	// Spans: mark the winning attempt's path Final, close the verify span
-	// and cell root, record the checkpoint write as an instant, and persist
-	// the finished timeline through the journal so crash-resume reconstructs
-	// it.
+	c.jnl.Done(key, j.attempts, json.RawMessage(j.result), worker, digest)
+	// Spans: mark the winning attempt's path Final, close the cell root,
+	// record the checkpoint write as an instant, and persist the finished
+	// timeline through the journal so crash-resume reconstructs it.
 	markFinal := func(kind obs.Kind, attempt int) {
 		c.trace.Update(obs.SpanID(j.trace, kind, attempt), func(s *obs.Span) { s.Final = true })
 	}
 	rootID := obs.SpanID(j.trace, obs.KindCell, 0)
-	if winningAttempt > 0 {
-		markFinal(obs.KindQueue, winningAttempt)
-		markFinal(obs.KindLease, winningAttempt)
-		markFinal(obs.KindExecute, winningAttempt)
-		markFinal(obs.KindReport, winningAttempt)
-	}
-	if j.verifyOpen {
-		c.trace.End(obs.SpanID(j.trace, obs.KindVerify, 0), now, obs.StatusOK)
-		markFinal(obs.KindVerify, 0)
+	if attempt > 0 {
+		markFinal(obs.KindQueue, attempt)
+		markFinal(obs.KindLease, attempt)
+		markFinal(obs.KindExecute, attempt)
+		markFinal(obs.KindReport, attempt)
 	}
 	c.trace.Start(obs.Span{
 		Trace: j.trace, ID: obs.SpanID(j.trace, obs.KindJournal, 0),
@@ -1306,113 +913,8 @@ func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, digest string, r
 	c.trace.End(rootID, now, obs.StatusOK)
 	markFinal(obs.KindCell, 0)
 	c.jnl.Spans(key, c.trace.CellSpans(key))
-	for _, v := range j.votes {
-		w := co.workers[v.worker]
-		if w == nil {
-			continue
-		}
-		if v.digest == digest {
-			w.done++
-			co.creditLocked(w)
-		} else {
-			w.outvoted++
-			co.strikeLocked(w, "outvoted on "+key)
-		}
-	}
 	if co.metrics != nil {
 		co.metrics.resultsOK.Inc()
-	}
-}
-
-// runTiebreak re-executes a disputed cell locally and resolves its quorum
-// with the authoritative digest. Runs outside the coordinator lock — a
-// simulation can take minutes and heartbeats must keep flowing.
-func (co *Coordinator) runTiebreak(campaignID, key string, spec JobSpec) {
-	result, err := co.cfg.LocalRun(context.Background(), spec, nil)
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	c := co.campaigns[campaignID]
-	if c == nil || c.cancelled {
-		return
-	}
-	j := c.jobs[key]
-	if j == nil || j.state != jobTiebreak {
-		return
-	}
-	if err != nil {
-		co.failLocked(c, j, key, harness.JobFailure{
-			Key: key, Seed: spec.Seed, Kind: FailTiebreak,
-			Attempts: j.attempts,
-			Err:      fmt.Sprintf("local tiebreak re-execution failed: %v", err),
-		}, "coordinator")
-		co.updateGaugesLocked()
-		return
-	}
-	digest := ResultDigest(campaignID, spec, result)
-	co.logf("campaign %s: local tiebreak for %s decided digest %.24q", campaignID, key, digest)
-	co.finalizeLocked(c, j, key, digest, result)
-	co.updateGaugesLocked()
-}
-
-// strikeLocked charges one trust strike against a worker, escalating its
-// quarantine level when the score crosses a threshold.
-func (co *Coordinator) strikeLocked(w *workerInfo, why string) {
-	if w == nil {
-		return
-	}
-	was := w.quar.State()
-	w.quar.OnWrong()
-	if st := w.quar.State(); st != was {
-		co.logf("worker %q trust degraded to %s after %s", w.name, st, why)
-		if st == fault.QDisabled {
-			co.quarantineWorkerLocked(w)
-		}
-	}
-}
-
-// creditLocked rewards a corroborated result, relaxing the worker's
-// quarantine level with hysteresis.
-func (co *Coordinator) creditLocked(w *workerInfo) {
-	if w == nil {
-		return
-	}
-	was := w.quar.State()
-	if w.quar.OnCorrect() {
-		co.logf("worker %q trust recovered from %s to %s", w.name, was, w.quar.State())
-	}
-}
-
-// quarantineWorkerLocked revokes everything a freshly-disabled worker
-// holds: its leases requeue at no budget cost (the worker is the fault,
-// not the cells), and pending cells it voted on are re-opened for
-// replacement votes.
-func (co *Coordinator) quarantineWorkerLocked(w *workerInfo) {
-	if co.metrics != nil {
-		co.metrics.quarantines.Inc()
-	}
-	// A disabled worker's per-worker gauges come off the /metrics surface
-	// (they re-register if its trust ever decays back); the aggregate
-	// quarantined gauge keeps counting it.
-	co.dropWorkerGauges(w.name)
-	co.logf("worker %q QUARANTINED: leases revoked, votes discounted", w.name)
-	for _, id := range co.order {
-		c := co.campaigns[id]
-		if c.cancelled {
-			continue
-		}
-		for _, key := range c.order {
-			j := c.jobs[key]
-			if j.state != jobPending {
-				continue
-			}
-			if co.revokeLeaseLocked(c, j, w.name, obs.StatusReleased, "worker quarantined") {
-				c.requeues++
-				if co.metrics != nil {
-					co.metrics.requeues.Inc()
-				}
-			}
-			co.enqueueLocked(c, j, key)
-		}
 	}
 }
 
@@ -1421,11 +923,7 @@ func (co *Coordinator) quarantineWorkerLocked(w *workerInfo) {
 // attributed to in the journal.
 func (co *Coordinator) failOrRequeueLocked(c *campaign, j *job, key, worker string, f harness.JobFailure) {
 	if j.budget.Allow() {
-		co.enqueueLocked(c, j, key)
-		c.requeues++
-		if co.metrics != nil {
-			co.metrics.requeues.Inc()
-		}
+		co.requeueLocked(c, j, key)
 		co.logf("campaign %s: requeued %s after %s (%s), attempt %d", c.id, key, f.Kind, f.Err, f.Attempts)
 		return
 	}
@@ -1435,8 +933,8 @@ func (co *Coordinator) failOrRequeueLocked(c *campaign, j *job, key, worker stri
 // failLocked marks a cell permanently failed.
 func (co *Coordinator) failLocked(c *campaign, j *job, key string, f harness.JobFailure, worker string) {
 	now := co.now()
-	for wname := range j.leases {
-		co.revokeLeaseLocked(c, j, wname, obs.StatusReleased, "cell failed")
+	if j.lease != nil {
+		co.revokeLeaseLocked(c, j, j.lease.worker, obs.StatusReleased, "cell failed")
 	}
 	co.dequeueLocked(c, j, key)
 	j.state = jobFailed
@@ -1448,9 +946,6 @@ func (co *Coordinator) failLocked(c *campaign, j *job, key string, f harness.Job
 	if j.openQueue != "" {
 		c.trace.End(j.openQueue, now, obs.StatusFailed)
 		j.openQueue = ""
-	}
-	if j.verifyOpen {
-		c.trace.End(obs.SpanID(j.trace, obs.KindVerify, 0), now, obs.StatusFailed)
 	}
 	rootID := obs.SpanID(j.trace, obs.KindCell, 0)
 	c.trace.Start(obs.Span{
@@ -1470,11 +965,9 @@ func (co *Coordinator) failLocked(c *campaign, j *job, key string, f harness.Job
 }
 
 // ExpireLeases requeues every lease whose heartbeat deadline has passed —
-// the worker-loss detector — decays worker trust scores, and prunes
-// long-silent idle workers from the fleet view (quarantined workers are
-// kept: their record is the point). It returns how many leases expired.
-// The server runs this on a ticker; tests call it directly with a fake
-// clock.
+// the worker-loss detector — and prunes long-silent idle workers from the
+// fleet view. It returns how many leases expired. The server runs this on
+// a ticker; tests call it directly with a fake clock.
 func (co *Coordinator) ExpireLeases() int {
 	now := co.now()
 	co.mu.Lock()
@@ -1484,50 +977,29 @@ func (co *Coordinator) ExpireLeases() int {
 		c := co.campaigns[id]
 		for _, key := range c.order {
 			j := c.jobs[key]
-			if j.state != jobPending {
+			li := j.lease
+			if j.state != jobPending || li == nil || now.Before(li.expiry) {
 				continue
 			}
-			for wname, li := range j.leases {
-				if now.Before(li.expiry) {
-					continue
-				}
-				expired++
-				if w := co.workers[wname]; w != nil {
-					w.lost++
-				}
-				if co.metrics != nil {
-					co.metrics.expiries.Inc()
-				}
-				co.revokeLeaseLocked(c, j, wname, obs.StatusExpired,
-					fmt.Sprintf("no heartbeat from %q within %s", wname, co.cfg.leaseTTL()))
-				co.failOrRequeueLocked(c, j, key, wname, harness.JobFailure{
-					Key: key, Seed: j.spec.Seed, Kind: FailLostWorker,
-					Attempts: j.attempts,
-					Err:      fmt.Sprintf("lease on %s expired (no heartbeat from %q within %s)", key, wname, co.cfg.leaseTTL()),
-				})
-				if j.state != jobPending {
-					break // the cell failed; remaining leases were revoked
-				}
+			expired++
+			if w := co.workers[li.worker]; w != nil {
+				w.lost++
 			}
+			if co.metrics != nil {
+				co.metrics.expiries.Inc()
+			}
+			co.revokeLeaseLocked(c, j, li.worker, obs.StatusExpired,
+				fmt.Sprintf("no heartbeat from %q within %s", li.worker, co.cfg.leaseTTL()))
+			co.failOrRequeueLocked(c, j, key, li.worker, harness.JobFailure{
+				Key: key, Seed: j.spec.Seed, Kind: FailLostWorker,
+				Attempts: j.attempts,
+				Err:      fmt.Sprintf("lease on %s expired (no heartbeat from %q within %s)", key, li.worker, co.cfg.leaseTTL()),
+			})
 		}
 	}
-	// Trust decay: one passive tick per scan walks quarantine scores back
-	// down, so a disabled worker that was fixed and redeployed eventually
-	// rehabilitates. A worker recovering from disabled gets its per-worker
-	// gauges back (quarantine dropped them).
-	for _, w := range co.workers {
-		was := w.quar.State()
-		if w.quar.Tick() {
-			co.logf("worker %q trust decayed from %s to %s", w.name, was, w.quar.State())
-			if was == fault.QDisabled && w.quar.State() != fault.QDisabled {
-				co.registerWorkerGauges(w.name, w)
-			}
-		}
-	}
-	// Prune workers that hold nothing, have gone silent, and are in good
-	// standing.
+	// Prune workers that hold nothing and have gone silent.
 	for name, w := range co.workers {
-		if w.leases == 0 && w.quar.State() == fault.QHealthy && now.Sub(w.lastSeen) > co.cfg.pruneAfter() {
+		if w.leases == 0 && now.Sub(w.lastSeen) > co.cfg.pruneAfter() {
 			delete(co.workers, name)
 			co.dropWorkerGauges(name)
 		}
@@ -1552,7 +1024,7 @@ func (co *Coordinator) Status(id string) (CampaignStatus, error) {
 func (co *Coordinator) statusLocked(c *campaign) CampaignStatus {
 	leased := 0
 	for _, j := range c.jobs {
-		if len(j.leases) > 0 {
+		if j.lease != nil {
 			leased++
 		}
 	}
@@ -1568,7 +1040,6 @@ func (co *Coordinator) statusLocked(c *campaign) CampaignStatus {
 		Failed:      c.failed,
 		Requeues:    c.requeues,
 		Corrupt:     c.corrupt,
-		SpotChecks:  c.spotChecks,
 	}
 }
 
@@ -1667,9 +1138,7 @@ func (co *Coordinator) Cancel(id string) error {
 		for _, j := range c.jobs {
 			j.queued = false
 			j.openQueue = ""
-			for wname := range j.leases {
-				co.dropLeaseLocked(j, wname)
-			}
+			co.dropLeaseLocked(j)
 		}
 		c.trace.EndOpen(co.now(), obs.StatusCancelled)
 		co.logf("campaign %s (%s): cancelled", c.id, c.name)
@@ -1694,9 +1163,6 @@ func (co *Coordinator) Fleet() []WorkerStatus {
 			Failed:       w.failed,
 			Lost:         w.lost,
 			CycleRate:    w.cycleRate,
-			Trust:        w.quar.State().String(),
-			Corrupt:      w.corrupt,
-			Outvoted:     w.outvoted,
 			HeapMB:       w.heapMB,
 		}
 		if w.durations != nil && w.durations.Count() > 0 {
@@ -1731,9 +1197,9 @@ func (co *Coordinator) touchWorkerLocked(name string, now time.Time) *workerInfo
 	}
 	w := co.workers[name]
 	if w == nil {
-		w = &workerInfo{name: name, quar: fault.NewQuarantineTuned(fleetTuning)}
+		w = &workerInfo{name: name}
 		co.workers[name] = w
-		co.registerWorkerGauges(name, w)
+		co.registerWorkerGauges(name)
 		co.logf("worker %q joined the fleet", name)
 	}
 	w.lastSeen = now
@@ -1743,7 +1209,7 @@ func (co *Coordinator) touchWorkerLocked(name string, now time.Time) *workerInfo
 // registerWorkerGauges exports one worker's fleet row as labeled gauges.
 // The gauge funcs read coordinator state at scrape time (the registry
 // releases its own lock before calling them, so lock order is safe).
-func (co *Coordinator) registerWorkerGauges(name string, w *workerInfo) {
+func (co *Coordinator) registerWorkerGauges(name string) {
 	if co.metrics == nil {
 		return
 	}
@@ -1765,15 +1231,7 @@ func (co *Coordinator) registerWorkerGauges(name string, w *workerInfo) {
 		read(func(w *workerInfo) float64 { return float64(w.leases) }))
 	reg.LabeledGaugeFunc("mtvp_fleet_heartbeat_age_seconds", labels,
 		"seconds since the worker last contacted the coordinator",
-		func() float64 {
-			co.mu.Lock()
-			defer co.mu.Unlock()
-			w := co.workers[name]
-			if w == nil {
-				return 0
-			}
-			return co.now().Sub(w.lastSeen).Seconds()
-		})
+		read(func(w *workerInfo) float64 { return co.now().Sub(w.lastSeen).Seconds() }))
 	reg.LabeledGaugeFunc("mtvp_fleet_jobs_done", labels,
 		"cells the worker completed successfully",
 		read(func(w *workerInfo) float64 { return float64(w.done) }))
@@ -1786,9 +1244,6 @@ func (co *Coordinator) registerWorkerGauges(name string, w *workerInfo) {
 	reg.LabeledGaugeFunc("mtvp_fleet_cycle_rate", labels,
 		"recent simulated cycles per second (EWMA over heartbeats)",
 		read(func(w *workerInfo) float64 { return w.cycleRate }))
-	reg.LabeledGaugeFunc("mtvp_fleet_trust", labels,
-		"fleet trust quarantine level (0 healthy, 1 clamped, 2 disabled)",
-		read(func(w *workerInfo) float64 { return float64(w.quar.State()) }))
 	reg.LabeledGaugeFunc("mtvp_fleet_p99_ms", labels,
 		"p99 lease duration in milliseconds (straggler digest)",
 		read(func(w *workerInfo) float64 {
@@ -1809,14 +1264,6 @@ func (co *Coordinator) registerWorkerGauges(name string, w *workerInfo) {
 	reg.LabeledGaugeFunc("mtvp_fleet_heap_mb", labels,
 		"worker live heap in MiB (heartbeat-reported)",
 		read(func(w *workerInfo) float64 { return w.heapMB }))
-	w.corruptCtr = reg.LabeledCounter("mtvp_fleet_corrupt_results_total", labels,
-		"results from the worker rejected for attestation-digest mismatch")
-	// Re-registration after a quarantine recovery gets a fresh counter;
-	// restore the worker's lifetime corrupt count so the series does not
-	// restart at zero.
-	if v := w.corruptCtr.Value(); v < w.corrupt {
-		w.corruptCtr.Add(w.corrupt - v)
-	}
 }
 
 // fleetMeanLocked is the fleet-wide mean closed-lease duration (ms),
@@ -1848,8 +1295,7 @@ func (co *Coordinator) dropWorkerGauges(name string) {
 		"mtvp_fleet_leases", "mtvp_fleet_heartbeat_age_seconds",
 		"mtvp_fleet_jobs_done", "mtvp_fleet_jobs_failed",
 		"mtvp_fleet_leases_lost", "mtvp_fleet_cycle_rate",
-		"mtvp_fleet_trust", "mtvp_fleet_p99_ms", "mtvp_fleet_slowdown",
-		"mtvp_fleet_heap_mb", "mtvp_fleet_corrupt_results_total",
+		"mtvp_fleet_p99_ms", "mtvp_fleet_slowdown", "mtvp_fleet_heap_mb",
 	} {
 		co.metrics.reg.Unregister(metric, labels)
 	}
@@ -1867,17 +1313,12 @@ func (co *Coordinator) updateGaugesLocked() {
 		}
 		queued += len(c.queue)
 		for _, j := range c.jobs {
-			leased += len(j.leases)
-		}
-	}
-	quarantined := 0
-	for _, w := range co.workers {
-		if w.quar.State() == fault.QDisabled {
-			quarantined++
+			if j.lease != nil {
+				leased++
+			}
 		}
 	}
 	co.metrics.campaignsLive.Set(int64(running))
 	co.metrics.jobsQueued.Set(int64(queued))
 	co.metrics.jobsLeased.Set(int64(leased))
-	co.metrics.quarantined.Set(int64(quarantined))
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,12 +12,26 @@ import (
 	"mtvp/internal/telemetry"
 )
 
-// fakeClock drives lease expiry deterministically.
-type fakeClock struct{ t time.Time }
+// fakeClock drives lease expiry deterministically. It is locked because
+// end-to-end tests advance it while server goroutines read it.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
 
-func (f *fakeClock) now() time.Time          { return f.t }
-func (f *fakeClock) advance(d time.Duration) { f.t = f.t.Add(d) }
-func newFakeClock() *fakeClock               { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
+func (f *fakeClock) now() time.Time {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.t
+}
+
+func (f *fakeClock) advance(d time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.t = f.t.Add(d)
+}
+
+func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1_700_000_000, 0)} }
 
 func testSpec(name string, n int) CampaignSpec {
 	spec := CampaignSpec{Name: name, Fingerprint: "fp"}
@@ -350,25 +365,25 @@ func TestReportedFailureSpendsBudget(t *testing.T) {
 	}
 }
 
-// Fair-share: with two campaigns queued, leases alternate between them
-// round-robin instead of draining the first submitter.
-func TestFairShareRoundRobin(t *testing.T) {
+// Campaigns are served in submission order: a later campaign's cells wait
+// until the earlier campaign's queue is empty.
+func TestLeasesFollowSubmissionOrder(t *testing.T) {
 	co := newTestCoordinator(t, nil, CoordinatorConfig{})
-	a, _ := co.Submit(testSpec("tenant-a", 4))
-	b, _ := co.Submit(testSpec("tenant-b", 4))
+	a, _ := co.Submit(testSpec("first", 2))
+	b, _ := co.Submit(testSpec("second", 2))
 
 	var got []string
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 4; i++ {
 		lease, ok := co.Lease("w")
 		if !ok {
 			t.Fatalf("lease %d refused", i)
 		}
 		got = append(got, lease.Campaign)
 	}
-	want := []string{a.ID, b.ID, a.ID, b.ID, a.ID, b.ID, a.ID, b.ID}
+	want := []string{a.ID, a.ID, b.ID, b.ID}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("lease order not fair-share: got %v", got)
+			t.Fatalf("lease order not submission order: got %v", got)
 		}
 	}
 }
@@ -408,9 +423,9 @@ func TestFleetViewAndMetrics(t *testing.T) {
 	l1, _ := co.Lease("alpha")
 	co.Lease("beta")
 	clk.advance(time.Second)
-	co.Heartbeat(HeartbeatRequest{Worker: "alpha", Campaign: id, Key: l1.Spec.Key, Cycles: 5000})
+	co.Heartbeat(HeartbeatRequest{Worker: "alpha", Campaign: id, Key: l1.Spec.Key, Cycles: 5000, Seq: 1, DCycles: 5000})
 	clk.advance(time.Second)
-	co.Heartbeat(HeartbeatRequest{Worker: "alpha", Campaign: id, Key: l1.Spec.Key, Cycles: 15_000})
+	co.Heartbeat(HeartbeatRequest{Worker: "alpha", Campaign: id, Key: l1.Spec.Key, Cycles: 15_000, Seq: 2, DCycles: 10_000})
 	co.Result(signedOK(co, "alpha", id, l1.Spec.Key, `1`))
 	clk.advance(11 * time.Second)
 	co.ExpireLeases() // beta dies

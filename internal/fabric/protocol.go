@@ -17,10 +17,14 @@
 // architectures: workers poll for a lease, run the cell, stream periodic
 // heartbeats, and report the result. A lease whose heartbeat stops expires
 // and the cell is requeued through a bounded fault.Backoff retry budget —
-// worker loss is just another fault class. The coordinator is multi-tenant
-// from day one: any number of campaigns run concurrently, leases are
-// granted fair-share (round-robin by campaign), and the submit/query/
-// cancel API is token-authenticated.
+// worker loss is just another fault class. Each cell holds at most one
+// lease at a time; campaigns are served in submission order.
+//
+// The fleet is trusted; what the fabric checks is input from outside its
+// process. Every result carries an attestation digest (attest.go) that the
+// coordinator recomputes, so a payload damaged on the wire or in a journal
+// is rejected instead of reaching a report. Every request is size-capped,
+// and the API is bearer-token authenticated.
 package fabric
 
 import (
@@ -110,11 +114,8 @@ type CampaignStatus struct {
 	// put back on the queue (the graceful-degradation path working).
 	Requeues int `json:"requeues"`
 	// Corrupt counts results rejected for a missing or mismatching
-	// attestation digest (the byzantine-defense path working).
+	// attestation digest (requeued without spending retry budget).
 	Corrupt int `json:"corrupt,omitempty"`
-	// SpotChecks counts cells escalated to redundant verification by the
-	// seeded spot-checker.
-	SpotChecks int `json:"spot_checks,omitempty"`
 }
 
 // CampaignResults is the terminal payload: per-key raw results (the
@@ -157,16 +158,15 @@ type HeartbeatRequest struct {
 	Campaign string `json:"campaign"`
 	Key      string `json:"key"`
 	// Cycles is the cell's current simulated-cycle count (an absolute
-	// counter, kept for lease-progress display and old workers).
+	// counter; it clamps overlapping deltas after a lost ack).
 	Cycles uint64 `json:"cycles"`
 	// Commits is the cell's useful committed instruction count (absolute).
 	Commits uint64 `json:"commits"`
 
 	// Seq numbers this lease's heartbeats from 1. The coordinator folds the
 	// delta fields of a given Seq at most once, so a duplicated request (a
-	// retry, a chaotic proxy) cannot double-count simulated progress. 0
-	// means the worker predates delta reporting; only the absolute fields
-	// are used.
+	// retry, a chaotic proxy) cannot double-count simulated progress. A
+	// heartbeat without a Seq only extends the lease.
 	Seq uint64 `json:"seq,omitempty"`
 	// DCycles/DCommits are the simulated cycles/commits accumulated since
 	// the last heartbeat the coordinator acknowledged — deltas, so fleet
@@ -201,7 +201,7 @@ type ResultRequest struct {
 	// Digest attests the result: ResultDigest(Campaign, spec, Result)
 	// computed worker-side over the exact bytes sent. The coordinator
 	// recomputes it; a missing or mismatching digest is a corrupt result —
-	// rejected, never journaled, and a trust strike against the worker.
+	// rejected, never journaled, and requeued without spending budget.
 	Digest string `json:"digest,omitempty"`
 	// Released hands the lease back voluntarily (a draining worker shutting
 	// down on SIGTERM): the cell requeues immediately WITHOUT spending its
@@ -248,15 +248,6 @@ type WorkerStatus struct {
 	// CycleRate is the worker's recent simulated-cycle throughput
 	// (cycles/sec, EWMA over heartbeat deltas).
 	CycleRate float64 `json:"cycle_rate"`
-	// Trust is the worker's fleet-quarantine level: "healthy", "clamped"
-	// (suspect — its solo results need a corroborating vote from another
-	// worker), or "disabled" (quarantined — no leases, results rejected).
-	Trust string `json:"trust"`
-	// Corrupt counts results from this worker rejected for a missing or
-	// mismatching attestation digest.
-	Corrupt uint64 `json:"corrupt"`
-	// Outvoted counts verification quorums this worker's digest lost.
-	Outvoted uint64 `json:"outvoted"`
 
 	// Straggler analytics over the worker's closed lease spans.
 	P50MS  float64 `json:"p50_ms,omitempty"`

@@ -187,18 +187,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp, err := s.co.Submit(spec)
-	var over *OverloadError
-	switch {
-	case errors.As(err, &over):
-		// Admission-control shedding: tell the client when to come back.
-		secs := int(over.RetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprint(secs))
-		http.Error(w, over.Reason, http.StatusTooManyRequests)
-		return
-	case err != nil:
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -36,24 +36,15 @@ type WorkerConfig struct {
 	Slots int
 	// Poll is the idle backoff between lease attempts when the coordinator
 	// has nothing queued or is unreachable (0 selects 500ms). Actual sleeps
-	// are jittered ±50% from a seeded stream so a fleet of identically
-	// configured workers never polls in lockstep.
+	// are jittered ±50% from a per-slot seeded stream so a worker's slots
+	// never poll in lockstep.
 	Poll time.Duration
 	// ReportTimeout bounds each attempt to deliver a finished cell's result
 	// (0 selects 10s). Raise it for coordinators behind slow links; lease
 	// expiry covers the loss either way.
 	ReportTimeout time.Duration
-	// JitterSeed seeds the poll/retry jitter streams (0 selects a fixed
-	// default); each slot derives its own stream, so a worker's backoff
-	// schedule is reproducible from the seed.
-	JitterSeed uint64
 	// Run executes a cell (required).
 	Run RunFunc
-	// Tamper, when non-nil, mangles every successful result payload AFTER
-	// its attestation digest is computed — a byzantine worker whose payload
-	// does not match its own attestation. Test/chaos use only: this is the
-	// fault the coordinator's digest verification exists to catch.
-	Tamper func(json.RawMessage) json.RawMessage
 	// Logf, when non-nil, receives agent progress lines.
 	Logf func(format string, args ...any)
 }
@@ -144,23 +135,16 @@ func jitter(dice *fault.Dice, d time.Duration) time.Duration {
 }
 
 // slotLoop pulls and runs leases until ctx ends. Each slot derives its own
-// jitter stream so sleeps are reproducible per (seed, slot) yet decorrelated
-// across a fleet.
+// jitter stream so sleeps are reproducible per slot yet decorrelated across
+// slots.
 func (w *worker) slotLoop(ctx context.Context, slot int) {
-	dice := fault.NewDice(w.cfg.JitterSeed ^ (uint64(slot+1) * 0x9e3779b97f4a7c15))
+	dice := fault.NewDice(uint64(slot+1) * 0x9e3779b97f4a7c15)
 	for ctx.Err() == nil {
 		var lease Lease
 		err := w.client.do(ctx, http.MethodPost, PathLease, LeaseRequest{Worker: w.name}, &lease)
-		var over *OverloadError
 		switch {
 		case errors.Is(err, errNoContent):
 			sleepCtx(ctx, jitter(dice, w.cfg.poll())) // nothing queued
-			continue
-		case errors.As(err, &over):
-			// The coordinator is shedding: honor its Retry-After instead of
-			// hammering it on the poll period.
-			w.logf("worker %s: coordinator overloaded, backing off %s", w.name, over.RetryAfter)
-			sleepCtx(ctx, jitter(dice, over.RetryAfter))
 			continue
 		case err != nil:
 			if ctx.Err() == nil {
@@ -190,8 +174,8 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 	// metric snapshot: a monotonic Seq plus the cycle/commit progress
 	// accumulated since the last *acknowledged* heartbeat, so the
 	// coordinator folds each delta exactly once no matter how the network
-	// duplicates or drops requests. Absolute counters ride along for old
-	// coordinators.
+	// duplicates or drops requests. Absolute counters ride along to clamp
+	// overlapping deltas after a lost ack.
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
@@ -263,19 +247,14 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 	}
 }
 
-// okReport builds a successful result report: the attestation digest is
-// computed over the exact payload bytes, then the (test-only) tamper hook
-// gets its chance to be byzantine. The execution report echoes the lease's
-// trace/span identity so the worker-side execution span stitches into the
-// coordinator's timeline.
+// okReport builds a successful result report with the attestation digest
+// computed over the exact payload bytes. The execution report echoes the
+// lease's trace/span identity so the worker-side execution span stitches
+// into the coordinator's timeline.
 func (w *worker) okReport(lease Lease, result json.RawMessage, dur time.Duration, cycles, commits uint64) ResultRequest {
-	digest := ResultDigest(lease.Campaign, lease.Spec, result)
-	if w.cfg.Tamper != nil {
-		result = w.cfg.Tamper(result)
-	}
 	return ResultRequest{
 		Worker: w.name, Campaign: lease.Campaign, Key: lease.Spec.Key,
-		OK: true, Result: result, Digest: digest,
+		OK: true, Result: result, Digest: ResultDigest(lease.Campaign, lease.Spec, result),
 		Exec: &ExecReport{
 			Trace: lease.Trace, Span: lease.Span,
 			DurMS:  float64(dur) / float64(time.Millisecond),

@@ -178,9 +178,9 @@ func ByName(name string) (Profile, error) {
 // Dice is the injector's seeded randomness source on its own: one
 // splitmix64 stream rolling parts-per-million chances, exactly reproducible
 // from the seed. It exists as a separate type because the fabric reuses the
-// same idiom away from the simulator — spot-check re-leasing and the chaos
-// network harness roll the same dice the fault injector does. A nil *Dice
-// never fires.
+// same idiom away from the simulator — poll jitter and the chaos network
+// harness roll the same dice the fault injector does. A nil *Dice never
+// fires.
 type Dice struct {
 	rng uint64
 }

@@ -429,35 +429,3 @@ func TestDiceDeterminismAndRates(t *testing.T) {
 		t.Error("nil dice must be inert")
 	}
 }
-
-func TestQuarantineTuned(t *testing.T) {
-	// The fleet tuning: one wrong event clamps, a second disables.
-	q := NewQuarantineTuned(QuarantineTuning{
-		WrongCost: 32, CorrectCredit: 2, ClampAt: 32, DisableAt: 64, ScoreMax: 96, DecayEvery: 4,
-	})
-	if !q.OnWrong() || q.State() != QClamped {
-		t.Fatalf("first strike must clamp, got %s (score %d)", q.State(), q.Score())
-	}
-	if !q.OnWrong() || q.State() != QDisabled {
-		t.Fatalf("second strike must disable, got %s (score %d)", q.State(), q.Score())
-	}
-	// Rehabilitation: decay ticks walk the score back through the
-	// hysteresis bands.
-	for i := 0; i < 32*4; i++ { // 64 → 32: the disabled→clamped boundary
-		q.Tick()
-	}
-	if q.State() != QClamped {
-		t.Fatalf("decay to clampAt must relax to clamped, got %s (score %d)", q.State(), q.Score())
-	}
-	for i := 0; i < 16*4; i++ { // 32 → 16: the clamped→healthy boundary
-		q.Tick()
-	}
-	if q.State() != QHealthy {
-		t.Fatalf("full decay must rehabilitate, got %s (score %d)", q.State(), q.Score())
-	}
-
-	// Zero fields select the documented defaults.
-	if def, tuned := NewQuarantine(), NewQuarantineTuned(QuarantineTuning{}); *def != *tuned {
-		t.Error("zero tuning must equal the default quarantine")
-	}
-}

@@ -38,55 +38,23 @@ func (s QState) String() string {
 type Quarantine struct {
 	state QState
 	score int
-
-	wrongCost     int // score added per misprediction
-	correctCredit int // score removed per correct prediction
-	clampAt       int // score that enters QClamped
-	disableAt     int // score that enters QDisabled
-	scoreMax      int // saturation ceiling
-	decayEvery    int // commit ticks per 1 point of passive decay
-	tick          int
+	tick  int
 }
 
-// NewQuarantine builds a detector with the default tuning: mispredictions
-// cost 4, correct predictions earn back 1, clamping starts at 32, disabling
-// at 64, and the score passively decays 1 point per 256 commit ticks (so a
-// disabled context whose predictor makes no predictions can still recover).
+// Quarantine tuning. Passive decay is what lets a disabled context, whose
+// predictor makes no predictions, recover.
+const (
+	qWrongCost     = 4   // score added per misprediction
+	qCorrectCredit = 1   // score removed per correct prediction
+	qClampAt       = 32  // score that enters QClamped
+	qDisableAt     = 64  // score that enters QDisabled
+	qScoreMax      = 96  // saturation ceiling
+	qDecayEvery    = 256 // commit ticks per 1 point of passive decay
+)
+
+// NewQuarantine builds a healthy detector.
 func NewQuarantine() *Quarantine {
-	return NewQuarantineTuned(QuarantineTuning{})
-}
-
-// QuarantineTuning parameterizes a Quarantine. The zero value of any field
-// selects the predictor-storm default for that field (see NewQuarantine).
-// The fabric coordinator runs the same state machine at fleet level with a
-// far harsher tuning: one attested-corrupt result from a worker is worth a
-// whole misprediction storm.
-type QuarantineTuning struct {
-	WrongCost     int // score added per wrong event
-	CorrectCredit int // score removed per correct event
-	ClampAt       int // score entering QClamped
-	DisableAt     int // score entering QDisabled
-	ScoreMax      int // saturation ceiling
-	DecayEvery    int // ticks per point of passive decay
-}
-
-// NewQuarantineTuned builds a detector with explicit tuning; zero fields
-// fall back to the defaults documented on NewQuarantine.
-func NewQuarantineTuned(t QuarantineTuning) *Quarantine {
-	def := func(v, d int) int {
-		if v <= 0 {
-			return d
-		}
-		return v
-	}
-	return &Quarantine{
-		wrongCost:     def(t.WrongCost, 4),
-		correctCredit: def(t.CorrectCredit, 1),
-		clampAt:       def(t.ClampAt, 32),
-		disableAt:     def(t.DisableAt, 64),
-		scoreMax:      def(t.ScoreMax, 96),
-		decayEvery:    def(t.DecayEvery, 256),
-	}
+	return &Quarantine{}
 }
 
 // State returns the current quarantine level (QHealthy for nil).
@@ -111,9 +79,9 @@ func (q *Quarantine) OnWrong() bool {
 	if q == nil {
 		return false
 	}
-	q.score += q.wrongCost
-	if q.score > q.scoreMax {
-		q.score = q.scoreMax
+	q.score += qWrongCost
+	if q.score > qScoreMax {
+		q.score = qScoreMax
 	}
 	return q.escalate()
 }
@@ -124,7 +92,7 @@ func (q *Quarantine) OnCorrect() bool {
 	if q == nil {
 		return false
 	}
-	q.score -= q.correctCredit
+	q.score -= qCorrectCredit
 	if q.score < 0 {
 		q.score = 0
 	}
@@ -140,7 +108,7 @@ func (q *Quarantine) Tick() bool {
 		return false
 	}
 	q.tick++
-	if q.tick < q.decayEvery {
+	if q.tick < qDecayEvery {
 		return false
 	}
 	q.tick = 0
@@ -152,13 +120,13 @@ func (q *Quarantine) Tick() bool {
 // the moment the score crosses a threshold the restriction applies.
 func (q *Quarantine) escalate() bool {
 	switch {
-	case q.state == QHealthy && q.score >= q.clampAt:
+	case q.state == QHealthy && q.score >= qClampAt:
 		q.state = QClamped
-		if q.score >= q.disableAt {
+		if q.score >= qDisableAt {
 			q.state = QDisabled
 		}
 		return true
-	case q.state == QClamped && q.score >= q.disableAt:
+	case q.state == QClamped && q.score >= qDisableAt:
 		q.state = QDisabled
 		return true
 	}
@@ -170,10 +138,10 @@ func (q *Quarantine) escalate() bool {
 // keeps a context from oscillating at a threshold boundary.
 func (q *Quarantine) relax() bool {
 	switch {
-	case q.state == QDisabled && q.score <= q.clampAt:
+	case q.state == QDisabled && q.score <= qClampAt:
 		q.state = QClamped
 		return true
-	case q.state == QClamped && q.score <= q.clampAt/2:
+	case q.state == QClamped && q.score <= qClampAt/2:
 		q.state = QHealthy
 		return true
 	}

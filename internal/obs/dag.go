@@ -42,12 +42,11 @@ func CanonicalDAG(campaign string, keys []string) []Node {
 }
 
 // LogicalDAG projects recorded spans onto their logical DAG, keeping only
-// Final spans (the winning attempt's path) so requeues, lost leases, and
-// quorum churn — which legitimately vary run to run — drop out. With
-// renumber set, the winning attempt is renumbered to 1 so a cell that
-// succeeded on attempt 3 after two worker deaths still matches the
-// canonical first-attempt DAG (the *IDs* of churned attempts differ, but
-// the logical shape does not).
+// Final spans (the winning attempt's path) so requeues and lost leases —
+// which legitimately vary run to run — drop out. With renumber set, the
+// winning attempt is renumbered to 1 so a cell that succeeded on attempt 3
+// after two worker deaths still matches the canonical first-attempt DAG
+// (the *IDs* of churned attempts differ, but the logical shape does not).
 func LogicalDAG(spans []Span, renumber bool) []Node {
 	var nodes []Node
 	for i := range spans {

@@ -9,9 +9,9 @@ import (
 )
 
 // Track assignment for the campaign trace: the coordinator's own spans
-// (cell roots, queues, verify/vote bookkeeping, journal writes) render on
-// tid 0; each worker gets its own track, sorted by name, holding the
-// lease/execute/report spans it owned. Flow arrows stitch the cross-track
+// (cell roots, queues, journal writes) render on tid 0; each worker gets
+// its own track, sorted by name, holding the lease/execute/report spans it
+// owned. Flow arrows stitch the cross-track
 // causality: queue→lease when a cell leaves the coordinator's queue for a
 // worker, and report→journal when the result lands back.
 const coordinatorTID = 0
@@ -79,7 +79,7 @@ func WriteTrace(w io.Writer, name string, spans []Span, end time.Time) error {
 	for i := range spans {
 		s := &spans[i]
 		tid := tidOf[s.Worker]
-		if s.Kind == KindCell || s.Kind == KindQueue || s.Kind == KindVerify || s.Kind == KindJournal {
+		if s.Kind == KindCell || s.Kind == KindQueue || s.Kind == KindJournal {
 			tid = coordinatorTID // coordinator bookkeeping, regardless of attribution
 		}
 		args := map[string]any{

@@ -21,8 +21,6 @@
 //	        ├── execute(a)  the worker's simulation run (worker-reported,
 //	        │               clamped into the coordinator's lease window)
 //	        └── report(a)   the result delivery
-//	├── verify            vote collection under -verify/spot-checks
-//	│   └── vote(i)       one worker's attestation digest
 //	└── journal           the fsynced checkpoint write
 //
 // Spans of the attempt that won the cell are marked Final; the canonical
@@ -48,8 +46,6 @@ const (
 	KindLease   Kind = "lease"   // granted to a worker, heartbeat-extended
 	KindExecute Kind = "execute" // the worker's simulation run
 	KindReport  Kind = "report"  // result delivery back to the coordinator
-	KindVerify  Kind = "verify"  // attestation vote collection (quorums, spot checks)
-	KindVote    Kind = "vote"    // one worker's attestation vote
 	KindJournal Kind = "journal" // the fsynced checkpoint write
 )
 
@@ -76,8 +72,8 @@ func TraceID(campaign, key string) string {
 }
 
 // SpanID derives a span's deterministic identity within its trace from the
-// span kind and attempt ordinal (0 for the singleton cell/verify/journal
-// spans, the lease attempt number otherwise, the vote ordinal for votes).
+// span kind and attempt ordinal (0 for the singleton cell/journal spans,
+// the lease attempt number otherwise).
 func SpanID(trace string, kind Kind, attempt int) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "mtvp-span:%d:%s:%d:%s:%d", len(trace), trace, len(kind), kind, attempt)
@@ -94,7 +90,7 @@ type Span struct {
 	Parent string `json:"parent,omitempty"`
 	Kind   Kind   `json:"kind"`
 	Key    string `json:"key"`
-	// Worker attributes worker-side spans (lease/execute/report/vote) to a
+	// Worker attributes worker-side spans (lease/execute/report) to a
 	// fleet agent; coordinator-side spans leave it empty.
 	Worker  string `json:"worker,omitempty"`
 	Attempt int    `json:"attempt,omitempty"`
@@ -110,8 +106,8 @@ type Span struct {
 	Cycles  uint64 `json:"cycles,omitempty"`
 	Commits uint64 `json:"commits,omitempty"`
 
-	// Note carries human-readable context: requeue reasons, vote digests,
-	// quorum outcomes.
+	// Note carries human-readable context: requeue and revocation
+	// reasons.
 	Note string `json:"note,omitempty"`
 
 	// Final marks the spans of the attempt that won the cell — the
@@ -270,7 +266,7 @@ func (t *Trace) Len() int {
 // kindOrder ranks span kinds in lifecycle order for deterministic sorting.
 var kindOrder = map[Kind]int{
 	KindCell: 0, KindQueue: 1, KindLease: 2, KindExecute: 3,
-	KindReport: 4, KindVerify: 5, KindVote: 6, KindJournal: 7,
+	KindReport: 4, KindJournal: 5,
 }
 
 // SortCanonical orders spans deterministically by (key, attempt, lifecycle

@@ -29,7 +29,6 @@ type TailCell struct {
 	LeaseMS  float64 `json:"lease_ms"`
 	ExecMS   float64 `json:"exec_ms"`
 	ReportMS float64 `json:"report_ms"`
-	VerifyMS float64 `json:"verify_ms"`
 	Attempts int     `json:"attempts"`
 	Requeues int     `json:"requeues"`
 }
@@ -121,8 +120,6 @@ func Analyze(spans []Span, k int, now time.Time) Report {
 			c.ExecMS += d
 		case KindReport:
 			c.ReportMS += d
-		case KindVerify:
-			c.VerifyMS = d
 		}
 	}
 

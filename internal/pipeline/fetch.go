@@ -24,7 +24,9 @@ func (e *Engine) fetch() {
 	for b := 0; b < e.cfg.FetchBlocks; b++ {
 		t := e.pickFetchThread(picked)
 		if t == nil {
-			e.st.FetchBlocked++
+			if b == 0 {
+				e.st.FetchBlocked++ // no thread could fetch this cycle
+			}
 			break
 		}
 		picked = append(picked, t)

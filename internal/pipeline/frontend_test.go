@@ -155,3 +155,29 @@ func TestWarmHandoffState(t *testing.T) {
 		t.Fatal("no spawned child with a warm front end observed")
 	}
 }
+
+// FetchBlocked counts cycles in which no thread could fetch. On a
+// single-thread baseline the second ICOUNT fetch block never finds a
+// thread, which is not a blocked cycle. Every cycle that fetched moved at
+// most FetchWidth/FetchBlocks instructions, so at least Fetched/perThread
+// cycles were not blocked; on a DL1-resident chase (past its cold-cache
+// start) the count must also sit well below Cycles.
+func TestFetchBlockedCountsOnlyCyclesWithNoFetch(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.MaxInsts = 1 << 62
+	cfg.MaxCycles = 400_000
+	prog, image := workload.PointerChase("fetch-blocked-hit", workload.INT, workload.ChaseParams{
+		Nodes: 256, NodeBytes: 64, PoolSize: 8,
+		DominantPct: 60, ReusePct: 30, SeqPct: 90, BodyOps: 12, Iters: 1 << 40,
+	}).Build(1)
+	st := runStats(t, &cfg, prog, image)
+	perThread := uint64(cfg.FetchWidth / cfg.FetchBlocks)
+	fetchCycles := (st.Fetched + perThread - 1) / perThread
+	if st.FetchBlocked+fetchCycles > st.Cycles {
+		t.Errorf("FetchBlocked %d + %d fetching cycles exceeds %d cycles", st.FetchBlocked, fetchCycles, st.Cycles)
+	}
+	if 4*st.FetchBlocked > 3*st.Cycles {
+		t.Errorf("FetchBlocked %d of %d cycles: a hit-heavy single-thread run fetches on many cycles",
+			st.FetchBlocked, st.Cycles)
+	}
+}
