@@ -53,30 +53,19 @@ import (
 	"mtvp/internal/workload"
 )
 
-// Host-side instrumentation state. Package-level because exit() leaves via
-// os.Exit (skipping main's defers) and must still flush profiles and the
-// partial -hostperf record — a campaign that died late is exactly the one
-// whose host-perf trace you want.
-var (
-	stopProfiles func() error
-	perfReport   *hostperf.Report
-	perfPath     string
-)
+// stopProfiles ends the pprof profiles. Package-level because exit() leaves
+// via os.Exit (skipping main's defers) and must still flush them — a
+// campaign that died late is exactly the one whose profile you want.
+var stopProfiles func() error
 
-// flushHostArtifacts ends the pprof profiles and writes the -hostperf
-// report, if either was requested. Safe to call more than once.
-func flushHostArtifacts() {
+// flushProfiles ends the pprof profiles, if requested. Safe to call
+// more than once.
+func flushProfiles() {
 	if stopProfiles != nil {
 		if err := stopProfiles(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 		}
 		stopProfiles = nil
-	}
-	if perfReport != nil {
-		if err := perfReport.Write(perfPath); err != nil {
-			fmt.Fprintf(os.Stderr, "hostperf: %v\n", err)
-		}
-		perfReport = nil
 	}
 }
 
@@ -86,7 +75,6 @@ func main() {
 		insts    = flag.Uint64("insts", 200_000, "useful committed instructions per run")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		jobs     = flag.Int("jobs", runtime.NumCPU(), "campaign worker pool size")
-		parallel = flag.Int("parallel", 0, "alias for -jobs (kept for compatibility)")
 		benchCSV = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
 		faults   = flag.String("faults", "", "fault-injection profile armed on every run (\"\" = none)")
 		fseed    = flag.Uint64("faultseed", 1, "fault injector seed")
@@ -101,7 +89,6 @@ func main() {
 		metrics  = flag.String("metrics-addr", "", "serve live campaign telemetry on this host:port (/metrics, /healthz, /debug/pprof; \"\" = off)")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to FILE")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to FILE")
-		hostJSON = flag.String("hostperf", "", "write a machine-readable host-performance record (JSON: sim Mcycles/sec, Minsts/sec, allocs and wall time per campaign cell) to FILE")
 		showVer  = flag.Bool("version", false, "print the build version and exit")
 	)
 	flag.Parse()
@@ -116,19 +103,12 @@ func main() {
 		os.Exit(1)
 	}
 	stopProfiles = stop
-	defer flushHostArtifacts()
-	if *hostJSON != "" {
-		perfReport = hostperf.NewReport("mtvpbench")
-		perfPath = *hostJSON
-	}
+	defer flushProfiles()
 
 	opt := experiments.DefaultOptions()
 	opt.Insts = *insts
 	opt.Seed = *seed
 	opt.Parallel = *jobs
-	if *parallel > 0 {
-		opt.Parallel = *parallel
-	}
 	opt.FaultProfile = *faults
 	opt.FaultSeed = *fseed
 	opt.Timeout = *timeout
@@ -240,18 +220,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		// Host-perf records are per experiment: the summary is cumulative
-		// across the whole invocation, so diff it around the run.
-		before := *opt.Summary
-		meter := hostperf.StartMeter()
 		tables, err := e.run(opt)
-		if perfReport != nil {
-			after := opt.Summary
-			perfReport.Records = append(perfReport.Records, meter.Stop(e.name,
-				after.Completed-before.Completed,
-				after.SimCycles-before.SimCycles,
-				after.SimInsts-before.SimInsts))
-		}
 		if err != nil {
 			exit(e.name, err, opt.Summary)
 		}
@@ -294,7 +263,7 @@ func teeEvents(fns ...func(harness.Event)) func(harness.Event) {
 // when the campaign was drained by a signal (130 SIGINT, 143 SIGTERM), 1
 // otherwise.
 func exit(name string, err error, sum *harness.Summary) {
-	flushHostArtifacts()
+	flushProfiles()
 	fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 	if sum != nil && sum.Total > 0 {
 		sum.Render(os.Stderr)

@@ -7,13 +7,14 @@
 //	mtvpsim -bench mcf -machine mtvp -vpred vpq-stride -vpred-sharing private
 //	mtvpsim -bench mcf -machine mtvp -check -faults spawn-storm
 //	mtvpsim -bench mcf -deadline 30s   # cancel cooperatively if it wedges
-//	mtvpsim -bench mcf -engine polling # legacy per-cycle scan (A/B reference)
+//	mtvpsim -bench mcf -engine cycle   # per-cycle stepping (the reference)
 //	mtvpsim -list
 //
 // The -engine flag selects the simulation scheduler: "event" (the default
-// calendar-driven core) or "polling" (the legacy per-cycle quiescence scan).
-// Both produce bit-identical results (test-enforced); the flag exists for
-// A/B validation and for profiling one against the other. Exit codes are
+// calendar-driven core, which jumps over idle cycles) or "cycle" (plain
+// per-cycle stepping, the reference the calendar is tested against). Both
+// produce bit-identical results (test-enforced); the flag exists for
+// checking one against the other and for profiling. Exit codes are
 // identical under either engine.
 //
 // Exit codes: 0 on success, 1 on usage or generic simulation errors, 2 when
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		vpredF    = fs.String("vpred", "", "value predictor: "+strings.Join(config.PredictorNames(), " | ")+" (overrides -pred)")
 		sharing   = fs.String("vpred-sharing", "shared", "predictor table organisation across contexts: "+strings.Join(config.SharingNames(), " | "))
 		sel       = fs.String("sel", "ilp", "load selector: ilp | l3 | always")
-		engine    = fs.String("engine", "event", "simulation scheduler: event (calendar-driven) | polling (legacy per-cycle scan); results are bit-identical")
+		engine    = fs.String("engine", "event", "simulation scheduler: event (calendar-driven) | cycle (per-cycle reference); results are bit-identical")
 		spawnLat  = fs.Int("spawnlat", -1, "spawn latency in cycles (-1 = machine default)")
 		storeBuf  = fs.Int("storebuf", -1, "store buffer entries per context (-1 = default, 0 = unbounded)")
 		insts     = fs.Uint64("insts", 300_000, "useful committed instruction budget")
@@ -186,10 +187,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *engine {
 	case "event":
 		// Default: Config zero value.
-	case "polling":
-		cfg.DisableEventQueue = true
+	case "cycle":
+		cfg.PerCycle = true
 	default:
-		fmt.Fprintf(stderr, "unknown engine %q (want event or polling)\n", *engine)
+		fmt.Fprintf(stderr, "unknown engine %q (want event or cycle)\n", *engine)
 		return exitErr
 	}
 	cfg.VP.Sharing = sm

@@ -73,12 +73,12 @@ func TestRunCheckedCleanExitsZero(t *testing.T) {
 	}
 }
 
-// TestRunEngineFlag pins the -engine A/B contract at the CLI level: both
+// TestRunEngineFlag pins the -engine contract at the CLI level: both
 // schedulers exit zero on a checked run and print identical statistics
 // (only the machine banner, which names the engine, may differ).
 func TestRunEngineFlag(t *testing.T) {
 	outputs := map[string]string{}
-	for _, eng := range []string{"event", "polling"} {
+	for _, eng := range []string{"event", "cycle"} {
 		var out, errw bytes.Buffer
 		args := []string{"-bench", "mcf", "-machine", "mtvp", "-contexts", "4",
 			"-check", "-insts", "3000", "-engine", eng}
@@ -98,9 +98,9 @@ func TestRunEngineFlag(t *testing.T) {
 		}
 		outputs[eng] = strings.Join(kept, "\n")
 	}
-	if outputs["event"] != outputs["polling"] {
-		t.Fatalf("engine outputs diverge:\nevent:\n%s\npolling:\n%s",
-			outputs["event"], outputs["polling"])
+	if outputs["event"] != outputs["cycle"] {
+		t.Fatalf("engine outputs diverge:\nevent:\n%s\ncycle:\n%s",
+			outputs["event"], outputs["cycle"])
 	}
 }
 

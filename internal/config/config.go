@@ -369,22 +369,13 @@ type Config struct {
 	Faults   FaultParams
 	Recovery RecoveryParams
 
-	// DisableFastForward turns off the engine's idle-cycle fast-forward
-	// (pipeline/engine.go). Fast-forward is a pure host-time optimization —
-	// every simulated outcome is identical with it on or off (test-enforced)
-	// — so this knob exists only for A/B validation and debugging. The
-	// MTVP_NO_FASTFWD environment variable forces the same behaviour.
-	DisableFastForward bool
-
-	// DisableEventQueue selects the legacy polling scheduler — the
-	// per-cycle nextWake quiescence scan — instead of the event-driven
-	// calendar in which every stage enqueues its own next activation
-	// (pipeline/events.go). Like fast-forward, the event queue is a pure
-	// host-time optimization: simulated outcomes are bit-identical either
-	// way (test-enforced), so this knob exists only for A/B validation and
-	// debugging. The MTVP_NO_EVENTQ environment variable forces the same
-	// behaviour.
-	DisableEventQueue bool
+	// PerCycle executes every simulated cycle instead of jumping the
+	// event-driven calendar (pipeline/events.go) over provably inert
+	// spans. It is the bit-identical reference the calendar is tested
+	// against: every simulated outcome is the same either way
+	// (test-enforced), only host time differs. Tests and
+	// `mtvpsim -engine cycle` select it.
+	PerCycle bool
 }
 
 // Baseline returns the Table 1 machine with value prediction disabled.

@@ -1,13 +1,30 @@
 package core_test
 
 import (
+	"flag"
 	"testing"
 
 	"mtvp/internal/config"
 	"mtvp/internal/core"
 	"mtvp/internal/isa"
+	"mtvp/internal/mem"
 	"mtvp/internal/workload"
 )
+
+// perCycle moves the package's simulations from the event calendar onto
+// the per-cycle reference engine, so the oracle sweeps and golden numbers
+// can be re-run there:
+//
+//	go test ./internal/core -run TestGoldenDeterminism -args -percycle
+var perCycle = flag.Bool("percycle", false, "run simulations on the per-cycle reference engine (Config.PerCycle)")
+
+// runCore is core.Run under the -percycle selection.
+func runCore(cfg config.Config, prog *isa.Program, image *mem.Memory) (*core.Result, error) {
+	if *perCycle {
+		cfg.PerCycle = true
+	}
+	return core.Run(cfg, prog, image)
+}
 
 // smallBenchmarks returns one small instance per archetype, sized so runs
 // reach HALT quickly but still leave the caches.
@@ -96,7 +113,7 @@ func TestArchitecturalEquivalence(t *testing.T) {
 
 			for name, cfg := range machines() {
 				prog, image := bench.Build(7)
-				res, err := core.Run(cfg, prog, image)
+				res, err := runCore(cfg, prog, image)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -128,7 +145,7 @@ func TestRegisterEquivalence(t *testing.T) {
 	for _, name := range []string{"baseline", "mtvp4-oracle", "mtvp4-wf", "spawn-only", "wide-window"} {
 		cfg := machines()[name]
 		prog, image := bench.Build(3)
-		res, err := core.Run(cfg, prog, image)
+		res, err := runCore(cfg, prog, image)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

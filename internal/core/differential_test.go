@@ -47,7 +47,7 @@ func TestDifferentialOracle(t *testing.T) {
 		t.Run(bench.Name, func(t *testing.T) {
 			for _, p := range differentialPresets() {
 				prog, image := bench.Build(7)
-				res, err := core.Run(p.cfg, prog, image)
+				res, err := runCore(p.cfg, prog, image)
 				if err != nil {
 					t.Fatalf("%s: %v", p.name, err)
 				}
@@ -88,7 +88,7 @@ func FuzzDifferentialOracle(f *testing.F) {
 		cfg.MaxCycles = 50_000_000
 
 		prog, image := randomProgram(seed, 20+int(seed%50))
-		res, err := core.Run(cfg, prog, image)
+		res, err := runCore(cfg, prog, image)
 		if err != nil {
 			t.Fatalf("seed %d preset %s: %v", seed, p.name, err)
 		}

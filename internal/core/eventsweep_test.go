@@ -6,65 +6,56 @@ import (
 	"mtvp/internal/core"
 )
 
-// TestEventEngineSweep is the core-level half of the event-scheduler A/B
-// guarantee (internal/pipeline owns the fault/recovery and telemetry axes):
-// for every workload archetype × machine preset × fast-forward setting, a
-// run on the event-driven calendar must be bit-identical to a run on the
-// legacy polling scan — same statistics, same architectural registers, same
-// halt status — with the lockstep oracle checking every useful commit on
-// both sides. The presets carry Check=true, so any divergence inside either
-// scheduler (not just between them) fails the run on its own.
+// TestEventEngineSweep is the core-level half of the event-scheduler
+// equivalence guarantee (internal/pipeline owns the fault/recovery,
+// telemetry and per-cycle lockstep axes): for every workload archetype ×
+// machine preset, a run on the event-driven calendar, which fast-forwards
+// ("ff") over idle spans, must be bit-identical to a run on the per-cycle
+// reference — same statistics, same architectural registers, same halt
+// status — with the lockstep oracle checking every useful commit on both
+// sides. The presets carry Check=true, so any divergence inside either
+// engine (not just between them) fails the run on its own.
 func TestEventEngineSweep(t *testing.T) {
-	t.Setenv("MTVP_NO_EVENTQ", "") // engine choice is per-config below
 	benches := smallBenchmarks()[:4]
 	if testing.Short() {
 		benches = benches[:2]
 	}
-	for _, noFF := range []bool{false, true} {
-		name := "ff"
-		if noFF {
-			name = "noff"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, bench := range benches {
-				bench := bench
-				t.Run(bench.Name, func(t *testing.T) {
-					for _, p := range differentialPresets() {
-						cfg := p.cfg
-						cfg.DisableFastForward = noFF
-
-						run := func(polling bool) *core.Result {
-							c := cfg
-							c.DisableEventQueue = polling
-							prog, image := bench.Build(7)
-							res, err := core.Run(c, prog, image)
-							if err != nil {
-								t.Fatalf("%s polling=%v: %v", p.name, polling, err)
-							}
-							return res
+	t.Run("ff", func(t *testing.T) {
+		for _, bench := range benches {
+			bench := bench
+			t.Run(bench.Name, func(t *testing.T) {
+				for _, p := range differentialPresets() {
+					run := func(perCycle bool) *core.Result {
+						c := p.cfg
+						c.PerCycle = perCycle
+						prog, image := bench.Build(7)
+						res, err := core.Run(c, prog, image)
+						if err != nil {
+							t.Fatalf("%s perCycle=%v: %v", p.name, perCycle, err)
 						}
-						ev := run(false)
-						pol := run(true)
-
-						if !ev.Halted || !pol.Halted {
-							t.Fatalf("%s: halted diverges or false: event=%v polling=%v",
-								p.name, ev.Halted, pol.Halted)
-						}
-						if ev.Stats != pol.Stats {
-							t.Errorf("%s: stats diverge:\nevent:   %+v\npolling: %+v",
-								p.name, ev.Stats, pol.Stats)
-						}
-						if ev.RegsOK != pol.RegsOK || ev.Regs != pol.Regs {
-							t.Errorf("%s: architectural registers diverge", p.name)
-						}
-						if ev.Checked != ev.Stats.Committed || pol.Checked != pol.Stats.Committed {
-							t.Errorf("%s: oracle verified event=%d/%d polling=%d/%d commits",
-								p.name, ev.Checked, ev.Stats.Committed,
-								pol.Checked, pol.Stats.Committed)
-						}
+						return res
 					}
-				})
-			}
-		})
-	}
+					ev := run(false)
+					ref := run(true)
+
+					if !ev.Halted || !ref.Halted {
+						t.Fatalf("%s: halted diverges or false: event=%v per-cycle=%v",
+							p.name, ev.Halted, ref.Halted)
+					}
+					if ev.Stats != ref.Stats {
+						t.Errorf("%s: stats diverge:\nevent:     %+v\nper-cycle: %+v",
+							p.name, ev.Stats, ref.Stats)
+					}
+					if ev.RegsOK != ref.RegsOK || ev.Regs != ref.Regs {
+						t.Errorf("%s: architectural registers diverge", p.name)
+					}
+					if ev.Checked != ev.Stats.Committed || ref.Checked != ref.Stats.Committed {
+						t.Errorf("%s: oracle verified event=%d/%d per-cycle=%d/%d commits",
+							p.name, ev.Checked, ev.Stats.Committed,
+							ref.Checked, ref.Stats.Committed)
+					}
+				}
+			})
+		}
+	})
 }

@@ -70,7 +70,7 @@ func TestFaultCampaignRecoversOrAborts(t *testing.T) {
 					cfg.MaxCycles = 50_000_000
 					cfg.Recovery.WatchdogCycles = 4_000
 					prog, image := b.Build(5)
-					res, err := core.Run(cfg, prog, image)
+					res, err := runCore(cfg, prog, image)
 					if err != nil {
 						var rep *fault.Report
 						switch {
@@ -118,7 +118,7 @@ func TestFaultProfilesAreTimingOnly(t *testing.T) {
 	cfg.MaxCycles = 50_000_000
 	b := campaignWorkloads()[0]
 	prog, image := b.Build(5)
-	res, err := core.Run(cfg, prog, image)
+	res, err := runCore(cfg, prog, image)
 	if err != nil {
 		t.Fatalf("mem-jitter (pure timing faults) must always recover: %v", err)
 	}

@@ -131,7 +131,7 @@ func TestRandomProgramEquivalence(t *testing.T) {
 				cfg.MaxInsts = 1 << 40
 				cfg.MaxCycles = 400_000_000
 				prog2, image := randomProgram(seed, 30+int(seed)*7)
-				res, err := core.Run(cfg, prog2, image)
+				res, err := runCore(cfg, prog2, image)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

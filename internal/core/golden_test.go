@@ -35,7 +35,7 @@ func TestGoldenDeterminism(t *testing.T) {
 			cfg.MaxInsts = 1 << 40
 			cfg.MaxCycles = 50_000_000
 			prog, image := bench.Build(9)
-			res, err := core.Run(cfg, prog, image)
+			res, err := runCore(cfg, prog, image)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -97,7 +97,7 @@ func TestGoldenExampleTraces(t *testing.T) {
 			cfg.MaxInsts = 150_000 // the examples' budget
 			cfg.Check = true
 			prog, image := c.bench.Build(1)
-			res, err := core.Run(cfg, prog, image)
+			res, err := runCore(cfg, prog, image)
 			if err != nil {
 				t.Fatalf("%s: oracle divergence on example trace: %v", c.name, err)
 			}

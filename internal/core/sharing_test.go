@@ -40,7 +40,7 @@ func TestSharingMatrixOracleClean(t *testing.T) {
 				cfg.MaxCycles = 200_000_000
 				for _, bench := range benches {
 					prog, image := bench.Build(7)
-					res, err := core.Run(cfg, prog, image)
+					res, err := runCore(cfg, prog, image)
 					if err != nil {
 						t.Fatalf("%s: %v", bench.Name, err)
 					}

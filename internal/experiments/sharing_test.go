@@ -12,7 +12,8 @@ import (
 // sharingGoldenSweep runs one small oracle-checked campaign per (new
 // predictor × sharing mode) and returns the IPC matrix. Check=true makes
 // every cell a differential run: any oracle divergence fails the sweep.
-func sharingGoldenSweep(t *testing.T, o Options) [][]float64 {
+// perCycle runs every cell on the per-cycle reference engine.
+func sharingGoldenSweep(t *testing.T, o Options, perCycle bool) [][]float64 {
 	t.Helper()
 	var cols []string
 	var machines []config.Config
@@ -20,12 +21,14 @@ func sharingGoldenSweep(t *testing.T, o Options) [][]float64 {
 		for _, m := range sharingModes {
 			cfg := core.MTVPSharing(4, p, m)
 			cfg.Check = true
+			cfg.PerCycle = perCycle
 			cols = append(cols, fmt.Sprintf("%s-%s", p, sharingModeTag(m)))
 			machines = append(machines, cfg)
 		}
 	}
 	base := core.Baseline()
 	base.Check = true
+	base.PerCycle = perCycle
 	ipc, err := o.sweepAgainst("sharinggold", cols, base, o.benches(), machines)
 	if err != nil {
 		t.Fatal(err)
@@ -35,18 +38,17 @@ func sharingGoldenSweep(t *testing.T, o Options) [][]float64 {
 
 // TestSharingStudyGolden pins the new predictor × sharing-mode campaign:
 // every cell runs under the lockstep oracle checker, and the resulting IPC
-// matrix must be bit-identical across harness parallelism and with the
-// idle-cycle fast-forward disabled (MTVP_NO_FASTFWD=1) — the sharing axis
-// must not introduce placement- or optimisation-dependent behaviour.
+// matrix must be bit-identical across harness parallelism and on the
+// per-cycle reference engine — the sharing axis must not introduce
+// placement- or scheduler-dependent behaviour.
 func TestSharingStudyGolden(t *testing.T) {
 	o := tinyOpts()
 
 	o.Parallel = 1
-	serial := sharingGoldenSweep(t, o)
+	serial := sharingGoldenSweep(t, o, false)
 	o.Parallel = 8
-	parallel := sharingGoldenSweep(t, o)
-	t.Setenv("MTVP_NO_FASTFWD", "1")
-	noFF := sharingGoldenSweep(t, o)
+	parallel := sharingGoldenSweep(t, o, false)
+	perCycle := sharingGoldenSweep(t, o, true)
 
 	for bi := range serial {
 		for ci := range serial[bi] {
@@ -54,9 +56,9 @@ func TestSharingStudyGolden(t *testing.T) {
 				t.Errorf("cell [%d][%d]: parallelism changed IPC %v -> %v",
 					bi, ci, serial[bi][ci], parallel[bi][ci])
 			}
-			if noFF[bi][ci] != serial[bi][ci] {
-				t.Errorf("cell [%d][%d]: disabling fast-forward changed IPC %v -> %v",
-					bi, ci, serial[bi][ci], noFF[bi][ci])
+			if perCycle[bi][ci] != serial[bi][ci] {
+				t.Errorf("cell [%d][%d]: the per-cycle engine changed IPC %v -> %v",
+					bi, ci, serial[bi][ci], perCycle[bi][ci])
 			}
 		}
 	}

@@ -1,23 +1,14 @@
-// Package hostperf measures and records the simulator's host-side
-// performance: how fast the host chews through simulated cycles, and how
-// hard it leans on the Go heap while doing it. It backs the CLI tools'
-// -cpuprofile/-memprofile flags and mtvpbench's -hostperf record, whose
-// committed snapshots (BENCH_*.json at the repo root) form the project's
-// performance trajectory.
-//
-// Simulated outcomes are deterministic; host throughput is not. Records
-// therefore carry the host context (CPU count, GOOS/GOARCH, Go version) so
-// a BENCH_*.json from one machine is never silently compared against
-// another's.
+// Package hostperf backs the CLI tools' -cpuprofile/-memprofile flags with
+// runtime/pprof host profiles. The project's performance record is the
+// host-speed benchmark (hostbench/) and the BENCH_*.json snapshots at the
+// repo root.
 package hostperf
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"time"
 )
 
 // StartProfiles starts a runtime/pprof CPU profile to cpuPath and arranges
@@ -60,101 +51,4 @@ func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		return nil
 	}, nil
-}
-
-// Record is the host-performance ledger of one experiment (one campaign of
-// cells, or one standalone run with Cells == 1).
-type Record struct {
-	Name string `json:"name"`
-
-	// Host wall time for the whole experiment and per completed cell.
-	WallSec        float64 `json:"wall_sec"`
-	Cells          int     `json:"cells"`
-	WallPerCellSec float64 `json:"wall_per_cell_sec,omitempty"`
-
-	// Simulated work and host throughput.
-	SimCycles     uint64  `json:"sim_cycles"`
-	SimInsts      uint64  `json:"sim_insts"`
-	McyclesPerSec float64 `json:"sim_mcycles_per_sec"`
-	MinstsPerSec  float64 `json:"sim_minsts_per_sec"`
-
-	// Host heap pressure over the experiment (runtime.MemStats deltas,
-	// cumulative across all worker goroutines).
-	Allocs        uint64  `json:"host_allocs"`
-	AllocBytes    uint64  `json:"host_alloc_bytes"`
-	AllocsPerCell float64 `json:"host_allocs_per_cell,omitempty"`
-}
-
-// Report is the top-level -hostperf document.
-type Report struct {
-	Schema    string   `json:"schema"` // "mtvp-hostperf/1"
-	Tool      string   `json:"tool"`
-	GoVersion string   `json:"go_version"`
-	GOOS      string   `json:"goos"`
-	GOARCH    string   `json:"goarch"`
-	NumCPU    int      `json:"num_cpu"`
-	Records   []Record `json:"records"`
-}
-
-// NewReport stamps an empty report with the host context.
-func NewReport(tool string) *Report {
-	return &Report{
-		Schema:    "mtvp-hostperf/1",
-		Tool:      tool,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-	}
-}
-
-// Write emits the report as indented JSON.
-func (r *Report) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Meter captures host counters at a start point; Stop turns the deltas
-// since then into a Record. One Meter per experiment.
-type Meter struct {
-	start time.Time
-	mem   runtime.MemStats
-}
-
-// StartMeter snapshots the wall clock and the heap counters.
-func StartMeter() *Meter {
-	m := &Meter{start: time.Now()}
-	runtime.ReadMemStats(&m.mem)
-	return m
-}
-
-// Stop closes the measurement interval and builds the record. cells is the
-// number of campaign cells completed in the interval; simCycles/simInsts
-// are the simulated cycles and useful committed instructions they covered.
-func (m *Meter) Stop(name string, cells int, simCycles, simInsts uint64) Record {
-	wall := time.Since(m.start).Seconds()
-	var now runtime.MemStats
-	runtime.ReadMemStats(&now)
-
-	rec := Record{
-		Name:       name,
-		WallSec:    wall,
-		Cells:      cells,
-		SimCycles:  simCycles,
-		SimInsts:   simInsts,
-		Allocs:     now.Mallocs - m.mem.Mallocs,
-		AllocBytes: now.TotalAlloc - m.mem.TotalAlloc,
-	}
-	if wall > 0 {
-		rec.McyclesPerSec = float64(simCycles) / wall / 1e6
-		rec.MinstsPerSec = float64(simInsts) / wall / 1e6
-	}
-	if cells > 0 {
-		rec.WallPerCellSec = wall / float64(cells)
-		rec.AllocsPerCell = float64(rec.Allocs) / float64(cells)
-	}
-	return rec
 }

@@ -37,7 +37,7 @@ func steadyCases() []steadyCase {
 		{
 			// 16 MB chase, far over the 4 MB L3: almost every next-pointer
 			// load is a ~1000-cycle miss — the regime the paper cares about
-			// and the one idle-cycle fast-forward targets.
+			// and the one the event calendar's idle-span jump targets.
 			name:   "miss-heavy",
 			cycles: 1_000_000,
 			cfg:    config.Baseline,

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"mtvp/internal/bpred"
 	"mtvp/internal/cache"
@@ -73,18 +72,12 @@ type Engine struct {
 	// snapshots held by in-flight iterations stay valid.
 	ordered []*thread
 
-	// noFF disables idle-cycle fast-forward (Config.DisableFastForward or
-	// the MTVP_NO_FASTFWD environment variable); ffSkipped counts the idle
-	// cycles elided, for tests that need to prove the fast path engaged.
-	noFF      bool
-	ffSkipped uint64
-
 	// evq is the event-driven scheduler's calendar (events.go); nil when
-	// Config.DisableEventQueue or MTVP_NO_EVENTQ selects the legacy polling
-	// scan. evqCheck makes every calendar jump cross-check against the
-	// polling scan (tests and fuzzing only).
-	evq      *eventQueue
-	evqCheck bool
+	// Config.PerCycle selects the per-cycle reference, which executes every
+	// cycle and never jumps. ffSkipped counts the idle cycles the calendar
+	// elided, for tests that need to prove the jump engaged.
+	evq       *eventQueue
+	ffSkipped uint64
 
 	// Hot-loop scratch, reused across cycles to keep the steady state
 	// allocation-free.
@@ -180,7 +173,6 @@ func New(cfg *config.Config, prog *isa.Program, memory *mem.Memory, st *stats.St
 		prog:    prog,
 		dec:     prog.Decode(),
 		mem:     memory,
-		noFF:    cfg.DisableFastForward || os.Getenv("MTVP_NO_FASTFWD") != "",
 		hier:    cache.NewHierarchy(cfg, st),
 		bp:      bpred.New2bcgskew(cfg.Branch),
 		vp:      vpred.NewBank(cfg),
@@ -192,7 +184,7 @@ func New(cfg *config.Config, prog *isa.Program, memory *mem.Memory, st *stats.St
 	e.qCap[qInt] = cfg.IQSize
 	e.qCap[qFP] = cfg.FQSize
 	e.qCap[qMem] = cfg.MQSize
-	if !cfg.DisableEventQueue && os.Getenv("MTVP_NO_EVENTQ") == "" {
+	if !cfg.PerCycle {
 		e.evq = &eventQueue{}
 	}
 
@@ -353,7 +345,7 @@ func (e *Engine) Run() error {
 }
 
 // runCycle simulates exactly one cycle (plus, at its end, any provably inert
-// cycles the fast-forward can elide). It reports whether the run should stop
+// cycles the event calendar can elide). It reports whether the run should stop
 // and any terminal error, leaving Run itself a thin loop — and giving the
 // zero-allocation test a per-cycle unit to measure.
 func (e *Engine) runCycle() (stop bool, err error) {
@@ -405,174 +397,13 @@ func (e *Engine) runCycle() (stop bool, err error) {
 				e.lastProgress, e.now, e.describeStall()))
 		}
 	}
-	if !e.finished {
-		// Neither scheduler skips ahead once the program has finished:
-		// the jump would inflate the final cycle count with a post-HALT
-		// idle window no stage will ever run in. (The polling fast-forward
-		// used to do exactly that on halting runs, leaving Stats.Cycles
-		// dependent on the DisableFastForward flag; guarded, both
-		// schedulers and both flags agree on every run.)
-		if e.evq != nil {
-			e.eventForward()
-		} else if !e.noFF {
-			e.fastForward()
-		}
+	if !e.finished && e.evq != nil {
+		// No jump once the program has finished: it would inflate the
+		// final cycle count with a post-HALT idle window no stage will
+		// ever run in, and per-cycle stepping stops on the finishing cycle.
+		e.eventForward()
 	}
 	return false, nil
-}
-
-// fastForward elides cycles during which the machine provably cannot change
-// state: no thread can commit, complete, issue, dispatch, or fetch before
-// the earliest wake-up edge. It jumps `now` to the cycle before that edge —
-// the wake cycle itself then runs through the normal per-cycle loop — and
-// replays the only per-idle-cycle effects the skipped range would have had:
-// the FetchBlocked counter (fetch() increments it exactly once per cycle in
-// which no thread is fetch-eligible, which holds for every skipped cycle by
-// construction) and the telemetry probe's sample-bucket closes (gauges and
-// counters are constant over an inert range, so the closes are synthesized
-// with zero deltas; see Machine.TickIdleRange). Everything observable — the
-// stats, the time series, the Observe/watchdog/audit polling cycles — is
-// bit-identical to per-cycle execution, which the fast-forward A/B test and
-// the MTVP_NO_FASTFWD sweep enforce.
-func (e *Engine) fastForward() {
-	wake, ok := e.nextWake()
-	if !ok {
-		return
-	}
-	target := wake - 1
-	// Never skip past the cycle-budget boundary: the per-cycle machine
-	// still executes cycle MaxCycles before stopping.
-	if mc := e.cfg.MaxCycles; mc <= uint64(1)<<62 && target > int64(mc)-1 {
-		target = int64(mc) - 1
-	}
-	if target <= e.now {
-		return
-	}
-	if e.tel != nil {
-		e.telemetrySkip(e.now+1, target)
-	}
-	skipped := uint64(target - e.now)
-	e.st.FetchBlocked += skipped
-	e.ffSkipped += skipped
-	e.now = target
-}
-
-// nextWake computes the earliest future cycle at which the machine could
-// act, returning ok=false when the machine is not quiescent (some stage has
-// work right now, so no cycle may be skipped). Every state transition the
-// per-cycle loop could perform is either available now (not quiescent) or
-// gated by one of the enumerated edges:
-//
-//   - commit: a done/squashed ROB head, or a drained retiring thread, acts
-//     on the next cycle — not quiescent;
-//   - complete: pending completions wake at the heap's top cycle, and
-//     deferred ILP-pred windows flush at startCycle+windowMinCycles
-//     (flushWindows feeds the selector the then-current cycle, so the flush
-//     must happen on exactly that cycle);
-//   - issue: a ready, unstuck waiting uop issues now — not quiescent; a
-//     stuck one wakes when its stick elapses. Readiness only changes on
-//     completions or dispatches, both covered;
-//   - dispatch: a thread's head uop dispatches when its front-end delay and
-//     spawn hold expire — an edge if in the future, activity if resources
-//     are free now. If resources are exhausted, they can only be released
-//     by a commit, squash, or issue, all covered by other edges;
-//   - fetch: a fetch-eligible thread acts now; one gated only by
-//     fetchBlocked wakes then. All other gates (blockedOn, stallFetch,
-//     retiring, halt) clear solely through covered events;
-//   - environment: the Observe poll, the periodic audit scan, and the
-//     commit-progress watchdog run at fixed cycle edges and must observe
-//     identical cycles, so each caps the jump.
-func (e *Engine) nextWake() (int64, bool) {
-	// The watchdog edge always exists and bounds the skip.
-	wake := e.lastProgress + e.rec.watchdogBase*e.rec.backoff.Multiplier() + 1
-	edge := func(c int64) {
-		if c < wake {
-			wake = c
-		}
-	}
-
-	for _, t := range e.liveByOrder() {
-		if t.robHead < len(t.rob) {
-			switch t.rob[t.robHead].state {
-			case stDone, stSquashed:
-				return 0, false // commit acts next cycle
-			}
-		}
-		if t.retiring && t.robEmpty() {
-			return 0, false // freeRetiring acts next cycle
-		}
-		if t.fetchBufLen() > 0 {
-			u := t.fetchBuf[t.fbHead]
-			if u.state == stSquashed {
-				return 0, false // dispatch consumes it for free
-			}
-			dr := u.fetchCycle + int64(e.cfg.FrontEndDepth)
-			if t.dispatchHold > dr {
-				dr = t.dispatchHold
-			}
-			if dr > e.now {
-				edge(dr)
-			} else if e.dispatchResourcesFree(u) {
-				return 0, false
-			}
-			// Resource-blocked: wait for a commit/squash/issue edge.
-		}
-		if !t.retiring && !t.stallFetch && t.blockedOn == nil && !t.ctx.Halted &&
-			t.fetchBufLen() < e.fbufCap {
-			if t.fetchBlocked > e.now {
-				edge(t.fetchBlocked)
-			} else {
-				return 0, false // fetch-eligible now
-			}
-		}
-	}
-
-	for q := queueKind(0); q < numQueues; q++ {
-		for _, s := range e.waiting[q] {
-			if e.soaState[s] != stWaiting {
-				continue
-			}
-			if e.soaStuck[s] > e.now {
-				edge(e.soaStuck[s])
-				continue
-			}
-			if e.uopReady(e.slotUops[s]) {
-				return 0, false // issues next cycle
-			}
-		}
-	}
-
-	if len(e.completions.items) > 0 {
-		edge(e.completions.items[0].cycle)
-	}
-	for _, ev := range e.pendingWindows {
-		edge(ev.startCycle + windowMinCycles)
-	}
-	if e.cfg.Observe != nil {
-		edge((e.now | observeMask) + 1) // next poll cycle
-	}
-	if e.auditOn {
-		edge(e.now + auditInterval - e.now%auditInterval) // next scan cycle
-	}
-	return wake, true
-}
-
-// dispatchResourcesFree mirrors tryDispatch's structural-resource checks
-// without mutating anything (tryDispatch itself is pure on failure).
-func (e *Engine) dispatchResourcesFree(u *uop) bool {
-	if e.robUsed >= e.cfg.ROBSize {
-		return false
-	}
-	if e.qUsed[u.queue] >= e.qCap[u.queue] {
-		return false
-	}
-	if u.hasDest && e.renameUsed >= e.cfg.RenameRegs {
-		return false
-	}
-	if u.dec.IsStore && e.storeBufFull(u.thread) {
-		return false
-	}
-	return true
 }
 
 // breakDeadlock recovers from speculation-induced resource deadlock: a

@@ -1,14 +1,10 @@
 package pipeline
 
-import "fmt"
-
-// The event-driven engine core. PR 5's fast-forward proved the machine can
-// predict its own wake edges with a per-cycle quiescence scan (nextWake);
-// this file inverts that loop: every stage enqueues its own next activation
-// into a calendar — completions, store-buffer window flushes, dispatch
-// delays, fetch unblocks, spawn holds, squash/kill edges — and the engine
-// advances directly to the earliest scheduled event instead of rescanning
-// every queue on every idle cycle.
+// The event-driven engine core. Every stage enqueues its own next
+// activation into a calendar — completions, store-buffer window flushes,
+// dispatch delays, fetch unblocks, spawn holds, squash/kill edges — and the
+// engine advances directly to the earliest scheduled event instead of
+// executing every idle cycle.
 //
 // Soundness rests on one asymmetry: a SPURIOUS wake (the calendar names a
 // cycle where nothing happens) is harmless, because an executed inert cycle
@@ -17,11 +13,10 @@ import "fmt"
 // closes the same sample buckets with the same frozen snapshot. A LOST
 // wakeup (the calendar sleeps past a cycle where a stage could act) would
 // change simulated behaviour, so every mutation that can make a stage
-// actionable wakes the calendar, conservatively over-approximating the
-// polling scan clause for clause (the catalog lives in DESIGN.md §17). The
-// A/B equivalence suite pins event and polling runs bit-identical, and
-// FuzzEventSchedule cross-checks the calendar against nextWake on every
-// jump.
+// actionable wakes the calendar (the catalog lives in DESIGN.md §17).
+// Per-cycle stepping (Config.PerCycle) is the reference: the equivalence
+// suite and FuzzEventSchedule run both engines in lockstep and compare
+// their state on every cycle, skipped ones included.
 //
 // eqWindow is the calendar horizon in cycles. Every enqueue is clamped to
 // at most eqWindow cycles ahead, which buys two properties at the price of
@@ -116,7 +111,8 @@ func (q *eventQueue) popTop() int64 {
 func (q *eventQueue) depth() int { return len(q.heap) }
 
 // wake schedules the calendar for cycle c (clamped to the future). Nil-safe
-// in polling mode so the stage code can announce edges unconditionally.
+// under the per-cycle reference so the stage code can announce edges
+// unconditionally.
 func (e *Engine) wake(c int64) {
 	if e.evq == nil {
 		return
@@ -132,23 +128,20 @@ func (e *Engine) wake(c int64) {
 // rediscover than to track through every mutation. This is the other half
 // of the horizon-clamp contract in add(): a far edge's clamped hop is only
 // sound because the edge's owner re-announces it on each executed cycle
-// until it is inside the horizon. The standing edges, mirroring nextWake
-// clause for clause:
+// until it is inside the horizon. The standing edges:
 //
 //   - per-thread front-end edges: a fetch-eligible thread (or one gated
 //     only by a known fetchBlocked cycle, which mem-jitter faults can push
 //     past the horizon), and a squashed fetch-buffer head awaiting its free
-//     consumption by dispatch (the polling scan treats that head as
-//     activity even under a spawn hold, so the event engine chains through
-//     the same cycles rather than sleeping past them);
+//     consumption by dispatch (re-announced every cycle, also under a spawn
+//     hold, where the wake is spurious and so harmless);
 //   - stuck issue-queue slots: fault-injected stuckUntil cycles reach 120k
 //     cycles out, dwarfing the horizon;
 //   - the earliest pending completion, which memory-jitter faults can
 //     delay past the horizon;
 //   - pending store-buffer windows: their minimum-flush edge can be past
-//     due while the window waits on another condition, and the polling
-//     scan refuses to jump in that state, so the event engine must keep
-//     waking cycle by cycle to match it.
+//     due while the window waits on another condition, so the event engine
+//     keeps waking cycle by cycle until the window flushes.
 //
 // Cost is O(live threads + waiting uops + pending windows) per executed
 // cycle — cache-linear over the SoA mirrors — and the dedup ring absorbs
@@ -192,30 +185,23 @@ func (e *Engine) wakeStandingEdges() {
 	}
 }
 
-// eventForward is the calendar counterpart of fastForward: it retires the
-// cycle's fired entries and jumps `now` to the cycle before the earliest
-// pending event, bounded by the same computed edges the polling scan uses
-// (the commit-progress watchdog, the Observe poll, the audit stride, the
-// cycle budget). The skipped range is provably inert — every actionable
-// cycle has a calendar entry, by the wake-edge catalog — so its only
-// effects are replayed exactly as fastForward replays them: one
-// FetchBlocked count per skipped cycle and the telemetry sampler's
-// idle-range bucket closes.
+// eventForward retires the cycle's fired entries and jumps `now` to the
+// cycle before the earliest pending event, bounded by the computed edges no
+// stage enqueues (the commit-progress watchdog, the Observe poll, the audit
+// stride, the cycle budget). The skipped range is provably inert — every
+// actionable cycle has a calendar entry, by the wake-edge catalog — so its
+// only effects are replayed here: one FetchBlocked count per skipped cycle
+// (fetch counts exactly one per cycle in which no thread is fetch-eligible)
+// and the telemetry sampler's idle-range bucket closes.
 func (e *Engine) eventForward() {
 	q := e.evq
 	q.drain(e.now)
-	if e.noFF {
-		// A/B leg: keep the calendar bounded (drained above) but execute
-		// every cycle, exactly like polling with fast-forward off. The
-		// standing-edge refresh is jump bookkeeping, so it is skipped too.
-		return
-	}
-	if len(q.heap) > 0 && q.heap[0] == e.now+1 && !e.evqCheck {
+	if len(q.heap) > 0 && q.heap[0] == e.now+1 {
 		// Something is already scheduled next cycle, so no jump is
 		// possible and the standing-edge refresh can wait: far edges only
 		// need to be current when a jump target is computed, and the next
 		// executed cycle re-evaluates from scratch. This is the busy-phase
-		// fast path — the polling scan's early exit, in calendar form.
+		// fast path.
 		return
 	}
 	e.wakeStandingEdges()
@@ -234,9 +220,6 @@ func (e *Engine) eventForward() {
 			wake = a
 		}
 	}
-	if e.evqCheck {
-		e.crossCheckWake(wake)
-	}
 	target := wake - 1
 	// Never skip past the cycle-budget boundary: the per-cycle machine
 	// still executes cycle MaxCycles before stopping.
@@ -253,24 +236,4 @@ func (e *Engine) eventForward() {
 	e.st.FetchBlocked += skipped
 	e.ffSkipped += skipped
 	e.now = target
-}
-
-// crossCheckWake validates a calendar-proposed wake cycle against the
-// polling quiescence scan (enabled by tests and FuzzEventSchedule; never in
-// production runs). A lost wakeup — the calendar sleeping past a cycle
-// where a stage could act — is the one bug class that would silently change
-// simulated behaviour, so it panics loudly instead.
-func (e *Engine) crossCheckWake(wake int64) {
-	scan, quiet := e.nextWake()
-	if !quiet {
-		if wake > e.now+1 {
-			panic(fmt.Sprintf("pipeline: lost wakeup at cycle %d: a stage can act at cycle %d but the earliest event is %d",
-				e.now, e.now+1, wake))
-		}
-		return
-	}
-	if wake > scan {
-		panic(fmt.Sprintf("pipeline: lost wakeup at cycle %d: polling scan wakes at %d but the earliest event is %d",
-			e.now, scan, wake))
-	}
 }

@@ -3,10 +3,13 @@ package pipeline
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
+	"mtvp/internal/asm"
 	"mtvp/internal/config"
 	"mtvp/internal/isa"
+	"mtvp/internal/mem"
 	"mtvp/internal/stats"
 	"mtvp/internal/telemetry"
 	"mtvp/internal/workload"
@@ -73,9 +76,9 @@ func TestEventQueueUnit(t *testing.T) {
 	}
 }
 
-// abOutcome is everything the scheduler A/B suite compares: the full stats
-// counter set (including Cycles), architectural registers, halt status, the
-// telemetry time series, and any structured abort.
+// abOutcome is everything the scheduler equivalence suite compares: the
+// full stats counter set (including Cycles), architectural registers, halt
+// status, the telemetry time series, and any structured abort.
 type abOutcome struct {
 	st     stats.Stats
 	regs   [isa.NumRegs]uint64
@@ -87,22 +90,21 @@ type abOutcome struct {
 	errStr string
 }
 
-func runAB(t *testing.T, cfg config.Config, bench workload.Benchmark, polling, noFF bool) abOutcome {
+func runAB(t *testing.T, cfg config.Config, bench workload.Benchmark, perCycle bool, sampleEvery int64) abOutcome {
 	t.Helper()
-	cfg.DisableEventQueue = polling
-	cfg.DisableFastForward = noFF
+	cfg.PerCycle = perCycle
 	prog, image := bench.Build(1)
 	st := &stats.Stats{}
 	eng, err := New(&cfg, prog, image, st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampler := telemetry.NewSampler(0)
+	sampler := telemetry.NewSampler(sampleEvery)
 	eng.SetTelemetry(telemetry.NewMachine(nil, sampler))
 	out := abOutcome{}
 	if err := eng.Run(); err != nil {
 		// Structured aborts (fault.Report) are outcomes too and must be
-		// identical across schedulers.
+		// identical across engines.
 		out.errStr = err.Error()
 	}
 	eng.FinishTelemetry()
@@ -115,31 +117,31 @@ func runAB(t *testing.T, cfg config.Config, bench workload.Benchmark, polling, n
 	return out
 }
 
-func compareAB(t *testing.T, event, polling abOutcome) {
+func compareAB(t *testing.T, event, ref abOutcome) {
 	t.Helper()
-	if event.st != polling.st {
-		t.Errorf("stats diverge:\nevent:   %+v\npolling: %+v", event.st, polling.st)
+	if event.st != ref.st {
+		t.Errorf("stats diverge:\nevent:     %+v\nper-cycle: %+v", event.st, ref.st)
 	}
-	if event.now != polling.now {
-		t.Errorf("final cycle diverges: event=%d polling=%d", event.now, polling.now)
+	if event.now != ref.now {
+		t.Errorf("final cycle diverges: event=%d per-cycle=%d", event.now, ref.now)
 	}
-	if event.regsOK != polling.regsOK || event.regs != polling.regs {
-		t.Errorf("architectural registers diverge:\nevent:   ok=%v %v\npolling: ok=%v %v",
-			event.regsOK, event.regs, polling.regsOK, polling.regs)
+	if event.regsOK != ref.regsOK || event.regs != ref.regs {
+		t.Errorf("architectural registers diverge:\nevent:     ok=%v %v\nper-cycle: ok=%v %v",
+			event.regsOK, event.regs, ref.regsOK, ref.regs)
 	}
-	if event.halted != polling.halted {
-		t.Errorf("halted diverges: event=%v polling=%v", event.halted, polling.halted)
+	if event.halted != ref.halted {
+		t.Errorf("halted diverges: event=%v per-cycle=%v", event.halted, ref.halted)
 	}
-	if event.errStr != polling.errStr {
-		t.Errorf("run error diverges:\nevent:   %q\npolling: %q", event.errStr, polling.errStr)
+	if event.errStr != ref.errStr {
+		t.Errorf("run error diverges:\nevent:     %q\nper-cycle: %q", event.errStr, ref.errStr)
 	}
-	if !reflect.DeepEqual(event.points, polling.points) {
-		t.Errorf("telemetry time series diverge: event has %d points, polling has %d",
-			len(event.points), len(polling.points))
+	if !reflect.DeepEqual(event.points, ref.points) {
+		t.Errorf("telemetry time series diverge: event has %d points, per-cycle has %d",
+			len(event.points), len(ref.points))
 		for i := range event.points {
-			if i < len(polling.points) && event.points[i] != polling.points[i] {
-				t.Errorf("first divergent point %d:\nevent:   %+v\npolling: %+v",
-					i, event.points[i], polling.points[i])
+			if i < len(ref.points) && event.points[i] != ref.points[i] {
+				t.Errorf("first divergent point %d:\nevent:     %+v\nper-cycle: %+v",
+					i, event.points[i], ref.points[i])
 				break
 			}
 		}
@@ -227,79 +229,182 @@ func abCases() []struct {
 	}
 }
 
-// TestEventQueueIsInvisible is the event engine's A/B guarantee: for every
-// archetype, with fast-forward both on and off, the event-driven scheduler
-// must be bit-identical to the polling scan — statistics (including the
-// final cycle count), architectural registers, telemetry time series, and
-// structured aborts. With fast-forward on, the calendar jump must actually
-// engage or the comparison is vacuous.
+// TestEventQueueIsInvisible is the event engine's equivalence guarantee:
+// for every archetype, the event-driven scheduler must be bit-identical to
+// per-cycle stepping — statistics (including the final cycle count),
+// architectural registers, telemetry time series, and structured aborts.
+// The calendar jump must actually engage or the comparison is vacuous.
 func TestEventQueueIsInvisible(t *testing.T) {
-	t.Setenv("MTVP_NO_FASTFWD", "")
-	t.Setenv("MTVP_NO_EVENTQ", "")
-
-	for _, c := range abCases() {
-		for _, noFF := range []bool{false, true} {
-			name := c.name
-			if noFF {
-				name += "/noff"
-			}
-			t.Run(name, func(t *testing.T) {
-				cfg := c.cfg()
-				cfg.MaxInsts = 1 << 62
-				cfg.MaxCycles = c.cycles
-
-				event := runAB(t, cfg, c.bench, false, noFF)
-				polling := runAB(t, cfg, c.bench, true, noFF)
-
-				if !noFF && event.ff == 0 && c.name != "halting-baseline" {
-					t.Errorf("event scheduler never jumped (ffSkipped = 0); comparison is vacuous")
-				}
-				if noFF && (event.ff != 0 || polling.ff != 0) {
-					t.Errorf("noFF legs skipped cycles: event=%d polling=%d", event.ff, polling.ff)
-				}
-				if c.name == "halting-baseline" && !event.halted {
-					t.Errorf("halting case did not halt; finishing-cycle pin is vacuous")
-				}
-				compareAB(t, event, polling)
-			})
-		}
-	}
-}
-
-// TestEventScheduleCrossCheck runs the event engine with the calendar
-// cross-checked against the polling quiescence scan on every jump: any
-// sleep past a cycle where a stage could act panics. This is the directed
-// (non-fuzz) lost-wakeup hunt over the same archetype sweep.
-func TestEventScheduleCrossCheck(t *testing.T) {
-	t.Setenv("MTVP_NO_FASTFWD", "")
-	t.Setenv("MTVP_NO_EVENTQ", "")
-
 	for _, c := range abCases() {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg()
 			cfg.MaxInsts = 1 << 62
 			cfg.MaxCycles = c.cycles
-			prog, image := c.bench.Build(1)
-			st := &stats.Stats{}
-			eng, err := New(&cfg, prog, image, st)
-			if err != nil {
-				t.Fatal(err)
+
+			event := runAB(t, cfg, c.bench, false, 0)
+			ref := runAB(t, cfg, c.bench, true, 0)
+
+			if event.ff == 0 && c.name != "halting-baseline" {
+				t.Errorf("event scheduler never jumped (ffSkipped = 0); comparison is vacuous")
 			}
-			if eng.evq == nil {
-				t.Fatal("event scheduler not active")
+			if ref.ff != 0 {
+				t.Errorf("per-cycle reference skipped %d cycles", ref.ff)
 			}
-			eng.evqCheck = true
-			if err := eng.Run(); err != nil {
-				t.Logf("run ended with structured error (acceptable): %v", err)
+			if c.name == "halting-baseline" && !event.halted {
+				t.Errorf("halting case did not halt; finishing-cycle pin is vacuous")
 			}
+			compareAB(t, event, ref)
 		})
 	}
 }
 
-// FuzzEventSchedule fuzzes workload shape, machine size, and fault seeding,
-// asserting the calendar never sleeps past a ready stage (the cross-check
-// panics on a lost wakeup) and that the event run matches a polling run of
-// the same machine exactly.
+// TestFastForwardIsInvisible pins the calendar's idle-cycle jump itself:
+// on the two archetypes with the longest idle stretches, telemetry buckets
+// close every 37 cycles — far shorter than a memory miss — so nearly every
+// jump skips over bucket boundaries that per-cycle stepping closes one
+// cycle at a time. The skipped spans' replay (telemetrySkip) must produce
+// the same time series, and everything else must stay bit-identical too.
+// The jump must cover a real share of the run, or the test proves nothing.
+func TestFastForwardIsInvisible(t *testing.T) {
+	const sampleEvery = 37
+	for _, c := range abCases() {
+		if c.name != "miss-heavy-baseline" && c.name != "deep-speculation-mtvp8" {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg()
+			cfg.MaxInsts = 1 << 62
+			cfg.MaxCycles = c.cycles
+
+			fast := runAB(t, cfg, c.bench, false, sampleEvery)
+			slow := runAB(t, cfg, c.bench, true, sampleEvery)
+
+			if fast.ff*10 < fast.st.Cycles {
+				t.Errorf("fast-forward skipped %d of %d cycles; comparison is near-vacuous",
+					fast.ff, fast.st.Cycles)
+			}
+			if slow.ff != 0 {
+				t.Errorf("per-cycle reference skipped %d cycles", slow.ff)
+			}
+			if n := len(slow.points); uint64(n) < slow.st.Cycles/sampleEvery {
+				t.Errorf("only %d telemetry points over %d cycles; bucket closes are not exercised",
+					n, slow.st.Cycles)
+			}
+			compareAB(t, fast, slow)
+		})
+	}
+}
+
+// lockstep runs bench on cfg twice — on the event calendar and on the
+// per-cycle reference — stepping both engines through runCycle. After each
+// cycle the event engine executes (and the inert span it may then jump
+// over), the reference steps to the same cycle one cycle at a time, and the
+// two are compared on every one of those cycles: Stats, with the event
+// engine's replayed FetchBlocked count rewound to that cycle, occupancy
+// (robUsed, renameUsed, qUsed), and the stop/error outcome. A lost wakeup
+// shows up as the reference changing state inside a span the calendar
+// skipped; the failure names the last agreeing and first disagreeing
+// cycles. A run that ends in agreement also compares architectural
+// registers.
+func lockstep(t testing.TB, cfg config.Config, bench workload.Benchmark) {
+	t.Helper()
+	build := func(perCycle bool) *Engine {
+		c := cfg
+		c.PerCycle = perCycle
+		prog, image := bench.Build(1)
+		eng, err := New(&c, prog, image, &stats.Stats{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	ev, ref := build(false), build(true)
+	if ev.evq == nil || ref.evq != nil {
+		t.Fatal("engines not on the event calendar and the per-cycle reference")
+	}
+	for {
+		exec := ev.now + 1
+		evStop, evErr := ev.runCycle()
+		// Over a jump only FetchBlocked advances, once per skipped cycle.
+		want := *ev.st
+		want.FetchBlocked -= uint64(ev.now - exec)
+		for c := exec; c <= ev.now; c++ {
+			refStop, refErr := ref.runCycle()
+			wantStop, wantErr := false, ""
+			if c == exec {
+				wantStop, wantErr = evStop, errText(evErr)
+			}
+			diff := lockstepDiff(ev, ref, &want)
+			if diff == "" && (refStop != wantStop || errText(refErr) != wantErr) {
+				diff = fmt.Sprintf("stop/error: event %v %q, per-cycle %v %q",
+					wantStop, wantErr, refStop, errText(refErr))
+			}
+			if diff != "" {
+				t.Fatalf("lockstep: last agreeing cycle %d, first disagreeing cycle %d (event engine executed %d, then jumped to %d): %s",
+					c-1, c, exec, ev.now, diff)
+			}
+			want.FetchBlocked++
+		}
+		if evStop || evErr != nil || ev.finished {
+			break
+		}
+	}
+	r1, ok1 := ev.ArchRegs()
+	r2, ok2 := ref.ArchRegs()
+	if ok1 != ok2 || r1 != r2 {
+		t.Fatalf("lockstep: architectural registers diverge at cycle %d:\nevent:     ok=%v %v\nper-cycle: ok=%v %v",
+			ev.now, ok1, r1, ok2, r2)
+	}
+}
+
+// lockstepDiff describes how the reference's state differs from the event
+// engine's (whose stats are passed as want), or returns "".
+func lockstepDiff(ev, ref *Engine, want *stats.Stats) string {
+	var diffs []string
+	if *ref.st != *want {
+		w, r := reflect.ValueOf(*want), reflect.ValueOf(*ref.st)
+		for i := 0; i < w.NumField(); i++ {
+			if !reflect.DeepEqual(w.Field(i).Interface(), r.Field(i).Interface()) {
+				diffs = append(diffs, fmt.Sprintf("Stats.%s event=%v per-cycle=%v",
+					w.Type().Field(i).Name, w.Field(i), r.Field(i)))
+			}
+		}
+	}
+	if ev.robUsed != ref.robUsed || ev.renameUsed != ref.renameUsed || ev.qUsed != ref.qUsed {
+		diffs = append(diffs, fmt.Sprintf("occupancy event rob=%d rename=%d q=%v, per-cycle rob=%d rename=%d q=%v",
+			ev.robUsed, ev.renameUsed, ev.qUsed, ref.robUsed, ref.renameUsed, ref.qUsed))
+	}
+	if ev.finished != ref.finished {
+		diffs = append(diffs, fmt.Sprintf("finished event=%v per-cycle=%v", ev.finished, ref.finished))
+	}
+	return strings.Join(diffs, "; ")
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestEventScheduleCrossCheck runs the event engine in lockstep with the
+// per-cycle reference over the archetype sweep: any cycle, executed or
+// skipped, on which the two disagree fails. This is the directed (non-fuzz)
+// lost-wakeup hunt.
+func TestEventScheduleCrossCheck(t *testing.T) {
+	for _, c := range abCases() {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg()
+			cfg.MaxInsts = 1 << 62
+			cfg.MaxCycles = c.cycles
+			lockstep(t, cfg, c.bench)
+		})
+	}
+}
+
+// FuzzEventSchedule fuzzes workload shape, machine size, and fault seeding
+// through the lockstep runner: the event engine must match the per-cycle
+// reference on every cycle.
 func FuzzEventSchedule(f *testing.F) {
 	f.Add(uint8(2), uint16(256), uint8(60), uint8(30), uint8(4), uint8(0), uint32(1))
 	f.Add(uint8(4), uint16(1024), uint8(20), uint8(10), uint8(8), uint8(1), uint32(7))
@@ -326,46 +431,116 @@ func FuzzEventSchedule(f *testing.F) {
 		cfg.MaxCycles = 60_000
 		cfg.Faults.Profile = profiles[int(profIdx)%len(profiles)]
 		cfg.Faults.Seed = uint64(seed)
-
-		// Event run with the lost-wakeup cross-check armed.
-		prog, image := bench.Build(1)
-		st := &stats.Stats{}
-		eng, err := New(&cfg, prog, image, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.evqCheck = true
-		var evErr string
-		if err := eng.Run(); err != nil {
-			evErr = err.Error()
-		}
-
-		// Polling reference run.
-		cfg2 := cfg
-		cfg2.DisableEventQueue = true
-		prog2, image2 := bench.Build(1)
-		st2 := &stats.Stats{}
-		eng2, err := New(&cfg2, prog2, image2, st2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var polErr string
-		if err := eng2.Run(); err != nil {
-			polErr = err.Error()
-		}
-
-		if *st != *st2 {
-			t.Fatalf("stats diverge:\nevent:   %+v\npolling: %+v", *st, *st2)
-		}
-		if evErr != polErr {
-			t.Fatalf("run error diverges: event=%q polling=%q", evErr, polErr)
-		}
-		r1, ok1 := eng.ArchRegs()
-		r2, ok2 := eng2.ArchRegs()
-		if ok1 != ok2 || r1 != r2 {
-			t.Fatalf("architectural registers diverge")
-		}
+		lockstep(t, cfg, bench)
 	})
+}
+
+// missRing builds a load-only pointer ring far larger than the L3, so every
+// chase step is a full memory-latency miss with nothing else in flight: the
+// steady state is one long idle stretch per load, all of it skipped by the
+// calendar. No stores means the functional overlay never grows, which is
+// what lets the idle regime hold a zero-allocation steady state.
+func missRing(nodes int) (*isa.Program, *mem.Memory) {
+	const nodeBytes = 64
+	const base = uint64(0x100000)
+	r := mem.NewRand(7)
+	perm := make([]int, nodes)
+	for i := range perm {
+		perm[i] = i
+	}
+	for i := nodes - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	addr := func(i int) uint64 { return base + uint64(i)*nodeBytes }
+	m := mem.New()
+	for i := 0; i < nodes; i++ {
+		m.Store(addr(perm[i]), 8, addr(perm[(i+1)%nodes]))
+	}
+
+	b := asm.New("miss-ring")
+	b.Liu(isa.R1, addr(perm[0]))
+	b.Label("loop")
+	b.Ld(isa.R1, isa.R1, 0)
+	b.Addi(isa.R2, isa.R2, 1)
+	b.J("loop")
+	b.Halt()
+	return b.MustBuild(), m
+}
+
+// TestZeroAllocSteadyState pins the hot loop's allocation behaviour: once
+// the engine is warm (slices at capacity, uop pool populated, overlay keys
+// touched, calendar heap at depth), a simulated cycle of the event engine
+// must not allocate at all — neither on the commit-every-cycle path nor on
+// the idle path the calendar jumps over.
+func TestZeroAllocSteadyState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("warmup is a few hundred ms per case")
+	}
+
+	cases := []struct {
+		name  string
+		build func() (*isa.Program, *mem.Memory)
+		warm  int
+	}{
+		{
+			// DL1-resident chase, commits nearly every cycle: exercises
+			// fetch/dispatch/issue/commit and uop recycling. Stores revisit
+			// the same node addresses, so the overlay map stops growing
+			// after the first traversal.
+			name: "hit-heavy",
+			build: func() (*isa.Program, *mem.Memory) {
+				return workload.PointerChase("zeroalloc-hit", workload.INT, workload.ChaseParams{
+					Nodes: 256, NodeBytes: 64, PoolSize: 8,
+					DominantPct: 60, ReusePct: 30, SeqPct: 90, BodyOps: 12, Iters: 1 << 40,
+				}).Build(1)
+			},
+			warm: 80_000,
+		},
+		{
+			// Load-only miss ring: ~1000 idle cycles per chase step, all
+			// skipped — pins the calendar's jump path itself.
+			name:  "miss-idle",
+			build: func() (*isa.Program, *mem.Memory) { return missRing(1 << 17) },
+			warm:  80_000,
+		},
+	}
+
+	// Only the event engine is pinned: the per-cycle reference is a test
+	// oracle, not a production path.
+	for _, c := range cases {
+		t.Run(c.name+"/event", func(t *testing.T) {
+			cfg := config.Baseline()
+			cfg.MaxInsts = 1 << 62
+			cfg.MaxCycles = 1 << 40
+			// The stride prefetcher's stream-tracking maps churn entries;
+			// it stays on in benchmarks but is out of scope for the
+			// zero-alloc pin.
+			cfg.Prefetch.Enabled = false
+			prog, image := c.build()
+			st := &stats.Stats{}
+			eng, err := New(&cfg, prog, image, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < c.warm; i++ {
+				if stop, err := eng.runCycle(); err != nil || stop {
+					t.Fatalf("warmup ended early at cycle %d: stop=%v err=%v", eng.now, stop, err)
+				}
+			}
+			avg := testing.AllocsPerRun(300, func() {
+				if _, err := eng.runCycle(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("steady-state cycle allocates: %.2f allocs/cycle", avg)
+			}
+			if st.Committed == 0 {
+				t.Fatal("workload committed nothing; the steady state measured is vacuous")
+			}
+		})
+	}
 }
 
 // BenchmarkEventQueue micro-benchmarks the calendar's three hot operations:

@@ -47,7 +47,7 @@ func (e *Engine) allocUop() *uop {
 
 // setUopState is the single write path for a uop's pipeline state, keeping
 // the struct field and the slot-indexed mirror in lockstep. The mirror is
-// what the issue scan and the polling quiescence scan read.
+// what the issue scan and the calendar's standing-edge refresh read.
 func (e *Engine) setUopState(u *uop, s uopState) {
 	u.state = s
 	e.soaState[u.slot] = s

@@ -14,7 +14,7 @@ func (e *Engine) SetTelemetry(m *telemetry.Machine) { e.tel = m }
 // occupancy gauges plus the cumulative counter snapshot the sampler
 // differentiates into cycle-bucketed time series. The event-queue gauges
 // are registry-only (not sampled into the time series), so the series stay
-// bit-identical between the event-driven and polling schedulers.
+// bit-identical between the event-driven engine and the per-cycle reference.
 func (e *Engine) telemetryCycle() {
 	e.tel.Tick(e.now, e.telemetryGauges(), e.telemetryCounters())
 	if e.evq != nil {
@@ -24,7 +24,7 @@ func (e *Engine) telemetryCycle() {
 	}
 }
 
-// telemetrySkip feeds the probe a fast-forwarded idle span [from, to]. The
+// telemetrySkip feeds the probe an idle span the calendar skipped [from, to]. The
 // engine's counters and gauges are frozen across the span (that is what made
 // it skippable), so the probe can close every sample bucket that would have
 // closed during it from the one snapshot, byte-identically to per-cycle Ticks.

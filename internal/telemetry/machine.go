@@ -57,9 +57,10 @@ type Machine struct {
 	SpecThreads  *Gauge
 
 	// Event-driven scheduler calendar (pipeline/events.go). Zero when the
-	// engine runs the legacy polling scan. These live only in the registry
-	// (/metrics), never in the sampler's time series, so the series stay
-	// bit-identical across scheduler modes.
+	// engine runs the per-cycle reference (Config.PerCycle), which has no
+	// calendar. These live only in the registry (/metrics), never in the
+	// sampler's time series, so the series stay bit-identical across the
+	// two engines.
 	EventQDepth   *Gauge // pending wake entries in the calendar
 	EventQFired   *Gauge // cumulative entries fired (popped at their cycle)
 	EventQDeduped *Gauge // cumulative enqueues absorbed by the dedup ring
@@ -122,7 +123,7 @@ func (m *Machine) Tick(cycle int64, g CycleGauges, c CycleCounters) {
 	}
 }
 
-// TickIdleRange feeds a fast-forwarded idle cycle span [from, to] in one
+// TickIdleRange feeds a skipped idle cycle span [from, to] in one
 // call. The caller guarantees the machine was frozen across the span: the
 // gauges and cumulative counters it passes held at every cycle in it. The
 // gauges are set once and the sampler closes every bucket that would have
