@@ -93,7 +93,6 @@ func RunInstrumented(cfg config.Config, prog *isa.Program, image *mem.Memory, in
 		return nil, fmt.Errorf("core: %s: %w", prog.Name, runErr)
 	}
 	if eng.Halted() {
-		eng.Finalize()
 		// With checking enabled the committed stream was verified
 		// instruction by instruction; a completed run also gets its final
 		// architectural state compared against the oracle.

@@ -2,10 +2,11 @@ package isa
 
 import "math"
 
-// MemAccess is the data memory a context executes against. A speculative
-// context is given a store-buffer overlay (internal/storebuf) whose reads
-// fall through to its ancestors and ultimately to flat memory; the
-// architectural context is given flat memory directly.
+// MemAccess is the data memory a context executes against. In the timing
+// pipeline every hardware context, the architectural one included, is given
+// its own store-buffer overlay (internal/storebuf) whose reads fall through
+// to its ancestors and ultimately to flat memory; the functional reference
+// interpreters are given flat memory directly.
 type MemAccess interface {
 	Load(addr uint64, size int) uint64
 	Store(addr uint64, size int, val uint64)

@@ -1,6 +1,14 @@
 // Package mem provides the flat, sparsely paged physical memory image that
-// backs every simulation. Workloads initialise it deterministically; the
-// architectural thread's committed stores are its only writers during a run.
+// backs every simulation. Workloads initialise it deterministically.
+//
+// During a timing run the image is written in one place only,
+// storebuf.Overlay.Settle. Mid-run it holds the initial image plus the
+// stores that every live thread shared the last time the thread tree
+// shrank (a promotion or a wrong prediction): committed, non-speculative
+// work that no live thread can lose. Stores still buffered in live overlays
+// are not in it. At HALT it holds the final architectural image. Because the image handed to
+// pipeline.New is written during the run, callers that share one image
+// between runs must give each run its own Clone.
 package mem
 
 import "encoding/binary"

@@ -103,10 +103,11 @@ func (c *Checker) Verify(r Record) error {
 }
 
 // Final compares end-of-run architectural state: the surviving thread's
-// register file and the engine's drained memory image against the oracle's.
-// It is meaningful only after the engine committed a HALT and Finalize
-// drained the surviving overlay; if the oracle has not reached its own HALT
-// (the commit stream was verified only as a prefix), Final reports that.
+// register file and the engine's memory image against the oracle's. It is
+// meaningful only after the engine committed a HALT, which settles every
+// surviving store into the image; if the oracle has not reached its own
+// HALT (the commit stream was verified only as a prefix), Final reports
+// that.
 func (c *Checker) Final(regs [isa.NumRegs]uint64, image *mem.Memory) error {
 	if c.fatal != nil {
 		return c.fatal

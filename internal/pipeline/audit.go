@@ -106,11 +106,12 @@ func (e *Engine) auditKill(t *thread) {
 
 // auditScan is the full structural walk: ROB age ordering, shared resource
 // counter reconciliation, rename-map liveness, per-thread ICOUNT, overlay
-// isolation, and speculative/promoted exclusion.
+// isolation, a common bottom overlay, and speculative/promoted exclusion.
 func (e *Engine) auditScan() {
 	var robN, renameN, storeN int
 	var qN [numQueues]int
 	overlays := make(map[*storebuf.Overlay]*thread)
+	var bottom *storebuf.Overlay // Settle's premise: one bottom under every live chain
 
 	for _, t := range e.liveByOrder() {
 		if t.killed {
@@ -125,8 +126,15 @@ func (e *Engine) auditScan() {
 			e.auditFail("T%d/%d executes against a frozen overlay", t.id, t.order)
 			return
 		}
-		if err := t.overlay.CheckChain(); err != nil {
+		b, err := t.overlay.CheckChain()
+		if err != nil {
 			e.auditFail("T%d/%d overlay chain corrupt: %v", t.id, t.order, err)
+			return
+		}
+		if bottom == nil {
+			bottom = b
+		} else if b != bottom {
+			e.auditFail("T%d/%d overlay chain ends in another bottom overlay than the oldest live thread's", t.id, t.order)
 			return
 		}
 		if prev, dup := overlays[t.overlay]; dup {

@@ -10,9 +10,9 @@ import (
 
 // Steady-state engine micro-benchmarks. Each case runs a fixed number of
 // simulated cycles, so host time per op tracks simulator throughput
-// directly and benchstat comparisons against the committed baseline
-// (BENCH_5.json, ci perf job) are meaningful. ReportMetric publishes the
-// simulated-cycle and committed-instruction rates alongside ns/op.
+// directly and same-host benchstat comparisons (the BENCH_*.json
+// snapshots) are meaningful. ReportMetric publishes the simulated-cycle and
+// committed-instruction rates alongside ns/op.
 
 type steadyCase struct {
 	name   string

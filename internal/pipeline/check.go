@@ -118,9 +118,9 @@ func (e *Engine) CheckedCommits() uint64 {
 }
 
 // FinalCheck compares end-of-run architectural state (surviving register
-// file and the drained memory image) against the oracle. It is meaningful
-// after Finalize on a run that committed HALT; with checking disabled it
-// reports nothing.
+// file and the memory image) against the oracle. It is meaningful after a
+// run that committed HALT, where the halting thread's stores have all
+// settled into memory; with checking disabled it reports nothing.
 func (e *Engine) FinalCheck() error {
 	if e.checker == nil {
 		return nil

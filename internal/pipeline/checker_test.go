@@ -7,6 +7,7 @@ import (
 
 	"mtvp/internal/config"
 	"mtvp/internal/oracle"
+	"mtvp/internal/storebuf"
 	"mtvp/internal/workload"
 )
 
@@ -113,7 +114,6 @@ func TestCheckedMTVPRunClean(t *testing.T) {
 	if !eng.Halted() {
 		t.Fatalf("did not halt: committed=%d cycles=%d", st.Committed, eng.Now())
 	}
-	eng.Finalize()
 	if err := eng.FinalCheck(); err != nil {
 		t.Fatalf("final state check failed: %v", err)
 	}
@@ -178,5 +178,17 @@ func TestAuditorDetectsSpeculativeStoreDrain(t *testing.T) {
 	eng.auditStoreDrain(spec, 0x1000)
 	if eng.auditErr == nil || !strings.Contains(eng.auditErr.Error(), "speculative") {
 		t.Fatalf("speculative store drain not flagged: %v", eng.auditErr)
+	}
+}
+
+func TestAuditorDetectsSplitBottomOverlay(t *testing.T) {
+	eng := newAuditEngine(t)
+	// A live thread on its own chain straight over memory breaks the
+	// premise Overlay.Settle relies on: one bottom under every live view.
+	stray := &thread{id: 1, order: 9, live: true, overlay: storebuf.New(eng.mem)}
+	eng.ordered = append(eng.ordered, stray)
+	eng.auditScan()
+	if eng.auditErr == nil || !strings.Contains(eng.auditErr.Error(), "bottom overlay") {
+		t.Fatalf("split bottom overlay not flagged: %v", eng.auditErr)
 	}
 }

@@ -176,8 +176,9 @@ func (e *Engine) freeRetiring(t *thread) {
 }
 
 // promoteReady promotes every thread whose ancestry has become fully
-// non-speculative: its buffered committed stores drain to the cache and its
-// overlay chain is collapsed.
+// non-speculative: its buffered committed stores drain to the cache and
+// whatever its overlay chain no longer shares with a live path settles into
+// memory.
 func (e *Engine) promoteReady() {
 	for _, t := range e.liveByOrder() {
 		if t.promoted || t.isSpec() {
@@ -198,7 +199,7 @@ func (e *Engine) promoteReady() {
 			}
 		}
 		t.storeQ = kept
-		t.overlay.Collapse()
+		t.overlay.Settle()
 	}
 	// A buffered HALT fires once its thread surfaces as the oldest live
 	// thread — every elder drained and freed, so the program truly is over.
@@ -210,7 +211,8 @@ func (e *Engine) promoteReady() {
 
 // finishAt ends the simulation: a non-speculative thread committed HALT.
 // Outstanding speculative threads are wrong-path by definition (the program
-// is over) and are killed so final state checks see only committed work.
+// is over) and are killed, leaving t the only live context, so its whole
+// overlay chain settles and memory holds the final architectural image.
 func (e *Engine) finishAt(t *thread) {
 	e.finished = true
 	e.haltedThread = t
@@ -219,4 +221,5 @@ func (e *Engine) finishAt(t *thread) {
 			e.killSubtree(o)
 		}
 	}
+	t.overlay.Settle()
 }

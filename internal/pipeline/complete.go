@@ -141,6 +141,8 @@ func (e *Engine) resolveEvent(ev *vpEvent) {
 					e.killSubtree(c)
 				}
 			}
+			// The fork point is t's alone again.
+			t.overlay.Settle()
 			t.stallFetch = false
 			if t.fetchBlocked < e.now+1 {
 				t.fetchBlocked = e.now + 1

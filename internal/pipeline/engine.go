@@ -430,16 +430,6 @@ func (e *Engine) breakDeadlock() bool {
 	return true
 }
 
-// Finalize drains the surviving architectural thread's speculative store
-// state into flat memory so the image reflects committed execution. It is
-// meaningful after a run that ended at a HALT.
-func (e *Engine) Finalize() {
-	arch := e.archThread()
-	if arch != nil {
-		arch.overlay.DrainTo(e.mem)
-	}
-}
-
 // archThread returns the oldest live non-speculative thread.
 func (e *Engine) archThread() *thread {
 	for _, t := range e.liveByOrder() {

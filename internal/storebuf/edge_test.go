@@ -105,19 +105,6 @@ func TestPartialWidthForwarding(t *testing.T) {
 			if got := o.Load(tc.loadAddr, tc.loadSize); got != tc.want {
 				t.Fatalf("load [%#x +%d] = %#x, want %#x", tc.loadAddr, tc.loadSize, got, tc.want)
 			}
-			full, any := o.Covered(tc.loadAddr, tc.loadSize)
-			wantAny := false
-			for _, s := range tc.stores {
-				if s.addr < tc.loadAddr+uint64(tc.loadSize) && tc.loadAddr < s.addr+uint64(s.size) {
-					wantAny = true
-				}
-			}
-			if any != wantAny {
-				t.Fatalf("Covered any=%v, want %v", any, wantAny)
-			}
-			if full && !wantAny {
-				t.Fatal("Covered reports full coverage with no overlapping store")
-			}
 		})
 	}
 }
@@ -147,7 +134,7 @@ func TestSameCycleStoreLoad(t *testing.T) {
 }
 
 // TestSpeculativeStoreIsolation walks the spawn lifecycle: before the parent
-// commits (collapses), a speculative child's stores are visible only to the
+// retires, a speculative child's stores are visible only to the
 // child and its descendants, never to the parent or flat memory; after
 // confirmation they become visible; after a kill they vanish.
 func TestSpeculativeStoreIsolation(t *testing.T) {
@@ -194,19 +181,18 @@ func TestSpeculativeStoreIsolation(t *testing.T) {
 		t.Fatalf("kill of grandchild corrupted child view: %#x", got)
 	}
 
-	// Confirm: the parent's path dies, the child collapses its now
-	// singly-referenced frozen ancestors and drains to memory.
+	// Confirm: the parent's path dies, and the child, now the only live
+	// context, settles its whole chain into memory.
 	parent.Release()
-	childCont.Collapse()
+	childCont.Settle()
 	if got := childCont.Load(addr, 8); got != 0xbadbad {
-		t.Fatalf("collapse changed the surviving view: %#x", got)
+		t.Fatalf("settle changed the surviving view: %#x", got)
 	}
-	childCont.DrainTo(m)
 	if got := m.Load(addr, 8); got != 0xbadbad {
 		t.Fatalf("confirmed store did not reach memory: %#x", got)
 	}
 	if got := m.Load(addr+8, 8); got != 0x7777 {
-		t.Fatalf("pre-fork store lost on drain: %#x", got)
+		t.Fatalf("pre-fork store lost on settle: %#x", got)
 	}
 }
 
@@ -224,11 +210,10 @@ func TestKilledChildStoresDiscarded(t *testing.T) {
 	child.Store(addr, 8, 0xdead)
 	child.Release() // misprediction: child killed
 
-	parent.Collapse()
+	parent.Settle()
 	if got := parent.Load(addr, 8); got != 0x1234 {
 		t.Fatalf("killed child's store visible to parent: %#x", got)
 	}
-	parent.DrainTo(m)
 	if got := m.Load(addr, 8); got != 0x1234 {
 		t.Fatalf("killed child's store reached memory: %#x", got)
 	}

@@ -12,6 +12,10 @@
 // used in preference to the value stored in memory" semantics, generalised
 // to the thread tree.
 //
+// Stores reach flat memory in one place, Overlay.Settle: once no live
+// context can lose a buffered byte, it is written into memory and the
+// overlay that held it leaves the chain.
+//
 // Timing-level capacity (the 128-entry store buffer of §5.3) is accounted
 // separately by the pipeline; overlays carry functional state only.
 package storebuf
@@ -29,7 +33,6 @@ type Overlay struct {
 	data   map[uint64]byte
 	frozen bool
 	refs   int
-	stores uint64
 }
 
 // New returns a mutable overlay whose reads fall through to parent. If the
@@ -41,21 +44,8 @@ func New(parent isa.MemAccess) *Overlay {
 	return &Overlay{parent: parent, data: make(map[uint64]byte), refs: 1}
 }
 
-// Parent returns the memory view this overlay falls through to.
-func (o *Overlay) Parent() isa.MemAccess { return o.parent }
-
 // Frozen reports whether the overlay has been sealed by a fork.
 func (o *Overlay) Frozen() bool { return o.frozen }
-
-// Refs returns the number of live referents (owning context plus child
-// overlays).
-func (o *Overlay) Refs() int { return o.refs }
-
-// Stores returns the number of Store calls applied to this overlay.
-func (o *Overlay) Stores() uint64 { return o.stores }
-
-// Bytes returns the number of distinct bytes written.
-func (o *Overlay) Bytes() int { return len(o.data) }
 
 // Load reads size bytes little-endian, taking each byte from the newest
 // overlay in the chain that has written it.
@@ -89,34 +79,6 @@ func (o *Overlay) Store(addr uint64, size int, val uint64) {
 	for i := 0; i < size; i++ {
 		o.data[addr+uint64(i)] = byte(val >> (8 * i))
 	}
-	o.stores++
-}
-
-// Covered reports how much of [addr, addr+size) the overlay chain (excluding
-// flat memory) supplies: full means every byte, any means at least one.
-func (o *Overlay) Covered(addr uint64, size int) (full, any bool) {
-	full = true
-	for i := 0; i < size; i++ {
-		if o.coveredByte(addr + uint64(i)) {
-			any = true
-		} else {
-			full = false
-		}
-	}
-	return full, any
-}
-
-func (o *Overlay) coveredByte(addr uint64) bool {
-	for cur := o; ; {
-		if _, ok := cur.data[addr]; ok {
-			return true
-		}
-		p, ok := cur.parent.(*Overlay)
-		if !ok {
-			return false
-		}
-		cur = p
-	}
 }
 
 // Fork seals the overlay and returns n fresh overlays chained to it: one for
@@ -148,69 +110,73 @@ func (o *Overlay) Release() {
 	}
 }
 
-// Collapse absorbs frozen, singly-referenced ancestors into this overlay.
-// After a prediction resolves and the losing path is released, the fork-point
-// overlay has one referent left; folding it upward keeps load chains short.
-// The owning context's view is unchanged.
-func (o *Overlay) Collapse() {
+// Settle stores into flat memory the bytes that every live view already
+// shares, and drops the overlays that held them. The pipeline calls it on a
+// live thread's top wherever the thread tree shrinks: at promotion, after a
+// wrong prediction kills a fork's children, and at HALT.
+//
+// Settle starts at the bottom overlay, the one whose parent is flat memory.
+// Every live overlay descends from the bottom (the pipeline's auditor checks
+// this), so every live view already reads the bottom's bytes wherever no
+// newer overlay shadows them. Writing those bytes into the memory beneath
+// the bottom therefore changes no live view:
+//   - If the bottom is an ancestor of o, it is frozen. With exactly one
+//     referent, that referent is its only child. Settle stores the bottom's
+//     bytes into memory, points the child at memory in its place, and
+//     repeats from the child.
+//   - If the bottom is o itself, o has no children and its owner is the only
+//     live context. Settle stores o's bytes into memory and empties o.
+//
+// Otherwise the bottom is still shared by diverging paths and Settle stops.
+// Released overlays may see their view change, but nothing reads them again.
+func (o *Overlay) Settle() {
 	for {
-		p, ok := o.parent.(*Overlay)
-		if !ok || !p.frozen || p.refs != 1 {
+		bottom, child := o, (*Overlay)(nil)
+		for {
+			p, ok := bottom.parent.(*Overlay)
+			if !ok {
+				break
+			}
+			bottom, child = p, bottom
+		}
+		if bottom != o && bottom.refs != 1 {
 			return
 		}
-		for a, b := range p.data {
-			if _, shadowed := o.data[a]; !shadowed {
-				o.data[a] = b
-			}
+		for a, b := range bottom.data {
+			bottom.parent.Store(a, 1, uint64(b))
 		}
-		o.parent = p.parent // p's reference to its parent transfers to o
-		p.refs = 0
-	}
-}
-
-// DrainTo writes the overlay chain's contents into dst, oldest overlay
-// first, and empties the chain. It is used when the surviving thread's
-// speculative state becomes architectural at the end of a run.
-func (o *Overlay) DrainTo(dst isa.MemAccess) {
-	var chain []*Overlay
-	for cur := o; ; {
-		chain = append(chain, cur)
-		p, ok := cur.parent.(*Overlay)
-		if !ok {
-			break
+		if bottom == o {
+			clear(o.data)
+			return
 		}
-		cur = p
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		for a, b := range chain[i].data {
-			dst.Store(a, 1, uint64(b))
-		}
-		chain[i].data = make(map[uint64]byte)
+		child.parent = bottom.parent
+		bottom.refs = 0
 	}
 }
 
 // CheckChain validates the structural invariants of the overlay chain above
-// o: every ancestor must be frozen with a positive reference count, and the
-// chain must bottom out at flat memory without a cycle. The pipeline's
-// invariant auditor runs it over each live thread's overlay so corruption of
-// the speculation tree (e.g. under fault campaigns) is caught as a structured
-// failure instead of a wrong value.
-func (o *Overlay) CheckChain() error {
+// o and returns the chain's bottom overlay, the one on flat memory. Every
+// ancestor must be frozen with a positive reference count, and the chain
+// must reach flat memory without a cycle. The pipeline's invariant auditor
+// runs it over each live thread's overlay so corruption of the speculation
+// tree (e.g. under fault campaigns) is caught as a structured failure
+// instead of a wrong value.
+func (o *Overlay) CheckChain() (*Overlay, error) {
 	seen := make(map[*Overlay]bool)
 	for cur := o; ; {
 		if seen[cur] {
-			return fmt.Errorf("storebuf: overlay chain cycle")
+			return nil, fmt.Errorf("storebuf: overlay chain cycle")
 		}
 		seen[cur] = true
 		if cur.refs <= 0 {
-			return fmt.Errorf("storebuf: overlay in live chain has %d refs", cur.refs)
+			return nil, fmt.Errorf("storebuf: overlay in live chain has %d refs", cur.refs)
 		}
 		if cur != o && !cur.frozen {
-			return fmt.Errorf("storebuf: interior overlay not frozen")
+			return nil, fmt.Errorf("storebuf: interior overlay not frozen")
 		}
 		p, ok := cur.parent.(*Overlay)
 		if !ok {
-			return nil
+			return cur, nil
 		}
 		cur = p
 	}

@@ -73,20 +73,20 @@ func TestReleaseUnwindsChain(t *testing.T) {
 	m := mem.New()
 	root := New(m)
 	tops := root.Fork(2)
-	if root.Refs() != 2 {
-		t.Fatalf("fork refs = %d, want 2", root.Refs())
+	if root.refs != 2 {
+		t.Fatalf("fork refs = %d, want 2", root.refs)
 	}
 	tops[1].Release() // kill the child path
-	if root.Refs() != 1 {
-		t.Errorf("after child release, refs = %d, want 1", root.Refs())
+	if root.refs != 1 {
+		t.Errorf("after child release, refs = %d, want 1", root.refs)
 	}
 	tops[0].Release()
-	if root.Refs() != 0 {
-		t.Errorf("after both releases, refs = %d, want 0", root.Refs())
+	if root.refs != 0 {
+		t.Errorf("after both releases, refs = %d, want 0", root.refs)
 	}
 }
 
-func TestCollapseFoldsSingleRefAncestors(t *testing.T) {
+func TestSettleSplicesSingleRefAncestors(t *testing.T) {
 	m := mem.New()
 	root := New(m)
 	root.Store(0x10, 8, 1)
@@ -96,67 +96,38 @@ func TestCollapseFoldsSingleRefAncestors(t *testing.T) {
 	survivor.Store(0x10, 8, 9) // shadows root's value
 
 	dead.Release()
-	survivor.Collapse()
-	if survivor.Parent() != m {
-		t.Fatal("collapse did not splice out the frozen ancestor")
+	survivor.Settle()
+	if survivor.parent != m {
+		t.Fatal("settle did not splice out the frozen ancestor")
 	}
-	if got := survivor.Load(0x10, 8); got != 9 {
-		t.Errorf("shadowed value lost: %d", got)
+	if len(survivor.data) != 0 {
+		t.Errorf("sole survivor kept %d buffered bytes", len(survivor.data))
 	}
-	if got := survivor.Load(0x20, 8); got != 2 {
-		t.Errorf("ancestor value lost: %d", got)
+	if got := m.Load(0x10, 8); got != 9 {
+		t.Errorf("memory holds %d, want the newest store 9", got)
 	}
-}
-
-func TestCollapseStopsAtSharedAncestor(t *testing.T) {
-	m := mem.New()
-	root := New(m)
-	tops := root.Fork(2) // both referents alive
-	tops[0].Collapse()
-	if tops[0].Parent() != root {
-		t.Error("collapse folded an ancestor that another path still uses")
+	if got := m.Load(0x20, 8); got != 2 {
+		t.Errorf("ancestor value did not reach memory: %d", got)
 	}
 }
 
-func TestDrainTo(t *testing.T) {
+func TestSettleStopsAtSharedAncestor(t *testing.T) {
 	m := mem.New()
-	m.Store(0x8, 8, 7)
 	root := New(m)
 	root.Store(0x10, 8, 1)
-	tops := root.Fork(2)
-	tops[1].Release()
-	top := tops[0]
-	top.Store(0x10, 8, 2) // newer write must win the drain
-	top.Store(0x18, 8, 3)
-
-	top.DrainTo(m)
-	if got := m.Load(0x10, 8); got != 2 {
-		t.Errorf("drained value = %d, want 2 (newest wins)", got)
+	tops := root.Fork(2) // both referents alive
+	tops[0].Store(0x18, 8, 2)
+	tops[0].Settle()
+	if tops[0].parent != root || len(tops[0].data) != 8 {
+		t.Error("settle touched overlays above an ancestor another path still uses")
 	}
-	if got := m.Load(0x18, 8); got != 3 {
-		t.Errorf("drained value = %d, want 3", got)
-	}
-	if got := m.Load(0x8, 8); got != 7 {
-		t.Errorf("untouched value clobbered: %d", got)
-	}
-}
-
-func TestCovered(t *testing.T) {
-	o := New(mem.New())
-	o.Store(0x100, 4, 0xFFFFFFFF)
-	if full, any := o.Covered(0x100, 4); !full || !any {
-		t.Errorf("exact range: full=%v any=%v", full, any)
-	}
-	if full, any := o.Covered(0x100, 8); full || !any {
-		t.Errorf("partial range: full=%v any=%v", full, any)
-	}
-	if full, any := o.Covered(0x200, 8); full || any {
-		t.Errorf("uncovered range: full=%v any=%v", full, any)
+	if got := m.Load(0x10, 8); got != 0 {
+		t.Errorf("shared ancestor's store reached memory: %d", got)
 	}
 }
 
 // Property: a chain of overlays with interleaved stores reads back exactly
-// like sequential execution against flat memory, and DrainTo reproduces the
+// like sequential execution against flat memory, and Settle reproduces the
 // flat image. This is invariant 2 of DESIGN.md.
 func TestChainEquivalenceQuick(t *testing.T) {
 	type op struct {
@@ -185,7 +156,7 @@ func TestChainEquivalenceQuick(t *testing.T) {
 				return false
 			}
 		}
-		top.DrainTo(backing)
+		top.Settle()
 		return backing.Equal(flat)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -193,34 +164,79 @@ func TestChainEquivalenceQuick(t *testing.T) {
 	}
 }
 
-// Property: after any fork tree with one surviving leaf, Collapse preserves
-// every readable byte.
-func TestCollapsePreservesQuick(t *testing.T) {
-	f := func(vals []uint64) bool {
-		m := mem.New()
-		top := New(m)
-		for i, v := range vals {
-			addr := uint64(i%64) * 8
-			top.Store(addr, 8, v)
-			if i%3 == 0 {
-				tops := top.Fork(2)
-				tops[1].Release()
-				top = tops[0]
-			}
-		}
-		before := map[uint64]uint64{}
-		for a := uint64(0); a < 64*8; a += 8 {
-			before[a] = top.Load(a, 8)
-		}
-		top.Collapse()
-		for a, v := range before {
-			if top.Load(a, 8) != v {
-				return false
-			}
-		}
-		return top.Parent() == m // fully folded
+// Property: on any tree of forks, stores and releases, Settle on any live
+// top leaves every live view equal to its flat reference, keeps every live
+// chain on one bottom overlay, and leaves no frozen single-referent overlay
+// on memory. With one survivor, memory itself equals the flat reference.
+func TestSettleQuick(t *testing.T) {
+	type op struct {
+		Kind uint8
+		Pick uint8
+		Addr uint16
+		Val  uint64
+		Sel  uint8
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	const span = 512
+	f := func(ops []op) bool {
+		backing := mem.New()
+		tops := []*Overlay{New(backing)}
+		flats := []*mem.Memory{mem.New()} // flat reference per live top
+		settled := func() bool {
+			var bottom *Overlay
+			for i, top := range tops {
+				b, err := top.CheckChain()
+				if err != nil || (bottom != nil && b != bottom) || (b.frozen && b.refs == 1) {
+					return false
+				}
+				bottom = b
+				for a := uint64(0); a < span; a += 8 {
+					if top.Load(a, 8) != flats[i].Load(a, 8) {
+						return false
+					}
+				}
+			}
+			return len(tops) > 1 || (len(tops[0].data) == 0 && backing.Equal(flats[0]))
+		}
+		for _, o := range ops {
+			i := int(o.Pick) % len(tops)
+			switch o.Kind % 4 {
+			case 0:
+				size := []int{1, 2, 4, 8}[o.Sel%4]
+				addr := uint64(o.Addr) % (span - 8)
+				tops[i].Store(addr, size, o.Val)
+				flats[i].Store(addr, size, o.Val)
+			case 1:
+				if len(tops) >= 8 {
+					continue
+				}
+				forked := tops[i].Fork(2 + int(o.Sel%2))
+				tops[i] = forked[0]
+				for _, c := range forked[1:] {
+					tops = append(tops, c)
+					flats = append(flats, flats[i].Clone())
+				}
+			case 2:
+				if len(tops) == 1 {
+					continue
+				}
+				tops[i].Release()
+				tops = append(tops[:i], tops[i+1:]...)
+				flats = append(flats[:i], flats[i+1:]...)
+			case 3:
+				tops[i].Settle()
+				if !settled() {
+					return false
+				}
+			}
+		}
+		for len(tops) > 1 {
+			tops[1].Release()
+			tops, flats = append(tops[:1], tops[2:]...), append(flats[:1], flats[2:]...)
+		}
+		tops[0].Settle()
+		return settled()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
