@@ -5,7 +5,6 @@
 //
 //	mtvpd serve -addr :8100 -token T -journal-dir /var/lib/mtvp
 //	mtvpd work  -coordinator http://sweep-host:8100 -token T -slots 8
-//	mtvpd tail  -coordinator http://sweep-host:8100 -token T fig2
 //
 // `serve` runs the coordinator: it accepts campaigns (mtvpbench
 // -coordinator, mtvpreport -coordinator, or any fabric client), shards
@@ -13,19 +12,16 @@
 // whose workers die, dedupes double completions, and persists every
 // finished cell to a per-campaign fsynced journal under -journal-dir so a
 // coordinator crash or restart resumes campaigns without re-running done
-// cells. The same listener serves live telemetry: per-worker fleet gauges
-// and fabric counters on /metrics (Prometheus text format), liveness on
-// /healthz, pprof under /debug/pprof, and the fleet view as JSON on
-// /api/v1/fleet.
+// cells. The same listener serves live telemetry: aggregate fabric
+// counters on /metrics (Prometheus text format), liveness on /healthz,
+// pprof under /debug/pprof, and the per-worker fleet view as JSON on
+// /api/v1/fleet. /metrics and pprof require the bearer token.
 //
 // `work` runs a worker agent: it pulls cell leases from the coordinator,
 // simulates them (the full machine config rides in each lease, so the
-// agent never re-derives experiment presets), streams heartbeats, and
-// reports results. Any number of agents may attach and detach at any time.
-//
-// `tail` prints a campaign's straggler analytics: per-worker lease
-// latency with relative slowdown, and the slowest cells with their span
-// breakdowns.
+// agent never re-derives experiment presets), streams heartbeats carrying
+// each cell's simulated progress, and reports results. Any number of
+// agents may attach and detach at any time.
 //
 // The fleet is trusted: workers are the operator's own machines. Every
 // result still carries an attestation digest over (campaign, cell key,
@@ -44,12 +40,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"text/tabwriter"
 	"time"
 
 	"mtvp/internal/experiments"
@@ -69,8 +62,6 @@ func main() {
 		code = serveCmd(os.Args[2:])
 	case "work":
 		code = workCmd(os.Args[2:])
-	case "tail":
-		code = tailCmd(os.Args[2:])
 	case "-version", "--version", "version":
 		version.Print(os.Stdout, "mtvpd")
 	case "-h", "-help", "--help", "help":
@@ -89,7 +80,6 @@ func usage(w *os.File) {
 Subcommands:
   serve   run the campaign coordinator
   work    run a worker agent attached to a coordinator
-  tail    straggler analytics for a campaign (slowest workers and cells)
 
 Run "mtvpd <subcommand> -h" for flags; "mtvpd -version" prints the build.`)
 }
@@ -199,114 +189,6 @@ func workCmd(args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// tailCmd prints a campaign's straggler analytics: per-worker latency
-// profile with relative slowdown, the slowest cells with their span
-// breakdowns, and the campaign's aggregate simulated progress. The campaign
-// may be named by ID, unique ID prefix, or campaign name.
-func tailCmd(args []string) int {
-	fs := flag.NewFlagSet("mtvpd tail", flag.ExitOnError)
-	var (
-		coordinator = fs.String("coordinator", "http://127.0.0.1:8100", "coordinator base URL")
-		token       = fs.String("token", "", "bearer token for the coordinator")
-		k           = fs.Int("k", 10, "how many tail (slowest) cells to list")
-		traceOut    = fs.String("trace-out", "", "also save the campaign's Chrome/Perfetto trace JSON to this file (load in ui.perfetto.dev)")
-	)
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mtvpd tail [flags] <campaign-id | id-prefix | campaign-name>")
-		return 2
-	}
-	ctx, cancel := signalCtx(stderrLogf)
-	defer cancel()
-	cl := fabric.NewClient(*coordinator, *token)
-	id, err := resolveCampaign(ctx, cl, fs.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mtvpd:", err)
-		return 1
-	}
-	tl, err := cl.Timeline(ctx, id, *k)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mtvpd:", err)
-		return 1
-	}
-	printTimeline(os.Stdout, tl)
-	if *traceOut != "" {
-		b, err := cl.TraceJSON(ctx, id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mtvpd:", err)
-			return 1
-		}
-		if err := os.WriteFile(*traceOut, b, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "mtvpd:", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "mtvpd: trace written to %s (%d bytes; load in ui.perfetto.dev)\n", *traceOut, len(b))
-	}
-	return 0
-}
-
-// resolveCampaign turns an ID, unique ID prefix, or campaign name into a
-// campaign ID.
-func resolveCampaign(ctx context.Context, cl *fabric.Client, arg string) (string, error) {
-	if _, err := cl.Status(ctx, arg); err == nil {
-		return arg, nil
-	}
-	list, err := cl.List(ctx)
-	if err != nil {
-		return "", err
-	}
-	var matches []string
-	for _, st := range list {
-		if strings.HasPrefix(st.ID, arg) || st.Name == arg {
-			matches = append(matches, st.ID)
-		}
-	}
-	switch len(matches) {
-	case 1:
-		return matches[0], nil
-	case 0:
-		return "", fmt.Errorf("no campaign matches %q (%d campaigns listed)", arg, len(list))
-	default:
-		return "", fmt.Errorf("%q is ambiguous: matches %d campaigns %v", arg, len(matches), matches)
-	}
-}
-
-// printTimeline renders the straggler report for a terminal.
-func printTimeline(w io.Writer, tl fabric.CampaignTimeline) {
-	rep := tl.Report
-	fmt.Fprintf(w, "campaign %s (%s) — %s\n", tl.ID, tl.Name, tl.State)
-	fmt.Fprintf(w, "cells %d   fleet lease p50 %.1fms  p99 %.1fms  mean %.1fms\n",
-		rep.Cells, rep.FleetP50MS, rep.FleetP99MS, rep.FleetMeanMS)
-	fmt.Fprintf(w, "sim progress: %d cycles, %d commits (rate %.0f cycles/s)\n",
-		tl.SimCycles, tl.SimCommits, tl.CycleRate)
-	if tl.Dropped > 0 {
-		fmt.Fprintf(w, "NOTE: %d spans dropped at the store bound (journal keeps the durable copy)\n", tl.Dropped)
-	}
-	if len(rep.Workers) > 0 {
-		fmt.Fprintln(w)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "WORKER\tCELLS\tP50(ms)\tP99(ms)\tMEAN(ms)\tSLOWDOWN")
-		for _, ws := range rep.Workers {
-			fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.1f\t%.1f\t%.2fx\n",
-				ws.Name, ws.Cells, ws.P50MS, ws.P99MS, ws.MeanMS, ws.Slowdown)
-		}
-		tw.Flush()
-		if slowest := rep.Slowest(); slowest != "" {
-			fmt.Fprintf(w, "slowest worker: %s\n", slowest)
-		}
-	}
-	if len(rep.Tail) > 0 {
-		fmt.Fprintln(w)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "TAIL CELL\tWORKER\tTOTAL(ms)\tQUEUE\tLEASE\tEXEC\tREPORT\tATTEMPTS\tREQUEUES")
-		for _, c := range rep.Tail {
-			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\n",
-				c.Key, c.Worker, c.TotalMS, c.QueueMS, c.LeaseMS, c.ExecMS, c.ReportMS, c.Attempts, c.Requeues)
-		}
-		tw.Flush()
-	}
 }
 
 func orNone(s string) string {

@@ -114,21 +114,6 @@ func (o Options) sweepRemote(ctx context.Context, name string, labels []string, 
 	}
 	sum.Failed = len(res.Failures)
 	sum.Failures = append(sum.Failures, res.Failures...)
-	// Best-effort straggler verdict for the summary: ask the coordinator
-	// for the campaign's timeline analytics and name the slowest worker.
-	// An old coordinator without the endpoint just means no note.
-	if tl, err := cl.Timeline(ctx, sub.ID, 3); err == nil {
-		if slow := tl.Report.Slowest(); slow != "" && len(tl.Report.Workers) > 1 {
-			for _, w := range tl.Report.Workers {
-				if w.Name != slow {
-					continue
-				}
-				sum.Notes = append(sum.Notes, fmt.Sprintf(
-					"%s: slowest worker %q — %.2fx fleet mean (p99 %.0f ms over %d cells); `mtvpd tail %s` for the breakdown",
-					name, w.Name, w.Slowdown, w.P99MS, w.Cells, sub.ID))
-			}
-		}
-	}
 	// Every requeue (lost worker, reported failure, voluntary release) is
 	// one attempt beyond a cell's first.
 	sum.Attempts = sum.Completed + sum.Failed + final.Requeues

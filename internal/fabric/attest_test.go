@@ -155,6 +155,64 @@ func TestReloadReverifiesJournaledDigests(t *testing.T) {
 	co.Close()
 }
 
+// A journal with span records between its cell records and a torn final
+// line — as older coordinators wrote it — reloads: done cells whose digests
+// re-verify are kept, the rest re-run, and the resumed campaign completes
+// and reloads again.
+func TestReloadResumesJournalWithSpanRecords(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpec("legacy", 4)
+	id := CampaignID(spec)
+	b, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id+".spec.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := func(i int, payload, digest string) string {
+		return fmt.Sprintf(`{"kind":"cell","key":%q,"status":"done","attempts":1,"result":%s,"worker":"w1","digest":%q}`,
+			spec.Jobs[i].Key, payload, digest)
+	}
+	digest := func(i int, payload string) string { return ResultDigest(id, spec.Jobs[i], json.RawMessage(payload)) }
+	spans := func(i int) string {
+		return fmt.Sprintf(`{"kind":"spans","key":%q,"spans":[{"trace":"6cf92c81b8027cba","id":"b5a80831eda27de1","kind":"lease","key":%[1]q,"worker":"w1","attempt":1,"start":"2023-11-14T22:13:20Z","end":"2023-11-14T22:13:22Z","status":"ok","cycles":100,"final":true}]}`,
+			spec.Jobs[i].Key)
+	}
+	journal := strings.Join([]string{
+		`{"kind":"campaign","campaign":"legacy","fingerprint":"fp"}`,
+		done(0, `{"ipc":1.5}`, digest(0, `{"ipc":1.5}`)), spans(0),
+		done(1, `{"ipc":2.5}`, digest(1, `{"ipc":2.5}`)), spans(1),
+		done(2, `{"ipc":9.9}`, digest(2, `{"ipc":3.5}`)), spans(2), // fails re-verification
+		`{"kind":"spans","key":"legacy/cell-03","spans":[{"trace":"6cf9`,
+	}, "\n")
+	if err := os.WriteFile(filepath.Join(dir, id+".journal"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	co := newTestCoordinator(t, nil, CoordinatorConfig{JournalDir: dir})
+	if st, _ := co.Status(id); st.Done != 2 || st.Queued != 2 || st.State != StateRunning {
+		t.Fatalf("reload must keep the two verified cells and requeue the rest: %+v", st)
+	}
+	res, _ := co.Results(id)
+	if string(res.Results["legacy/cell-00"]) != `{"ipc":1.5}` || string(res.Results["legacy/cell-01"]) != `{"ipc":2.5}` {
+		t.Fatalf("journaled results lost: %v", res.Results)
+	}
+	for {
+		lease, ok := co.Lease("w2")
+		if !ok {
+			break
+		}
+		co.Result(signedOK(co, "w2", id, lease.Spec.Key, `{"ipc":3.5}`))
+	}
+	co.Close()
+
+	co = newTestCoordinator(t, nil, CoordinatorConfig{JournalDir: dir})
+	if st, _ := co.Status(id); st.Done != 4 || st.State != StateComplete {
+		t.Fatalf("resumed campaign must reload complete: %+v", st)
+	}
+}
+
 // Two honest workers talking to a journaled coordinator through a seeded
 // lossy network (drops, delays, duplicates, damaged payloads) still
 // produce a campaign report byte-identical to a clean solo run.

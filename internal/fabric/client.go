@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mtvp/internal/fault"
@@ -97,40 +96,6 @@ func (c *Client) List(ctx context.Context) ([]CampaignStatus, error) {
 	var out []CampaignStatus
 	err := c.do(ctx, http.MethodGet, PathCampaigns, nil, &out)
 	return out, err
-}
-
-// Timeline fetches a campaign's span timeline and straggler report; k
-// bounds the tail-cell table (<=0 selects the server default).
-func (c *Client) Timeline(ctx context.Context, id string, k int) (CampaignTimeline, error) {
-	path := PathCampaigns + "/" + id + "/timeline"
-	if k > 0 {
-		path += "?k=" + strconv.Itoa(k)
-	}
-	var tl CampaignTimeline
-	err := c.do(ctx, http.MethodGet, path, nil, &tl)
-	return tl, err
-}
-
-// TraceJSON fetches a campaign's Chrome/Perfetto trace-event export as raw
-// bytes (the caller writes it to a file for ui.perfetto.dev).
-func (c *Client) TraceJSON(ctx context.Context, id string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+PathCampaigns+"/"+id+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return nil, fmt.Errorf("fabric: GET trace: %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	return io.ReadAll(resp.Body)
 }
 
 // Cancel stops a campaign.

@@ -14,7 +14,6 @@ import (
 
 	"mtvp/internal/fault"
 	"mtvp/internal/harness"
-	"mtvp/internal/obs"
 	"mtvp/internal/telemetry"
 )
 
@@ -36,13 +35,10 @@ type CoordinatorConfig struct {
 	// restarted on the same directory resumes every campaign without
 	// re-running completed cells.
 	JournalDir string
-	// PruneAfter retires a worker from the fleet view after this much
-	// silence with no leases held (0 selects 10×LeaseTTL).
-	PruneAfter time.Duration
 
-	// Registry, when non-nil, exports the live fleet view: aggregate
-	// counters plus per-worker labeled gauges (leases held, heartbeat age,
-	// jobs done/failed, cycle rate, lease-duration quantiles).
+	// Registry, when non-nil, exports the fabric's aggregate counters and
+	// gauges (leases, heartbeats, expiries, requeues, results, simulated
+	// progress, queue depth).
 	Registry *telemetry.Registry
 	// Logf, when non-nil, receives coordinator progress lines.
 	Logf func(format string, args ...any)
@@ -64,13 +60,6 @@ func (c CoordinatorConfig) retries() int {
 	return c.Retries
 }
 
-func (c CoordinatorConfig) pruneAfter() time.Duration {
-	if c.PruneAfter > 0 {
-		return c.PruneAfter
-	}
-	return 10 * c.leaseTTL()
-}
-
 // FailLostWorker classifies a cell whose lease expired because its worker
 // stopped heartbeating — the fabric's worker-loss fault class, beyond the
 // harness's own set.
@@ -88,21 +77,11 @@ const (
 
 // leaseInfo is the active lease on a cell, granted to one worker.
 type leaseInfo struct {
-	worker     string
-	expiry     time.Time
-	lastBeatAt time.Time // last heartbeat wall time (rate derivation)
-	everBeaten bool
-
-	// Observability: the lease's span identity and attempt ordinal, the
-	// grant instant (span start + straggler duration base), the highest
-	// heartbeat Seq whose deltas were folded (duplicate-request dedup), and
-	// the absolute progress folded so far (lost-ack overlap clamp).
-	attempt       int
-	spanID        string
-	granted       time.Time
-	lastSeq       uint64
-	foldedCycles  uint64
-	foldedCommits uint64
+	worker string
+	expiry time.Time
+	// cycles and commits are the highest progress counters any heartbeat on
+	// this lease reported; only increases reach the fleet counters.
+	cycles, commits uint64
 }
 
 // job is one cell's coordinator-side state. A cell holds at most one live
@@ -117,11 +96,6 @@ type job struct {
 	result   json.RawMessage
 	digest   string
 	failure  *harness.JobFailure
-
-	// Observability: the cell's trace ID and its currently-open queue span
-	// (ID, "" when none).
-	trace     string
-	openQueue string
 }
 
 // campaign is one submitted batch of cells.
@@ -138,14 +112,6 @@ type campaign struct {
 	failed      int
 	requeues    int
 	corrupt     int
-
-	// Observability: the bounded span store, the heartbeat-delta progress
-	// accumulators, the aggregate cycle-rate EWMA, and its time series.
-	trace      *obs.Trace
-	simCycles  uint64
-	simCommits uint64
-	cycleRate  float64
-	rateSeries *obs.Series
 }
 
 func (c *campaign) state() CampaignState {
@@ -163,18 +129,12 @@ func (c *campaign) state() CampaignState {
 
 // workerInfo is one agent's fleet-view row.
 type workerInfo struct {
-	name      string
-	lastSeen  time.Time
-	leases    int
-	done      uint64
-	failed    uint64
-	lost      uint64
-	cycleRate float64 // EWMA cycles/sec
-
-	// Straggler analytics: the durations of the worker's closed lease spans
-	// (milliseconds) and its last heartbeat-reported live heap.
-	durations *obs.Digest
-	heapMB    float64
+	name     string
+	lastSeen time.Time
+	leases   int
+	done     uint64
+	failed   uint64
+	lost     uint64
 }
 
 // Coordinator owns the lease state machine. All methods are safe for
@@ -190,9 +150,8 @@ type Coordinator struct {
 	metrics *fleetMetrics
 }
 
-// fleetMetrics is the aggregate + per-worker telemetry surface.
+// fleetMetrics is the aggregate telemetry surface.
 type fleetMetrics struct {
-	reg           *telemetry.Registry
 	leasesGranted *telemetry.Counter
 	heartbeats    *telemetry.Counter
 	expiries      *telemetry.Counter
@@ -221,7 +180,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if reg := cfg.Registry; reg != nil {
 		co.metrics = &fleetMetrics{
-			reg:           reg,
 			leasesGranted: reg.Counter("mtvp_fabric_leases_granted_total", "job leases granted to workers"),
 			heartbeats:    reg.Counter("mtvp_fabric_heartbeats_total", "lease heartbeats accepted"),
 			expiries:      reg.Counter("mtvp_fabric_lease_expiries_total", "leases lost to heartbeat loss or expiry"),
@@ -233,8 +191,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			campaignsLive: reg.Gauge("mtvp_fabric_campaigns_running", "campaigns currently running"),
 			jobsQueued:    reg.Gauge("mtvp_fabric_jobs_queued", "cells waiting for a lease across all campaigns"),
 			jobsLeased:    reg.Gauge("mtvp_fabric_jobs_leased", "cell leases currently active across all campaigns"),
-			simCycles:     reg.Counter("mtvp_fabric_sim_cycles_total", "simulated cycles accumulated from worker heartbeat deltas"),
-			simCommits:    reg.Counter("mtvp_fabric_sim_commits_total", "useful committed instructions accumulated from worker heartbeat deltas"),
+			simCycles:     reg.Counter("mtvp_fabric_sim_cycles_total", "simulated cycles reported by worker heartbeats (each lease's highest count)"),
+			simCommits:    reg.Counter("mtvp_fabric_sim_commits_total", "useful committed instructions reported by worker heartbeats (each lease's highest count)"),
 		}
 	}
 	if cfg.JournalDir != "" {
@@ -297,7 +255,7 @@ func (co *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 	if _, ok := co.campaigns[id]; ok {
 		return SubmitResponse{ID: id, Attached: true}, nil
 	}
-	c, err := co.installLocked(id, spec, nil, nil)
+	c, err := co.installLocked(id, spec, nil)
 	if err != nil {
 		return SubmitResponse{}, err
 	}
@@ -316,25 +274,18 @@ func (co *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 }
 
 // installLocked builds the campaign state from a spec plus (on reload) the
-// journaled records and span timelines, opens its journal, and queues the
-// unfinished cells. Every cell gets its deterministic trace identity here;
-// unfinished cells open their root and first queue spans, finished cells
-// seed their journaled spans so crash-resume keeps the timeline.
-func (co *Coordinator) installLocked(id string, spec CampaignSpec, prior map[string]*harness.Record, priorSpans map[string][]obs.Span) (*campaign, error) {
-	now := co.now()
+// journaled records, opens its journal, and queues the unfinished cells.
+func (co *Coordinator) installLocked(id string, spec CampaignSpec, prior map[string]*harness.Record) (*campaign, error) {
 	c := &campaign{
 		id:          id,
 		name:        spec.Name,
 		fingerprint: spec.Fingerprint,
 		jobs:        map[string]*job{},
-		trace:       obs.NewTrace(id, obs.DefaultSpanLimit(len(spec.Jobs))),
-		rateSeries:  obs.NewSeries("cycle_rate", 0),
 	}
 	for _, s := range spec.Jobs {
 		j := &job{
 			spec:   s,
 			budget: fault.NewBackoff(co.cfg.retries(), 64),
-			trace:  obs.TraceID(id, s.Key),
 		}
 		if rec := prior[s.Key]; rec != nil && rec.Status == harness.StatusDone && len(rec.Result) > 0 &&
 			co.reverifyLocked(id, s, rec) {
@@ -343,11 +294,9 @@ func (co *Coordinator) installLocked(id string, spec CampaignSpec, prior map[str
 			j.result = append(json.RawMessage(nil), rec.Result...)
 			j.digest = rec.Digest
 			c.done++
-			c.trace.Seed(priorSpans[s.Key])
 		} else {
 			c.queue = append(c.queue, s.Key)
 			j.queued = true
-			co.openCellSpansLocked(c, j, now)
 		}
 		c.jobs[s.Key] = j
 		c.order = append(c.order, s.Key)
@@ -361,43 +310,7 @@ func (co *Coordinator) installLocked(id string, spec CampaignSpec, prior map[str
 	}
 	co.campaigns[id] = c
 	co.order = append(co.order, id)
-	co.registerCampaignGauges(c)
 	return c, nil
-}
-
-// openCellSpansLocked opens an unfinished cell's root span and its first
-// queue span.
-func (co *Coordinator) openCellSpansLocked(c *campaign, j *job, now time.Time) {
-	root := obs.SpanID(j.trace, obs.KindCell, 0)
-	c.trace.Start(obs.Span{
-		Trace: j.trace, ID: root, Kind: obs.KindCell, Key: j.spec.Key, Start: now,
-	})
-	j.openQueue = obs.SpanID(j.trace, obs.KindQueue, j.attempts+1)
-	c.trace.Start(obs.Span{
-		Trace: j.trace, ID: j.openQueue, Parent: root, Kind: obs.KindQueue,
-		Key: j.spec.Key, Attempt: j.attempts + 1, Start: now,
-	})
-}
-
-// registerCampaignGauges exports the campaign's aggregate cycle rate as a
-// labeled gauge (0 once the campaign leaves the running state).
-func (co *Coordinator) registerCampaignGauges(c *campaign) {
-	if co.metrics == nil {
-		return
-	}
-	id := c.id
-	co.metrics.reg.LabeledGaugeFunc("mtvp_fleet_campaign_cycle_rate",
-		fmt.Sprintf("campaign=%q,id=%q", c.name, id),
-		"campaign aggregate simulated-cycle rate (cycles/sec, EWMA over heartbeat deltas)",
-		func() float64 {
-			co.mu.Lock()
-			defer co.mu.Unlock()
-			c := co.campaigns[id]
-			if c == nil || c.state() != StateRunning {
-				return 0
-			}
-			return c.cycleRate
-		})
 }
 
 // reverifyLocked re-checks a journaled record's attestation digest on
@@ -462,14 +375,14 @@ func (co *Coordinator) reload() error {
 		if err := json.Unmarshal(b, &spec); err != nil {
 			return fmt.Errorf("fabric: reload %s: corrupt spec: %w", n, err)
 		}
-		prior, priorSpans, warns, err := harness.LoadJournalFull(co.journalPath(id), spec.Fingerprint)
+		prior, warns, err := harness.LoadJournal(co.journalPath(id), spec.Fingerprint)
 		if err != nil {
 			return fmt.Errorf("fabric: reload %s: %w", n, err)
 		}
 		for _, w := range warns {
 			co.logf("%s", w)
 		}
-		c, err := co.installLocked(id, spec, prior, priorSpans)
+		c, err := co.installLocked(id, spec, prior)
 		if err != nil {
 			return err
 		}
@@ -481,22 +394,13 @@ func (co *Coordinator) reload() error {
 }
 
 // enqueueLocked lists a pending, unleased cell in its campaign queue if it
-// is not already listed, opening a queue span for the new wait.
+// is not already listed.
 func (co *Coordinator) enqueueLocked(c *campaign, j *job, key string) {
 	if j.state != jobPending || j.queued || j.lease != nil {
 		return
 	}
 	c.queue = append(c.queue, key)
 	j.queued = true
-	if j.openQueue == "" {
-		j.openQueue = obs.SpanID(j.trace, obs.KindQueue, j.attempts+1)
-		c.trace.Start(obs.Span{
-			Trace: j.trace, ID: j.openQueue,
-			Parent: obs.SpanID(j.trace, obs.KindCell, 0),
-			Kind:   obs.KindQueue, Key: key, Attempt: j.attempts + 1,
-			Start: co.now(),
-		})
-	}
 }
 
 // dequeueLocked delists a cell from its campaign queue.
@@ -534,27 +438,7 @@ func (co *Coordinator) Lease(worker string) (Lease, bool) {
 		j := c.jobs[key]
 		j.queued = false
 		j.attempts++
-		// Spans: the wait is over — close the open queue span and open the
-		// lease span for this attempt, parented under the cell root.
-		if j.openQueue != "" {
-			c.trace.End(j.openQueue, now, obs.StatusOK)
-			j.openQueue = ""
-		}
-		spanID := obs.SpanID(j.trace, obs.KindLease, j.attempts)
-		c.trace.Start(obs.Span{
-			Trace: j.trace, ID: spanID,
-			Parent: obs.SpanID(j.trace, obs.KindCell, 0),
-			Kind:   obs.KindLease, Key: key, Worker: worker,
-			Attempt: j.attempts, Start: now,
-		})
-		j.lease = &leaseInfo{
-			worker:     worker,
-			expiry:     now.Add(co.cfg.leaseTTL()),
-			lastBeatAt: now,
-			attempt:    j.attempts,
-			spanID:     spanID,
-			granted:    now,
-		}
+		j.lease = &leaseInfo{worker: worker, expiry: now.Add(co.cfg.leaseTTL())}
 		w.leases++
 		if co.metrics != nil {
 			co.metrics.leasesGranted.Inc()
@@ -565,9 +449,6 @@ func (co *Coordinator) Lease(worker string) (Lease, bool) {
 			Spec:           j.spec,
 			TTL:            co.cfg.leaseTTL(),
 			HeartbeatEvery: co.cfg.leaseTTL() / 3,
-			Trace:          j.trace,
-			Span:           spanID,
-			Attempt:        j.attempts,
 		}, true
 	}
 	return Lease{}, false
@@ -581,9 +462,12 @@ func (j *job) heldLease(worker string) *leaseInfo {
 	return nil
 }
 
-// Heartbeat extends a lease and feeds the fleet view. ok is false when the
-// worker no longer owns the lease (expired and requeued, already completed
-// by someone else, campaign cancelled): the worker should abandon the cell.
+// Heartbeat extends a lease and adds the increase in the cell's reported
+// progress over the lease's highest earlier report to the fleet counters.
+// Because reports are absolute, a duplicated, reordered or retried
+// heartbeat adds nothing. ok is false when the worker no longer owns the
+// lease (expired and requeued, already completed by someone else, campaign
+// cancelled): the worker should abandon the cell.
 func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 	now := co.now()
 	co.mu.Lock()
@@ -602,57 +486,14 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 		return false
 	}
 	li.expiry = now.Add(co.cfg.leaseTTL())
-	if req.HeapMB > 0 {
-		w.heapMB = req.HeapMB
-	}
-	// Fold the simulated progress accumulated since the last *acked*
-	// heartbeat into the campaign and fleet accumulators, exactly once per
-	// Seq: a duplicate delivery (retry, chaos proxy) only extends the lease.
-	// A lost ack makes the worker re-send an overlapping delta under a fresh
-	// Seq; clamping against the absolute counters (monotonic within a
-	// lease) keeps the fold exact.
-	if req.Seq > li.lastSeq {
-		li.lastSeq = req.Seq
-		dc, dm := req.DCycles, req.DCommits
-		if req.Cycles >= li.foldedCycles && dc > req.Cycles-li.foldedCycles {
-			dc = req.Cycles - li.foldedCycles
-		}
-		if req.Commits >= li.foldedCommits && dm > req.Commits-li.foldedCommits {
-			dm = req.Commits - li.foldedCommits
-		}
-		li.foldedCycles += dc
-		li.foldedCommits += dm
-		c.simCycles += dc
-		c.simCommits += dm
-		if co.metrics != nil {
-			co.metrics.simCycles.Add(dc)
-			co.metrics.simCommits.Add(dm)
-		}
-		if li.spanID != "" && (dc > 0 || dm > 0) {
-			c.trace.Update(li.spanID, func(s *obs.Span) {
-				s.Cycles += dc
-				s.Commits += dm
-			})
-		}
-		if dt := now.Sub(li.lastBeatAt).Seconds(); dt > 0 && li.everBeaten {
-			inst := float64(dc) / dt
-			if w.cycleRate == 0 {
-				w.cycleRate = inst
-			} else {
-				w.cycleRate = 0.75*w.cycleRate + 0.25*inst
-			}
-			if c.cycleRate == 0 {
-				c.cycleRate = inst
-			} else {
-				c.cycleRate = 0.75*c.cycleRate + 0.25*inst
-			}
-			c.rateSeries.Add(now, c.cycleRate)
-		}
-	}
-	li.lastBeatAt = now
-	li.everBeaten = true
+	dc := max(req.Cycles, li.cycles) - li.cycles
+	dm := max(req.Commits, li.commits) - li.commits
+	li.cycles += dc
+	li.commits += dm
 	if co.metrics != nil {
 		co.metrics.heartbeats.Inc()
+		co.metrics.simCycles.Add(dc)
+		co.metrics.simCommits.Add(dm)
 	}
 	return true
 }
@@ -670,38 +511,9 @@ func (co *Coordinator) dropLeaseLocked(j *job) bool {
 	return true
 }
 
-// revokeLeaseLocked drops worker's lease on j, if worker holds it, and
-// closes the lease's span with the revocation's status and note, feeding
-// the lease duration into the worker's straggler digest. Every
-// lease-ending path goes through here except campaign cancellation
-// (EndOpen closes those spans wholesale).
-func (co *Coordinator) revokeLeaseLocked(c *campaign, j *job, worker, status, note string) bool {
-	li := j.heldLease(worker)
-	if li == nil {
-		return false
-	}
-	now := co.now()
-	if li.spanID != "" {
-		c.trace.Update(li.spanID, func(s *obs.Span) {
-			if !s.End.IsZero() {
-				return
-			}
-			s.End = now
-			s.Status = status
-			if note != "" {
-				s.Note = note
-			}
-		})
-		if d := now.Sub(li.granted); d > 0 {
-			if w := co.workers[worker]; w != nil {
-				if w.durations == nil {
-					w.durations = obs.NewDigest(1024)
-				}
-				w.durations.Add(float64(d) / float64(time.Millisecond))
-			}
-		}
-	}
-	return co.dropLeaseLocked(j)
+// revokeLeaseLocked drops j's lease if worker holds it.
+func (co *Coordinator) revokeLeaseLocked(j *job, worker string) bool {
+	return j.heldLease(worker) != nil && co.dropLeaseLocked(j)
 }
 
 // Result records a cell's terminal outcome. Successful results must carry
@@ -726,7 +538,7 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	}
 	if req.Released {
 		// Voluntary handback (draining worker): requeue at no budget cost.
-		if j.state == jobPending && co.revokeLeaseLocked(c, j, req.Worker, obs.StatusReleased, "released by draining worker") {
+		if j.state == jobPending && co.revokeLeaseLocked(j, req.Worker) {
 			co.requeueLocked(c, j, req.Key)
 			co.logf("campaign %s: %s released by draining worker %s, requeued", c.id, req.Key, req.Worker)
 			co.updateGaugesLocked()
@@ -743,7 +555,7 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	// Failures are only accepted from a current lease holder: a stale
 	// report from an expired lease must not spend the budget of — or
 	// double-requeue — a cell another worker now owns.
-	if j.state != jobPending || !co.revokeLeaseLocked(c, j, req.Worker, obs.StatusError, req.Error) {
+	if j.state != jobPending || !co.revokeLeaseLocked(j, req.Worker) {
 		return ResultResponse{Accepted: false}, nil
 	}
 	kind := req.FailKind
@@ -791,7 +603,7 @@ func (co *Coordinator) acceptLocked(c *campaign, j *job, w *workerInfo, req Resu
 		}
 		co.logf("campaign %s: CORRUPT result for %s from %q (digest %.24q, want %.24q)",
 			c.id, req.Key, req.Worker, req.Digest, want)
-		if co.revokeLeaseLocked(c, j, req.Worker, obs.StatusCorrupt, "attestation digest mismatch") {
+		if co.revokeLeaseLocked(j, req.Worker) {
 			co.requeueLocked(c, j, req.Key)
 		}
 		return ResultResponse{Accepted: false}
@@ -806,80 +618,17 @@ func (co *Coordinator) acceptLocked(c *campaign, j *job, w *workerInfo, req Resu
 		return ResultResponse{Accepted: false}
 	}
 
-	// Spans: stitch the worker's execution under the coordinator's lease
-	// span (flow across the process boundary), record the report delivery as
-	// an instant, and close the lease. A late report whose lease already
-	// expired gets no execute span — its lease timeline ended at expiry.
-	now := co.now()
-	attempt := 0
-	if li := j.heldLease(req.Worker); li != nil {
-		attempt = li.attempt
-		start := li.granted
-		var cyc, com uint64
-		if req.Exec != nil {
-			// The worker reports its own wall duration; clamp the span into
-			// the lease window so a skewed worker clock cannot place the
-			// execution before its grant.
-			if d := time.Duration(req.Exec.DurMS * float64(time.Millisecond)); d > 0 {
-				if s := now.Add(-d); s.After(start) {
-					start = s
-				}
-			}
-			cyc, com = req.Exec.Cycles, req.Exec.Commits
-			// Fold the residual progress the heartbeats never carried (a
-			// cell faster than the beat interval heartbeats zero times);
-			// the fold stays exactly-once through the same clamp the
-			// delta protocol uses.
-			if dc := cyc - li.foldedCycles; cyc >= li.foldedCycles && dc > 0 {
-				li.foldedCycles = cyc
-				c.simCycles += dc
-				if co.metrics != nil {
-					co.metrics.simCycles.Add(dc)
-				}
-			}
-			if dm := com - li.foldedCommits; com >= li.foldedCommits && dm > 0 {
-				li.foldedCommits = com
-				c.simCommits += dm
-				if co.metrics != nil {
-					co.metrics.simCommits.Add(dm)
-				}
-			}
-		}
-		c.trace.Start(obs.Span{
-			Trace: j.trace, ID: obs.SpanID(j.trace, obs.KindExecute, attempt),
-			Parent: li.spanID, Kind: obs.KindExecute, Key: req.Key,
-			Worker: req.Worker, Attempt: attempt,
-			Start: start, End: now, Status: obs.StatusOK,
-			Cycles: cyc, Commits: com,
-		})
-		c.trace.Start(obs.Span{
-			Trace: j.trace, ID: obs.SpanID(j.trace, obs.KindReport, attempt),
-			Parent: li.spanID, Kind: obs.KindReport, Key: req.Key,
-			Worker: req.Worker, Attempt: attempt,
-			Start: now, End: now, Status: obs.StatusOK,
-		})
-		co.revokeLeaseLocked(c, j, req.Worker, obs.StatusOK, "")
-	}
 	w.done++
-	co.finalizeLocked(c, j, req.Key, req.Worker, attempt, req.Digest, req.Result)
+	co.finalizeLocked(c, j, req.Key, req.Worker, req.Digest, req.Result)
 	return ResultResponse{Accepted: true}
 }
 
-// finalizeLocked completes a cell with worker's attested result. attempt
-// is the lease attempt that produced it (0 for a late report whose lease
-// had already ended).
-func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, worker string, attempt int, digest string, result json.RawMessage) {
-	now := co.now()
-	// A late success supersedes the lease a requeue handed to another
-	// worker; that worker's own report will dedup.
-	if j.lease != nil {
-		co.revokeLeaseLocked(c, j, j.lease.worker, obs.StatusReleased, "superseded by an accepted result")
-	}
+// finalizeLocked completes a cell with worker's attested result.
+func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, worker, digest string, result json.RawMessage) {
+	// Drop the reporting worker's lease, or — for a late success — the lease
+	// a requeue handed to another worker, whose own report will dedup.
+	co.dropLeaseLocked(j)
 	co.dequeueLocked(c, j, key)
-	if j.openQueue != "" {
-		c.trace.End(j.openQueue, now, obs.StatusOK)
-		j.openQueue = ""
-	}
 	if j.state == jobFailed {
 		// Budget exhausted earlier, but a result arrived anyway: revive the
 		// cell (the journal's latest-record-wins reload agrees).
@@ -892,27 +641,6 @@ func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, worker string, a
 	j.failure = nil
 	c.done++
 	c.jnl.Done(key, j.attempts, json.RawMessage(j.result), worker, digest)
-	// Spans: mark the winning attempt's path Final, close the cell root,
-	// record the checkpoint write as an instant, and persist the finished
-	// timeline through the journal so crash-resume reconstructs it.
-	markFinal := func(kind obs.Kind, attempt int) {
-		c.trace.Update(obs.SpanID(j.trace, kind, attempt), func(s *obs.Span) { s.Final = true })
-	}
-	rootID := obs.SpanID(j.trace, obs.KindCell, 0)
-	if attempt > 0 {
-		markFinal(obs.KindQueue, attempt)
-		markFinal(obs.KindLease, attempt)
-		markFinal(obs.KindExecute, attempt)
-		markFinal(obs.KindReport, attempt)
-	}
-	c.trace.Start(obs.Span{
-		Trace: j.trace, ID: obs.SpanID(j.trace, obs.KindJournal, 0),
-		Parent: rootID, Kind: obs.KindJournal, Key: key,
-		Start: now, End: now, Status: obs.StatusOK, Final: true,
-	})
-	c.trace.End(rootID, now, obs.StatusOK)
-	markFinal(obs.KindCell, 0)
-	c.jnl.Spans(key, c.trace.CellSpans(key))
 	if co.metrics != nil {
 		co.metrics.resultsOK.Inc()
 	}
@@ -932,35 +660,12 @@ func (co *Coordinator) failOrRequeueLocked(c *campaign, j *job, key, worker stri
 
 // failLocked marks a cell permanently failed.
 func (co *Coordinator) failLocked(c *campaign, j *job, key string, f harness.JobFailure, worker string) {
-	now := co.now()
-	if j.lease != nil {
-		co.revokeLeaseLocked(c, j, j.lease.worker, obs.StatusReleased, "cell failed")
-	}
+	co.dropLeaseLocked(j)
 	co.dequeueLocked(c, j, key)
 	j.state = jobFailed
 	j.failure = &f
 	c.failed++
 	c.jnl.Failed(f, worker)
-	// Spans: close the cell's open path as failed, record the checkpoint
-	// write, and persist the timeline.
-	if j.openQueue != "" {
-		c.trace.End(j.openQueue, now, obs.StatusFailed)
-		j.openQueue = ""
-	}
-	rootID := obs.SpanID(j.trace, obs.KindCell, 0)
-	c.trace.Start(obs.Span{
-		Trace: j.trace, ID: obs.SpanID(j.trace, obs.KindJournal, 0),
-		Parent: rootID, Kind: obs.KindJournal, Key: key,
-		Start: now, End: now, Status: obs.StatusOK, Final: true,
-	})
-	c.trace.Update(rootID, func(s *obs.Span) {
-		if s.End.IsZero() {
-			s.End = now
-			s.Status = obs.StatusFailed
-			s.Note = fmt.Sprintf("%s: %s", f.Kind, f.Err)
-		}
-	})
-	c.jnl.Spans(key, c.trace.CellSpans(key))
 	co.logf("campaign %s: %s FAILED permanently: %s", c.id, key, f.Err)
 }
 
@@ -988,8 +693,7 @@ func (co *Coordinator) ExpireLeases() int {
 			if co.metrics != nil {
 				co.metrics.expiries.Inc()
 			}
-			co.revokeLeaseLocked(c, j, li.worker, obs.StatusExpired,
-				fmt.Sprintf("no heartbeat from %q within %s", li.worker, co.cfg.leaseTTL()))
+			co.dropLeaseLocked(j)
 			co.failOrRequeueLocked(c, j, key, li.worker, harness.JobFailure{
 				Key: key, Seed: j.spec.Seed, Kind: FailLostWorker,
 				Attempts: j.attempts,
@@ -999,9 +703,8 @@ func (co *Coordinator) ExpireLeases() int {
 	}
 	// Prune workers that hold nothing and have gone silent.
 	for name, w := range co.workers {
-		if w.leases == 0 && now.Sub(w.lastSeen) > co.cfg.pruneAfter() {
+		if w.leases == 0 && now.Sub(w.lastSeen) > 10*co.cfg.leaseTTL() {
 			delete(co.workers, name)
-			co.dropWorkerGauges(name)
 		}
 	}
 	if expired > 0 {
@@ -1054,47 +757,6 @@ func (co *Coordinator) List() []CampaignStatus {
 	return out
 }
 
-// TraceSpans returns a campaign's display name and a snapshot of its span
-// store for the Chrome/Perfetto trace export.
-func (co *Coordinator) TraceSpans(id string) (string, []obs.Span, error) {
-	co.mu.Lock()
-	c := co.campaigns[id]
-	co.mu.Unlock()
-	if c == nil {
-		return "", nil, fmt.Errorf("fabric: unknown campaign %q", id)
-	}
-	return c.name, c.trace.Snapshot(), nil
-}
-
-// Timeline returns a campaign's span timeline, straggler report (k tail
-// cells; <=0 selects the analyzer default), heartbeat-fed progress
-// accumulators, and cycle-rate series.
-func (co *Coordinator) Timeline(id string, k int) (CampaignTimeline, error) {
-	co.mu.Lock()
-	c := co.campaigns[id]
-	if c == nil {
-		co.mu.Unlock()
-		return CampaignTimeline{}, fmt.Errorf("fabric: unknown campaign %q", id)
-	}
-	tl := CampaignTimeline{
-		ID:         c.id,
-		Name:       c.name,
-		State:      c.state(),
-		CycleRate:  c.cycleRate,
-		SimCycles:  c.simCycles,
-		SimCommits: c.simCommits,
-	}
-	trace, series := c.trace, c.rateSeries
-	co.mu.Unlock()
-	// Snapshots take the trace/series locks only — no coordinator lock held.
-	tl.Spans = trace.Snapshot()
-	obs.SortCanonical(tl.Spans)
-	tl.Dropped = trace.Dropped()
-	tl.Report = obs.Analyze(tl.Spans, k, co.now())
-	tl.Series = series.Snapshot()
-	return tl, nil
-}
-
 // Results returns a campaign's per-key results (raw worker JSON) and the
 // structured failures of cells that exhausted their budgets. Available at
 // any time; callers that need completeness should check State first.
@@ -1137,10 +799,8 @@ func (co *Coordinator) Cancel(id string) error {
 		c.queue = nil
 		for _, j := range c.jobs {
 			j.queued = false
-			j.openQueue = ""
 			co.dropLeaseLocked(j)
 		}
-		c.trace.EndOpen(co.now(), obs.StatusCancelled)
 		co.logf("campaign %s (%s): cancelled", c.id, c.name)
 	}
 	co.updateGaugesLocked()
@@ -1152,28 +812,16 @@ func (co *Coordinator) Fleet() []WorkerStatus {
 	now := co.now()
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	fleetMean := co.fleetMeanLocked()
 	out := make([]WorkerStatus, 0, len(co.workers))
 	for _, w := range co.workers {
-		ws := WorkerStatus{
+		out = append(out, WorkerStatus{
 			Name:         w.name,
 			Leases:       w.leases,
 			HeartbeatAge: now.Sub(w.lastSeen),
 			Done:         w.done,
 			Failed:       w.failed,
 			Lost:         w.lost,
-			CycleRate:    w.cycleRate,
-			HeapMB:       w.heapMB,
-		}
-		if w.durations != nil && w.durations.Count() > 0 {
-			ws.P50MS = w.durations.Quantile(0.50)
-			ws.P99MS = w.durations.Quantile(0.99)
-			ws.MeanMS = w.durations.Mean()
-			if fleetMean > 0 {
-				ws.Slowdown = ws.MeanMS / fleetMean
-			}
-		}
-		out = append(out, ws)
+		})
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
 	return out
@@ -1189,8 +837,8 @@ func (co *Coordinator) Close() {
 	}
 }
 
-// touchWorkerLocked records contact from a worker, registering its
-// per-worker fleet gauges on first sight.
+// touchWorkerLocked records contact from a worker, adding it to the fleet
+// view on first sight.
 func (co *Coordinator) touchWorkerLocked(name string, now time.Time) *workerInfo {
 	if name == "" {
 		return nil
@@ -1199,106 +847,10 @@ func (co *Coordinator) touchWorkerLocked(name string, now time.Time) *workerInfo
 	if w == nil {
 		w = &workerInfo{name: name}
 		co.workers[name] = w
-		co.registerWorkerGauges(name)
 		co.logf("worker %q joined the fleet", name)
 	}
 	w.lastSeen = now
 	return w
-}
-
-// registerWorkerGauges exports one worker's fleet row as labeled gauges.
-// The gauge funcs read coordinator state at scrape time (the registry
-// releases its own lock before calling them, so lock order is safe).
-func (co *Coordinator) registerWorkerGauges(name string) {
-	if co.metrics == nil {
-		return
-	}
-	labels := fmt.Sprintf("worker=%q", name)
-	read := func(f func(*workerInfo) float64) func() float64 {
-		return func() float64 {
-			co.mu.Lock()
-			defer co.mu.Unlock()
-			w := co.workers[name]
-			if w == nil {
-				return 0
-			}
-			return f(w)
-		}
-	}
-	reg := co.metrics.reg
-	reg.LabeledGaugeFunc("mtvp_fleet_leases", labels,
-		"cells currently leased to the worker",
-		read(func(w *workerInfo) float64 { return float64(w.leases) }))
-	reg.LabeledGaugeFunc("mtvp_fleet_heartbeat_age_seconds", labels,
-		"seconds since the worker last contacted the coordinator",
-		read(func(w *workerInfo) float64 { return co.now().Sub(w.lastSeen).Seconds() }))
-	reg.LabeledGaugeFunc("mtvp_fleet_jobs_done", labels,
-		"cells the worker completed successfully",
-		read(func(w *workerInfo) float64 { return float64(w.done) }))
-	reg.LabeledGaugeFunc("mtvp_fleet_jobs_failed", labels,
-		"cell failures the worker reported",
-		read(func(w *workerInfo) float64 { return float64(w.failed) }))
-	reg.LabeledGaugeFunc("mtvp_fleet_leases_lost", labels,
-		"leases the worker lost to heartbeat expiry",
-		read(func(w *workerInfo) float64 { return float64(w.lost) }))
-	reg.LabeledGaugeFunc("mtvp_fleet_cycle_rate", labels,
-		"recent simulated cycles per second (EWMA over heartbeats)",
-		read(func(w *workerInfo) float64 { return w.cycleRate }))
-	reg.LabeledGaugeFunc("mtvp_fleet_p99_ms", labels,
-		"p99 lease duration in milliseconds (straggler digest)",
-		read(func(w *workerInfo) float64 {
-			if w.durations == nil {
-				return 0
-			}
-			return w.durations.Quantile(0.99)
-		}))
-	reg.LabeledGaugeFunc("mtvp_fleet_slowdown", labels,
-		"worker mean lease duration relative to the fleet mean (1.0 = average)",
-		read(func(w *workerInfo) float64 {
-			fleet := co.fleetMeanLocked()
-			if fleet <= 0 || w.durations == nil || w.durations.Count() == 0 {
-				return 0
-			}
-			return w.durations.Mean() / fleet
-		}))
-	reg.LabeledGaugeFunc("mtvp_fleet_heap_mb", labels,
-		"worker live heap in MiB (heartbeat-reported)",
-		read(func(w *workerInfo) float64 { return w.heapMB }))
-}
-
-// fleetMeanLocked is the fleet-wide mean closed-lease duration (ms),
-// weighted by each worker's sample count.
-func (co *Coordinator) fleetMeanLocked() float64 {
-	var sum float64
-	var n uint64
-	for _, w := range co.workers {
-		if w.durations == nil {
-			continue
-		}
-		cnt := w.durations.Count()
-		sum += w.durations.Mean() * float64(cnt)
-		n += cnt
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// dropWorkerGauges retires a pruned worker's labeled gauges.
-func (co *Coordinator) dropWorkerGauges(name string) {
-	if co.metrics == nil {
-		return
-	}
-	labels := fmt.Sprintf("worker=%q", name)
-	for _, metric := range []string{
-		"mtvp_fleet_leases", "mtvp_fleet_heartbeat_age_seconds",
-		"mtvp_fleet_jobs_done", "mtvp_fleet_jobs_failed",
-		"mtvp_fleet_leases_lost", "mtvp_fleet_cycle_rate",
-		"mtvp_fleet_p99_ms", "mtvp_fleet_slowdown", "mtvp_fleet_heap_mb",
-	} {
-		co.metrics.reg.Unregister(metric, labels)
-	}
 }
 
 // updateGaugesLocked refreshes the aggregate gauges.

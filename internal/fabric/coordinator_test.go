@@ -411,8 +411,9 @@ func TestCancelDropsQueueAndRevokesLeases(t *testing.T) {
 	}
 }
 
-// The fleet view tracks leases, outcomes, losses, and exports per-worker
-// labeled gauges on the telemetry registry.
+// The fleet view tracks leases, outcomes and losses per worker, the
+// registry exports the aggregate fabric counters, and a worker holding no
+// lease is pruned after ten lease TTLs of silence.
 func TestFleetViewAndMetrics(t *testing.T) {
 	clk := newFakeClock()
 	reg := telemetry.NewRegistry()
@@ -423,9 +424,7 @@ func TestFleetViewAndMetrics(t *testing.T) {
 	l1, _ := co.Lease("alpha")
 	co.Lease("beta")
 	clk.advance(time.Second)
-	co.Heartbeat(HeartbeatRequest{Worker: "alpha", Campaign: id, Key: l1.Spec.Key, Cycles: 5000, Seq: 1, DCycles: 5000})
-	clk.advance(time.Second)
-	co.Heartbeat(HeartbeatRequest{Worker: "alpha", Campaign: id, Key: l1.Spec.Key, Cycles: 15_000, Seq: 2, DCycles: 10_000})
+	co.Heartbeat(HeartbeatRequest{Worker: "alpha", Campaign: id, Key: l1.Spec.Key, Cycles: 5000, Commits: 400})
 	co.Result(signedOK(co, "alpha", id, l1.Spec.Key, `1`))
 	clk.advance(11 * time.Second)
 	co.ExpireLeases() // beta dies
@@ -435,13 +434,10 @@ func TestFleetViewAndMetrics(t *testing.T) {
 		t.Fatalf("want 2 workers, got %+v", fleet)
 	}
 	alpha, beta := fleet[0], fleet[1]
-	if alpha.Name != "alpha" || alpha.Done != 1 || alpha.Leases != 0 {
+	if alpha.Name != "alpha" || alpha.Done != 1 || alpha.Leases != 0 || alpha.HeartbeatAge != 11*time.Second {
 		t.Fatalf("alpha row wrong: %+v", alpha)
 	}
-	if alpha.CycleRate < 9000 || alpha.CycleRate > 11_000 {
-		t.Fatalf("alpha cycle rate should be ~10k cycles/s, got %g", alpha.CycleRate)
-	}
-	if beta.Name != "beta" || beta.Lost != 1 {
+	if beta.Name != "beta" || beta.Lost != 1 || beta.Leases != 0 || beta.HeartbeatAge != 12*time.Second {
 		t.Fatalf("beta must be charged a lost lease: %+v", beta)
 	}
 
@@ -451,28 +447,93 @@ func TestFleetViewAndMetrics(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
-		`mtvp_fleet_jobs_done{worker="alpha"} 1`,
-		`mtvp_fleet_leases_lost{worker="beta"} 1`,
 		"mtvp_fabric_leases_granted_total 2",
+		"mtvp_fabric_heartbeats_total 1",
 		"mtvp_fabric_lease_expiries_total 1",
 		"mtvp_fabric_requeues_total 1",
+		"mtvp_fabric_results_ok_total 1",
+		"mtvp_fabric_sim_cycles_total 5000",
+		"mtvp_fabric_sim_commits_total 400",
+		"mtvp_fabric_jobs_queued 1",
+		"mtvp_fabric_jobs_leased 0",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q:\n%s", want, out)
 		}
 	}
 
-	// A long-silent idle worker is pruned and its gauges retired.
-	clk.advance(200 * time.Second)
+	// Idle workers survive ten TTLs of silence and are pruned after.
+	clk.advance(86 * time.Second) // beta silent 98s, alpha 97s
+	co.ExpireLeases()
+	if n := len(co.Fleet()); n != 2 {
+		t.Fatalf("workers silent under 10×TTL must stay, got %d", n)
+	}
+	clk.advance(5 * time.Second)
 	co.ExpireLeases()
 	if n := len(co.Fleet()); n != 0 {
 		t.Fatalf("silent workers must be pruned, got %d", n)
 	}
-	b.Reset()
-	reg.WritePrometheus(&b)
-	if strings.Contains(b.String(), `worker="alpha"`) {
-		t.Error("pruned worker gauges must be unregistered")
+}
+
+// Heartbeats report absolute progress and the coordinator counts only each
+// lease's increase: duplicated, reordered and replayed beats count every
+// cycle once, a re-lease of the cell counts its re-simulation from zero,
+// and beats on a revoked lease add nothing.
+func TestHeartbeatProgressCountsEachCycleOnce(t *testing.T) {
+	clk := newFakeClock()
+	co := newTestCoordinator(t, clk, CoordinatorConfig{LeaseTTL: time.Minute, Registry: telemetry.NewRegistry()})
+	sub, _ := co.Submit(testSpec("progress", 1))
+	id := sub.ID
+	key := "progress/cell-00"
+	beat := func(worker string, cycles uint64) bool {
+		return co.Heartbeat(HeartbeatRequest{Worker: worker, Campaign: id, Key: key, Cycles: cycles, Commits: cycles / 10})
 	}
+	want := func(cycles uint64) {
+		t.Helper()
+		if got := co.metrics.simCycles.Value(); got != cycles {
+			t.Fatalf("sim cycles: got %d, want %d", got, cycles)
+		}
+		if got := co.metrics.simCommits.Value(); got != cycles/10 {
+			t.Fatalf("sim commits: got %d, want %d", got, cycles/10)
+		}
+	}
+
+	co.Lease("w1")
+	beat("w1", 100)
+	beat("w1", 100) // duplicate
+	beat("w1", 300)
+	beat("w1", 200) // reordered: an older beat arrives late
+	beat("w1", 100) // replay
+	want(300)
+	beat("w1", 450)
+	want(450)
+
+	clk.advance(2 * time.Minute)
+	co.ExpireLeases()
+	if beat("w1", 900) {
+		t.Fatal("heartbeat on an expired lease must be refused")
+	}
+	want(450)
+
+	if _, ok := co.Lease("w2"); !ok {
+		t.Fatal("requeued cell must lease again")
+	}
+	beat("w2", 50)
+	beat("w2", 50)
+	want(500)
+	if beat("w1", 1000) {
+		t.Fatal("the old holder's heartbeat must stay refused")
+	}
+	beat("w2", 400)
+	want(850)
+
+	if resp, _ := co.Result(signedOK(co, "w2", id, key, `1`)); !resp.Accepted {
+		t.Fatal("result refused")
+	}
+	if beat("w2", 2000) {
+		t.Fatal("heartbeat after completion must be refused")
+	}
+	want(850)
 }
 
 // A coordinator restarted on its journal directory resumes every campaign:

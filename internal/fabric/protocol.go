@@ -15,10 +15,14 @@
 //
 // Work distribution is pull-based leasing, modeled on agent/ingest
 // architectures: workers poll for a lease, run the cell, stream periodic
-// heartbeats, and report the result. A lease whose heartbeat stops expires
-// and the cell is requeued through a bounded fault.Backoff retry budget —
-// worker loss is just another fault class. Each cell holds at most one
-// lease at a time; campaigns are served in submission order.
+// heartbeats, and report the result. A heartbeat extends the lease and
+// carries the cell's absolute simulated progress; the coordinator counts
+// only the increase over the lease's highest earlier report. A lease whose
+// heartbeat stops expires and the cell is requeued through a bounded
+// fault.Backoff retry budget — worker loss is just another fault class.
+// Each cell holds at most one lease at a time; campaigns are served in
+// submission order. The per-worker fleet view is served as JSON; the
+// telemetry registry carries only aggregate counters.
 //
 // The fleet is trusted; what the fabric checks is input from outside its
 // process. Every result carries an attestation digest (attest.go) that the
@@ -33,17 +37,16 @@ import (
 
 	"mtvp/internal/config"
 	"mtvp/internal/harness"
-	"mtvp/internal/obs"
 )
 
 // API routes (all under the coordinator's listener; every /api/v1 route
 // requires the bearer token when one is configured).
 const (
-	PathCampaigns = "/api/v1/campaigns" // POST submit, GET list; /{id} GET status, DELETE cancel; /{id}/results, /{id}/timeline, /{id}/trace GET
+	PathCampaigns = "/api/v1/campaigns" // POST submit, GET list; /{id} GET status, DELETE cancel; /{id}/results GET
 	PathLease     = "/api/v1/lease"     // POST: worker pulls a job lease
 	PathHeartbeat = "/api/v1/heartbeat" // POST: worker extends a lease
 	PathResult    = "/api/v1/result"    // POST: worker reports a terminal outcome
-	PathFleet     = "/api/v1/fleet"     // GET: live per-worker fleet view + straggler analytics
+	PathFleet     = "/api/v1/fleet"     // GET: live per-worker fleet view
 )
 
 // JobSpec is one sweep cell in wire form: everything a remote worker needs
@@ -142,14 +145,6 @@ type Lease struct {
 	Spec           JobSpec       `json:"spec"`
 	TTL            time.Duration `json:"ttl"`
 	HeartbeatEvery time.Duration `json:"heartbeat_every"`
-
-	// Trace/Span propagate the cell's deterministic observability identity
-	// (obs.TraceID of the cell, obs.SpanID of this lease attempt) so the
-	// worker's execution span stitches into the coordinator's timeline.
-	Trace string `json:"trace,omitempty"`
-	Span  string `json:"span,omitempty"`
-	// Attempt is this lease's 1-based attempt ordinal for the cell.
-	Attempt int `json:"attempt,omitempty"`
 }
 
 // HeartbeatRequest extends a lease and reports simulated progress.
@@ -157,26 +152,12 @@ type HeartbeatRequest struct {
 	Worker   string `json:"worker"`
 	Campaign string `json:"campaign"`
 	Key      string `json:"key"`
-	// Cycles is the cell's current simulated-cycle count (an absolute
-	// counter; it clamps overlapping deltas after a lost ack).
-	Cycles uint64 `json:"cycles"`
-	// Commits is the cell's useful committed instruction count (absolute).
+	// Cycles and Commits are the cell's simulated cycles and useful
+	// committed instructions so far: absolute counters, never deltas. The
+	// coordinator keeps the highest value seen per lease, so a duplicated,
+	// reordered or retried heartbeat cannot count progress twice.
+	Cycles  uint64 `json:"cycles"`
 	Commits uint64 `json:"commits"`
-
-	// Seq numbers this lease's heartbeats from 1. The coordinator folds the
-	// delta fields of a given Seq at most once, so a duplicated request (a
-	// retry, a chaotic proxy) cannot double-count simulated progress. A
-	// heartbeat without a Seq only extends the lease.
-	Seq uint64 `json:"seq,omitempty"`
-	// DCycles/DCommits are the simulated cycles/commits accumulated since
-	// the last heartbeat the coordinator acknowledged — deltas, so fleet
-	// aggregation is a plain sum regardless of retries, requeues, or
-	// re-leases.
-	DCycles  uint64 `json:"dcycles,omitempty"`
-	DCommits uint64 `json:"dcommits,omitempty"`
-	// HeapMB is the worker process's live heap, piggybacked for the fleet
-	// memory view.
-	HeapMB float64 `json:"heap_mb,omitempty"`
 }
 
 // HeartbeatResponse tells the worker whether it still owns the lease. Lost
@@ -207,24 +188,6 @@ type ResultRequest struct {
 	// down on SIGTERM): the cell requeues immediately WITHOUT spending its
 	// retry budget — an orderly departure is not a fault.
 	Released bool `json:"released,omitempty"`
-
-	// Exec describes the worker's execution span for a successful result so
-	// it stitches into the coordinator's timeline. It is observational and
-	// NOT covered by the attestation digest: a forged Exec can at worst
-	// distort a trace view, never a result.
-	Exec *ExecReport `json:"exec,omitempty"`
-}
-
-// ExecReport is the worker-side execution span of one completed cell.
-type ExecReport struct {
-	// Trace/Span echo the lease's observability identity.
-	Trace string `json:"trace"`
-	Span  string `json:"span"`
-	// DurMS is the wall time the simulation ran on the worker.
-	DurMS float64 `json:"dur_ms"`
-	// Cycles/Commits are the cell's final simulated counters.
-	Cycles  uint64 `json:"cycles"`
-	Commits uint64 `json:"commits"`
 }
 
 // ResultResponse acknowledges a result report. Accepted is false when the
@@ -245,42 +208,4 @@ type WorkerStatus struct {
 	Failed       uint64        `json:"failed"`
 	// Lost counts leases this worker lost to expiry — its worker-loss score.
 	Lost uint64 `json:"lost"`
-	// CycleRate is the worker's recent simulated-cycle throughput
-	// (cycles/sec, EWMA over heartbeat deltas).
-	CycleRate float64 `json:"cycle_rate"`
-
-	// Straggler analytics over the worker's closed lease spans.
-	P50MS  float64 `json:"p50_ms,omitempty"`
-	P99MS  float64 `json:"p99_ms,omitempty"`
-	MeanMS float64 `json:"mean_ms,omitempty"`
-	// Slowdown is the worker's mean lease duration relative to the fleet
-	// mean (1.0 = average; 2.0 = twice as slow; 0 = unknown).
-	Slowdown float64 `json:"slowdown,omitempty"`
-	// HeapMB is the worker's last heartbeat-reported live heap.
-	HeapMB float64 `json:"heap_mb,omitempty"`
-}
-
-// CampaignTimeline is the machine-readable campaign observability view:
-// every stored span, the straggler analytics over them, and the
-// heartbeat-fed fleet cycle-rate series.
-type CampaignTimeline struct {
-	ID    string        `json:"id"`
-	Name  string        `json:"name"`
-	State CampaignState `json:"state"`
-	// Spans is the bounded span store's snapshot in canonical order;
-	// Dropped counts spans discarded at the store bound (the journal keeps
-	// the durable copy).
-	Spans   []obs.Span `json:"spans"`
-	Dropped int        `json:"dropped,omitempty"`
-	// Report is the straggler analytics: fleet quantiles, per-worker
-	// slowdown, tail cells.
-	Report obs.Report `json:"report"`
-	// CycleRate is the campaign's aggregate simulated-cycle rate
-	// (cycles/sec, EWMA over heartbeat deltas across all workers).
-	CycleRate float64 `json:"cycle_rate"`
-	// SimCycles/SimCommits accumulate heartbeat deltas campaign-wide.
-	SimCycles  uint64 `json:"sim_cycles"`
-	SimCommits uint64 `json:"sim_commits"`
-	// Series is the cycle-rate time series (bounded, decimating).
-	Series []obs.Point `json:"series,omitempty"`
 }

@@ -9,11 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"time"
-
-	"mtvp/internal/obs"
 )
 
 // maxBodyBytes bounds every request body the coordinator will buffer: a
@@ -69,8 +66,6 @@ func NewServer(co *Coordinator, cfg ServerConfig) (*Server, error) {
 	mux.HandleFunc("GET "+PathCampaigns, s.auth(s.handleList))
 	mux.HandleFunc("GET "+PathCampaigns+"/{id}", s.auth(s.handleStatus))
 	mux.HandleFunc("GET "+PathCampaigns+"/{id}/results", s.auth(s.handleResults))
-	mux.HandleFunc("GET "+PathCampaigns+"/{id}/timeline", s.auth(s.handleTimeline))
-	mux.HandleFunc("GET "+PathCampaigns+"/{id}/trace", s.auth(s.handleTrace))
 	mux.HandleFunc("DELETE "+PathCampaigns+"/{id}", s.auth(s.handleCancel))
 	mux.HandleFunc("POST "+PathLease, s.auth(s.handleLease))
 	mux.HandleFunc("POST "+PathHeartbeat, s.auth(s.handleHeartbeat))
@@ -214,35 +209,6 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, res)
-}
-
-// handleTimeline serves the campaign's span timeline, straggler report, and
-// progress series as JSON. ?k=N bounds the tail-cell table.
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	k, _ := strconv.Atoi(r.URL.Query().Get("k"))
-	tl, err := s.co.Timeline(r.PathValue("id"), k)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, tl)
-}
-
-// handleTrace streams the campaign's spans as Chrome/Perfetto trace-event
-// JSON (load in https://ui.perfetto.dev or chrome://tracing). Open spans are
-// drawn up to the coordinator's current clock.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	name, spans, err := s.co.TraceSpans(r.PathValue("id"))
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("inline; filename=%q", r.PathValue("id")+".trace.json"))
-	if err := obs.WriteTrace(w, name, spans, s.co.now()); err != nil {
-		// Headers are gone; all we can do is drop the connection mid-stream.
-		s.co.logf("fabric: trace export for %s: %v", r.PathValue("id"), err)
-	}
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {

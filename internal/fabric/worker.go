@@ -168,14 +168,9 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 		commits.Store(co)
 	}
 
-	// Heartbeat stream: extend the lease; a refused heartbeat means the
-	// lease is gone (expired and requeued, campaign cancelled) and the
-	// cell must be abandoned mid-run. Each heartbeat piggybacks a compact
-	// metric snapshot: a monotonic Seq plus the cycle/commit progress
-	// accumulated since the last *acknowledged* heartbeat, so the
-	// coordinator folds each delta exactly once no matter how the network
-	// duplicates or drops requests. Absolute counters ride along to clamp
-	// overlapping deltas after a lost ack.
+	// Heartbeat stream: extend the lease and report the cell's absolute
+	// progress. A refused heartbeat means the lease is gone (expired and
+	// requeued, campaign cancelled) and the cell must be abandoned mid-run.
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
@@ -185,41 +180,30 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 		}
 		t := time.NewTicker(every)
 		defer t.Stop()
-		var seq, ackedCycles, ackedCommits uint64
 		for {
 			select {
 			case <-jctx.Done():
 				return
 			case <-t.C:
-				cy, co := cycles.Load(), commits.Load()
-				seq++
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
 				var resp HeartbeatResponse
 				err := w.client.do(jctx, http.MethodPost, PathHeartbeat, HeartbeatRequest{
 					Worker: w.name, Campaign: lease.Campaign, Key: lease.Spec.Key,
-					Cycles: cy, Commits: co,
-					Seq: seq, DCycles: cy - ackedCycles, DCommits: co - ackedCommits,
-					HeapMB: float64(ms.HeapAlloc) / (1 << 20),
+					Cycles: cycles.Load(), Commits: commits.Load(),
 				}, &resp)
 				if err != nil {
 					// Network errors are tolerated: the coordinator will expire
 					// us if we stay unreachable, which is the designed outcome.
-					// The unacked delta stays pending and rides the next beat.
 					continue
 				}
 				if !resp.OK {
 					cancel(errLeaseLost)
 					return
 				}
-				ackedCycles, ackedCommits = cy, co
 			}
 		}
 	}()
 
-	started := time.Now()
 	result, err := w.runIsolated(jctx, lease.Spec, progress)
-	execDur := time.Since(started)
 	cancel(nil)
 	<-hbDone
 
@@ -230,7 +214,7 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 		// would be deduped, so only report a success (it is free to accept
 		// or dedup) and drop failures silently.
 		if err == nil {
-			w.report(w.okReport(lease, result, execDur, cycles.Load(), commits.Load()), dice)
+			w.report(w.okReport(lease, result), dice)
 		}
 	case ctx.Err() != nil && err != nil:
 		// Draining shutdown: hand the lease back without burning budget.
@@ -243,23 +227,16 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 		}, dice)
 		w.logf("worker %s: %s failed: %v", w.name, key, err)
 	default:
-		w.report(w.okReport(lease, result, execDur, cycles.Load(), commits.Load()), dice)
+		w.report(w.okReport(lease, result), dice)
 	}
 }
 
 // okReport builds a successful result report with the attestation digest
-// computed over the exact payload bytes. The execution report echoes the
-// lease's trace/span identity so the worker-side execution span stitches
-// into the coordinator's timeline.
-func (w *worker) okReport(lease Lease, result json.RawMessage, dur time.Duration, cycles, commits uint64) ResultRequest {
+// computed over the exact payload bytes.
+func (w *worker) okReport(lease Lease, result json.RawMessage) ResultRequest {
 	return ResultRequest{
 		Worker: w.name, Campaign: lease.Campaign, Key: lease.Spec.Key,
 		OK: true, Result: result, Digest: ResultDigest(lease.Campaign, lease.Spec, result),
-		Exec: &ExecReport{
-			Trace: lease.Trace, Span: lease.Span,
-			DurMS:  float64(dur) / float64(time.Millisecond),
-			Cycles: cycles, Commits: commits,
-		},
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"mtvp/internal/obs"
 )
 
 // The journal is a JSONL checkpoint stream: one header line per campaign
@@ -16,7 +14,8 @@ import (
 // interruption — SIGINT, crash, SIGKILL — loses at most the in-flight
 // cells; a torn final line from a mid-write kill is tolerated on load. On
 // resume, the latest record per key wins: "done" cells are skipped and
-// their results reused, "failed" cells re-run.
+// their results reused, "failed" cells re-run. Lines of any other kind
+// (older coordinators also wrote "spans" records) are skipped on load.
 //
 // The journal API is exported because it outgrew this package: the
 // distributed sweep fabric (internal/fabric) persists every campaign it
@@ -27,12 +26,6 @@ import (
 const (
 	KindHeader = "campaign"
 	KindCell   = "cell"
-	// KindSpan records a finalized cell's observability spans (the fabric
-	// coordinator writes one per cell as it completes), so a crash-resumed
-	// coordinator reconstructs campaign timelines, not just results. Loaders
-	// that predate span records skip unknown kinds, so the journal stays
-	// backward- and forward-compatible.
-	KindSpan = "spans"
 
 	StatusDone   = "done"
 	StatusFailed = "failed"
@@ -68,10 +61,6 @@ type Record struct {
 	// at-rest corruption of a result is caught at resume instead of leaking
 	// into a report.
 	Digest string `json:"digest,omitempty"`
-
-	// Spans carries a finalized cell's observability timeline (KindSpan
-	// records only).
-	Spans []obs.Span `json:"spans,omitempty"`
 }
 
 // LoadJournal reads a journal for resume, returning the latest record per
@@ -87,26 +76,16 @@ type Record struct {
 // fails the resume — silently dropping mid-file records would resurrect
 // completed cells and break report identity.
 func LoadJournal(path, fingerprint string) (map[string]*Record, []string, error) {
-	recs, _, warns, err := LoadJournalFull(path, fingerprint)
-	return recs, warns, err
-}
-
-// LoadJournalFull is LoadJournal plus the per-cell span records (latest
-// KindSpan record per key wins, mirroring cell-record semantics): the
-// fabric coordinator uses it to reconstruct campaign timelines across a
-// crash/restart.
-func LoadJournalFull(path, fingerprint string) (map[string]*Record, map[string][]obs.Span, []string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return map[string]*Record{}, map[string][]obs.Span{}, nil, nil
+			return map[string]*Record{}, nil, nil
 		}
-		return nil, nil, nil, fmt.Errorf("harness: resume: %w", err)
+		return nil, nil, fmt.Errorf("harness: resume: %w", err)
 	}
 	defer f.Close()
 
 	out := map[string]*Record{}
-	spans := map[string][]obs.Span{}
 	var warns []string
 	tornLine := 0 // 1-based line number of a pending unparseable line
 	lineNo := 0
@@ -121,7 +100,7 @@ func LoadJournalFull(path, fingerprint string) (map[string]*Record, map[string][
 		if tornLine != 0 {
 			// A parseable-or-not line after the bad one: the damage is not a
 			// torn tail, it is mid-file corruption.
-			return nil, nil, nil, fmt.Errorf("harness: resume: %s:%d: corrupt record is not the final line (journal damaged mid-file)",
+			return nil, nil, fmt.Errorf("harness: resume: %s:%d: corrupt record is not the final line (journal damaged mid-file)",
 				path, tornLine)
 		}
 		var rec Record
@@ -133,7 +112,7 @@ func LoadJournalFull(path, fingerprint string) (map[string]*Record, map[string][
 		switch rec.Kind {
 		case KindHeader:
 			if fingerprint != "" && rec.Fingerprint != "" && rec.Fingerprint != fingerprint {
-				return nil, nil, nil, fmt.Errorf("harness: resume: journal %s was written with different options (%q, want %q)",
+				return nil, nil, fmt.Errorf("harness: resume: journal %s was written with different options (%q, want %q)",
 					path, rec.Fingerprint, fingerprint)
 			}
 		case KindCell:
@@ -141,20 +120,16 @@ func LoadJournalFull(path, fingerprint string) (map[string]*Record, map[string][
 				r := rec
 				out[rec.Key] = &r
 			}
-		case KindSpan:
-			if rec.Key != "" {
-				spans[rec.Key] = rec.Spans
-			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("harness: resume: reading %s: %w", path, err)
+		return nil, nil, fmt.Errorf("harness: resume: reading %s: %w", path, err)
 	}
 	if tornLine != 0 {
 		warns = append(warns, fmt.Sprintf("harness: resume: %s:%d: skipping torn final record (interrupted mid-write); its cell will re-run",
 			path, tornLine))
 	}
-	return out, spans, warns, nil
+	return out, warns, nil
 }
 
 // Journal appends checkpoint records. All methods are nil-safe so callers
@@ -167,8 +142,13 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if needed) the journal for appending and
-// writes the campaign header.
+// writes the campaign header. A torn final record, which LoadJournal
+// skips, is cut off first: appending after it would turn tail damage into
+// mid-file damage and fail the next resume.
 func OpenJournal(path, name, fingerprint string) (*Journal, error) {
+	if err := dropTornTail(path); err != nil {
+		return nil, fmt.Errorf("harness: journal: %w", err)
+	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("harness: journal: %w", err)
@@ -176,6 +156,23 @@ func OpenJournal(path, name, fingerprint string) (*Journal, error) {
 	j := &Journal{f: f, w: bufio.NewWriter(f)}
 	j.Append(Record{Kind: KindHeader, Campaign: name, Fingerprint: fingerprint})
 	return j, nil
+}
+
+// dropTornTail cuts an unterminated final line, a record torn by a kill
+// mid-write, off the journal at path. If that line still parsed (only its
+// newline was lost), its cell re-runs at the next resume.
+func dropTornTail(path string) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
+		return err
+	}
+	if n := len(b); n > 0 && b[n-1] != '\n' {
+		return os.Truncate(path, int64(bytes.LastIndexByte(b, '\n')+1))
+	}
+	return nil
 }
 
 // Append marshals one record, writes it as a line, and syncs: a checkpoint
@@ -206,16 +203,6 @@ func (j *Journal) Done(key string, attempts int, result any, worker, digest stri
 		return
 	}
 	j.Append(Record{Kind: KindCell, Key: key, Status: StatusDone, Attempts: attempts, Result: raw, Worker: worker, Digest: digest})
-}
-
-// Spans checkpoints a finalized cell's observability timeline. Span
-// records ride the same fsynced stream as results, so a coordinator
-// crash/restart reconstructs campaign traces for completed cells.
-func (j *Journal) Spans(key string, spans []obs.Span) {
-	if j == nil || len(spans) == 0 {
-		return
-	}
-	j.Append(Record{Kind: KindSpan, Key: key, Spans: spans})
 }
 
 // Failed checkpoints a cell that exhausted its attempts.

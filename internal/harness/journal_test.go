@@ -7,12 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
-	"time"
-
-	"mtvp/internal/obs"
 )
 
 // writeJournal builds a journal with a header and n done cells, returning
@@ -188,55 +186,66 @@ func TestJournalRawResultRoundTrip(t *testing.T) {
 	}
 }
 
-// Span records ride the journal next to cell records: LoadJournalFull
-// returns the latest span set per key, plain LoadJournal skips them (older
-// readers keep working), and a torn span tail is tolerated like any other
-// torn record.
-func TestJournalSpanRecordsRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "spans.jsonl")
-	j, err := OpenJournal(path, "obs", "fp")
+// legacySpans is a "spans" record in the form older fabric coordinators
+// wrote after each finished cell, when they kept span timelines.
+func legacySpans(key string) string {
+	return fmt.Sprintf(`{"kind":"spans","key":%q,"spans":[`+
+		`{"trace":"6cf92c81b8027cba","id":"94c51e2c74a06d10","kind":"cell","key":%[1]q,"start":"2023-11-14T22:13:20Z","end":"2023-11-14T22:13:22Z","status":"ok","final":true},`+
+		`{"trace":"6cf92c81b8027cba","id":"b5a80831eda27de1","parent":"94c51e2c74a06d10","kind":"lease","key":%[1]q,"worker":"w1","attempt":1,"start":"2023-11-14T22:13:20Z","end":"2023-11-14T22:13:22Z","status":"ok","cycles":100,"final":true}]}`, key)
+}
+
+// A journal with span records between its cell records and a torn final
+// line loads to the cell records alone, with the usual torn-tail warning.
+// Appending to it afterwards (a resumed run) leaves a journal that loads
+// cleanly again.
+func TestJournalSkipsLegacySpanRecords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "legacy.jsonl")
+	journal := strings.Join([]string{
+		`{"kind":"campaign","campaign":"legacy","fingerprint":"fp"}`,
+		`{"kind":"cell","key":"cell-00","status":"done","attempts":1,"result":{"ipc":1.5},"worker":"w1","digest":"sha256:25aa"}`,
+		legacySpans("cell-00"),
+		`{"kind":"cell","key":"cell-01","status":"failed","attempts":4,"seed":1,"fail_kind":"lost-worker","error":"lease expired","worker":"w2"}`,
+		legacySpans("cell-01"),
+		`{"kind":"cell","key":"cell-02","status":"done","attempts":2,"result":{"ipc":2.5},"worker":"w2","digest":"sha256:77bb"}`,
+		`{"kind":"spans","key":"cell-02","spans":[{"trace":"6cf9`,
+	}, "\n")
+	if err := os.WriteFile(path, []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	recs, warns, err := LoadJournal(path, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.Done("cell-00", 1, 42, "w1", "digest")
-	mk := func(id string, attempt int) obs.Span {
-		return obs.Span{
-			Trace: "t0", ID: id, Kind: obs.KindLease, Key: "cell-00",
-			Worker: "w1", Attempt: attempt,
-			Start:  time.Unix(1_700_000_000, 0).UTC(),
-			End:    time.Unix(1_700_000_009, 0).UTC(),
-			Status: obs.StatusOK, Final: true,
+	want := map[string]Record{
+		"cell-00": {Kind: KindCell, Key: "cell-00", Status: StatusDone, Attempts: 1,
+			Result: json.RawMessage(`{"ipc":1.5}`), Worker: "w1", Digest: "sha256:25aa"},
+		"cell-01": {Kind: KindCell, Key: "cell-01", Status: StatusFailed, Attempts: 4, Seed: 1,
+			FailKind: "lost-worker", Error: "lease expired", Worker: "w2"},
+		"cell-02": {Kind: KindCell, Key: "cell-02", Status: StatusDone, Attempts: 2,
+			Result: json.RawMessage(`{"ipc":2.5}`), Worker: "w2", Digest: "sha256:77bb"},
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("want %d cell records, got %d: %+v", len(want), len(recs), recs)
+	}
+	for key, w := range want {
+		if got := recs[key]; got == nil || !reflect.DeepEqual(*got, w) {
+			t.Errorf("%s: got %+v, want %+v", key, got, w)
 		}
 	}
-	j.Spans("cell-00", []obs.Span{mk("aaaa", 1)})
-	// A rewrite for the same key supersedes the first set.
-	j.Spans("cell-00", []obs.Span{mk("aaaa", 1), mk("bbbb", 2)})
+	wantWarn := fmt.Sprintf("harness: resume: %s:7: skipping torn final record (interrupted mid-write); its cell will re-run", path)
+	if len(warns) != 1 || warns[0] != wantWarn {
+		t.Fatalf("want the torn-tail warning\n%q\ngot %q", wantWarn, warns)
+	}
+
+	j, err := OpenJournal(path, "legacy", "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Done("cell-03", 1, 7, "", "")
 	j.Close()
-
-	recs, spans, warns, err := LoadJournalFull(path, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warns) != 0 {
-		t.Fatalf("unexpected warnings: %q", warns)
-	}
-	if recs["cell-00"] == nil {
-		t.Fatal("cell record lost")
-	}
-	got := spans["cell-00"]
-	if len(got) != 2 || got[0].ID != "aaaa" || got[1].ID != "bbbb" {
-		t.Fatalf("latest span set must win: %+v", got)
-	}
-	if !got[0].Start.Equal(time.Unix(1_700_000_000, 0)) || got[1].Attempt != 2 {
-		t.Fatalf("span fields must round-trip: %+v", got)
-	}
-
-	// The plain loader ignores span records entirely.
-	recs2, _, err := LoadJournal(path, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs2) != 1 || recs2["cell-00"] == nil {
-		t.Fatalf("LoadJournal must still see exactly the cell record: %+v", recs2)
+	recs, warns, err = LoadJournal(path, "fp")
+	if err != nil || len(warns) != 0 || len(recs) != 4 || string(recs["cell-03"].Result) != "7" {
+		t.Fatalf("journal appended after a torn tail must load cleanly: %d records, warnings %q, err %v", len(recs), warns, err)
 	}
 }

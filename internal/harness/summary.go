@@ -38,10 +38,6 @@ type Summary struct {
 
 	// Failures holds the structured records of failed cells, sorted by key.
 	Failures []JobFailure
-
-	// Notes are free-form observability lines printed under the summary
-	// table (e.g. the fabric's straggler verdict for a remote campaign).
-	Notes []string
 }
 
 // Merge folds another campaign's summary into s (wall times add — sweeps
@@ -68,7 +64,6 @@ func (s *Summary) Merge(o *Summary) {
 	s.SimCycles += o.SimCycles
 	s.SimInsts += o.SimInsts
 	s.Failures = append(s.Failures, o.Failures...)
-	s.Notes = append(s.Notes, o.Notes...)
 }
 
 // AddTo accumulates the campaign counters into a stats.Stats, the same
@@ -104,11 +99,7 @@ func (s *Summary) Table() *stats.Table {
 	return t
 }
 
-// Render writes the health table followed by any observability notes (the
-// form the CLIs print).
+// Render writes the health table (the form the CLIs print).
 func (s *Summary) Render(w io.Writer) {
 	fmt.Fprintln(w, s.Table())
-	for _, n := range s.Notes {
-		fmt.Fprintf(w, "  note: %s\n", n)
-	}
 }

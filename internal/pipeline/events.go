@@ -13,7 +13,7 @@ package pipeline
 // closes the same sample buckets with the same frozen snapshot. A LOST
 // wakeup (the calendar sleeps past a cycle where a stage could act) would
 // change simulated behaviour, so every mutation that can make a stage
-// actionable wakes the calendar (the catalog lives in DESIGN.md §17).
+// actionable wakes the calendar (the catalog lives in DESIGN.md §16).
 // Per-cycle stepping (Config.PerCycle) is the reference: the equivalence
 // suite and FuzzEventSchedule run both engines in lockstep and compare
 // their state on every cycle, skipped ones included.

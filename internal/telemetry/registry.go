@@ -179,46 +179,13 @@ func (r *Registry) GaugeFunc(name, help string, f func() float64) {
 	r.register(name, help, func(m *metric) { m.gaugeFunc = f })
 }
 
-// LabeledCounter returns (registering on first use) a counter rendered with
-// a Prometheus label set, e.g. LabeledCounter("mtvp_fleet_corrupt_total",
-// `worker="w1"`, ...) exports `mtvp_fleet_corrupt_total{worker="w1"} 3`.
-// Series sharing a metric name render as one family under a single
-// HELP/TYPE header; the fabric coordinator uses this for per-worker
-// attestation-failure counts.
-func (r *Registry) LabeledCounter(name, labels, help string) *Counter {
-	return r.registerLabeled(name, labels, help, func(m *metric) { m.counter = &Counter{} }).counter
-}
-
 // LabeledGaugeFunc registers a scrape-time gauge rendered with a Prometheus
-// label set, e.g. LabeledGaugeFunc("mtvp_fleet_leases", `worker="w1"`, ...)
-// exports `mtvp_fleet_leases{worker="w1"} 2`. Series sharing a metric name
+// label set, e.g. LabeledGaugeFunc("mtvp_build_info", `version="v1"`, ...)
+// exports `mtvp_build_info{version="v1"} 1`. Series sharing a metric name
 // (differing only in labels) render as one family under a single HELP/TYPE
-// header; the fabric coordinator uses this for its per-worker fleet view.
-// Re-registering an existing (name, labels) pair is a no-op.
+// header. Re-registering an existing (name, labels) pair is a no-op.
 func (r *Registry) LabeledGaugeFunc(name, labels, help string, f func() float64) {
 	r.registerLabeled(name, labels, help, func(m *metric) { m.gaugeFunc = f })
-}
-
-// Unregister removes the series with the given name and label set (use
-// labels "" for unlabeled instruments). Existing handles to the removed
-// instrument keep working but no longer export. It returns whether a
-// series was removed; the fabric coordinator uses it to retire the gauges
-// of workers pruned after prolonged silence.
-func (r *Registry) Unregister(name, labels string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := (&metric{name: name, labels: labels}).series()
-	if _, ok := r.byName[key]; !ok {
-		return false
-	}
-	delete(r.byName, key)
-	for i, m := range r.metrics {
-		if m.series() == key {
-			r.metrics = append(r.metrics[:i], r.metrics[i+1:]...)
-			break
-		}
-	}
-	return true
 }
 
 // Histogram returns (registering on first use) the named histogram.

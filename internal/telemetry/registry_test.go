@@ -145,20 +145,4 @@ func TestLabeledGaugeFamilies(t *testing.T) {
 	if strings.Contains(out, "} 99") {
 		t.Errorf("re-registration replaced an existing series:\n%s", out)
 	}
-
-	// Unregister retires exactly one series.
-	if !r.Unregister("fleet_leases", `worker="w1"`) {
-		t.Fatal("Unregister returned false for a live series")
-	}
-	if r.Unregister("fleet_leases", `worker="w1"`) {
-		t.Fatal("second Unregister should return false")
-	}
-	b.Reset()
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out = b.String()
-	if strings.Contains(out, `worker="w1"`) || !strings.Contains(out, `worker="w2"`) {
-		t.Errorf("unregister removed the wrong series:\n%s", out)
-	}
 }
