@@ -83,8 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		benchName = fs.String("bench", "mcf", "benchmark name (see -list)")
 		machine   = fs.String("machine", "baseline", "baseline | stvp | mtvp | mtvp-nostall | multival | spawn-only | wide-window")
 		contexts  = fs.Int("contexts", 4, "hardware thread contexts (mtvp machines)")
-		pred      = fs.String("pred", "wf", "value predictor (alias of -vpred)")
-		vpredF    = fs.String("vpred", "", "value predictor: "+strings.Join(config.PredictorNames(), " | ")+" (overrides -pred)")
+		pred      = fs.String("vpred", "wf", "value predictor: "+strings.Join(config.PredictorNames(), " | "))
 		sharing   = fs.String("vpred-sharing", "shared", "predictor table organisation across contexts: "+strings.Join(config.SharingNames(), " | "))
 		sel       = fs.String("sel", "ilp", "load selector: ilp | l3 | always")
 		engine    = fs.String("engine", "event", "simulation scheduler: event (calendar-driven) | cycle (per-cycle reference); results are bit-identical")
@@ -144,11 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitErr
 	}
 
-	predName := *pred
-	if *vpredF != "" {
-		predName = *vpredF
-	}
-	pk, err := config.ParsePredictor(predName)
+	pk, err := config.ParsePredictor(*pred)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitErr
@@ -284,14 +279,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	ins := core.Instruments{Tracer: trace.Multi(tracers...)}
-	var sampler *telemetry.Sampler
 	if *series != "" {
-		sampler = telemetry.NewSampler(*seriesN)
-	}
-	if sampler != nil || perfettoSink != nil || jsonSink != nil {
-		// The machine probe is cheap; attach it whenever any sink wants
-		// per-cycle data, so a lone -perfetto still gets counter tracks.
-		ins.Machine = telemetry.NewMachine(telemetry.NewRegistry(), sampler)
+		ins.Sampler = telemetry.NewSampler(*seriesN)
 	}
 
 	res, runErr := core.RunInstrumented(cfg, prog, image, ins)
@@ -308,8 +297,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "perfetto: %v\n", err)
 		}
 	}
-	if sampler != nil {
-		if err := writeSeries(*series, sampler); err != nil {
+	if ins.Sampler != nil {
+		if err := writeSeries(*series, ins.Sampler); err != nil {
 			fmt.Fprintf(stderr, "series: %v\n", err)
 		}
 	}

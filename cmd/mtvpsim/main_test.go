@@ -47,7 +47,7 @@ func TestRunBadInputs(t *testing.T) {
 	cases := [][]string{
 		{"-bench", "no-such-bench"},
 		{"-machine", "no-such-machine"},
-		{"-pred", "no-such-pred"},
+		{"-vpred", "no-such-pred"},
 		{"-sel", "no-such-sel"},
 		{"-faults", "no-such-profile"},
 		{"-engine", "no-such-engine"},

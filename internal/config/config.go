@@ -288,11 +288,6 @@ type RecoveryParams struct {
 	// CooldownCommits is the clean-commit cool-down after which a degraded
 	// context earns one speculation level back (0 selects 50_000).
 	CooldownCommits uint64
-	// QuarantineOff disables the per-context misprediction-storm detector.
-	QuarantineOff bool
-	// DegradeOff disables the graceful-degradation ladder: exhausting the
-	// deadlock budget aborts with a fault report immediately.
-	DegradeOff bool
 }
 
 // Config holds every architectural parameter of the simulated machine.
@@ -346,10 +341,9 @@ type Config struct {
 	// pipeline, verifying every useful committed instruction's PC,
 	// destination value, and store address/data, and enables the pipeline
 	// invariant auditor. A divergence or invariant violation fails the run
-	// with a windowed dump of recent commits. CheckWindow sets the
-	// per-thread commit history kept for that dump (0 = default).
-	Check       bool
-	CheckWindow int
+	// with a windowed dump of each thread's last oracle.DefaultWindow
+	// commits.
+	Check bool
 
 	// Observe, when non-nil, is polled by the engine every ~1024 simulated
 	// cycles with the current cycle and useful-commit counts. Returning
@@ -567,8 +561,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: MultiValue needs MaxValuesPerLoad >= 2")
 	case c.VP.SharedStoreBuf && c.VP.SharedStoreBufEntries < 1:
 		return fmt.Errorf("config: SharedStoreBuf needs SharedStoreBufEntries >= 1")
-	case c.CheckWindow < 0:
-		return fmt.Errorf("config: CheckWindow must be >= 0, got %d", c.CheckWindow)
 	case c.Recovery.WatchdogCycles < 0:
 		return fmt.Errorf("config: Recovery.WatchdogCycles must be >= 0, got %d", c.Recovery.WatchdogCycles)
 	case c.Recovery.DeadlockBudget < 0:

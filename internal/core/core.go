@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"mtvp/internal/config"
@@ -43,33 +42,21 @@ type Result struct {
 // IPC returns the run's useful instructions per cycle.
 func (r *Result) IPC() float64 { return r.Stats.UsefulIPC() }
 
-// IsCanceled reports whether a run error means the simulation was canceled
-// through a cfg.Observe hook (the campaign harness's deadlines, stall
-// watchdog, or graceful shutdown) rather than failing on its own.
-func IsCanceled(err error) bool { return errors.Is(err, pipeline.ErrCanceled) }
-
 // Run simulates prog with its initial memory image on the machine described
 // by cfg. The engine takes ownership of the image: after a run that ends at
 // a HALT, the image holds the committed architectural memory state.
 func Run(cfg config.Config, prog *isa.Program, image *mem.Memory) (*Result, error) {
-	return RunTraced(cfg, prog, image, nil)
-}
-
-// RunTraced is Run with an optional cycle-level event tracer attached
-// (see internal/trace). Tracing is observational: results are identical
-// with or without it.
-func RunTraced(cfg config.Config, prog *isa.Program, image *mem.Memory, tr trace.Tracer) (*Result, error) {
-	return RunInstrumented(cfg, prog, image, Instruments{Tracer: tr})
+	return RunInstrumented(cfg, prog, image, Instruments{})
 }
 
 // Instruments bundles a run's observational attachments: an event tracer
 // (human-readable writer, JSONL sink, Perfetto exporter, or a trace.Multi
-// of several) and a telemetry machine probe feeding a metrics registry and
-// cycle-bucketed time-series sampler. All of it is strictly observational —
-// results are identical with or without any attachment (test-enforced).
+// of several) and a cycle-bucketed time-series sampler. All of it is
+// strictly observational — results are identical with or without any
+// attachment (test-enforced).
 type Instruments struct {
 	Tracer  trace.Tracer
-	Machine *telemetry.Machine
+	Sampler *telemetry.Sampler
 }
 
 // RunInstrumented is Run with observational instruments attached.
@@ -82,8 +69,8 @@ func RunInstrumented(cfg config.Config, prog *isa.Program, image *mem.Memory, in
 	if ins.Tracer != nil {
 		eng.SetTracer(ins.Tracer)
 	}
-	if ins.Machine != nil {
-		eng.SetTelemetry(ins.Machine)
+	if ins.Sampler != nil {
+		eng.SetSampler(ins.Sampler)
 	}
 	runErr := eng.Run()
 	// The final partial sample bucket is flushed even for canceled or

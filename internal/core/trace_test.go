@@ -28,7 +28,7 @@ func TestTracingIsObservational(t *testing.T) {
 
 	col := &trace.Collector{}
 	prog2, img2 := bench.Build(2)
-	traced, err := core.RunTraced(cfg, prog2, img2, col)
+	traced, err := core.RunInstrumented(cfg, prog2, img2, core.Instruments{Tracer: col})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"mtvp/internal/stats"
 )
 
 // fastCfg is a campaign config with aggressive supervision for tests:
@@ -338,7 +336,7 @@ func TestParentContextCancelInterrupts(t *testing.T) {
 	}
 }
 
-// TestSummaryMergeAndStats: summaries merge and land in stats.Stats.
+// TestSummaryMergeAndStats: summaries merge and render as the health table.
 func TestSummaryMergeAndStats(t *testing.T) {
 	a := &Summary{Name: "fig1", Total: 4, Completed: 3, Failed: 1, Retried: 1,
 		Retries: 2, Attempts: 6, Timeouts: 1, Stalls: 1, Panics: 1, Wall: time.Second,
@@ -351,17 +349,6 @@ func TestSummaryMergeAndStats(t *testing.T) {
 	}
 	if a.SimCycles != 125 || a.SimInsts != 60 {
 		t.Errorf("simulated-work merge wrong: cycles=%d insts=%d", a.SimCycles, a.SimInsts)
-	}
-
-	var st stats.Stats
-	a.AddTo(&st)
-	if st.HarnessCompleted != 4 || st.HarnessSkipped != 1 || st.HarnessRetried != 1 ||
-		st.HarnessRetries != 2 || st.HarnessFailed != 1 || st.HarnessPanics != 1 ||
-		st.HarnessTimeouts != 1 || st.HarnessStalls != 1 {
-		t.Errorf("AddTo wrong: %+v", st)
-	}
-	if !strings.Contains(st.String(), "cells=4") {
-		t.Errorf("Stats.String missing harness counters: %s", st.String())
 	}
 
 	tab := a.Table()

@@ -66,19 +66,6 @@ func (s *Summary) Merge(o *Summary) {
 	s.Failures = append(s.Failures, o.Failures...)
 }
 
-// AddTo accumulates the campaign counters into a stats.Stats, the same
-// reporting path the simulated machine's counters use.
-func (s *Summary) AddTo(st *stats.Stats) {
-	st.HarnessCompleted += uint64(s.Completed)
-	st.HarnessSkipped += uint64(s.Skipped)
-	st.HarnessRetried += uint64(s.Retried)
-	st.HarnessRetries += uint64(s.Retries)
-	st.HarnessFailed += uint64(s.Failed)
-	st.HarnessPanics += uint64(s.Panics)
-	st.HarnessTimeouts += uint64(s.Timeouts)
-	st.HarnessStalls += uint64(s.Stalls)
-}
-
 // Table renders the summary as the campaign health table the CLIs print.
 func (s *Summary) Table() *stats.Table {
 	title := "Campaign summary"

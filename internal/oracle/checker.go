@@ -30,7 +30,6 @@ type Record struct {
 // *Divergence whose report embeds the recent commit history of every thread.
 type Checker struct {
 	o       *Oracle
-	window  int
 	rings   map[int]*ring
 	threads []int // ring keys in first-seen order
 	lastSeq uint64
@@ -39,20 +38,16 @@ type Checker struct {
 }
 
 // DefaultWindow is the per-thread commit history kept for divergence
-// reports when the configuration does not specify one.
+// reports.
 const DefaultWindow = 8
 
-// NewChecker builds a lockstep checker over a private oracle. window is the
-// number of recent commits remembered per hardware context for the
-// divergence dump (<= 0 selects DefaultWindow).
-func NewChecker(prog *isa.Program, image *mem.Memory, window int) *Checker {
-	if window <= 0 {
-		window = DefaultWindow
-	}
+// NewChecker builds a lockstep checker over a private oracle. It remembers
+// the last DefaultWindow commits of each hardware context for the
+// divergence dump.
+func NewChecker(prog *isa.Program, image *mem.Memory) *Checker {
 	return &Checker{
-		o:      New(prog, image),
-		window: window,
-		rings:  make(map[int]*ring),
+		o:     New(prog, image),
+		rings: make(map[int]*ring),
 	}
 }
 
@@ -68,7 +63,7 @@ func (c *Checker) Verified() uint64 { return c.o.Steps() }
 func (c *Checker) Note(r Record) {
 	rg := c.rings[r.Thread]
 	if rg == nil {
-		rg = newRing(c.window)
+		rg = newRing(DefaultWindow)
 		c.rings[r.Thread] = rg
 		c.threads = append(c.threads, r.Thread)
 	}

@@ -167,7 +167,6 @@ func (e *Engine) resolveEvent(ev *vpEvent) {
 		// and then hands its place in the lineage to the survivor. Any
 		// redundant post-load work the parent did under the no-stall
 		// policy is squashed now.
-		e.noteConfirmTelemetry(survivor, ev)
 		if e.tracer != nil {
 			e.emitThreadPeer(trace.KConfirm, survivor, t, fmt.Sprintf("prediction at pc %d confirmed; T%d/%d retiring",
 				ev.load.ex.PC, t.id, t.order))
@@ -367,7 +366,6 @@ func (e *Engine) killOne(t *thread) {
 	e.st.Squashed += t.committed
 	e.st.Committed -= t.committed
 	e.st.Kills++
-	e.noteKillTelemetry(t)
 	if e.tracer != nil {
 		e.emitThread(trace.KKill, t, fmt.Sprintf("committed %d discounted", t.committed))
 	}

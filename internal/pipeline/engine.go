@@ -93,7 +93,7 @@ type Engine struct {
 
 	commitHook func(u *uop)       // test instrumentation; nil in normal runs
 	tracer     trace.Tracer       // optional event tracer; nil in normal runs
-	tel        *telemetry.Machine // optional metrics probe; nil in normal runs
+	sampler    *telemetry.Sampler // optional time-series sampler; nil in normal runs
 
 	// Robustness: the fault injector (nil-safe; nil when no profile is
 	// armed) and the recovery controller (always present).
@@ -201,7 +201,7 @@ func New(cfg *config.Config, prog *isa.Program, memory *mem.Memory, st *stats.St
 	if cfg.Check {
 		// The checker clones the image before the engine can touch it;
 		// the auditor rides the same knob.
-		e.checker = oracle.NewChecker(prog, memory, cfg.CheckWindow)
+		e.checker = oracle.NewChecker(prog, memory)
 		e.auditOn = true
 	}
 
@@ -359,7 +359,7 @@ func (e *Engine) runCycle() (stop bool, err error) {
 	e.issue()
 	e.dispatch()
 	e.fetch()
-	if e.tel != nil {
+	if e.sampler != nil {
 		e.telemetryCycle()
 	}
 	if e.auditOn {

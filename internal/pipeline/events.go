@@ -9,7 +9,7 @@ package pipeline
 // Soundness rests on one asymmetry: a SPURIOUS wake (the calendar names a
 // cycle where nothing happens) is harmless, because an executed inert cycle
 // is observationally identical to a skipped one — every stage no-ops, fetch
-// counts exactly one FetchBlocked cycle either way, and the telemetry probe
+// counts exactly one FetchBlocked cycle either way, and the telemetry sampler
 // closes the same sample buckets with the same frozen snapshot. A LOST
 // wakeup (the calendar sleeps past a cycle where a stage could act) would
 // change simulated behaviour, so every mutation that can make a stage
@@ -37,11 +37,6 @@ const eqWindow = 1 << 12
 type eventQueue struct {
 	heap []int64
 	mark [eqWindow]int64 // mark[c&(eqWindow-1)] == c ⇒ c already enqueued
-
-	// Instrumentation (telemetry gauges, tests, benchmarks).
-	enqueued uint64 // entries accepted into the heap
-	deduped  uint64 // enqueues dropped by the mark ring
-	fired    uint64 // entries popped at or before their cycle
 }
 
 // add schedules a wake at cycle c (clamped into (now, now+eqWindow]).
@@ -56,11 +51,9 @@ func (q *eventQueue) add(c, now int64) {
 	}
 	s := c & (eqWindow - 1)
 	if q.mark[s] == c {
-		q.deduped++
 		return
 	}
 	q.mark[s] = c
-	q.enqueued++
 	q.heap = append(q.heap, c)
 	// Sift up (container/heap's algorithm, monomorphized on int64).
 	j := len(q.heap) - 1
@@ -79,7 +72,6 @@ func (q *eventQueue) add(c, now int64) {
 func (q *eventQueue) drain(now int64) {
 	for len(q.heap) > 0 && q.heap[0] <= now {
 		q.popTop()
-		q.fired++
 	}
 }
 
@@ -229,7 +221,7 @@ func (e *Engine) eventForward() {
 	if target <= e.now {
 		return
 	}
-	if e.tel != nil {
+	if e.sampler != nil {
 		e.telemetrySkip(e.now+1, target)
 	}
 	skipped := uint64(target - e.now)

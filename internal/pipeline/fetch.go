@@ -211,16 +211,14 @@ func (e *Engine) vpDecide(t *thread, dec *isa.Decoded) *vpEvent {
 		// Misprediction-storm quarantine: a clamped context only follows
 		// predictions well above the normal confidence bar; a disabled
 		// context follows none.
-		if q := e.quarantineFor(t); q != nil {
-			switch q.State() {
-			case fault.QDisabled:
+		switch e.rec.quars[t.id].State() {
+		case fault.QDisabled:
+			e.st.QuarantineSuppressed++
+			return nil
+		case fault.QClamped:
+			if pr.Conf < e.rec.clampConf {
 				e.st.QuarantineSuppressed++
 				return nil
-			case fault.QClamped:
-				if pr.Conf < e.rec.clampConf {
-					e.st.QuarantineSuppressed++
-					return nil
-				}
 			}
 		}
 	}
@@ -363,7 +361,6 @@ func (e *Engine) spawn(t *thread, loadU *uop, ev *vpEvent) {
 	}
 	e.st.Spawns += uint64(len(ev.children))
 	for i, c := range ev.children {
-		e.noteSpawnTelemetry(c)
 		if e.tracer != nil {
 			e.emitThreadPeer(trace.KSpawn, c, t, fmt.Sprintf("from T%d/%d at pc %d value %#x",
 				t.id, t.order, loadU.ex.PC, ev.childVals[i]))

@@ -93,9 +93,6 @@ func (e *Engine) issueOne(u *uop) {
 	// (plus any width-limited ready peers) makes the next cycle actionable.
 	e.wake(done)
 	e.wake(e.now + 1)
-	if u.class == isa.ClassLoad {
-		e.noteLoadLatencyTelemetry(done - e.now)
-	}
 	e.emit(trace.KIssue, u)
 }
 

@@ -32,12 +32,11 @@ import (
 type recovery struct {
 	backoff *fault.Backoff
 	ladders []*fault.Ladder     // per hardware context slot
-	quars   []*fault.Quarantine // per hardware context slot; nil when off
+	quars   []*fault.Quarantine // per hardware context slot
 
 	watchdogBase      int64  // cycles without commits before intervening
 	clampConf         int    // confidence bar under QClamped
 	commitsSinceBreak uint64 // refills the break budget at progressRefill
-	degradeOff        bool
 }
 
 // progressRefill is the number of useful commits since the last watchdog
@@ -55,16 +54,13 @@ func newRecovery(cfg *config.Config, clampConf int) *recovery {
 		ladders:      make([]*fault.Ladder, cfg.Contexts),
 		watchdogBase: base,
 		clampConf:    clampConf,
-		degradeOff:   cfg.Recovery.DegradeOff,
+		quars:        make([]*fault.Quarantine, cfg.Contexts),
 	}
 	for i := range r.ladders {
 		r.ladders[i] = fault.NewLadder(cfg.Recovery.CooldownCommits)
 	}
-	if !cfg.Recovery.QuarantineOff {
-		r.quars = make([]*fault.Quarantine, cfg.Contexts)
-		for i := range r.quars {
-			r.quars[i] = fault.NewQuarantine()
-		}
+	for i := range r.quars {
+		r.quars[i] = fault.NewQuarantine()
 	}
 	return r
 }
@@ -131,22 +127,10 @@ func (e *Engine) effectiveMode(slot int) config.VPMode {
 	return mode
 }
 
-// quarantineFor returns the misprediction-storm detector of t's context
-// slot, or nil when quarantine is disabled.
-func (e *Engine) quarantineFor(t *thread) *fault.Quarantine {
-	if e.rec.quars == nil {
-		return nil
-	}
-	return e.rec.quars[t.id]
-}
-
 // noteOutcome feeds one resolved, followed prediction to the quarantine of
 // the predicting thread's context slot.
 func (e *Engine) noteOutcome(t *thread, correct bool) {
-	q := e.quarantineFor(t)
-	if q == nil {
-		return
-	}
+	q := e.rec.quars[t.id]
 	if correct {
 		if q.OnCorrect() && e.tracer != nil {
 			e.emitSlot(trace.KQuarantine, t.id, "relaxed to "+q.State().String())
@@ -182,10 +166,8 @@ func (e *Engine) noteCommitProgress() {
 				e.emitSlot(trace.KRestore, slot, "speculation restored to "+l.Level().String())
 			}
 		}
-		if r.quars != nil {
-			if q := r.quars[slot]; q.Tick() && e.tracer != nil {
-				e.emitSlot(trace.KQuarantine, slot, "decayed to "+q.State().String())
-			}
+		if q := r.quars[slot]; q.Tick() && e.tracer != nil {
+			e.emitSlot(trace.KQuarantine, slot, "decayed to "+q.State().String())
 		}
 	}
 }
@@ -208,7 +190,7 @@ func (e *Engine) recoverStall() bool {
 		// Budget allowed a break but there was nothing to unstick and no
 		// speculation to kill; retrying cannot help, so escalate.
 	}
-	if !e.rec.degradeOff && e.degradeAll() {
+	if e.degradeAll() {
 		return true
 	}
 	return false

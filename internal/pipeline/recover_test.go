@@ -116,31 +116,6 @@ func TestDegradationLadderEngages(t *testing.T) {
 	}
 }
 
-// TestDegradationDisabledAbortsStructured turns the degradation layer off:
-// once the bounded break budget is spent the engine must abort with a
-// structured fault report (not hang, not return a bare error).
-func TestDegradationDisabledAbortsStructured(t *testing.T) {
-	cfg := recoveryCfg(mtvpOracleCfg(4), "stuck-iq-storm", 3)
-	cfg.Recovery.DeadlockBudget = 1
-	cfg.Recovery.DegradeOff = true
-	prog, image := checkerBench("abort-chase").Build(9)
-	st := newStats()
-	eng, err := New(&cfg, prog, image, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := requireRecoveredOrReport(t, eng.Run())
-	if rep == nil {
-		t.Skip("run recovered within budget under this seed; abort path not reachable")
-	}
-	if st.Degradations != 0 {
-		t.Fatalf("DegradeOff machine degraded %d times", st.Degradations)
-	}
-	if rep.Reason == "" || rep.Injected == nil {
-		t.Fatalf("fault report incomplete: %+v", rep)
-	}
-}
-
 // TestQuarantineEngagesUnderPredictorChaos floods the value predictor with
 // bit flips (pred-chaos: 40% of confident predictions corrupted) on an
 // always-follow MTVP machine and requires the per-context misprediction
@@ -167,27 +142,6 @@ func TestQuarantineEngagesUnderPredictorChaos(t *testing.T) {
 	}
 	if st.QuarantineSuppressed == 0 {
 		t.Fatal("quarantine engaged but suppressed no follows")
-	}
-}
-
-// TestQuarantineOffKnob checks the escape hatch: with quarantine disabled
-// the same storm must not clamp anything (and the run must still satisfy
-// the recover-or-report contract).
-func TestQuarantineOffKnob(t *testing.T) {
-	cfg := recoveryCfg(
-		config.Baseline().WithMTVP(4, config.PredWangFranklin, config.SelAlways),
-		"pred-chaos", 17)
-	cfg.Recovery.QuarantineOff = true
-	prog, image := checkerBench("chaos-chase").Build(5)
-	st := newStats()
-	eng, err := New(&cfg, prog, image, st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireRecoveredOrReport(t, eng.Run())
-	if st.QuarantineClamps+st.QuarantineDisables+st.QuarantineSuppressed != 0 {
-		t.Fatalf("QuarantineOff machine still quarantined: clamp=%d disable=%d supp=%d",
-			st.QuarantineClamps, st.QuarantineDisables, st.QuarantineSuppressed)
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package telemetry is the simulator's observability layer: a metrics
-// registry (counters, gauges, log-bucketed histograms) with a
-// zero-allocation hot path, a cycle-bucketed time-series sampler the
-// pipeline engine feeds every cycle, machine-readable trace sinks (JSONL
-// and Chrome trace-event / Perfetto), and an HTTP endpoint serving
-// Prometheus-style /metrics, /healthz, and pprof for live campaigns.
+// registry (counters and gauges) with a zero-allocation hot path, the
+// cycle-bucketed time-series Sampler the pipeline engine feeds directly,
+// machine-readable trace sinks (JSONL and Chrome trace-event / Perfetto),
+// and an HTTP endpoint serving Prometheus-style /metrics, /healthz, and
+// pprof for live campaigns.
 //
 // Everything here is strictly observational: an attached sampler or sink
 // must never change simulation results (test-enforced in internal/core).
@@ -12,7 +12,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,69 +48,6 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histBuckets is the number of log2 buckets: bucket i counts observations v
-// with bits.Len64(v) == i, i.e. v in [2^(i-1), 2^i), with bucket 0 holding
-// exact zeros.
-const histBuckets = 65
-
-// Histogram accumulates a distribution in power-of-two buckets. Observe is
-// allocation-free: one atomic add into a fixed bucket array.
-type Histogram struct {
-	buckets [histBuckets]atomic.Uint64
-	count   atomic.Uint64
-	sum     atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	h.buckets[bits.Len64(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Mean returns the mean observed value (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
-// HistBucket is one non-empty histogram bucket: Count observations with
-// value < UpperBound (exclusive; the bucket spans [UpperBound/2, UpperBound)).
-type HistBucket struct {
-	UpperBound uint64
-	Count      uint64
-}
-
-// Buckets returns the non-empty buckets in ascending bound order.
-func (h *Histogram) Buckets() []HistBucket {
-	var out []HistBucket
-	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		out = append(out, HistBucket{UpperBound: upperBound(i), Count: n})
-	}
-	return out
-}
-
-// upperBound returns the exclusive upper bound of log2 bucket i.
-func upperBound(i int) uint64 {
-	if i >= 64 {
-		return ^uint64(0)
-	}
-	return 1 << uint(i)
-}
-
 // metric is one registered instrument.
 type metric struct {
 	name, help string
@@ -119,7 +55,6 @@ type metric struct {
 	counter    *Counter
 	gauge      *Gauge
 	gaugeFunc  func() float64
-	hist       *Histogram
 }
 
 // series is the full exposition identity of a metric: name plus labels.
@@ -188,11 +123,6 @@ func (r *Registry) LabeledGaugeFunc(name, labels, help string, f func() float64)
 	r.registerLabeled(name, labels, help, func(m *metric) { m.gaugeFunc = f })
 }
 
-// Histogram returns (registering on first use) the named histogram.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	return r.register(name, help, func(m *metric) { m.hist = &Histogram{} }).hist
-}
-
 // snapshot returns the registered metrics in name order.
 func (r *Registry) snapshot() []*metric {
 	r.mu.Lock()
@@ -203,9 +133,8 @@ func (r *Registry) snapshot() []*metric {
 }
 
 // WritePrometheus renders every registered instrument in the Prometheus
-// text exposition format, sorted by metric name then label set. Histograms
-// render as cumulative _bucket series plus _sum and _count. Labeled series
-// sharing a metric name render under one HELP/TYPE header.
+// text exposition format, sorted by metric name then label set. Labeled
+// series sharing a metric name render under one HELP/TYPE header.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	lastHeader := ""
 	for _, m := range r.snapshot() {
@@ -216,17 +145,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					return err
 				}
 			}
-			kind := ""
-			switch {
-			case m.counter != nil:
+			kind := "gauge"
+			if m.counter != nil {
 				kind = "counter"
-			case m.gauge != nil, m.gaugeFunc != nil:
-				kind = "gauge"
 			}
-			if kind != "" {
-				if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, kind); err != nil {
-					return err
-				}
+			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, kind); err != nil {
+				return err
 			}
 		}
 		var err error
@@ -237,30 +161,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", m.series(), m.gauge.Value())
 		case m.gaugeFunc != nil:
 			_, err = fmt.Fprintf(w, "%s %g\n", m.series(), m.gaugeFunc())
-		case m.hist != nil:
-			err = writePromHistogram(w, m.name, m.hist)
 		}
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func writePromHistogram(w io.Writer, name string, h *Histogram) error {
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-		return err
-	}
-	cum := uint64(0)
-	for _, b := range h.Buckets() {
-		cum += b.Count
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, b.UpperBound, cum); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.Count()); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", name, h.Sum(), name, h.Count())
-	return err
 }
