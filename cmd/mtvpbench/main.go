@@ -12,17 +12,18 @@
 // every simulated machine of the selected experiment; `-exp robust` runs
 // the dedicated oracle-checked campaign over all built-in profiles.
 //
-// Long campaigns run on the supervised harness (internal/harness): -jobs
-// bounds the worker pool, -timeout and -stall cancel wedged cells, -retries
-// re-runs flaky ones, and -journal checkpoints every finished cell to a
-// JSONL file so an interrupted campaign (Ctrl-C or SIGTERM drains cleanly;
-// even a SIGKILL loses only in-flight cells) can be completed with -resume.
+// Every experiment (fig5, sharing and robust included) runs on the
+// supervised harness (internal/harness): -jobs bounds the worker pool,
+// -timeout and -stall cancel wedged cells, -retries re-runs flaky ones, and
+// -journal checkpoints every finished cell to a JSONL file so an
+// interrupted campaign (Ctrl-C or SIGTERM drains cleanly; even a SIGKILL
+// loses only in-flight cells) can be completed with -resume.
 //
-// -coordinator hands the campaign to a distributed sweep fabric instead of
-// the local worker pool: cells are submitted to a `mtvpd serve` coordinator
-// and executed by whatever `mtvpd work` agents are attached to it (-token
-// authenticates). Reports are byte-identical to local runs regardless of
-// worker count or worker deaths.
+// -coordinator hands every experiment's campaign to a distributed sweep
+// fabric instead of the local worker pool: cells are submitted to a `mtvpd
+// serve` coordinator and executed by whatever `mtvpd work` agents are
+// attached to it (-token authenticates). Reports are byte-identical to
+// local runs regardless of worker count or worker deaths.
 //
 // -metrics-addr serves live campaign telemetry while the run is up: job
 // counters and simulated cycle rates on /metrics (Prometheus text format),

@@ -5,11 +5,14 @@
 //
 //	mtvpreport -o EXPERIMENTS.md -insts 150000
 //
-// The experiments run as supervised harness campaigns: -timeout/-stall
-// cancel wedged cells, -retries re-runs flaky ones, and -journal/-resume
-// checkpoint the campaign so an interrupted report generation can be
-// completed without re-simulating finished cells. The campaign summary
-// (cells completed/retried/failed/skipped, wall time) is printed to stderr.
+// Every experiment — Figure 5, the sharing study and the fault campaign
+// included — runs as a supervised harness campaign: -jobs bounds the
+// worker pool, -timeout/-stall cancel wedged cells, -retries re-runs flaky
+// ones, and -journal/-resume checkpoint the campaign so an interrupted
+// report generation can be completed without re-simulating finished
+// cells (-journal and -resume, if both given, must name the same file).
+// The campaign summary (cells completed/retried/failed/skipped, wall time)
+// is printed to stderr.
 //
 // -coordinator runs every campaign on a distributed sweep fabric (`mtvpd
 // serve` + `mtvpd work` agents) instead of the local worker pool; the
@@ -62,6 +65,10 @@ func main() {
 	opt.Coordinator = *coord
 	opt.Token = *token
 	if *resume != "" {
+		if *journal != "" && *journal != *resume {
+			fmt.Fprintln(os.Stderr, "-journal and -resume name different files; -resume both reads and extends its journal")
+			os.Exit(1)
+		}
 		opt.Journal = *resume
 		opt.Resume = true
 	}

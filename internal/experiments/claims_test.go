@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"mtvp/internal/config"
@@ -28,11 +29,11 @@ func claimOpts(names ...string) Options {
 
 func ipcOf(t *testing.T, o Options, b workload.Benchmark, cfg config.Config) float64 {
 	t.Helper()
-	st, err := o.run(b, "claim", cfg)
+	res, err := runCell(context.Background(), b, o.spec("claim/"+b.Name, b, "claim", cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st.UsefulIPC()
+	return res.IPC
 }
 
 // Claim (§1, §5.1): threaded value prediction is several times more

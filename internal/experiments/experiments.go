@@ -1,26 +1,36 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§4–5). Each experiment builds the machine configurations it
-// compares, runs every benchmark on each as a supervised parallel campaign
-// (internal/harness), and returns formatted tables whose rows mirror the
-// paper's: per-benchmark percent speedup in useful IPC over the
-// no-value-prediction baseline, with geometric-mean average rows per suite.
+// evaluation (§4–5). Each experiment declares its cells as fabric job specs
+// — a stable key ("fig1/mcf/mtvp4"), the benchmark, the seed and the fully
+// resolved machine config — and hands them to one campaign driver
+// (runCampaign). The driver runs them as a supervised parallel campaign on
+// the local worker pool (internal/harness), or on the sweep fabric
+// (internal/fabric) when Options.Coordinator is set; either way every cell
+// goes through the same executor (runCell). Tables mirror the paper's:
+// per-benchmark percent speedup in useful IPC over the no-value-prediction
+// baseline, with geometric-mean average rows per suite.
 //
-// Sweep cells are harness jobs with stable keys ("fig1/mcf/mtvp4"), so a
-// campaign survives panics, hangs, and flaky cells, can be checkpointed to a
-// journal, and resumes after an interruption by re-running only what is
-// missing. Tables are always assembled in job-key order, never completion
-// order: two runs of the same sweep render byte-identical reports.
+// A campaign survives panics, hangs, and flaky cells, can be checkpointed
+// to a journal, and resumes after an interruption by re-running only what
+// is missing. Tables are always assembled in job-key order, never
+// completion order: two runs of the same campaign, local or distributed,
+// render byte-identical reports.
 package experiments
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"mtvp/internal/config"
 	"mtvp/internal/core"
+	"mtvp/internal/fabric"
+	"mtvp/internal/fault"
 	"mtvp/internal/harness"
+	"mtvp/internal/oracle"
 	"mtvp/internal/stats"
 	"mtvp/internal/workload"
 )
@@ -46,16 +56,17 @@ type Options struct {
 	Resume       bool          // skip journaled-done cells, re-run failures
 	// HandleSignals installs the harness's graceful-shutdown handler
 	// (SIGINT/SIGTERM drain workers and flush the journal) around every
-	// sweep.
+	// local campaign.
 	HandleSignals bool
-	// Coordinator, when non-empty, runs every sweep through the distributed
-	// fabric (internal/fabric) at this base URL instead of the local worker
-	// pool: cells are submitted as a campaign and executed by whatever
-	// worker agents (mtvpd work) are attached to the coordinator. Reports
-	// are byte-identical to local runs. Token authenticates the client.
+	// Coordinator, when non-empty, runs every campaign through the
+	// distributed fabric (internal/fabric) at this base URL instead of the
+	// local worker pool: cells are submitted as a campaign and executed by
+	// whatever worker agents (mtvpd work) are attached to the coordinator.
+	// Reports are byte-identical to local runs. Token authenticates the
+	// client.
 	Coordinator string
 	Token       string
-	// Summary, when non-nil, accumulates every sweep's campaign counters
+	// Summary, when non-nil, accumulates every campaign's counters
 	// (completed/retried/failed/skipped cells, wall time) for reporting.
 	Summary *harness.Summary
 	// OnEvent, when non-nil, receives harness progress events (retries,
@@ -97,9 +108,14 @@ func (o Options) apply(cfg config.Config) config.Config {
 	return cfg
 }
 
-// harnessConfig builds the campaign config for one named sweep. The
+// journalFormat tags every campaign fingerprint with the shape of a
+// journaled cell result, so a journal written in an older shape is refused
+// on resume instead of misread.
+const journalFormat = "cell/2"
+
+// harnessConfig builds the campaign config for one named campaign. The
 // fingerprint guards resume: a journal written at different experiment
-// options refuses to mix with this campaign.
+// options, or in an older result shape, refuses to mix with this campaign.
 func (o Options) harnessConfig(name string) harness.Config {
 	return harness.Config{
 		Name:          name,
@@ -110,133 +126,248 @@ func (o Options) harnessConfig(name string) harness.Config {
 		Journal:       o.Journal,
 		Resume:        o.Resume,
 		HandleSignals: o.HandleSignals,
-		Fingerprint: fmt.Sprintf("insts=%d seed=%d faults=%s faultseed=%d",
-			o.Insts, o.Seed, o.FaultProfile, o.FaultSeed),
+		Fingerprint: fmt.Sprintf("format=%s insts=%d seed=%d faults=%s faultseed=%d",
+			journalFormat, o.Insts, o.Seed, o.FaultProfile, o.FaultSeed),
 		OnEvent: o.OnEvent,
 	}
 }
 
-// mergeSummary folds one sweep's campaign summary into the accumulator.
-func (o Options) mergeSummary(c *harness.Summary) {
-	if o.Summary != nil {
-		o.Summary.Merge(c)
+// spec declares one cell in wire form: its stable key, the benchmark it
+// names, and the fully resolved machine config at o's budget and seed.
+func (o Options) spec(key string, b workload.Benchmark, preset string, cfg config.Config) fabric.JobSpec {
+	return fabric.JobSpec{Key: key, Bench: b.Name, Preset: preset, Seed: o.Seed, Config: o.apply(cfg)}
+}
+
+// cellResult is one cell's journaled outcome: the headline IPC plus the
+// run's full statistics snapshot, so a campaign journal doubles as a
+// per-cell telemetry record and reports can surface simulated-work totals.
+// Abort marks a fault-campaign cell that ended in a structured fault
+// report; its Stats then hold only the report's injected, break and
+// degradation counts.
+type cellResult struct {
+	IPC   float64     `json:"ipc"`
+	Stats stats.Stats `json:"stats"`
+	Abort bool        `json:"abort,omitempty"`
+}
+
+// faultCampaign names the campaign whose cells count a structured fault
+// report as a result (the robustness contract's second permitted outcome).
+// In every other campaign an abort fails its cell.
+const faultCampaign = "robust"
+
+// runCell is the one cell executor: it builds the spec's benchmark b, runs
+// it on the spec's machine and returns the cell's result. Local harness
+// jobs and fabric worker leases (RunSpec) both call it. progress receives
+// the simulation's current cycle/commit counters from the engine's
+// observer poll; ctx cancellation stops the run at the next poll. An
+// oracle divergence is deterministic, so it is marked permanent: retrying
+// reproduces it exactly.
+func runCell(ctx context.Context, b workload.Benchmark, spec fabric.JobSpec, progress func(cycles, commits uint64)) (cellResult, error) {
+	prog, image := b.Build(spec.Seed)
+	cfg := spec.Config
+	cfg.Observe = func(cycles, commits uint64) bool {
+		if progress != nil {
+			progress(cycles, commits)
+		}
+		return ctx.Err() == nil
+	}
+	res, err := core.Run(cfg, prog, image)
+	var rep *fault.Report
+	switch {
+	case err == nil:
+		return cellResult{IPC: res.Stats.UsefulIPC(), Stats: res.Stats}, nil
+	case strings.HasPrefix(spec.Key, faultCampaign+"/") && errors.As(err, &rep):
+		c := cellResult{Abort: true}
+		c.Stats.DeadlockBreaks = rep.Breaks
+		c.Stats.Degradations = rep.Degradations
+		for _, n := range rep.Injected {
+			c.Stats.FaultsInjected += n
+		}
+		return c, nil
+	case oracle.IsDivergence(err):
+		return cellResult{}, harness.Permanent(fmt.Errorf("%s on %s committed a wrong value: %w", spec.Bench, spec.Preset, err))
+	default:
+		return cellResult{}, fmt.Errorf("%s on %s: %w", spec.Bench, spec.Preset, err)
 	}
 }
 
-// supervised wires harness supervision into a machine config: the engine
-// beats the job's heartbeat with its simulated cycle count (feeding the
-// stall watchdog), streams per-job progress deltas to o.Progress, and
-// honours context cancellation (deadlines, shutdown).
-func (o Options) supervised(ctx context.Context, hb *harness.Heartbeat, cfg config.Config) config.Config {
-	if ctx == nil && o.Progress == nil {
-		return cfg
+// RunSpec is the worker side of the fabric: the RunFunc a worker agent
+// (cmd/mtvpd work) runs leases with. It resolves the spec's benchmark by
+// name, runs the cell executor and returns the cell's journal-form result
+// (the same cellResult JSON a local campaign writes).
+func RunSpec(ctx context.Context, spec fabric.JobSpec, progress func(cycles, commits uint64)) (json.RawMessage, error) {
+	b, err := workload.ByName(spec.Bench)
+	if err != nil {
+		return nil, fmt.Errorf("%s: unknown benchmark: %w", spec.Key, err)
 	}
-	// The observer runs on one engine in one worker goroutine, so the
-	// last-seen counters need no locking; only o.Progress itself must be
-	// goroutine-safe across workers.
+	res, err := runCell(ctx, b, spec, progress)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(res)
+}
+
+// progress adapts a local cell's observer poll to harness supervision: the
+// engine beats the job's heartbeat with its simulated cycle count (feeding
+// the stall watchdog) and streams per-job progress deltas to o.Progress.
+// The observer runs on one engine in one worker goroutine, so the
+// last-seen counters need no locking; only o.Progress itself must be
+// goroutine-safe across workers.
+func (o Options) progress(hb *harness.Heartbeat) func(cycles, commits uint64) {
 	var lastCycles, lastCommits uint64
-	cfg.Observe = func(cycles, commits uint64) bool {
-		if hb != nil {
-			hb.Beat(cycles)
-		}
+	return func(cycles, commits uint64) {
+		hb.Beat(cycles)
 		if o.Progress != nil {
 			o.Progress(cycles-lastCycles, commits-lastCommits)
 			lastCycles, lastCommits = cycles, commits
 		}
-		return ctx == nil || ctx.Err() == nil
 	}
-	return cfg
 }
 
-// run simulates one benchmark on one machine and returns the statistics.
-// Failures carry the cell's full identity — benchmark and config preset —
-// which the harness's JobFailure records and retry logs rely on.
-func (o Options) run(b workload.Benchmark, preset string, cfg config.Config) (*stats.Stats, error) {
-	return o.runCtx(context.Background(), nil, b, preset, cfg)
-}
-
-// runCtx is run under harness supervision: ctx cancellation stops the
-// simulation at the next observer poll and hb receives simulated cycles.
-func (o Options) runCtx(ctx context.Context, hb *harness.Heartbeat, b workload.Benchmark, preset string, cfg config.Config) (*stats.Stats, error) {
-	prog, image := b.Build(o.Seed)
-	res, err := core.Run(o.supervised(ctx, hb, o.apply(cfg)), prog, image)
+// runCampaign is the one campaign driver: it runs specs as the named
+// campaign — on the local harness worker pool, or, when o.Coordinator is
+// set, on the fabric — folds the campaign into o.Summary, and returns each
+// cell's result in spec order, never completion order, so reports cannot
+// depend on scheduling. benches resolves each spec's benchmark for local
+// runs (test kernels have no registered name); fabric workers resolve it
+// by name.
+func (o Options) runCampaign(name string, benches []workload.Benchmark, specs []fabric.JobSpec) ([]cellResult, error) {
+	ctx := context.Background()
+	hc := o.harnessConfig(name)
+	var (
+		results map[string]cellResult
+		sum     *harness.Summary
+		err     error
+	)
+	if o.Coordinator == "" {
+		byName := make(map[string]workload.Benchmark, len(benches))
+		for _, b := range benches {
+			byName[b.Name] = b
+		}
+		jobs := make([]harness.Job[cellResult], len(specs))
+		for i, spec := range specs {
+			b := byName[spec.Bench]
+			jobs[i] = harness.Job[cellResult]{
+				Key:  spec.Key,
+				Seed: spec.Seed,
+				Run: func(ctx context.Context, hb *harness.Heartbeat) (cellResult, error) {
+					return runCell(ctx, b, spec, o.progress(hb))
+				},
+			}
+		}
+		var camp *harness.Campaign[cellResult]
+		camp, err = harness.Run(ctx, hc, jobs)
+		if camp != nil {
+			results, sum = camp.Results, camp.Summary
+		}
+	} else {
+		// Submission is idempotent: a resubmission after a client restart
+		// attaches to the in-flight campaign.
+		cl := fabric.NewClient(o.Coordinator, o.Token)
+		start := time.Now()
+		sub, serr := cl.Submit(ctx, fabric.CampaignSpec{Name: name, Fingerprint: hc.Fingerprint, Jobs: specs})
+		if serr != nil {
+			return nil, fmt.Errorf("%s: submit to %s: %w", name, o.Coordinator, serr)
+		}
+		if sub.Attached && o.OnEvent != nil {
+			o.OnEvent(harness.Event{Kind: harness.EventWarn, Key: name,
+				Err: fmt.Sprintf("attached to in-flight campaign %s (resuming, not restarting)", sub.ID)})
+		}
+		var final fabric.CampaignStatus
+		res, werr := cl.Wait(ctx, sub.ID, func(st fabric.CampaignStatus) { final = st })
+		if werr != nil {
+			return nil, fmt.Errorf("%s: campaign %s: %w", name, sub.ID, werr)
+		}
+		if res.State == fabric.StateCancelled {
+			return nil, fmt.Errorf("%s: campaign %s was cancelled on the coordinator", name, sub.ID)
+		}
+		results = make(map[string]cellResult, len(res.Results))
+		for key, raw := range res.Results {
+			var cell cellResult
+			if err := json.Unmarshal(raw, &cell); err != nil {
+				return nil, fmt.Errorf("%s: cell %s: undecodable result: %w", name, key, err)
+			}
+			results[key] = cell
+		}
+		// Every requeue (lost worker, reported failure, voluntary release)
+		// is one attempt beyond a cell's first.
+		sum = &harness.Summary{
+			Name: name, Total: len(specs), Wall: time.Since(start),
+			Completed: len(results), Failed: len(res.Failures), Failures: res.Failures,
+			Attempts: len(results) + len(res.Failures) + final.Requeues, Retries: final.Requeues,
+		}
+		if len(res.Failures) > 0 {
+			err = &harness.FailedError{Failures: res.Failures}
+		}
+	}
+	if sum != nil {
+		for _, r := range results {
+			sum.SimCycles += r.Stats.Cycles
+			sum.SimInsts += r.Stats.Committed
+		}
+		if o.Summary != nil {
+			o.Summary.Merge(sum)
+		}
+	}
 	if err != nil {
-		return nil, fmt.Errorf("%s on %s: %w", b.Name, preset, err)
+		return nil, err
 	}
-	return &res.Stats, nil
+	out := make([]cellResult, len(specs))
+	for i, spec := range specs {
+		r, ok := results[spec.Key]
+		if !ok {
+			return nil, fmt.Errorf("%s: no result for %s", name, spec.Key)
+		}
+		out[i] = r
+	}
+	return out, nil
+}
+
+// grid runs every benchmark on every machine as one campaign and returns
+// the results indexed [bench][machine]. name identifies the campaign
+// ("fig1"); with the benchmark and the machine's label it forms each
+// cell's stable key ("fig1/mcf/mtvp4").
+func (o Options) grid(name string, labels []string, benches []workload.Benchmark, cfgs []config.Config) ([][]cellResult, error) {
+	specs := make([]fabric.JobSpec, 0, len(benches)*len(cfgs))
+	for _, b := range benches {
+		for mi, cfg := range cfgs {
+			specs = append(specs, o.spec(fmt.Sprintf("%s/%s/%s", name, b.Name, labels[mi]), b, labels[mi], cfg))
+		}
+	}
+	res, err := o.runCampaign(name, benches, specs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]cellResult, len(benches))
+	for bi := range out {
+		out[bi] = res[bi*len(cfgs) : (bi+1)*len(cfgs)]
+	}
+	return out, nil
 }
 
 // sweep runs every benchmark on the baseline plus each machine as one
-// harness campaign, returning IPCs indexed [bench][machine]; index 0 is the
-// baseline. name identifies the sweep ("fig1") and cols name the non-base
-// machines; together with the benchmark they form each cell's stable job
-// key ("fig1/mcf/mtvp4").
+// campaign, returning IPCs indexed [bench][machine]; index 0 is the
+// baseline. cols name the non-base machines.
 func (o Options) sweep(name string, cols []string, benches []workload.Benchmark, machines []config.Config) ([][]float64, error) {
 	return o.sweepAgainst(name, cols, core.Baseline(), benches, machines)
-}
-
-// cellResult is one sweep cell's journaled outcome: the headline IPC plus
-// the run's full statistics snapshot, so a campaign journal doubles as a
-// per-cell telemetry record and reports can surface simulated-work totals.
-type cellResult struct {
-	IPC   float64     `json:"ipc"`
-	Stats stats.Stats `json:"stats"`
 }
 
 // sweepAgainst is sweep with an explicit baseline machine (ablations that
 // change the substrate, e.g. disabling the prefetcher, compare against a
 // matching baseline).
 func (o Options) sweepAgainst(name string, cols []string, base config.Config, benches []workload.Benchmark, machines []config.Config) ([][]float64, error) {
-	cfgs := append([]config.Config{base}, machines...)
-	labels := append([]string{"base"}, cols...)
-	if len(labels) != len(cfgs) {
+	if len(cols) != len(machines) {
 		return nil, fmt.Errorf("%s: %d column labels for %d machines", name, len(cols), len(machines))
 	}
-	if o.Coordinator != "" {
-		return o.sweepRemote(context.Background(), name, labels, benches, cfgs)
-	}
-
-	jobs := make([]harness.Job[cellResult], 0, len(benches)*len(cfgs))
-	for _, b := range benches {
-		for mi, cfg := range cfgs {
-			b, cfg, label := b, cfg, labels[mi]
-			jobs = append(jobs, harness.Job[cellResult]{
-				Key:  fmt.Sprintf("%s/%s/%s", name, b.Name, label),
-				Seed: o.Seed,
-				Run: func(ctx context.Context, hb *harness.Heartbeat) (cellResult, error) {
-					st, err := o.runCtx(ctx, hb, b, label, cfg)
-					if err != nil {
-						return cellResult{}, err
-					}
-					return cellResult{IPC: st.UsefulIPC(), Stats: *st}, nil
-				},
-			})
-		}
-	}
-
-	camp, err := harness.Run(context.Background(), o.harnessConfig(name), jobs)
-	if camp != nil {
-		for _, r := range camp.Results {
-			camp.Summary.SimCycles += r.Stats.Cycles
-			camp.Summary.SimInsts += r.Stats.Committed
-		}
-		o.mergeSummary(camp.Summary)
-	}
+	cells, err := o.grid(name, append([]string{"base"}, cols...), benches, append([]config.Config{base}, machines...))
 	if err != nil {
 		return nil, err
 	}
-
-	// Assemble the matrix in job-key order (the jobs slice), never in
-	// completion order: report rows must not depend on scheduling.
-	ipc := make([][]float64, len(benches))
-	for i := range ipc {
-		ipc[i] = make([]float64, len(cfgs))
-	}
-	idx := 0
-	for bi := range benches {
-		for mi := range cfgs {
-			ipc[bi][mi] = camp.Results[jobs[idx].Key].IPC
-			idx++
+	ipc := make([][]float64, len(cells))
+	for bi, row := range cells {
+		ipc[bi] = make([]float64, len(row))
+		for mi, c := range row {
+			ipc[bi][mi] = c.IPC
 		}
 	}
 	return ipc, nil

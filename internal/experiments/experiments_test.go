@@ -1,13 +1,16 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mtvp/internal/config"
+	"mtvp/internal/core"
 	"mtvp/internal/harness"
 	"mtvp/internal/stats"
-
 	"mtvp/internal/workload"
 )
 
@@ -265,5 +268,45 @@ func TestGenerateReportTiny(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+}
+
+// TestFaultSweepAbortFailsItsCell pins the executor's outcome rule: only
+// the fault campaign counts a structured fault report as a result. The
+// same aborting cell in a -faults sweep fails its campaign with a
+// *harness.FailedError naming that cell, while under the fault campaign's
+// key it is an abort row carrying the report's counters.
+func TestFaultSweepAbortFailsItsCell(t *testing.T) {
+	o := fabricOpts()
+	o.Benchmarks = o.Benchmarks[:1] // mcf
+	o.Insts = 20_000
+	o.Retries = 0
+	o.FaultProfile, o.FaultSeed = "stuck-iq-storm", 1
+	mtvp := core.Hardened(core.MTVP(4, config.PredWangFranklin, config.SelILPPred))
+
+	_, err := o.sweepAgainst("faultsweep", []string{"mtvp4"}, core.Hardened(core.Baseline()),
+		o.Benchmarks, []config.Config{mtvp})
+	var failed *harness.FailedError
+	if !errors.As(err, &failed) {
+		t.Fatalf("sweep error = %v, want a *harness.FailedError", err)
+	}
+	var named bool
+	for _, f := range failed.Failures {
+		if f.Key == "faultsweep/mcf/mtvp4" && strings.Contains(f.Err, "fault report") {
+			named = true
+		}
+	}
+	if !named {
+		t.Fatalf("no failure names faultsweep/mcf/mtvp4 with its fault report: %v", failed.Failures)
+	}
+
+	spec := o.spec(faultCampaign+"/stuck-iq-storm/mtvp/mcf", o.Benchmarks[0], "mtvp", mtvp)
+	res, err := runCell(context.Background(), o.Benchmarks[0], spec, nil)
+	if err != nil {
+		t.Fatalf("fault-campaign cell: %v, want an abort result", err)
+	}
+	if !res.Abort || res.Stats.FaultsInjected == 0 {
+		t.Errorf("fault-campaign cell = abort %v, injected %d; want an abort with its injected count",
+			res.Abort, res.Stats.FaultsInjected)
 	}
 }

@@ -99,12 +99,7 @@ func StoreBufferSweep(o Options) (*stats.Table, error) {
 	// stretch (many stores) between predictable long-latency loads — in
 	// addition to the regular suite, whose high spawn density keeps
 	// per-thread store counts low.
-	benches := append(o.benches(), workload.Blocked("resident+miss", workload.INT,
-		workload.BlockedParams{
-			WorkingSet: 16 << 10, MulChain: 1,
-			SideTableLen: 1 << 20, SideEvery: 96, SideDominant: 96,
-			Iters: 1 << 20,
-		}))
+	benches := append(o.benches(), workload.ResidentMiss)
 	ipc, err := o.sweep("sb", cols, benches, machines)
 	if err != nil {
 		return nil, err
@@ -173,21 +168,23 @@ func Fig4(o Options) ([]*stats.Table, error) {
 // the fraction of all followed predictions for which the correct value was
 // nonetheless in the predictor and over threshold.
 func Fig5(o Options) ([]*stats.Table, error) {
-	cfg := core.MTVP(8, config.PredWangFranklin, config.SelILPPred)
+	benches := o.benches()
+	cells, err := o.grid("fig5", []string{"mtvp8-wf"}, benches,
+		[]config.Config{core.MTVP(8, config.PredWangFranklin, config.SelILPPred)})
+	if err != nil {
+		return nil, err
+	}
 	var tables []*stats.Table
 	for _, suite := range []workload.Suite{workload.INT, workload.FP} {
 		t := &stats.Table{
 			Title:   fmt.Sprintf("Figure 5: wrong primary, correct value present and over threshold — %s", suite),
 			Columns: []string{"fraction"},
 		}
-		for _, b := range o.benches() {
+		for bi, b := range benches {
 			if b.Suite != suite {
 				continue
 			}
-			st, err := o.run(b, "mtvp8-wf", cfg)
-			if err != nil {
-				return nil, err
-			}
+			st := &cells[bi][0].Stats
 			frac := 0.0
 			if st.VPPredicted > 0 {
 				frac = float64(st.VPWrongButPresent) / float64(st.VPPredicted)

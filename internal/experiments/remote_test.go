@@ -12,10 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"mtvp/internal/config"
 	"mtvp/internal/core"
 	"mtvp/internal/fabric"
 	"mtvp/internal/fabric/chaos"
+	"mtvp/internal/harness"
 	"mtvp/internal/workload"
 )
 
@@ -197,7 +197,7 @@ func TestRemoteSweepSurvivesLossyWire(t *testing.T) {
 // simulator stopping and returning an error at the next observer poll).
 func TestRunSpecCancellation(t *testing.T) {
 	o := fabricOpts()
-	spec := o.jobSpecs("cancel", []string{"base"}, o.Benchmarks[:1], []config.Config{core.Baseline()})[0]
+	spec := o.spec("cancel/mcf/base", o.Benchmarks[0], "base", core.Baseline())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := RunSpec(ctx, spec, nil); err == nil {
@@ -208,7 +208,7 @@ func TestRunSpecCancellation(t *testing.T) {
 // RunSpec output must be exactly the journal-form cellResult JSON.
 func TestRunSpecResultShape(t *testing.T) {
 	o := fabricOpts()
-	spec := o.jobSpecs("shape", []string{"base"}, o.Benchmarks[:1], []config.Config{core.Baseline()})[0]
+	spec := o.spec("shape/mcf/base", o.Benchmarks[0], "base", core.Baseline())
 	var beats int
 	raw, err := RunSpec(context.Background(), spec, func(cy, co uint64) { beats++ })
 	if err != nil {
@@ -223,5 +223,49 @@ func TestRunSpecResultShape(t *testing.T) {
 	}
 	if beats == 0 {
 		t.Error("RunSpec never reported progress")
+	}
+}
+
+// TestRemoteReportMatchesLocal runs the whole report through an in-process
+// fabric: every campaign, Figure 5, the sharing study and the fault
+// campaign included, must go to the coordinator. The report must equal the
+// local one byte for byte (bar its wall-clock footer), and the coordinator
+// must have completed every cell the local run counted.
+func TestRemoteReportMatchesLocal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment locally and across a fleet")
+	}
+	opts := func() Options {
+		o := fabricOpts()
+		o.Insts = tinyOpts().Insts
+		o.Summary = &harness.Summary{}
+		return o
+	}
+
+	lo := opts()
+	var local strings.Builder
+	if err := GenerateReport(lo, &local); err != nil {
+		t.Fatal(err)
+	}
+
+	co, url, _ := startFabric(t, 2, fabric.CoordinatorConfig{
+		LeaseTTL: 2 * time.Second, Retries: 5,
+	})
+	ro := opts()
+	ro.Coordinator, ro.Token = url, "test-token"
+	var remote strings.Builder
+	if err := GenerateReport(ro, &remote); err != nil {
+		t.Fatal(err)
+	}
+	if l, r := normalizeReport(t, local.String()), normalizeReport(t, remote.String()); l != r {
+		t.Errorf("remote report differs from local:\n--- local ---\n%s--- remote ---\n%s", l, r)
+	}
+
+	done := 0
+	for _, st := range co.List() {
+		done += st.Done
+	}
+	if done != lo.Summary.Total {
+		t.Errorf("coordinator completed %d cells; the local report ran %d", done, lo.Summary.Total)
 	}
 }

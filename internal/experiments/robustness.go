@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
 	"mtvp/internal/config"
 	"mtvp/internal/core"
+	"mtvp/internal/fabric"
 	"mtvp/internal/fault"
-	"mtvp/internal/harness"
-	"mtvp/internal/oracle"
 	"mtvp/internal/stats"
 	"mtvp/internal/workload"
 )
@@ -52,133 +49,32 @@ func campaignMachines(contexts int) []struct {
 	}
 }
 
-// campaignCell is one checked run's journaled outcome: either finished
-// oracle-clean with the recovery counters it accumulated, or aborted with a
-// structured fault report (whose counters are carried over).
-type campaignCell struct {
-	Abort    bool   `json:"abort"`
-	Injected uint64 `json:"injected"`
-	Breaks   uint64 `json:"breaks"`
-	Unsticks uint64 `json:"unsticks"`
-	Degrade  uint64 `json:"degrade"`
-	Restore  uint64 `json:"restore"`
-	Qclamp   uint64 `json:"qclamp"`
-	Qdisable uint64 `json:"qdisable"`
-	// Stats is the clean run's full statistics snapshot (zero on aborts;
-	// journals written before this field existed unmarshal it as zero too).
-	Stats stats.Stats `json:"stats,omitempty"`
-}
-
-// campaignOutcome is the aggregate of one profile row across all of its
-// checked runs.
-type campaignOutcome struct {
-	injected uint64
-	breaks   uint64
-	unsticks uint64
-	degrade  uint64
-	restore  uint64
-	qclamp   uint64
-	qdisable uint64
-	clean    int
-	aborts   int
-}
-
-func (a *campaignOutcome) add(c campaignCell) {
-	a.injected += c.Injected
-	a.breaks += c.Breaks
-	a.unsticks += c.Unsticks
-	a.degrade += c.Degrade
-	a.restore += c.Restore
-	a.qclamp += c.Qclamp
-	a.qdisable += c.Qdisable
-	if c.Abort {
-		a.aborts++
-	} else {
-		a.clean++
-	}
-}
-
 // FaultCampaign runs every built-in fault profile against the baseline,
 // STVP, and MTVP machines with the lockstep oracle checker armed, as one
-// supervised harness campaign, and reports the robustness contract's
-// observables: faults injected, recovery interventions (deadlock breaks,
-// queue unsticks, degradations, restorations, quarantine actions), and
-// whether each run finished oracle-clean or aborted with a structured fault
+// supervised campaign, and reports the robustness contract's observables:
+// faults injected, recovery interventions (deadlock breaks, queue
+// unsticks, degradations, restorations, quarantine actions), and whether
+// each run finished oracle-clean or aborted with a structured fault
 // report. Any other outcome — a divergence (wrong committed value), a hang
-// (the harness deadline and stall watchdog guard those), or an unstructured
-// error — fails its cell; divergences are marked permanent so the harness
-// does not waste retries reproducing a deterministic wrong value.
+// (the harness deadline and stall watchdog guard those), or an
+// unstructured error — fails its cell (runCell holds the rule).
 func FaultCampaign(o Options) ([]*stats.Table, error) {
 	profiles := fault.Profiles()
 	benches := campaignBenches(o)
 	machines := campaignMachines(4)
 
-	var jobs []harness.Job[campaignCell]
+	var specs []fabric.JobSpec
 	for _, p := range profiles {
 		for _, m := range machines {
 			for bi, b := range benches {
-				p, m, b, bi := p, m, b, bi
-				jobs = append(jobs, harness.Job[campaignCell]{
-					Key:  fmt.Sprintf("robust/%s/%s/%s", p.Name, m.name, b.Name),
-					Seed: o.FaultSeed + uint64(bi) + 1,
-					Run: func(ctx context.Context, hb *harness.Heartbeat) (campaignCell, error) {
-						cfg := o.apply(m.cfg)
-						cfg = core.WithFaults(cfg, p.Name, o.FaultSeed+uint64(bi)+1)
-						cfg = core.Hardened(cfg)
-						cfg.Check = true
-						cfg = o.supervised(ctx, hb, cfg)
-						prog, image := b.Build(o.Seed)
-						res, err := core.Run(cfg, prog, image)
-						var rep *fault.Report
-						switch {
-						case err == nil:
-							s := &res.Stats
-							return campaignCell{
-								Injected: s.FaultsInjected,
-								Breaks:   s.DeadlockBreaks,
-								Unsticks: s.RecoveryUnsticks,
-								Degrade:  s.Degradations,
-								Restore:  s.Restorations,
-								Qclamp:   s.QuarantineClamps,
-								Qdisable: s.QuarantineDisables,
-								Stats:    *s,
-							}, nil
-						case errors.As(err, &rep):
-							// Structured abort: the machine gave up cleanly.
-							// The report carries the counters the run
-							// accumulated.
-							c := campaignCell{
-								Abort:   true,
-								Breaks:  rep.Breaks,
-								Degrade: rep.Degradations,
-							}
-							for _, n := range rep.Injected {
-								c.Injected += n
-							}
-							return c, nil
-						case oracle.IsDivergence(err):
-							// Deterministic: retrying reproduces it exactly.
-							return campaignCell{}, harness.Permanent(fmt.Errorf(
-								"fault campaign: profile %s on %s/%s committed a wrong value: %w",
-								p.Name, m.name, b.Name, err))
-						default:
-							return campaignCell{}, fmt.Errorf("fault campaign: profile %s on %s/%s: %w",
-								p.Name, m.name, b.Name, err)
-						}
-					},
-				})
+				s := o.spec(fmt.Sprintf("%s/%s/%s/%s", faultCampaign, p.Name, m.name, b.Name), b, m.name, m.cfg)
+				s.Config = core.Hardened(core.WithFaults(s.Config, p.Name, o.FaultSeed+uint64(bi)+1))
+				s.Config.Check = true
+				specs = append(specs, s)
 			}
 		}
 	}
-
-	camp, err := harness.Run(context.Background(), o.harnessConfig("robust"), jobs)
-	if camp != nil {
-		for _, r := range camp.Results {
-			camp.Summary.SimCycles += r.Stats.Cycles
-			camp.Summary.SimInsts += r.Stats.Committed
-		}
-		o.mergeSummary(camp.Summary)
-	}
+	res, err := o.runCampaign(faultCampaign, benches, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -190,18 +86,29 @@ func FaultCampaign(o Options) ([]*stats.Table, error) {
 			"qclamp", "qdisable", "clean", "abort"},
 	}
 	// Rows aggregate per profile in job-key order, never completion order.
-	for _, p := range profiles {
-		var agg campaignOutcome
-		for _, m := range machines {
-			for _, b := range benches {
-				agg.add(camp.Results[fmt.Sprintf("robust/%s/%s/%s", p.Name, m.name, b.Name)])
+	per := len(machines) * len(benches)
+	for pi, p := range profiles {
+		var a stats.Stats
+		var clean, aborts float64
+		for _, c := range res[pi*per : (pi+1)*per] {
+			a.FaultsInjected += c.Stats.FaultsInjected
+			a.DeadlockBreaks += c.Stats.DeadlockBreaks
+			a.RecoveryUnsticks += c.Stats.RecoveryUnsticks
+			a.Degradations += c.Stats.Degradations
+			a.Restorations += c.Stats.Restorations
+			a.QuarantineClamps += c.Stats.QuarantineClamps
+			a.QuarantineDisables += c.Stats.QuarantineDisables
+			if c.Abort {
+				aborts++
+			} else {
+				clean++
 			}
 		}
 		t.Add(p.Name,
-			float64(agg.injected), float64(agg.breaks), float64(agg.unsticks),
-			float64(agg.degrade), float64(agg.restore),
-			float64(agg.qclamp), float64(agg.qdisable),
-			float64(agg.clean), float64(agg.aborts))
+			float64(a.FaultsInjected), float64(a.DeadlockBreaks), float64(a.RecoveryUnsticks),
+			float64(a.Degradations), float64(a.Restorations),
+			float64(a.QuarantineClamps), float64(a.QuarantineDisables),
+			clean, aborts)
 	}
 	t.SortRows()
 	return []*stats.Table{t}, nil

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"mtvp/internal/config"
 	"mtvp/internal/core"
-	"mtvp/internal/harness"
 	"mtvp/internal/stats"
 )
 
@@ -50,61 +48,27 @@ func sharingModeTag(m config.SharingMode) string {
 func SharingStudy(o Options) ([]*stats.Table, error) {
 	benches := o.benches()
 
-	type cell struct {
-		label string
-		cfg   config.Config
-	}
-	cells := []cell{{label: "base", cfg: core.Baseline()}}
+	labels := []string{"base"}
+	cfgs := []config.Config{core.Baseline()}
 	for _, p := range sharingPreds {
 		for _, m := range sharingModes {
 			for _, c := range sharingCtxs {
-				cells = append(cells, cell{
-					label: fmt.Sprintf("%s-%s%d", p, sharingModeTag(m), c),
-					cfg:   core.MTVPSharing(c, p, m),
-				})
+				labels = append(labels, fmt.Sprintf("%s-%s%d", p, sharingModeTag(m), c))
+				cfgs = append(cfgs, core.MTVPSharing(c, p, m))
 			}
 		}
 	}
-
-	jobs := make([]harness.Job[cellResult], 0, len(benches)*len(cells))
-	for _, b := range benches {
-		for _, cl := range cells {
-			b, cl := b, cl
-			jobs = append(jobs, harness.Job[cellResult]{
-				Key:  fmt.Sprintf("sharing/%s/%s", b.Name, cl.label),
-				Seed: o.Seed,
-				Run: func(ctx context.Context, hb *harness.Heartbeat) (cellResult, error) {
-					st, err := o.runCtx(ctx, hb, b, cl.label, cl.cfg)
-					if err != nil {
-						return cellResult{}, err
-					}
-					return cellResult{IPC: st.UsefulIPC(), Stats: *st}, nil
-				},
-			})
-		}
-	}
-
-	camp, err := harness.Run(context.Background(), o.harnessConfig("sharing"), jobs)
-	if camp != nil {
-		for _, r := range camp.Results {
-			camp.Summary.SimCycles += r.Stats.Cycles
-			camp.Summary.SimInsts += r.Stats.Committed
-		}
-		o.mergeSummary(camp.Summary)
-	}
+	cells, err := o.grid("sharing", labels, benches, cfgs)
 	if err != nil {
 		return nil, err
 	}
 
-	// Assemble in job-key order: ipc[bench][cell] plus per-cell interference
-	// sums across the suite.
+	// ipc[bench][cell] plus per-cell interference sums across the suite.
 	ipc := make([][]float64, len(benches))
-	agg := make([]stats.Stats, len(cells))
-	idx := 0
-	for bi := range benches {
-		ipc[bi] = make([]float64, len(cells))
-		for ci := range cells {
-			r := camp.Results[jobs[idx].Key]
+	agg := make([]stats.Stats, len(cfgs))
+	for bi, row := range cells {
+		ipc[bi] = make([]float64, len(row))
+		for ci, r := range row {
 			ipc[bi][ci] = r.IPC
 			a := &agg[ci]
 			a.VPCrossLookups += r.Stats.VPCrossLookups
@@ -112,10 +76,9 @@ func SharingStudy(o Options) ([]*stats.Table, error) {
 			a.VPShareHarmful += r.Stats.VPShareHarmful
 			a.VPCrossTrains += r.Stats.VPCrossTrains
 			a.VPCrossEvictions += r.Stats.VPCrossEvictions
-			idx++
 		}
 	}
-	// Cell index of (pred pi, mode mi, ctx ci); cells[0] is the baseline.
+	// Cell index of (pred pi, mode mi, ctx ci); cell 0 is the baseline.
 	cellAt := func(pi, mi, ci int) int {
 		return 1 + pi*len(sharingModes)*len(sharingCtxs) + mi*len(sharingCtxs) + ci
 	}

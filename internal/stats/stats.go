@@ -82,19 +82,6 @@ type Stats struct {
 	QuarantineSuppressed uint64 // predictions suppressed by an active quarantine
 	Degradations         uint64 // ladder steps down (MTVP->STVP->none)
 	Restorations         uint64 // ladder steps back up after cool-down
-
-	// Campaign harness (internal/harness). Unlike every counter above these
-	// aggregate over a whole campaign of runs, not one simulation: sweeps
-	// merge their harness.Summary into a Stats so campaign health rides the
-	// same reporting path as machine counters.
-	HarnessCompleted uint64 // sweep cells that finished and were journaled
-	HarnessSkipped   uint64 // cells skipped on resume (journaled result reused)
-	HarnessRetried   uint64 // cells that needed at least one retry
-	HarnessRetries   uint64 // retry attempts beyond each cell's first
-	HarnessFailed    uint64 // cells that exhausted their retry budget
-	HarnessPanics    uint64 // worker panics captured as JobFailure records
-	HarnessTimeouts  uint64 // attempts canceled by the wall-clock deadline
-	HarnessStalls    uint64 // attempts canceled by the progress watchdog
 }
 
 // UsefulIPC returns committed useful instructions per cycle.
@@ -154,9 +141,6 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "ipc=%.4f brAcc=%.3f", s.UsefulIPC(), s.BranchAccuracy())
 	if s.VPCorrect+s.VPWrong > 0 {
 		fmt.Fprintf(&b, " vpAcc=%.3f", s.VPAccuracy())
-	}
-	if s.HarnessCompleted > 0 || s.HarnessFailed > 0 || s.HarnessSkipped > 0 {
-		fmt.Fprintf(&b, " cells=%d", s.HarnessCompleted)
 	}
 	for _, c := range s.Counters() {
 		if c.Value != 0 {

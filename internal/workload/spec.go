@@ -203,3 +203,14 @@ func init() {
 		JumpEvery: 256, JumpBytes: 2048, BodyOps: 30, FP: true, Iters: iters,
 	}))
 }
+
+// ResidentMiss is the §5.3 store-buffer kernel: long cache-resident
+// stretches (many stores) between predictable long-latency loads, where
+// the per-context store buffer genuinely binds. It is not a SPEC stand-in,
+// so All does not list it; ByName finds it, so a remote worker can run the
+// store-buffer sweep's cells on it.
+var ResidentMiss = Blocked("resident+miss", INT, BlockedParams{
+	WorkingSet: 16 << 10, MulChain: 1,
+	SideTableLen: 1 << 20, SideEvery: 96, SideDominant: 96,
+	Iters: 1 << 20,
+})

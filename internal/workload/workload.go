@@ -83,12 +83,15 @@ func BySuite(s Suite) []Benchmark {
 	return out
 }
 
-// ByName returns the named benchmark.
+// ByName returns the named benchmark: a SPEC stand-in or ResidentMiss.
 func ByName(name string) (Benchmark, error) {
 	for _, b := range registry {
 		if b.Name == name {
 			return b, nil
 		}
+	}
+	if name == ResidentMiss.Name {
+		return ResidentMiss, nil
 	}
 	return Benchmark{}, fmt.Errorf("workload: unknown benchmark %q", name)
 }
