@@ -117,7 +117,7 @@ func main() {
 	opt.Retries = *retries
 	opt.Journal = *journal
 	opt.HandleSignals = true
-	opt.Summary = &harness.Summary{}
+	opt.Summary = &harness.Summary{Name: *exp}
 	opt.Coordinator = *coord
 	opt.Token = *token
 	if *resume != "" {

@@ -61,7 +61,7 @@ func main() {
 	opt.Retries = *retries
 	opt.Journal = *journal
 	opt.HandleSignals = true
-	opt.Summary = &harness.Summary{}
+	opt.Summary = &harness.Summary{Name: "report"}
 	opt.Coordinator = *coord
 	opt.Token = *token
 	if *resume != "" {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"mtvp/internal/config"
 	"mtvp/internal/fault"
 	"mtvp/internal/oracle"
 )
@@ -57,6 +58,22 @@ func TestRunBadInputs(t *testing.T) {
 		var out, errw bytes.Buffer
 		if code := run(args, &out, &errw); code != exitErr {
 			t.Errorf("run(%v) exited %d, want %d", args, code, exitErr)
+		}
+	}
+}
+
+// TestRunRemovedPredictorRejected: the predictors no experiment ran are
+// gone from -vpred, and naming one lists the valid choices.
+func TestRunRemovedPredictorRejected(t *testing.T) {
+	for _, name := range []string{"fcm3", "fcm", "lastvalue", "stride"} {
+		var out, errw bytes.Buffer
+		if code := run([]string{"-vpred", name}, &out, &errw); code != exitErr {
+			t.Fatalf("-vpred %s exited %d, want %d", name, code, exitErr)
+		}
+		for _, valid := range config.PredictorNames() {
+			if !strings.Contains(errw.String(), valid) {
+				t.Errorf("-vpred %s error %q does not list %q", name, errw.String(), valid)
+			}
 		}
 	}
 }

@@ -74,9 +74,6 @@ const (
 	PredOracle PredictorKind = iota // always-correct (limit study)
 	PredWangFranklin
 	PredDFCM
-	PredFCM
-	PredLastValue
-	PredStride
 	// PredVPQStride is a retire-trained stride predictor with an explicit
 	// value prediction queue tracking in-flight instances (721sim style).
 	PredVPQStride
@@ -171,28 +168,22 @@ func (p FetchPolicy) String() string {
 	return "sfp"
 }
 
+// The predictor parameter structs below hold only table sizes (which
+// partitioned banks scale per context) and the equality predictor's decay
+// period. Confidence counters and thresholds are constants in
+// internal/vpred, beside the predictor that reads them.
+
 // WangFranklinParams sizes the hybrid Wang–Franklin predictor (§5.4).
 type WangFranklinParams struct {
 	VHTEntries    int // value history table (4K)
 	ValPHTEntries int // value pattern history table (32K)
-	LearnedValues int // learned value slots per VHT entry (5)
-	HistLen       int // pattern history length in outcomes
-	ConfMax       int // saturating confidence ceiling (32)
-	ConfInc       int // increment on correct prediction (1)
-	ConfDec       int // decrement on incorrect prediction (8)
-	Threshold     int // minimum confidence to predict (12)
 }
 
 // DFCMParams sizes the order-3 differential FCM predictor with Burtscher's
 // improved index function.
 type DFCMParams struct {
-	Order     int
 	L1Entries int
 	L2Entries int
-	ConfMax   int
-	ConfInc   int
-	ConfDec   int
-	Threshold int
 }
 
 // VPQStrideParams sizes the retire-trained stride predictor with an explicit
@@ -200,10 +191,6 @@ type DFCMParams struct {
 type VPQStrideParams struct {
 	TableEntries int // direct-mapped, PC-tagged SVP table entries
 	QueueEntries int // VPQ capacity (phase-bit ring)
-	ConfMax      int // saturating confidence ceiling
-	ConfInc      int // increment when the trained stride repeats
-	ConfDec      int // decrement when the stride breaks
-	Threshold    int // minimum confidence to predict
 }
 
 // EqualityParams sizes the equality/last-committed-value predictor
@@ -211,9 +198,7 @@ type VPQStrideParams struct {
 // with periodic decay.
 type EqualityParams struct {
 	TableEntries int    // direct-mapped, PC-tagged LCV + counter entries
-	CounterMax   int    // per-direction saturating counter ceiling
 	DecayPeriod  uint64 // trainings between whole-table decay sweeps
-	Threshold    int    // minimum eq counter to predict "equal"
 }
 
 // VPParams configures value prediction and the MTVP machinery.
@@ -443,25 +428,14 @@ func DefaultWF() WangFranklinParams {
 	return WangFranklinParams{
 		VHTEntries:    4096,
 		ValPHTEntries: 32768,
-		LearnedValues: 5,
-		HistLen:       6,
-		ConfMax:       32,
-		ConfInc:       1,
-		ConfDec:       8,
-		Threshold:     12,
 	}
 }
 
 // DefaultDFCM returns the order-3 DFCM sizing comparable to the WF tables.
 func DefaultDFCM() DFCMParams {
 	return DFCMParams{
-		Order:     3,
 		L1Entries: 4096,
 		L2Entries: 32768,
-		ConfMax:   32,
-		ConfInc:   1,
-		ConfDec:   4, // more aggressive than WF, as the paper observes
-		Threshold: 8,
 	}
 }
 
@@ -472,21 +446,15 @@ func DefaultVPQStride() VPQStrideParams {
 	return VPQStrideParams{
 		TableEntries: 4096,
 		QueueEntries: 256,
-		ConfMax:      32,
-		ConfInc:      1,
-		ConfDec:      8,
-		Threshold:    12,
 	}
 }
 
-// DefaultEquality returns the equality/LCV predictor sizing: 3-bit dueling
-// counters as in the exemplar design, decayed every 8K trainings.
+// DefaultEquality returns the equality/LCV predictor sizing: a 4K-entry
+// table whose dueling counters decay every 8K trainings.
 func DefaultEquality() EqualityParams {
 	return EqualityParams{
 		TableEntries: 4096,
-		CounterMax:   7,
 		DecayPeriod:  8192,
-		Threshold:    5,
 	}
 }
 
@@ -603,7 +571,7 @@ type tableSize struct {
 }
 
 // tableSizes lists the entry counts of the branch predictor, the enabled
-// prefetcher and the selected Wang–Franklin or (D)FCM value predictor. The
+// prefetcher and the selected Wang–Franklin or DFCM value predictor. The
 // VPQ-stride and equality/LCV sizes are checked with their other knobs in
 // Validate.
 func (c *Config) tableSizes() []tableSize {
@@ -622,7 +590,7 @@ func (c *Config) tableSizes() []tableSize {
 		ts = append(ts,
 			tableSize{"VP.WF.VHTEntries", c.VP.WF.VHTEntries},
 			tableSize{"VP.WF.ValPHTEntries", c.VP.WF.ValPHTEntries})
-	case PredDFCM, PredFCM:
+	case PredDFCM:
 		ts = append(ts,
 			tableSize{"VP.DFCM.L1Entries", c.VP.DFCM.L1Entries},
 			tableSize{"VP.DFCM.L2Entries", c.VP.DFCM.L2Entries})

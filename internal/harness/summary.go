@@ -40,14 +40,12 @@ type Summary struct {
 	Failures []JobFailure
 }
 
-// Merge folds another campaign's summary into s (wall times add — sweeps
-// within an experiment run back to back).
+// Merge folds another campaign's counters into s (wall times add — sweeps
+// within an experiment run back to back). The name stays s's own: a merged
+// summary covers every campaign folded in, not the first.
 func (s *Summary) Merge(o *Summary) {
 	if o == nil {
 		return
-	}
-	if s.Name == "" {
-		s.Name = o.Name
 	}
 	s.Total += o.Total
 	s.Completed += o.Completed

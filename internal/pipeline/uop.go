@@ -70,9 +70,8 @@ type uop struct {
 	dispatchCycle int64
 	doneCycle     int64
 
-	pendingSrcs int
-	prods       []uopRef // producers this uop waited on (for reissue)
-	consumers   []uopRef // uops that depend on this one's result
+	prods     []uopRef // producers this uop waited on (for reissue)
+	consumers []uopRef // uops that depend on this one's result
 
 	// Memory.
 	fwdFrom  uopRef // store this load forwards from (zero = cache access)

@@ -10,8 +10,8 @@ import (
 // registered predictor at its default sizing, plus the bank organisations
 // on the VPQ stride predictor (four contexts). The op stream is the mixed
 // stride/noise/repeat stream the property suite uses, pre-generated outside
-// the timer; ns/op is one lookup plus one train. The ci perf job diffs
-// these against the committed BENCH_5.json baseline with benchstat.
+// the timer; ns/op is one lookup plus one train. CI runs it for
+// information only; nothing compares its figures against a baseline.
 func BenchmarkPredictorZoo(b *testing.B) {
 	stream := loadStream(3, 1<<16)
 	mask := len(stream) - 1

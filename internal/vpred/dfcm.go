@@ -5,14 +5,23 @@ import (
 	"mtvp/internal/table"
 )
 
-// DFCM is an order-N differential finite context method predictor with
+// DFCM tuning. The −4 decrement and threshold of 8 make it more aggressive
+// than Wang–Franklin's −8 and 12, as the paper observes.
+const (
+	dfcmOrder     = 3
+	dfcmConfMax   = 32
+	dfcmConfInc   = 1
+	dfcmConfDec   = 4
+	dfcmThreshold = 8
+)
+
+// DFCM is an order-3 differential finite context method predictor with
 // Burtscher's improved index function: the level-1 table, indexed by PC,
 // holds the last value and the recent stride history; the level-2 table,
 // indexed by a hash of the stride history, holds the predicted next stride
 // and a confidence counter. The paper (§5.4) finds it more aggressive than
 // Wang–Franklin — more correct predictions but also more mispredictions.
 type DFCM struct {
-	p  config.DFCMParams
 	l1 table.Paged[dfcmL1]
 	l2 table.Paged[dfcmL2]
 }
@@ -29,10 +38,9 @@ type dfcmL2 struct {
 	conf  int
 }
 
-// NewDFCM builds an order-p.Order DFCM predictor.
+// NewDFCM builds the predictor from its configured table sizes.
 func NewDFCM(p config.DFCMParams) *DFCM {
 	return &DFCM{
-		p:  p,
 		l1: table.New[dfcmL1](p.L1Entries),
 		l2: table.New[dfcmL2](p.L2Entries),
 	}
@@ -62,7 +70,7 @@ func (d *DFCM) index(e *dfcmL1) uint64 {
 // Lookup implements Predictor. The actual value is ignored.
 func (d *DFCM) Lookup(pc, _ uint64) Prediction {
 	e := d.l1.Peek(d.l1Index(pc))
-	if e == nil || !e.valid || e.pc != pc || len(e.deltas) < d.p.Order {
+	if e == nil || !e.valid || e.pc != pc || len(e.deltas) < dfcmOrder {
 		return Prediction{}
 	}
 	var l2 dfcmL2 // a never-trained context predicts stride 0, conf 0
@@ -73,7 +81,7 @@ func (d *DFCM) Lookup(pc, _ uint64) Prediction {
 		Valid:     true,
 		Value:     uint64(int64(e.last) + l2.delta),
 		Conf:      l2.conf,
-		Confident: l2.conf >= d.p.Threshold,
+		Confident: l2.conf >= dfcmThreshold,
 	}
 }
 
@@ -81,18 +89,18 @@ func (d *DFCM) Lookup(pc, _ uint64) Prediction {
 func (d *DFCM) Train(pc, actual uint64) {
 	e := d.l1.At(d.l1Index(pc))
 	if !e.valid || e.pc != pc {
-		*e = dfcmL1{pc: pc, last: actual, valid: true, deltas: make([]int64, 0, d.p.Order)}
+		*e = dfcmL1{pc: pc, last: actual, valid: true, deltas: make([]int64, 0, dfcmOrder)}
 		return
 	}
 	delta := int64(actual) - int64(e.last)
-	if len(e.deltas) >= d.p.Order {
+	if len(e.deltas) >= dfcmOrder {
 		l2 := d.l2.At(int(d.index(e)))
 		if l2.delta == delta {
-			if l2.conf < d.p.ConfMax {
-				l2.conf += d.p.ConfInc
+			if l2.conf < dfcmConfMax {
+				l2.conf += dfcmConfInc
 			}
 		} else {
-			l2.conf -= d.p.ConfDec
+			l2.conf -= dfcmConfDec
 			if l2.conf <= 0 {
 				l2.delta = delta
 				l2.conf = 1
@@ -100,7 +108,7 @@ func (d *DFCM) Train(pc, actual uint64) {
 		}
 	}
 	// Shift the new stride into the history (most recent first).
-	if len(e.deltas) < d.p.Order {
+	if len(e.deltas) < dfcmOrder {
 		e.deltas = append(e.deltas, 0)
 	}
 	copy(e.deltas[1:], e.deltas)

@@ -5,6 +5,12 @@ import (
 	"mtvp/internal/table"
 )
 
+// Equality/LCV tuning: 3-bit dueling counters as in the exemplar design.
+const (
+	eqCounterMax = 7
+	eqThreshold  = 5
+)
+
 // eqEntry is one equality predictor entry: the last committed value for the
 // PC and a pair of dueling saturating counters voting "next value equals the
 // last committed one" (eq) versus "it does not" (neq).
@@ -23,16 +29,16 @@ type eqEntry struct {
 //
 // A prediction is confident only when the entry votes "equal" with high
 // confidence in the exemplar's three-level scheme — eq strictly above
-// 2*neq+1 — and the eq counter has reached the configured threshold.
+// 2*neq+1 — and the eq counter has reached eqThreshold.
 type EqualityLCV struct {
-	p      config.EqualityParams
-	table  table.Paged[eqEntry]
-	trains uint64 // total trainings, for the deterministic decay period
+	decayPeriod uint64
+	table       table.Paged[eqEntry]
+	trains      uint64 // total trainings, for the deterministic decay period
 }
 
 // NewEqualityLCV builds the predictor from its configured sizing.
 func NewEqualityLCV(p config.EqualityParams) *EqualityLCV {
-	return &EqualityLCV{p: p, table: table.New[eqEntry](p.TableEntries)}
+	return &EqualityLCV{decayPeriod: p.DecayPeriod, table: table.New[eqEntry](p.TableEntries)}
 }
 
 func (q *EqualityLCV) index(pc uint64) int {
@@ -54,7 +60,7 @@ func (q *EqualityLCV) Lookup(pc, _ uint64) Prediction {
 		Valid:     true,
 		Value:     e.value,
 		Conf:      e.eq,
-		Confident: highEq(e) && e.eq >= q.p.Threshold,
+		Confident: highEq(e) && e.eq >= eqThreshold,
 	}
 }
 
@@ -66,13 +72,13 @@ func (q *EqualityLCV) Train(pc, actual uint64) {
 		*e = eqEntry{pc: pc, value: actual, valid: true}
 	} else {
 		if e.value == actual {
-			if e.eq < q.p.CounterMax {
+			if e.eq < eqCounterMax {
 				e.eq++
 			} else if e.neq > 0 {
 				e.neq--
 			}
 		} else {
-			if e.neq < q.p.CounterMax {
+			if e.neq < eqCounterMax {
 				e.neq++
 			} else if e.eq > 0 {
 				e.eq--
@@ -81,7 +87,7 @@ func (q *EqualityLCV) Train(pc, actual uint64) {
 		}
 	}
 	q.trains++
-	if q.trains%q.p.DecayPeriod == 0 {
+	if q.trains%q.decayPeriod == 0 {
 		q.decay()
 	}
 }

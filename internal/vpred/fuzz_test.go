@@ -66,8 +66,8 @@ func FuzzVPQStridePredictor(f *testing.F) {
 				if !reflect.DeepEqual(pa, pb) {
 					t.Fatalf("op %d: twins diverge: %+v vs %+v", i, pa, pb)
 				}
-				if pa.Conf < 0 || pa.Conf > p.ConfMax {
-					t.Fatalf("op %d: confidence %d outside [0,%d]", i, pa.Conf, p.ConfMax)
+				if pa.Conf < 0 || pa.Conf > vpqConfMax {
+					t.Fatalf("op %d: confidence %d outside [0,%d]", i, pa.Conf, vpqConfMax)
 				}
 			}
 			if doTrain {
@@ -121,9 +121,9 @@ func FuzzEqualityLCVPredictor(f *testing.F) {
 			a.table.EachPage(func(page []eqEntry) {
 				for j := range page {
 					e := &page[j]
-					if e.eq < 0 || e.eq > p.CounterMax || e.neq < 0 || e.neq > p.CounterMax {
+					if e.eq < 0 || e.eq > eqCounterMax || e.neq < 0 || e.neq > eqCounterMax {
 						t.Fatalf("op %d: entry %d counters (%d,%d) outside [0,%d]",
-							i, j, e.eq, e.neq, p.CounterMax)
+							i, j, e.eq, e.neq, eqCounterMax)
 					}
 				}
 			})

@@ -94,8 +94,7 @@ func TestVPQOrphanReclaim(t *testing.T) {
 // TestVPQStrideHysteresis: a confident stride survives transient breaks —
 // the new stride is adopted only once confidence is fully drained.
 func TestVPQStrideHysteresis(t *testing.T) {
-	p := config.DefaultVPQStride()
-	vq := NewVPQStride(p)
+	vq := NewVPQStride(config.DefaultVPQStride())
 	const pc = 0x700
 	last := trainStride(vq, pc, 0, 8, 40) // conf saturated at ConfMax
 
@@ -106,7 +105,7 @@ func TestVPQStrideHysteresis(t *testing.T) {
 	}
 	// Keep breaking until confidence is exhausted: then the stride flips.
 	cur := last + 1000
-	for i := 0; i < p.ConfMax/p.ConfDec+2; i++ {
+	for i := 0; i < vpqConfMax/vpqConfDec+2; i++ {
 		cur += 1000
 		vq.Train(pc, cur)
 	}
@@ -120,17 +119,16 @@ func TestVPQStrideHysteresis(t *testing.T) {
 // values push neq up, and confidence requires eq > 2*neq+1 — one lucky
 // repeat among churn is not enough to predict.
 func TestEqualityConfidenceScheme(t *testing.T) {
-	p := config.DefaultEquality()
-	q := NewEqualityLCV(p)
+	q := NewEqualityLCV(config.DefaultEquality())
 	const pc, val = 0x800, 42
 
 	// Below threshold: valid but not confident. The first training
 	// allocates the entry with zeroed counters, so eq lags by one.
-	for i := 0; i < p.Threshold; i++ {
+	for i := 0; i < eqThreshold; i++ {
 		q.Train(pc, val)
 	}
 	if pr := q.Lookup(pc, 0); !pr.Valid || pr.Confident {
-		t.Fatalf("after %d equal trainings: %+v, want valid but not yet confident", p.Threshold, pr)
+		t.Fatalf("after %d equal trainings: %+v, want valid but not yet confident", eqThreshold, pr)
 	}
 	q.Train(pc, val)
 	pr := q.Lookup(pc, 0)
@@ -140,14 +138,14 @@ func TestEqualityConfidenceScheme(t *testing.T) {
 
 	// Churn: the LCV follows the committed stream, neq rises, and once
 	// eq <= 2*neq+1 the entry must stop predicting.
-	for i := 0; i < p.CounterMax; i++ {
+	for i := 0; i < eqCounterMax; i++ {
 		q.Train(pc, uint64(100+i))
 	}
 	pr = q.Lookup(pc, 0)
 	if pr.Confident {
 		t.Fatalf("confident after sustained churn: %+v", pr)
 	}
-	if want := uint64(100 + p.CounterMax - 1); pr.Value != want {
+	if want := uint64(100 + eqCounterMax - 1); pr.Value != want {
 		t.Fatalf("LCV = %d after churn, want last committed %d", pr.Value, want)
 	}
 }
@@ -161,7 +159,7 @@ func TestEqualityDecay(t *testing.T) {
 	q := NewEqualityLCV(p)
 	const quiet, busy = 0x900, 0x908
 
-	for i := 0; i < p.CounterMax*2; i++ {
+	for i := 0; i < eqCounterMax*2; i++ {
 		q.Train(quiet, 7)
 	}
 	if pr := q.Lookup(quiet, 0); !pr.Confident {
@@ -171,7 +169,7 @@ func TestEqualityDecay(t *testing.T) {
 
 	// Only the busy PC trains now; every 8th training decays the whole
 	// table, including the quiet entry.
-	for i := 0; i < int(p.DecayPeriod)*p.CounterMax; i++ {
+	for i := 0; i < int(p.DecayPeriod)*eqCounterMax; i++ {
 		q.Train(busy, uint64(i))
 	}
 	e := q.table.Peek(q.index(quiet))
@@ -179,7 +177,7 @@ func TestEqualityDecay(t *testing.T) {
 		t.Fatalf("quiet entry eq %d did not decay from %d", e.eq, eq0)
 	}
 	if pr := q.Lookup(quiet, 0); pr.Confident {
-		t.Fatalf("quiet entry still confident after %d decay sweeps: %+v", p.CounterMax, pr)
+		t.Fatalf("quiet entry still confident after %d decay sweeps: %+v", eqCounterMax, pr)
 	}
 	// Decay converges the duel toward balance, never below zero.
 	if e.eq < 0 || e.neq < 0 {

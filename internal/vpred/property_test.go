@@ -24,13 +24,10 @@ func registeredZoo(t *testing.T) []zooCase {
 	t.Helper()
 	confMax := map[config.PredictorKind]int{
 		config.PredOracle:       1 << 20,
-		config.PredWangFranklin: config.DefaultWF().ConfMax,
-		config.PredDFCM:         config.DefaultDFCM().ConfMax,
-		config.PredFCM:          config.DefaultDFCM().ConfMax,
-		config.PredLastValue:    simpleConfMax,
-		config.PredStride:       simpleConfMax,
-		config.PredVPQStride:    config.DefaultVPQStride().ConfMax,
-		config.PredEqualityLCV:  config.DefaultEquality().CounterMax,
+		config.PredWangFranklin: wfConfMax,
+		config.PredDFCM:         dfcmConfMax,
+		config.PredVPQStride:    vpqConfMax,
+		config.PredEqualityLCV:  eqCounterMax,
 	}
 	var out []zooCase
 	for _, name := range config.PredictorNames() {
@@ -322,13 +319,9 @@ func TestPartitionedFootprintConstant(t *testing.T) {
 // step: counters must saturate at ConfMax and never go negative, under a
 // stream engineered to hammer both the increment and the hard-backoff paths.
 func TestConfidenceBounds(t *testing.T) {
-	wfp := config.DefaultWF()
-	dp := config.DefaultDFCM()
-	wf := NewWangFranklin(wfp, 0)
-	dfcm := NewDFCM(dp)
-	fcm := NewFCM(dp)
-	eqp := config.DefaultEquality()
-	eq := NewEqualityLCV(eqp)
+	wf := NewWangFranklin(config.DefaultWF(), 0)
+	dfcm := NewDFCM(config.DefaultDFCM())
+	eq := NewEqualityLCV(config.DefaultEquality())
 	vq := NewVPQStride(config.DefaultVPQStride())
 
 	// The checks walk the written pages: entries on pages never written
@@ -337,45 +330,31 @@ func TestConfidenceBounds(t *testing.T) {
 		wf.pht.EachPage(func(page []wfPHTEntry) {
 			for i := range page {
 				for s, c := range page[i].conf {
-					if c < 0 || int(c) > wfp.ConfMax {
+					if c < 0 || c > wfConfMax {
 						t.Fatalf("step %d: WF pht slot %d confidence %d outside [0,%d]",
-							step, s, c, wfp.ConfMax)
+							step, s, c, wfConfMax)
 					}
 				}
 			}
 		})
 	}
-	checkL2 := func(step int, name string, confs []int) {
-		for _, c := range confs {
-			if c < 0 || c > dp.ConfMax {
-				t.Fatalf("step %d: %s l2 confidence %d outside [0,%d]",
-					step, name, c, dp.ConfMax)
-			}
-		}
-	}
-	dfcmConfs := func() (cs []int) {
+	checkDFCM := func(step int) {
 		dfcm.l2.EachPage(func(page []dfcmL2) {
 			for i := range page {
-				cs = append(cs, page[i].conf)
+				if c := page[i].conf; c < 0 || c > dfcmConfMax {
+					t.Fatalf("step %d: dfcm l2 confidence %d outside [0,%d]",
+						step, c, dfcmConfMax)
+				}
 			}
 		})
-		return cs
-	}
-	fcmConfs := func() (cs []int) {
-		fcm.l2.EachPage(func(page []fcmL2) {
-			for i := range page {
-				cs = append(cs, page[i].conf)
-			}
-		})
-		return cs
 	}
 	checkEq := func(step int) {
 		eq.table.EachPage(func(page []eqEntry) {
 			for i := range page {
 				e := &page[i]
-				if e.eq < 0 || e.eq > eqp.CounterMax || e.neq < 0 || e.neq > eqp.CounterMax {
+				if e.eq < 0 || e.eq > eqCounterMax || e.neq < 0 || e.neq > eqCounterMax {
 					t.Fatalf("step %d: eqlcv counters (%d,%d) outside [0,%d]",
-						step, e.eq, e.neq, eqp.CounterMax)
+						step, e.eq, e.neq, eqCounterMax)
 				}
 			}
 		})
@@ -383,9 +362,9 @@ func TestConfidenceBounds(t *testing.T) {
 	checkVQ := func(step int) {
 		vq.table.EachPage(func(page []svpEntry) {
 			for i := range page {
-				if c := page[i].conf; c < 0 || c > vq.p.ConfMax {
+				if c := page[i].conf; c < 0 || c > vpqConfMax {
 					t.Fatalf("step %d: vpq svp confidence %d outside [0,%d]",
-						step, c, vq.p.ConfMax)
+						step, c, vpqConfMax)
 				}
 			}
 		})
@@ -397,7 +376,6 @@ func TestConfidenceBounds(t *testing.T) {
 	for i, s := range loadStream(23, 30_000) {
 		wf.Train(s.pc, s.value)
 		dfcm.Train(s.pc, s.value)
-		fcm.Train(s.pc, s.value)
 		eq.Train(s.pc, s.value)
 		vq.Lookup(s.pc, s.value) // VPQ enqueue path needs lookups to fill
 		vq.Train(s.pc, s.value)
@@ -405,8 +383,7 @@ func TestConfidenceBounds(t *testing.T) {
 		// always scan the first steps, where saturation bugs surface.
 		if i < 64 || i%997 == 0 {
 			checkWF(i)
-			checkL2(i, "dfcm", dfcmConfs())
-			checkL2(i, "fcm", fcmConfs())
+			checkDFCM(i)
 			checkEq(i)
 			checkVQ(i)
 		}
@@ -429,9 +406,6 @@ func TestTableAliasingInBounds(t *testing.T) {
 	preds := map[string]Predictor{
 		"wf-tiny":    NewWangFranklin(wfp, 0),
 		"dfcm-tiny":  NewDFCM(dp),
-		"fcm-tiny":   NewFCM(dp),
-		"lv-tiny":    NewLastValue(8, 12, 32),
-		"stride-8":   NewStride(8, 12, 32),
 		"vpq-tiny":   NewVPQStride(vqp),
 		"eqlcv-tiny": NewEqualityLCV(eqp),
 	}
@@ -462,11 +436,6 @@ func TestTableAliasingInBounds(t *testing.T) {
 	e := &dfcmL1{pc: ^uint64(0), deltas: []int64{1 << 62, -(1 << 62), -1}}
 	if idx := dfcm.index(e); idx >= uint64(dfcm.l2.Len()) {
 		t.Fatalf("DFCM l2 index %d out of bounds", idx)
-	}
-	fcm := preds["fcm-tiny"].(*FCM)
-	fe := &fcmL1{pc: 1 << 63, hist: []uint64{^uint64(0), 0, 1 << 62}}
-	if idx := fcm.index(fe); idx >= uint64(fcm.l2.Len()) {
-		t.Fatalf("FCM l2 index %d out of bounds", idx)
 	}
 	vq := preds["vpq-tiny"].(*VPQStride)
 	if occ := vq.occupancy(); occ < 0 || occ > len(vq.queue) {

@@ -183,11 +183,5 @@ func newScaled(cfg *config.Config, div int) Predictor {
 	c.VP.VPQ.TableEntries = scaleDiv(c.VP.VPQ.TableEntries, div)
 	c.VP.VPQ.QueueEntries = scaleDiv(c.VP.VPQ.QueueEntries, div)
 	c.VP.Equality.TableEntries = scaleDiv(c.VP.Equality.TableEntries, div)
-	switch c.VP.Predictor {
-	case config.PredLastValue:
-		return NewLastValue(scaleDiv(simpleTableEntries, div), simpleThreshold, simpleConfMax)
-	case config.PredStride:
-		return NewStride(scaleDiv(simpleTableEntries, div), simpleThreshold, simpleConfMax)
-	}
 	return New(&c)
 }

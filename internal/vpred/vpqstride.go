@@ -5,6 +5,14 @@ import (
 	"mtvp/internal/table"
 )
 
+// VPQ-stride confidence tuning.
+const (
+	vpqConfMax   = 32
+	vpqConfInc   = 1
+	vpqConfDec   = 8
+	vpqThreshold = 12
+)
+
 // svpEntry is one PC-tagged stride value predictor entry: last retired
 // value, stride, and a saturating confidence counter.
 type svpEntry struct {
@@ -36,7 +44,6 @@ type vpqSlot struct {
 // slot — so the queue's contents stay a deterministic function of the
 // lookup/train history.
 type VPQStride struct {
-	p     config.VPQStrideParams
 	table table.Paged[svpEntry]
 	queue []vpqSlot
 
@@ -47,7 +54,6 @@ type VPQStride struct {
 // NewVPQStride builds the predictor from its configured sizing.
 func NewVPQStride(p config.VPQStrideParams) *VPQStride {
 	return &VPQStride{
-		p:     p,
 		table: table.New[svpEntry](p.TableEntries),
 		queue: make([]vpqSlot, p.QueueEntries),
 	}
@@ -143,7 +149,7 @@ func (v *VPQStride) Lookup(pc, _ uint64) Prediction {
 		Valid:     true,
 		Value:     uint64(int64(e.last) + e.stride*int64(n+1)),
 		Conf:      e.conf,
-		Confident: e.conf >= v.p.Threshold,
+		Confident: e.conf >= vpqThreshold,
 	}
 }
 
@@ -158,11 +164,11 @@ func (v *VPQStride) Train(pc, actual uint64) {
 	}
 	stride := int64(actual) - int64(e.last)
 	if stride == e.stride {
-		if e.conf < v.p.ConfMax {
-			e.conf += v.p.ConfInc
+		if e.conf < vpqConfMax {
+			e.conf += vpqConfInc
 		}
 	} else {
-		e.conf -= v.p.ConfDec
+		e.conf -= vpqConfDec
 		if e.conf <= 0 {
 			// Only adopt the new stride once confidence in the old one is
 			// exhausted (replacement hysteresis, per the exemplar design).

@@ -1,15 +1,15 @@
-// Package vpred implements the load value predictors the paper evaluates:
+// Package vpred implements the load value predictors the experiments run:
 // an oracle (limit study, §5.1), the hybrid Wang–Franklin predictor used for
 // the realistic results (§5.4), an order-3 differential FCM predictor with
-// Burtscher's improved index function, and simple last-value and stride
-// predictors used as components and baselines.
+// Burtscher's improved index function (the §5.4 comparison), and the
+// VPQ-stride and equality/last-committed-value predictors of the table
+// sharing study.
 package vpred
 
 import (
 	"fmt"
 
 	"mtvp/internal/config"
-	"mtvp/internal/table"
 )
 
 // Candidate is one predicted value with its confidence.
@@ -49,13 +49,6 @@ type Sizer interface {
 	Footprint() int
 }
 
-// Sizing New uses for the simple last-value and stride predictors.
-const (
-	simpleTableEntries = 4096
-	simpleThreshold    = 12
-	simpleConfMax      = 32
-)
-
 // New builds the predictor selected by the configuration. Unknown kinds
 // panic: Config.Validate rejects them with a structured error first, so
 // reaching the panic means the config registry and this constructor switch
@@ -68,12 +61,6 @@ func New(cfg *config.Config) Predictor {
 		return NewWangFranklin(cfg.VP.WF, cfg.VP.LiberalThreshold)
 	case config.PredDFCM:
 		return NewDFCM(cfg.VP.DFCM)
-	case config.PredFCM:
-		return NewFCM(cfg.VP.DFCM)
-	case config.PredLastValue:
-		return NewLastValue(simpleTableEntries, simpleThreshold, simpleConfMax)
-	case config.PredStride:
-		return NewStride(simpleTableEntries, simpleThreshold, simpleConfMax)
 	case config.PredVPQStride:
 		return NewVPQStride(cfg.VP.VPQ)
 	case config.PredEqualityLCV:
@@ -90,15 +77,13 @@ func New(cfg *config.Config) Predictor {
 func BaseThreshold(cfg *config.Config) int {
 	switch cfg.VP.Predictor {
 	case config.PredWangFranklin:
-		return cfg.VP.WF.Threshold
-	case config.PredDFCM, config.PredFCM:
-		return cfg.VP.DFCM.Threshold
-	case config.PredLastValue, config.PredStride:
-		return simpleThreshold // the fixed sizing New uses for these predictors
+		return wfThreshold
+	case config.PredDFCM:
+		return dfcmThreshold
 	case config.PredVPQStride:
-		return cfg.VP.VPQ.Threshold
+		return vpqThreshold
 	case config.PredEqualityLCV:
-		return cfg.VP.Equality.Threshold
+		return eqThreshold
 	default:
 		return 0 // oracle: no meaningful confidence scale
 	}
@@ -119,141 +104,4 @@ func (Oracle) Train(_, _ uint64) {}
 // Footprint implements Sizer: the oracle holds no state.
 func (Oracle) Footprint() int { return 0 }
 
-// LastValue predicts that a load returns the same value as last time.
-type LastValue struct {
-	entries   table.Paged[lvEntry]
-	threshold int
-	confMax   int
-}
-
-type lvEntry struct {
-	pc    uint64
-	value uint64
-	conf  int
-	valid bool
-}
-
-// NewLastValue returns a last-value predictor with the given table size and
-// confidence parameters.
-func NewLastValue(entries, threshold, confMax int) *LastValue {
-	return &LastValue{
-		entries:   table.New[lvEntry](entries),
-		threshold: threshold,
-		confMax:   confMax,
-	}
-}
-
-func (p *LastValue) index(pc uint64) int {
-	return int(pc % uint64(p.entries.Len()))
-}
-
-// Lookup implements Predictor.
-func (p *LastValue) Lookup(pc, _ uint64) Prediction {
-	e := p.entries.Peek(p.index(pc))
-	if e == nil || !e.valid || e.pc != pc {
-		return Prediction{}
-	}
-	return Prediction{
-		Valid:     true,
-		Value:     e.value,
-		Conf:      e.conf,
-		Confident: e.conf >= p.threshold,
-	}
-}
-
-// Train implements Predictor.
-func (p *LastValue) Train(pc, actual uint64) {
-	e := p.entries.At(p.index(pc))
-	if !e.valid || e.pc != pc {
-		*e = lvEntry{pc: pc, value: actual, conf: 1, valid: true}
-		return
-	}
-	if e.value == actual {
-		if e.conf < p.confMax {
-			e.conf++
-		}
-		return
-	}
-	e.conf -= 8
-	if e.conf < 0 {
-		e.conf = 0
-	}
-	e.value = actual
-}
-
-// Footprint implements Sizer.
-func (p *LastValue) Footprint() int { return p.entries.Len() }
-
-// Stride predicts last value plus the last observed stride.
-type Stride struct {
-	entries   table.Paged[strideEntry]
-	threshold int
-	confMax   int
-}
-
-type strideEntry struct {
-	pc     uint64
-	last   uint64
-	stride int64
-	conf   int
-	valid  bool
-}
-
-// NewStride returns a stride predictor with the given table size and
-// confidence parameters.
-func NewStride(entries, threshold, confMax int) *Stride {
-	return &Stride{
-		entries:   table.New[strideEntry](entries),
-		threshold: threshold,
-		confMax:   confMax,
-	}
-}
-
-func (p *Stride) index(pc uint64) int {
-	return int(pc % uint64(p.entries.Len()))
-}
-
-// Lookup implements Predictor.
-func (p *Stride) Lookup(pc, _ uint64) Prediction {
-	e := p.entries.Peek(p.index(pc))
-	if e == nil || !e.valid || e.pc != pc {
-		return Prediction{}
-	}
-	return Prediction{
-		Valid:     true,
-		Value:     uint64(int64(e.last) + e.stride),
-		Conf:      e.conf,
-		Confident: e.conf >= p.threshold,
-	}
-}
-
-// Train implements Predictor.
-func (p *Stride) Train(pc, actual uint64) {
-	e := p.entries.At(p.index(pc))
-	if !e.valid || e.pc != pc {
-		*e = strideEntry{pc: pc, last: actual, valid: true}
-		return
-	}
-	stride := int64(actual) - int64(e.last)
-	if stride == e.stride {
-		if e.conf < p.confMax {
-			e.conf++
-		}
-	} else {
-		e.conf -= 8
-		if e.conf < 0 {
-			e.conf = 0
-		}
-		e.stride = stride
-	}
-	e.last = actual
-}
-
-// Footprint implements Sizer.
-func (p *Stride) Footprint() int { return p.entries.Len() }
-
-var (
-	_ Predictor = Oracle{}
-	_ Predictor = (*LastValue)(nil)
-	_ Predictor = (*Stride)(nil)
-)
+var _ Predictor = Oracle{}

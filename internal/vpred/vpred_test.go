@@ -1,6 +1,7 @@
 package vpred
 
 import (
+	"fmt"
 	"testing"
 
 	"mtvp/internal/config"
@@ -14,55 +15,6 @@ func TestOracle(t *testing.T) {
 		t.Errorf("oracle prediction %+v", pr)
 	}
 	p.Train(0x10, 1) // no-op, must not panic
-}
-
-func TestLastValueLearnsConstant(t *testing.T) {
-	p := NewLastValue(256, 12, 32)
-	pc := uint64(0x40)
-	for i := 0; i < 20; i++ {
-		p.Train(pc, 77)
-	}
-	pr := p.Lookup(pc, 0)
-	if !pr.Confident || pr.Value != 77 {
-		t.Errorf("constant load not predicted: %+v", pr)
-	}
-}
-
-func TestLastValueConfidenceCollapsesOnChange(t *testing.T) {
-	p := NewLastValue(256, 12, 32)
-	pc := uint64(0x40)
-	for i := 0; i < 20; i++ {
-		p.Train(pc, 77)
-	}
-	p.Train(pc, 78) // -8
-	p.Train(pc, 79) // -8
-	if pr := p.Lookup(pc, 0); pr.Confident {
-		t.Errorf("still confident after two value changes: conf=%d", pr.Conf)
-	}
-}
-
-func TestStridePredictsSequence(t *testing.T) {
-	p := NewStride(256, 12, 32)
-	pc := uint64(0x44)
-	for i := 0; i < 20; i++ {
-		p.Train(pc, uint64(1000+i*16))
-	}
-	pr := p.Lookup(pc, 0)
-	if !pr.Confident || pr.Value != 1000+20*16 {
-		t.Errorf("stride prediction %+v, want value %d", pr, 1000+20*16)
-	}
-}
-
-func TestStrideNegative(t *testing.T) {
-	p := NewStride(256, 12, 32)
-	pc := uint64(0x48)
-	for i := 0; i < 20; i++ {
-		p.Train(pc, uint64(100000-i*8))
-	}
-	pr := p.Lookup(pc, 0)
-	if !pr.Confident || pr.Value != uint64(100000-20*8) {
-		t.Errorf("negative stride prediction %+v", pr)
-	}
 }
 
 func wfParams() config.WangFranklinParams { return config.DefaultWF() }
@@ -102,6 +54,14 @@ func TestWFStrideSlot(t *testing.T) {
 	if !pr.Confident || pr.Value != uint64(0x2000+60*64) {
 		t.Errorf("WF stride slot: got %#x conf=%d confident=%v, want %#x",
 			pr.Value, pr.Conf, pr.Confident, 0x2000+60*64)
+	}
+}
+
+func TestWFParamsMatchPaper(t *testing.T) {
+	if wfLearnedValues != 5 || wfConfInc != 1 || wfConfDec != 8 ||
+		wfThreshold != 12 || wfConfMax != 32 {
+		t.Errorf("WF confidence parameters deviate from §5.4: learned %d, +%d/-%d, threshold %d, max %d",
+			wfLearnedValues, wfConfInc, wfConfDec, wfThreshold, wfConfMax)
 	}
 }
 
@@ -289,61 +249,13 @@ func TestNewSelectsConfiguredPredictor(t *testing.T) {
 		config.PredOracle:       "vpred.Oracle",
 		config.PredWangFranklin: "*vpred.WangFranklin",
 		config.PredDFCM:         "*vpred.DFCM",
-		config.PredLastValue:    "*vpred.LastValue",
-		config.PredStride:       "*vpred.Stride",
+		config.PredVPQStride:    "*vpred.VPQStride",
+		config.PredEqualityLCV:  "*vpred.EqualityLCV",
 	}
-	for k := range kinds {
+	for k, want := range kinds {
 		cfg.VP.Predictor = k
-		if New(&cfg) == nil {
-			t.Errorf("New returned nil for %v", k)
+		if got := fmt.Sprintf("%T", New(&cfg)); got != want {
+			t.Errorf("New built %s for %v, want %s", got, k, want)
 		}
-	}
-}
-
-func TestFCMRepeatingValueSequence(t *testing.T) {
-	// A repeating value sequence with no stride structure: FCM learns it,
-	// a stride predictor cannot.
-	p := NewFCM(config.DefaultDFCM())
-	pc := uint64(0x300)
-	seq := []uint64{10, 99, 4, 7}
-	for i := 0; i < 1200; i++ {
-		p.Train(pc, seq[i%len(seq)])
-	}
-	correct, total := 0, 0
-	for i := 0; i < 200; i++ {
-		v := seq[i%len(seq)]
-		pr := p.Lookup(pc, 0)
-		if pr.Confident {
-			total++
-			if pr.Value == v {
-				correct++
-			}
-		}
-		p.Train(pc, v)
-	}
-	if total == 0 {
-		t.Fatal("FCM never confident on a repeating sequence")
-	}
-	if acc := float64(correct) / float64(total); acc < 0.9 {
-		t.Errorf("FCM accuracy %.3f (%d/%d)", acc, correct, total)
-	}
-}
-
-func TestFCMCannotExtrapolateStride(t *testing.T) {
-	// A pure stride sequence never repeats values, so value-based FCM
-	// stays unconfident while DFCM succeeds.
-	f := NewFCM(config.DefaultDFCM())
-	d := NewDFCM(config.DefaultDFCM())
-	pc := uint64(0x304)
-	for i := 0; i < 1000; i++ {
-		v := uint64(i) * 8
-		f.Train(pc, v)
-		d.Train(pc, v)
-	}
-	if f.Lookup(pc, 0).Confident {
-		t.Error("FCM confident on a never-repeating stride")
-	}
-	if !d.Lookup(pc, 0).Confident {
-		t.Error("DFCM not confident on a pure stride")
 	}
 }

@@ -5,25 +5,34 @@ import (
 	"mtvp/internal/table"
 )
 
-// Slot identifiers inside one Wang–Franklin VHT entry. The paper's
-// configuration uses five learned values, hardwired zero and one, and a
-// stride value — eight candidates, so a slot id fits in three bits of the
-// pattern history.
+// Wang–Franklin tuning: the paper's §5.4 values; wfHistLen counts outcomes.
 const (
-	wfSlotZero   = 5
-	wfSlotOne    = 6
-	wfSlotStride = 7
+	wfLearnedValues = 5
+	wfHistLen       = 6
+	wfConfMax       = 32
+	wfConfInc       = 1
+	wfConfDec       = 8
+	wfThreshold     = 12
+)
+
+// Slot identifiers inside one Wang–Franklin VHT entry. The learned values
+// fill slots 0..4, followed by hardwired zero and one and a stride value —
+// eight candidates, so a slot id fits in three bits of the pattern history.
+const (
+	wfSlotZero   = wfLearnedValues
+	wfSlotOne    = wfLearnedValues + 1
+	wfSlotStride = wfLearnedValues + 2
 	wfSlots      = 8
 	wfSlotBits   = 3
-	wfSlotNone   = 0 // history code reused when nothing matched (learned 0 is replaced)
+	wfHistMask   = 1<<(wfHistLen*wfSlotBits) - 1
 )
 
 type wfVHTEntry struct {
 	pc     uint64
-	values [5]uint64 // learned values (LearnedValues <= 5)
-	last   uint64    // last value, for the stride component
+	values [wfLearnedValues]uint64
+	last   uint64 // last value, for the stride component
 	stride int64
-	hist   uint64 // pattern history: HistLen slot ids, 3 bits each
+	hist   uint64 // pattern history: wfHistLen slot ids, 3 bits each
 	valid  bool
 }
 
@@ -34,30 +43,21 @@ type wfPHTEntry struct {
 // WangFranklin is the hybrid value predictor of §5.4: a PC-indexed value
 // history table (VHT) holding five learned values, hardwired zero and one,
 // and a stride; and a pattern-indexed value pattern history table (ValPHT)
-// holding a saturating confidence per candidate slot. Confidence moves +1
-// on correct predictions and −8 on incorrect ones, saturating at 32, with a
-// prediction threshold of 12.
+// holding a saturating confidence per candidate slot.
 type WangFranklin struct {
-	p       config.WangFranklinParams
-	liberal int // secondary threshold for multi-value mode (0 = p.Threshold)
+	liberal int // secondary threshold for multi-value mode (0 = wfThreshold)
 	vht     table.Paged[wfVHTEntry]
 	pht     table.Paged[wfPHTEntry]
-	histMsk uint64
 }
 
 // NewWangFranklin builds the predictor. liberalThreshold, when nonzero,
 // is the (lower) confidence bar applied to alternate values reported for
 // multiple-value prediction.
 func NewWangFranklin(p config.WangFranklinParams, liberalThreshold int) *WangFranklin {
-	if p.LearnedValues > 5 {
-		p.LearnedValues = 5
-	}
 	return &WangFranklin{
-		p:       p,
 		liberal: liberalThreshold,
 		vht:     table.New[wfVHTEntry](p.VHTEntries),
 		pht:     table.New[wfPHTEntry](p.ValPHTEntries),
-		histMsk: (1 << uint(p.HistLen*wfSlotBits)) - 1,
 	}
 }
 
@@ -86,10 +86,6 @@ func (w *WangFranklin) slotValue(e *wfVHTEntry, s int) uint64 {
 	}
 }
 
-func (w *WangFranklin) activeSlots() int {
-	return w.p.LearnedValues // learned slots in use
-}
-
 // Lookup implements Predictor. The actual value is ignored.
 func (w *WangFranklin) Lookup(pc, _ uint64) Prediction {
 	e := w.vht.Peek(w.vhtIndex(pc))
@@ -103,9 +99,6 @@ func (w *WangFranklin) Lookup(pc, _ uint64) Prediction {
 
 	best, bestConf := -1, -1
 	for s := 0; s < wfSlots; s++ {
-		if s >= w.activeSlots() && s < wfSlotZero {
-			continue
-		}
 		if int(ph.conf[s]) > bestConf {
 			best, bestConf = s, int(ph.conf[s])
 		}
@@ -114,7 +107,7 @@ func (w *WangFranklin) Lookup(pc, _ uint64) Prediction {
 	// the lowered bar applies to the primary prediction as well as to the
 	// alternates, with the discriminating criticality selector expected to
 	// keep the extra predictions focused on profitable loads.
-	bar := w.p.Threshold
+	bar := wfThreshold
 	if w.liberal > 0 && w.liberal < bar {
 		bar = w.liberal
 	}
@@ -127,10 +120,10 @@ func (w *WangFranklin) Lookup(pc, _ uint64) Prediction {
 
 	altBar := w.liberal
 	if altBar <= 0 {
-		altBar = w.p.Threshold
+		altBar = wfThreshold
 	}
 	for s := 0; s < wfSlots; s++ {
-		if s == best || (s >= w.activeSlots() && s < wfSlotZero) {
+		if s == best {
 			continue
 		}
 		if int(ph.conf[s]) < altBar {
@@ -162,7 +155,7 @@ func (w *WangFranklin) Train(pc, actual uint64) {
 	e := w.vht.At(w.vhtIndex(pc))
 	if !e.valid || e.pc != pc {
 		*e = wfVHTEntry{pc: pc, last: actual, valid: true}
-		for i := 0; i < w.activeSlots(); i++ {
+		for i := range e.values {
 			e.values[i] = actual
 		}
 		return
@@ -171,20 +164,17 @@ func (w *WangFranklin) Train(pc, actual uint64) {
 
 	matched := -1
 	for s := 0; s < wfSlots; s++ {
-		if s >= w.activeSlots() && s < wfSlotZero {
-			continue
-		}
 		if w.slotValue(e, s) == actual {
 			if matched == -1 || ph.conf[s] > ph.conf[matched] {
 				matched = s
 			}
-			if int(ph.conf[s]) < w.p.ConfMax {
-				ph.conf[s] += int16(w.p.ConfInc)
+			if ph.conf[s] < wfConfMax {
+				ph.conf[s] += wfConfInc
 			}
-		} else if int(ph.conf[s]) >= w.p.Threshold {
+		} else if ph.conf[s] >= wfThreshold {
 			// This slot would have been (or nearly been) predicted
 			// and was wrong: back off hard.
-			ph.conf[s] -= int16(w.p.ConfDec)
+			ph.conf[s] -= wfConfDec
 			if ph.conf[s] < 0 {
 				ph.conf[s] = 0
 			}
@@ -196,7 +186,7 @@ func (w *WangFranklin) Train(pc, actual uint64) {
 		// No candidate matched: replace the globally least confident
 		// learned value with the new one.
 		victim := 0
-		for s := 1; s < w.activeSlots(); s++ {
+		for s := 1; s < wfLearnedValues; s++ {
 			if ph.conf[s] < ph.conf[victim] {
 				victim = s
 			}
@@ -206,7 +196,7 @@ func (w *WangFranklin) Train(pc, actual uint64) {
 		histSlot = victim
 	}
 
-	e.hist = ((e.hist << wfSlotBits) | uint64(histSlot)) & w.histMsk
+	e.hist = ((e.hist << wfSlotBits) | uint64(histSlot)) & wfHistMask
 	e.stride = int64(actual) - int64(e.last)
 	e.last = actual
 }
