@@ -105,13 +105,20 @@ func (e *Engine) auditKill(t *thread) {
 }
 
 // auditScan is the full structural walk: ROB age ordering, shared resource
-// counter reconciliation, rename-map liveness, per-thread ICOUNT, overlay
-// isolation, a common bottom overlay, and speculative/promoted exclusion.
+// counter reconciliation, rename-map liveness, per-thread ICOUNT, wakeup
+// counts and ready-set membership, overlay isolation, a common bottom
+// overlay, and speculative/promoted exclusion.
 func (e *Engine) auditScan() {
 	var robN, renameN, storeN int
 	var qN [numQueues]int
 	overlays := make(map[*storebuf.Overlay]*thread)
 	var bottom *storebuf.Overlay // Settle's premise: one bottom under every live chain
+	inReady := make(map[*uop]bool)
+	for _, r := range e.ready {
+		if u := r.get(); u != nil {
+			inReady[u] = true
+		}
+	}
 
 	for _, t := range e.liveByOrder() {
 		if t.killed {
@@ -175,6 +182,16 @@ func (e *Engine) auditScan() {
 				if u.usesRename {
 					renameN++
 				}
+				if n := unreadyEdges(u); n != u.unready {
+					e.auditFail("T%d/%d waiting seq %d counts %d unready producers, recount %d (lost or spurious wakeup)",
+						t.id, t.order, u.seq, u.unready, n)
+					return
+				}
+				if u.unready == 0 && (!u.inReady || !inReady[u]) {
+					e.auditFail("T%d/%d waiting seq %d has no unready producer but is not in the ready set",
+						t.id, t.order, u.seq)
+					return
+				}
 			case stIssued, stDone:
 				robN++
 				if u.usesRename {
@@ -211,4 +228,19 @@ func (e *Engine) auditScan() {
 	if e.cfg.VP.SharedStoreBuf && storeN != e.sharedStoreUsed {
 		e.auditFail("shared store buffer occupancy %d, recount %d", e.sharedStoreUsed, storeN)
 	}
+}
+
+// unreadyEdges recounts u's dependence edges whose producer still blocks
+// it, the count the wakeup path keeps in u.unready.
+func unreadyEdges(u *uop) int32 {
+	var n int32
+	for _, pr := range u.prods {
+		if p := pr.get(); p != nil && !producerReady(p) {
+			n++
+		}
+	}
+	if f := u.fwdFrom.get(); f != nil && !producerReady(f) {
+		n++
+	}
+	return n
 }

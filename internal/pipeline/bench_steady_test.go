@@ -58,6 +58,19 @@ func steadyCases() []steadyCase {
 				DominantPct: 60, ReusePct: 30, SeqPct: 30, BodyOps: 8, Iters: 1 << 40,
 			}),
 		},
+		{
+			// The TestWideWindowHelpsIndependentMisses gather on the §5.7
+			// checkpoint machine: 8192-entry queues hold thousands of
+			// uops waiting on misses, so any per-cycle cost that grows
+			// with the window shows here.
+			name:   "wide-window",
+			cycles: 100_000,
+			cfg:    func() config.Config { return config.Baseline().WideWindow() },
+			bench: workload.Gather("steady-wide", workload.FP, workload.GatherParams{
+				Items: 4096, TableLen: 1 << 17, PoolSize: 4,
+				DominantPct: 0, ReusePct: 0, FPData: true, BodyOps: 40, Iters: 1 << 40,
+			}),
+		},
 	}
 }
 

@@ -192,3 +192,32 @@ func TestAuditorDetectsSplitBottomOverlay(t *testing.T) {
 		t.Fatalf("split bottom overlay not flagged: %v", eng.auditErr)
 	}
 }
+
+// TestAuditorDetectsLostWakeup corrupts the wakeup count of a uop waiting
+// in an issue queue, as a producer that became ready without waking it
+// would, and requires the auditor's recount to flag it.
+func TestAuditorDetectsLostWakeup(t *testing.T) {
+	eng := newAuditEngine(t)
+	var victim *uop
+	for victim == nil {
+		if stop, err := eng.runCycle(); err != nil || stop {
+			t.Fatalf("run ended before a uop waited: stop=%v err=%v", stop, err)
+		}
+		root := eng.liveByOrder()[0]
+		for _, u := range root.rob[root.robHead:] {
+			if u.state == stWaiting {
+				victim = u
+				break
+			}
+		}
+	}
+	eng.auditScan()
+	if eng.auditErr != nil {
+		t.Fatalf("auditor flagged the uncorrupted engine: %v", eng.auditErr)
+	}
+	victim.unready++
+	eng.auditScan()
+	if eng.auditErr == nil || !strings.Contains(eng.auditErr.Error(), "lost or spurious wakeup") {
+		t.Fatalf("corrupted wakeup count not flagged: %v", eng.auditErr)
+	}
+}

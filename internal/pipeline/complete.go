@@ -196,9 +196,12 @@ func (e *Engine) noteWrongButPresent(ev *vpEvent) {
 // instruction that (transitively) consumed the mispredicted load's value
 // re-executes once the real value is available. Instructions that never
 // issued are untouched — they will simply issue with the right value.
+//
+// The walk needs no visited set: a uop reached again is already stWaiting
+// from its first visit, and dependence edges run old to young, so the load
+// cannot recur.
 func (e *Engine) selectiveReissue(load *uop) {
-	seen := map[*uop]bool{load: true}
-	var work []*uop
+	work := e.reissueBuf[:0]
 	for _, cr := range load.consumers {
 		// A stale ref names a recycled uop whose old lifetime already
 		// committed or squashed — exactly the states the walk skips.
@@ -209,19 +212,15 @@ func (e *Engine) selectiveReissue(load *uop) {
 	for len(work) > 0 {
 		u := work[len(work)-1]
 		work = work[:len(work)-1]
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
 		switch u.state {
 		case stIssued, stDone:
 			// Consumed a (possibly) wrong value: squash the result
-			// and return to the queue.
+			// and return to the queue. Taking a done result back
+			// re-arms u's own consumers.
 			e.setUopState(u, stWaiting)
 			u.issueGen++
 			e.qUsed[u.queue]++
 			u.thread.icount++
-			e.waiting[u.queue] = append(e.waiting[u.queue], u.slot)
 			e.wake(e.now + 1) // may re-issue next cycle
 			e.st.Reissues++
 			e.emit(trace.KReissue, u)
@@ -235,6 +234,7 @@ func (e *Engine) selectiveReissue(load *uop) {
 			// wrong value; its consumers cannot have either.
 		}
 	}
+	e.reissueBuf = work
 }
 
 // squashYoungerThan squashes every uop in t younger than seq (exclusive):

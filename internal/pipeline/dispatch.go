@@ -66,6 +66,9 @@ func (e *Engine) tryDispatch(t *thread, u *uop) bool {
 		}
 		u.prods = append(u.prods, ref(w))
 		w.consumers = append(w.consumers, ref(u))
+		if !producerReady(w) {
+			u.unready++
+		}
 	}
 
 	// Loads: find a forwarding store on the speculation chain, if any.
@@ -75,6 +78,9 @@ func (e *Engine) tryDispatch(t *thread, u *uop) bool {
 			if src != nil && src.state != stCommitted && src.state != stSquashed {
 				u.fwdFrom = ref(src)
 				src.consumers = append(src.consumers, ref(u))
+				if !producerReady(src) {
+					u.unready++
+				}
 			}
 		}
 	}
@@ -106,15 +112,19 @@ func (e *Engine) tryDispatch(t *thread, u *uop) bool {
 	}
 
 	// A followed single-thread prediction makes the load's destination
-	// speculatively available to consumers immediately.
-	if u.vp != nil && u.vp.mode == crit.DecideSTVP {
+	// speculatively available to consumers immediately. Rename maps name
+	// only dispatched uops, so no consumer should be linked yet; waking
+	// any that is keeps the counts exact whatever the linking order.
+	if u.vp != nil && u.vp.mode == crit.DecideSTVP && !u.specReady {
 		u.specReady = true
+		e.producerChanged(u, true)
 	}
 
 	if e.injectFault(fault.IQStick) {
 		// Wedged issue-queue slot: the uop refuses to issue until the
 		// stick elapses or the recovery controller force-clears it.
-		e.setStuckUntil(u, e.now+int64(e.inj.Profile().StickCycles))
+		u.stuckUntil = e.now + int64(e.inj.Profile().StickCycles)
+		e.stuck = append(e.stuckUops(), ref(u))
 		e.wake(u.stuckUntil)
 	}
 
@@ -125,7 +135,6 @@ func (e *Engine) tryDispatch(t *thread, u *uop) bool {
 	if u.usesRename {
 		e.renameUsed++
 	}
-	e.waiting[u.queue] = append(e.waiting[u.queue], u.slot)
 	// Event edge: the dispatched uop (or a consumer its STVP specReady just
 	// unblocked) may issue next cycle, and the thread's next head may
 	// dispatch.

@@ -45,22 +45,16 @@ type Engine struct {
 	sharedStoreUsed int // occupancy of the unified tagged store buffer
 	qUsed           [numQueues]int
 	qCap            [numQueues]int
-	waiting         [numQueues][]int32 // uop pool slots (see the SoA arrays)
 	completions     uopHeap
 
-	// Struct-of-arrays storage for the scheduler's hot uop fields, indexed
-	// by the pooled uop's permanent slot. The issue stage's scan-and-wake
-	// loop touches only these two flat arrays (plus the waiting slot lists
-	// above), so it walks cache lines instead of chasing uop pointers; the
-	// full uop struct is only dereferenced once a candidate passes. The
-	// mirrors are written exclusively through setUopState/setStuckUntil and
-	// follow the pool's ghost discipline: a freed uop's slot keeps its
-	// terminal state until reallocation, so a stale waiting-list slot reads
-	// stCommitted/stSquashed and drops out, exactly as the bare pointers
-	// did before (pool.go).
-	soaState []uopState
-	soaStuck []int64
-	slotUops []*uop // slot -> uop; stable for the engine's lifetime
+	// ready holds the waiting uops with no unready producer, woken there
+	// by setUopState and producerChanged; issue picks from it oldest-first.
+	// Entries are refs because an entry the width limits leave behind can
+	// be squashed, freed and reallocated before the next issue; issue drops
+	// such entries lazily. stuck holds the uops an IQStick fault wedged,
+	// for the standing-edge refresh and the recovery controller.
+	ready []uopRef
+	stuck []uopRef
 
 	finished     bool
 	haltedThread *thread
@@ -81,9 +75,9 @@ type Engine struct {
 
 	// Hot-loop scratch, reused across cycles to keep the steady state
 	// allocation-free.
-	uopFree   []*uop
-	pickedBuf []*thread
-	readyBuf  []*uop
+	uopFree    []*uop
+	pickedBuf  []*thread
+	reissueBuf []*uop
 
 	// pendingWindows holds resolved value-prediction events whose ILP-pred
 	// measurement window is still open: windows have a minimum length so a

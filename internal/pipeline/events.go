@@ -135,9 +135,9 @@ func (e *Engine) wake(c int64) {
 //     due while the window waits on another condition, so the event engine
 //     keeps waking cycle by cycle until the window flushes.
 //
-// Cost is O(live threads + waiting uops + pending windows) per executed
-// cycle — cache-linear over the SoA mirrors — and the dedup ring absorbs
-// the repeats. Idle (skipped) cycles pay nothing; that is the point.
+// Cost is O(live threads + stuck uops + pending windows) per executed
+// cycle, and the dedup ring absorbs the repeats. Idle (skipped) cycles pay
+// nothing; that is the point.
 func (e *Engine) wakeStandingEdges() {
 	q := e.evq
 	for _, t := range e.ordered {
@@ -154,12 +154,8 @@ func (e *Engine) wakeStandingEdges() {
 			q.add(e.now+1, e.now)
 		}
 	}
-	for k := queueKind(0); k < numQueues; k++ {
-		for _, s := range e.waiting[k] {
-			if e.soaState[s] == stWaiting && e.soaStuck[s] > e.now {
-				q.add(e.soaStuck[s], e.now)
-			}
-		}
+	for _, r := range e.stuckUops() {
+		q.add(r.u.stuckUntil, e.now)
 	}
 	if len(e.completions.items) > 0 {
 		if c := e.completions.items[0].cycle; c > e.now {

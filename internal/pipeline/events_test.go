@@ -465,8 +465,9 @@ func missRing(nodes int) (*isa.Program, *mem.Memory) {
 // TestZeroAllocSteadyState pins the hot loop's allocation behaviour: once
 // the engine is warm (slices at capacity, uop pool populated, overlay keys
 // touched, calendar heap at depth), a simulated cycle of the event engine
-// must not allocate at all — neither on the commit-every-cycle path nor on
-// the idle path the calendar jumps over.
+// must not allocate at all — neither on the commit-every-cycle path, nor on
+// the idle path the calendar jumps over, nor with the issue queues full of
+// uops waiting to be woken.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warmup is a few hundred ms per case")
@@ -476,6 +477,7 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		name  string
 		build func() (*isa.Program, *mem.Memory)
 		warm  int
+		full  bool // an issue queue must be at capacity in the measured cycles
 	}{
 		{
 			// DL1-resident chase, commits nearly every cycle: exercises
@@ -497,6 +499,20 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			name:  "miss-idle",
 			build: func() (*isa.Program, *mem.Memory) { return missRing(1 << 17) },
 			warm:  80_000,
+		},
+		{
+			// Miss-bound gather over a 16 MB table: the gather loads are
+			// independent, and behind each index-line miss the integer
+			// queue fills with waiting consumers. Pins the wakeup churn
+			// (consumer counts, the ready set, width-limited leftovers).
+			name: "window-full",
+			build: func() (*isa.Program, *mem.Memory) {
+				return workload.Gather("zeroalloc-window", workload.INT, workload.GatherParams{
+					Items: 1 << 16, TableLen: 1 << 21, PoolSize: 4, Iters: 1 << 40,
+				}).Build(1)
+			},
+			warm: 80_000,
+			full: true,
 		},
 	}
 
@@ -522,13 +538,23 @@ func TestZeroAllocSteadyState(t *testing.T) {
 					t.Fatalf("warmup ended early at cycle %d: stop=%v err=%v", eng.now, stop, err)
 				}
 			}
+			fullCycles := 0
 			avg := testing.AllocsPerRun(300, func() {
 				if _, err := eng.runCycle(); err != nil {
 					t.Fatal(err)
 				}
+				for q := range eng.qUsed {
+					if eng.qUsed[q] == eng.qCap[q] {
+						fullCycles++
+						break
+					}
+				}
 			})
 			if avg != 0 {
 				t.Errorf("steady-state cycle allocates: %.2f allocs/cycle", avg)
+			}
+			if c.full && fullCycles == 0 {
+				t.Errorf("no issue queue reached capacity in the measured cycles (occupancy %v of %v)", eng.qUsed, eng.qCap)
 			}
 			if st.Committed == 0 {
 				t.Fatal("workload committed nothing; the steady state measured is vacuous")

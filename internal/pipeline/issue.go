@@ -1,7 +1,8 @@
 package pipeline
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"mtvp/internal/fault"
 	"mtvp/internal/isa"
@@ -10,73 +11,116 @@ import (
 
 // issue selects ready instructions oldest-first across the shared queues,
 // subject to the total issue width and per-class limits (6 integer, 2 FP,
-// 4 load/store), and schedules their completions.
+// 4 load/store), and schedules their completions. The candidates come from
+// the ready set that producers wake their consumers into.
 func (e *Engine) issue() {
-	total := e.cfg.IssueWidth
-	intLeft, fpLeft, memLeft := e.cfg.IntIssue, e.cfg.FPIssue, e.cfg.MemIssue
-
-	ready := e.readyBuf[:0]
-	for q := queueKind(0); q < numQueues; q++ {
-		e.compactQueue(q)
-		// The scan-and-wake loop reads only the flat SoA mirrors until a
-		// candidate passes the state and stick checks; the uop struct
-		// itself is touched just for the operand-readiness walk.
-		for _, s := range e.waiting[q] {
-			if e.soaState[s] != stWaiting || e.soaStuck[s] > e.now {
-				continue
-			}
-			if u := e.slotUops[s]; e.uopReady(u) {
-				ready = append(ready, u)
-			}
-		}
+	if len(e.ready) == 0 {
+		return
 	}
-	e.readyBuf = ready
-	sort.Sort((*uopsBySeq)(&e.readyBuf))
-
-	for _, u := range e.readyBuf {
-		if total == 0 {
-			break
-		}
-		if u.state != stWaiting {
-			// A reissued uop can appear twice in the waiting lists (its
-			// pre-issue entry plus the reissue append); the first issue
-			// this cycle invalidates later duplicates.
+	// Drop entries that stopped being ready after they were woken: stale
+	// refs (the uop was freed, perhaps reallocated), squashed uops, and
+	// uops a selective reissue re-armed. A fault-stuck uop stays.
+	ready := e.ready[:0]
+	for _, r := range e.ready {
+		u := r.get()
+		if u == nil {
 			continue
 		}
-		switch u.queue {
-		case qInt:
-			if intLeft == 0 {
-				continue
-			}
-			intLeft--
-		case qFP:
-			if fpLeft == 0 {
-				continue
-			}
-			fpLeft--
-		default:
-			if memLeft == 0 {
-				continue
-			}
-			memLeft--
+		if u.state != stWaiting || u.unready != 0 {
+			u.inReady = false
+			continue
 		}
+		ready = append(ready, r)
+	}
+	slices.SortFunc(ready, func(a, b uopRef) int { return cmp.Compare(a.u.seq, b.u.seq) })
+
+	// Issuing changes no uop's readiness (stWaiting and stIssued are both
+	// unready states), so the set is fixed for the whole selection.
+	total := e.cfg.IssueWidth
+	intLeft, fpLeft, memLeft := e.cfg.IntIssue, e.cfg.FPIssue, e.cfg.MemIssue
+	kept := ready[:0]
+	for i, r := range ready {
+		if total == 0 {
+			kept = append(kept, ready[i:]...)
+			break
+		}
+		u := r.u
+		left := &intLeft
+		switch u.queue {
+		case qFP:
+			left = &fpLeft
+		case qMem:
+			left = &memLeft
+		}
+		if *left == 0 || u.stuckUntil > e.now {
+			kept = append(kept, r)
+			continue
+		}
+		*left--
 		total--
+		u.inReady = false
 		e.issueOne(u)
+	}
+	e.ready = kept
+}
+
+// setUopState is the single write path for a uop's pipeline state. A
+// change of the uop's readiness as a producer wakes or re-arms its
+// consumers, and a uop entering stWaiting joins the ready set if nothing
+// blocks it.
+func (e *Engine) setUopState(u *uop, s uopState) {
+	was := producerReady(u)
+	u.state = s
+	if now := producerReady(u); now != was {
+		e.producerChanged(u, now)
+	}
+	if s == stWaiting {
+		e.markReady(u)
 	}
 }
 
-// uopReady reports whether all of u's producers have results (or offer
-// speculative ones) and any forwarding store has executed.
-func (e *Engine) uopReady(u *uop) bool {
-	for _, pr := range u.prods {
-		if p := pr.get(); p != nil && !producerReady(p) {
-			return false
+// producerChanged moves every live consumer's unready count by one edge
+// per consumer entry of p: down when p became ready, up when a reissue
+// took its result back. A stale ref names a consumer freed after it
+// committed or was squashed; nothing reads its count again.
+func (e *Engine) producerChanged(p *uop, ready bool) {
+	for _, cr := range p.consumers {
+		c := cr.get()
+		if c == nil {
+			continue
+		}
+		if !ready {
+			c.unready++
+			continue
+		}
+		c.unready--
+		if c.unready == 0 {
+			e.markReady(c)
 		}
 	}
-	if f := u.fwdFrom.get(); f != nil && !producerReady(f) {
-		return false
+}
+
+// markReady adds u to the ready set if it waits in a queue with no unready
+// producer and is not there already.
+func (e *Engine) markReady(u *uop) {
+	if u.state == stWaiting && u.unready == 0 && !u.inReady {
+		u.inReady = true
+		e.ready = append(e.ready, ref(u))
 	}
-	return true
+}
+
+// stuckUops drops the stuck-list entries that no longer wedge a queue slot
+// (issued, squashed, freed, or past their stuckUntil) and returns the rest.
+// A uop is stuck only from its dispatch, so a dropped entry never returns.
+func (e *Engine) stuckUops() []uopRef {
+	kept := e.stuck[:0]
+	for _, r := range e.stuck {
+		if u := r.get(); u != nil && u.state == stWaiting && u.stuckUntil > e.now {
+			kept = append(kept, r)
+		}
+	}
+	e.stuck = kept
+	return kept
 }
 
 func (e *Engine) issueOne(u *uop) {
@@ -131,15 +175,4 @@ func (e *Engine) latencyOf(u *uop) int64 {
 	default:
 		return int64(cfg.LatIntALU)
 	}
-}
-
-// compactQueue drops issued and squashed uops from a waiting list.
-func (e *Engine) compactQueue(q queueKind) {
-	w := e.waiting[q][:0]
-	for _, s := range e.waiting[q] {
-		if e.soaState[s] == stWaiting {
-			w = append(w, s)
-		}
-	}
-	e.waiting[q] = w
 }

@@ -8,56 +8,28 @@ package pipeline
 //
 //   - A uop may be freed only once it is stCommitted or stSquashed and has
 //     been removed from every engine-owned container that stores bare
-//     pointers (its thread's rob, fetchBuf, storeQ, and — by the
-//     stage-ordering argument below — the waiting lists).
+//     pointers (its thread's rob, fetchBuf, storeQ). The ready set and the
+//     stuck list hold uopRefs and drop stale entries lazily.
 //   - Fields are reset at ALLOCATION, not at free. Between free and reuse
-//     the carcass keeps its terminal state, so any ghost entry still
-//     naming it (a waiting-list slot not yet compacted) reads
-//     stCommitted/stSquashed and drops it, just as it would have before
-//     pooling. Frees happen in the commit/complete stages (and in the
-//     end-of-cycle recovery path); reuse happens only in the fetch stage,
-//     which every ghost-purging compactQueue pass precedes.
+//     the carcass keeps its terminal state.
 //   - gen is bumped at free, invalidating every uopRef into the old
-//     lifetime. issueGen is never reset: completion-heap entries from a
-//     previous lifetime can therefore never match a recycled uop.
-//   - Every uop owns a permanent pool slot indexing the engine's
-//     struct-of-arrays mirrors (soaState, soaStuck); the mirrors follow
-//     the same discipline — reset at allocation, terminal state preserved
-//     across free — so a slot held by a stale waiting-list entry reads
-//     exactly what the stale pointer would have.
+//     lifetime: a ready-set entry left behind by the width limits may name
+//     a uop that is squashed, freed and reallocated before the next issue,
+//     and the gen check drops it without touching the new occupant.
+//     issueGen is never reset: completion-heap entries from a previous
+//     lifetime can therefore never match a recycled uop.
 func (e *Engine) allocUop() *uop {
 	n := len(e.uopFree)
 	if n == 0 {
-		u := &uop{slot: int32(len(e.slotUops))}
-		e.slotUops = append(e.slotUops, u)
-		e.soaState = append(e.soaState, stFetched)
-		e.soaStuck = append(e.soaStuck, 0)
-		return u
+		return &uop{}
 	}
 	u := e.uopFree[n-1]
 	e.uopFree[n-1] = nil
 	e.uopFree = e.uopFree[:n-1]
-	gen, issueGen, slot := u.gen, u.issueGen, u.slot
+	gen, issueGen := u.gen, u.issueGen
 	prods, consumers := u.prods[:0], u.consumers[:0]
-	*u = uop{gen: gen, issueGen: issueGen, slot: slot, prods: prods, consumers: consumers}
-	e.soaState[slot] = stFetched
-	e.soaStuck[slot] = 0
+	*u = uop{gen: gen, issueGen: issueGen, prods: prods, consumers: consumers}
 	return u
-}
-
-// setUopState is the single write path for a uop's pipeline state, keeping
-// the struct field and the slot-indexed mirror in lockstep. The mirror is
-// what the issue scan and the calendar's standing-edge refresh read.
-func (e *Engine) setUopState(u *uop, s uopState) {
-	u.state = s
-	e.soaState[u.slot] = s
-}
-
-// setStuckUntil is the single write path for a uop's IQStick deadline,
-// mirrored like setUopState.
-func (e *Engine) setStuckUntil(u *uop, c int64) {
-	u.stuckUntil = c
-	e.soaStuck[u.slot] = c
 }
 
 // freeUop returns u to the pool. The caller must have unlinked u from every

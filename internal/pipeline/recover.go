@@ -200,18 +200,15 @@ func (e *Engine) recoverStall() bool {
 // fault, the cheapest recovery action: the instructions become schedulable
 // again without squashing any work.
 func (e *Engine) unstickQueues() bool {
-	n := 0
-	for q := queueKind(0); q < numQueues; q++ {
-		for _, s := range e.waiting[q] {
-			if e.soaState[s] == stWaiting && e.soaStuck[s] > e.now {
-				e.setStuckUntil(e.slotUops[s], 0)
-				n++
-			}
-		}
-	}
+	stuck := e.stuckUops()
+	n := len(stuck)
 	if n == 0 {
 		return false
 	}
+	for _, r := range stuck {
+		r.u.stuckUntil = 0
+	}
+	e.stuck = stuck[:0]
 	// Event edge: the unstuck uops may issue next cycle.
 	e.wake(e.now + 1)
 	e.st.RecoveryUnsticks += uint64(n)

@@ -64,14 +64,20 @@ type uop struct {
 	state    uopState
 	gen      uint32 // pool lifetime; incremented on free
 	issueGen uint32 // invalidates stale completion-heap entries
-	slot     int32  // permanent pool slot; indexes the engine's SoA mirrors
 
 	fetchCycle    int64
 	dispatchCycle int64
 	doneCycle     int64
 
-	prods     []uopRef // producers this uop waited on (for reissue)
-	consumers []uopRef // uops that depend on this one's result
+	prods     []uopRef // register producers (fwdFrom is the other edge)
+	consumers []uopRef // uops that depend on this one's result, once per edge
+
+	// Wakeup. unready counts the edges (prods plus fwdFrom, a duplicated
+	// source once per edge) whose producer is not producerReady; producers
+	// keep it current as their readiness changes (issue.go). inReady marks
+	// a current-lifetime entry in the engine's ready set.
+	unready int32
+	inReady bool
 
 	// Memory.
 	fwdFrom  uopRef // store this load forwards from (zero = cache access)
@@ -112,14 +118,6 @@ func (r uopRef) get() *uop {
 	}
 	return r.u
 }
-
-// uopsBySeq sorts ready uops oldest-first. A pointer receiver keeps the
-// sort.Interface conversion allocation-free in the issue hot loop.
-type uopsBySeq []*uop
-
-func (s *uopsBySeq) Len() int           { return len(*s) }
-func (s *uopsBySeq) Less(i, j int) bool { return (*s)[i].seq < (*s)[j].seq }
-func (s *uopsBySeq) Swap(i, j int)      { (*s)[i], (*s)[j] = (*s)[j], (*s)[i] }
 
 // producerReady reports whether a producer no longer blocks its consumers:
 // it has a result (done or committed), offers a speculative value (STVP),
