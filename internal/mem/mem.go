@@ -9,6 +9,10 @@
 // are not in it. At HALT it holds the final architectural image. Because the image handed to
 // pipeline.New is written during the run, callers that share one image
 // between runs must give each run its own Clone.
+//
+// A Memory is not safe for concurrent use, not even by readers alone: every
+// access, a read included, updates its last-page cache. Each goroutine needs
+// its own Memory (a Clone).
 package mem
 
 import "encoding/binary"
@@ -23,8 +27,15 @@ const (
 // Memory is a sparse 64-bit byte-addressable memory. The zero value is an
 // empty memory where every byte reads as zero; pages are allocated on first
 // write. Memory implements isa.MemAccess.
+//
+// Accesses cluster (a workload image is written in address order, and a
+// load's bytes share a page), so page keeps a one-entry cache of the last
+// page it found and skips the map when the next access hits the same page.
 type Memory struct {
 	pages map[uint64]*[PageSize]byte
+	// lastPage is nil or the allocated page numbered lastPN.
+	lastPN   uint64
+	lastPage *[PageSize]byte
 }
 
 // New returns an empty memory.
@@ -34,11 +45,18 @@ func New() *Memory {
 
 func (m *Memory) page(addr uint64, alloc bool) *[PageSize]byte {
 	pn := addr >> pageShift
+	if m.lastPage != nil && m.lastPN == pn {
+		return m.lastPage
+	}
 	p := m.pages[pn]
-	if p == nil && alloc {
+	if p == nil {
+		if !alloc {
+			return nil
+		}
 		p = new([PageSize]byte)
 		m.pages[pn] = p
 	}
+	m.lastPN, m.lastPage = pn, p
 	return p
 }
 
@@ -91,7 +109,8 @@ func (m *Memory) Pages() int { return len(m.pages) }
 
 // Clone returns a deep copy of the memory image. The architectural-
 // equivalence tests clone the initial image so the reference interpreter and
-// the timing simulator run against identical state.
+// the timing simulator run against identical state. The copy starts with an
+// empty last-page cache, so it never reaches the original's pages.
 func (m *Memory) Clone() *Memory {
 	nm := New()
 	for pn, p := range m.pages {

@@ -135,6 +135,72 @@ func TestAgainstReferenceQuick(t *testing.T) {
 	}
 }
 
+// Property: interleaved stores, loads and clones behave like independent
+// byte maps. A clone starts equal to its original; afterwards neither sees
+// the other's writes, whichever page each one's last-page cache holds. The
+// accesses hop over three pages and straddle their boundaries.
+func TestCloneCacheQuick(t *testing.T) {
+	type op struct {
+		Kind uint8
+		Pick uint8
+		Addr uint16
+		Val  uint64
+		Sel  uint8
+	}
+	load := func(ref map[uint64]byte, addr uint64, size int) uint64 {
+		var v uint64
+		for i := 0; i < size; i++ {
+			v |= uint64(ref[addr+uint64(i)]) << (8 * i)
+		}
+		return v
+	}
+	f := func(ops []op) bool {
+		mems := []*Memory{New()}
+		refs := []map[uint64]byte{{}}
+		for _, o := range ops {
+			i := int(o.Pick) % len(mems)
+			size := []int{1, 2, 4, 8}[o.Sel%4]
+			addr := uint64(o.Addr) % (3 * PageSize)
+			switch o.Kind % 3 {
+			case 0:
+				mems[i].Store(addr, size, o.Val)
+				for b := 0; b < size; b++ {
+					refs[i][addr+uint64(b)] = byte(o.Val >> (8 * b))
+				}
+			case 1:
+				if mems[i].Load(addr, size) != load(refs[i], addr, size) {
+					return false
+				}
+			case 2:
+				if len(mems) == 8 {
+					continue
+				}
+				ref := make(map[uint64]byte, len(refs[i]))
+				for a, b := range refs[i] {
+					ref[a] = b
+				}
+				mems, refs = append(mems, mems[i].Clone()), append(refs, ref)
+			}
+		}
+		for i, m := range mems {
+			for a, b := range refs[i] {
+				if m.GetByte(a) != b {
+					return false
+				}
+			}
+			for a := uint64(0); a < 3*PageSize; a += 8 {
+				if m.Load(a, 8) != load(refs[i], a, 8) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestRandDeterminism(t *testing.T) {
 	a, b := NewRand(7), NewRand(7)
 	for i := 0; i < 1000; i++ {

@@ -221,3 +221,87 @@ func TestAuditorDetectsLostWakeup(t *testing.T) {
 		t.Fatalf("corrupted wakeup count not flagged: %v", eng.auditErr)
 	}
 }
+
+// TestAuditorSeesSquashWakeup pins the squash edge of the wakeup path: a
+// squashed producer no longer blocks its consumers. killSubtree kills a
+// subtree's threads one at a time, oldest first, so when it squashes one
+// thread's uops a younger thread of the same walk can still be live and
+// waiting on them. Such a consumer usually dies later in the walk, before
+// any 64-cycle audit looks at it; this test replays the walk and audits
+// after every kill.
+//
+// It stops gcc e on MTVP8 at the first cycle where a thread waits on an
+// unready producer in its parent, that parent's own parent is speculative
+// (the subtree to kill), and the waiting thread's spawn is already confirmed
+// (its parent is retiring), so killing the parent does not take it along.
+func TestAuditorSeesSquashWakeup(t *testing.T) {
+	w, err := workload.ByName("gcc e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := checkedCfg(config.Baseline().WithMTVP(8, config.PredOracle, config.SelILPPred))
+	prog, image := w.Build(1)
+	eng, err := New(&cfg, prog, image, newStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root, mid *thread
+	var waiter *uop
+	for waiter == nil {
+		if stop, err := eng.runCycle(); err != nil || stop {
+			t.Fatalf("run ended before a squash could wake a live consumer: stop=%v err=%v", stop, err)
+		}
+		root, mid, waiter = liveConsumerOfKill(eng)
+	}
+	eng.auditScan()
+	if eng.auditErr != nil {
+		t.Fatalf("auditor flagged the engine before the kill: %v", eng.auditErr)
+	}
+	// killSubtree(root), one killOne at a time.
+	for _, o := range eng.liveByOrder() {
+		if o == root || !descendsFrom(o, root) {
+			continue
+		}
+		eng.killOne(o)
+		if o == mid && (!waiter.thread.live || waiter.state != stWaiting) {
+			t.Fatalf("waiting consumer died with its producer's thread; the squash edge went untested")
+		}
+		eng.auditScan()
+		if eng.auditErr != nil {
+			t.Fatalf("after killing T%d/%d of the subtree: %v", o.id, o.order, eng.auditErr)
+		}
+	}
+	eng.killOne(root)
+	eng.auditScan()
+	if eng.auditErr != nil {
+		t.Fatalf("after killing the subtree root T%d/%d: %v", root.id, root.order, eng.auditErr)
+	}
+}
+
+// liveConsumerOfKill finds a waiting uop whose thread x survives the kill
+// of its parent y inside killSubtree(root), root being y's speculative
+// parent: x's spawn is confirmed, and the uop waits on an unready producer
+// in y.
+func liveConsumerOfKill(e *Engine) (*thread, *thread, *uop) {
+	for _, x := range e.liveByOrder() {
+		y := x.parent
+		if y == nil || !y.live || x.spawn == nil || !x.spawn.resolved {
+			continue
+		}
+		root := y.parent
+		if root == nil || !root.live || !root.isSpec() {
+			continue
+		}
+		for _, u := range x.rob[x.robHead:] {
+			if u.state != stWaiting {
+				continue
+			}
+			for _, pr := range u.prods {
+				if p := pr.get(); p != nil && p.thread == y && !producerReady(p) {
+					return root, y, u
+				}
+			}
+		}
+	}
+	return nil, nil, nil
+}

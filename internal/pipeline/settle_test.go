@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -10,12 +11,15 @@ import (
 )
 
 // overlayChain returns the number of overlays in o's chain down to flat
-// memory and the bytes they buffer. It reads storebuf's unexported fields
-// through reflect so that package carries no test-only API.
+// memory and the bytes they buffer (the set bits of each buffered word's
+// byte mask). It reads storebuf's unexported fields through reflect so that
+// package carries no test-only API.
 func overlayChain(o *storebuf.Overlay) (depth, bytes int) {
 	for v := reflect.ValueOf(o); ; {
 		depth++
-		bytes += v.Elem().FieldByName("data").Len()
+		for it := v.Elem().FieldByName("data").MapRange(); it.Next(); {
+			bytes += bits.OnesCount64(it.Value().FieldByName("mask").Uint())
+		}
 		p := v.Elem().FieldByName("parent").Elem()
 		if p.Type() != v.Type() {
 			return depth, bytes

@@ -12,9 +12,15 @@
 // used in preference to the value stored in memory" semantics, generalised
 // to the thread tree.
 //
+// An overlay holds its stores as 8-byte words keyed by aligned address, each
+// with a mask of the bytes written. An access inside one word costs one map
+// probe per overlay; a load stops at the first overlay that completes its
+// bytes and reads whatever no overlay holds from flat memory with one
+// aligned word load. Accesses that cross a word boundary split per word.
+//
 // Stores reach flat memory in one place, Overlay.Settle: once no live
-// context can lose a buffered byte, it is written into memory and the
-// overlay that held it leaves the chain.
+// context can lose a buffered byte, it is written into memory (a whole word
+// with one 8-byte store) and the overlay that held it leaves the chain.
 //
 // Timing-level capacity (the 128-entry store buffer of §5.3) is accounted
 // separately by the pipeline; overlays carry functional state only.
@@ -26,13 +32,38 @@ import (
 	"mtvp/internal/isa"
 )
 
-// Overlay is one speculative store buffer: a byte-granular write log over a
-// parent memory view. It implements isa.MemAccess.
+// Overlay is one speculative store buffer: a write log over a parent memory
+// view, kept per aligned word with a byte-valid mask. It implements
+// isa.MemAccess.
 type Overlay struct {
 	parent isa.MemAccess
-	data   map[uint64]byte
+	data   map[uint64]word // keyed by 8-byte-aligned address
 	frozen bool
 	refs   int
+}
+
+// word is the buffered part of one aligned 8-byte word: byte i of val is
+// valid where bit i of mask is set.
+type word struct {
+	val  uint64
+	mask uint8
+}
+
+// byteBits widens a byte mask to a bit mask: byte i of the result is 0xFF
+// where bit i of m is set.
+func byteBits(m uint8) uint64 {
+	x := uint64(m)
+	x = (x | x<<28) & 0x0000000F0000000F
+	x = (x | x<<14) & 0x0003000300030003
+	x = (x | x<<7) & 0x0101010101010101
+	return x * 0xFF
+}
+
+// span returns the aligned word holding addr, addr's byte offset in it, and
+// how many of the n bytes from addr fit in the word.
+func span(addr uint64, n int) (wa uint64, off, k int) {
+	off = int(addr & 7)
+	return addr - uint64(off), off, min(n, 8-off)
 }
 
 // New returns a mutable overlay whose reads fall through to parent. If the
@@ -41,7 +72,7 @@ func New(parent isa.MemAccess) *Overlay {
 	if p, ok := parent.(*Overlay); ok {
 		p.refs++
 	}
-	return &Overlay{parent: parent, data: make(map[uint64]byte), refs: 1}
+	return &Overlay{parent: parent, data: make(map[uint64]word), refs: 1}
 }
 
 // Frozen reports whether the overlay has been sealed by a fork.
@@ -51,20 +82,31 @@ func (o *Overlay) Frozen() bool { return o.frozen }
 // overlay in the chain that has written it.
 func (o *Overlay) Load(addr uint64, size int) uint64 {
 	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(o.loadByte(addr+uint64(i))) << (8 * i)
+	for i := 0; i < size; {
+		wa, off, k := span(addr+uint64(i), size-i)
+		need := uint8(1<<k-1) << off
+		v |= o.loadWord(wa, need) >> (8 * off) << (8 * i)
+		i += k
 	}
 	return v
 }
 
-func (o *Overlay) loadByte(addr uint64) byte {
+// loadWord returns the bytes of the word at wa that need selects, each from
+// the newest overlay holding it, else from flat memory; other bytes are 0.
+func (o *Overlay) loadWord(wa uint64, need uint8) uint64 {
+	var v uint64
 	for cur := o; ; {
-		if b, ok := cur.data[addr]; ok {
-			return b
+		if w, ok := cur.data[wa]; ok {
+			if got := w.mask & need; got != 0 {
+				v |= w.val & byteBits(got)
+				if need &^= got; need == 0 {
+					return v
+				}
+			}
 		}
 		p, ok := cur.parent.(*Overlay)
 		if !ok {
-			return byte(cur.parent.Load(addr, 1))
+			return v | cur.parent.Load(wa, 8)&byteBits(need)
 		}
 		cur = p
 	}
@@ -76,8 +118,18 @@ func (o *Overlay) Store(addr uint64, size int, val uint64) {
 	if o.frozen {
 		panic("storebuf: store to frozen overlay")
 	}
-	for i := 0; i < size; i++ {
-		o.data[addr+uint64(i)] = byte(val >> (8 * i))
+	for i := 0; i < size; {
+		wa, off, k := span(addr+uint64(i), size-i)
+		m := uint8(1<<k-1) << off
+		part := val >> (8 * i) << (8 * off)
+		if m == 0xFF {
+			o.data[wa] = word{val: part, mask: m}
+		} else {
+			w := o.data[wa]
+			bits := byteBits(m)
+			o.data[wa] = word{val: w.val&^bits | part&bits, mask: w.mask | m}
+		}
+		i += k
 	}
 }
 
@@ -142,8 +194,16 @@ func (o *Overlay) Settle() {
 		if bottom != o && bottom.refs != 1 {
 			return
 		}
-		for a, b := range bottom.data {
-			bottom.parent.Store(a, 1, uint64(b))
+		for wa, w := range bottom.data {
+			if w.mask == 0xFF {
+				bottom.parent.Store(wa, 8, w.val)
+				continue
+			}
+			for i := 0; i < 8; i++ {
+				if w.mask>>i&1 != 0 {
+					bottom.parent.Store(wa+uint64(i), 1, w.val>>(8*i))
+				}
+			}
 		}
 		if bottom == o {
 			clear(o.data)

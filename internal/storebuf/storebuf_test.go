@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mtvp/internal/isa"
 	"mtvp/internal/mem"
 )
 
@@ -101,7 +102,7 @@ func TestSettleSplicesSingleRefAncestors(t *testing.T) {
 		t.Fatal("settle did not splice out the frozen ancestor")
 	}
 	if len(survivor.data) != 0 {
-		t.Errorf("sole survivor kept %d buffered bytes", len(survivor.data))
+		t.Errorf("sole survivor kept %d buffered words", len(survivor.data))
 	}
 	if got := m.Load(0x10, 8); got != 9 {
 		t.Errorf("memory holds %d, want the newest store 9", got)
@@ -118,17 +119,38 @@ func TestSettleStopsAtSharedAncestor(t *testing.T) {
 	tops := root.Fork(2) // both referents alive
 	tops[0].Store(0x18, 8, 2)
 	tops[0].Settle()
-	if tops[0].parent != root || len(tops[0].data) != 8 {
-		t.Error("settle touched overlays above an ancestor another path still uses")
+	if tops[0].parent != root {
+		t.Error("settle spliced out an ancestor another path still uses")
+	}
+	if got := tops[0].Load(0x18, 8); got != 2 {
+		t.Errorf("overlay above the shared ancestor reads %d at 0x18, want its store 2", got)
+	}
+	if got := m.Load(0x18, 8); got != 0 {
+		t.Errorf("store above the shared ancestor reached memory: %d", got)
 	}
 	if got := m.Load(0x10, 8); got != 0 {
 		t.Errorf("shared ancestor's store reached memory: %d", got)
 	}
 }
 
+// sameView reports whether a and b return the same value for a load of
+// every size at every address in [lo, hi), so it covers loads that cross a
+// word and, where the range spans one, a page.
+func sameView(a, b isa.MemAccess, lo, hi uint64) bool {
+	for addr := lo; addr < hi; addr++ {
+		for _, size := range []int{1, 2, 4, 8} {
+			if a.Load(addr, size) != b.Load(addr, size) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Property: a chain of overlays with interleaved stores reads back exactly
 // like sequential execution against flat memory, and Settle reproduces the
-// flat image. This is invariant 2 of DESIGN.md.
+// flat image. This is invariant 2 of DESIGN.md. The stores and loads
+// straddle a page boundary.
 func TestChainEquivalenceQuick(t *testing.T) {
 	type op struct {
 		Addr uint64
@@ -136,6 +158,8 @@ func TestChainEquivalenceQuick(t *testing.T) {
 		Sel  uint8
 		Fork bool
 	}
+	const span = 512
+	const base = mem.PageSize - span/2
 	f := func(ops []op) bool {
 		flat := mem.New() // reference: all stores applied in order
 		backing := mem.New()
@@ -147,14 +171,12 @@ func TestChainEquivalenceQuick(t *testing.T) {
 				top = tops[0]
 			}
 			size := []int{1, 2, 4, 8}[o.Sel%4]
-			addr := o.Addr % 4096
+			addr := base + o.Addr%span
 			flat.Store(addr, size, o.Val)
 			top.Store(addr, size, o.Val)
 		}
-		for a := uint64(0); a < 4096; a += 8 {
-			if top.Load(a, 8) != flat.Load(a, 8) {
-				return false
-			}
+		if !sameView(top, flat, base-8, base+span+8) {
+			return false
 		}
 		top.Settle()
 		return backing.Equal(flat)
@@ -168,6 +190,7 @@ func TestChainEquivalenceQuick(t *testing.T) {
 // top leaves every live view equal to its flat reference, keeps every live
 // chain on one bottom overlay, and leaves no frozen single-referent overlay
 // on memory. With one survivor, memory itself equals the flat reference.
+// The address range straddles a page boundary.
 func TestSettleQuick(t *testing.T) {
 	type op struct {
 		Kind uint8
@@ -177,6 +200,7 @@ func TestSettleQuick(t *testing.T) {
 		Sel  uint8
 	}
 	const span = 512
+	const base = mem.PageSize - span/2
 	f := func(ops []op) bool {
 		backing := mem.New()
 		tops := []*Overlay{New(backing)}
@@ -189,10 +213,8 @@ func TestSettleQuick(t *testing.T) {
 					return false
 				}
 				bottom = b
-				for a := uint64(0); a < span; a += 8 {
-					if top.Load(a, 8) != flats[i].Load(a, 8) {
-						return false
-					}
+				if !sameView(top, flats[i], base-8, base+span+8) {
+					return false
 				}
 			}
 			return len(tops) > 1 || (len(tops[0].data) == 0 && backing.Equal(flats[0]))
@@ -202,7 +224,7 @@ func TestSettleQuick(t *testing.T) {
 			switch o.Kind % 4 {
 			case 0:
 				size := []int{1, 2, 4, 8}[o.Sel%4]
-				addr := uint64(o.Addr) % (span - 8)
+				addr := base + uint64(o.Addr)%span
 				tops[i].Store(addr, size, o.Val)
 				flats[i].Store(addr, size, o.Val)
 			case 1:

@@ -220,3 +220,14 @@ func TestWorkingSetScales(t *testing.T) {
 		t.Errorf("large table pages %d <= small %d", ml.Pages(), ms.Pages())
 	}
 }
+
+// BenchmarkBuild builds every stand-in at seed 1: the program assembly and
+// the image writes that make up workload set-up.
+func BenchmarkBuild(b *testing.B) {
+	all := All()
+	for i := 0; i < b.N; i++ {
+		for _, w := range all {
+			w.Build(1)
+		}
+	}
+}
