@@ -23,11 +23,13 @@
 // fabric instead of the local worker pool: cells are submitted to a `mtvpd
 // serve` coordinator and executed by whatever `mtvpd work` agents are
 // attached to it (-token authenticates). Reports are byte-identical to
-// local runs regardless of worker count or worker deaths.
+// local runs regardless of worker count or worker deaths. -journal,
+// -resume, -timeout and -stall are local-only and are refused with
+// -coordinator; the coordinator's -journal-dir and -lease-ttl do their
+// jobs there.
 //
-// -metrics-addr serves live campaign telemetry while the run is up: job
-// counters and simulated cycle rates on /metrics (Prometheus text format),
-// liveness on /healthz, and the standard /debug/pprof surface.
+// Campaign events (retries, failures, the shutdown drain, warnings such as
+// a torn journal tail) are logged to stderr unless -quiet is set.
 //
 // Exit codes: 0 success, 1 usage or experiment error, 4 one or more cells
 // exhausted their retries (failed job keys on stderr), 130 interrupted by
@@ -49,7 +51,6 @@ import (
 	"mtvp/internal/harness"
 	"mtvp/internal/hostperf"
 	"mtvp/internal/stats"
-	"mtvp/internal/telemetry"
 	"mtvp/internal/version"
 	"mtvp/internal/workload"
 )
@@ -86,8 +87,7 @@ func main() {
 		resume   = flag.String("resume", "", "resume from this journal: skip done cells, re-run failures")
 		coord    = flag.String("coordinator", "", "run campaigns on this sweep-fabric coordinator (base URL of `mtvpd serve`; \"\" = local worker pool)")
 		token    = flag.String("token", "", "bearer token for the fabric coordinator")
-		quiet    = flag.Bool("quiet", false, "suppress per-event campaign progress on stderr")
-		metrics  = flag.String("metrics-addr", "", "serve live campaign telemetry on this host:port (/metrics, /healthz, /debug/pprof; \"\" = off)")
+		quiet    = flag.Bool("quiet", false, "suppress campaign event lines (retries, failures, warnings) on stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the host process to FILE")
 		memProf  = flag.String("memprofile", "", "write a pprof heap profile at exit to FILE")
 		showVer  = flag.Bool("version", false, "print the build version and exit")
@@ -129,46 +129,7 @@ func main() {
 		opt.Resume = true
 	}
 	if !*quiet {
-		opt.OnEvent = func(ev harness.Event) {
-			switch ev.Kind {
-			case harness.EventRetry:
-				fmt.Fprintf(os.Stderr, "# retry %s (attempt %d): %s\n", ev.Key, ev.Attempt, ev.Err)
-			case harness.EventFail:
-				fmt.Fprintf(os.Stderr, "# FAIL  %s after %d attempts: %s\n", ev.Key, ev.Attempt, ev.Err)
-			case harness.EventDrain:
-				fmt.Fprintln(os.Stderr, "# interrupt: draining in-flight cells, journal will be flushed (interrupt again to cancel)")
-			}
-		}
-	}
-	if *metrics != "" {
-		reg := telemetry.NewRegistry()
-		version.Register(reg)
-		campaign := telemetry.NewCampaign(reg)
-		srv, err := telemetry.NewServer(*metrics, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "# telemetry: %s/metrics (also /healthz, /debug/pprof)\n", srv.URL())
-		opt.Progress = campaign.Progress
-		opt.OnEvent = teeEvents(opt.OnEvent, func(ev harness.Event) {
-			switch ev.Kind {
-			case harness.EventStart:
-				campaign.JobsStarted.Inc()
-				campaign.InFlight.Add(1)
-			case harness.EventDone:
-				campaign.JobsDone.Inc()
-				campaign.InFlight.Add(-1)
-			case harness.EventFail:
-				campaign.JobsFailed.Inc()
-				campaign.InFlight.Add(-1)
-			case harness.EventRetry:
-				campaign.JobsRetried.Inc()
-			case harness.EventSkip:
-				campaign.JobsSkipped.Inc()
-			}
-		})
+		opt.OnEvent = harness.PrintEvents(os.Stderr)
 	}
 	if _, err := fault.ByName(*faults); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -244,18 +205,6 @@ func main() {
 	}
 	if opt.Summary.Total > 0 {
 		opt.Summary.Render(os.Stdout)
-	}
-}
-
-// teeEvents fans one harness event stream to several consumers (the stderr
-// progress log and the live telemetry bridge).
-func teeEvents(fns ...func(harness.Event)) func(harness.Event) {
-	return func(ev harness.Event) {
-		for _, fn := range fns {
-			if fn != nil {
-				fn(ev)
-			}
-		}
 	}
 }
 

@@ -12,16 +12,14 @@
 // whose workers die, dedupes double completions, and persists every
 // finished cell to a per-campaign fsynced journal under -journal-dir so a
 // coordinator crash or restart resumes campaigns without re-running done
-// cells. The same listener serves live telemetry: aggregate fabric
-// counters on /metrics (Prometheus text format), liveness on /healthz,
-// pprof under /debug/pprof, and the per-worker fleet view as JSON on
-// /api/v1/fleet. /metrics and pprof require the bearer token.
+// cells. The same listener serves an unauthenticated liveness probe on
+// /healthz.
 //
 // `work` runs a worker agent: it pulls cell leases from the coordinator,
 // simulates them (the full machine config rides in each lease, so the
-// agent never re-derives experiment presets), streams heartbeats carrying
-// each cell's simulated progress, and reports results. Any number of
-// agents may attach and detach at any time.
+// agent never re-derives experiment presets), heartbeats each lease to
+// keep it alive, and reports results. Any number of agents may attach and
+// detach at any time.
 //
 // The fleet is trusted: workers are the operator's own machines. Every
 // result still carries an attestation digest over (campaign, cell key,
@@ -47,7 +45,6 @@ import (
 
 	"mtvp/internal/experiments"
 	"mtvp/internal/fabric"
-	"mtvp/internal/telemetry"
 	"mtvp/internal/version"
 )
 
@@ -108,7 +105,7 @@ func stderrLogf(format string, args ...any) {
 func serveCmd(args []string) int {
 	fs := flag.NewFlagSet("mtvpd serve", flag.ExitOnError)
 	var (
-		addr       = fs.String("addr", ":8100", "listen address for the API and telemetry")
+		addr       = fs.String("addr", ":8100", "listen address for the API and /healthz")
 		token      = fs.String("token", "", "bearer token required on every /api/v1 request (\"\" disables auth; loopback only)")
 		journalDir = fs.String("journal-dir", "", "directory for per-campaign specs and fsynced result journals (\"\" = in-memory only, no crash resume)")
 		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "job lease time-to-live; a lease not heartbeat-extended within it expires and the cell requeues")
@@ -121,13 +118,10 @@ func serveCmd(args []string) int {
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
-	reg := telemetry.NewRegistry()
-	version.Register(reg)
 	co, err := fabric.NewCoordinator(fabric.CoordinatorConfig{
 		LeaseTTL:   *leaseTTL,
 		Retries:    *retries,
 		JournalDir: *journalDir,
-		Registry:   reg,
 		Logf:       logf,
 	})
 	if err != nil {
@@ -159,7 +153,7 @@ func workCmd(args []string) int {
 	var (
 		coordinator = fs.String("coordinator", "http://127.0.0.1:8100", "coordinator base URL")
 		token       = fs.String("token", "", "bearer token for the coordinator")
-		name        = fs.String("name", "", "stable worker name in the fleet view (\"\" = host:pid)")
+		name        = fs.String("name", "", "stable worker name, recorded in campaign journals (\"\" = host:pid)")
 		slots       = fs.Int("slots", 0, "cells simulated concurrently (0 = GOMAXPROCS)")
 		poll        = fs.Duration("poll", 500*time.Millisecond, "idle backoff between lease attempts when the queue is empty (jittered ±50%)")
 		reportTO    = fs.Duration("report-timeout", 0, "per-attempt timeout for result uploads (0 selects 10s)")

@@ -11,12 +11,14 @@
 // ones, and -journal/-resume checkpoint the campaign so an interrupted
 // report generation can be completed without re-simulating finished
 // cells (-journal and -resume, if both given, must name the same file).
-// The campaign summary (cells completed/retried/failed/skipped, wall time)
-// is printed to stderr.
+// Campaign events (retries, failures, the shutdown drain, warnings such as
+// a torn journal tail) and the campaign summary (cells
+// completed/retried/failed/skipped, wall time) are printed to stderr.
 //
 // -coordinator runs every campaign on a distributed sweep fabric (`mtvpd
 // serve` + `mtvpd work` agents) instead of the local worker pool; the
-// generated report is byte-identical either way.
+// generated report is byte-identical either way. -journal, -resume,
+// -timeout and -stall are local-only and are refused with -coordinator.
 package main
 
 import (
@@ -62,6 +64,7 @@ func main() {
 	opt.Journal = *journal
 	opt.HandleSignals = true
 	opt.Summary = &harness.Summary{Name: "report"}
+	opt.OnEvent = harness.PrintEvents(os.Stderr)
 	opt.Coordinator = *coord
 	opt.Token = *token
 	if *resume != "" {

@@ -48,7 +48,10 @@ type Options struct {
 	FaultProfile string
 	FaultSeed    uint64
 
-	// Campaign supervision (internal/harness).
+	// Campaign supervision (internal/harness). Timeout, StallTimeout,
+	// Journal and Resume apply to local campaigns only; with Coordinator
+	// set, the coordinator's lease TTL and journal directory do their jobs,
+	// and setting any of them is an error.
 	Timeout      time.Duration // per-cell wall-clock deadline (0 = none)
 	StallTimeout time.Duration // cancel a cell whose simulated cycles stop advancing (0 = off)
 	Retries      int           // re-runs per failed or timed-out cell
@@ -69,15 +72,9 @@ type Options struct {
 	// Summary, when non-nil, accumulates every campaign's counters
 	// (completed/retried/failed/skipped cells, wall time) for reporting.
 	Summary *harness.Summary
-	// OnEvent, when non-nil, receives harness progress events (retries,
-	// failures) for logging.
+	// OnEvent, when non-nil, receives campaign events (retries, failures,
+	// drains, warnings) for logging.
 	OnEvent func(harness.Event)
-	// Progress, when non-nil, receives per-job simulated-work deltas
-	// (cycles, useful commits) from every supervised engine's observer
-	// poll. Called from worker goroutines; implementations must be
-	// goroutine-safe. Campaign telemetry (mtvpbench -metrics-addr) derives
-	// live cycle rates from it.
-	Progress func(dcycles, dcommits uint64)
 }
 
 // DefaultOptions returns experiment options sized for a complete
@@ -207,21 +204,23 @@ func RunSpec(ctx context.Context, spec fabric.JobSpec, progress func(cycles, com
 	return json.Marshal(res)
 }
 
-// progress adapts a local cell's observer poll to harness supervision: the
-// engine beats the job's heartbeat with its simulated cycle count (feeding
-// the stall watchdog) and streams per-job progress deltas to o.Progress.
-// The observer runs on one engine in one worker goroutine, so the
-// last-seen counters need no locking; only o.Progress itself must be
-// goroutine-safe across workers.
-func (o Options) progress(hb *harness.Heartbeat) func(cycles, commits uint64) {
-	var lastCycles, lastCommits uint64
-	return func(cycles, commits uint64) {
-		hb.Beat(cycles)
-		if o.Progress != nil {
-			o.Progress(cycles-lastCycles, commits-lastCommits)
-			lastCycles, lastCommits = cycles, commits
+// checkFabricOptions rejects the local-campaign options a fabric run
+// would silently ignore, naming the mtvpd serve flag that does the job.
+func (o Options) checkFabricOptions() error {
+	for _, c := range []struct {
+		set        bool
+		opt, owner string
+	}{
+		{o.Resume, "Resume (-resume)", "mtvpd serve -journal-dir resumes campaigns across coordinator restarts"},
+		{o.Journal != "", "Journal (-journal)", "mtvpd serve -journal-dir journals every campaign"},
+		{o.Timeout != 0, "Timeout (-timeout)", "mtvpd serve -lease-ttl requeues cells whose worker stops heartbeating"},
+		{o.StallTimeout != 0, "StallTimeout (-stall)", "mtvpd serve -lease-ttl requeues cells whose worker stops heartbeating"},
+	} {
+		if c.set {
+			return fmt.Errorf("%s applies to local campaigns only, not with a coordinator: %s", c.opt, c.owner)
 		}
 	}
+	return nil
 }
 
 // runCampaign is the one campaign driver: it runs specs as the named
@@ -251,7 +250,7 @@ func (o Options) runCampaign(name string, benches []workload.Benchmark, specs []
 				Key:  spec.Key,
 				Seed: spec.Seed,
 				Run: func(ctx context.Context, hb *harness.Heartbeat) (cellResult, error) {
-					return runCell(ctx, b, spec, o.progress(hb))
+					return runCell(ctx, b, spec, func(cycles, _ uint64) { hb.Beat(cycles) })
 				},
 			}
 		}
@@ -261,6 +260,9 @@ func (o Options) runCampaign(name string, benches []workload.Benchmark, specs []
 			results, sum = camp.Results, camp.Summary
 		}
 	} else {
+		if err := o.checkFabricOptions(); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
 		// Submission is idempotent: a resubmission after a client restart
 		// attaches to the in-flight campaign.
 		cl := fabric.NewClient(o.Coordinator, o.Token)

@@ -269,3 +269,31 @@ func TestRemoteReportMatchesLocal(t *testing.T) {
 		t.Errorf("coordinator completed %d cells; the local report ran %d", done, lo.Summary.Total)
 	}
 }
+
+// With a coordinator set, the local-only supervision options are refused,
+// not silently dropped: the error names the option and the mtvpd serve
+// flag that does its job on the fabric. The refusal comes before any
+// request, so no coordinator has to be listening.
+func TestCoordinatorRejectsLocalOnlyOptions(t *testing.T) {
+	for _, tc := range []struct {
+		set        func(*Options)
+		opt, owner string
+	}{
+		{func(o *Options) { o.Journal = "camp.jsonl" }, "-journal", "-journal-dir"},
+		{func(o *Options) { o.Journal, o.Resume = "camp.jsonl", true }, "-resume", "-journal-dir"},
+		{func(o *Options) { o.Timeout = time.Minute }, "-timeout", "-lease-ttl"},
+		{func(o *Options) { o.StallTimeout = time.Minute }, "-stall", "-lease-ttl"},
+	} {
+		o := fabricOpts()
+		o.Coordinator = "http://127.0.0.1:1"
+		tc.set(&o)
+		_, err := Fig2(o)
+		if err == nil {
+			t.Errorf("%s with a coordinator: want an error", tc.opt)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.opt) || !strings.Contains(msg, "mtvpd serve "+tc.owner) {
+			t.Errorf("%s with a coordinator: error %q must name the option and mtvpd serve %s", tc.opt, msg, tc.owner)
+		}
+	}
+}

@@ -103,13 +103,6 @@ func (c *Client) Cancel(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, PathCampaigns+"/"+id, nil, nil)
 }
 
-// Fleet fetches the live worker view.
-func (c *Client) Fleet(ctx context.Context) ([]WorkerStatus, error) {
-	var fleet []WorkerStatus
-	err := c.do(ctx, http.MethodGet, PathFleet, nil, &fleet)
-	return fleet, err
-}
-
 // Wait polls the campaign until it leaves StateRunning (or ctx ends),
 // calling onStatus (when non-nil) after every poll, then returns the final
 // results. Transient network errors are retried — the whole point of the

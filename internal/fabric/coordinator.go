@@ -14,7 +14,6 @@ import (
 
 	"mtvp/internal/fault"
 	"mtvp/internal/harness"
-	"mtvp/internal/telemetry"
 )
 
 // CoordinatorConfig tunes one coordinator. The zero value is usable for
@@ -36,10 +35,6 @@ type CoordinatorConfig struct {
 	// re-running completed cells.
 	JournalDir string
 
-	// Registry, when non-nil, exports the fabric's aggregate counters and
-	// gauges (leases, heartbeats, expiries, requeues, results, simulated
-	// progress, queue depth).
-	Registry *telemetry.Registry
 	// Logf, when non-nil, receives coordinator progress lines.
 	Logf func(format string, args ...any)
 	// Now overrides the clock (tests drive lease expiry deterministically).
@@ -79,9 +74,6 @@ const (
 type leaseInfo struct {
 	worker string
 	expiry time.Time
-	// cycles and commits are the highest progress counters any heartbeat on
-	// this lease reported; only increases reach the fleet counters.
-	cycles, commits uint64
 }
 
 // job is one cell's coordinator-side state. A cell holds at most one live
@@ -127,16 +119,6 @@ func (c *campaign) state() CampaignState {
 	}
 }
 
-// workerInfo is one agent's fleet-view row.
-type workerInfo struct {
-	name     string
-	lastSeen time.Time
-	leases   int
-	done     uint64
-	failed   uint64
-	lost     uint64
-}
-
 // Coordinator owns the lease state machine. All methods are safe for
 // concurrent use; the HTTP server (server.go) is a thin layer over them.
 type Coordinator struct {
@@ -145,26 +127,6 @@ type Coordinator struct {
 	mu        sync.Mutex
 	campaigns map[string]*campaign
 	order     []string // campaign submission order = lease order
-	workers   map[string]*workerInfo
-
-	metrics *fleetMetrics
-}
-
-// fleetMetrics is the aggregate telemetry surface.
-type fleetMetrics struct {
-	leasesGranted *telemetry.Counter
-	heartbeats    *telemetry.Counter
-	expiries      *telemetry.Counter
-	requeues      *telemetry.Counter
-	resultsOK     *telemetry.Counter
-	resultsFailed *telemetry.Counter
-	dedups        *telemetry.Counter
-	corrupt       *telemetry.Counter
-	campaignsLive *telemetry.Gauge
-	jobsQueued    *telemetry.Gauge
-	jobsLeased    *telemetry.Gauge
-	simCycles     *telemetry.Counter
-	simCommits    *telemetry.Counter
 }
 
 // NewCoordinator builds a coordinator and, when JournalDir is set, reloads
@@ -176,24 +138,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	co := &Coordinator{
 		cfg:       cfg,
 		campaigns: map[string]*campaign{},
-		workers:   map[string]*workerInfo{},
-	}
-	if reg := cfg.Registry; reg != nil {
-		co.metrics = &fleetMetrics{
-			leasesGranted: reg.Counter("mtvp_fabric_leases_granted_total", "job leases granted to workers"),
-			heartbeats:    reg.Counter("mtvp_fabric_heartbeats_total", "lease heartbeats accepted"),
-			expiries:      reg.Counter("mtvp_fabric_lease_expiries_total", "leases lost to heartbeat loss or expiry"),
-			requeues:      reg.Counter("mtvp_fabric_requeues_total", "cells requeued after a lost lease or failure"),
-			resultsOK:     reg.Counter("mtvp_fabric_results_ok_total", "successful cell results accepted"),
-			resultsFailed: reg.Counter("mtvp_fabric_results_failed_total", "failed cell results reported"),
-			dedups:        reg.Counter("mtvp_fabric_result_dedups_total", "double-completions deduped on job key"),
-			corrupt:       reg.Counter("mtvp_fabric_results_corrupt_total", "results rejected for a missing or mismatching attestation digest"),
-			campaignsLive: reg.Gauge("mtvp_fabric_campaigns_running", "campaigns currently running"),
-			jobsQueued:    reg.Gauge("mtvp_fabric_jobs_queued", "cells waiting for a lease across all campaigns"),
-			jobsLeased:    reg.Gauge("mtvp_fabric_jobs_leased", "cell leases currently active across all campaigns"),
-			simCycles:     reg.Counter("mtvp_fabric_sim_cycles_total", "simulated cycles reported by worker heartbeats (each lease's highest count)"),
-			simCommits:    reg.Counter("mtvp_fabric_sim_commits_total", "useful committed instructions reported by worker heartbeats (each lease's highest count)"),
-		}
 	}
 	if cfg.JournalDir != "" {
 		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
@@ -269,7 +213,6 @@ func (co *Coordinator) Submit(spec CampaignSpec) (SubmitResponse, error) {
 		}
 	}
 	co.logf("campaign %s (%s): %d cells submitted", id, c.name, len(c.order))
-	co.updateGaugesLocked()
 	return SubmitResponse{ID: id}, nil
 }
 
@@ -389,7 +332,6 @@ func (co *Coordinator) reload() error {
 		co.logf("campaign %s (%s): reloaded, %d/%d cells already done",
 			id, c.name, c.done, len(c.order))
 	}
-	co.updateGaugesLocked()
 	return nil
 }
 
@@ -427,7 +369,6 @@ func (co *Coordinator) Lease(worker string) (Lease, bool) {
 	now := co.now()
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	w := co.touchWorkerLocked(worker, now)
 	for _, id := range co.order {
 		c := co.campaigns[id]
 		if c.cancelled || len(c.queue) == 0 {
@@ -439,11 +380,6 @@ func (co *Coordinator) Lease(worker string) (Lease, bool) {
 		j.queued = false
 		j.attempts++
 		j.lease = &leaseInfo{worker: worker, expiry: now.Add(co.cfg.leaseTTL())}
-		w.leases++
-		if co.metrics != nil {
-			co.metrics.leasesGranted.Inc()
-		}
-		co.updateGaugesLocked()
 		return Lease{
 			Campaign:       c.id,
 			Spec:           j.spec,
@@ -462,19 +398,15 @@ func (j *job) heldLease(worker string) *leaseInfo {
 	return nil
 }
 
-// Heartbeat extends a lease and adds the increase in the cell's reported
-// progress over the lease's highest earlier report to the fleet counters.
-// Because reports are absolute, a duplicated, reordered or retried
-// heartbeat adds nothing. ok is false when the worker no longer owns the
-// lease (expired and requeued, already completed by someone else, campaign
-// cancelled): the worker should abandon the cell.
+// Heartbeat extends a lease. ok is false when the worker no longer owns
+// the lease (expired and requeued, already completed by someone else,
+// campaign cancelled): the worker should abandon the cell.
 func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 	now := co.now()
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	w := co.touchWorkerLocked(req.Worker, now)
 	c := co.campaigns[req.Campaign]
-	if w == nil || c == nil || c.cancelled {
+	if c == nil || c.cancelled {
 		return false
 	}
 	j := c.jobs[req.Key]
@@ -486,15 +418,6 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 		return false
 	}
 	li.expiry = now.Add(co.cfg.leaseTTL())
-	dc := max(req.Cycles, li.cycles) - li.cycles
-	dm := max(req.Commits, li.commits) - li.commits
-	li.cycles += dc
-	li.commits += dm
-	if co.metrics != nil {
-		co.metrics.heartbeats.Inc()
-		co.metrics.simCycles.Add(dc)
-		co.metrics.simCommits.Add(dm)
-	}
 	return true
 }
 
@@ -503,9 +426,6 @@ func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 func (co *Coordinator) dropLeaseLocked(j *job) bool {
 	if j.lease == nil {
 		return false
-	}
-	if w := co.workers[j.lease.worker]; w != nil && w.leases > 0 {
-		w.leases--
 	}
 	j.lease = nil
 	return true
@@ -521,10 +441,8 @@ func (co *Coordinator) revokeLeaseLocked(j *job, worker string) bool {
 // results are rejected without reaching the journal and without charging
 // the cell's retry budget. Failures spend the cell's requeue budget.
 func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
-	now := co.now()
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	w := co.touchWorkerLocked(req.Worker, now)
 	c := co.campaigns[req.Campaign]
 	if c == nil {
 		return ResultResponse{}, fmt.Errorf("fabric: unknown campaign %q", req.Campaign)
@@ -541,15 +459,12 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 		if j.state == jobPending && co.revokeLeaseLocked(j, req.Worker) {
 			co.requeueLocked(c, j, req.Key)
 			co.logf("campaign %s: %s released by draining worker %s, requeued", c.id, req.Key, req.Worker)
-			co.updateGaugesLocked()
 			return ResultResponse{Accepted: true}, nil
 		}
 		return ResultResponse{Accepted: false}, nil
 	}
 	if req.OK {
-		resp := co.acceptLocked(c, j, w, req)
-		co.updateGaugesLocked()
-		return resp, nil
+		return co.acceptLocked(c, j, req), nil
 	}
 
 	// Failures are only accepted from a current lease holder: a stale
@@ -562,17 +477,10 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	if kind == "" {
 		kind = harness.FailError
 	}
-	if w != nil {
-		w.failed++
-	}
-	if co.metrics != nil {
-		co.metrics.resultsFailed.Inc()
-	}
 	co.failOrRequeueLocked(c, j, req.Key, req.Worker, harness.JobFailure{
 		Key: req.Key, Seed: j.spec.Seed, Kind: kind,
 		Attempts: j.attempts, Err: req.Error,
 	})
-	co.updateGaugesLocked()
 	return ResultResponse{Accepted: true}, nil
 }
 
@@ -581,14 +489,11 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 func (co *Coordinator) requeueLocked(c *campaign, j *job, key string) {
 	co.enqueueLocked(c, j, key)
 	c.requeues++
-	if co.metrics != nil {
-		co.metrics.requeues.Inc()
-	}
 }
 
 // acceptLocked processes one successful, digest-carrying result report.
-func (co *Coordinator) acceptLocked(c *campaign, j *job, w *workerInfo, req ResultRequest) ResultResponse {
-	if w == nil {
+func (co *Coordinator) acceptLocked(c *campaign, j *job, req ResultRequest) ResultResponse {
+	if req.Worker == "" {
 		return ResultResponse{Accepted: false} // anonymous results are never accepted
 	}
 	// Attestation: recompute the canonical digest over the bytes received
@@ -598,9 +503,6 @@ func (co *Coordinator) acceptLocked(c *campaign, j *job, w *workerInfo, req Resu
 	// budget cost.
 	if want := ResultDigest(c.id, j.spec, req.Result); req.Digest != want {
 		c.corrupt++
-		if co.metrics != nil {
-			co.metrics.corrupt.Inc()
-		}
 		co.logf("campaign %s: CORRUPT result for %s from %q (digest %.24q, want %.24q)",
 			c.id, req.Key, req.Worker, req.Digest, want)
 		if co.revokeLeaseLocked(j, req.Worker) {
@@ -611,14 +513,10 @@ func (co *Coordinator) acceptLocked(c *campaign, j *job, w *workerInfo, req Resu
 
 	if j.state == jobDone {
 		// Double completion: a worker we presumed dead finished anyway.
-		if co.metrics != nil {
-			co.metrics.dedups.Inc()
-		}
 		co.logf("campaign %s: deduped double completion of %s from %s", c.id, req.Key, req.Worker)
 		return ResultResponse{Accepted: false}
 	}
 
-	w.done++
 	co.finalizeLocked(c, j, req.Key, req.Worker, req.Digest, req.Result)
 	return ResultResponse{Accepted: true}
 }
@@ -641,9 +539,6 @@ func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, worker, digest s
 	j.failure = nil
 	c.done++
 	c.jnl.Done(key, j.attempts, json.RawMessage(j.result), worker, digest)
-	if co.metrics != nil {
-		co.metrics.resultsOK.Inc()
-	}
 }
 
 // failOrRequeueLocked spends the cell's requeue budget: requeue while it
@@ -670,8 +565,7 @@ func (co *Coordinator) failLocked(c *campaign, j *job, key string, f harness.Job
 }
 
 // ExpireLeases requeues every lease whose heartbeat deadline has passed —
-// the worker-loss detector — and prunes long-silent idle workers from the
-// fleet view. It returns how many leases expired. The server runs this on
+// the worker-loss detector. It returns how many leases expired. The server runs this on
 // a ticker; tests call it directly with a fake clock.
 func (co *Coordinator) ExpireLeases() int {
 	now := co.now()
@@ -687,12 +581,6 @@ func (co *Coordinator) ExpireLeases() int {
 				continue
 			}
 			expired++
-			if w := co.workers[li.worker]; w != nil {
-				w.lost++
-			}
-			if co.metrics != nil {
-				co.metrics.expiries.Inc()
-			}
 			co.dropLeaseLocked(j)
 			co.failOrRequeueLocked(c, j, key, li.worker, harness.JobFailure{
 				Key: key, Seed: j.spec.Seed, Kind: FailLostWorker,
@@ -700,15 +588,6 @@ func (co *Coordinator) ExpireLeases() int {
 				Err:      fmt.Sprintf("lease on %s expired (no heartbeat from %q within %s)", key, li.worker, co.cfg.leaseTTL()),
 			})
 		}
-	}
-	// Prune workers that hold nothing and have gone silent.
-	for name, w := range co.workers {
-		if w.leases == 0 && now.Sub(w.lastSeen) > 10*co.cfg.leaseTTL() {
-			delete(co.workers, name)
-		}
-	}
-	if expired > 0 {
-		co.updateGaugesLocked()
 	}
 	return expired
 }
@@ -803,28 +682,7 @@ func (co *Coordinator) Cancel(id string) error {
 		}
 		co.logf("campaign %s (%s): cancelled", c.id, c.name)
 	}
-	co.updateGaugesLocked()
 	return nil
-}
-
-// Fleet reports the live worker view, sorted by name.
-func (co *Coordinator) Fleet() []WorkerStatus {
-	now := co.now()
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	out := make([]WorkerStatus, 0, len(co.workers))
-	for _, w := range co.workers {
-		out = append(out, WorkerStatus{
-			Name:         w.name,
-			Leases:       w.leases,
-			HeartbeatAge: now.Sub(w.lastSeen),
-			Done:         w.done,
-			Failed:       w.failed,
-			Lost:         w.lost,
-		})
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Name < out[k].Name })
-	return out
 }
 
 // Close flushes and closes every campaign journal.
@@ -835,42 +693,4 @@ func (co *Coordinator) Close() {
 		c.jnl.Close()
 		c.jnl = nil
 	}
-}
-
-// touchWorkerLocked records contact from a worker, adding it to the fleet
-// view on first sight.
-func (co *Coordinator) touchWorkerLocked(name string, now time.Time) *workerInfo {
-	if name == "" {
-		return nil
-	}
-	w := co.workers[name]
-	if w == nil {
-		w = &workerInfo{name: name}
-		co.workers[name] = w
-		co.logf("worker %q joined the fleet", name)
-	}
-	w.lastSeen = now
-	return w
-}
-
-// updateGaugesLocked refreshes the aggregate gauges.
-func (co *Coordinator) updateGaugesLocked() {
-	if co.metrics == nil {
-		return
-	}
-	running, queued, leased := 0, 0, 0
-	for _, c := range co.campaigns {
-		if c.state() == StateRunning {
-			running++
-		}
-		queued += len(c.queue)
-		for _, j := range c.jobs {
-			if j.lease != nil {
-				leased++
-			}
-		}
-	}
-	co.metrics.campaignsLive.Set(int64(running))
-	co.metrics.jobsQueued.Set(int64(queued))
-	co.metrics.jobsLeased.Set(int64(leased))
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mtvp/internal/harness"
-	"mtvp/internal/telemetry"
 )
 
 // fakeClock drives lease expiry deterministically. It is locked because
@@ -132,7 +131,7 @@ func TestLeaseLifecycleAndExpiry(t *testing.T) {
 
 	// Heartbeats keep the lease alive past its original TTL.
 	clk.advance(8 * time.Second)
-	if !co.Heartbeat(HeartbeatRequest{Worker: "w1", Campaign: id, Key: key, Cycles: 1000}) {
+	if !co.Heartbeat(HeartbeatRequest{Worker: "w1", Campaign: id, Key: key}) {
 		t.Fatal("heartbeat from the lease holder must be accepted")
 	}
 	clk.advance(8 * time.Second)
@@ -146,7 +145,7 @@ func TestLeaseLifecycleAndExpiry(t *testing.T) {
 	if n := co.ExpireLeases(); n != 1 {
 		t.Fatalf("want 1 expiry, got %d", n)
 	}
-	if co.Heartbeat(HeartbeatRequest{Worker: "w1", Campaign: id, Key: key, Cycles: 2000}) {
+	if co.Heartbeat(HeartbeatRequest{Worker: "w1", Campaign: id, Key: key}) {
 		t.Fatal("heartbeat after expiry must be refused")
 	}
 	st, _ := co.Status(id)
@@ -411,129 +410,46 @@ func TestCancelDropsQueueAndRevokesLeases(t *testing.T) {
 	}
 }
 
-// The fleet view tracks leases, outcomes and losses per worker, the
-// registry exports the aggregate fabric counters, and a worker holding no
-// lease is pruned after ten lease TTLs of silence.
-func TestFleetViewAndMetrics(t *testing.T) {
+// A heartbeat extends only a lease its sender still holds: it is refused
+// once the lease has expired, from the old holder after the cell is
+// re-leased, and after the cell completes.
+func TestHeartbeatRefusedWithoutLiveLease(t *testing.T) {
 	clk := newFakeClock()
-	reg := telemetry.NewRegistry()
-	co := newTestCoordinator(t, clk, CoordinatorConfig{LeaseTTL: 10 * time.Second, Retries: 5, Registry: reg})
-	sub, _ := co.Submit(testSpec("fleet", 2))
+	co := newTestCoordinator(t, clk, CoordinatorConfig{LeaseTTL: time.Minute})
+	sub, _ := co.Submit(testSpec("beat", 1))
 	id := sub.ID
-
-	l1, _ := co.Lease("alpha")
-	co.Lease("beta")
-	clk.advance(time.Second)
-	co.Heartbeat(HeartbeatRequest{Worker: "alpha", Campaign: id, Key: l1.Spec.Key, Cycles: 5000, Commits: 400})
-	co.Result(signedOK(co, "alpha", id, l1.Spec.Key, `1`))
-	clk.advance(11 * time.Second)
-	co.ExpireLeases() // beta dies
-
-	fleet := co.Fleet()
-	if len(fleet) != 2 {
-		t.Fatalf("want 2 workers, got %+v", fleet)
-	}
-	alpha, beta := fleet[0], fleet[1]
-	if alpha.Name != "alpha" || alpha.Done != 1 || alpha.Leases != 0 || alpha.HeartbeatAge != 11*time.Second {
-		t.Fatalf("alpha row wrong: %+v", alpha)
-	}
-	if beta.Name != "beta" || beta.Lost != 1 || beta.Leases != 0 || beta.HeartbeatAge != 12*time.Second {
-		t.Fatalf("beta must be charged a lost lease: %+v", beta)
-	}
-
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"mtvp_fabric_leases_granted_total 2",
-		"mtvp_fabric_heartbeats_total 1",
-		"mtvp_fabric_lease_expiries_total 1",
-		"mtvp_fabric_requeues_total 1",
-		"mtvp_fabric_results_ok_total 1",
-		"mtvp_fabric_sim_cycles_total 5000",
-		"mtvp_fabric_sim_commits_total 400",
-		"mtvp_fabric_jobs_queued 1",
-		"mtvp_fabric_jobs_leased 0",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
-	}
-
-	// Idle workers survive ten TTLs of silence and are pruned after.
-	clk.advance(86 * time.Second) // beta silent 98s, alpha 97s
-	co.ExpireLeases()
-	if n := len(co.Fleet()); n != 2 {
-		t.Fatalf("workers silent under 10×TTL must stay, got %d", n)
-	}
-	clk.advance(5 * time.Second)
-	co.ExpireLeases()
-	if n := len(co.Fleet()); n != 0 {
-		t.Fatalf("silent workers must be pruned, got %d", n)
-	}
-}
-
-// Heartbeats report absolute progress and the coordinator counts only each
-// lease's increase: duplicated, reordered and replayed beats count every
-// cycle once, a re-lease of the cell counts its re-simulation from zero,
-// and beats on a revoked lease add nothing.
-func TestHeartbeatProgressCountsEachCycleOnce(t *testing.T) {
-	clk := newFakeClock()
-	co := newTestCoordinator(t, clk, CoordinatorConfig{LeaseTTL: time.Minute, Registry: telemetry.NewRegistry()})
-	sub, _ := co.Submit(testSpec("progress", 1))
-	id := sub.ID
-	key := "progress/cell-00"
-	beat := func(worker string, cycles uint64) bool {
-		return co.Heartbeat(HeartbeatRequest{Worker: worker, Campaign: id, Key: key, Cycles: cycles, Commits: cycles / 10})
-	}
-	want := func(cycles uint64) {
-		t.Helper()
-		if got := co.metrics.simCycles.Value(); got != cycles {
-			t.Fatalf("sim cycles: got %d, want %d", got, cycles)
-		}
-		if got := co.metrics.simCommits.Value(); got != cycles/10 {
-			t.Fatalf("sim commits: got %d, want %d", got, cycles/10)
-		}
+	key := "beat/cell-00"
+	beat := func(worker string) bool {
+		return co.Heartbeat(HeartbeatRequest{Worker: worker, Campaign: id, Key: key})
 	}
 
 	co.Lease("w1")
-	beat("w1", 100)
-	beat("w1", 100) // duplicate
-	beat("w1", 300)
-	beat("w1", 200) // reordered: an older beat arrives late
-	beat("w1", 100) // replay
-	want(300)
-	beat("w1", 450)
-	want(450)
+	if !beat("w1") {
+		t.Fatal("heartbeat on a live lease must be accepted")
+	}
 
 	clk.advance(2 * time.Minute)
 	co.ExpireLeases()
-	if beat("w1", 900) {
+	if beat("w1") {
 		t.Fatal("heartbeat on an expired lease must be refused")
 	}
-	want(450)
 
 	if _, ok := co.Lease("w2"); !ok {
 		t.Fatal("requeued cell must lease again")
 	}
-	beat("w2", 50)
-	beat("w2", 50)
-	want(500)
-	if beat("w1", 1000) {
+	if !beat("w2") {
+		t.Fatal("the new holder's heartbeat must be accepted")
+	}
+	if beat("w1") {
 		t.Fatal("the old holder's heartbeat must stay refused")
 	}
-	beat("w2", 400)
-	want(850)
 
 	if resp, _ := co.Result(signedOK(co, "w2", id, key, `1`)); !resp.Accepted {
 		t.Fatal("result refused")
 	}
-	if beat("w2", 2000) {
+	if beat("w2") {
 		t.Fatal("heartbeat after completion must be refused")
 	}
-	want(850)
 }
 
 // A coordinator restarted on its journal directory resumes every campaign:

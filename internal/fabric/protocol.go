@@ -15,14 +15,11 @@
 //
 // Work distribution is pull-based leasing, modeled on agent/ingest
 // architectures: workers poll for a lease, run the cell, stream periodic
-// heartbeats, and report the result. A heartbeat extends the lease and
-// carries the cell's absolute simulated progress; the coordinator counts
-// only the increase over the lease's highest earlier report. A lease whose
-// heartbeat stops expires and the cell is requeued through a bounded
-// fault.Backoff retry budget — worker loss is just another fault class.
-// Each cell holds at most one lease at a time; campaigns are served in
-// submission order. The per-worker fleet view is served as JSON; the
-// telemetry registry carries only aggregate counters.
+// heartbeats, and report the result. A heartbeat extends the lease, and a
+// refused one tells the worker its lease is gone. A lease whose heartbeat
+// stops expires and the cell is requeued through a bounded fault.Backoff
+// retry budget — worker loss is just another fault class. Each cell holds
+// at most one lease at a time; campaigns are served in submission order.
 //
 // The fleet is trusted; what the fabric checks is input from outside its
 // process. Every result carries an attestation digest (attest.go) that the
@@ -46,7 +43,6 @@ const (
 	PathLease     = "/api/v1/lease"     // POST: worker pulls a job lease
 	PathHeartbeat = "/api/v1/heartbeat" // POST: worker extends a lease
 	PathResult    = "/api/v1/result"    // POST: worker reports a terminal outcome
-	PathFleet     = "/api/v1/fleet"     // GET: live per-worker fleet view
 )
 
 // JobSpec is one sweep cell in wire form: everything a remote worker needs
@@ -134,7 +130,7 @@ type CampaignResults struct {
 // LeaseRequest is a worker's pull for work.
 type LeaseRequest struct {
 	// Worker is the agent's stable self-chosen name ("host:pid" by
-	// default); the fleet view and journals attribute work to it.
+	// default); leases and journals attribute work to it.
 	Worker string `json:"worker"`
 }
 
@@ -147,17 +143,11 @@ type Lease struct {
 	HeartbeatEvery time.Duration `json:"heartbeat_every"`
 }
 
-// HeartbeatRequest extends a lease and reports simulated progress.
+// HeartbeatRequest extends a lease.
 type HeartbeatRequest struct {
 	Worker   string `json:"worker"`
 	Campaign string `json:"campaign"`
 	Key      string `json:"key"`
-	// Cycles and Commits are the cell's simulated cycles and useful
-	// committed instructions so far: absolute counters, never deltas. The
-	// coordinator keeps the highest value seen per lease, so a duplicated,
-	// reordered or retried heartbeat cannot count progress twice.
-	Cycles  uint64 `json:"cycles"`
-	Commits uint64 `json:"commits"`
 }
 
 // HeartbeatResponse tells the worker whether it still owns the lease. Lost
@@ -194,18 +184,4 @@ type ResultRequest struct {
 // report was deduped (the cell was already done).
 type ResultResponse struct {
 	Accepted bool `json:"accepted"`
-}
-
-// WorkerStatus is one agent's row in the fleet view.
-type WorkerStatus struct {
-	Name string `json:"name"`
-	// Leases is the number of cells currently leased to this worker.
-	Leases int `json:"leases"`
-	// HeartbeatAge is the time since the worker last contacted the
-	// coordinator (lease, heartbeat, or result).
-	HeartbeatAge time.Duration `json:"heartbeat_age"`
-	Done         uint64        `json:"done"`
-	Failed       uint64        `json:"failed"`
-	// Lost counts leases this worker lost to expiry — its worker-loss score.
-	Lost uint64 `json:"lost"`
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/http/pprof"
 	"strings"
 	"time"
 )
@@ -41,9 +40,7 @@ func (c ServerConfig) maxBody() int64 {
 
 // Server exposes a Coordinator over HTTP: the campaign API (submit /
 // status / results / cancel), the worker protocol (lease / heartbeat /
-// result), the fleet view, and — when the coordinator was built with a
-// telemetry registry — the live /metrics, /healthz, and pprof surface on
-// the same listener.
+// result), and an unauthenticated /healthz liveness probe.
 type Server struct {
 	co     *Coordinator
 	cfg    ServerConfig
@@ -70,26 +67,10 @@ func NewServer(co *Coordinator, cfg ServerConfig) (*Server, error) {
 	mux.HandleFunc("POST "+PathLease, s.auth(s.handleLease))
 	mux.HandleFunc("POST "+PathHeartbeat, s.auth(s.handleHeartbeat))
 	mux.HandleFunc("POST "+PathResult, s.auth(s.handleResult))
-	mux.HandleFunc("GET "+PathFleet, s.auth(s.handleFleet))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	if co.cfg.Registry != nil {
-		// The profiling and metrics surface carries internal detail
-		// (cmdline, heap contents); it sits behind the same bearer token as
-		// the API.
-		reg := co.cfg.Registry
-		mux.HandleFunc("GET /metrics", s.auth(func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			reg.WritePrometheus(w)
-		}))
-		mux.HandleFunc("/debug/pprof/", s.auth(pprof.Index))
-		mux.HandleFunc("/debug/pprof/cmdline", s.auth(pprof.Cmdline))
-		mux.HandleFunc("/debug/pprof/profile", s.auth(pprof.Profile))
-		mux.HandleFunc("/debug/pprof/symbol", s.auth(pprof.Symbol))
-		mux.HandleFunc("/debug/pprof/trace", s.auth(pprof.Trace))
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s.cancel = cancel
@@ -115,8 +96,8 @@ func NewServer(co *Coordinator, cfg ServerConfig) (*Server, error) {
 
 	// Slowloris armor: a client must deliver its headers within 5s and its
 	// whole request within 30s, and idle keep-alive connections are
-	// reclaimed after 2 minutes. No write timeout: the debug surface
-	// (pprof profiles) legitimately streams for longer than any sane cap.
+	// reclaimed after 2 minutes. No write timeout is set: every response
+	// is one JSON document, bounded by the campaign's size.
 	s.srv = &http.Server{
 		Handler:           http.MaxBytesHandler(mux, cfg.maxBody()),
 		ReadHeaderTimeout: 5 * time.Second,
@@ -251,8 +232,4 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, resp)
-}
-
-func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.co.Fleet())
 }

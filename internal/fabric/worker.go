@@ -10,18 +10,17 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mtvp/internal/fault"
 	"mtvp/internal/harness"
 )
 
-// RunFunc executes one leased cell. progress must be called (cheaply, from
-// the simulator's observer poll) with the cell's current simulated cycle
-// and commit counts; the agent samples it for heartbeats. The returned
-// JSON is passed to the coordinator untouched — it must depend only on the
-// spec, never on the worker, so reports stay byte-identical across fleets.
+// RunFunc executes one leased cell. The worker agent passes a nil
+// progress; an implementation must accept nil and may ignore the
+// parameter. The returned JSON is passed to the coordinator untouched — it
+// must depend only on the spec, never on the worker, so reports stay
+// byte-identical across fleets.
 type RunFunc func(ctx context.Context, spec JobSpec, progress func(cycles, commits uint64)) (json.RawMessage, error)
 
 // WorkerConfig tunes one worker agent.
@@ -162,15 +161,9 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 	jctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	var cycles, commits atomic.Uint64
-	progress := func(cy, co uint64) {
-		cycles.Store(cy)
-		commits.Store(co)
-	}
-
-	// Heartbeat stream: extend the lease and report the cell's absolute
-	// progress. A refused heartbeat means the lease is gone (expired and
-	// requeued, campaign cancelled) and the cell must be abandoned mid-run.
+	// Heartbeat stream: extend the lease. A refused heartbeat means the
+	// lease is gone (expired and requeued, campaign cancelled) and the cell
+	// must be abandoned mid-run.
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
@@ -188,7 +181,6 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 				var resp HeartbeatResponse
 				err := w.client.do(jctx, http.MethodPost, PathHeartbeat, HeartbeatRequest{
 					Worker: w.name, Campaign: lease.Campaign, Key: lease.Spec.Key,
-					Cycles: cycles.Load(), Commits: commits.Load(),
 				}, &resp)
 				if err != nil {
 					// Network errors are tolerated: the coordinator will expire
@@ -203,7 +195,7 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 		}
 	}()
 
-	result, err := w.runIsolated(jctx, lease.Spec, progress)
+	result, err := w.runIsolated(jctx, lease.Spec)
 	cancel(nil)
 	<-hbDone
 
@@ -242,13 +234,13 @@ func (w *worker) okReport(lease Lease, result json.RawMessage) ResultRequest {
 
 // runIsolated runs the cell with panic capture: a panicking simulation
 // becomes a structured failure report, not agent death.
-func (w *worker) runIsolated(ctx context.Context, spec JobSpec, progress func(uint64, uint64)) (res json.RawMessage, err error) {
+func (w *worker) runIsolated(ctx context.Context, spec JobSpec) (res json.RawMessage, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &harness.PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
 		}
 	}()
-	return w.cfg.Run(ctx, spec, progress)
+	return w.cfg.Run(ctx, spec, nil)
 }
 
 // report delivers a terminal outcome with bounded retries — the result of

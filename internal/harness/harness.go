@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -116,8 +117,8 @@ type Config struct {
 	// of the campaign: the first SIGINT/SIGTERM stops dispatching queued
 	// cells and drains in-flight workers; a second cancels in-flight jobs.
 	HandleSignals bool
-	// OnEvent, when non-nil, receives progress events (retries, failures,
-	// completions) for logging. Called from worker goroutines.
+	// OnEvent, when non-nil, receives campaign events (retries, failures,
+	// drains, warnings) for logging. Called from worker goroutines.
 	OnEvent func(Event)
 }
 
@@ -223,9 +224,6 @@ type EventKind string
 
 // Event kinds.
 const (
-	EventStart EventKind = "start" // a worker picked the cell up
-	EventDone  EventKind = "done"
-	EventSkip  EventKind = "skip" // resumed from the journal
 	EventRetry EventKind = "retry"
 	EventFail  EventKind = "fail"
 	EventDrain EventKind = "drain" // shutdown signal: dispatch stopped
@@ -238,6 +236,27 @@ type Event struct {
 	Key     string
 	Attempt int
 	Err     string
+}
+
+// PrintEvents returns an OnEvent sink that writes one "#"-prefixed line to
+// w per event: retries, failures, the shutdown drain and warnings.
+func PrintEvents(w io.Writer) func(Event) {
+	return func(ev Event) {
+		switch ev.Kind {
+		case EventRetry:
+			fmt.Fprintf(w, "# retry %s (attempt %d): %s\n", ev.Key, ev.Attempt, ev.Err)
+		case EventFail:
+			fmt.Fprintf(w, "# FAIL  %s after %d attempts: %s\n", ev.Key, ev.Attempt, ev.Err)
+		case EventDrain:
+			fmt.Fprintln(w, "# interrupt: draining in-flight cells, journal will be flushed (interrupt again to cancel)")
+		case EventWarn:
+			if ev.Key != "" {
+				fmt.Fprintf(w, "# warn  %s: %s\n", ev.Key, ev.Err)
+			} else {
+				fmt.Fprintf(w, "# warn  %s\n", ev.Err)
+			}
+		}
+	}
 }
 
 // Campaign is the outcome of a Run: results keyed by job key (completed and
@@ -316,7 +335,6 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) (*Campaign[R], e
 			if err := json.Unmarshal(rec.Result, &r); err == nil {
 				camp.Results[j.Key] = r
 				sum.Skipped++
-				cfg.emit(Event{Kind: EventSkip, Key: j.Key})
 				continue
 			}
 			// A corrupt result record is treated as not-done: re-run.
@@ -359,7 +377,6 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) (*Campaign[R], e
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				cfg.emit(Event{Kind: EventStart, Key: j.Key})
 				o := execute(runCtx, cfg, j)
 				mu.Lock()
 				sum.Attempts += o.attempts
@@ -380,9 +397,7 @@ func Run[R any](ctx context.Context, cfg Config, jobs []Job[R]) (*Campaign[R], e
 					jnl.Failed(*o.fail, "")
 				}
 				mu.Unlock()
-				if o.fail == nil {
-					cfg.emit(Event{Kind: EventDone, Key: j.Key, Attempt: o.attempts})
-				} else {
+				if o.fail != nil {
 					cfg.emit(Event{Kind: EventFail, Key: j.Key, Attempt: o.attempts, Err: o.fail.Err})
 				}
 			}

@@ -400,3 +400,25 @@ func TestZeroConfig(t *testing.T) {
 		t.Errorf("summary: %+v", camp.Summary)
 	}
 }
+
+// TestPrintEvents feeds the shared event printer every event kind: each
+// prints exactly its one line, warnings included.
+func TestPrintEvents(t *testing.T) {
+	for _, tc := range []struct {
+		ev   Event
+		want string
+	}{
+		{Event{Kind: EventRetry, Key: "fig1/mcf/mtvp4", Attempt: 2, Err: "boom"}, "# retry fig1/mcf/mtvp4 (attempt 2): boom\n"},
+		{Event{Kind: EventFail, Key: "fig1/mcf/mtvp4", Attempt: 3, Err: "boom"}, "# FAIL  fig1/mcf/mtvp4 after 3 attempts: boom\n"},
+		{Event{Kind: EventDrain}, "# interrupt: draining in-flight cells, journal will be flushed (interrupt again to cancel)\n"},
+		{Event{Kind: EventWarn, Err: "journal: torn final record"}, "# warn  journal: torn final record\n"},
+		{Event{Kind: EventWarn, Key: "fig2", Err: "attached to in-flight campaign"}, "# warn  fig2: attached to in-flight campaign\n"},
+		{Event{Kind: "unknown", Key: "x"}, ""},
+	} {
+		var b strings.Builder
+		PrintEvents(&b)(tc.ev)
+		if b.String() != tc.want {
+			t.Errorf("%s event: printed %q, want %q", tc.ev.Kind, b.String(), tc.want)
+		}
+	}
+}

@@ -43,6 +43,14 @@ func New() *Memory {
 	return &Memory{pages: make(map[uint64]*[PageSize]byte)}
 }
 
+// ensurePages makes the page map of a zero Memory. The write paths call it
+// before page allocates; page itself stays small enough to inline.
+func (m *Memory) ensurePages() {
+	if m.pages == nil {
+		m.pages = make(map[uint64]*[PageSize]byte)
+	}
+}
+
 func (m *Memory) page(addr uint64, alloc bool) *[PageSize]byte {
 	pn := addr >> pageShift
 	if m.lastPage != nil && m.lastPN == pn {
@@ -70,6 +78,7 @@ func (m *Memory) GetByte(addr uint64) byte {
 
 // PutByte stores b at addr, allocating the page if needed.
 func (m *Memory) PutByte(addr uint64, b byte) {
+	m.ensurePages()
 	m.page(addr, true)[addr&pageMask] = b
 }
 
@@ -93,6 +102,7 @@ func (m *Memory) Load(addr uint64, size int) uint64 {
 
 // Store writes the low size bytes of val little-endian starting at addr.
 func (m *Memory) Store(addr uint64, size int, val uint64) {
+	m.ensurePages()
 	if size == 8 && addr&7 == 0 {
 		p := m.page(addr, true)
 		off := addr & pageMask

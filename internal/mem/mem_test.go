@@ -15,6 +15,28 @@ func TestZeroFill(t *testing.T) {
 	}
 }
 
+// The zero Memory is usable: reads see zeros, the first store (through
+// Store or PutByte) allocates, and a clone carries the stored page.
+func TestZeroValueMemory(t *testing.T) {
+	var m Memory
+	if v := m.Load(0x10, 8); v != 0 {
+		t.Fatalf("zero memory reads %#x, want 0", v)
+	}
+	m.Store(0x10, 8, 1)
+	if v := m.Load(0x10, 8); v != 1 {
+		t.Fatalf("Load after Store = %#x, want 1", v)
+	}
+	c := m.Clone()
+	if v := c.Load(0x10, 8); v != 1 || c.Pages() != 1 {
+		t.Fatalf("clone reads %#x with %d pages, want 1 with 1 page", v, c.Pages())
+	}
+	var b Memory
+	b.PutByte(0x20, 7)
+	if v := b.GetByte(0x20); v != 7 {
+		t.Fatalf("GetByte after PutByte = %d, want 7", v)
+	}
+}
+
 func TestStoreLoadSizes(t *testing.T) {
 	m := New()
 	m.Store(0x100, 8, 0x1122334455667788)

@@ -1,3 +1,10 @@
+// Package telemetry is the simulator's observability layer: the
+// cycle-bucketed time-series Sampler the pipeline engine feeds directly,
+// and machine-readable trace sinks (JSONL and Chrome trace-event /
+// Perfetto).
+//
+// Everything here is strictly observational: an attached sampler or sink
+// must never change simulation results (test-enforced in internal/core).
 package telemetry
 
 import (

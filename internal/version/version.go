@@ -1,7 +1,5 @@
-// Package version carries the build identity every mtvp binary reports:
-// the -version flag output and the conventional mtvp_build_info metric
-// (constant 1 with the version riding the labels) on every /metrics
-// surface.
+// Package version carries the build identity every mtvp binary reports in
+// its -version output.
 package version
 
 import (
@@ -9,8 +7,6 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-
-	"mtvp/internal/telemetry"
 )
 
 // Version identifies the build. Release builds inject it:
@@ -39,12 +35,4 @@ func String() string {
 // Print writes the standard -version line for a binary.
 func Print(w io.Writer, binary string) {
 	fmt.Fprintf(w, "%s %s (%s, %s/%s)\n", binary, String(), runtime.Version(), runtime.GOOS, runtime.GOARCH)
-}
-
-// Register exports the build identity on reg as mtvp_build_info.
-func Register(reg *telemetry.Registry) {
-	reg.LabeledGaugeFunc("mtvp_build_info",
-		fmt.Sprintf("version=%q,go=%q", String(), runtime.Version()),
-		"build identity (constant 1; the version rides the labels)",
-		func() float64 { return 1 })
 }

@@ -3,25 +3,12 @@ package version
 import (
 	"strings"
 	"testing"
-
-	"mtvp/internal/telemetry"
 )
 
-func TestPrintAndBuildInfoMetric(t *testing.T) {
+func TestPrintVersionLine(t *testing.T) {
 	var b strings.Builder
 	Print(&b, "mtvptest")
 	if !strings.HasPrefix(b.String(), "mtvptest "+String()+" (go") {
 		t.Fatalf("unexpected -version line: %q", b.String())
-	}
-
-	reg := telemetry.NewRegistry()
-	Register(reg)
-	b.Reset()
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "mtvp_build_info{version=") || !strings.Contains(out, "} 1") {
-		t.Fatalf("mtvp_build_info gauge missing:\n%s", out)
 	}
 }
