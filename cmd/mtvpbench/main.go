@@ -24,9 +24,9 @@
 // serve` coordinator and executed by whatever `mtvpd work` agents are
 // attached to it (-token authenticates). Reports are byte-identical to
 // local runs regardless of worker count or worker deaths. -journal,
-// -resume, -timeout and -stall are local-only and are refused with
-// -coordinator; the coordinator's -journal-dir and -lease-ttl do their
-// jobs there.
+// -resume, -timeout, -stall and an explicit -retries are local-only and
+// are refused with -coordinator; the coordinator's -journal-dir, -lease-ttl
+// and -retries do their jobs there.
 //
 // Campaign events (retries, failures, the shutdown drain, warnings such as
 // a torn journal tail) are logged to stderr unless -quiet is set.
@@ -96,6 +96,10 @@ func main() {
 	if *showVer {
 		version.Print(os.Stdout, "mtvpbench")
 		return
+	}
+	if err := checkRetries(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	stop, err := hostperf.StartProfiles(*cpuProf, *memProf)
@@ -233,4 +237,16 @@ func exit(name string, err error, sum *harness.Summary) {
 		os.Exit(130)
 	}
 	os.Exit(1)
+}
+
+// checkRetries refuses -retries given together with -coordinator: a fabric
+// campaign spends the coordinator's requeue budget, and the experiments
+// options cannot tell an explicit -retries from its default.
+func checkRetries(fs *flag.FlagSet) error {
+	retries := false
+	fs.Visit(func(f *flag.Flag) { retries = retries || f.Name == "retries" })
+	if retries && fs.Lookup("coordinator").Value.String() != "" {
+		return errors.New("-retries applies to local campaigns only, not with -coordinator: mtvpd serve -retries sets the requeue budget per cell")
+	}
+	return nil
 }

@@ -18,7 +18,8 @@
 // -coordinator runs every campaign on a distributed sweep fabric (`mtvpd
 // serve` + `mtvpd work` agents) instead of the local worker pool; the
 // generated report is byte-identical either way. -journal, -resume,
-// -timeout and -stall are local-only and are refused with -coordinator.
+// -timeout, -stall and an explicit -retries are local-only and are refused
+// with -coordinator.
 package main
 
 import (
@@ -52,6 +53,10 @@ func main() {
 	if *showVer {
 		version.Print(os.Stdout, "mtvpreport")
 		return
+	}
+	if err := checkRetries(flag.CommandLine); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	opt := experiments.DefaultOptions()
@@ -109,4 +114,16 @@ func main() {
 	if opt.Summary.Total > 0 {
 		opt.Summary.Render(os.Stderr)
 	}
+}
+
+// checkRetries refuses -retries given together with -coordinator: a fabric
+// campaign spends the coordinator's requeue budget, and the experiments
+// options cannot tell an explicit -retries from its default.
+func checkRetries(fs *flag.FlagSet) error {
+	retries := false
+	fs.Visit(func(f *flag.Flag) { retries = retries || f.Name == "retries" })
+	if retries && fs.Lookup("coordinator").Value.String() != "" {
+		return errors.New("-retries applies to local campaigns only, not with -coordinator: mtvpd serve -retries sets the requeue budget per cell")
+	}
+	return nil
 }

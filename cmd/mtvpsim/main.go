@@ -153,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return exitErr
 	}
-	sk, err := parseSel(*sel)
+	sk, err := config.ParseSelector(*sel)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return exitErr
@@ -386,10 +386,6 @@ func parseKinds(csv string) ([]trace.Kind, error) {
 		out = append(out, k)
 	}
 	return out, nil
-}
-
-func parseSel(s string) (config.SelectorKind, error) {
-	return config.ParseSelector(s)
 }
 
 func maxf(a, b float64) float64 {

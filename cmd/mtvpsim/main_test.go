@@ -50,6 +50,7 @@ func TestRunBadInputs(t *testing.T) {
 		{"-machine", "no-such-machine"},
 		{"-vpred", "no-such-pred"},
 		{"-sel", "no-such-sel"},
+		{"-sel", "never"},
 		{"-faults", "no-such-profile"},
 		{"-engine", "no-such-engine"},
 		{"-not-a-flag"},

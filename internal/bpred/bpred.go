@@ -35,6 +35,14 @@ func (c counter) train(taken bool) counter {
 	return counter(v ^ 2)
 }
 
+// histBits is the global history length the skewed and meta indexes hash.
+// Table 1 sizes the tables but not the history, and no experiment varies
+// it, so it is a constant of the modelled machine.
+const (
+	histBits = 14
+	histMask = 1<<histBits - 1
+)
+
 // TwoBcgskew is the 2bcgskew predictor.
 type TwoBcgskew struct {
 	bim  []counter
@@ -42,7 +50,6 @@ type TwoBcgskew struct {
 	g1   []counter
 	meta []counter
 	hist uint64
-	mask uint64
 }
 
 // New2bcgskew builds the predictor from the Table 1 sizing.
@@ -52,7 +59,6 @@ func New2bcgskew(p config.BranchParams) *TwoBcgskew {
 		g0:   make([]counter, p.GshareEntries),
 		g1:   make([]counter, p.GshareEntries),
 		meta: make([]counter, p.MetaEntries),
-		mask: (1 << uint(p.HistBits)) - 1,
 	}
 }
 
@@ -62,17 +68,17 @@ func (b *TwoBcgskew) idxBim(pc uint64) uint64 {
 }
 
 func (b *TwoBcgskew) idxG0(pc uint64) uint64 {
-	h := b.hist & b.mask
+	h := b.hist & histMask
 	return (pc ^ h ^ (pc >> 7)) % uint64(len(b.g0))
 }
 
 func (b *TwoBcgskew) idxG1(pc uint64) uint64 {
-	h := b.hist & b.mask
+	h := b.hist & histMask
 	return (pc ^ (h << 3) ^ (pc >> 13) ^ (h >> 5)) % uint64(len(b.g1))
 }
 
 func (b *TwoBcgskew) idxMeta(pc uint64) uint64 {
-	h := b.hist & b.mask
+	h := b.hist & histMask
 	return (pc ^ (h << 1)) % uint64(len(b.meta))
 }
 

@@ -12,7 +12,6 @@ func params() config.BranchParams {
 		MetaEntries:    64 << 10,
 		GshareEntries:  64 << 10,
 		BimodalEntries: 16 << 10,
-		HistBits:       14,
 	}
 }
 

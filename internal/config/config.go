@@ -27,8 +27,6 @@ type PrefetchParams struct {
 	Enabled       bool
 	Entries       int // PC-indexed stride table entries (256)
 	StreamBuffers int // concurrent stream buffers (8)
-	BufferDepth   int // lines each stream buffer runs ahead
-	MinConfidence int // stride repeats required before allocating a stream
 }
 
 // BranchParams sizes the 2bcgskew predictor of Table 1.
@@ -36,7 +34,6 @@ type BranchParams struct {
 	MetaEntries    int // meta chooser (64K)
 	GshareEntries  int // gshare/gskew tables (64K)
 	BimodalEntries int // bimodal table (16K)
-	HistBits       int // global history length
 }
 
 // VPMode selects the value-prediction architecture.
@@ -132,21 +129,15 @@ const (
 	SelL3Oracle
 	// SelAlways predicts every confident load.
 	SelAlways
-	// SelNever disables selection (no loads are predicted).
-	SelNever
+
+	selKinds // sentinel: number of selector kinds
 )
 
 func (k SelectorKind) String() string {
-	switch k {
-	case SelILPPred:
-		return "ilp-pred"
-	case SelL3Oracle:
-		return "l3-oracle"
-	case SelAlways:
-		return "always"
-	default:
-		return "never"
+	if k < 0 || k >= selKinds {
+		return "sel?"
 	}
+	return selectorNames[k]
 }
 
 // FetchPolicy selects what the spawning thread does after an MTVP spawn.
@@ -214,19 +205,20 @@ type VPParams struct {
 	// SpawnLatency is the cycles needed to flash-copy the register map
 	// and spawn a thread (1, 8, or 16 in §5.2).
 	SpawnLatency int
-	// StoreBufEntries bounds each speculative context's store buffer;
-	// 0 means unbounded (the oracle limit study of §5.1).
+	// StoreBufEntries bounds each speculative context's private store
+	// buffer; 0 means unbounded (the oracle limit study of §5.1).
 	StoreBufEntries int
-	// SharedStoreBuf switches to the §3.3 single-fetch-path simplification:
-	// one tagged store buffer whose SharedStoreBufEntries are shared by all
-	// contexts, instead of a private buffer per context.
-	SharedStoreBuf        bool
+	// SharedStoreBufEntries, when above 0, switches to the §3.3
+	// single-fetch-path simplification: one tagged store buffer of this
+	// many entries shared by all contexts, in place of a private buffer per
+	// context. 0 means private buffers.
 	SharedStoreBufEntries int
 	FetchPolicy           FetchPolicy
 
-	// MultiValue enables following several predicted values for one load
-	// (§5.6). MaxValuesPerLoad bounds the children spawned per load.
-	MultiValue       bool
+	// MaxValuesPerLoad bounds the predicted values followed for one load,
+	// one spawned child each. Above 1 it is the multi-value machine of
+	// §5.6, which also follows confident alternates; 1 (the baseline)
+	// follows only the primary prediction.
 	MaxValuesPerLoad int
 	// LiberalThreshold, when nonzero, lowers the confidence threshold for
 	// secondary values in multi-value mode (the "more liberal predictor").
@@ -290,20 +282,13 @@ type Config struct {
 	FQSize     int // FP queue (64)
 	MQSize     int // memory queue (64)
 
-	// Issue and commit.
-	IssueWidth  int // total issue bandwidth (8)
-	IntIssue    int // integer issue slots (6)
-	FPIssue     int // FP issue slots (2)
-	MemIssue    int // load/store issue slots (4)
-	CommitWidth int // commit bandwidth (8)
-
-	// Functional unit latencies (cycles).
-	LatIntALU int
-	LatIntMul int
-	LatIntDiv int
-	LatFPAdd  int
-	LatFPMul  int
-	LatFPDiv  int
+	// Issue. Dispatch/commit bandwidth and the functional-unit latencies,
+	// which Table 1 does not give, are constants in internal/pipeline
+	// (DESIGN.md §6).
+	IssueWidth int // total issue bandwidth (8)
+	IntIssue   int // integer issue slots (6)
+	FPIssue    int // FP issue slots (2)
+	MemIssue   int // load/store issue slots (4)
 
 	// Memory hierarchy.
 	ICache     CacheParams
@@ -371,18 +356,10 @@ func Baseline() Config {
 		FQSize:     64,
 		MQSize:     64,
 
-		IssueWidth:  8,
-		IntIssue:    6,
-		FPIssue:     2,
-		MemIssue:    4,
-		CommitWidth: 8,
-
-		LatIntALU: 1,
-		LatIntMul: 3,
-		LatIntDiv: 20,
-		LatFPAdd:  4,
-		LatFPMul:  4,
-		LatFPDiv:  16,
+		IssueWidth: 8,
+		IntIssue:   6,
+		FPIssue:    2,
+		MemIssue:   4,
 
 		ICache:     CacheParams{Name: "IL1", SizeBytes: 64 << 10, Assoc: 2, LineBytes: 64, Latency: 2},
 		DL1:        CacheParams{Name: "DL1", SizeBytes: 64 << 10, Assoc: 2, LineBytes: 64, Latency: 2},
@@ -394,14 +371,11 @@ func Baseline() Config {
 			Enabled:       true,
 			Entries:       256,
 			StreamBuffers: 8,
-			BufferDepth:   4,
-			MinConfidence: 2,
 		},
 		Branch: BranchParams{
 			MetaEntries:    64 << 10,
 			GshareEntries:  64 << 10,
 			BimodalEntries: 16 << 10,
-			HistBits:       14,
 		},
 		VP: VPParams{
 			Mode:             VPNone,
@@ -509,26 +483,28 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: FetchWidth must be >= 1, got %d", c.FetchWidth)
 	case c.ROBSize < 1 || c.IQSize < 1 || c.FQSize < 1 || c.MQSize < 1:
 		return fmt.Errorf("config: window sizes must be >= 1")
-	case c.IssueWidth < 1 || c.CommitWidth < 1:
-		return fmt.Errorf("config: issue/commit width must be >= 1")
+	case c.IssueWidth < 1:
+		return fmt.Errorf("config: IssueWidth must be >= 1, got %d", c.IssueWidth)
 	case c.MemLatency < 1:
 		return fmt.Errorf("config: MemLatency must be >= 1, got %d", c.MemLatency)
 	case c.VP.Mode == VPMTVP && c.Contexts < 2 && !c.VP.SpawnOnly:
 		return fmt.Errorf("config: MTVP needs >= 2 contexts, got %d", c.Contexts)
+	case c.VP.Mode < VPNone || c.VP.Mode > VPMTVP:
+		return fmt.Errorf("config: unknown VP.Mode %d", int(c.VP.Mode))
 	case c.VP.Predictor < 0 || c.VP.Predictor >= predKinds:
 		return &UnknownNameError{What: "predictor", Name: fmt.Sprintf("#%d", int(c.VP.Predictor)), Valid: PredictorNames()}
 	case c.VP.Sharing < 0 || c.VP.Sharing >= shareModes:
 		return &UnknownNameError{What: "sharing mode", Name: fmt.Sprintf("#%d", int(c.VP.Sharing)), Valid: SharingNames()}
+	case c.VP.Selector < 0 || c.VP.Selector >= selKinds:
+		return &UnknownNameError{What: "selector", Name: fmt.Sprintf("#%d", int(c.VP.Selector)), Valid: SelectorNames()}
+	case c.VP.FetchPolicy < FetchSFP || c.VP.FetchPolicy > FetchNoStall:
+		return fmt.Errorf("config: unknown VP.FetchPolicy %d", int(c.VP.FetchPolicy))
 	case c.VP.Predictor == PredVPQStride && (c.VP.VPQ.TableEntries < 1 || c.VP.VPQ.QueueEntries < 1):
 		return fmt.Errorf("config: VPQ stride predictor needs TableEntries and QueueEntries >= 1")
 	case c.VP.Predictor == PredEqualityLCV && (c.VP.Equality.TableEntries < 1 || c.VP.Equality.DecayPeriod < 1):
 		return fmt.Errorf("config: equality/LCV predictor needs TableEntries and DecayPeriod >= 1")
 	case c.VP.SpawnLatency < 0:
 		return fmt.Errorf("config: SpawnLatency must be >= 0")
-	case c.VP.MultiValue && c.VP.MaxValuesPerLoad < 2:
-		return fmt.Errorf("config: MultiValue needs MaxValuesPerLoad >= 2")
-	case c.VP.SharedStoreBuf && c.VP.SharedStoreBufEntries < 1:
-		return fmt.Errorf("config: SharedStoreBuf needs SharedStoreBufEntries >= 1")
 	case c.Recovery.WatchdogCycles < 0:
 		return fmt.Errorf("config: Recovery.WatchdogCycles must be >= 0, got %d", c.Recovery.WatchdogCycles)
 	case c.Recovery.DeadlockBudget < 0:

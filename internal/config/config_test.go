@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -93,8 +94,10 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(c *Config) { c.MemLatency = 0 },
 		func(c *Config) { c.VP.Mode = VPMTVP; c.Contexts = 1 },
 		func(c *Config) { c.VP.SpawnLatency = -1 },
-		func(c *Config) { c.VP.MultiValue = true; c.VP.MaxValuesPerLoad = 1 },
 		func(c *Config) { c.DL1.SizeBytes = 48 << 10 }, // non-power-of-two sets
+		func(c *Config) { c.VP.Mode = VPMTVP + 1; c.Contexts = 4 },
+		func(c *Config) { c.VP.Selector = SelAlways + 1 },
+		func(c *Config) { c.VP.FetchPolicy = FetchNoStall + 1 },
 	}
 	for i, mutate := range bad {
 		c := Baseline()
@@ -102,6 +105,15 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d validated", i)
 		}
+	}
+
+	// An out-of-range selector is reported like an unknown predictor,
+	// listing the registered names.
+	c := Baseline()
+	c.VP.Selector = -1
+	var unk *UnknownNameError
+	if err := c.Validate(); !errors.As(err, &unk) || unk.What != "selector" {
+		t.Errorf("selector -1: got %v, want an unknown-selector error", err)
 	}
 }
 

@@ -26,13 +26,14 @@ var (
 		SharePrivate:     "private",
 		SharePartitioned: "partitioned",
 	}
-	selectorNames = map[string]SelectorKind{
-		"ilp-pred":  SelILPPred,
-		"ilp":       SelILPPred,
-		"l3-oracle": SelL3Oracle,
-		"l3":        SelL3Oracle,
-		"always":    SelAlways,
-		"never":     SelNever,
+	selectorNames = [selKinds]string{
+		SelILPPred:  "ilp-pred",
+		SelL3Oracle: "l3-oracle",
+		SelAlways:   "always",
+	}
+	selectorAliases = map[string]SelectorKind{
+		"ilp": SelILPPred,
+		"l3":  SelL3Oracle,
 	}
 )
 
@@ -88,13 +89,18 @@ func ParseSharing(name string) (SharingMode, error) {
 
 // SelectorNames returns the canonical name of every criticality selector.
 func SelectorNames() []string {
-	return []string{"ilp-pred", "l3-oracle", "always", "never"}
+	return append([]string(nil), selectorNames[:]...)
 }
 
-// ParseSelector resolves a criticality selector name. Unknown names yield an
-// *UnknownNameError listing the valid choices.
+// ParseSelector resolves a criticality selector name (canonical or alias).
+// Unknown names yield an *UnknownNameError listing the valid choices.
 func ParseSelector(name string) (SelectorKind, error) {
-	if k, ok := selectorNames[name]; ok {
+	for k, n := range selectorNames {
+		if n == name {
+			return SelectorKind(k), nil
+		}
+	}
+	if k, ok := selectorAliases[name]; ok {
 		return k, nil
 	}
 	return 0, &UnknownNameError{What: "selector", Name: name, Valid: SelectorNames()}

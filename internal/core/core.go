@@ -91,13 +91,3 @@ func RunInstrumented(cfg config.Config, prog *isa.Program, image *mem.Memory, in
 	res.Regs, res.RegsOK = eng.ArchRegs()
 	return res, nil
 }
-
-// RunFunctional executes prog purely functionally (the reference machine)
-// against image and returns the final register file and instruction count.
-// The architectural-equivalence tests compare the timing simulator's final
-// state against this.
-func RunFunctional(prog *isa.Program, image *mem.Memory, maxInsts uint64) ([isa.NumRegs]uint64, uint64) {
-	ctx := isa.NewContext(prog, image)
-	n := ctx.Run(maxInsts)
-	return ctx.R, n
-}

@@ -58,7 +58,6 @@ func MTVPNoStall(contexts int, pred config.PredictorKind, sel config.SelectorKin
 // and the L3-miss-oracle criticality predictor.
 func MTVPMultiValue(contexts, maxValues, liberalThreshold int) config.Config {
 	cfg := config.Baseline().WithMTVP(contexts, config.PredWangFranklin, config.SelL3Oracle)
-	cfg.VP.MultiValue = true
 	cfg.VP.MaxValuesPerLoad = maxValues
 	cfg.VP.LiberalThreshold = liberalThreshold
 	return cfg
@@ -70,7 +69,6 @@ func MTVPMultiValue(contexts, maxValues, liberalThreshold int) config.Config {
 // buffer per context.
 func MTVPUnifiedSB(contexts, entries int) config.Config {
 	cfg := config.Baseline().WithMTVP(contexts, config.PredWangFranklin, config.SelILPPred)
-	cfg.VP.SharedStoreBuf = true
 	cfg.VP.SharedStoreBufEntries = entries
 	return cfg
 }

@@ -52,7 +52,10 @@ type Selector interface {
 	Observe(pc uint64, mode Decision, insts, cycles uint64)
 }
 
-// New builds the selector named by the configuration.
+// New builds the selector named by the configuration. Unknown kinds panic:
+// Config.Validate rejects them with a structured error first, so reaching
+// the panic means the config registry and this constructor switch disagree
+// about what is registered.
 func New(cfg *config.Config) Selector {
 	switch cfg.VP.Selector {
 	case config.SelILPPred:
@@ -62,7 +65,7 @@ func New(cfg *config.Config) Selector {
 	case config.SelAlways:
 		return &Always{Mode: cfg.VP.Mode}
 	default:
-		return Never{}
+		panic(fmt.Sprintf("crit: no constructor for selector kind %d", int(cfg.VP.Selector)))
 	}
 }
 
@@ -226,18 +229,8 @@ func (s *Always) Select(_ uint64, _ cache.HitLevel, mtvpOK bool) Decision {
 // Observe is a no-op.
 func (s *Always) Observe(uint64, Decision, uint64, uint64) {}
 
-// Never declines every prediction.
-type Never struct{}
-
-// Select implements Selector.
-func (Never) Select(uint64, cache.HitLevel, bool) Decision { return DecideNone }
-
-// Observe is a no-op.
-func (Never) Observe(uint64, Decision, uint64, uint64) {}
-
 var (
 	_ Selector = (*ILPPred)(nil)
 	_ Selector = (*L3Oracle)(nil)
 	_ Selector = (*Always)(nil)
-	_ Selector = Never{}
 )

@@ -23,16 +23,13 @@ func TestL3OracleMapping(t *testing.T) {
 	}
 }
 
-func TestAlwaysAndNever(t *testing.T) {
+func TestAlways(t *testing.T) {
 	a := &Always{Mode: config.VPMTVP}
 	if d := a.Select(0, cache.HitL1, true); d != DecideMTVP {
 		t.Errorf("always -> %v", d)
 	}
 	if d := a.Select(0, cache.HitL1, false); d != DecideSTVP {
 		t.Errorf("always w/o context -> %v", d)
-	}
-	if d := (Never{}).Select(0, cache.HitMem, true); d != DecideNone {
-		t.Errorf("never -> %v", d)
 	}
 }
 
@@ -160,11 +157,24 @@ func TestRateExactDivision(t *testing.T) {
 func TestNewSelectsConfiguredSelector(t *testing.T) {
 	cfg := config.Baseline()
 	for _, k := range []config.SelectorKind{
-		config.SelILPPred, config.SelL3Oracle, config.SelAlways, config.SelNever,
+		config.SelILPPred, config.SelL3Oracle, config.SelAlways,
 	} {
 		cfg.VP.Selector = k
 		if New(&cfg) == nil {
 			t.Errorf("New returned nil for %v", k)
 		}
 	}
+}
+
+// TestNewPanicsOnUnknownSelector: an unregistered kind is a programming
+// error (Validate rejects it first), never a silent fallback.
+func TestNewPanicsOnUnknownSelector(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.VP.Selector = config.SelAlways + 1
+	defer func() {
+		if recover() == nil {
+			t.Error("New did not panic on an unknown selector kind")
+		}
+	}()
+	New(&cfg)
 }

@@ -28,9 +28,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Next() % uint64(n))
 }
 
-// Uint64n returns a pseudo-random value in [0, n). n must be nonzero.
-func (r *Rand) Uint64n(n uint64) uint64 { return r.Next() % n }
-
 // Float64 returns a pseudo-random value in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Next()>>11) / (1 << 53)

@@ -55,7 +55,7 @@ func NewChecker(prog *isa.Program, image *mem.Memory) *Checker {
 func (c *Checker) Oracle() *Oracle { return c.o }
 
 // Verified returns how many useful commits have been checked so far.
-func (c *Checker) Verified() uint64 { return c.o.Steps() }
+func (c *Checker) Verified() uint64 { return c.o.ctx.Retired }
 
 // Note records a commit in the reporting window without verifying it. The
 // engine calls it for every commit, including commits of still-speculative

@@ -46,9 +46,6 @@ func (o *Oracle) PC() int64 { return o.ctx.PC }
 // of the program).
 func (o *Oracle) Halted() bool { return o.ctx.Halted }
 
-// Steps returns the number of instructions the oracle has executed.
-func (o *Oracle) Steps() uint64 { return o.ctx.Retired }
-
 // Regs returns the oracle's architectural register file.
 func (o *Oracle) Regs() [isa.NumRegs]uint64 { return o.ctx.R }
 

@@ -225,7 +225,7 @@ func (e *Engine) auditScan() {
 			return
 		}
 	}
-	if e.cfg.VP.SharedStoreBuf && storeN != e.sharedStoreUsed {
+	if e.cfg.VP.SharedStoreBufEntries > 0 && storeN != e.sharedStoreUsed {
 		e.auditFail("shared store buffer occupancy %d, recount %d", e.sharedStoreUsed, storeN)
 	}
 }

@@ -6,13 +6,18 @@ import (
 	"mtvp/internal/trace"
 )
 
+// commitWidth is the per-cycle bandwidth of both commit and dispatch:
+// each stage spends this budget every cycle. Table 1 does not give it and
+// no experiment varies it, so it is a constant of the modelled machine.
+const commitWidth = 8
+
 // commit retires done instructions in order from each thread's ROB, oldest
 // thread first, within the shared commit bandwidth. This is the stage that
 // gives threaded value prediction its advantage: a spawned thread commits
 // past the stalled load (into its store buffer), while a single thread
 // would be blocked behind it.
 func (e *Engine) commit() {
-	budget := e.cfg.CommitWidth
+	budget := commitWidth
 	for _, t := range e.liveByOrder() {
 		for budget > 0 {
 			if t.robHead >= len(t.rob) {

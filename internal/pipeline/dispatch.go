@@ -7,12 +7,13 @@ import (
 )
 
 // dispatch renames and inserts fetched uops into the issue queues and the
-// ROB, oldest thread first, until the cycle's bandwidth or a shared resource
-// (ROB entries, rename registers, queue slots, store-buffer entries) runs
-// out. Instructions become dispatchable FrontEndDepth cycles after fetch,
-// modelling the deep front end of the 30-stage pipe.
+// ROB, oldest thread first, until the cycle's bandwidth (commitWidth, the
+// same budget commit spends) or a shared resource (ROB entries, rename
+// registers, queue slots, store-buffer entries) runs out. Instructions
+// become dispatchable FrontEndDepth cycles after fetch, modelling the deep
+// front end of the 30-stage pipe.
 func (e *Engine) dispatch() {
-	budget := e.cfg.CommitWidth
+	budget := commitWidth
 	for _, t := range e.liveByOrder() {
 		if t.dispatchHold > e.now {
 			continue

@@ -223,20 +223,20 @@ func (e *Engine) Now() int64 { return e.now }
 // buffer entry: per-context capacity by default, or the shared pool of the
 // unified tagged buffer (§3.3) when configured.
 func (e *Engine) storeBufFull(t *thread) bool {
-	if e.cfg.VP.SharedStoreBuf {
+	if e.cfg.VP.SharedStoreBufEntries > 0 {
 		return e.sharedStoreUsed >= e.cfg.VP.SharedStoreBufEntries
 	}
 	return t.storeQFull(e.cfg.VP.StoreBufEntries)
 }
 
 func (e *Engine) noteStoreAlloc() {
-	if e.cfg.VP.SharedStoreBuf {
+	if e.cfg.VP.SharedStoreBufEntries > 0 {
 		e.sharedStoreUsed++
 	}
 }
 
 func (e *Engine) noteStoreFree(n int) {
-	if e.cfg.VP.SharedStoreBuf {
+	if e.cfg.VP.SharedStoreBufEntries > 0 {
 		e.sharedStoreUsed -= n
 		if e.sharedStoreUsed < 0 {
 			panic("pipeline: shared store buffer over-released")

@@ -276,16 +276,17 @@ func (e *Engine) spawn(t *thread, loadU *uop, ev *vpEvent) {
 	}
 	in := loadU.ex.Inst
 	values := []uint64{ev.predicted}
-	if e.cfg.VP.MultiValue && !ev.spawnOnly {
+	if ev.spawnOnly {
+		values[0] = ev.actual
+	} else {
+		// Multi-value MTVP (§5.6) follows confident alternates too, up to
+		// MaxValuesPerLoad values; at 1 (the baseline) it adds none.
 		for _, alt := range ev.alternates {
 			if len(values) >= e.cfg.VP.MaxValuesPerLoad || e.freeSlots() <= len(values) {
 				break
 			}
 			values = append(values, alt.Value)
 		}
-	}
-	if ev.spawnOnly {
-		values = []uint64{ev.actual}
 	}
 	if e.injectFault(fault.SpawnDup) {
 		// Duplicated spawn event: a second child chases the primary value

@@ -140,15 +140,25 @@ func (e *Engine) issueOne(u *uop) {
 	e.emit(trace.KIssue, u)
 }
 
+// Functional-unit latencies in cycles. Table 1 does not give them and no
+// experiment varies them, so they are constants of the modelled machine.
+const (
+	latIntALU = 1
+	latIntMul = 3
+	latIntDiv = 20
+	latFPAdd  = 4
+	latFPMul  = 4
+	latFPDiv  = 16
+)
+
 // latencyOf computes the execution latency of u, performing the cache
 // access for loads (this is where the prefetcher trains, in issue order).
 func (e *Engine) latencyOf(u *uop) int64 {
-	cfg := e.cfg
 	switch u.class {
 	case isa.ClassLoad:
 		if u.fwdStore {
 			e.st.StoreBufHits++
-			return int64(cfg.DL1.Latency)
+			return int64(e.cfg.DL1.Latency)
 		}
 		pcAddr := u.dec.InstAddr
 		ready, lvl := e.hier.Load(pcAddr, u.ex.Addr, e.now)
@@ -163,16 +173,16 @@ func (e *Engine) latencyOf(u *uop) int64 {
 	case isa.ClassStore:
 		return 1
 	case isa.ClassIntMul:
-		return int64(cfg.LatIntMul)
+		return latIntMul
 	case isa.ClassIntDiv:
-		return int64(cfg.LatIntDiv)
+		return latIntDiv
 	case isa.ClassFPAdd:
-		return int64(cfg.LatFPAdd)
+		return latFPAdd
 	case isa.ClassFPMul:
-		return int64(cfg.LatFPMul)
+		return latFPMul
 	case isa.ClassFPDiv:
-		return int64(cfg.LatFPDiv)
+		return latFPDiv
 	default:
-		return int64(cfg.LatIntALU)
+		return latIntALU
 	}
 }

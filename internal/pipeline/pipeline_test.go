@@ -302,7 +302,6 @@ func TestUnifiedStoreBufferSharedCapacity(t *testing.T) {
 	b := chaseBench(2048, 2)
 	mk := func(entries int) config.Config {
 		cfg := mtvpOracleCfg(4)
-		cfg.VP.SharedStoreBuf = true
 		cfg.VP.SharedStoreBufEntries = entries
 		return cfg
 	}
@@ -329,7 +328,6 @@ func TestMultiValueSpawnsAndSaves(t *testing.T) {
 		DominantPct: 55, ReusePct: 45, FPData: true, BodyOps: 30, Iters: 3,
 	})
 	cfg := config.Baseline().WithMTVP(8, config.PredWangFranklin, config.SelL3Oracle)
-	cfg.VP.MultiValue = true
 	cfg.VP.MaxValuesPerLoad = 3
 	cfg.VP.LiberalThreshold = 4
 	eng, st := runBench(t, b, cfg)

@@ -42,7 +42,7 @@ func (e *Engine) telemetryGauges() telemetry.CycleGauges {
 		RenameUsed: e.renameUsed,
 		IQUsed:     e.qUsed[qInt],
 	}
-	if e.cfg.VP.SharedStoreBuf {
+	if e.cfg.VP.SharedStoreBufEntries > 0 {
 		g.StoreBufUsed = e.sharedStoreUsed
 	}
 	for _, t := range e.slots {
@@ -53,7 +53,7 @@ func (e *Engine) telemetryGauges() telemetry.CycleGauges {
 		if t.isSpec() {
 			g.SpecThreads++
 		}
-		if !e.cfg.VP.SharedStoreBuf {
+		if e.cfg.VP.SharedStoreBufEntries == 0 {
 			g.StoreBufUsed += len(t.storeQ)
 		}
 	}

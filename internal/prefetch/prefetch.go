@@ -7,6 +7,14 @@ package prefetch
 
 import "mtvp/internal/config"
 
+// Stream-buffer depth and allocation threshold. Table 1 gives the table and
+// stream-buffer counts but not these, and no experiment varies them, so
+// they are constants of the modelled machine.
+const (
+	bufferDepth   = 4 // lines each stream buffer runs ahead
+	minConfidence = 2 // stride repeats required before allocating a stream
+)
+
 type tableEntry struct {
 	pc       uint64
 	lastAddr uint64
@@ -27,7 +35,6 @@ type stream struct {
 
 // Prefetcher is the stride table plus its stream buffers.
 type Prefetcher struct {
-	p         config.PrefetchParams
 	lineBytes int
 	table     []tableEntry
 	streams   []stream
@@ -38,7 +45,6 @@ type Prefetcher struct {
 // New returns a prefetcher sized by p for the given cache line size.
 func New(p config.PrefetchParams, lineBytes int) *Prefetcher {
 	pf := &Prefetcher{
-		p:         p,
 		lineBytes: lineBytes,
 		table:     make([]tableEntry, p.Entries),
 		streams:   make([]stream, p.StreamBuffers),
@@ -72,7 +78,7 @@ func (pf *Prefetcher) Train(pc, addr uint64, now int64) {
 		e.stride = stride
 		e.conf = 1
 	}
-	if e.conf >= pf.p.MinConfidence {
+	if e.conf >= minConfidence {
 		pf.allocate(pc, addr, stride)
 	}
 }
@@ -98,7 +104,7 @@ func (pf *Prefetcher) allocate(pc, addr uint64, stride int64) {
 				// If the access pattern jumped elsewhere (a plane
 				// boundary), fall through and redirect the stream.
 				diff := abs64(int64(next) - int64(s.next))
-				if diff <= abs64(adv)*int64(pf.p.BufferDepth+2) {
+				if diff <= abs64(adv)*(bufferDepth+2) {
 					return
 				}
 			}
@@ -124,7 +130,7 @@ func (pf *Prefetcher) allocate(pc, addr uint64, stride int64) {
 		pc:      pc,
 		stride:  adv,
 		next:    next,
-		pending: pf.p.BufferDepth,
+		pending: bufferDepth,
 		lines:   make(map[uint64]int64),
 		used:    pf.tick,
 	}
@@ -176,7 +182,7 @@ func (pf *Prefetcher) NextPrefetch() (uint64, bool) {
 		if !s.valid || s.pending <= 0 {
 			continue
 		}
-		if len(s.lines)+pf.pendingFor(i) >= pf.p.BufferDepth {
+		if len(s.lines)+pf.pendingFor(i) >= bufferDepth {
 			s.pending = 0
 			continue
 		}

@@ -11,8 +11,6 @@ func params() config.PrefetchParams {
 		Enabled:       true,
 		Entries:       256,
 		StreamBuffers: 8,
-		BufferDepth:   4,
-		MinConfidence: 2,
 	}
 }
 
@@ -32,13 +30,13 @@ func drain(pf *Prefetcher, ready int64) []uint64 {
 func TestTrainingAllocatesStream(t *testing.T) {
 	pf := New(params(), 64)
 	pc := uint64(0x10)
-	// Three misses with a stable 64-byte stride: conf reaches 2.
+	// Three misses with a stable 64-byte stride: conf reaches minConfidence.
 	pf.Train(pc, 0x1000, 0)
 	pf.Train(pc, 0x1040, 10)
 	pf.Train(pc, 0x1080, 20)
 	lines := drain(pf, 100)
-	if len(lines) != 4 {
-		t.Fatalf("issued %d prefetches, want BufferDepth=4", len(lines))
+	if len(lines) != bufferDepth {
+		t.Fatalf("issued %d prefetches, want bufferDepth=%d", len(lines), bufferDepth)
 	}
 	if lines[0] != 0x10c0 {
 		t.Errorf("first prefetch at %#x, want 0x10c0", lines[0])
