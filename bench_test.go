@@ -276,7 +276,7 @@ func BenchmarkOverlayChainLoad(b *testing.B) {
 		for a := uint64(0); a < 64; a++ {
 			top.Store(a*8, 8, uint64(d))
 		}
-		tops := top.Fork(2)
+		tops := top.Fork(nil, 2)
 		tops[1].Release()
 		top = tops[0]
 	}

@@ -27,8 +27,8 @@ type Exec struct {
 
 // Context is one architectural execution context: a register file, a PC,
 // and a view of memory. Contexts are the unit of forking for multithreaded
-// value prediction: Fork copies the register state so a spawned thread can
-// run ahead with a predicted value while the parent's state stays intact.
+// value prediction: ForkInto copies the register state so a spawned thread
+// can run ahead with a predicted value while the parent's state stays intact.
 type Context struct {
 	Prog    *Program
 	PC      int64
@@ -43,14 +43,14 @@ func NewContext(p *Program, mem MemAccess) *Context {
 	return &Context{Prog: p, Mem: mem}
 }
 
-// Fork returns a copy of the context executing against mem. The copy shares
-// the program but has its own register file and PC, mirroring the flash
-// register-map copy performed at thread spawn.
-func (c *Context) Fork(mem MemAccess) *Context {
-	nc := *c
-	nc.Mem = mem
-	nc.Retired = 0
-	return &nc
+// ForkInto overwrites dst with a copy of the context executing against mem.
+// The copy shares the program but has its own register file and PC,
+// mirroring the flash register-map copy performed at thread spawn. dst may
+// be a context from an earlier thread, so a spawn need not allocate one.
+func (c *Context) ForkInto(dst *Context, mem MemAccess) {
+	*dst = *c
+	dst.Mem = mem
+	dst.Retired = 0
 }
 
 // Reg returns the value of r (R0 reads as zero).

@@ -275,7 +275,13 @@ func TestForkIsolation(t *testing.T) {
 	}}
 	parent := NewContext(p, flatMem{})
 	parent.Step()
-	child := parent.Fork(flatMem{})
+	// Fork into a used context: nothing of its old state may survive.
+	child := &Context{PC: 99, Halted: true, Retired: 7}
+	child.R[R2] = 5
+	parent.ForkInto(child, flatMem{})
+	if child.PC != parent.PC || child.Halted || child.R[R2] != 0 {
+		t.Fatalf("forked context kept old state: pc %d halted %v r2 %d", child.PC, child.Halted, child.R[R2])
+	}
 	child.SetReg(R1, 100)
 	for i := 0; i < 4; i++ {
 		child.Step()

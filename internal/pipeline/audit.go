@@ -104,14 +104,118 @@ func (e *Engine) auditKill(t *thread) {
 	}
 }
 
-// auditScan is the full structural walk: ROB age ordering, shared resource
-// counter reconciliation, rename-map liveness, per-thread ICOUNT, wakeup
-// counts and ready-set membership, overlay isolation, a common bottom
-// overlay, and speculative/promoted exclusion.
+// auditForward cross-checks the store-list forwarding search against a
+// reference that scans every uncommitted uop of the load's thread and its
+// ancestors: both must pick the same source.
+func (e *Engine) auditForward(t *thread, load, src *uop, ok bool) {
+	want, wantOK := forwardSourceROB(t, load.seq, load.ex.Addr, load.dec.MemSize)
+	if src != want || ok != wantOK {
+		e.auditFail("T%d/%d load seq %d forwards from %v (found %v), ROB walk says %v (found %v)",
+			t.id, t.order, load.seq, uopSeq(src), ok, uopSeq(want), wantOK)
+	}
+}
+
+// forwardSourceROB is thread.forwardSource searching the in-flight stores
+// in the ROB instead of the store list.
+func forwardSourceROB(t *thread, loadSeq uint64, addr uint64, size int) (*uop, bool) {
+	for cur := t; cur != nil; cur = cur.parent {
+		for i := len(cur.rob) - 1; i >= cur.robHead; i-- {
+			s := cur.rob[i]
+			if s.seq >= loadSeq || !s.dec.IsStore || s.state == stSquashed {
+				continue
+			}
+			if overlaps(s.ex.Addr, s.dec.MemSize, addr, size) {
+				return s, true
+			}
+		}
+		for i := len(cur.storeQ) - 1; i >= 0; i-- {
+			se := cur.storeQ[i]
+			if se.u != nil && se.u.seq >= loadSeq {
+				continue
+			}
+			if overlaps(se.addr, se.size, addr, size) {
+				return se.u, true
+			}
+		}
+	}
+	return nil, false
+}
+
+// uopSeq names a uop in an audit message: its sequence number, or -1.
+func uopSeq(u *uop) int64 {
+	if u == nil {
+		return -1
+	}
+	return int64(u.seq)
+}
+
+// auditPools fails if anything the engine still uses is on a free list:
+// a live slot or ordered entry, a live thread's parent chain, the events a
+// live thread names, an unresolved event's children, or an in-flight uop's
+// thread or event. Refs are checked through get, so only a free that
+// forgot its generation bump shows through them.
+func (e *Engine) auditPools() {
+	for i, t := range e.slots {
+		if t != nil && t.pooled {
+			e.auditFail("slot %d holds a recycled thread", i)
+			return
+		}
+	}
+	for _, t := range e.ordered {
+		for cur := t; cur != nil; cur = cur.parent {
+			if cur.pooled {
+				e.auditFail("live T%d/%d has a recycled thread in its lineage (T%d/%d)",
+					t.id, t.order, cur.id, cur.order)
+				return
+			}
+		}
+		for _, ev := range [...]*vpEvent{t.spawn.get(), t.pendingSpawn, t.confirmEvent} {
+			if ev == nil {
+				continue
+			}
+			if ev.pooled {
+				e.auditFail("live T%d/%d names a recycled event", t.id, t.order)
+				return
+			}
+			if ev.resolved {
+				continue
+			}
+			for _, c := range ev.children {
+				if c := c.get(); c != nil && c.pooled {
+					e.auditFail("unresolved event of T%d/%d has a recycled child", t.id, t.order)
+					return
+				}
+			}
+		}
+		for _, u := range t.rob[t.robHead:] {
+			if u.state == stSquashed {
+				continue
+			}
+			if u.thread.pooled {
+				e.auditFail("in-flight seq %d belongs to a recycled thread", u.seq)
+				return
+			}
+			if ev := u.vp.get(); ev != nil && ev.pooled {
+				e.auditFail("in-flight seq %d names a recycled event", u.seq)
+				return
+			}
+		}
+	}
+}
+
+// auditScan is the full structural walk: pool hygiene, ROB age ordering,
+// shared resource counter reconciliation, rename-map liveness, per-thread
+// ICOUNT, wakeup counts and ready-set membership, overlay and context
+// isolation, a common bottom overlay, and speculative/promoted exclusion.
 func (e *Engine) auditScan() {
+	e.auditPools()
+	if e.auditErr != nil {
+		return
+	}
 	var robN, renameN, storeN int
 	var qN [numQueues]int
 	overlays := make(map[*storebuf.Overlay]*thread)
+	contexts := make(map[*isa.Context]*thread)
 	var bottom *storebuf.Overlay // Settle's premise: one bottom under every live chain
 	inReady := make(map[*uop]bool)
 	for _, r := range e.ready {
@@ -150,6 +254,12 @@ func (e *Engine) auditScan() {
 			return
 		}
 		overlays[t.overlay] = t
+		if prev, dup := contexts[t.ctx]; dup {
+			e.auditFail("T%d/%d and T%d/%d share an architectural context",
+				t.id, t.order, prev.id, prev.order)
+			return
+		}
+		contexts[t.ctx] = t
 
 		// ROB age ordering: fetch sequence strictly increases front to
 		// back (squashed entries keep their place and their seq).

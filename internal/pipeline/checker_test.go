@@ -2,10 +2,14 @@ package pipeline
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"mtvp/internal/asm"
 	"mtvp/internal/config"
+	"mtvp/internal/isa"
+	"mtvp/internal/mem"
 	"mtvp/internal/oracle"
 	"mtvp/internal/storebuf"
 	"mtvp/internal/workload"
@@ -174,7 +178,7 @@ func TestAuditorDetectsDeadThreadCommit(t *testing.T) {
 func TestAuditorDetectsSpeculativeStoreDrain(t *testing.T) {
 	eng := newAuditEngine(t)
 	parent := eng.liveByOrder()[0]
-	spec := &thread{id: 1, order: 9, live: true, parent: parent, spawn: &vpEvent{}}
+	spec := &thread{id: 1, order: 9, live: true, parent: parent, spawn: refEv(&vpEvent{})}
 	eng.auditStoreDrain(spec, 0x1000)
 	if eng.auditErr == nil || !strings.Contains(eng.auditErr.Error(), "speculative") {
 		t.Fatalf("speculative store drain not flagged: %v", eng.auditErr)
@@ -258,7 +262,7 @@ func TestAuditorSeesSquashWakeup(t *testing.T) {
 		t.Fatalf("auditor flagged the engine before the kill: %v", eng.auditErr)
 	}
 	// killSubtree(root), one killOne at a time.
-	for _, o := range eng.liveByOrder() {
+	for _, o := range slices.Clone(eng.liveByOrder()) {
 		if o == root || !descendsFrom(o, root) {
 			continue
 		}
@@ -285,7 +289,7 @@ func TestAuditorSeesSquashWakeup(t *testing.T) {
 func liveConsumerOfKill(e *Engine) (*thread, *thread, *uop) {
 	for _, x := range e.liveByOrder() {
 		y := x.parent
-		if y == nil || !y.live || x.spawn == nil || !x.spawn.resolved {
+		if y == nil || !y.live || x.spawn.ev == nil || x.spawn.unresolved() {
 			continue
 		}
 		root := y.parent
@@ -304,4 +308,128 @@ func liveConsumerOfKill(e *Engine) (*thread, *thread, *uop) {
 		}
 	}
 	return nil, nil, nil
+}
+
+// TestAuditorDetectsEarlyRecycle returns threads to the pool one step
+// early. killSubtree frees its victims only once the whole subtree is dead;
+// this test replays the kill of a three-deep speculative lineage whose
+// middle thread is retiring, and frees each victim as soon as it dies,
+// while the middle thread's confirmed child still runs. The pool-hygiene
+// scan must see the recycled thread in a live lineage.
+func TestAuditorDetectsEarlyRecycle(t *testing.T) {
+	w, err := workload.ByName("gcc e")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := checkedCfg(config.Baseline().WithMTVP(8, config.PredOracle, config.SelILPPred))
+	prog, image := w.Build(1)
+	eng, err := New(&cfg, prog, image, newStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root *thread
+	for root == nil {
+		if stop, err := eng.runCycle(); err != nil || stop {
+			t.Fatalf("run ended before a three-deep speculative lineage formed: stop=%v err=%v", stop, err)
+		}
+		// g's spawn is confirmed (c is retiring), so killing c does not
+		// take g along: g outlives c until killSubtree reaches it.
+		for _, g := range eng.liveByOrder() {
+			if c := g.parent; c != nil && c.retiring && c.parent != nil && c.parent.isSpec() {
+				root = c.parent
+				break
+			}
+		}
+	}
+	eng.auditScan()
+	if eng.auditErr != nil {
+		t.Fatalf("auditor flagged the engine before the kill: %v", eng.auditErr)
+	}
+	base := eng.pushDescendants(root)
+	victims := append(slices.Clone(eng.victims[base:]), root)
+	eng.popVictims(base)
+	for _, v := range victims {
+		if !eng.killOne(v) {
+			continue
+		}
+		eng.freeThread(v) // one step early: descendants of v may still live
+		eng.auditScan()
+		if eng.auditErr != nil {
+			break
+		}
+	}
+	if eng.auditErr == nil || !strings.Contains(eng.auditErr.Error(), "recycled thread in its lineage") {
+		t.Fatalf("early recycle not flagged: %v", eng.auditErr)
+	}
+}
+
+// TestAuditorDetectsRecycledOverlay releases a live speculative thread's
+// overlay, which sends it back to the pool while the thread still executes
+// against it.
+func TestAuditorDetectsRecycledOverlay(t *testing.T) {
+	eng := newAuditEngine(t)
+	top := eng.liveByOrder()[0].overlay
+	top.Release()
+	eng.auditScan()
+	if eng.auditErr == nil || !strings.Contains(eng.auditErr.Error(), "recycled") {
+		t.Fatalf("recycled overlay not flagged: %v", eng.auditErr)
+	}
+}
+
+func TestThreadDoubleFreePanics(t *testing.T) {
+	eng := newAuditEngine(t)
+	th := eng.allocThread()
+	eng.freeThread(th)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second free of a thread did not panic")
+		}
+	}()
+	eng.freeThread(th)
+}
+
+// TestAuditorChecksForwardingList is the mutation check for the store-list
+// forwarding search: with the lists emptied before every cycle, as if
+// newUop never filled them, a checked run must fail the auditor's
+// cross-check against the ROB walk. Each iteration of the loop below loads
+// the word its previous store wrote. A dispatched store is in its thread's
+// store queue too, which finds the same source in fault-free runs; the
+// storebuf-rot profile drops and corrupts store-queue entries, so only the
+// in-flight search finds those stores.
+func TestAuditorChecksForwardingList(t *testing.T) {
+	b := asm.New("store-load")
+	b.Liu(isa.R1, 0x2000)
+	b.Label("loop")
+	b.Sd(isa.R2, isa.R1, 0)
+	b.Ld(isa.R3, isa.R1, 0)
+	b.Addi(isa.R2, isa.R2, 1)
+	b.J("loop")
+	b.Halt()
+	prog := b.MustBuild()
+	cfg := checkedCfg(config.Baseline())
+	cfg.Faults.Profile = "storebuf-rot"
+	cfg.Faults.Seed = 1
+	cfg.MaxCycles = 20_000
+	// Control: the same run with the lists intact passes the auditor.
+	runStats(t, &cfg, prog, mem.New())
+
+	eng, err := New(&cfg, prog, mem.New(), newStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		for _, th := range eng.liveByOrder() {
+			th.stores = th.stores[:0]
+		}
+		stop, err := eng.runCycle()
+		if err != nil {
+			if !strings.Contains(err.Error(), "ROB walk says") {
+				t.Fatalf("run failed, but not on the forwarding cross-check: %v", err)
+			}
+			return
+		}
+		if stop {
+			t.Fatal("empty store lists went unnoticed by the forwarding cross-check")
+		}
+	}
 }

@@ -1,8 +1,9 @@
 package pipeline
 
 import (
+	"slices"
+
 	"mtvp/internal/isa"
-	"mtvp/internal/oracle"
 	"mtvp/internal/trace"
 )
 
@@ -18,7 +19,9 @@ const commitWidth = 8
 // would be blocked behind it.
 func (e *Engine) commit() {
 	budget := commitWidth
-	for _, t := range e.liveByOrder() {
+	// Indexed, not ranged: freeRetiring removes t from ordered in place.
+	for i := 0; i < len(e.ordered); i++ {
+		t := e.ordered[i]
 		for budget > 0 {
 			if t.robHead >= len(t.rob) {
 				break
@@ -43,6 +46,7 @@ func (e *Engine) commit() {
 			if e.finished { // a drained elder released a buffered HALT
 				return
 			}
+			i-- // t's successor moved into its place
 		}
 	}
 }
@@ -125,14 +129,17 @@ func (e *Engine) commitStore(t *thread, u *uop) {
 // already names its replacement.
 func (e *Engine) freeRetiring(t *thread) {
 	var heir *thread
-	if t.confirmEvent != nil {
-		for _, c := range t.confirmEvent.children {
-			if c.live {
-				heir = c
+	if ev := t.confirmEvent; ev != nil {
+		for _, c := range ev.children {
+			if heir = c.liveThread(); heir != nil {
 				break
 			}
 		}
+		t.confirmEvent = nil
+		ev.pinned = false
+		e.releaseEvent(ev)
 	}
+	defer e.freeThread(t)
 	t.retiring = false
 	t.live = false
 	// Event edge: the freed context, the heir's promotion, and any drained
@@ -152,7 +159,7 @@ func (e *Engine) freeRetiring(t *thread) {
 		// still-buffered checker records die with the lineage — this
 		// stream will be refetched (under new sequence numbers) by the
 		// surviving ancestor.
-		t.checkBuf = nil
+		t.checkBuf = t.checkBuf[:0]
 		e.flushOldestCheck()
 		return
 	}
@@ -162,20 +169,20 @@ func (e *Engine) freeRetiring(t *thread) {
 	if len(t.checkBuf) > 0 {
 		// A parent that retired while itself still speculative hands its
 		// unverified commits to the heir along with its lineage slot.
-		heir.checkBuf = append(append([]oracle.Record(nil), t.checkBuf...), heir.checkBuf...)
-		t.checkBuf = nil
+		heir.checkBuf = slices.Insert(heir.checkBuf, 0, t.checkBuf...)
+		t.checkBuf = t.checkBuf[:0]
 	}
-	if t.spawn != nil {
-		for i, c := range t.spawn.children {
-			if c == t {
-				t.spawn.children[i] = heir
+	if sp := t.spawn.get(); sp != nil {
+		for i, c := range sp.children {
+			if c.get() == t {
+				sp.children[i] = refThread(heir)
 			}
 		}
 	}
 	// Older buffered stores transfer to the heir so load forwarding and
 	// buffer occupancy stay correct.
 	if len(t.storeQ) > 0 {
-		heir.storeQ = append(append([]storeEntry(nil), t.storeQ...), heir.storeQ...)
+		heir.storeQ = slices.Insert(heir.storeQ, 0, t.storeQ...)
 	}
 	e.promoteReady()
 }
@@ -220,11 +227,11 @@ func (e *Engine) promoteReady() {
 // overlay chain settles and memory holds the final architectural image.
 func (e *Engine) finishAt(t *thread) {
 	e.finished = true
-	e.haltedThread = t
-	for _, o := range e.liveByOrder() {
-		if o != t && descendsFrom(o, t) {
-			e.killSubtree(o)
-		}
+	e.halted = true
+	base := e.pushDescendants(t)
+	for i := base; i < len(e.victims); i++ {
+		e.killSubtree(e.victims[i])
 	}
+	e.popVictims(base)
 	t.overlay.Settle()
 }

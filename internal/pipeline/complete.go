@@ -21,6 +21,7 @@ func (e *Engine) deferWindow(ev *vpEvent) {
 		return
 	}
 	e.pendingWindows = append(e.pendingWindows, ev)
+	ev.inWindow = true
 	// Event edge: flushWindows must observe the window on exactly the
 	// cycle its minimum length elapses (the selector is fed e.now).
 	e.wake(ev.startCycle + windowMinCycles)
@@ -39,16 +40,19 @@ func (e *Engine) observeWindow(ev *vpEvent) {
 }
 
 // flushWindows observes every pending window whose minimum length has
-// elapsed.
+// elapsed, releasing its event.
 func (e *Engine) flushWindows() {
 	kept := e.pendingWindows[:0]
 	for _, ev := range e.pendingWindows {
 		if e.now >= ev.startCycle+windowMinCycles {
 			e.observeWindow(ev)
+			ev.inWindow = false
+			e.releaseEvent(ev)
 		} else {
 			kept = append(kept, ev)
 		}
 	}
+	clear(e.pendingWindows[len(kept):])
 	e.pendingWindows = kept
 }
 
@@ -73,18 +77,20 @@ func (e *Engine) complete() {
 				u.thread.fetchBlocked = e.now + 1
 			}
 		}
-		if u.vp != nil && !u.vp.resolved {
-			e.resolveEvent(u.vp)
+		if ev := u.vp.get(); ev != nil && !ev.resolved {
+			e.resolveEvent(ev)
 		}
 	}
 }
 
 // resolveEvent handles a value prediction whose load has returned: it
 // feeds the ILP-pred measurement window, verifies the prediction, and
-// confirms or kills speculative threads.
+// confirms or kills speculative threads. It releases the event, which the
+// pool frees unless its window is still open or a confirmation pinned it.
 func (e *Engine) resolveEvent(ev *vpEvent) {
 	ev.resolved = true
 	e.deferWindow(ev)
+	defer e.releaseEvent(ev)
 	if ev.measureOnly {
 		return
 	}
@@ -119,13 +125,15 @@ func (e *Engine) resolveEvent(ev *vpEvent) {
 
 		var survivor *thread
 		for i, c := range ev.children {
-			if ev.childVals[i] == ev.actual && c.live {
+			if c := c.liveThread(); c != nil && ev.childVals[i] == ev.actual {
 				survivor = c
 				break
 			}
 		}
-		if ev.spawnOnly && len(ev.children) > 0 && ev.children[0].live {
-			survivor = ev.children[0]
+		if ev.spawnOnly && len(ev.children) > 0 {
+			if c := ev.children[0].liveThread(); c != nil {
+				survivor = c
+			}
 		}
 
 		if survivor == nil {
@@ -137,7 +145,7 @@ func (e *Engine) resolveEvent(ev *vpEvent) {
 				e.noteOutcome(t, false)
 			}
 			for _, c := range ev.children {
-				if c.live {
+				if c := c.liveThread(); c != nil {
 					e.killSubtree(c)
 				}
 			}
@@ -152,14 +160,14 @@ func (e *Engine) resolveEvent(ev *vpEvent) {
 
 		if !ev.spawnOnly {
 			e.st.VPCorrect++
-			if survivor != ev.children[0] {
+			if survivor != ev.children[0].get() {
 				e.st.MultiValueSaves++
 			}
 			e.noteOutcome(t, true)
 		}
 		e.st.Confirms++
 		for _, c := range ev.children {
-			if c != survivor && c.live {
+			if c := c.liveThread(); c != nil && c != survivor {
 				e.killSubtree(c)
 			}
 		}
@@ -177,6 +185,7 @@ func (e *Engine) resolveEvent(ev *vpEvent) {
 		// The survivor (or whatever live thread replaces it in the
 		// event's child list by drain time) inherits t's lineage slot.
 		t.confirmEvent = ev
+		ev.pinned = true
 	}
 }
 
@@ -302,13 +311,14 @@ func (e *Engine) squashUop(u *uop) {
 	e.wake(e.now + 1)
 	e.st.Squashed++
 	e.emit(trace.KSquash, u)
-	if u.vp != nil && !u.vp.resolved {
-		e.abandonEvent(u.vp)
+	if ev := u.vp.get(); ev != nil && !ev.resolved {
+		e.abandonEvent(ev)
 	}
 }
 
 // abandonEvent resolves an event whose load was squashed: its children are
-// wrong-path threads of a wrong-path prediction and die with it.
+// wrong-path threads of a wrong-path prediction and die with it. No window
+// is measured, so the event is freed here.
 func (e *Engine) abandonEvent(ev *vpEvent) {
 	ev.resolved = true
 	if ev.load != nil {
@@ -323,20 +333,54 @@ func (e *Engine) abandonEvent(ev *vpEvent) {
 		}
 	}
 	for _, c := range ev.children {
-		if c.live {
+		if c := c.liveThread(); c != nil {
 			e.killSubtree(c)
 		}
 	}
+	e.releaseEvent(ev)
 }
 
-// killSubtree kills t and every live descendant of t.
+// killSubtree kills t and every live descendant of t, the descendants
+// oldest first and t last. The dead threads go back to the pool only once
+// the whole subtree is dead, so no live thread's lineage ever names a
+// recycled thread.
 func (e *Engine) killSubtree(t *thread) {
-	for _, o := range e.liveByOrder() {
-		if o != t && descendsFrom(o, t) {
-			e.killOne(o)
+	base := e.pushDescendants(t)
+	e.victims = append(e.victims, t)
+	for i := base; i < len(e.victims); i++ {
+		if !e.killOne(e.victims[i]) {
+			e.victims[i] = nil // already dead: a cascade killed and freed it
 		}
 	}
-	e.killOne(t)
+	for _, v := range e.victims[base:] {
+		if v != nil {
+			e.freeThread(v)
+		}
+	}
+	e.popVictims(base)
+}
+
+// pushDescendants pushes t's live descendants, oldest first, onto the
+// victims stack and returns the index of the first. Killers collect their
+// victims before killing any, because each kill changes ordered in place;
+// a kill that cascades into further kills (an abandoned event's children)
+// pushes its own victims above these and pops them before returning. Kills
+// allocate nothing, so a victim killed by such a cascade stays a dead,
+// unreused carcass that killOne skips.
+func (e *Engine) pushDescendants(t *thread) int {
+	base := len(e.victims)
+	for _, o := range e.ordered {
+		if o != t && descendsFrom(o, t) {
+			e.victims = append(e.victims, o)
+		}
+	}
+	return base
+}
+
+// popVictims drops the victims pushed since base.
+func (e *Engine) popVictims(base int) {
+	clear(e.victims[base:])
+	e.victims = e.victims[:base]
 }
 
 func descendsFrom(t, anc *thread) bool {
@@ -350,10 +394,11 @@ func descendsFrom(t, anc *thread) bool {
 
 // killOne destroys a single speculative thread: all of its in-flight work
 // is squashed, its committed instructions are discounted from useful IPC,
-// and its store-buffer overlay is released.
-func (e *Engine) killOne(t *thread) {
+// and its store-buffer overlay is released. It reports whether t was alive;
+// the caller frees the thread.
+func (e *Engine) killOne(t *thread) bool {
 	if !t.live {
-		return
+		return false
 	}
 	for i := t.robHead; i < len(t.rob); i++ {
 		e.squashUop(t.rob[i])
@@ -372,17 +417,24 @@ func (e *Engine) killOne(t *thread) {
 	t.live = false
 	t.killed = true
 	t.retiring = false
+	if ev := t.confirmEvent; ev != nil {
+		// A retiring thread dies before its heir takes over.
+		t.confirmEvent = nil
+		ev.pinned = false
+		e.releaseEvent(ev)
+	}
 	// Event edge: the freed context and resources change what the next
 	// cycle can do (spawns, dispatch, the parent's fetch restart).
 	e.wake(e.now + 1)
 	e.threadRemoved(t)
 	e.noteStoreFree(len(t.storeQ))
-	t.fetchBuf = nil
+	clear(t.fetchBuf)
+	t.fetchBuf = t.fetchBuf[:0]
 	t.fbHead = 0
-	t.storeQ = nil
+	t.storeQ = t.storeQ[:0]
 	// The thread's commits were discounted from useful work above; the
 	// checker must never verify them.
-	t.checkBuf = nil
+	t.checkBuf = t.checkBuf[:0]
 	t.overlay.Release()
 	e.slots[t.id] = nil
 	if e.auditOn {
@@ -391,4 +443,5 @@ func (e *Engine) killOne(t *thread) {
 	// Recycle after the kill audit so dangling-rename checks still see the
 	// dead uops' original generations.
 	e.freeROB(t)
+	return true
 }

@@ -74,7 +74,11 @@ func (e *Engine) tryDispatch(t *thread, u *uop) bool {
 
 	// Loads: find a forwarding store on the speculation chain, if any.
 	if u.dec.IsLoad {
-		if src, ok := t.forwardSource(u.seq, u.ex.Addr, u.dec.MemSize); ok {
+		src, ok := t.forwardSource(u.seq, u.ex.Addr, u.dec.MemSize)
+		if e.auditOn {
+			e.auditForward(t, u, src, ok)
+		}
+		if ok {
 			u.fwdStore = true
 			if src != nil && src.state != stCommitted && src.state != stSquashed {
 				u.fwdFrom = ref(src)
@@ -116,7 +120,7 @@ func (e *Engine) tryDispatch(t *thread, u *uop) bool {
 	// speculatively available to consumers immediately. Rename maps name
 	// only dispatched uops, so no consumer should be linked yet; waking
 	// any that is keeps the counts exact whatever the linking order.
-	if u.vp != nil && u.vp.mode == crit.DecideSTVP && !u.specReady {
+	if ev := u.vp.get(); ev != nil && ev.mode == crit.DecideSTVP && !u.specReady {
 		u.specReady = true
 		e.producerChanged(u, true)
 	}

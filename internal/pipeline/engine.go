@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mtvp/internal/bpred"
 	"mtvp/internal/cache"
@@ -57,13 +58,13 @@ type Engine struct {
 	stuck []uopRef
 
 	finished     bool
-	haltedThread *thread
+	halted       bool  // a non-speculative thread committed HALT
 	lastProgress int64 // cycle of the last commit (watchdog)
 
-	// ordered is the live threads oldest-first, maintained incrementally at
+	// ordered is the live threads oldest-first, maintained in place at
 	// spawn and death (ordCtr is monotone, so a new thread is always the
-	// youngest and appends in place). Every mutation builds a fresh slice so
-	// snapshots held by in-flight iterations stay valid.
+	// youngest and appends). A loop over it that can kill or free threads
+	// must not range over it (see killSubtree and commit).
 	ordered []*thread
 
 	// evq is the event-driven scheduler's calendar (events.go); nil when
@@ -73,11 +74,18 @@ type Engine struct {
 	evq       *eventQueue
 	ffSkipped uint64
 
-	// Hot-loop scratch, reused across cycles to keep the steady state
-	// allocation-free.
+	// Free lists (pool.go) and hot-loop scratch, reused across cycles to
+	// keep the steady state allocation-free. victims is a stack: a kill
+	// pushes its victims above those of the kill that caused it.
 	uopFree    []*uop
+	threadFree []*thread
+	eventFree  []*vpEvent
+	overlays   storebuf.Pool
 	pickedBuf  []*thread
 	reissueBuf []*uop
+	victims    []*thread
+	spawnVals  []uint64
+	spawnTops  []*storebuf.Overlay
 
 	// pendingWindows holds resolved value-prediction events whose ILP-pred
 	// measurement window is still open: windows have a minimum length so a
@@ -105,11 +113,18 @@ type Engine struct {
 // SetTracer attaches an event tracer. Tracing is observational only.
 func (e *Engine) SetTracer(t trace.Tracer) { e.tracer = t }
 
-// emit sends an instruction-level event to the tracer, if attached.
+// emit sends an instruction-level event to the tracer, if attached. The
+// nil check inlines into every stage; the event is built out of line.
 func (e *Engine) emit(k trace.Kind, u *uop) {
-	if e.tracer == nil {
-		return
+	if e.tracer != nil {
+		e.emitUop(k, u)
 	}
+}
+
+// Out of line, so the nil-check wrapper above stays inlinable.
+//
+//go:noinline
+func (e *Engine) emitUop(k trace.Kind, u *uop) {
 	e.tracer.Emit(trace.Event{
 		Cycle:  e.now,
 		Kind:   k,
@@ -123,9 +138,15 @@ func (e *Engine) emit(k trace.Kind, u *uop) {
 
 // emitThread sends a thread-level event to the tracer, if attached.
 func (e *Engine) emitThread(k trace.Kind, t *thread, text string) {
-	if e.tracer == nil {
-		return
+	if e.tracer != nil {
+		e.emitThreadEvent(k, t, text)
 	}
+}
+
+// Out of line, so the nil-check wrapper above stays inlinable.
+//
+//go:noinline
+func (e *Engine) emitThreadEvent(k trace.Kind, t *thread, text string) {
 	e.tracer.Emit(trace.Event{
 		Cycle:  e.now,
 		Kind:   k,
@@ -140,9 +161,15 @@ func (e *Engine) emitThread(k trace.Kind, t *thread, text string) {
 // is the other context — the spawning or retiring parent — so
 // machine-readable sinks can draw flow arrows between tracks.
 func (e *Engine) emitThreadPeer(k trace.Kind, t, peer *thread, text string) {
-	if e.tracer == nil {
-		return
+	if e.tracer != nil {
+		e.emitThreadPeerEvent(k, t, peer, text)
 	}
+}
+
+// Out of line, so the nil-check wrapper above stays inlinable.
+//
+//go:noinline
+func (e *Engine) emitThreadPeerEvent(k trace.Kind, t, peer *thread, text string) {
 	e.tracer.Emit(trace.Event{
 		Cycle:     e.now,
 		Kind:      k,
@@ -199,17 +226,15 @@ func New(cfg *config.Config, prog *isa.Program, memory *mem.Memory, st *stats.St
 		e.auditOn = true
 	}
 
-	root := &thread{
-		id:       0,
-		live:     true,
-		overlay:  storebuf.New(memory),
-		order:    e.ordCtr,
-		promoted: true,
-	}
-	root.ctx = isa.NewContext(prog, root.overlay)
+	root := e.allocThread()
+	root.live = true
+	root.overlay = e.overlays.New(memory)
+	root.order = e.ordCtr
+	root.promoted = true
+	*root.ctx = isa.Context{Prog: prog, Mem: root.overlay}
 	e.ordCtr++
 	e.slots[0] = root
-	e.ordered = []*thread{root}
+	e.ordered = append(e.ordered, root)
 	return e, nil
 }
 
@@ -265,28 +290,22 @@ func (e *Engine) freeSlots() int {
 }
 
 // liveByOrder returns the live threads oldest-first. The result must be
-// treated as read-only; it is maintained incrementally by threadAdded and
-// threadRemoved, which build fresh slices — so a snapshot taken before a
-// thread-set change (killSubtree's iteration, for example) stays intact.
+// treated as read-only. threadAdded and threadRemoved change it in place,
+// so a caller that kills or frees threads while walking it must collect its
+// victims first (killSubtree) or index it (commit).
 func (e *Engine) liveByOrder() []*thread { return e.ordered }
 
 // threadAdded appends a newly spawned thread. ordCtr is monotone, so the
 // new thread is always the youngest and the list stays sorted.
 func (e *Engine) threadAdded(t *thread) {
-	next := make([]*thread, 0, len(e.ordered)+1)
-	next = append(next, e.ordered...)
-	e.ordered = append(next, t)
+	e.ordered = append(e.ordered, t)
 }
 
 // threadRemoved drops a dead thread, preserving order.
 func (e *Engine) threadRemoved(t *thread) {
-	next := make([]*thread, 0, len(e.ordered))
-	for _, o := range e.ordered {
-		if o != t {
-			next = append(next, o)
-		}
+	if i := slices.Index(e.ordered, t); i >= 0 {
+		e.ordered = slices.Delete(e.ordered, i, i+1)
 	}
-	e.ordered = next
 }
 
 // Run simulates until the useful-instruction budget is exhausted, the
@@ -445,7 +464,7 @@ func (e *Engine) ArchRegs() ([isa.NumRegs]uint64, bool) {
 }
 
 // Halted reports whether the program ran to completion (committed a HALT).
-func (e *Engine) Halted() bool { return e.haltedThread != nil }
+func (e *Engine) Halted() bool { return e.halted }
 
 func (e *Engine) describeStall() string {
 	s := fmt.Sprintf("rob=%d/%d rename=%d/%d q=[%d %d %d]",

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -463,11 +464,12 @@ func missRing(nodes int) (*isa.Program, *mem.Memory) {
 }
 
 // TestZeroAllocSteadyState pins the hot loop's allocation behaviour: once
-// the engine is warm (slices at capacity, uop pool populated, overlay keys
-// touched, calendar heap at depth), a simulated cycle of the event engine
-// must not allocate at all — neither on the commit-every-cycle path, nor on
-// the idle path the calendar jumps over, nor with the issue queues full of
-// uops waiting to be woken.
+// the engine is warm (slices at capacity, uop, thread, event and overlay
+// pools populated, overlay keys touched, calendar heap at depth), a
+// simulated cycle of the event engine must not allocate at all — neither on
+// the commit-every-cycle path, nor on the idle path the calendar jumps over,
+// nor with the issue queues full of uops waiting to be woken, nor while
+// value-predicted threads spawn and confirm.
 func TestZeroAllocSteadyState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("warmup is a few hundred ms per case")
@@ -475,9 +477,11 @@ func TestZeroAllocSteadyState(t *testing.T) {
 
 	cases := []struct {
 		name  string
+		cfg   func() config.Config // nil = the Table 1 baseline
 		build func() (*isa.Program, *mem.Memory)
 		warm  int
 		full  bool // an issue queue must be at capacity in the measured cycles
+		spec  bool // threads must spawn and resolve in the measured cycles
 	}{
 		{
 			// DL1-resident chase, commits nearly every cycle: exercises
@@ -514,6 +518,35 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			warm: 80_000,
 			full: true,
 		},
+		{
+			// MTVP8 with the oracle predictor over a 16 MB chase, far over
+			// the 4 MB L3. The L3-oracle selector spawns on every load that
+			// misses to memory, so threads spawn and confirm every few
+			// cycles (ILP-pred switches spawning on and off in bursts, and a
+			// measured window can miss them all). Pins the spawn pools:
+			// threads, contexts, overlays and their maps, events, the
+			// thread order. The warmup was read off allocation counts per
+			// 50k cycles: about 6.5k in the first window (first-touch cache,
+			// predictor and image pages, pool populations), then 245, 103,
+			// 81, 43, 19 and 13, after which only rare high-water growth of
+			// recycled slices and maps is left. Six windows of warmup put
+			// the measured cycles past that point.
+			name: "deep-speculation",
+			cfg: func() config.Config {
+				cfg := config.Baseline().WithMTVP(8, config.PredOracle, config.SelL3Oracle)
+				cfg.VP.SpawnLatency = 1
+				cfg.VP.StoreBufEntries = 0
+				return cfg
+			},
+			build: func() (*isa.Program, *mem.Memory) {
+				return workload.PointerChase("zeroalloc-spec", workload.INT, workload.ChaseParams{
+					Nodes: 1 << 18, NodeBytes: 64, PoolSize: 8,
+					DominantPct: 60, ReusePct: 30, SeqPct: 30, BodyOps: 8, Iters: 1 << 40,
+				}).Build(1)
+			},
+			warm: 300_000,
+			spec: true,
+		},
 	}
 
 	// Only the event engine is pinned: the per-cycle reference is a test
@@ -521,6 +554,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name+"/event", func(t *testing.T) {
 			cfg := config.Baseline()
+			if c.cfg != nil {
+				cfg = c.cfg()
+			}
 			cfg.MaxInsts = 1 << 62
 			cfg.MaxCycles = 1 << 40
 			// The stride prefetcher's stream-tracking maps churn entries;
@@ -539,6 +575,10 @@ func TestZeroAllocSteadyState(t *testing.T) {
 				}
 			}
 			fullCycles := 0
+			spawns, resolved := st.Spawns, st.Confirms+st.Kills
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs := ms.Mallocs
 			avg := testing.AllocsPerRun(300, func() {
 				if _, err := eng.runCycle(); err != nil {
 					t.Fatal(err)
@@ -555,6 +595,20 @@ func TestZeroAllocSteadyState(t *testing.T) {
 			}
 			if c.full && fullCycles == 0 {
 				t.Errorf("no issue queue reached capacity in the measured cycles (occupancy %v of %v)", eng.qUsed, eng.qCap)
+			}
+			if c.spec {
+				runtime.ReadMemStats(&ms)
+				mallocs = ms.Mallocs - mallocs
+				spawns, resolved = st.Spawns-spawns, st.Confirms+st.Kills-resolved
+				if spawns == 0 || resolved == 0 {
+					t.Errorf("measured cycles spawned %d threads and confirmed or killed %d; the spawn pools went unmeasured", spawns, resolved)
+				}
+				// The per-cycle average rounds down, and spawns are tens
+				// of cycles apart: a spawn that allocated would hide in
+				// it. So count every allocation of the measured cycles.
+				if mallocs >= spawns {
+					t.Errorf("%d allocations over %d spawns in the measured cycles: spawning allocates", mallocs, spawns)
+				}
 			}
 			if st.Committed == 0 {
 				t.Fatal("workload committed nothing; the steady state measured is vacuous")

@@ -95,11 +95,15 @@ func (e *Engine) fetchFrom(t *thread, max int) {
 
 		ex, ok := t.ctx.Step()
 		if !ok {
+			if ev != nil {
+				ev.resolved = true
+				e.releaseEvent(ev)
+			}
 			return
 		}
 		u := e.newUop(t, ex, d)
 		if ev != nil {
-			u.vp = ev
+			u.vp = refEv(ev)
 			ev.load = u
 			if !ev.measureOnly {
 				e.emit(trace.KPredict, u)
@@ -165,6 +169,9 @@ func (e *Engine) newUop(t *thread, ex isa.Exec, d *isa.Decoded) *uop {
 	e.wake(fetchCycle + int64(e.cfg.FrontEndDepth))
 	u.hasDest = d.HasDest
 	t.rob = append(t.rob, u)
+	if d.IsStore {
+		t.stores = append(t.stores, ref(u))
+	}
 	t.compactFetchBuf()
 	t.fetchBuf = append(t.fetchBuf, u)
 	t.icount++
@@ -228,24 +235,23 @@ func (e *Engine) vpDecide(t *thread, dec *isa.Decoded) *vpEvent {
 		t.pendingSpawn == nil
 	level := e.hier.ProbeLevel(addr)
 	decision := e.sel.Select(pcAddr, level, mtvpOK)
-
-	ev := &vpEvent{
-		pc:            pcAddr,
-		mode:          decision,
-		predicted:     pr.Value,
-		actual:        actual,
-		correct:       pr.Value == actual,
-		alternates:    pr.Alternates,
-		startCycle:    e.now,
-		startProgress: e.st.Committed,
+	if decision == crit.DecideSTVP && e.cfg.VP.SpawnOnly {
+		return nil // the spawn-only machine never value-predicts
 	}
+
+	ev := e.allocEvent()
+	ev.pc = pcAddr
+	ev.mode = decision
+	ev.predicted = pr.Value
+	ev.actual = actual
+	ev.correct = pr.Value == actual
+	ev.alternates = append(ev.alternates, pr.Alternates...)
+	ev.startCycle = e.now
+	ev.startProgress = e.st.Committed
 	switch decision {
 	case crit.DecideNone:
 		ev.measureOnly = true
 	case crit.DecideSTVP:
-		if e.cfg.VP.SpawnOnly {
-			return nil // the spawn-only machine never value-predicts
-		}
 		e.st.VPPredicted++
 		e.st.STVPUsed++
 		t.unverifiedSTVP++
@@ -275,7 +281,7 @@ func (e *Engine) spawn(t *thread, loadU *uop, ev *vpEvent) {
 		return
 	}
 	in := loadU.ex.Inst
-	values := []uint64{ev.predicted}
+	values := append(e.spawnVals[:0], ev.predicted)
 	if ev.spawnOnly {
 		values[0] = ev.actual
 	} else {
@@ -297,7 +303,8 @@ func (e *Engine) spawn(t *thread, loadU *uop, ev *vpEvent) {
 
 	// Fork the store-buffer overlay: the parent's current overlay is
 	// frozen and shared; parent and children each get a fresh top.
-	tops := t.overlay.Fork(1 + len(values))
+	tops := t.overlay.Fork(e.spawnTops[:0], 1+len(values))
+	e.spawnVals, e.spawnTops = values, tops
 	t.overlay = tops[0]
 	t.ctx.Mem = tops[0]
 
@@ -308,28 +315,26 @@ func (e *Engine) spawn(t *thread, loadU *uop, ev *vpEvent) {
 			tops[1+i].Release()
 			continue
 		}
-		cctx := t.ctx.Fork(tops[1+i])
-		if !ev.spawnOnly {
-			cctx.SetReg(in.Rd, v)
-		}
-		cctx.PC = loadU.ex.PC + 1
-		cctx.Halted = false
-
 		e.ordCtr++
-		c := &thread{
-			id:           slot,
-			live:         true,
-			ctx:          cctx,
-			overlay:      tops[1+i],
-			parent:       t,
-			spawn:        ev,
-			order:        e.ordCtr,
-			fetchBlocked: e.now + 1,
-			dispatchHold: e.now + int64(e.cfg.VP.SpawnLatency),
-			lastWriter:   t.lastWriter,
-			ras:          t.ras,
-			rasSP:        t.rasSP,
+		c := e.allocThread()
+		c.id = slot
+		c.live = true
+		c.overlay = tops[1+i]
+		c.parent = t
+		c.spawn = refEv(ev)
+		c.order = e.ordCtr
+		c.fetchBlocked = e.now + 1
+		c.dispatchHold = e.now + int64(e.cfg.VP.SpawnLatency)
+		c.lastWriter = t.lastWriter
+		c.ras = t.ras
+		c.rasSP = t.rasSP
+		t.ctx.ForkInto(c.ctx, tops[1+i])
+		if !ev.spawnOnly {
+			c.ctx.SetReg(in.Rd, v)
 		}
+		c.ctx.PC = loadU.ex.PC + 1
+		c.ctx.Halted = false
+
 		if e.cfg.VP.FetchPolicy == config.FetchSFP && i == 0 {
 			// §3.3: with a single fetch path, the spawned thread starts
 			// at the next sequential PC and consumes instructions the
@@ -345,7 +350,7 @@ func (e *Engine) spawn(t *thread, loadU *uop, ev *vpEvent) {
 		}
 		e.slots[slot] = c
 		e.threadAdded(c)
-		ev.children = append(ev.children, c)
+		ev.children = append(ev.children, refThread(c))
 		ev.childVals = append(ev.childVals, v)
 		if e.auditOn {
 			e.auditSpawn(t, c, in.Rd, loadU, ev.spawnOnly)
@@ -363,7 +368,7 @@ func (e *Engine) spawn(t *thread, loadU *uop, ev *vpEvent) {
 	e.st.Spawns += uint64(len(ev.children))
 	for i, c := range ev.children {
 		if e.tracer != nil {
-			e.emitThreadPeer(trace.KSpawn, c, t, fmt.Sprintf("from T%d/%d at pc %d value %#x",
+			e.emitThreadPeer(trace.KSpawn, c.t, t, fmt.Sprintf("from T%d/%d at pc %d value %#x",
 				t.id, t.order, loadU.ex.PC, ev.childVals[i]))
 		}
 	}

@@ -142,7 +142,7 @@ func TestWarmHandoffState(t *testing.T) {
 		eng.dispatch()
 		eng.fetch()
 		for _, th := range eng.liveByOrder() {
-			if th.spawn != nil && th.pipeWarm > 0 {
+			if th.spawn.ev != nil && th.pipeWarm > 0 {
 				st.seen = true
 				if th.dispatchHold <= th.fetchBlocked-1 {
 					t.Errorf("dispatch hold %d not beyond spawn point %d",

@@ -68,9 +68,15 @@ func newRecovery(cfg *config.Config, clampConf int) *recovery {
 // emitSlot sends a context-slot-level recovery event to the tracer. Slot -1
 // marks events with no specific context (e.g. a global injection site).
 func (e *Engine) emitSlot(k trace.Kind, slot int, text string) {
-	if e.tracer == nil {
-		return
+	if e.tracer != nil {
+		e.emitSlotEvent(k, slot, text)
 	}
+}
+
+// Out of line, so the nil-check wrapper above stays inlinable.
+//
+//go:noinline
+func (e *Engine) emitSlotEvent(k trace.Kind, slot int, text string) {
 	e.tracer.Emit(trace.Event{
 		Cycle:  e.now,
 		Kind:   k,

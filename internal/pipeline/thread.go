@@ -19,6 +19,7 @@ type storeEntry struct {
 // vpEvent is one followed (or measured) value prediction: the load, the mode
 // chosen, the spawned children if any, and the measurement window ILP-pred
 // consumes. Events resolve when the load's real value returns from memory.
+// Events recycle through the engine's pool (pool.go).
 type vpEvent struct {
 	pc         uint64
 	mode       crit.Decision
@@ -28,7 +29,7 @@ type vpEvent struct {
 	correct    bool
 	spawnOnly  bool
 	alternates []vpred.Candidate // alternate confident values at predict time
-	children   []*thread         // spawned threads (MTVP), primary first
+	children   []threadRef       // spawned threads (MTVP), primary first
 
 	childVals []uint64 // value each child is following, parallel to children
 
@@ -36,9 +37,40 @@ type vpEvent struct {
 	startCycle    int64
 	startProgress uint64 // net useful commits at prediction time (ILP-pred window)
 	measureOnly   bool   // DecideNone calibration window: nothing speculated
+
+	// Pool holds: the event is freed once it is resolved and neither hold
+	// remains.
+	inWindow bool // on the engine's pendingWindows list
+	pinned   bool // a retiring thread's confirmEvent
+	gen      uint32
+	pooled   bool // on the free list (double-free guard)
 }
 
-// thread is one hardware context.
+// evRef is a generation-validated reference to a pooled event. Events are
+// freed only after they resolve, so a stale ref reads as resolved.
+type evRef struct {
+	ev  *vpEvent
+	gen uint32
+}
+
+func refEv(ev *vpEvent) evRef { return evRef{ev: ev, gen: ev.gen} }
+
+// get returns the referenced event, or nil when the ref is empty or stale.
+func (r evRef) get() *vpEvent {
+	if r.ev == nil || r.ev.gen != r.gen {
+		return nil
+	}
+	return r.ev
+}
+
+// unresolved reports whether the ref names an event still awaiting its load.
+func (r evRef) unresolved() bool {
+	ev := r.get()
+	return ev != nil && !ev.resolved
+}
+
+// thread is one hardware context. Threads recycle through the engine's pool
+// (pool.go), each keeping its context and the capacity of its slices.
 type thread struct {
 	id   int // hardware context slot
 	live bool
@@ -47,8 +79,8 @@ type thread struct {
 	overlay *storebuf.Overlay
 
 	parent *thread
-	spawn  *vpEvent // event that created this thread (nil for the root)
-	order  int64    // global speculation order; larger = younger
+	spawn  evRef // event that created this thread (empty for the root)
+	order  int64 // global speculation order; larger = younger
 
 	// Reorder buffer: this thread's uops in fetch order. head indexes the
 	// oldest un-committed entry; the slice is compacted periodically.
@@ -88,6 +120,11 @@ type thread struct {
 	// Store buffer (timing view).
 	storeQ []storeEntry
 
+	// stores lists this thread's store uops in fetch order, for the
+	// forwarding search. Entries older than the first uncommitted one are
+	// stale or committed; compactROB trims the stale prefix.
+	stores []uopRef
+
 	// Value prediction bookkeeping.
 	pendingSpawn   *vpEvent // this thread's unresolved MTVP spawn (max one)
 	unverifiedSTVP int      // in-flight single-thread predictions
@@ -102,15 +139,43 @@ type thread struct {
 	// lockstep checker cannot verify yet (the thread is speculative or an
 	// older thread is still draining). Flushed when the thread becomes the
 	// oldest promoted thread, inherited by the heir at retirement, dropped
-	// on kill. Nil unless cfg.Check is set.
+	// on kill. Empty unless cfg.Check is set.
 	checkBuf []oracle.Record
+
+	gen    uint32 // pool lifetime; incremented on free
+	pooled bool   // on the free list (double-free guard)
+}
+
+// threadRef is a generation-validated reference to a pooled thread. Threads
+// are freed only once dead, so a stale ref reads as a dead thread.
+type threadRef struct {
+	t   *thread
+	gen uint32
+}
+
+func refThread(t *thread) threadRef { return threadRef{t: t, gen: t.gen} }
+
+// get returns the referenced thread, or nil when the ref is empty or stale.
+func (r threadRef) get() *thread {
+	if r.t == nil || r.t.gen != r.gen {
+		return nil
+	}
+	return r.t
+}
+
+// liveThread returns the referenced thread if it is alive, else nil.
+func (r threadRef) liveThread() *thread {
+	if t := r.get(); t != nil && t.live {
+		return t
+	}
+	return nil
 }
 
 // isSpec reports whether the thread's existence still depends on an
 // unresolved value prediction somewhere in its ancestry.
 func (t *thread) isSpec() bool {
 	for cur := t; cur != nil; cur = cur.parent {
-		if cur.spawn != nil && !cur.spawn.resolved {
+		if cur.spawn.unresolved() {
 			return true
 		}
 	}
@@ -138,12 +203,19 @@ func (t *thread) storeQFull(capacity int) bool {
 // thread's own in-flight stores (newest first), then its store buffer, then
 // ancestors — exactly the paper's "store buffer must be searched by every
 // load" rule extended over the thread list.
+//
+// The in-flight stores are the uncommitted entries of the thread's store
+// list. Commit is in order within a thread, so the newest-first walk stops
+// at the first stale or committed entry: everything older has left the ROB.
 func (t *thread) forwardSource(loadSeq uint64, addr uint64, size int) (*uop, bool) {
 	for cur := t; cur != nil; cur = cur.parent {
 		// In-flight stores, newest first, older than the load.
-		for i := len(cur.rob) - 1; i >= cur.robHead; i-- {
-			s := cur.rob[i]
-			if s.seq >= loadSeq || !s.dec.IsStore || s.state == stSquashed {
+		for i := len(cur.stores) - 1; i >= 0; i-- {
+			s := cur.stores[i].get()
+			if s == nil || s.state == stCommitted {
+				break
+			}
+			if s.seq >= loadSeq || s.state == stSquashed {
 				continue
 			}
 			if overlaps(s.ex.Addr, s.dec.MemSize, addr, size) {

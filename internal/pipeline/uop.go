@@ -92,8 +92,8 @@ type uop struct {
 	stuckUntil int64
 
 	// Value prediction.
-	vp        *vpEvent // non-nil if this load drives a VP event or window
-	specReady bool     // STVP: dest usable by consumers before the load returns
+	vp        evRef // set if this load drives a VP event or window
+	specReady bool  // STVP: dest usable by consumers before the load returns
 
 	hasDest    bool
 	usesRename bool

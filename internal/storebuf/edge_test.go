@@ -147,7 +147,7 @@ func TestSpeculativeStoreIsolation(t *testing.T) {
 
 	// Spawn: parent's overlay freezes, parent continues on tops[0], the
 	// speculative child on tops[1].
-	tops := root.Fork(2)
+	tops := root.Fork(nil, 2)
 	parent, child := tops[0], tops[1]
 
 	child.Store(addr, 8, 0xbadbad)
@@ -169,7 +169,7 @@ func TestSpeculativeStoreIsolation(t *testing.T) {
 	}
 
 	// A grandchild forked from the child sees the child's speculation.
-	gtops := child.Fork(2)
+	gtops := child.Fork(nil, 2)
 	childCont, grand := gtops[0], gtops[1]
 	if got := grand.Load(addr, 8); got != 0xbadbad {
 		t.Fatalf("grandchild cannot see ancestor speculation: %#x", got)
@@ -205,7 +205,7 @@ func TestKilledChildStoresDiscarded(t *testing.T) {
 	m.Store(addr, 8, 0x1234)
 
 	root := New(m)
-	tops := root.Fork(2)
+	tops := root.Fork(nil, 2)
 	parent, child := tops[0], tops[1]
 	child.Store(addr, 8, 0xdead)
 	child.Release() // misprediction: child killed
@@ -224,7 +224,7 @@ func TestKilledChildStoresDiscarded(t *testing.T) {
 // than silently corrupt a shared view.
 func TestFrozenStorePanics(t *testing.T) {
 	root := New(mem.New())
-	root.Fork(2)
+	root.Fork(nil, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("store to frozen overlay did not panic")

@@ -22,6 +22,10 @@
 // context can lose a buffered byte, it is written into memory (a whole word
 // with one 8-byte store) and the overlay that held it leaves the chain.
 //
+// Overlays come and go with every spawn and kill, so each one may belong to
+// a Pool that recycles it, its word map included, once it leaves every
+// chain: its last reference is released or Settle splices it out.
+//
 // Timing-level capacity (the 128-entry store buffer of §5.3) is accounted
 // separately by the pipeline; overlays carry functional state only.
 package storebuf
@@ -40,6 +44,17 @@ type Overlay struct {
 	data   map[uint64]word // keyed by 8-byte-aligned address
 	frozen bool
 	refs   int
+	pool   *Pool // where the overlay goes once unreferenced; nil = nowhere
+	pooled bool  // on pool's free list (double-free guard)
+}
+
+// Pool is a free list of overlays. An overlay made by a pool, and every
+// overlay forked from it, returns to the pool when it leaves its chain, and
+// the pool's next New reuses it: the word map is cleared, keeping its
+// buckets. The zero Pool is empty and ready to use. A Pool is not safe for
+// concurrent use.
+type Pool struct {
+	free []*Overlay
 }
 
 // word is the buffered part of one aligned 8-byte word: byte i of val is
@@ -66,13 +81,40 @@ func span(addr uint64, n int) (wa uint64, off, k int) {
 	return addr - uint64(off), off, min(n, 8-off)
 }
 
-// New returns a mutable overlay whose reads fall through to parent. If the
-// parent is itself an *Overlay its reference count is incremented.
-func New(parent isa.MemAccess) *Overlay {
-	if p, ok := parent.(*Overlay); ok {
-		p.refs++
+// New returns a mutable overlay whose reads fall through to parent and that
+// belongs to no pool. If the parent is itself an *Overlay its reference
+// count is incremented.
+func New(parent isa.MemAccess) *Overlay { return (*Pool)(nil).New(parent) }
+
+// New returns a mutable overlay of the pool whose reads fall through to
+// parent, reusing a recycled one when the pool holds any. A nil pool
+// allocates an overlay that belongs to no pool.
+func (p *Pool) New(parent isa.MemAccess) *Overlay {
+	if po, ok := parent.(*Overlay); ok {
+		po.refs++
 	}
-	return &Overlay{parent: parent, data: make(map[uint64]word), refs: 1}
+	if p == nil || len(p.free) == 0 {
+		return &Overlay{parent: parent, data: make(map[uint64]word), refs: 1, pool: p}
+	}
+	o := p.free[len(p.free)-1]
+	p.free[len(p.free)-1] = nil
+	p.free = p.free[:len(p.free)-1]
+	clear(o.data)
+	o.parent, o.frozen, o.refs, o.pooled = parent, false, 1, false
+	return o
+}
+
+// recycle returns an overlay that has left every chain to its pool. Its
+// contents stay as they were until the pool reuses it.
+func (o *Overlay) recycle() {
+	if o.pooled {
+		panic("storebuf: overlay double-free")
+	}
+	if o.pool == nil {
+		return
+	}
+	o.pooled = true
+	o.pool.free = append(o.pool.free, o)
 }
 
 // Frozen reports whether the overlay has been sealed by a fork.
@@ -133,23 +175,23 @@ func (o *Overlay) Store(addr uint64, size int, val uint64) {
 	}
 }
 
-// Fork seals the overlay and returns n fresh overlays chained to it: one for
-// the continuing parent thread and one per spawned child. The receiver keeps
-// one reference per returned overlay (the caller's own reference is
-// released — contexts move to the new tops).
-func (o *Overlay) Fork(n int) []*Overlay {
+// Fork seals the overlay and appends to dst n fresh overlays chained to it,
+// from the overlay's pool: one for the continuing parent thread and one per
+// spawned child. The receiver keeps one reference per returned overlay (the
+// caller's own reference is released — contexts move to the new tops).
+func (o *Overlay) Fork(dst []*Overlay, n int) []*Overlay {
 	o.frozen = true
 	o.refs-- // the forking context abandons its direct reference
-	tops := make([]*Overlay, n)
-	for i := range tops {
-		tops[i] = New(o)
+	for i := 0; i < n; i++ {
+		dst = append(dst, o.pool.New(o))
 	}
-	return tops
+	return dst
 }
 
 // Release drops one reference. When the last reference to an overlay is
 // dropped (a killed speculative path), its parent's reference is dropped in
-// turn, unwinding the dead branch of the thread tree.
+// turn, unwinding the dead branch of the thread tree, and the overlay goes
+// back to its pool.
 func (o *Overlay) Release() {
 	o.refs--
 	if o.refs < 0 {
@@ -159,6 +201,7 @@ func (o *Overlay) Release() {
 		if p, ok := o.parent.(*Overlay); ok {
 			p.Release()
 		}
+		o.recycle()
 	}
 }
 
@@ -180,7 +223,8 @@ func (o *Overlay) Release() {
 //     live context. Settle stores o's bytes into memory and empties o.
 //
 // Otherwise the bottom is still shared by diverging paths and Settle stops.
-// Released overlays may see their view change, but nothing reads them again.
+// A spliced-out bottom goes back to its pool. Released overlays may see
+// their view change, but nothing reads them again.
 func (o *Overlay) Settle() {
 	for {
 		bottom, child := o, (*Overlay)(nil)
@@ -211,13 +255,15 @@ func (o *Overlay) Settle() {
 		}
 		child.parent = bottom.parent
 		bottom.refs = 0
+		bottom.recycle()
 	}
 }
 
 // CheckChain validates the structural invariants of the overlay chain above
-// o and returns the chain's bottom overlay, the one on flat memory. Every
-// ancestor must be frozen with a positive reference count, and the chain
-// must reach flat memory without a cycle. The pipeline's invariant auditor
+// o and returns the chain's bottom overlay, the one on flat memory. No
+// member may be on its pool's free list, every ancestor must be frozen with
+// a positive reference count, and the chain must reach flat memory without
+// a cycle. The pipeline's invariant auditor
 // runs it over each live thread's overlay so corruption of the speculation
 // tree (e.g. under fault campaigns) is caught as a structured failure
 // instead of a wrong value.
@@ -228,6 +274,9 @@ func (o *Overlay) CheckChain() (*Overlay, error) {
 			return nil, fmt.Errorf("storebuf: overlay chain cycle")
 		}
 		seen[cur] = true
+		if cur.pooled {
+			return nil, fmt.Errorf("storebuf: overlay in live chain is recycled")
+		}
 		if cur.refs <= 0 {
 			return nil, fmt.Errorf("storebuf: overlay in live chain has %d refs", cur.refs)
 		}

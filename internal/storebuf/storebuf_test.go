@@ -39,7 +39,7 @@ func TestForkSemantics(t *testing.T) {
 	root := New(m)
 	root.Store(0x10, 8, 1)
 
-	tops := root.Fork(2)
+	tops := root.Fork(nil, 2)
 	parent, child := tops[0], tops[1]
 	if !root.Frozen() {
 		t.Error("fork did not freeze the forked overlay")
@@ -66,14 +66,14 @@ func TestStoreToFrozenPanics(t *testing.T) {
 		}
 	}()
 	o := New(mem.New())
-	o.Fork(1)
+	o.Fork(nil, 1)
 	o.Store(0, 1, 1)
 }
 
 func TestReleaseUnwindsChain(t *testing.T) {
 	m := mem.New()
 	root := New(m)
-	tops := root.Fork(2)
+	tops := root.Fork(nil, 2)
 	if root.refs != 2 {
 		t.Fatalf("fork refs = %d, want 2", root.refs)
 	}
@@ -92,7 +92,7 @@ func TestSettleSplicesSingleRefAncestors(t *testing.T) {
 	root := New(m)
 	root.Store(0x10, 8, 1)
 	root.Store(0x20, 8, 2)
-	tops := root.Fork(2)
+	tops := root.Fork(nil, 2)
 	survivor, dead := tops[0], tops[1]
 	survivor.Store(0x10, 8, 9) // shadows root's value
 
@@ -116,7 +116,7 @@ func TestSettleStopsAtSharedAncestor(t *testing.T) {
 	m := mem.New()
 	root := New(m)
 	root.Store(0x10, 8, 1)
-	tops := root.Fork(2) // both referents alive
+	tops := root.Fork(nil, 2) // both referents alive
 	tops[0].Store(0x18, 8, 2)
 	tops[0].Settle()
 	if tops[0].parent != root {
@@ -166,7 +166,7 @@ func TestChainEquivalenceQuick(t *testing.T) {
 		top := New(backing) // overlay chain, forked at Fork ops
 		for _, o := range ops {
 			if o.Fork {
-				tops := top.Fork(2)
+				tops := top.Fork(nil, 2)
 				tops[1].Release() // simulate the dead sibling path
 				top = tops[0]
 			}
@@ -231,7 +231,7 @@ func TestSettleQuick(t *testing.T) {
 				if len(tops) >= 8 {
 					continue
 				}
-				forked := tops[i].Fork(2 + int(o.Sel%2))
+				forked := tops[i].Fork(nil, 2+int(o.Sel%2))
 				tops[i] = forked[0]
 				for _, c := range forked[1:] {
 					tops = append(tops, c)
@@ -261,4 +261,61 @@ func TestSettleQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestPoolRecycles pins the overlay free list: an overlay that leaves its
+// chain goes back to its pool, by release or by Settle's splice, and comes
+// back empty, unfrozen and chained to its new parent. Overlays forked from a
+// pooled overlay belong to the same pool.
+func TestPoolRecycles(t *testing.T) {
+	m := mem.New()
+	var p Pool
+	root := p.New(m)
+	root.Store(0x10, 8, 1)
+	tops := root.Fork(nil, 2)
+	parent, child := tops[0], tops[1]
+	child.Store(0x18, 8, 2)
+
+	child.Release() // the child path dies
+	if len(p.free) != 1 || p.free[0] != child {
+		t.Fatalf("released child not pooled: free list %v", p.free)
+	}
+	if _, err := child.CheckChain(); err == nil {
+		t.Error("CheckChain accepted a recycled overlay")
+	}
+	parent.Settle() // root is spliced out: its store reaches memory
+	if len(p.free) != 2 || p.free[1] != root {
+		t.Fatalf("spliced-out root not pooled: free list %v", p.free)
+	}
+	if got := m.Load(0x10, 8); got != 1 {
+		t.Errorf("settled store = %d, want 1", got)
+	}
+
+	again := p.New(parent)
+	if again != root {
+		t.Fatal("pool did not reuse the last recycled overlay")
+	}
+	if again.Frozen() || again.Load(0x18, 8) != 0 || again.Load(0x10, 8) != 1 {
+		t.Errorf("recycled overlay kept old state: frozen=%v [0x18]=%d [0x10]=%d",
+			again.Frozen(), again.Load(0x18, 8), again.Load(0x10, 8))
+	}
+	if b, err := again.CheckChain(); err == nil {
+		t.Errorf("recycled overlay on an unfrozen parent passed CheckChain (bottom %p)", b)
+	}
+	parent.Fork(nil, 1)
+	if b, err := again.CheckChain(); err != nil || b != parent {
+		t.Errorf("recycled overlay chain: bottom %p err %v, want bottom %p", b, err, parent)
+	}
+}
+
+func TestOverlayDoubleFreePanics(t *testing.T) {
+	var p Pool
+	o := p.New(mem.New())
+	o.Release()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("recycling a pooled overlay did not panic")
+		}
+	}()
+	o.recycle()
 }

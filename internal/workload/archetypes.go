@@ -116,12 +116,17 @@ func Stream(name string, suite Suite, p StreamParams) Benchmark {
 		span := uint64(p.Len*p.Stride + jumps*p.JumpBytes + 64)
 		base := func(a int) uint64 { return dataBase + uint64(a)*span }
 		nArr := p.Arrays + 1 // plus the destination array
+		block := max(p.BlockLen, 1)
 		for a := 0; a < nArr; a++ {
+			// A new value every block words, from each array's first word.
 			var v uint64
+			left := 0
 			for off := uint64(0); off < span; off += 8 {
-				if (off/8)%uint64(max(p.BlockLen, 1)) == 0 {
+				if left == 0 {
 					v = drawValue(r, pool, p.DominantPct, p.ReusePct, p.FP)
+					left = block
 				}
+				left--
 				m.Store(base(a)+off, 8, v)
 			}
 		}
