@@ -1,5 +1,7 @@
 // Package mem provides the flat, sparsely paged physical memory image that
-// backs every simulation. Workloads initialise it deterministically.
+// backs every simulation. Workloads initialise it deterministically: a
+// builder reserves each data area with Region, which allocates the area's
+// pages as one slab, and writes the returned bytes directly.
 //
 // During a timing run the image is written in one place only,
 // storebuf.Overlay.Settle. Mid-run it holds the initial image plus the
@@ -15,7 +17,10 @@
 // its own Memory (a Clone).
 package mem
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 const (
 	pageShift = 12
@@ -25,8 +30,10 @@ const (
 )
 
 // Memory is a sparse 64-bit byte-addressable memory. The zero value is an
-// empty memory where every byte reads as zero; pages are allocated on first
-// write. Memory implements isa.MemAccess.
+// empty memory where every byte reads as zero. Store and PutByte allocate a
+// page on its first write; Region allocates a whole area's pages as one
+// slab, and Clone copies all pages into one slab. Each page is still
+// entered in the page map on its own. Memory implements isa.MemAccess.
 //
 // Accesses cluster (a workload image is written in address order, and a
 // load's bytes share a page), so page keeps a one-entry cache of the last
@@ -114,18 +121,59 @@ func (m *Memory) Store(addr uint64, size int, val uint64) {
 	}
 }
 
+// Region allocates every page covering [addr, addr+n) as one zeroed slab,
+// enters each in the page map, and returns the n bytes at addr for the
+// caller to fill. Workload builders reserve each data area this way and
+// write it directly; after the build, Store is the only write path. It
+// returns nil for n == 0 and panics if any of the pages already exists,
+// which only a builder bug can cause.
+func (m *Memory) Region(addr uint64, n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	m.ensurePages()
+	first, last := addr>>pageShift, (addr+uint64(n)-1)>>pageShift
+	for pn := first; pn <= last; pn++ {
+		if m.pages[pn] != nil {
+			panic("mem: Region over an allocated page")
+		}
+	}
+	slab := make([]byte, (last-first+1)*PageSize)
+	for pn := first; pn <= last; pn++ {
+		m.pages[pn] = (*[PageSize]byte)(slab[(pn-first)*PageSize:])
+	}
+	off := addr & pageMask
+	return slab[off : off+uint64(n)]
+}
+
 // Pages returns the number of allocated pages (for footprint reporting).
 func (m *Memory) Pages() int { return len(m.pages) }
+
+// EachPage calls fn for every allocated page in ascending address order,
+// with the page's base address and contents. fn must not change m.
+func (m *Memory) EachPage(fn func(addr uint64, page *[PageSize]byte)) {
+	pns := make([]uint64, 0, len(m.pages))
+	for pn := range m.pages {
+		pns = append(pns, pn)
+	}
+	slices.Sort(pns)
+	for _, pn := range pns {
+		fn(pn<<pageShift, m.pages[pn])
+	}
+}
 
 // Clone returns a deep copy of the memory image. The architectural-
 // equivalence tests clone the initial image so the reference interpreter and
 // the timing simulator run against identical state. The copy starts with an
 // empty last-page cache, so it never reaches the original's pages.
 func (m *Memory) Clone() *Memory {
-	nm := New()
+	nm := &Memory{pages: make(map[uint64]*[PageSize]byte, len(m.pages))}
+	slab := make([]byte, len(m.pages)*PageSize)
 	for pn, p := range m.pages {
-		cp := *p
-		nm.pages[pn] = &cp
+		cp := (*[PageSize]byte)(slab)
+		slab = slab[PageSize:]
+		*cp = *p
+		nm.pages[pn] = cp
 	}
 	return nm
 }

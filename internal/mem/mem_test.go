@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -73,16 +74,87 @@ func TestUnalignedFastPathBypass(t *testing.T) {
 	}
 }
 
+// A clone copies every page into one slab of its own: no write through the
+// clone shows in its source, and no write to the source (through Store or
+// through the bytes Region returned) shows in the clone. Clones of clones
+// are slabs too.
 func TestCloneIsDeep(t *testing.T) {
 	m := New()
 	m.Store(0x40, 8, 42)
+	region := m.Region(3*PageSize-8, 16) // straddles two pages
+	binary.LittleEndian.PutUint64(region, 7)
+	binary.LittleEndian.PutUint64(region[8:], 8)
 	c := m.Clone()
 	c.Store(0x40, 8, 99)
-	if m.Load(0x40, 8) != 42 {
+	c.Store(3*PageSize, 8, 80)
+	if m.Load(0x40, 8) != 42 || m.Load(3*PageSize, 8) != 8 {
 		t.Error("clone shares storage with original")
 	}
-	if c.Load(0x40, 8) != 99 {
+	if c.Load(0x40, 8) != 99 || c.Load(3*PageSize, 8) != 80 {
 		t.Error("clone did not take the write")
+	}
+	binary.LittleEndian.PutUint64(region, 70)
+	m.Store(0x48, 8, 43)
+	if c.Load(3*PageSize-8, 8) != 7 || c.Load(0x48, 8) != 0 {
+		t.Error("write to the original shows in the clone")
+	}
+	cc := c.Clone()
+	cc.Store(3*PageSize-8, 8, 700)
+	if c.Load(3*PageSize-8, 8) != 7 || cc.Load(0x40, 8) != 99 || cc.Pages() != c.Pages() {
+		t.Error("clone of a clone is not a deep copy")
+	}
+}
+
+func TestRegion(t *testing.T) {
+	m := New()
+	if b := m.Region(0x5000, 0); b != nil || m.Pages() != 0 {
+		t.Fatalf("empty region = %v with %d pages, want nil with 0", b, m.Pages())
+	}
+	b := m.Region(PageSize+100, 2*PageSize)
+	if len(b) != 2*PageSize || m.Pages() != 3 {
+		t.Fatalf("region has %d bytes over %d pages, want %d over 3", len(b), m.Pages(), 2*PageSize)
+	}
+	for i := range b {
+		if b[i] != 0 {
+			t.Fatalf("region byte %d = %d, want 0", i, b[i])
+		}
+		b[i] = byte(i)
+	}
+	for i := range b {
+		if got := m.GetByte(PageSize + 100 + uint64(i)); got != byte(i) {
+			t.Fatalf("byte %d reads %d through the page map, want %d", i, got, byte(i))
+		}
+	}
+	m.Store(PageSize+96, 8, 0xAABBCCDD11223344) // straddles the region's start
+	if b[0] != 0xDD || b[3] != 0xAA {
+		t.Errorf("Store did not write the region's bytes: % x", b[:4])
+	}
+}
+
+// Region panics over any page that already exists, however it was
+// allocated, and leaves the image as it was.
+func TestRegionPanicsOverExistingPage(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		prep func(*Memory)
+	}{
+		{"store", func(m *Memory) { m.Store(4*PageSize-1, 1, 1) }},
+		{"region", func(m *Memory) { m.Region(4*PageSize-8, 8) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := New()
+			c.prep(m)
+			before := m.Pages()
+			defer func() {
+				if recover() == nil {
+					t.Error("Region over an allocated page did not panic")
+				}
+				if m.Pages() != before {
+					t.Errorf("failed Region left %d pages, want %d", m.Pages(), before)
+				}
+			}()
+			m.Region(2*PageSize, 2*PageSize+1) // pages 2 to 4
+		})
 	}
 }
 
@@ -127,19 +199,54 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
-// Property: the paged memory behaves exactly like a flat map of bytes.
+// Property: the paged memory behaves exactly like a flat map of bytes, with
+// Region writes interleaved among the stores. A Region over an existing
+// page must panic and change nothing; one over fresh pages must come back
+// zeroed, and every allocated byte outside what was written reads zero.
 func TestAgainstReferenceQuick(t *testing.T) {
 	type op struct {
 		Addr uint64
 		Val  uint64
 		Sel  uint8
 	}
+	region := func(m *Memory, addr uint64, n int) (b []byte, panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		return m.Region(addr, n), false
+	}
 	f := func(ops []op) bool {
 		m := New()
 		ref := map[uint64]byte{}
 		for _, o := range ops {
-			size := []int{1, 2, 4, 8}[o.Sel%4]
 			addr := o.Addr % (1 << 20)
+			if o.Sel%8 >= 4 {
+				n := int(o.Val % (2 * PageSize))
+				fresh := true
+				if n > 0 {
+					for pn := addr >> pageShift; pn <= (addr+uint64(n)-1)>>pageShift; pn++ {
+						fresh = fresh && m.pages[pn] == nil
+					}
+				}
+				pages := m.Pages()
+				b, panicked := region(m, addr, n)
+				if panicked {
+					if fresh || m.Pages() != pages {
+						return false
+					}
+					continue
+				}
+				if !fresh || len(b) != n {
+					return false
+				}
+				for i := range b {
+					if b[i] != 0 {
+						return false
+					}
+					b[i] = byte(o.Val>>(8*(i%8))) + byte(i)
+					ref[addr+uint64(i)] = b[i]
+				}
+				continue
+			}
+			size := []int{1, 2, 4, 8}[o.Sel%4]
 			m.Store(addr, size, o.Val)
 			for i := 0; i < size; i++ {
 				ref[addr+uint64(i)] = byte(o.Val >> (8 * i))
@@ -148,6 +255,13 @@ func TestAgainstReferenceQuick(t *testing.T) {
 		for a, b := range ref {
 			if byte(m.Load(a, 1)) != b {
 				return false
+			}
+		}
+		for pn, p := range m.pages {
+			for i, b := range p {
+				if ref[pn<<pageShift+uint64(i)] != b {
+					return false
+				}
 			}
 		}
 		return true

@@ -344,7 +344,7 @@ func (e *Engine) auditScan() {
 // it, the count the wakeup path keeps in u.unready.
 func unreadyEdges(u *uop) int32 {
 	var n int32
-	for _, pr := range u.prods {
+	for _, pr := range u.prods[:u.nProds] {
 		if p := pr.get(); p != nil && !producerReady(p) {
 			n++
 		}

@@ -300,7 +300,7 @@ func liveConsumerOfKill(e *Engine) (*thread, *thread, *uop) {
 			if u.state != stWaiting {
 				continue
 			}
-			for _, pr := range u.prods {
+			for _, pr := range u.prods[:u.nProds] {
 				if p := pr.get(); p != nil && p.thread == y && !producerReady(p) {
 					return root, y, u
 				}

@@ -65,7 +65,8 @@ func (e *Engine) tryDispatch(t *thread, u *uop) bool {
 		if w == nil || w.state == stCommitted || w.state == stSquashed {
 			continue
 		}
-		u.prods = append(u.prods, ref(w))
+		u.prods[u.nProds] = ref(w)
+		u.nProds++
 		w.consumers = append(w.consumers, ref(u))
 		if !producerReady(w) {
 			u.unready++

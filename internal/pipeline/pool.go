@@ -40,11 +40,9 @@ func (e *Engine) allocUop() *uop {
 	e.uopFree = e.uopFree[:n-1]
 	// Zero in place and restore the kept fields: assigning a composite
 	// literal would build it in a temporary and copy it over.
-	gen, issueGen := u.gen, u.issueGen
-	prods, consumers := u.prods[:0], u.consumers[:0]
+	gen, issueGen, consumers := u.gen, u.issueGen, u.consumers[:0]
 	*u = uop{}
-	u.gen, u.issueGen = gen, issueGen
-	u.prods, u.consumers = prods, consumers
+	u.gen, u.issueGen, u.consumers = gen, issueGen, consumers
 	return u
 }
 

@@ -69,35 +69,39 @@ type uop struct {
 	dispatchCycle int64
 	doneCycle     int64
 
-	prods     []uopRef // register producers (fwdFrom is the other edge)
+	// Register producers, the first nProds entries (fwdFrom is the other
+	// edge). A uop reads at most three registers (isa.Decoded.SrcRegs),
+	// so they live in the uop and dispatch never allocates for them.
+	prods     [3]uopRef
 	consumers []uopRef // uops that depend on this one's result, once per edge
+	nProds    uint8
 
 	// Wakeup. unready counts the edges (prods plus fwdFrom, a duplicated
 	// source once per edge) whose producer is not producerReady; producers
 	// keep it current as their readiness changes (issue.go). inReady marks
 	// a current-lifetime entry in the engine's ready set.
-	unready int32
 	inReady bool
+	unready int32
 
 	// Memory.
 	fwdFrom  uopRef // store this load forwards from (zero = cache access)
-	fwdStore bool   // load forwards from a store buffer / queue entry
 	hitLevel cache.HitLevel
+	fwdStore bool // load forwards from a store buffer / queue entry
 
 	// Branch.
 	mispredicted bool
 
-	// Fault injection: an IQStick fault wedges the uop's queue slot until
-	// this cycle (0 = not stuck). The recovery controller may clear it.
-	stuckUntil int64
-
-	// Value prediction.
-	vp        evRef // set if this load drives a VP event or window
-	specReady bool  // STVP: dest usable by consumers before the load returns
-
 	hasDest    bool
 	usesRename bool
 	pooled     bool // on the free list (double-free guard)
+
+	// Value prediction.
+	specReady bool  // STVP: dest usable by consumers before the load returns
+	vp        evRef // set if this load drives a VP event or window
+
+	// Fault injection: an IQStick fault wedges the uop's queue slot until
+	// this cycle (0 = not stuck). The recovery controller may clear it.
+	stuckUntil int64
 }
 
 // uopRef is a generation-validated reference to a pooled uop. A ref goes

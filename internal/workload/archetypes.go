@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/binary"
+
 	"mtvp/internal/asm"
 	"mtvp/internal/isa"
 	"mtvp/internal/mem"
@@ -16,7 +18,7 @@ const resultBase = 0x8000
 // payload loads are value-predictable even though next-pointers are not.
 type ChaseParams struct {
 	Nodes       int // nodes in the cycle
-	NodeBytes   int // node size (>= 32)
+	NodeBytes   int // node size (32 to mem.PageSize; the nodes share one region)
 	PoolSize    int // distinct payload values
 	DominantPct int // percent of payloads equal to the dominant value
 	ReusePct    int // percent of payloads drawn from the rest of the pool
@@ -39,10 +41,14 @@ func PointerChase(name string, suite Suite, p ChaseParams) Benchmark {
 		pool := valuePool(r, p.PoolSize, p.FPVal)
 		order := runPermutation(r, p.Nodes, p.SeqPct)
 		addr := func(i int) uint64 { return dataBase + uint64(i)*uint64(p.NodeBytes) }
+		// Each node holds its next pointer and its payload in its first
+		// 16 bytes; the region ends with the last node's payload.
+		nodes := m.Region(dataBase, (p.Nodes-1)*p.NodeBytes+16)
 		for i := 0; i < p.Nodes; i++ {
 			cur, next := order[i], order[(i+1)%p.Nodes]
-			m.Store(addr(cur), 8, addr(next))
-			m.Store(addr(cur)+8, 8, drawValue(r, pool, p.DominantPct, p.ReusePct, p.FPVal))
+			node := nodes[cur*p.NodeBytes:]
+			binary.LittleEndian.PutUint64(node, addr(next))
+			binary.LittleEndian.PutUint64(node[8:], drawValue(r, pool, p.DominantPct, p.ReusePct, p.FPVal))
 		}
 
 		b := asm.New(name)
@@ -117,7 +123,12 @@ func Stream(name string, suite Suite, p StreamParams) Benchmark {
 		base := func(a int) uint64 { return dataBase + uint64(a)*span }
 		nArr := p.Arrays + 1 // plus the destination array
 		block := max(p.BlockLen, 1)
+		// The arrays lie back to back. Each is filled in whole words, so
+		// when span is not a multiple of 8 an array's last word spills
+		// into the next array (which overwrites it) or past the last one.
+		arrays := m.Region(dataBase, (nArr-1)*int(span)+int(span+7)&^7)
 		for a := 0; a < nArr; a++ {
+			arr := arrays[uint64(a)*span:]
 			// A new value every block words, from each array's first word.
 			var v uint64
 			left := 0
@@ -127,7 +138,7 @@ func Stream(name string, suite Suite, p StreamParams) Benchmark {
 					left = block
 				}
 				left--
-				m.Store(base(a)+off, 8, v)
+				binary.LittleEndian.PutUint64(arr[off:], v)
 			}
 		}
 
@@ -231,11 +242,13 @@ func Gather(name string, suite Suite, p GatherParams) Benchmark {
 		idxBase := uint64(dataBase)
 		tabBase := idxBase + uint64(p.Items)*8 + 4096
 		outBase := tabBase + uint64(p.TableLen)*8 + 4096
+		idx := m.Region(idxBase, p.Items*8)
 		for i := 0; i < p.Items; i++ {
-			m.Store(idxBase+uint64(i)*8, 8, uint64(r.Intn(p.TableLen)))
+			binary.LittleEndian.PutUint64(idx[i*8:], uint64(r.Intn(p.TableLen)))
 		}
+		tab := m.Region(tabBase, p.TableLen*8)
 		for i := 0; i < p.TableLen; i++ {
-			m.Store(tabBase+uint64(i)*8, 8, drawValue(r, pool, p.DominantPct, p.ReusePct, p.FPData))
+			binary.LittleEndian.PutUint64(tab[i*8:], drawValue(r, pool, p.DominantPct, p.ReusePct, p.FPData))
 		}
 
 		b := asm.New(name)
@@ -311,15 +324,17 @@ func Blocked(name string, suite Suite, p BlockedParams) Benchmark {
 		r := mem.NewRand(seed)
 		m := mem.New()
 		elems := p.WorkingSet / 16
+		// Each element is a value word and a zero result word.
+		data := m.Region(dataBase, elems*16)
 		for i := 0; i < elems; i++ {
-			m.Store(dataBase+uint64(i)*16, 8, uint64(r.Intn(1<<12)))
-			m.Store(dataBase+uint64(i)*16+8, 8, 0)
+			binary.LittleEndian.PutUint64(data[i*16:], uint64(r.Intn(1<<12)))
 		}
 		sideBase := uint64(dataBase) + uint64(p.WorkingSet) + 1<<20
 		if p.SideTableLen > 0 {
 			pool := valuePool(r, 6, false)
+			side := m.Region(sideBase, p.SideTableLen*8)
 			for i := 0; i < p.SideTableLen; i++ {
-				m.Store(sideBase+uint64(i)*8, 8, drawValue(r, pool, p.SideDominant, 4, false))
+				binary.LittleEndian.PutUint64(side[i*8:], drawValue(r, pool, p.SideDominant, 4, false))
 			}
 		}
 
@@ -424,11 +439,13 @@ func Hash(name string, suite Suite, p HashParams) Benchmark {
 
 		inBase := uint64(dataBase)
 		tabBase := inBase + uint64(p.InputLen)*8 + 4096
+		in := m.Region(inBase, p.InputLen*8)
 		for i := 0; i < p.InputLen; i++ {
-			m.Store(inBase+uint64(i)*8, 8, r.Next()>>8)
+			binary.LittleEndian.PutUint64(in[i*8:], r.Next()>>8)
 		}
+		tab := m.Region(tabBase, p.TableLen*8)
 		for i := 0; i < p.TableLen; i++ {
-			m.Store(tabBase+uint64(i)*8, 8, drawValue(r, pool, p.DominantPct, p.ReusePct, false))
+			binary.LittleEndian.PutUint64(tab[i*8:], drawValue(r, pool, p.DominantPct, p.ReusePct, false))
 		}
 		shift := int64(64)
 		for 1<<(64-shift) < p.TableLen {
@@ -489,17 +506,15 @@ func Branchy(name string, suite Suite, p BranchyParams) Benchmark {
 		m := mem.New()
 		tokBase := uint64(dataBase)
 		tabBase := tokBase + uint64(p.Tokens) + 4096
-		for i := 0; i < p.Tokens; i++ {
-			var c int
-			if r.Intn(100) < p.BiasPct {
-				c = 0
-			} else {
-				c = 1 + r.Intn(p.Classes-1)
+		toks := m.Region(tokBase, p.Tokens)
+		for i := range toks {
+			if r.Intn(100) >= p.BiasPct {
+				toks[i] = byte(1 + r.Intn(p.Classes-1))
 			}
-			m.Store(tokBase+uint64(i), 1, uint64(c))
 		}
+		tab := m.Region(tabBase, p.TableLen*8)
 		for i := 0; i < p.TableLen; i++ {
-			m.Store(tabBase+uint64(i)*8, 8, uint64(r.Intn(1<<10)))
+			binary.LittleEndian.PutUint64(tab[i*8:], uint64(r.Intn(1<<10)))
 		}
 		mask := int64(p.TableLen - 1)
 
@@ -559,8 +574,9 @@ func BlockSort(name string, suite Suite, p SortParams) Benchmark {
 	return Benchmark{Name: name, Suite: suite, Kind: "sort", build: func(seed uint64) (*isa.Program, *mem.Memory) {
 		r := mem.NewRand(seed)
 		m := mem.New()
+		buf := m.Region(dataBase, p.BufLen*8)
 		for i := 0; i < p.BufLen; i++ {
-			m.Store(dataBase+uint64(i)*8, 8, r.Next()>>40)
+			binary.LittleEndian.PutUint64(buf[i*8:], r.Next()>>40)
 		}
 		mask := int64(p.Window - 1)
 

@@ -231,3 +231,24 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 }
+
+// TestBuildAllocatesPerRegion pins the slab build: each builder reserves
+// its data areas with mem.Memory.Region, so one stand-in per archetype
+// must build its image in fewer allocations than the image has pages. A
+// builder that allocated per page would fail.
+func TestBuildAllocatesPerRegion(t *testing.T) {
+	for _, name := range []string{"mcf", "mgrid", "vpr r", "gzip r", "gcc i", "bzip g", ResidentMiss.Name} {
+		b, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pages int
+		allocs := testing.AllocsPerRun(1, func() {
+			_, image := b.Build(1)
+			pages = image.Pages()
+		})
+		if allocs >= float64(pages) {
+			t.Errorf("%s (%s): %.0f allocations for %d pages", name, b.Kind, allocs, pages)
+		}
+	}
+}
