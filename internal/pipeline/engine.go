@@ -67,7 +67,8 @@ type Engine struct {
 	// must not range over it (see killSubtree and commit).
 	ordered []*thread
 
-	// evq is the event-driven scheduler's calendar (events.go); nil when
+	// evq is the event-driven scheduler's calendar (events.go), a 1 KB
+	// bitmap with one bit per cycle of a 2×eqWindow ring; nil when
 	// Config.PerCycle selects the per-cycle reference, which executes every
 	// cycle and never jumps. ffSkipped counts the idle cycles the calendar
 	// elided, for tests that need to prove the jump engaged.

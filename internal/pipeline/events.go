@@ -1,5 +1,7 @@
 package pipeline
 
+import "math/bits"
+
 // The event-driven engine core. Every stage enqueues its own next
 // activation into a calendar — completions, store-buffer window flushes,
 // dispatch delays, fetch unblocks, spawn holds, squash/kill edges — and the
@@ -19,28 +21,33 @@ package pipeline
 // their state on every cycle, skipped ones included.
 //
 // eqWindow is the calendar horizon in cycles. Every enqueue is clamped to
-// at most eqWindow cycles ahead, which buys two properties at the price of
-// an occasional spurious "horizon hop" (a wake that just re-arms a farther
-// edge): the dedup ring covers every entry, so the heap can never hold more
-// than eqWindow distinct cycles regardless of how often a far edge is
-// re-announced, and the backing arrays reach a fixed point quickly — zero
-// steady-state allocations (test-enforced).
+// at most eqWindow cycles ahead, at the price of an occasional spurious
+// "horizon hop" (a wake that just re-arms a farther edge). The clamp is
+// what lets a fixed ring of one bit per cycle hold the whole calendar: no
+// allocation, ever, and no depth to bound.
 const eqWindow = 1 << 12
 
-// eventQueue is a monotone cycle-keyed calendar: a hand-rolled binary
-// min-heap of bare int64 cycles (no per-event payload — the wake cycle
-// re-runs the normal stage loop, which rediscovers whatever work is due)
-// fronted by a mark ring that drops duplicate enqueues of the same cycle in
-// O(1). Cycles only move forward, so a fired mark can never falsely match a
-// later enqueue: slot aliases differ in the full cycle value the ring
-// stores.
+// eqRing is the ring length in cycles: twice the horizon. While cycle now
+// executes its own bit is still set, and a stage may announce now+eqWindow;
+// a ring of eqWindow slots would put both in one bit, and draining now
+// would then lose the later wake. With 2×eqWindow slots every cycle the
+// calendar can hold, [now, now+eqWindow], has a slot of its own.
+const eqRing = 2 * eqWindow
+
+// eventQueue is a monotone cycle-keyed calendar stored as an occupancy
+// bitmap over a ring of cycles (a one-bit-per-slot timing wheel): bit
+// c&(eqRing-1) is set exactly when cycle c is scheduled. There is no
+// per-event payload — the wake cycle re-runs the normal stage loop, which
+// rediscovers whatever work is due — so the set bit is the whole entry and
+// also its own dedup. Entries are only ever added after now and the engine
+// executes the earliest one before it moves past it, so after drain every
+// set bit lies in (now, now+eqWindow] and maps back to a unique cycle.
 type eventQueue struct {
-	heap []int64
-	mark [eqWindow]int64 // mark[c&(eqWindow-1)] == c ⇒ c already enqueued
+	bits [eqRing / 64]uint64
 }
 
-// add schedules a wake at cycle c (clamped into (now, now+eqWindow]).
-// Duplicate adds of the same cycle are dropped in O(1).
+// add schedules a wake at cycle c > now, clamped to at most now+eqWindow.
+// Adding a scheduled cycle again is a no-op.
 func (q *eventQueue) add(c, now int64) {
 	if c > now+eqWindow {
 		// Beyond the horizon: arm a hop at the horizon instead. The hop
@@ -49,58 +56,43 @@ func (q *eventQueue) add(c, now int64) {
 		// inside the horizon.
 		c = now + eqWindow
 	}
-	s := c & (eqWindow - 1)
-	if q.mark[s] == c {
-		return
-	}
-	q.mark[s] = c
-	q.heap = append(q.heap, c)
-	// Sift up (container/heap's algorithm, monomorphized on int64).
-	j := len(q.heap) - 1
-	for j > 0 {
-		i := (j - 1) / 2
-		if q.heap[i] <= q.heap[j] {
-			break
-		}
-		q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-		j = i
-	}
+	s := c & (eqRing - 1)
+	q.bits[s>>6] |= 1 << (s & 63)
 }
 
-// drain pops every entry at or before now. Fired entries need no handling:
-// the cycle that just executed performed whatever work they announced.
+// has reports whether cycle c is scheduled.
+func (q *eventQueue) has(c int64) bool {
+	s := c & (eqRing - 1)
+	return q.bits[s>>6]&(1<<(s&63)) != 0
+}
+
+// drain retires the executed cycle's entry: the cycle that just executed
+// performed whatever work it announced. No other cycle at or before now
+// can be set, since skipped cycles hold no entries by construction.
 func (q *eventQueue) drain(now int64) {
-	for len(q.heap) > 0 && q.heap[0] <= now {
-		q.popTop()
-	}
+	s := now & (eqRing - 1)
+	q.bits[s>>6] &^= 1 << (s & 63)
 }
 
-// popTop removes the minimum entry (sift-down, container/heap order).
-func (q *eventQueue) popTop() int64 {
-	top := q.heap[0]
-	n := len(q.heap) - 1
-	q.heap[0] = q.heap[n]
-	q.heap = q.heap[:n]
-	i := 0
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j2 := j + 1; j2 < n && q.heap[j2] < q.heap[j] {
-			j = j2
-		}
-		if q.heap[i] <= q.heap[j] {
-			break
-		}
-		q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-		i = j
+// next returns the earliest scheduled cycle after now, and false when the
+// calendar is empty. It scans forward from now+1's slot over the horizon:
+// the rest of that word, then eqWindow/64 whole words.
+func (q *eventQueue) next(now int64) (int64, bool) {
+	s := (now + 1) & (eqRing - 1)
+	w := s >> 6
+	if word := q.bits[w] >> (s & 63); word != 0 {
+		return now + 1 + int64(bits.TrailingZeros64(word)), true
 	}
-	return top
+	c := now + 1 + (64 - s&63) // the cycle of the next word's bit 0
+	for range eqWindow / 64 {
+		w = (w + 1) & (eqRing/64 - 1)
+		if word := q.bits[w]; word != 0 {
+			return c + int64(bits.TrailingZeros64(word)), true
+		}
+		c += 64
+	}
+	return 0, false
 }
-
-// depth reports the number of pending calendar entries.
-func (q *eventQueue) depth() int { return len(q.heap) }
 
 // wake schedules the calendar for cycle c (clamped to the future). Nil-safe
 // under the per-cycle reference so the stage code can announce edges
@@ -136,8 +128,8 @@ func (e *Engine) wake(c int64) {
 //     keeps waking cycle by cycle until the window flushes.
 //
 // Cost is O(live threads + stuck uops + pending windows) per executed
-// cycle, and the dedup ring absorbs the repeats. Idle (skipped) cycles pay
-// nothing; that is the point.
+// cycle, and a repeat just sets a bit already set. Idle (skipped) cycles
+// pay nothing; that is the point.
 func (e *Engine) wakeStandingEdges() {
 	q := e.evq
 	for _, t := range e.ordered {
@@ -184,7 +176,7 @@ func (e *Engine) wakeStandingEdges() {
 func (e *Engine) eventForward() {
 	q := e.evq
 	q.drain(e.now)
-	if len(q.heap) > 0 && q.heap[0] == e.now+1 {
+	if q.has(e.now + 1) {
 		// Something is already scheduled next cycle, so no jump is
 		// possible and the standing-edge refresh can wait: far edges only
 		// need to be current when a jump target is computed, and the next
@@ -195,8 +187,8 @@ func (e *Engine) eventForward() {
 	e.wakeStandingEdges()
 	// The watchdog edge always exists and bounds the jump.
 	wake := e.lastProgress + e.rec.watchdogBase*e.rec.backoff.Multiplier() + 1
-	if len(q.heap) > 0 && q.heap[0] < wake {
-		wake = q.heap[0]
+	if c, ok := q.next(e.now); ok && c < wake {
+		wake = c
 	}
 	if e.cfg.Observe != nil {
 		if p := (e.now | observeMask) + 1; p < wake {

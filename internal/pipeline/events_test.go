@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,58 +17,162 @@ import (
 	"mtvp/internal/workload"
 )
 
-// TestEventQueueUnit pins the calendar's container behaviour: min ordering,
-// O(1) same-cycle dedup, horizon clamping, and drain-at-or-before.
+// calendarNext is q.next with -1 for an empty calendar.
+func calendarNext(q *eventQueue, now int64) int64 {
+	if c, ok := q.next(now); ok {
+		return c
+	}
+	return -1
+}
+
+// calendarLen counts the scheduled cycles.
+func calendarLen(q *eventQueue) int {
+	n := 0
+	for _, w := range q.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// TestEventQueueUnit pins the calendar's container behaviour: same-cycle
+// dedup, horizon clamping and the clamped hop's dedup, the next-cycle
+// search across word boundaries and the ring wrap, and the aliasing hazard
+// of announcing now+eqWindow while now's own bit is still set.
 func TestEventQueueUnit(t *testing.T) {
 	q := &eventQueue{}
-
 	q.add(50, 10)
 	q.add(30, 10)
-	q.add(50, 10) // duplicate: absorbed by the mark ring
+	q.add(50, 10) // duplicate: the bit is already set
 	q.add(40, 10)
-	if q.depth() != 3 {
-		t.Fatalf("depth = %d, want 3 (duplicate not deduped?)", q.depth())
+	if n := calendarLen(q); n != 3 {
+		t.Fatalf("%d entries, want 3 (duplicate not deduped?)", n)
 	}
-	if q.heap[0] != 30 {
-		t.Fatalf("min = %d, want 30", q.heap[0])
-	}
-
-	q.drain(40)
-	if q.depth() != 1 || q.heap[0] != 50 {
-		t.Fatalf("after drain(40): depth=%d min=%v, want one entry at 50", q.depth(), q.heap)
-	}
-
-	// A far edge clamps to the horizon; the hop slot still dedups.
-	q.add(1_000_000, 100)
-	if q.heap[len(q.heap)-1] != 100+eqWindow && q.heap[0] != 100+eqWindow {
-		t.Fatalf("far edge not clamped to horizon: %v", q.heap)
-	}
-	q.add(2_000_000, 100) // different far cycle, same clamped hop
-	if q.depth() != 2 {
-		t.Fatalf("clamped hops not deduped: depth=%d heap=%v", q.depth(), q.heap)
-	}
-
-	// Slot aliasing across the ring must not dedup distinct cycles.
-	q2 := &eventQueue{}
-	q2.add(eqWindow/2, 1)
-	q2.drain(eqWindow / 2)
-	q2.add(eqWindow/2+eqWindow, eqWindow) // same slot, later cycle
-	if q2.depth() != 1 {
-		t.Fatalf("stale mark swallowed a later cycle in the same slot: depth=%d", q2.depth())
-	}
-
-	// Pop order over a shuffled batch must be sorted.
-	q3 := &eventQueue{}
-	for _, c := range []int64{9, 3, 7, 1, 8, 2, 6, 4, 5} {
-		q3.add(c, 0)
-	}
-	prev := int64(-1)
-	for q3.depth() > 0 {
-		c := q3.popTop()
-		if c < prev {
-			t.Fatalf("pop order not sorted: %d after %d", c, prev)
+	// Execute each entry in turn, as the engine does.
+	for _, want := range []int64{30, 40, 50, -1} {
+		c := calendarNext(q, 10)
+		if c != want {
+			t.Fatalf("next = %d, want %d", c, want)
 		}
-		prev = c
+		if c > 0 {
+			q.drain(c)
+		}
+	}
+
+	// A far edge clamps to the horizon; the hop slot still dedups. An
+	// edge exactly at the horizon is not moved.
+	q.add(1_000_000, 100)
+	if !q.has(100+eqWindow) || calendarNext(q, 100) != 100+eqWindow {
+		t.Fatalf("far edge not clamped to the horizon: next = %d", calendarNext(q, 100))
+	}
+	q.add(2_000_000, 100)    // different far cycle, same clamped hop
+	q.add(100+eqWindow, 100) // the horizon itself
+	q.add(101+eqWindow, 100) // one past it, clamped to it
+	if n := calendarLen(q); n != 1 {
+		t.Fatalf("clamped hops not deduped: %d entries", n)
+	}
+
+	// The search crosses word boundaries and wraps around the ring, and
+	// an empty calendar reports no entry from any position.
+	nows := []int64{0, 1, 62, 63, 64, 127, eqRing - 65, eqRing - 64, eqRing - 1, eqRing, 3*eqRing + 17}
+	for _, now := range nows {
+		if c := calendarNext(&eventQueue{}, now); c != -1 {
+			t.Fatalf("empty calendar at now=%d: next = %d", now, c)
+		}
+		for _, d := range []int64{1, 2, 63, 64, 65, 127, 128, 1000, eqWindow - 64, eqWindow - 1, eqWindow} {
+			q := &eventQueue{}
+			q.add(now+d, now)
+			if c := calendarNext(q, now); c != now+d {
+				t.Fatalf("now=%d entry at now+%d: next = %d", now, d, c)
+			}
+			// A nearer entry in a later word is still found first.
+			if d > 1 {
+				q.add(now+d/2, now)
+				if c := calendarNext(q, now); c != now+d/2 {
+					t.Fatalf("now=%d entries at now+%d and now+%d: next = %d", now, d/2, d, c)
+				}
+			}
+		}
+	}
+
+	// The aliasing hazard: while cycle now executes its bit is still set,
+	// and a stage may announce now+eqWindow. Draining now must not take the
+	// later entry with it.
+	for _, now := range []int64{5000, eqRing - 1, eqRing, 7*eqRing + 4095} {
+		q := &eventQueue{}
+		q.add(now, now-1)
+		q.add(now+eqWindow, now)
+		q.drain(now)
+		if !q.has(now+eqWindow) || calendarNext(q, now) != now+eqWindow {
+			t.Fatalf("now=%d: entry at now+eqWindow lost to the drain of now (next = %d)",
+				now, calendarNext(q, now))
+		}
+		// Advance to the cycle before it, as a jump would, and execute it.
+		if c := calendarNext(q, now+eqWindow-1); c != now+eqWindow {
+			t.Fatalf("now=%d: after the jump next = %d, want %d", now, c, now+eqWindow)
+		}
+		q.drain(now + eqWindow)
+		if calendarLen(q) != 0 {
+			t.Fatalf("now=%d: %d entries left after executing the last", now, calendarLen(q))
+		}
+	}
+}
+
+// TestEventQueueModel drives random add/execute/jump sequences, shaped like
+// the engine's, through the calendar and a map model of the same set of
+// cycles: after every executed cycle the two must agree on the next-cycle
+// busy test, the earliest entry and the entry count.
+func TestEventQueueModel(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		r := mem.NewRand(seed)
+		q := &eventQueue{}
+		model := map[int64]bool{}
+		now := int64(r.Intn(3 * eqRing))
+		for step := 0; step < 3000; step++ {
+			// Execute cycle now+1; its stages announce a few edges,
+			// near, far and beyond the horizon.
+			now++
+			for n := r.Intn(5); n > 0; n-- {
+				var c int64
+				switch r.Intn(4) {
+				case 0:
+					c = now + 1
+				case 1:
+					c = now + 1 + int64(r.Intn(64))
+				case 2:
+					c = now + 1 + int64(r.Intn(eqWindow))
+				default:
+					c = now + 1 + int64(r.Intn(3*eqWindow))
+				}
+				q.add(c, now)
+				model[min(c, now+eqWindow)] = true
+			}
+			q.drain(now)
+			delete(model, now)
+
+			want := int64(-1)
+			for c := range model {
+				if c <= now {
+					t.Fatalf("seed %d: model holds %d at or before now=%d", seed, c, now)
+				}
+				if want == -1 || c < want {
+					want = c
+				}
+			}
+			if got := calendarNext(q, now); got != want {
+				t.Fatalf("seed %d step %d now=%d: next = %d, model %d", seed, step, now, got, want)
+			}
+			if q.has(now+1) != model[now+1] {
+				t.Fatalf("seed %d step %d now=%d: has(now+1) = %v, model %v", seed, step, now, q.has(now+1), model[now+1])
+			}
+			if n := calendarLen(q); n != len(model) {
+				t.Fatalf("seed %d step %d now=%d: %d entries, model %d", seed, step, now, n, len(model))
+			}
+			// Jump over part of the inert span, never past the earliest
+			// entry (the engine's jump rule).
+			if want > now+1 && r.Intn(2) == 0 {
+				now += int64(r.Intn(int(want - now)))
+			}
+		}
 	}
 }
 
@@ -465,7 +570,7 @@ func missRing(nodes int) (*isa.Program, *mem.Memory) {
 
 // TestZeroAllocSteadyState pins the hot loop's allocation behaviour: once
 // the engine is warm (slices at capacity, uop, thread, event and overlay
-// pools populated, overlay keys touched, calendar heap at depth), a
+// pools populated, overlay keys touched), a
 // simulated cycle of the event engine must not allocate at all — neither on
 // the commit-every-cycle path, nor on the idle path the calendar jumps over,
 // nor with the issue queues full of uops waiting to be woken, nor while
@@ -622,9 +727,10 @@ func TestUopSize(t *testing.T) {
 	}
 }
 
-// BenchmarkEventQueue micro-benchmarks the calendar's three hot operations:
-// near-edge enqueue (mark-ring accept), duplicate enqueue (dedup hit), and
-// the fire-and-requeue cycle of a sliding schedule.
+// BenchmarkEventQueue micro-benchmarks the calendar's hot operations:
+// near-edge enqueue, duplicate enqueue (dedup hit), the fire-and-requeue
+// cycle of a sliding schedule, and the worst-case next-cycle search over a
+// calendar whose only entry sits at the horizon.
 func BenchmarkEventQueue(b *testing.B) {
 	b.Run("enqueue", func(b *testing.B) {
 		q := &eventQueue{}
@@ -637,15 +743,16 @@ func BenchmarkEventQueue(b *testing.B) {
 	})
 	b.Run("dedup", func(b *testing.B) {
 		q := &eventQueue{}
-		q.add(1<<20, 0)
+		q.add(1<<10, 0)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			q.add(1<<20, 0) // always a mark-ring hit
+			q.add(1<<10, 0) // always a set bit
 		}
 	})
 	b.Run("requeue", func(b *testing.B) {
 		// A sliding window of 64 in-flight completions, one firing and one
-		// scheduled per step — the steady-state shape of a busy machine.
+		// scheduled per step — the steady-state shape of a busy machine,
+		// which takes the busy-path bit test every cycle.
 		q := &eventQueue{}
 		for i := int64(0); i < 64; i++ {
 			q.add(i+1, 0)
@@ -654,7 +761,24 @@ func BenchmarkEventQueue(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			now := int64(i)
 			q.drain(now)
+			if !q.has(now + 1) {
+				b.Fatal("sliding window lost an entry")
+			}
 			q.add(now+64, now)
+		}
+	})
+	b.Run("sparse", func(b *testing.B) {
+		// One entry, at the horizon: the search scans every word of it.
+		q := &eventQueue{}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			now := int64(i)
+			q.add(now+eqWindow, now)
+			c, ok := q.next(now)
+			if !ok || c != now+eqWindow {
+				b.Fatal("horizon entry not found")
+			}
+			q.drain(c)
 		}
 	})
 }
