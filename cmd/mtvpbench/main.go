@@ -6,13 +6,13 @@
 //	mtvpbench -exp all -insts 200000 # everything (slow)
 //
 // Experiments: table1, fig1, fig2, sb, fig3, dfcm, fig4, fig5, multival,
-// fig6, sharing, prefetch, selector, robust, all.
+// fig6, prefetch, selector, sborg, robust, all.
 //
 // The -faults flag arms a fault-injection profile (see internal/fault) on
 // every simulated machine of the selected experiment; `-exp robust` runs
 // the dedicated oracle-checked campaign over all built-in profiles.
 //
-// Every experiment (fig5, sharing and robust included) runs on the
+// Every experiment (fig5 and robust included) runs on the
 // supervised harness (internal/harness): -jobs bounds the worker pool,
 // -timeout and -stall cancel wedged cells, -retries re-runs flaky ones, and
 // -journal checkpoints every finished cell to a JSONL file so an
@@ -170,7 +170,6 @@ func main() {
 		{"fig5", experiments.Fig5},
 		{"multival", experiments.MultiValue},
 		{"fig6", experiments.Fig6},
-		{"sharing", experiments.SharingStudy},
 		{"prefetch", experiments.PrefetchAblation},
 		{"selector", experiments.SelectorCompare},
 		{"sborg", experiments.StoreBufferOrg},

@@ -5,12 +5,12 @@
 //
 //	mtvpreport -o EXPERIMENTS.md -insts 150000
 //
-// Every experiment — Figure 5, the sharing study and the fault campaign
-// included — runs as a supervised harness campaign: -jobs bounds the
-// worker pool, -timeout/-stall cancel wedged cells, -retries re-runs flaky
-// ones, and -journal/-resume checkpoint the campaign so an interrupted
-// report generation can be completed without re-simulating finished
-// cells (-journal and -resume, if both given, must name the same file).
+// Every experiment — Figure 5 and the fault campaign included — runs as a
+// supervised harness campaign: -jobs bounds the worker pool,
+// -timeout/-stall cancel wedged cells, -retries re-runs flaky ones, and
+// -journal/-resume checkpoint the campaign so an interrupted report
+// generation can be completed without re-simulating finished cells
+// (-journal and -resume, if both given, must name the same file).
 // Campaign events (retries, failures, the shutdown drain, warnings such as
 // a torn journal tail) and the campaign summary (cells
 // completed/retried/failed/skipped, wall time) are printed to stderr.

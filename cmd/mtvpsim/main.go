@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mtvpsim -bench mcf -machine mtvp -contexts 4 -vpred wf -sel ilp
-//	mtvpsim -bench mcf -machine mtvp -vpred vpq-stride -vpred-sharing private
+//	mtvpsim -bench mcf -machine mtvp -vpred dfcm3 -sel always
 //	mtvpsim -bench mcf -machine mtvp -check -faults spawn-storm
 //	mtvpsim -bench mcf -deadline 30s   # cancel cooperatively if it wedges
 //	mtvpsim -bench mcf -engine cycle   # per-cycle stepping (the reference)
@@ -84,7 +84,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		machine   = fs.String("machine", "baseline", "baseline | stvp | mtvp | mtvp-nostall | multival | spawn-only | wide-window")
 		contexts  = fs.Int("contexts", 4, "hardware thread contexts (mtvp machines)")
 		pred      = fs.String("vpred", "wf", "value predictor: "+strings.Join(config.PredictorNames(), " | "))
-		sharing   = fs.String("vpred-sharing", "shared", "predictor table organisation across contexts: "+strings.Join(config.SharingNames(), " | "))
 		sel       = fs.String("sel", "ilp", "load selector: ilp | l3 | always")
 		engine    = fs.String("engine", "event", "simulation scheduler: event (calendar-driven) | cycle (per-cycle reference); results are bit-identical")
 		spawnLat  = fs.Int("spawnlat", -1, "spawn latency in cycles (-1 = machine default)")
@@ -148,11 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return exitErr
 	}
-	sm, err := config.ParseSharing(*sharing)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return exitErr
-	}
 	sk, err := config.ParseSelector(*sel)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -188,7 +182,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unknown engine %q (want event or cycle)\n", *engine)
 		return exitErr
 	}
-	cfg.VP.Sharing = sm
 	if *spawnLat >= 0 {
 		cfg.VP.SpawnLatency = *spawnLat
 	}
@@ -316,8 +309,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	s := &res.Stats
 	fmt.Fprintf(stdout, "benchmark  %s (%s, %s)\n", bench.Name, bench.Kind, bench.Suite)
-	fmt.Fprintf(stdout, "machine    %s pred=%s sharing=%s sel=%s contexts=%d spawn=%dcyc storebuf=%d engine=%s\n",
-		*machine, cfg.VP.Predictor, cfg.VP.Sharing, cfg.VP.Selector, cfg.Contexts,
+	fmt.Fprintf(stdout, "machine    %s pred=%s sel=%s contexts=%d spawn=%dcyc storebuf=%d engine=%s\n",
+		*machine, cfg.VP.Predictor, cfg.VP.Selector, cfg.Contexts,
 		cfg.VP.SpawnLatency, cfg.VP.StoreBufEntries, *engine)
 	fmt.Fprintf(stdout, "cycles     %d\n", s.Cycles)
 	fmt.Fprintf(stdout, "committed  %d (useful)\n", s.Committed)

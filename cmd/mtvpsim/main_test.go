@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"mtvp/internal/config"
 	"mtvp/internal/fault"
 	"mtvp/internal/oracle"
 )
@@ -64,18 +63,29 @@ func TestRunBadInputs(t *testing.T) {
 }
 
 // TestRunRemovedPredictorRejected: the predictors no experiment ran are
-// gone from -vpred, and naming one lists the valid choices.
+// gone from -vpred, and naming one lists the valid choices, which are the
+// paper's three.
 func TestRunRemovedPredictorRejected(t *testing.T) {
-	for _, name := range []string{"fcm3", "fcm", "lastvalue", "stride"} {
+	for _, name := range []string{"fcm3", "fcm", "lastvalue", "stride", "eqlcv", "eq", "vpq-stride", "vpq"} {
 		var out, errw bytes.Buffer
 		if code := run([]string{"-vpred", name}, &out, &errw); code != exitErr {
 			t.Fatalf("-vpred %s exited %d, want %d", name, code, exitErr)
 		}
-		for _, valid := range config.PredictorNames() {
-			if !strings.Contains(errw.String(), valid) {
-				t.Errorf("-vpred %s error %q does not list %q", name, errw.String(), valid)
-			}
+		if want := "(valid: oracle, wf, dfcm3)"; !strings.Contains(errw.String(), want) {
+			t.Errorf("-vpred %s error %q does not list exactly %s", name, errw.String(), want)
 		}
+	}
+}
+
+// TestRunSharingFlagRemoved: predictor tables are always shared by every
+// context, so the flag that chose another organisation is gone.
+func TestRunSharingFlagRemoved(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run([]string{"-vpred-sharing", "private"}, &out, &errw); code != exitErr {
+		t.Fatalf("-vpred-sharing private exited %d, want %d", code, exitErr)
+	}
+	if want := "flag provided but not defined: -vpred-sharing"; !strings.Contains(errw.String(), want) {
+		t.Errorf("error %q does not say %q", errw.String(), want)
 	}
 }
 

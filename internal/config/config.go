@@ -71,12 +71,6 @@ const (
 	PredOracle PredictorKind = iota // always-correct (limit study)
 	PredWangFranklin
 	PredDFCM
-	// PredVPQStride is a retire-trained stride predictor with an explicit
-	// value prediction queue tracking in-flight instances (721sim style).
-	PredVPQStride
-	// PredEqualityLCV is an equality predictor over a last-committed-value
-	// table with dueling confidence counters and periodic decay (BALCVP).
-	PredEqualityLCV
 
 	predKinds // sentinel: number of predictor kinds
 )
@@ -86,34 +80,6 @@ func (k PredictorKind) String() string {
 		return "pred?"
 	}
 	return predictorNames[k]
-}
-
-// SharingMode selects how predictor tables are organised across hardware
-// contexts (Durbhakula-style shared vs private vs partitioned structures).
-// It is orthogonal to the predictor choice.
-type SharingMode int
-
-// Predictor table organisations across hardware contexts.
-const (
-	// ShareShared is one full-size table bank used by every context: maximum
-	// capacity per context but subject to cross-context interference.
-	ShareShared SharingMode = iota
-	// SharePrivate gives every context its own full-size bank: no
-	// interference, but a cold bank for each freshly spawned context and a
-	// Contexts-fold total hardware budget.
-	SharePrivate
-	// SharePartitioned divides a single table budget evenly across contexts:
-	// isolation at constant total cost, at the price of smaller tables.
-	SharePartitioned
-
-	shareModes // sentinel: number of sharing modes
-)
-
-func (m SharingMode) String() string {
-	if m < 0 || m >= shareModes {
-		return "share?"
-	}
-	return sharingNames[m]
 }
 
 // SelectorKind names a criticality (load-selection) predictor.
@@ -159,10 +125,9 @@ func (p FetchPolicy) String() string {
 	return "sfp"
 }
 
-// The predictor parameter structs below hold only table sizes (which
-// partitioned banks scale per context) and the equality predictor's decay
-// period. Confidence counters and thresholds are constants in
-// internal/vpred, beside the predictor that reads them.
+// The predictor parameter structs below hold only table sizes. Confidence
+// counters and thresholds are constants in internal/vpred, beside the
+// predictor that reads them.
 
 // WangFranklinParams sizes the hybrid Wang–Franklin predictor (§5.4).
 type WangFranklinParams struct {
@@ -177,30 +142,11 @@ type DFCMParams struct {
 	L2Entries int
 }
 
-// VPQStrideParams sizes the retire-trained stride predictor with an explicit
-// value prediction queue (PredVPQStride).
-type VPQStrideParams struct {
-	TableEntries int // direct-mapped, PC-tagged SVP table entries
-	QueueEntries int // VPQ capacity (phase-bit ring)
-}
-
-// EqualityParams sizes the equality/last-committed-value predictor
-// (PredEqualityLCV): one LCV table plus dueling eq/neq saturating counters
-// with periodic decay.
-type EqualityParams struct {
-	TableEntries int    // direct-mapped, PC-tagged LCV + counter entries
-	DecayPeriod  uint64 // trainings between whole-table decay sweeps
-}
-
 // VPParams configures value prediction and the MTVP machinery.
 type VPParams struct {
 	Mode      VPMode
 	Predictor PredictorKind
 	Selector  SelectorKind
-
-	// Sharing selects how the predictor's tables are organised across
-	// hardware contexts (shared / private / partitioned).
-	Sharing SharingMode
 
 	// SpawnLatency is the cycles needed to flash-copy the register map
 	// and spawn a thread (1, 8, or 16 in §5.2).
@@ -229,10 +175,8 @@ type VPParams struct {
 	// work proceeds (the "split-window" comparison of Figure 6).
 	SpawnOnly bool
 
-	WF       WangFranklinParams
-	DFCM     DFCMParams
-	VPQ      VPQStrideParams
-	Equality EqualityParams
+	WF   WangFranklinParams
+	DFCM DFCMParams
 }
 
 // FaultParams selects a deterministic fault-injection campaign. Faults are
@@ -387,8 +331,6 @@ func Baseline() Config {
 			MaxValuesPerLoad: 1,
 			WF:               DefaultWF(),
 			DFCM:             DefaultDFCM(),
-			VPQ:              DefaultVPQStride(),
-			Equality:         DefaultEquality(),
 		},
 
 		MaxInsts:  500_000,
@@ -410,25 +352,6 @@ func DefaultDFCM() DFCMParams {
 	return DFCMParams{
 		L1Entries: 4096,
 		L2Entries: 32768,
-	}
-}
-
-// DefaultVPQStride returns a VPQ stride predictor sized comparably to the
-// other realistic predictors, with a queue deep enough for the pipeline's
-// in-flight loads.
-func DefaultVPQStride() VPQStrideParams {
-	return VPQStrideParams{
-		TableEntries: 4096,
-		QueueEntries: 256,
-	}
-}
-
-// DefaultEquality returns the equality/LCV predictor sizing: a 4K-entry
-// table whose dueling counters decay every 8K trainings.
-func DefaultEquality() EqualityParams {
-	return EqualityParams{
-		TableEntries: 4096,
-		DecayPeriod:  8192,
 	}
 }
 
@@ -493,16 +416,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: unknown VP.Mode %d", int(c.VP.Mode))
 	case c.VP.Predictor < 0 || c.VP.Predictor >= predKinds:
 		return &UnknownNameError{What: "predictor", Name: fmt.Sprintf("#%d", int(c.VP.Predictor)), Valid: PredictorNames()}
-	case c.VP.Sharing < 0 || c.VP.Sharing >= shareModes:
-		return &UnknownNameError{What: "sharing mode", Name: fmt.Sprintf("#%d", int(c.VP.Sharing)), Valid: SharingNames()}
 	case c.VP.Selector < 0 || c.VP.Selector >= selKinds:
 		return &UnknownNameError{What: "selector", Name: fmt.Sprintf("#%d", int(c.VP.Selector)), Valid: SelectorNames()}
 	case c.VP.FetchPolicy < FetchSFP || c.VP.FetchPolicy > FetchNoStall:
 		return fmt.Errorf("config: unknown VP.FetchPolicy %d", int(c.VP.FetchPolicy))
-	case c.VP.Predictor == PredVPQStride && (c.VP.VPQ.TableEntries < 1 || c.VP.VPQ.QueueEntries < 1):
-		return fmt.Errorf("config: VPQ stride predictor needs TableEntries and QueueEntries >= 1")
-	case c.VP.Predictor == PredEqualityLCV && (c.VP.Equality.TableEntries < 1 || c.VP.Equality.DecayPeriod < 1):
-		return fmt.Errorf("config: equality/LCV predictor needs TableEntries and DecayPeriod >= 1")
 	case c.VP.SpawnLatency < 0:
 		return fmt.Errorf("config: SpawnLatency must be >= 0")
 	case c.Recovery.WatchdogCycles < 0:
@@ -547,9 +464,7 @@ type tableSize struct {
 }
 
 // tableSizes lists the entry counts of the branch predictor, the enabled
-// prefetcher and the selected Wang–Franklin or DFCM value predictor. The
-// VPQ-stride and equality/LCV sizes are checked with their other knobs in
-// Validate.
+// prefetcher and the selected Wang–Franklin or DFCM value predictor.
 func (c *Config) tableSizes() []tableSize {
 	ts := []tableSize{
 		{"Branch.MetaEntries", c.Branch.MetaEntries},

@@ -12,19 +12,10 @@ var (
 		PredOracle:       "oracle",
 		PredWangFranklin: "wf",
 		PredDFCM:         "dfcm3",
-		PredVPQStride:    "vpq-stride",
-		PredEqualityLCV:  "eqlcv",
 	}
 	// predictorAliases accepts historical CLI spellings.
 	predictorAliases = map[string]PredictorKind{
 		"dfcm": PredDFCM,
-		"vpq":  PredVPQStride,
-		"eq":   PredEqualityLCV,
-	}
-	sharingNames = [shareModes]string{
-		ShareShared:      "shared",
-		SharePrivate:     "private",
-		SharePartitioned: "partitioned",
 	}
 	selectorNames = [selKinds]string{
 		SelILPPred:  "ilp-pred",
@@ -40,7 +31,7 @@ var (
 // UnknownNameError reports a name that does not match any registered entity
 // of the given kind, along with every valid choice.
 type UnknownNameError struct {
-	What  string   // what was being named: "predictor", "sharing mode", ...
+	What  string   // what was being named: "predictor", "selector", ...
 	Name  string   // the unknown name
 	Valid []string // the registered names, in canonical order
 }
@@ -68,23 +59,6 @@ func ParsePredictor(name string) (PredictorKind, error) {
 		return k, nil
 	}
 	return 0, &UnknownNameError{What: "predictor", Name: name, Valid: PredictorNames()}
-}
-
-// SharingNames returns the canonical name of every table sharing mode, in
-// enum order.
-func SharingNames() []string {
-	return append([]string(nil), sharingNames[:]...)
-}
-
-// ParseSharing resolves a table sharing mode name. Unknown names yield an
-// *UnknownNameError listing the valid choices.
-func ParseSharing(name string) (SharingMode, error) {
-	for m, n := range sharingNames {
-		if n == name {
-			return SharingMode(m), nil
-		}
-	}
-	return 0, &UnknownNameError{What: "sharing mode", Name: name, Valid: SharingNames()}
 }
 
 // SelectorNames returns the canonical name of every criticality selector.

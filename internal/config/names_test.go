@@ -23,13 +23,9 @@ func TestParsePredictorRegistry(t *testing.T) {
 			t.Errorf("ParsePredictor(%q) = %v, which strings as %q", name, k, k.String())
 		}
 	}
-	// Historical CLI aliases keep resolving.
-	for alias, want := range map[string]PredictorKind{
-		"dfcm": PredDFCM, "vpq": PredVPQStride, "eq": PredEqualityLCV,
-	} {
-		if k, err := ParsePredictor(alias); err != nil || k != want {
-			t.Errorf("ParsePredictor(%q) = %v, %v; want %v", alias, k, err, want)
-		}
+	// The historical CLI alias keeps resolving.
+	if k, err := ParsePredictor("dfcm"); err != nil || k != PredDFCM {
+		t.Errorf("ParsePredictor(\"dfcm\") = %v, %v; want %v", k, err, PredDFCM)
 	}
 }
 
@@ -43,7 +39,6 @@ func TestParseUnknownNamesStructured(t *testing.T) {
 		valid []string
 	}{
 		{"predictor", func(s string) error { _, err := ParsePredictor(s); return err }, PredictorNames()},
-		{"sharing mode", func(s string) error { _, err := ParseSharing(s); return err }, SharingNames()},
 		{"selector", func(s string) error { _, err := ParseSelector(s); return err }, SelectorNames()},
 	}
 	for _, c := range cases {
@@ -66,11 +61,10 @@ func TestParseUnknownNamesStructured(t *testing.T) {
 	}
 }
 
-// TestValidatePredictorAndSharing is the table-driven validation suite for
-// the predictor registry: out-of-range kinds and modes must be rejected
-// with an error listing the valid names, and every registered combination
-// must validate.
-func TestValidatePredictorAndSharing(t *testing.T) {
+// TestValidatePredictor is the table-driven validation suite for the
+// predictor registry: out-of-range kinds must be rejected with an error
+// listing the valid names, and every registered kind must validate.
+func TestValidatePredictor(t *testing.T) {
 	bad := []struct {
 		name    string
 		mutate  func(*Config)
@@ -79,12 +73,6 @@ func TestValidatePredictorAndSharing(t *testing.T) {
 		{"predictor kind below range", func(c *Config) { c.VP.Predictor = -1 }, "unknown predictor"},
 		{"predictor kind above range", func(c *Config) { c.VP.Predictor = predKinds }, "unknown predictor"},
 		{"predictor kind far above range", func(c *Config) { c.VP.Predictor = 99 }, "oracle"},
-		{"sharing mode below range", func(c *Config) { c.VP.Sharing = -1 }, "unknown sharing mode"},
-		{"sharing mode above range", func(c *Config) { c.VP.Sharing = shareModes }, "partitioned"},
-		{"vpq without table", func(c *Config) { c.VP.Predictor = PredVPQStride; c.VP.VPQ.TableEntries = 0 }, "VPQ"},
-		{"vpq without queue", func(c *Config) { c.VP.Predictor = PredVPQStride; c.VP.VPQ.QueueEntries = 0 }, "VPQ"},
-		{"equality without table", func(c *Config) { c.VP.Predictor = PredEqualityLCV; c.VP.Equality.TableEntries = 0 }, "equality"},
-		{"equality without decay period", func(c *Config) { c.VP.Predictor = PredEqualityLCV; c.VP.Equality.DecayPeriod = 0 }, "equality"},
 	}
 	for _, tc := range bad {
 		c := Baseline()
@@ -100,12 +88,9 @@ func TestValidatePredictorAndSharing(t *testing.T) {
 	}
 
 	for k := PredictorKind(0); k < predKinds; k++ {
-		for m := SharingMode(0); m < shareModes; m++ {
-			c := Baseline().WithMTVP(4, k, SelILPPred)
-			c.VP.Sharing = m
-			if err := c.Validate(); err != nil {
-				t.Errorf("registered combination %v/%v rejected: %v", k, m, err)
-			}
+		c := Baseline().WithMTVP(4, k, SelILPPred)
+		if err := c.Validate(); err != nil {
+			t.Errorf("registered predictor %v rejected: %v", k, err)
 		}
 	}
 }

@@ -69,6 +69,29 @@ func TestDifferentialOracle(t *testing.T) {
 	t.Logf("verified %d useful instructions against the oracle", totalChecked)
 }
 
+// TestPromotedHaltWaitsForElders pins the buffered HALT (pipeline/commit.go):
+// a promoted thread can commit HALT while a confirmed-away elder is still
+// draining older work, and the run must not finish until that elder is
+// gone. This cell, MTVP8 on shared Wang–Franklin tables, reaches that
+// interleaving: an engine that finishes at the promoted thread's HALT stops
+// short of the oracle's HALT here, while the sweep above passes.
+func TestPromotedHaltWaitsForElders(t *testing.T) {
+	cfg := core.MTVP(8, config.PredWangFranklin, config.SelILPPred)
+	cfg.Check = true
+	cfg.MaxInsts = 50_000_000
+	cfg.MaxCycles = 200_000_000
+	bench := smallBenchmarks()[1] // t-chase-fp
+	prog, image := bench.Build(1)
+	res, err := runCore(cfg, prog, image)
+	if err != nil {
+		t.Fatalf("%s: %v", bench.Name, err)
+	}
+	if !res.Halted || res.Checked != res.Stats.Committed {
+		t.Fatalf("%s: halted=%v, verified %d commits, engine counted %d useful",
+			bench.Name, res.Halted, res.Checked, res.Stats.Committed)
+	}
+}
+
 // FuzzDifferentialOracle feeds random terminating programs (the
 // randomProgram generator from the equivalence fuzz) through a checked run
 // on a fuzzer-chosen preset. Any oracle divergence or invariant violation

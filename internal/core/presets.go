@@ -19,15 +19,6 @@ func MTVP(contexts int, pred config.PredictorKind, sel config.SelectorKind) conf
 	return config.Baseline().WithMTVP(contexts, pred, sel)
 }
 
-// MTVPSharing returns the MTVP machine with the value predictor's tables
-// organised across hardware contexts per the given sharing mode (the
-// shared-vs-private-vs-partitioned table study).
-func MTVPSharing(contexts int, pred config.PredictorKind, mode config.SharingMode) config.Config {
-	cfg := config.Baseline().WithMTVP(contexts, pred, config.SelILPPred)
-	cfg.VP.Sharing = mode
-	return cfg
-}
-
 // MTVPOracleLimit returns the §5.1 limit-study machine: oracle value
 // predictor, 1-cycle spawn, unbounded store buffer.
 func MTVPOracleLimit(contexts int) config.Config {

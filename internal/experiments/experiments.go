@@ -108,7 +108,7 @@ func (o Options) apply(cfg config.Config) config.Config {
 // journalFormat tags every campaign fingerprint with the shape of a
 // journaled cell result, so a journal written in an older shape is refused
 // on resume instead of misread.
-const journalFormat = "cell/2"
+const journalFormat = "cell/3"
 
 // harnessConfig builds the campaign config for one named campaign. The
 // fingerprint guards resume: a journal written at different experiment

@@ -227,8 +227,8 @@ func TestRunSpecResultShape(t *testing.T) {
 }
 
 // TestRemoteReportMatchesLocal runs the whole report through an in-process
-// fabric: every campaign, Figure 5, the sharing study and the fault
-// campaign included, must go to the coordinator. The report must equal the
+// fabric: every campaign, Figure 5 and the fault campaign included, must
+// go to the coordinator. The report must equal the
 // local one byte for byte (bar its wall-clock footer), and the coordinator
 // must have completed every cell the local run counted.
 func TestRemoteReportMatchesLocal(t *testing.T) {

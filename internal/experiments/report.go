@@ -228,36 +228,6 @@ func GenerateReport(o Options, w io.Writer) error {
 		pf("and spawn-only (%.1f%%): %s.\n\n", mcfRow[2], verdict(okMcf))
 	}
 
-	// ---- Sharing study ------------------------------------------------
-	sh, err := SharingStudy(o)
-	if err != nil {
-		return err
-	}
-	pf("## Predictor zoo — shared vs private vs partitioned tables\n\n")
-	pf("Beyond the paper (Durbhakula, PAPERS.md): every zoo predictor —\n")
-	pf("Wang–Franklin plus the ported VPQ-stride and equality/LCV exemplar\n")
-	pf("designs — run with shared (sh), private-per-context (pr), and\n")
-	pf("way-partitioned (pt) tables at 2 and 8 hardware contexts. Columns are\n")
-	pf("suite-average percent speedups over the no-VP baseline; the final\n")
-	pf("table reports the shared-table interference probe: cross-context\n")
-	pf("lookups, constructive (helpful) vs destructive (harmful) confident\n")
-	pf("sharing hits, cross-context trains, and evictions.\n\nMeasured:\n\n")
-	for _, t := range sh {
-		pf("```\n%s```\n\n", t)
-	}
-	if len(sh) >= 4 {
-		inter := sh[len(sh)-1]
-		probed := 0.0
-		for _, r := range inter.Rows {
-			if len(r.Values) > 0 {
-				probed += r.Values[0]
-			}
-		}
-		pf("Verdict: the shared-table probe observed cross-context activity\n")
-		pf("(%.0f cross-context lookups across the suite): %s.\n\n",
-			probed, verdict(probed > 0))
-	}
-
 	// ---- Ablations ----------------------------------------------------
 	pf("## Ablations beyond the paper's figures\n\n")
 	ablations := []struct {

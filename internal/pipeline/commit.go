@@ -84,7 +84,7 @@ func (e *Engine) commitOne(t *thread, u *uop) {
 		// wrong-path entirely), and letting them train garbles the value
 		// history and pattern tables.
 		if t.promoted {
-			e.vp.Train(t.id, u.dec.InstAddr, u.ex.Value)
+			e.vp.Train(u.dec.InstAddr, u.ex.Value)
 		}
 	case u.dec.IsStore:
 		e.commitStore(t, u)

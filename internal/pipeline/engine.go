@@ -31,7 +31,7 @@ type Engine struct {
 
 	hier *cache.Hierarchy
 	bp   bpred.Predictor
-	vp   *vpred.Bank
+	vp   vpred.Predictor
 	sel  crit.Selector
 	st   *stats.Stats
 
@@ -197,7 +197,7 @@ func New(cfg *config.Config, prog *isa.Program, memory *mem.Memory, st *stats.St
 		mem:     memory,
 		hier:    cache.NewHierarchy(cfg, st),
 		bp:      bpred.New2bcgskew(cfg.Branch),
-		vp:      vpred.NewBank(cfg),
+		vp:      vpred.New(cfg),
 		sel:     crit.New(cfg),
 		st:      st,
 		slots:   make([]*thread, cfg.Contexts),
@@ -325,9 +325,6 @@ var ErrCanceled = errors.New("run canceled by observer")
 const observeMask = 1<<10 - 1
 
 func (e *Engine) Run() error {
-	// Fold the predictor bank's sharing-probe counters into the run's stats
-	// on every exit path (finish, cancel, check failure, fault abort).
-	defer e.foldSharingStats()
 	for !e.finished {
 		stop, err := e.runCycle()
 		if err != nil {

@@ -203,7 +203,7 @@ func (e *Engine) vpDecide(t *thread, dec *isa.Decoded) *vpEvent {
 		// prediction competes with legitimately trained state.
 		lookupPC ^= 1 + e.inj.Rand64()%1023
 	}
-	pr := e.vp.Lookup(t.id, lookupPC, actual)
+	pr := e.vp.Lookup(lookupPC, actual)
 	if pr.Valid && e.injectFault(fault.PredBitFlip) {
 		// Value-table soft error: one bit of the predicted value flips.
 		// It is followed like any prediction and caught at resolve.

@@ -154,16 +154,16 @@ func TestStoreBufferBoundsSpeculation(t *testing.T) {
 }
 
 func TestSTVPSelectiveReissueOnMispredict(t *testing.T) {
-	// Low-dominance payloads: the last-committed-value predictor stays
-	// marginal and mispredicts regularly, exercising selective reissue.
+	// Low-dominance payloads: the DFCM predictor stays marginal and
+	// mispredicts regularly, exercising selective reissue.
 	b := workload.PointerChase("pl-misp", workload.INT, workload.ChaseParams{
 		Nodes: 512, NodeBytes: 64, PoolSize: 2,
 		DominantPct: 88, ReusePct: 12, SeqPct: 95, BodyOps: 8, Iters: 3,
 	})
-	cfg := config.Baseline().WithSTVP(config.PredEqualityLCV, config.SelAlways)
+	cfg := config.Baseline().WithSTVP(config.PredDFCM, config.SelAlways)
 	_, st := runBench(t, b, cfg)
 	if st.VPWrong == 0 {
-		t.Skip("no mispredictions produced; predictor too strong for this data")
+		t.Fatal("no mispredictions produced; the reissue path went untested")
 	}
 	if st.Reissues == 0 {
 		t.Errorf("mispredictions (%d) without reissues", st.VPWrong)
@@ -179,13 +179,13 @@ func TestMTVPKillRecovery(t *testing.T) {
 		Nodes: 512, NodeBytes: 64, PoolSize: 2,
 		DominantPct: 85, ReusePct: 15, SeqPct: 95, BodyOps: 8, Iters: 3,
 	})
-	cfg := config.Baseline().WithMTVP(4, config.PredEqualityLCV, config.SelAlways)
+	cfg := config.Baseline().WithMTVP(4, config.PredDFCM, config.SelAlways)
 	eng, st := runBench(t, b, cfg)
 	if !eng.Halted() {
 		t.Fatal("did not halt")
 	}
 	if st.Kills == 0 {
-		t.Skip("no kills produced; predictor too strong for this data")
+		t.Fatal("no kills produced; the kill path went untested")
 	}
 	if st.Squashed == 0 {
 		t.Error("kills without squashed instructions")

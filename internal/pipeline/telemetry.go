@@ -61,29 +61,15 @@ func (e *Engine) telemetryGauges() telemetry.CycleGauges {
 }
 
 func (e *Engine) telemetryCounters() telemetry.CycleCounters {
-	sh := e.vp.Stats()
 	return telemetry.CycleCounters{
-		Committed:      e.st.Committed,
-		Squashed:       e.st.Squashed,
-		Loads:          e.st.Loads,
-		DL1Miss:        e.st.DL1Miss,
-		VPCorrect:      e.st.VPCorrect,
-		VPWrong:        e.st.VPWrong,
-		Spawns:         e.st.Spawns,
-		Confirms:       e.st.Confirms,
-		Kills:          e.st.Kills,
-		VPCrossLookups: sh.CrossLookups,
-		VPCrossEvicts:  sh.CrossEvicts,
+		Committed: e.st.Committed,
+		Squashed:  e.st.Squashed,
+		Loads:     e.st.Loads,
+		DL1Miss:   e.st.DL1Miss,
+		VPCorrect: e.st.VPCorrect,
+		VPWrong:   e.st.VPWrong,
+		Spawns:    e.st.Spawns,
+		Confirms:  e.st.Confirms,
+		Kills:     e.st.Kills,
 	}
-}
-
-// foldSharingStats copies the predictor bank's cross-context interference
-// counters into the run's stats. Called once when Run returns.
-func (e *Engine) foldSharingStats() {
-	sh := e.vp.Stats()
-	e.st.VPCrossLookups = sh.CrossLookups
-	e.st.VPShareHelpful = sh.Constructive
-	e.st.VPShareHarmful = sh.Destructive
-	e.st.VPCrossTrains = sh.CrossTrains
-	e.st.VPCrossEvictions = sh.CrossEvicts
 }

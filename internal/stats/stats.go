@@ -46,14 +46,6 @@ type Stats struct {
 	// value was wrong but the correct value was present and over threshold.
 	VPWrongButPresent uint64
 
-	// Predictor-table sharing interference (vpred.Bank probe; nonzero only
-	// with shared tables and >= 2 hardware contexts).
-	VPCrossLookups   uint64 // lookups hitting state last trained by another context
-	VPShareHelpful   uint64 // confident cross-context lookups that were correct
-	VPShareHarmful   uint64 // confident cross-context lookups that were wrong
-	VPCrossTrains    uint64 // trains refining another context's same-PC state
-	VPCrossEvictions uint64 // trains displacing another context's different-PC state
-
 	// Threading.
 	Spawns          uint64 // speculative threads created
 	Confirms        uint64 // predictions confirmed (child survives)

@@ -27,11 +27,6 @@ type CycleCounters struct {
 	Spawns    uint64
 	Confirms  uint64
 	Kills     uint64
-
-	// Predictor-table sharing interference (vpred.Bank, shared mode only;
-	// zero otherwise).
-	VPCrossLookups uint64 // lookups hitting state last trained by another context
-	VPCrossEvicts  uint64 // trains displacing another context's state
 }
 
 // CycleGauges is the instantaneous machine state at a cycle: window and
@@ -87,9 +82,6 @@ type Point struct {
 	Spawns    uint64 `json:"spawns"`
 	Confirms  uint64 `json:"confirms"`
 	Kills     uint64 `json:"kills"`
-	// Predictor-table sharing interference deltas (shared mode only).
-	VPCross      uint64 `json:"vp_cross"`
-	VPCrossEvict uint64 `json:"vp_cross_evict"`
 
 	// Instantaneous occupancy at bucket close.
 	Occupancy    int `json:"occupancy"` // reorder buffer entries in use
@@ -160,9 +152,6 @@ func (s *Sampler) close(cycle int64, g CycleGauges, c CycleCounters) {
 		Confirms:  c.Confirms - s.last.Confirms,
 		Kills:     c.Kills - s.last.Kills,
 
-		VPCross:      c.VPCrossLookups - s.last.VPCrossLookups,
-		VPCrossEvict: c.VPCrossEvicts - s.last.VPCrossEvicts,
-
 		Occupancy:    g.ROBUsed,
 		RenameUsed:   g.RenameUsed,
 		IQUsed:       g.IQUsed,
@@ -194,7 +183,6 @@ func (s *Sampler) close(cycle int64, g CycleGauges, c CycleCounters) {
 var seriesColumns = []string{
 	"cycle", "ipc", "vp_acc",
 	"committed", "squashed", "loads", "dl1_miss", "spawns", "confirms", "kills",
-	"vp_cross", "vp_cross_evict",
 	"occupancy", "rename_used", "iq_used", "storebuf_used", "live_threads", "spec_threads",
 }
 
@@ -204,10 +192,9 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 		return err
 	}
 	for _, p := range s.points {
-		_, err := fmt.Fprintf(w, "%d,%.6f,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		_, err := fmt.Fprintf(w, "%d,%.6f,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 			p.Cycle, p.IPC, p.VPAccuracy,
 			p.Committed, p.Squashed, p.Loads, p.DL1Miss, p.Spawns, p.Confirms, p.Kills,
-			p.VPCross, p.VPCrossEvict,
 			p.Occupancy, p.RenameUsed, p.IQUsed, p.StoreBufUsed, p.LiveThreads, p.SpecThreads)
 		if err != nil {
 			return err
