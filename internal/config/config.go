@@ -71,6 +71,9 @@ const (
 	PredOracle PredictorKind = iota // always-correct (limit study)
 	PredWangFranklin
 	PredDFCM
+	// PredEqualityLCV is an equality predictor over a last-committed-value
+	// table with dueling confidence counters and periodic decay (BALCVP).
+	PredEqualityLCV
 
 	predKinds // sentinel: number of predictor kinds
 )
@@ -125,9 +128,9 @@ func (p FetchPolicy) String() string {
 	return "sfp"
 }
 
-// The predictor parameter structs below hold only table sizes. Confidence
-// counters and thresholds are constants in internal/vpred, beside the
-// predictor that reads them.
+// The predictor parameter structs below hold only table sizes and the
+// equality predictor's decay period. Confidence counters and thresholds are
+// constants in internal/vpred, beside the predictor that reads them.
 
 // WangFranklinParams sizes the hybrid Wang–Franklin predictor (§5.4).
 type WangFranklinParams struct {
@@ -140,6 +143,14 @@ type WangFranklinParams struct {
 type DFCMParams struct {
 	L1Entries int
 	L2Entries int
+}
+
+// EqualityParams sizes the equality/last-committed-value predictor
+// (PredEqualityLCV): one LCV table plus dueling eq/neq saturating counters
+// with periodic decay.
+type EqualityParams struct {
+	TableEntries int    // direct-mapped, PC-tagged LCV + counter entries
+	DecayPeriod  uint64 // trainings between whole-table decay sweeps
 }
 
 // VPParams configures value prediction and the MTVP machinery.
@@ -175,8 +186,9 @@ type VPParams struct {
 	// work proceeds (the "split-window" comparison of Figure 6).
 	SpawnOnly bool
 
-	WF   WangFranklinParams
-	DFCM DFCMParams
+	WF       WangFranklinParams
+	DFCM     DFCMParams
+	Equality EqualityParams
 }
 
 // FaultParams selects a deterministic fault-injection campaign. Faults are
@@ -331,6 +343,7 @@ func Baseline() Config {
 			MaxValuesPerLoad: 1,
 			WF:               DefaultWF(),
 			DFCM:             DefaultDFCM(),
+			Equality:         DefaultEquality(),
 		},
 
 		MaxInsts:  500_000,
@@ -352,6 +365,15 @@ func DefaultDFCM() DFCMParams {
 	return DFCMParams{
 		L1Entries: 4096,
 		L2Entries: 32768,
+	}
+}
+
+// DefaultEquality returns the equality/LCV predictor sizing: a 4K-entry
+// table whose dueling counters decay every 8K trainings.
+func DefaultEquality() EqualityParams {
+	return EqualityParams{
+		TableEntries: 4096,
+		DecayPeriod:  8192,
 	}
 }
 
@@ -418,6 +440,8 @@ func (c *Config) Validate() error {
 		return &UnknownNameError{What: "predictor", Name: fmt.Sprintf("#%d", int(c.VP.Predictor)), Valid: PredictorNames()}
 	case c.VP.Selector < 0 || c.VP.Selector >= selKinds:
 		return &UnknownNameError{What: "selector", Name: fmt.Sprintf("#%d", int(c.VP.Selector)), Valid: SelectorNames()}
+	case c.VP.Predictor == PredEqualityLCV && (c.VP.Equality.TableEntries < 1 || c.VP.Equality.DecayPeriod < 1):
+		return fmt.Errorf("config: equality/LCV predictor needs TableEntries and DecayPeriod >= 1")
 	case c.VP.FetchPolicy < FetchSFP || c.VP.FetchPolicy > FetchNoStall:
 		return fmt.Errorf("config: unknown VP.FetchPolicy %d", int(c.VP.FetchPolicy))
 	case c.VP.SpawnLatency < 0:
@@ -464,7 +488,8 @@ type tableSize struct {
 }
 
 // tableSizes lists the entry counts of the branch predictor, the enabled
-// prefetcher and the selected Wang–Franklin or DFCM value predictor.
+// prefetcher and the selected Wang–Franklin or DFCM value predictor. The
+// equality/LCV size is checked with its decay period in Validate.
 func (c *Config) tableSizes() []tableSize {
 	ts := []tableSize{
 		{"Branch.MetaEntries", c.Branch.MetaEntries},

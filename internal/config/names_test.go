@@ -23,9 +23,13 @@ func TestParsePredictorRegistry(t *testing.T) {
 			t.Errorf("ParsePredictor(%q) = %v, which strings as %q", name, k, k.String())
 		}
 	}
-	// The historical CLI alias keeps resolving.
-	if k, err := ParsePredictor("dfcm"); err != nil || k != PredDFCM {
-		t.Errorf("ParsePredictor(\"dfcm\") = %v, %v; want %v", k, err, PredDFCM)
+	// Historical CLI aliases keep resolving.
+	for alias, want := range map[string]PredictorKind{
+		"dfcm": PredDFCM, "eq": PredEqualityLCV,
+	} {
+		if k, err := ParsePredictor(alias); err != nil || k != want {
+			t.Errorf("ParsePredictor(%q) = %v, %v; want %v", alias, k, err, want)
+		}
 	}
 }
 
@@ -73,6 +77,8 @@ func TestValidatePredictor(t *testing.T) {
 		{"predictor kind below range", func(c *Config) { c.VP.Predictor = -1 }, "unknown predictor"},
 		{"predictor kind above range", func(c *Config) { c.VP.Predictor = predKinds }, "unknown predictor"},
 		{"predictor kind far above range", func(c *Config) { c.VP.Predictor = 99 }, "oracle"},
+		{"equality without table", func(c *Config) { c.VP.Predictor = PredEqualityLCV; c.VP.Equality.TableEntries = 0 }, "equality"},
+		{"equality without decay period", func(c *Config) { c.VP.Predictor = PredEqualityLCV; c.VP.Equality.DecayPeriod = 0 }, "equality"},
 	}
 	for _, tc := range bad {
 		c := Baseline()

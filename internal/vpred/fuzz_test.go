@@ -42,48 +42,6 @@ func (d *fuzzDriver) decode(op byte) (pc, value uint64, doLookup, doTrain bool) 
 	return uint64(0x100 + p*8), d.state[p], doLookup, doTrain
 }
 
-// FuzzVPQStridePredictor drives a deliberately tiny VPQ stride predictor
-// with an arbitrary interleaving of lookups (VPQ enqueues) and trains (VPQ
-// retires) — including the adversarial shapes the pipeline produces:
-// speculative lookups that never retire, and retires with no matching
-// in-flight entry. Invariants: queue occupancy and confidence stay bounded,
-// the footprint never grows, and a twin instance fed the same stream stays
-// bit-identical.
-func FuzzVPQStridePredictor(f *testing.F) {
-	f.Add(uint64(15), []byte{0x02, 0x0a, 0x12, 0x1a, 0x02, 0x0a})
-	f.Add(uint64(1), []byte{0x00, 0x00, 0x00, 0x00, 0x01, 0x01}) // orphan storm, then bare retires
-	f.Add(uint64(7), []byte{0x3f, 0x3f, 0x02, 0x3f, 0x02, 0x02}) // value jumps breaking strides
-	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
-		p := config.DefaultVPQStride()
-		p.TableEntries, p.QueueEntries = 8, 4 // tiny: force aliasing and queue wrap
-		a, b := NewVPQStride(p), NewVPQStride(p)
-		d := newFuzzDriver(seed)
-		foot := a.Footprint()
-		for i, op := range ops {
-			pc, v, doLookup, doTrain := d.decode(op)
-			if doLookup {
-				pa, pb := a.Lookup(pc, v), b.Lookup(pc, v)
-				if !reflect.DeepEqual(pa, pb) {
-					t.Fatalf("op %d: twins diverge: %+v vs %+v", i, pa, pb)
-				}
-				if pa.Conf < 0 || pa.Conf > vpqConfMax {
-					t.Fatalf("op %d: confidence %d outside [0,%d]", i, pa.Conf, vpqConfMax)
-				}
-			}
-			if doTrain {
-				a.Train(pc, v)
-				b.Train(pc, v)
-			}
-			if occ := a.occupancy(); occ < 0 || occ > len(a.queue) {
-				t.Fatalf("op %d: occupancy %d outside [0,%d]", i, occ, len(a.queue))
-			}
-		}
-		if got := a.Footprint(); got != foot {
-			t.Fatalf("footprint grew %d -> %d", foot, got)
-		}
-	})
-}
-
 // FuzzEqualityLCVPredictor drives a tiny equality/LCV predictor through
 // arbitrary op streams with a short decay period so the sweep fires often.
 // Invariants: both dueling counters stay in [0, CounterMax], a confident

@@ -26,6 +26,7 @@ func registeredZoo(t *testing.T) []zooCase {
 		config.PredOracle:       1 << 20,
 		config.PredWangFranklin: wfConfMax,
 		config.PredDFCM:         dfcmConfMax,
+		config.PredEqualityLCV:  eqCounterMax,
 	}
 	var out []zooCase
 	for _, name := range config.PredictorNames() {
@@ -46,6 +47,56 @@ func registeredZoo(t *testing.T) []zooCase {
 			},
 			confMax: cm,
 		})
+	}
+	return out
+}
+
+// sharedCase is one registered predictor built as an MTVP machine with
+// four hardware contexts holds it: one table set shared by every context.
+type sharedCase struct {
+	name  string
+	build func() Predictor
+}
+
+// registeredShared builds one shared-table case per registered predictor,
+// from a four-context MTVP configuration through the constructor the
+// pipeline uses.
+func registeredShared(t *testing.T) []sharedCase {
+	t.Helper()
+	var out []sharedCase
+	for _, pname := range config.PredictorNames() {
+		kind, err := config.ParsePredictor(pname)
+		if err != nil {
+			t.Fatalf("registry name %q does not parse: %v", pname, err)
+		}
+		out = append(out, sharedCase{
+			name: pname + "/shared",
+			build: func() Predictor {
+				cfg := config.Baseline().WithMTVP(4, kind, config.SelILPPred)
+				return New(&cfg)
+			},
+		})
+	}
+	return out
+}
+
+// contextStream interleaves four contexts' load streams over the same PCs,
+// as the spawned threads of one program reach the shared tables: each
+// context walks its own values, so one PC's entry sees every context's
+// history in turn.
+func contextStream(seed uint64, n int) []struct{ pc, value uint64 } {
+	const contexts = 4
+	var per [contexts][]struct{ pc, value uint64 }
+	for c := range per {
+		per[c] = loadStream(seed+uint64(c), n)
+	}
+	r := mem.NewRand(seed ^ 0x5eed)
+	var next [contexts]int
+	out := make([]struct{ pc, value uint64 }, n)
+	for i := range out {
+		c := r.Intn(contexts)
+		out[i] = per[c][next[c]]
+		next[c]++
 	}
 	return out
 }
@@ -95,10 +146,32 @@ func TestDeterministicPredictionSequence(t *testing.T) {
 	}
 }
 
+// TestBankDeterministicSequence is the shared-table counterpart over every
+// registered predictor: identical four-context lookup/train histories on the
+// one table set the contexts share must give bit-identical prediction
+// sequences.
+func TestBankDeterministicSequence(t *testing.T) {
+	for _, sc := range registeredShared(t) {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			a, b := sc.build(), sc.build()
+			for i, s := range contextStream(17, 20_000) {
+				pa := a.Lookup(s.pc, s.value)
+				pb := b.Lookup(s.pc, s.value)
+				if !reflect.DeepEqual(pa, pb) {
+					t.Fatalf("step %d: shared-table predictions diverge: %+v vs %+v", i, pa, pb)
+				}
+				a.Train(s.pc, s.value)
+				b.Train(s.pc, s.value)
+			}
+		})
+	}
+}
+
 // TestTrainPredictConsistency holds each PC's value constant: whatever a
 // predictor's internal organisation, a confident prediction for a PC that
 // has only ever committed one value must be that value. Runs over every
-// registered predictor.
+// registered predictor, alone and as four contexts' shared tables.
 func TestTrainPredictConsistency(t *testing.T) {
 	const pcs = 16
 	pcOf := func(i int) uint64 { return uint64(0x1000 + i*8) }
@@ -120,11 +193,29 @@ func TestTrainPredictConsistency(t *testing.T) {
 			}
 		})
 	}
+	for _, sc := range registeredShared(t) {
+		sc := sc
+		t.Run("bank/"+sc.name, func(t *testing.T) {
+			p := sc.build()
+			r := mem.NewRand(9)
+			for i := 0; i < 20_000; i++ {
+				k := r.Intn(pcs) // any of the four contexts commits the same constant
+				pr := p.Lookup(pcOf(k), valOf(k))
+				if pr.Valid && pr.Confident && pr.Value != valOf(k) {
+					t.Fatalf("step %d pc %#x: confident prediction %#x for constant %#x",
+						i, pcOf(k), pr.Value, valOf(k))
+				}
+				p.Train(pcOf(k), valOf(k))
+			}
+		})
+	}
 }
 
 // TestConfidenceMonotonicity trains a single PC on a constant value: the
 // Lookup-visible confidence must be non-decreasing (no predictor may lose
 // faith in a value that keeps repeating) and must stay within [0, confMax].
+// The training count stays below the equality predictor's decay period,
+// which is the one sanctioned source of downward drift.
 func TestConfidenceMonotonicity(t *testing.T) {
 	for _, zc := range registeredZoo(t) {
 		zc := zc
@@ -154,9 +245,9 @@ func TestConfidenceMonotonicity(t *testing.T) {
 }
 
 // TestBoundedFootprint pins the bounded-table-size invariant: every
-// registered predictor implements Sizer, and its footprint after 100k
-// mixed-stream trainings equals its footprint at construction — no
-// predictor may grow state with the stream.
+// registered predictor implements Sizer, alone and as four contexts' shared
+// tables, and its footprint after 100k mixed-stream trainings equals its
+// footprint at construction — no predictor may grow state with the stream.
 func TestBoundedFootprint(t *testing.T) {
 	stream := loadStream(29, 100_000)
 	for _, zc := range registeredZoo(t) {
@@ -177,6 +268,25 @@ func TestBoundedFootprint(t *testing.T) {
 			}
 		})
 	}
+	shared := contextStream(31, 100_000)
+	for _, sc := range registeredShared(t) {
+		sc := sc
+		t.Run("bank/"+sc.name, func(t *testing.T) {
+			p := sc.build()
+			s, ok := p.(Sizer)
+			if !ok {
+				t.Fatalf("registered predictor %s does not implement Sizer", sc.name)
+			}
+			initial := s.Footprint()
+			for _, e := range shared {
+				p.Lookup(e.pc, e.value)
+				p.Train(e.pc, e.value)
+			}
+			if got := s.Footprint(); got != initial {
+				t.Fatalf("shared-table footprint grew %d -> %d over the stream", initial, got)
+			}
+		})
+	}
 }
 
 // TestConfidenceBounds scans every confidence counter after every training
@@ -185,6 +295,7 @@ func TestBoundedFootprint(t *testing.T) {
 func TestConfidenceBounds(t *testing.T) {
 	wf := NewWangFranklin(config.DefaultWF(), 0)
 	dfcm := NewDFCM(config.DefaultDFCM())
+	eq := NewEqualityLCV(config.DefaultEquality())
 
 	// The checks walk the written pages: entries on pages never written
 	// read as zero, trivially inside every bound.
@@ -210,14 +321,28 @@ func TestConfidenceBounds(t *testing.T) {
 			}
 		})
 	}
+	checkEq := func(step int) {
+		eq.table.EachPage(func(page []eqEntry) {
+			for i := range page {
+				e := &page[i]
+				if e.eq < 0 || e.eq > eqCounterMax || e.neq < 0 || e.neq > eqCounterMax {
+					t.Fatalf("step %d: eqlcv counters (%d,%d) outside [0,%d]",
+						step, e.eq, e.neq, eqCounterMax)
+				}
+			}
+		})
+	}
+
 	for i, s := range loadStream(23, 30_000) {
 		wf.Train(s.pc, s.value)
 		dfcm.Train(s.pc, s.value)
+		eq.Train(s.pc, s.value)
 		// A full table scan per step is quadratic; sample periodically but
 		// always scan the first steps, where saturation bugs surface.
 		if i < 64 || i%997 == 0 {
 			checkWF(i)
 			checkDFCM(i)
+			checkEq(i)
 		}
 	}
 }
@@ -230,10 +355,13 @@ func TestTableAliasingInBounds(t *testing.T) {
 	wfp.VHTEntries, wfp.ValPHTEntries = 8, 16 // force heavy aliasing
 	dp := config.DefaultDFCM()
 	dp.L1Entries, dp.L2Entries = 8, 16
+	eqp := config.DefaultEquality()
+	eqp.TableEntries, eqp.DecayPeriod = 8, 64
 
 	preds := map[string]Predictor{
-		"wf-tiny":   NewWangFranklin(wfp, 0),
-		"dfcm-tiny": NewDFCM(dp),
+		"wf-tiny":    NewWangFranklin(wfp, 0),
+		"dfcm-tiny":  NewDFCM(dp),
+		"eqlcv-tiny": NewEqualityLCV(eqp),
 	}
 	pcs := []uint64{0, 1, ^uint64(0), 1 << 63, 0xdeadbeefdeadbeef, 1<<32 + 7, 3}
 	vals := []uint64{0, 1, ^uint64(0), 1 << 63, 0x8000000000000001, 42}

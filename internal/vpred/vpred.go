@@ -1,8 +1,9 @@
 // Package vpred implements the load value predictors the experiments run:
 // an oracle (limit study, §5.1), the hybrid Wang–Franklin predictor used for
-// the realistic results (§5.4), and an order-3 differential FCM predictor
-// with Burtscher's improved index function (the §5.4 comparison). As in the
-// paper, one predictor instance is shared by every hardware context.
+// the realistic results (§5.4), an order-3 differential FCM predictor with
+// Burtscher's improved index function (the §5.4 comparison), and an
+// equality/last-committed-value predictor. As in the paper, one predictor
+// instance is shared by every hardware context.
 package vpred
 
 import (
@@ -60,6 +61,8 @@ func New(cfg *config.Config) Predictor {
 		return NewWangFranklin(cfg.VP.WF, cfg.VP.LiberalThreshold)
 	case config.PredDFCM:
 		return NewDFCM(cfg.VP.DFCM)
+	case config.PredEqualityLCV:
+		return NewEqualityLCV(cfg.VP.Equality)
 	default:
 		panic(fmt.Sprintf("vpred: no constructor for predictor kind %d", int(cfg.VP.Predictor)))
 	}
@@ -75,6 +78,8 @@ func BaseThreshold(cfg *config.Config) int {
 		return wfThreshold
 	case config.PredDFCM:
 		return dfcmThreshold
+	case config.PredEqualityLCV:
+		return eqThreshold
 	default:
 		return 0 // oracle: no meaningful confidence scale
 	}

@@ -249,6 +249,7 @@ func TestNewSelectsConfiguredPredictor(t *testing.T) {
 		config.PredOracle:       "vpred.Oracle",
 		config.PredWangFranklin: "*vpred.WangFranklin",
 		config.PredDFCM:         "*vpred.DFCM",
+		config.PredEqualityLCV:  "*vpred.EqualityLCV",
 	}
 	for k, want := range kinds {
 		cfg.VP.Predictor = k
