@@ -17,7 +17,7 @@ func params() config.BranchParams {
 
 // accuracy trains the predictor on a sequence and returns the fraction of
 // correct predictions over the second half (after warmup).
-func accuracy(p Predictor, seq []struct {
+func accuracy(p *TwoBcgskew, seq []struct {
 	pc    uint64
 	taken bool
 }) float64 {
@@ -177,13 +177,142 @@ func TestFreshPredictorPredictsTaken(t *testing.T) {
 	}
 }
 
-func TestStaticPredictor(t *testing.T) {
-	s := &Static{Taken: true}
-	if !s.Predict(0x1234) {
-		t.Error("static taken predictor predicted not-taken")
+// refPredictor is the 2bcgskew with one counter per byte, as the model
+// stored it before the banks were packed four to a byte. It is kept as the
+// reference the packed predictor must match prediction for prediction.
+type refPredictor struct {
+	bim, g0, g1, meta []counter
+	hist              uint64
+}
+
+func newRef(p config.BranchParams) *refPredictor {
+	return &refPredictor{
+		bim:  make([]counter, p.BimodalEntries),
+		g0:   make([]counter, p.GshareEntries),
+		g1:   make([]counter, p.GshareEntries),
+		meta: make([]counter, p.MetaEntries),
 	}
-	s.Update(0x1234, false) // must not panic or change anything
-	if !s.Predict(0x1234) {
-		t.Error("static predictor changed state on update")
+}
+
+func (b *refPredictor) idx(pc uint64) (ib, i0, i1, im uint64) {
+	h := b.hist & histMask
+	ib = pc % uint64(len(b.bim))
+	i0 = (pc ^ h ^ (pc >> 7)) % uint64(len(b.g0))
+	i1 = (pc ^ (h << 3) ^ (pc >> 13) ^ (h >> 5)) % uint64(len(b.g1))
+	im = (pc ^ (h << 1)) % uint64(len(b.meta))
+	return
+}
+
+func (b *refPredictor) vote(pc uint64) (bim, skew, meta bool) {
+	ib, i0, i1, im := b.idx(pc)
+	bim = b.bim[ib].taken()
+	n := 0
+	for _, t := range []bool{bim, b.g0[i0].taken(), b.g1[i1].taken()} {
+		if t {
+			n++
+		}
+	}
+	return bim, n >= 2, b.meta[im].taken()
+}
+
+func (b *refPredictor) Predict(pc uint64) bool {
+	bim, skew, meta := b.vote(pc)
+	if meta {
+		return skew
+	}
+	return bim
+}
+
+func (b *refPredictor) Update(pc uint64, taken bool) {
+	bim, skew, meta := b.vote(pc)
+	pred := bim
+	if meta {
+		pred = skew
+	}
+	ib, i0, i1, im := b.idx(pc)
+	if bim != skew {
+		b.meta[im] = b.meta[im].train(skew == taken)
+	}
+	if pred == taken {
+		if bim == taken {
+			b.bim[ib] = b.bim[ib].train(taken)
+		}
+		if b.g0[i0].taken() == taken {
+			b.g0[i0] = b.g0[i0].train(taken)
+		}
+		if b.g1[i1].taken() == taken {
+			b.g1[i1] = b.g1[i1].train(taken)
+		}
+	} else {
+		b.bim[ib] = b.bim[ib].train(taken)
+		b.g0[i0] = b.g0[i0].train(taken)
+		b.g1[i1] = b.g1[i1].train(taken)
+	}
+	b.hist = (b.hist << 1) | boolBit(taken)
+}
+
+// TestPackedMatchesReference drives the packed predictor and the
+// byte-per-counter reference in lockstep and requires the same prediction
+// at every step, at the Table 1 sizes and at sizes that are not multiples
+// of four (so the last byte of each bank is partly used).
+func TestPackedMatchesReference(t *testing.T) {
+	sizes := map[string]config.BranchParams{
+		"table1": params(),
+		"odd":    {MetaEntries: 1001, GshareEntries: 1003, BimodalEntries: 997},
+		"tiny":   {MetaEntries: 5, GshareEntries: 7, BimodalEntries: 3},
+	}
+	streams := map[string]func(r *mem.Rand, i int) (uint64, bool){
+		// Random PCs and outcomes: every bank and every counter slot in a
+		// byte sees both directions.
+		"random": func(r *mem.Rand, i int) (uint64, bool) {
+			return r.Next() & 0xfffff, r.Intn(2) == 0
+		},
+		// A few hundred branches, each biased 90% toward its own
+		// direction: counters saturate and the partial update engages.
+		"biased": func(r *mem.Rand, i int) (uint64, bool) {
+			b := r.Intn(300)
+			return uint64(0x4000 + b*4), (r.Intn(100) < 90) == (b%2 == 0)
+		},
+		// Nested loops with exits every 7 and 13 iterations: the
+		// history-indexed banks and the meta chooser carry the accuracy.
+		"loops": func(r *mem.Rand, i int) (uint64, bool) {
+			if i%2 == 0 {
+				return 0x100, (i/2)%7 != 6
+			}
+			return 0x180, (i/2)%13 != 12
+		},
+	}
+	for sname, sz := range sizes {
+		for tname, next := range streams {
+			t.Run(sname+"/"+tname, func(t *testing.T) {
+				p, ref := New2bcgskew(sz), newRef(sz)
+				r := mem.NewRand(7)
+				for i := 0; i < 200_000; i++ {
+					pc, taken := next(r, i)
+					if got, want := p.Predict(pc), ref.Predict(pc); got != want {
+						t.Fatalf("step %d pc %#x: packed predicts %v, reference %v", i, pc, got, want)
+					}
+					p.Update(pc, taken)
+					ref.Update(pc, taken)
+				}
+			})
+		}
+	}
+}
+
+// TestBankPacking pins the storage layout: 2 bits per counter, four to a
+// byte, and writing one counter leaves its byte neighbours alone.
+func TestBankPacking(t *testing.T) {
+	k := newBank(1001)
+	if len(k.b) != 251 {
+		t.Fatalf("1001 counters take %d bytes, want 251", len(k.b))
+	}
+	for i := uint64(0); i < k.n; i++ {
+		k.set(i, counter(i*7%4))
+	}
+	for i := uint64(0); i < k.n; i++ {
+		if got := k.get(i); got != counter(i*7%4) {
+			t.Fatalf("counter %d reads %d, want %d", i, got, i*7%4)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"mtvp/internal/isa"
 	"mtvp/internal/storebuf"
@@ -203,13 +204,24 @@ func (e *Engine) auditPools() {
 	}
 }
 
-// auditScan is the full structural walk: pool hygiene, ROB age ordering,
+// auditScan is the full structural walk: pool hygiene, the recovery
+// controller's unhealthy-slot list, ROB age ordering,
 // shared resource counter reconciliation, rename-map liveness, per-thread
 // ICOUNT, wakeup counts and ready-set membership, overlay and context
 // isolation, a common bottom overlay, and speculative/promoted exclusion.
 func (e *Engine) auditScan() {
 	e.auditPools()
 	if e.auditErr != nil {
+		return
+	}
+	var unhealthy []int
+	for slot := range e.rec.ladders {
+		if !e.rec.healthy(slot) {
+			unhealthy = append(unhealthy, slot)
+		}
+	}
+	if !slices.Equal(unhealthy, e.rec.unhealthy) {
+		e.auditFail("recovery lists unhealthy context slots %v, the unhealthy ones are %v", e.rec.unhealthy, unhealthy)
 		return
 	}
 	var robN, renameN, storeN int

@@ -151,6 +151,19 @@ func TestAuditorDetectsCounterDrift(t *testing.T) {
 	}
 }
 
+// TestAuditorDetectsStaleUnhealthyList changes a ladder behind the
+// recovery controller's back: the list that lets commits skip healthy
+// slots in the recovery walk no longer matches the slots, and the scan
+// must say so.
+func TestAuditorDetectsStaleUnhealthyList(t *testing.T) {
+	eng := newAuditEngine(t)
+	eng.rec.ladders[0].Degrade()
+	eng.auditScan()
+	if eng.auditErr == nil || !strings.Contains(eng.auditErr.Error(), "unhealthy context slots") {
+		t.Fatalf("stale unhealthy-slot list not flagged: %v", eng.auditErr)
+	}
+}
+
 func TestAuditorDetectsROBAgeOrder(t *testing.T) {
 	eng := newAuditEngine(t)
 	root := eng.liveByOrder()[0]
@@ -431,5 +444,38 @@ func TestAuditorChecksForwardingList(t *testing.T) {
 		if stop {
 			t.Fatal("empty store lists went unnoticed by the forwarding cross-check")
 		}
+	}
+}
+
+// TestBufferedHaltReleased runs the cell in which a promoted thread commits
+// HALT while a confirmed-away elder is still draining (MTVP8 on shared
+// Wang–Franklin tables, the core tests' t-chase-fp kernel, seed 1) and
+// requires both a clean checked run and at least one buffered-HALT release
+// (commit.go): without the release, nothing would show whether the run
+// still reaches that interleaving.
+func TestBufferedHaltReleased(t *testing.T) {
+	cfg := checkedCfg(config.Baseline().WithMTVP(8, config.PredWangFranklin, config.SelILPPred))
+	prog, image := workload.PointerChase("t-chase-fp", workload.FP, workload.ChaseParams{
+		Nodes: 256, NodeBytes: 64, PoolSize: 8, DominantPct: 85, ReusePct: 5, FPVal: true, Iters: 3,
+	}).Build(1)
+	st := newStats()
+	eng, err := New(&cfg, prog, image, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Run(); err != nil {
+		t.Fatalf("checked run diverged: %v", err)
+	}
+	if !eng.Halted() {
+		t.Fatalf("did not halt: committed=%d cycles=%d", st.Committed, eng.Now())
+	}
+	if err := eng.FinalCheck(); err != nil {
+		t.Fatalf("final state check failed: %v", err)
+	}
+	if got := eng.CheckedCommits(); got != st.Committed {
+		t.Fatalf("verified %d commits, engine counted %d useful", got, st.Committed)
+	}
+	if eng.haltReleases == 0 {
+		t.Fatal("no buffered HALT was released: the cell no longer reaches the interleaving this test exists for")
 	}
 }

@@ -216,6 +216,7 @@ func (e *Engine) promoteReady() {
 	// A buffered HALT fires once its thread surfaces as the oldest live
 	// thread — every elder drained and freed, so the program truly is over.
 	if ts := e.liveByOrder(); !e.finished && len(ts) > 0 && ts[0].promoted && ts[0].haltCommitted {
+		e.haltReleases++
 		e.finishAt(ts[0])
 	}
 	e.flushOldestCheck()

@@ -30,7 +30,7 @@ type Engine struct {
 	mem  *mem.Memory
 
 	hier *cache.Hierarchy
-	bp   bpred.Predictor
+	bp   *bpred.TwoBcgskew
 	vp   vpred.Predictor
 	sel  crit.Selector
 	st   *stats.Stats
@@ -75,18 +75,28 @@ type Engine struct {
 	evq       *eventQueue
 	ffSkipped uint64
 
+	// haltReleases counts buffered HALTs released once their thread
+	// surfaced as the oldest live thread (commit.go), for the test that
+	// must prove the release path ran.
+	haltReleases uint64
+
 	// Free lists (pool.go) and hot-loop scratch, reused across cycles to
 	// keep the steady state allocation-free. victims is a stack: a kill
-	// pushes its victims above those of the kill that caused it.
-	uopFree    []*uop
-	threadFree []*thread
-	eventFree  []*vpEvent
-	overlays   storebuf.Pool
-	pickedBuf  []*thread
-	reissueBuf []*uop
-	victims    []*thread
-	spawnVals  []uint64
-	spawnTops  []*storebuf.Overlay
+	// pushes its victims above those of the kill that caused it. uopSlab
+	// and consumerSlab are the uncarved rest of the current uop slab and
+	// its consumer backing array; freshUops counts the uops carved so far.
+	uopFree      []*uop
+	uopSlab      []uop
+	consumerSlab []uopRef
+	freshUops    uint64
+	threadFree   []*thread
+	eventFree    []*vpEvent
+	overlays     storebuf.Pool
+	pickedBuf    []*thread
+	reissueBuf   []*uop
+	victims      []*thread
+	spawnVals    []uint64
+	spawnTops    []*storebuf.Overlay
 
 	// pendingWindows holds resolved value-prediction events whose ILP-pred
 	// measurement window is still open: windows have a minimum length so a

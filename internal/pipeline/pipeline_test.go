@@ -343,9 +343,9 @@ func TestMultiValueSpawnsAndSaves(t *testing.T) {
 // caches and predictor tables are paged on first write (internal/table),
 // so building an engine must not zero megabytes of structures a short run
 // never touches. Eagerly allocated, Baseline and MTVP8 cost about 3.8 MB
-// each.
+// each. Most of what is left is the 52 KB of packed branch counters.
 func TestNewAllocatesLittle(t *testing.T) {
-	const limit = 512 << 10
+	const limit = 160 << 10
 	prog, image := chaseBench(64, 1).Build(1)
 	for _, tc := range []struct {
 		name string
@@ -371,6 +371,49 @@ func TestNewAllocatesLittle(t *testing.T) {
 				t.Errorf("pipeline.New allocates %d KB, want < %d KB", least>>10, limit>>10)
 			}
 			t.Logf("pipeline.New allocates %d KB", least>>10)
+		})
+	}
+}
+
+// TestFreshUopsShareAllocations guards the uop slabs (pool.go): a short
+// run allocates fewer heap objects in all than it carves fresh uops, which
+// holds only while fresh uops and their consumer arrays come many to an
+// allocation rather than two objects per uop.
+func TestFreshUopsShareAllocations(t *testing.T) {
+	prog, image := chaseBench(64, 1<<20).Build(1)
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"baseline", config.Baseline()},
+		{"mtvp8", config.Baseline().WithMTVP(8, config.PredWangFranklin, config.SelILPPred)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.MaxInsts = 2_000
+			// The minimum over a few runs keeps stray allocations by the
+			// runtime out of the figure.
+			least := uint64(1 << 62)
+			var fresh uint64
+			for i := 0; i < 3; i++ {
+				img := image.Clone()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				eng, err := New(&cfg, prog, img, &stats.Stats{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.Run(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, after.Mallocs-before.Mallocs)
+				fresh = eng.freshUops
+			}
+			t.Logf("%d heap objects, %d fresh uops", least, fresh)
+			if least >= fresh {
+				t.Errorf("run allocates %d heap objects for %d fresh uops, want fewer objects than uops", least, fresh)
+			}
 		})
 	}
 }

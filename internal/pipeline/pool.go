@@ -10,12 +10,29 @@ import "mtvp/internal/isa"
 // uop keeps whatever capacity it reached.
 const uopConsumerCap = 4
 
+// uopSlabLen is the number of fresh uops carved from one slab. It is 63,
+// not 64, because the Go runtime puts an 8-byte header in front of every
+// allocation over 512 bytes that holds pointers: 64 uops of 256 bytes
+// would take 16,392 bytes and round up to the 18,432-byte size class,
+// while 63 uops fit the 16 KB class and their 4,032-byte consumer array
+// the 4 KB class.
+const uopSlabLen = 63
+
 // Free lists. Steady-state simulation churns through one uop per dynamic
 // instruction, and MTVP through one spawned thread (with its context,
 // overlays and event) per followed prediction. Recycling all of them
 // through per-engine pools removes that allocation entirely
 // (TestZeroAllocSteadyState pins it). Overlays recycle through the engine's
 // storebuf.Pool on the same discipline.
+//
+// The uop pool fills from slabs: when the free list is empty, allocUop
+// carves the next uop from a []uop of uopSlabLen entries, and its consumer
+// list from a shared []uopRef of uopSlabLen*uopConsumerCap entries, as a
+// 3-index slice of capacity uopConsumerCap. A list that outgrows its slot
+// reallocates on append and leaves the slot unused. Two heap objects thus
+// serve uopSlabLen fresh uops, where one uop and one array each cost two.
+// A slab lives as long as any uop carved from it, which is the engine's
+// lifetime, since the engine never releases a uop to the heap.
 //
 // Discipline:
 //
@@ -41,7 +58,7 @@ const uopConsumerCap = 4
 func (e *Engine) allocUop() *uop {
 	n := len(e.uopFree)
 	if n == 0 {
-		return &uop{consumers: make([]uopRef, 0, uopConsumerCap)}
+		return e.carveUop()
 	}
 	u := e.uopFree[n-1]
 	e.uopFree[n-1] = nil
@@ -51,6 +68,21 @@ func (e *Engine) allocUop() *uop {
 	gen, issueGen, consumers := u.gen, u.issueGen, u.consumers[:0]
 	*u = uop{}
 	u.gen, u.issueGen, u.consumers = gen, issueGen, consumers
+	return u
+}
+
+// carveUop returns a fresh, zeroed uop from the current slab, starting a
+// new slab when it is used up.
+func (e *Engine) carveUop() *uop {
+	if len(e.uopSlab) == 0 {
+		e.uopSlab = make([]uop, uopSlabLen)
+		e.consumerSlab = make([]uopRef, uopSlabLen*uopConsumerCap)
+	}
+	u := &e.uopSlab[0]
+	e.uopSlab = e.uopSlab[1:]
+	u.consumers = e.consumerSlab[:0:uopConsumerCap]
+	e.consumerSlab = e.consumerSlab[uopConsumerCap:]
+	e.freshUops++
 	return u
 }
 

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"mtvp/internal/config"
 	"mtvp/internal/fault"
@@ -37,6 +38,12 @@ type recovery struct {
 	watchdogBase      int64  // cycles without commits before intervening
 	clampConf         int    // confidence bar under QClamped
 	commitsSinceBreak uint64 // refills the break budget at progressRefill
+
+	// unhealthy lists, in increasing order, the slots whose ladder is
+	// below LevelFull or whose quarantine holds a score. On every other
+	// slot Ladder.Progress and Quarantine.Tick change nothing, so the
+	// per-commit walk visits only these, and nothing while none is listed.
+	unhealthy []int
 }
 
 // progressRefill is the number of useful commits since the last watchdog
@@ -55,6 +62,7 @@ func newRecovery(cfg *config.Config, clampConf int) *recovery {
 		watchdogBase: base,
 		clampConf:    clampConf,
 		quars:        make([]*fault.Quarantine, cfg.Contexts),
+		unhealthy:    make([]int, 0, cfg.Contexts),
 	}
 	for i := range r.ladders {
 		r.ladders[i] = fault.NewLadder(cfg.Recovery.CooldownCommits)
@@ -133,17 +141,40 @@ func (e *Engine) effectiveMode(slot int) config.VPMode {
 	return mode
 }
 
+// healthy reports whether slot is at full speculation with a clean
+// quarantine score: the state in which the commit-time walk is a no-op.
+func (r *recovery) healthy(slot int) bool {
+	return r.ladders[slot].Level() == fault.LevelFull && r.quars[slot].Score() == 0
+}
+
+// updateUnhealthy updates the unhealthy list after slot's ladder or
+// quarantine changed; was is what healthy(slot) returned before the
+// change. The list never outgrows its capacity of one entry per slot, so
+// this does not allocate.
+func (r *recovery) updateUnhealthy(slot int, was bool) {
+	now := r.healthy(slot)
+	if was == now {
+		return
+	}
+	i, _ := slices.BinarySearch(r.unhealthy, slot)
+	if now {
+		r.unhealthy = slices.Delete(r.unhealthy, i, i+1)
+	} else {
+		r.unhealthy = slices.Insert(r.unhealthy, i, slot)
+	}
+}
+
 // noteOutcome feeds one resolved, followed prediction to the quarantine of
 // the predicting thread's context slot.
 func (e *Engine) noteOutcome(t *thread, correct bool) {
-	q := e.rec.quars[t.id]
+	r := e.rec
+	q := r.quars[t.id]
+	was := r.healthy(t.id)
 	if correct {
 		if q.OnCorrect() && e.tracer != nil {
 			e.emitSlot(trace.KQuarantine, t.id, "relaxed to "+q.State().String())
 		}
-		return
-	}
-	if q.OnWrong() {
+	} else if q.OnWrong() {
 		switch q.State() {
 		case fault.QClamped:
 			e.st.QuarantineClamps++
@@ -154,19 +185,22 @@ func (e *Engine) noteOutcome(t *thread, correct bool) {
 			e.emitSlot(trace.KQuarantine, t.id, "escalated to "+q.State().String())
 		}
 	}
+	r.updateUnhealthy(t.id, was)
 }
 
 // noteCommitProgress is called once per useful commit: it refills the break
 // budget after sustained progress, decays the quarantines, and walks every
 // degraded context slot back up the speculation ladder after its cool-down.
+// The walk visits only the unhealthy slots, in slot order.
 func (e *Engine) noteCommitProgress() {
 	r := e.rec
 	r.commitsSinceBreak++
 	if r.commitsSinceBreak == progressRefill {
 		r.backoff.Progress()
 	}
-	for slot, l := range r.ladders {
-		if l.Progress(1) {
+	kept := r.unhealthy[:0]
+	for _, slot := range r.unhealthy {
+		if l := r.ladders[slot]; l.Progress(1) {
 			e.st.Restorations++
 			if e.tracer != nil {
 				e.emitSlot(trace.KRestore, slot, "speculation restored to "+l.Level().String())
@@ -175,7 +209,11 @@ func (e *Engine) noteCommitProgress() {
 		if q := r.quars[slot]; q.Tick() && e.tracer != nil {
 			e.emitSlot(trace.KQuarantine, slot, "decayed to "+q.State().String())
 		}
+		if !r.healthy(slot) {
+			kept = append(kept, slot)
+		}
 	}
+	r.unhealthy = kept
 }
 
 // recoverStall is the watchdog's response to lost commit progress. It
@@ -239,12 +277,14 @@ func (e *Engine) degradeAll() bool {
 		if before == config.VPNone {
 			continue
 		}
+		was := e.rec.healthy(slot)
 		for l.Degrade() {
 			e.st.Degradations++
 			if e.effectiveMode(slot) != before {
 				break
 			}
 		}
+		e.rec.updateUnhealthy(slot, was)
 		stepped = true
 		if e.tracer != nil {
 			e.emitSlot(trace.KDegrade, slot, "speculation degraded to "+l.Level().String())

@@ -116,7 +116,4 @@ func (d *DFCM) Train(pc, actual uint64) {
 	e.last = actual
 }
 
-// Footprint implements Sizer: level-1 plus level-2 entries.
-func (d *DFCM) Footprint() int { return d.l1.Len() + d.l2.Len() }
-
 var _ Predictor = (*DFCM)(nil)

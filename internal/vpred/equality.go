@@ -112,7 +112,4 @@ func (q *EqualityLCV) decay() {
 	})
 }
 
-// Footprint implements Sizer.
-func (q *EqualityLCV) Footprint() int { return q.table.Len() }
-
 var _ Predictor = (*EqualityLCV)(nil)

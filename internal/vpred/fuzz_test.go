@@ -45,18 +45,20 @@ func (d *fuzzDriver) decode(op byte) (pc, value uint64, doLookup, doTrain bool) 
 // FuzzEqualityLCVPredictor drives a tiny equality/LCV predictor through
 // arbitrary op streams with a short decay period so the sweep fires often.
 // Invariants: both dueling counters stay in [0, CounterMax], a confident
-// prediction always returns the last committed value for that entry, and a
+// prediction always returns the last committed value for that entry, a
+// lookup-only op allocates no table page (Lookup is the read path), and a
 // twin instance stays bit-identical.
 func FuzzEqualityLCVPredictor(f *testing.F) {
 	f.Add(uint64(15), []byte{0x02, 0x0a, 0x12, 0x1a, 0x02, 0x0a})
 	f.Add(uint64(3), []byte{0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01, 0x01}) // train-only: exercise decay
 	f.Add(uint64(9), []byte{0x3f, 0x02, 0x3f, 0x02, 0x3f, 0x02})                   // alternating values duel the counters
+	f.Add(uint64(5), []byte{0x00, 0x08, 0x02, 0x00})                               // lookups before any training
 	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
 		p := config.DefaultEquality()
 		p.TableEntries, p.DecayPeriod = 8, 4 // tiny table, near-constant decay pressure
 		a, b := NewEqualityLCV(p), NewEqualityLCV(p)
 		d := newFuzzDriver(seed)
-		foot := a.Footprint()
+		pages := 0
 		for i, op := range ops {
 			pc, v, doLookup, doTrain := d.decode(op)
 			if doLookup {
@@ -76,7 +78,10 @@ func FuzzEqualityLCVPredictor(f *testing.F) {
 				b.Train(pc, v)
 			}
 			// Unwritten pages hold zero counters, inside the bound.
+			prev := pages
+			pages = 0
 			a.table.EachPage(func(page []eqEntry) {
+				pages++
 				for j := range page {
 					e := &page[j]
 					if e.eq < 0 || e.eq > eqCounterMax || e.neq < 0 || e.neq > eqCounterMax {
@@ -85,9 +90,9 @@ func FuzzEqualityLCVPredictor(f *testing.F) {
 					}
 				}
 			})
-		}
-		if got := a.Footprint(); got != foot {
-			t.Fatalf("footprint grew %d -> %d", foot, got)
+			if !doTrain && pages != prev {
+				t.Fatalf("op %d: a lookup allocated a table page (%d -> %d pages)", i, prev, pages)
+			}
 		}
 	})
 }

@@ -2,10 +2,13 @@ package vpred
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"mtvp/internal/config"
 	"mtvp/internal/mem"
+	"mtvp/internal/table"
 )
 
 // zooCase is one predictor under generic invariant test: a fresh-instance
@@ -244,49 +247,75 @@ func TestConfidenceMonotonicity(t *testing.T) {
 	}
 }
 
-// TestBoundedFootprint pins the bounded-table-size invariant: every
-// registered predictor implements Sizer, alone and as four contexts' shared
-// tables, and its footprint after 100k mixed-stream trainings equals its
-// footprint at construction — no predictor may grow state with the stream.
+// TestBoundedFootprint pins the bounded-table-size invariant: the heap
+// bytes every registered predictor allocates over 100k mixed-stream
+// lookups and trainings, alone and as four contexts' shared tables, stay
+// at or below the full size of its tables. Paged tables allocate on first
+// write, so a predictor that keeps to its tables can never exceed that,
+// while one that grows state with the stream (or allocates per lookup)
+// soon does. The figure is the minimum over three fresh instances, which
+// keeps stray runtime allocations out of it.
 func TestBoundedFootprint(t *testing.T) {
 	stream := loadStream(29, 100_000)
 	for _, zc := range registeredZoo(t) {
-		zc := zc
 		t.Run(zc.name, func(t *testing.T) {
-			p := zc.build()
-			s, ok := p.(Sizer)
-			if !ok {
-				t.Fatalf("registered predictor %s does not implement Sizer", zc.name)
-			}
-			initial := s.Footprint()
-			for _, e := range stream {
-				p.Lookup(e.pc, e.value)
-				p.Train(e.pc, e.value)
-			}
-			if got := s.Footprint(); got != initial {
-				t.Fatalf("footprint grew %d -> %d over the stream", initial, got)
-			}
+			checkStreamAlloc(t, zc.build, stream)
 		})
 	}
 	shared := contextStream(31, 100_000)
 	for _, sc := range registeredShared(t) {
-		sc := sc
 		t.Run("bank/"+sc.name, func(t *testing.T) {
-			p := sc.build()
-			s, ok := p.(Sizer)
-			if !ok {
-				t.Fatalf("registered predictor %s does not implement Sizer", sc.name)
-			}
-			initial := s.Footprint()
-			for _, e := range shared {
-				p.Lookup(e.pc, e.value)
-				p.Train(e.pc, e.value)
-			}
-			if got := s.Footprint(); got != initial {
-				t.Fatalf("shared-table footprint grew %d -> %d over the stream", initial, got)
-			}
+			checkStreamAlloc(t, sc.build, shared)
 		})
 	}
+}
+
+// checkStreamAlloc runs stream through three fresh predictors and fails
+// when the least any of them allocated exceeds its tables' full size.
+func checkStreamAlloc(t *testing.T, build func() Predictor, stream []struct{ pc, value uint64 }) {
+	t.Helper()
+	least := uint64(1 << 62)
+	var limit uint64
+	for i := 0; i < 3; i++ {
+		p := build()
+		limit = fullTableBytes(t, p)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, e := range stream {
+			p.Lookup(e.pc, e.value)
+			p.Train(e.pc, e.value)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("allocated %d of %d table bytes", least, limit)
+	if least > limit {
+		t.Fatalf("allocated %d bytes over the stream, more than the %d bytes of its full tables", least, limit)
+	}
+}
+
+// fullTableBytes is the heap size of p's tables with every page written:
+// entries times entry size, plus the stride history each DFCM level-1
+// entry owns.
+func fullTableBytes(t *testing.T, p Predictor) uint64 {
+	t.Helper()
+	switch p := p.(type) {
+	case Oracle:
+		return 0
+	case *WangFranklin:
+		return pagedBytes(&p.vht) + pagedBytes(&p.pht)
+	case *DFCM:
+		return pagedBytes(&p.l1) + uint64(p.l1.Len())*dfcmOrder*8 + pagedBytes(&p.l2)
+	case *EqualityLCV:
+		return pagedBytes(&p.table)
+	}
+	t.Fatalf("no table size for predictor %T", p)
+	return 0
+}
+
+func pagedBytes[T any](tb *table.Paged[T]) uint64 {
+	var zero T
+	return uint64(tb.Len()) * uint64(unsafe.Sizeof(zero))
 }
 
 // TestConfidenceBounds scans every confidence counter after every training

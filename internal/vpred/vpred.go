@@ -41,14 +41,6 @@ type Predictor interface {
 	Train(pc, actual uint64)
 }
 
-// Sizer reports a predictor's allocated table footprint in entries. Every
-// registered predictor implements it (property-test enforced); the bounded
-// table size invariant requires the footprint to stay constant no matter
-// what stream the predictor observes.
-type Sizer interface {
-	Footprint() int
-}
-
 // New builds the predictor selected by the configuration. Unknown kinds
 // panic: Config.Validate rejects them with a structured error first, so
 // reaching the panic means the config registry and this constructor switch
@@ -96,8 +88,5 @@ func (Oracle) Lookup(_, actual uint64) Prediction {
 
 // Train is a no-op.
 func (Oracle) Train(_, _ uint64) {}
-
-// Footprint implements Sizer: the oracle holds no state.
-func (Oracle) Footprint() int { return 0 }
 
 var _ Predictor = Oracle{}

@@ -201,7 +201,4 @@ func (w *WangFranklin) Train(pc, actual uint64) {
 	e.last = actual
 }
 
-// Footprint implements Sizer: VHT plus ValPHT entries.
-func (w *WangFranklin) Footprint() int { return w.vht.Len() + w.pht.Len() }
-
 var _ Predictor = (*WangFranklin)(nil)
