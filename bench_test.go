@@ -1,9 +1,10 @@
 // Package mtvp's benchmark harness regenerates every table and figure of
-// the paper's evaluation as Go benchmarks: each BenchmarkFigN/BenchmarkTable
-// runs the corresponding experiment on the full SPEC stand-in suite (at a
-// reduced per-run instruction budget so the whole harness stays tractable)
-// and reports the paper's headline numbers as custom metrics. Use
-// cmd/mtvpbench for full-fidelity regeneration with printed tables.
+// the paper's evaluation as Go benchmarks: BenchmarkExperiments runs each
+// experiment of the registry (internal/experiments) on the full SPEC
+// stand-in suite, at a reduced per-run instruction budget so the whole
+// harness stays tractable, and reports the suite averages as custom
+// metrics. Use cmd/mtvpbench for full-fidelity regeneration with printed
+// tables.
 package mtvp_test
 
 import (
@@ -29,8 +30,8 @@ func benchOpts() experiments.Options {
 	return o
 }
 
-// avgRow extracts the named row's last-column value (the most aggressive
-// machine) from a table, for ReportMetric.
+// reportAverages reports each average row's last-column value (the most
+// aggressive machine) as a custom metric.
 func reportAverages(b *testing.B, tables []*stats.Table) {
 	b.Helper()
 	for _, tab := range tables {
@@ -67,140 +68,20 @@ func BenchmarkTable1Baseline(b *testing.B) {
 	}
 }
 
-// BenchmarkFig1OracleMTVP regenerates Figure 1 (oracle value prediction,
-// STVP vs MTVP 2/4/8).
-func BenchmarkFig1OracleMTVP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig1(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
-	}
-}
-
-// BenchmarkFig2SpawnLatency regenerates Figure 2 (spawn latency 1/8/16).
-func BenchmarkFig2SpawnLatency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig2(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
-	}
-}
-
-// BenchmarkStoreBufferSweep regenerates the §5.3 store-buffer size sweep.
-func BenchmarkStoreBufferSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.StoreBufferSweep(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, []*stats.Table{tab})
-	}
-}
-
-// BenchmarkFig3RealisticWF regenerates Figure 3 (Wang–Franklin predictor).
-func BenchmarkFig3RealisticWF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig3(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
-	}
-}
-
-// BenchmarkDFCMvsWF regenerates the §5.4 DFCM comparison.
-func BenchmarkDFCMvsWF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.DFCMCompare(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
-	}
-}
-
-// BenchmarkFig4FetchPolicy regenerates Figure 4 (no-stall vs single fetch
-// path).
-func BenchmarkFig4FetchPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig4(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
-	}
-}
-
-// BenchmarkFig5MultiValuePotential regenerates Figure 5 (wrong primary,
-// correct value present and over threshold).
-func BenchmarkFig5MultiValuePotential(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig5(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var sum float64
-		var n int
-		for _, tab := range tables {
-			for _, r := range tab.Rows {
-				sum += r.Values[0]
-				n++
+// BenchmarkExperiments regenerates each experiment of the registry, one
+// sub-benchmark per name (BenchmarkExperiments/fig1, ...), each as its
+// own campaign.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.Registry {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tables, err := experiments.Run(benchOpts(), e.Name, []experiments.Experiment{e})
+				if err != nil {
+					b.Fatal(err)
+				}
+				reportAverages(b, tables[0])
 			}
-		}
-		if n > 0 {
-			b.ReportMetric(sum/float64(n), "mean-fraction")
-		}
-	}
-}
-
-// BenchmarkMultiValueMTVP regenerates the §5.6 multiple-value experiment.
-func BenchmarkMultiValueMTVP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.MultiValue(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
-	}
-}
-
-// BenchmarkFig6WideWindow regenerates Figure 6 (wide window vs best MTVP vs
-// spawn-only).
-func BenchmarkFig6WideWindow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.Fig6(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
-	}
-}
-
-// BenchmarkAblationPrefetchOff runs the no-prefetcher ablation (the paper
-// notes MTVP gains are larger without the stride prefetcher).
-func BenchmarkAblationPrefetchOff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.PrefetchAblation(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
-	}
-}
-
-// BenchmarkAblationSelectors compares ILP-pred, L3-oracle, and unconditional
-// load selection (§5.1).
-func BenchmarkAblationSelectors(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tables, err := experiments.SelectorCompare(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportAverages(b, tables)
+		})
 	}
 }
 

@@ -5,31 +5,37 @@
 //	mtvpbench -exp fig1              # one experiment
 //	mtvpbench -exp all -insts 200000 # everything (slow)
 //
-// Experiments: table1, fig1, fig2, sb, fig3, dfcm, fig4, fig5, multival,
-// fig6, prefetch, selector, sborg, robust, all.
+// -exp names table1 (the configuration dump), one experiment of the
+// registry in internal/experiments (experiments.Registry), or all; any
+// other name is refused with the list of known ones. The selected
+// experiments run as one campaign that runs each distinct cell once: a
+// cell that several experiments share (the no-VP baseline, Figure 1's
+// machines inside Figure 2) is simulated once and read back by each.
 //
 // The -faults flag arms a fault-injection profile (see internal/fault) on
-// every simulated machine of the selected experiment; `-exp robust` runs
+// every simulated machine of the selected experiments; `-exp robust` runs
 // the dedicated oracle-checked campaign over all built-in profiles.
 //
-// Every experiment (fig5 and robust included) runs on the
-// supervised harness (internal/harness): -jobs bounds the worker pool,
-// -timeout and -stall cancel wedged cells, -retries re-runs flaky ones, and
-// -journal checkpoints every finished cell to a JSONL file so an
-// interrupted campaign (Ctrl-C or SIGTERM drains cleanly; even a SIGKILL
-// loses only in-flight cells) can be completed with -resume.
+// The campaign runs on the supervised harness (internal/harness): -jobs
+// bounds the worker pool, -timeout and -stall cancel wedged cells,
+// -retries re-runs flaky ones, and -journal checkpoints every finished
+// cell to a JSONL file so an interrupted campaign (Ctrl-C or SIGTERM
+// drains cleanly; even a SIGKILL loses only in-flight cells) can be
+// completed with -resume.
 //
-// -coordinator hands every experiment's campaign to a distributed sweep
-// fabric instead of the local worker pool: cells are submitted to a `mtvpd
-// serve` coordinator and executed by whatever `mtvpd work` agents are
-// attached to it (-token authenticates). Reports are byte-identical to
-// local runs regardless of worker count or worker deaths. -journal,
-// -resume, -timeout, -stall and an explicit -retries are local-only and
-// are refused with -coordinator; the coordinator's -journal-dir, -lease-ttl
+// -coordinator hands the campaign to a distributed sweep fabric instead
+// of the local worker pool: cells are submitted to a `mtvpd serve`
+// coordinator and executed by whatever `mtvpd work` agents are attached
+// to it (-token authenticates). Tables are byte-identical to local runs
+// regardless of worker count or worker deaths. -journal, -resume,
+// -timeout, -stall and an explicit -retries are local-only and are
+// refused with -coordinator; the coordinator's -journal-dir, -lease-ttl
 // and -retries do their jobs there.
 //
 // Campaign events (retries, failures, the shutdown drain, warnings such as
-// a torn journal tail) are logged to stderr unless -quiet is set.
+// a torn journal tail) are logged to stderr unless -quiet is set. Each
+// experiment's tables end with a "[name finished in T]" line, T counted
+// from the campaign's start; the campaign summary follows the last one.
 //
 // Exit codes: 0 success, 1 usage or experiment error, 4 one or more cells
 // exhausted their retries (failed job keys on stderr), 130 interrupted by
@@ -50,7 +56,6 @@ import (
 	"mtvp/internal/fault"
 	"mtvp/internal/harness"
 	"mtvp/internal/hostperf"
-	"mtvp/internal/stats"
 	"mtvp/internal/version"
 	"mtvp/internal/workload"
 )
@@ -101,6 +106,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	table1, exps, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	stop, err := hostperf.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -121,7 +131,7 @@ func main() {
 	opt.Retries = *retries
 	opt.Journal = *journal
 	opt.HandleSignals = true
-	opt.Summary = &harness.Summary{Name: *exp}
+	opt.Summary = &harness.Summary{}
 	opt.Coordinator = *coord
 	opt.Token = *token
 	if *resume != "" {
@@ -150,65 +160,43 @@ func main() {
 		}
 	}
 
-	type entry struct {
-		name string
-		run  func(experiments.Options) ([]*stats.Table, error)
-	}
-	all := []entry{
-		{"fig1", experiments.Fig1},
-		{"fig2", experiments.Fig2},
-		{"sb", func(o experiments.Options) ([]*stats.Table, error) {
-			t, err := experiments.StoreBufferSweep(o)
-			if err != nil {
-				return nil, err
-			}
-			return []*stats.Table{t}, nil
-		}},
-		{"fig3", experiments.Fig3},
-		{"dfcm", experiments.DFCMCompare},
-		{"fig4", experiments.Fig4},
-		{"fig5", experiments.Fig5},
-		{"multival", experiments.MultiValue},
-		{"fig6", experiments.Fig6},
-		{"prefetch", experiments.PrefetchAblation},
-		{"selector", experiments.SelectorCompare},
-		{"sborg", experiments.StoreBufferOrg},
-		{"robust", experiments.FaultCampaign},
-	}
-
-	if *exp == "table1" || *exp == "all" {
+	if table1 {
 		fmt.Println("Table 1: Simulator Architectural Parameters")
 		fmt.Println(experiments.Table1())
 	}
-	for _, e := range all {
-		if *exp != "all" && *exp != e.name {
-			continue
-		}
-		start := time.Now()
-		tables, err := e.run(opt)
-		if err != nil {
-			exit(e.name, err, opt.Summary)
-		}
-		for _, t := range tables {
+	if len(exps) == 0 {
+		return
+	}
+	start := time.Now()
+	tables, err := experiments.Run(opt, *exp, exps)
+	if err != nil {
+		exit(*exp, err, opt.Summary)
+	}
+	for i, e := range exps {
+		for _, t := range tables[i] {
 			fmt.Println(t)
 		}
-		fmt.Printf("[%s finished in %s]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s finished in %s]\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
-	if *exp != "table1" && *exp != "all" {
-		found := false
-		for _, e := range all {
-			if e.name == *exp {
-				found = true
-			}
+	opt.Summary.Render(os.Stdout)
+}
+
+// selectExperiments resolves -exp: table1 (the configuration dump), one
+// registry experiment, or all of them. An unknown name is refused with the
+// list of known ones.
+func selectExperiments(name string) (table1 bool, exps []experiments.Experiment, err error) {
+	names := []string{"table1"}
+	for _, e := range experiments.Registry {
+		if name == "all" || name == e.Name {
+			exps = append(exps, e)
 		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-			os.Exit(1)
-		}
+		names = append(names, e.Name)
 	}
-	if opt.Summary.Total > 0 {
-		opt.Summary.Render(os.Stdout)
+	table1 = name == "table1" || name == "all"
+	if !table1 && len(exps) == 0 {
+		return false, nil, fmt.Errorf("unknown experiment %q: want one of %s, all", name, strings.Join(names, ", "))
 	}
+	return table1, exps, nil
 }
 
 // exit reports an experiment failure with the harness's exit-code contract:

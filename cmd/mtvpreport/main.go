@@ -3,10 +3,11 @@
 //
 // Usage:
 //
-//	mtvpreport -o EXPERIMENTS.md -insts 150000
+//	mtvpreport -o EXPERIMENTS.md -insts 100000
 //
-// Every experiment — Figure 5 and the fault campaign included — runs as a
-// supervised harness campaign: -jobs bounds the worker pool,
+// Every experiment of the registry in internal/experiments — Figure 5 and
+// the fault campaign included — runs in one supervised harness campaign
+// that runs each distinct cell once: -jobs bounds the worker pool,
 // -timeout/-stall cancel wedged cells, -retries re-runs flaky ones, and
 // -journal/-resume checkpoint the campaign so an interrupted report
 // generation can be completed without re-simulating finished cells
@@ -15,7 +16,7 @@
 // a torn journal tail) and the campaign summary (cells
 // completed/retried/failed/skipped, wall time) are printed to stderr.
 //
-// -coordinator runs every campaign on a distributed sweep fabric (`mtvpd
+// -coordinator runs the campaign on a distributed sweep fabric (`mtvpd
 // serve` + `mtvpd work` agents) instead of the local worker pool; the
 // generated report is byte-identical either way. -journal, -resume,
 // -timeout, -stall and an explicit -retries are local-only and are refused
@@ -68,7 +69,7 @@ func main() {
 	opt.Retries = *retries
 	opt.Journal = *journal
 	opt.HandleSignals = true
-	opt.Summary = &harness.Summary{Name: "report"}
+	opt.Summary = &harness.Summary{}
 	opt.OnEvent = harness.PrintEvents(os.Stderr)
 	opt.Coordinator = *coord
 	opt.Token = *token

@@ -1,8 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§4–5). Each experiment declares its cells as fabric job specs
-// — a stable key ("fig1/mcf/mtvp4"), the benchmark, the seed and the fully
-// resolved machine config — and hands them to one campaign driver
-// (runCampaign). The driver runs them as a supervised parallel campaign on
+// evaluation (§4–5). Registry lists them, one entry each: a name, a
+// declaration of its cells as fabric job specs — a stable key
+// ("fig1/mcf/mtvp4"), the benchmark, the seed and the fully resolved
+// machine config — and a renderer that builds its tables from the results
+// read back under its own keys. Run merges the selected declarations into
+// one supervised parallel campaign that runs each distinct cell once, on
 // the local worker pool (internal/harness), or on the sweep fabric
 // (internal/fabric) when Options.Coordinator is set; either way every cell
 // goes through the same executor (runCell). Tables mirror the paper's:
@@ -22,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"time"
 
 	"mtvp/internal/config"
@@ -69,8 +70,9 @@ type Options struct {
 	// client.
 	Coordinator string
 	Token       string
-	// Summary, when non-nil, accumulates every campaign's counters
-	// (completed/retried/failed/skipped cells, wall time) for reporting.
+	// Summary, when non-nil, receives the campaign's counters
+	// (completed/retried/failed/skipped cells, wall time, simulated work)
+	// for reporting.
 	Summary *harness.Summary
 	// OnEvent, when non-nil, receives campaign events (retries, failures,
 	// drains, warnings) for logging.
@@ -108,7 +110,7 @@ func (o Options) apply(cfg config.Config) config.Config {
 // journalFormat tags every campaign fingerprint with the shape of a
 // journaled cell result, so a journal written in an older shape is refused
 // on resume instead of misread.
-const journalFormat = "cell/3"
+const journalFormat = "cell/4"
 
 // harnessConfig builds the campaign config for one named campaign. The
 // fingerprint guards resume: a journal written at different experiment
@@ -147,18 +149,15 @@ type cellResult struct {
 	Abort bool        `json:"abort,omitempty"`
 }
 
-// faultCampaign names the campaign whose cells count a structured fault
-// report as a result (the robustness contract's second permitted outcome).
-// In every other campaign an abort fails its cell.
-const faultCampaign = "robust"
-
 // runCell is the one cell executor: it builds the spec's benchmark b, runs
 // it on the spec's machine and returns the cell's result. Local harness
 // jobs and fabric worker leases (RunSpec) both call it. progress receives
 // the simulation's current cycle/commit counters from the engine's
 // observer poll; ctx cancellation stops the run at the next poll. An
 // oracle divergence is deterministic, so it is marked permanent: retrying
-// reproduces it exactly.
+// reproduces it exactly. A structured fault report is a result only in a
+// cell that declares it one (spec.AbortIsResult, the fault campaign's
+// outcome rule); anywhere else it fails the cell.
 func runCell(ctx context.Context, b workload.Benchmark, spec fabric.JobSpec, progress func(cycles, commits uint64)) (cellResult, error) {
 	prog, image := b.Build(spec.Seed)
 	cfg := spec.Config
@@ -173,7 +172,7 @@ func runCell(ctx context.Context, b workload.Benchmark, spec fabric.JobSpec, pro
 	switch {
 	case err == nil:
 		return cellResult{IPC: res.Stats.UsefulIPC(), Stats: res.Stats}, nil
-	case strings.HasPrefix(spec.Key, faultCampaign+"/") && errors.As(err, &rep):
+	case spec.AbortIsResult && errors.As(err, &rep):
 		c := cellResult{Abort: true}
 		c.Stats.DeadlockBreaks = rep.Breaks
 		c.Stats.Degradations = rep.Degradations
@@ -223,14 +222,86 @@ func (o Options) checkFabricOptions() error {
 	return nil
 }
 
+// results holds one experiment's cell results under its own keys.
+type results map[string]cellResult
+
+// An Experiment is one entry of Registry: a table or figure of the
+// evaluation, or the fault campaign.
+type Experiment struct {
+	Name string
+	// cells declares the experiment's cells at o's budget, seed and
+	// benchmarks.
+	cells func(o Options) []fabric.JobSpec
+	// tables renders its tables from its results.
+	tables func(o Options, r results) []*stats.Table
+	// intro is its EXPERIMENTS.md section up to the measured tables: the
+	// heading and the paper's result. outro, when set, follows the
+	// tables with notes and verdicts computed from them.
+	intro string
+	outro func(tables []*stats.Table) string
+}
+
+// Run runs exps as one campaign named name, each distinct cell once, and
+// returns each experiment's tables, in exps order. Two declared cells are
+// the same when they name the same benchmark, seed, fully resolved config
+// (fabric.ConfigFingerprint) and outcome rule. The first experiment to
+// declare a cell gives it its campaign key; every experiment reads the
+// result back under its own.
+func Run(o Options, name string, exps []Experiment) ([][]*stats.Table, error) {
+	type cellID struct {
+		bench, config string
+		seed          uint64
+		abortIsResult bool
+	}
+	var specs []fabric.JobSpec
+	campaignKey := map[cellID]string{}
+	own := make([]map[string]string, len(exps)) // experiment's key → campaign key
+	for i, e := range exps {
+		own[i] = map[string]string{}
+		for _, s := range e.cells(o) {
+			id := cellID{s.Bench, fabric.ConfigFingerprint(s), s.Seed, s.AbortIsResult}
+			key, ok := campaignKey[id]
+			if !ok {
+				key = s.Key
+				campaignKey[id] = key
+				specs = append(specs, s)
+			}
+			own[i][s.Key] = key
+		}
+	}
+	res, err := o.runCampaign(name, specs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*stats.Table, len(exps))
+	for i, e := range exps {
+		r := make(results, len(own[i]))
+		for k, key := range own[i] {
+			r[k] = res[key]
+		}
+		out[i] = e.tables(o, r)
+	}
+	return out, nil
+}
+
+// bench resolves a spec's benchmark by name: one of the options'
+// benchmarks (test kernels have no registered name), else a registered
+// one. Fabric workers resolve by registered name only.
+func (o Options) bench(name string) (workload.Benchmark, error) {
+	for _, b := range o.Benchmarks {
+		if b.Name == name {
+			return b, nil
+		}
+	}
+	return workload.ByName(name)
+}
+
 // runCampaign is the one campaign driver: it runs specs as the named
 // campaign — on the local harness worker pool, or, when o.Coordinator is
-// set, on the fabric — folds the campaign into o.Summary, and returns each
-// cell's result in spec order, never completion order, so reports cannot
-// depend on scheduling. benches resolves each spec's benchmark for local
-// runs (test kernels have no registered name); fabric workers resolve it
-// by name.
-func (o Options) runCampaign(name string, benches []workload.Benchmark, specs []fabric.JobSpec) ([]cellResult, error) {
+// set, on the fabric — stores the campaign's summary in o.Summary, and
+// returns every cell's result by key. Callers read results by key, never
+// in completion order, so reports cannot depend on scheduling.
+func (o Options) runCampaign(name string, specs []fabric.JobSpec) (map[string]cellResult, error) {
 	ctx := context.Background()
 	hc := o.harnessConfig(name)
 	var (
@@ -239,13 +310,12 @@ func (o Options) runCampaign(name string, benches []workload.Benchmark, specs []
 		err     error
 	)
 	if o.Coordinator == "" {
-		byName := make(map[string]workload.Benchmark, len(benches))
-		for _, b := range benches {
-			byName[b.Name] = b
-		}
 		jobs := make([]harness.Job[cellResult], len(specs))
 		for i, spec := range specs {
-			b := byName[spec.Bench]
+			b, err := o.bench(spec.Bench)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", name, spec.Key, err)
+			}
 			jobs[i] = harness.Job[cellResult]{
 				Key:  spec.Key,
 				Seed: spec.Seed,
@@ -308,116 +378,16 @@ func (o Options) runCampaign(name string, benches []workload.Benchmark, specs []
 			sum.SimInsts += r.Stats.Committed
 		}
 		if o.Summary != nil {
-			o.Summary.Merge(sum)
+			*o.Summary = *sum
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	out := make([]cellResult, len(specs))
-	for i, spec := range specs {
-		r, ok := results[spec.Key]
-		if !ok {
+	for _, spec := range specs {
+		if _, ok := results[spec.Key]; !ok {
 			return nil, fmt.Errorf("%s: no result for %s", name, spec.Key)
 		}
-		out[i] = r
 	}
-	return out, nil
-}
-
-// grid runs every benchmark on every machine as one campaign and returns
-// the results indexed [bench][machine]. name identifies the campaign
-// ("fig1"); with the benchmark and the machine's label it forms each
-// cell's stable key ("fig1/mcf/mtvp4").
-func (o Options) grid(name string, labels []string, benches []workload.Benchmark, cfgs []config.Config) ([][]cellResult, error) {
-	specs := make([]fabric.JobSpec, 0, len(benches)*len(cfgs))
-	for _, b := range benches {
-		for mi, cfg := range cfgs {
-			specs = append(specs, o.spec(fmt.Sprintf("%s/%s/%s", name, b.Name, labels[mi]), b, labels[mi], cfg))
-		}
-	}
-	res, err := o.runCampaign(name, benches, specs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]cellResult, len(benches))
-	for bi := range out {
-		out[bi] = res[bi*len(cfgs) : (bi+1)*len(cfgs)]
-	}
-	return out, nil
-}
-
-// sweep runs every benchmark on the baseline plus each machine as one
-// campaign, returning IPCs indexed [bench][machine]; index 0 is the
-// baseline. cols name the non-base machines.
-func (o Options) sweep(name string, cols []string, benches []workload.Benchmark, machines []config.Config) ([][]float64, error) {
-	return o.sweepAgainst(name, cols, core.Baseline(), benches, machines)
-}
-
-// sweepAgainst is sweep with an explicit baseline machine (ablations that
-// change the substrate, e.g. disabling the prefetcher, compare against a
-// matching baseline).
-func (o Options) sweepAgainst(name string, cols []string, base config.Config, benches []workload.Benchmark, machines []config.Config) ([][]float64, error) {
-	if len(cols) != len(machines) {
-		return nil, fmt.Errorf("%s: %d column labels for %d machines", name, len(cols), len(machines))
-	}
-	cells, err := o.grid(name, append([]string{"base"}, cols...), benches, append([]config.Config{base}, machines...))
-	if err != nil {
-		return nil, err
-	}
-	ipc := make([][]float64, len(cells))
-	for bi, row := range cells {
-		ipc[bi] = make([]float64, len(row))
-		for mi, c := range row {
-			ipc[bi][mi] = c.IPC
-		}
-	}
-	return ipc, nil
-}
-
-// speedupTables converts a sweep into the paper's presentation: one table
-// per suite, per-benchmark percent speedups over the baseline column, with
-// a geometric-mean row.
-func speedupTables(title string, columns []string, benches []workload.Benchmark, ipc [][]float64) []*stats.Table {
-	var tables []*stats.Table
-	for _, suite := range []workload.Suite{workload.INT, workload.FP} {
-		t := &stats.Table{
-			Title:   fmt.Sprintf("%s — %s", title, suite),
-			Columns: columns,
-		}
-		for bi, b := range benches {
-			if b.Suite != suite {
-				continue
-			}
-			row := make([]float64, len(columns))
-			for mi := range columns {
-				row[mi] = stats.SpeedupPct(ipc[bi][0], ipc[bi][mi+1])
-			}
-			t.Add(b.Name, row...)
-		}
-		if len(t.Rows) == 0 {
-			continue
-		}
-		t.AddGeoMean("average")
-		tables = append(tables, t)
-	}
-	return tables
-}
-
-// averagesOnly reduces per-benchmark tables to their average rows (the
-// presentation Figures 2 and 6 use).
-func averagesOnly(title string, columns []string, tables []*stats.Table) *stats.Table {
-	out := &stats.Table{Title: title, Columns: columns}
-	for _, t := range tables {
-		for _, r := range t.Rows {
-			if r.Name == "average" {
-				name := "AVG INT"
-				if len(out.Rows) > 0 {
-					name = "AVG FP"
-				}
-				out.Add(name, r.Values...)
-			}
-		}
-	}
-	return out
+	return results, nil
 }

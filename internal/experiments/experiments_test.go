@@ -3,16 +3,42 @@ package experiments
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"mtvp/internal/config"
 	"mtvp/internal/core"
+	"mtvp/internal/fabric"
 	"mtvp/internal/harness"
 	"mtvp/internal/stats"
 	"mtvp/internal/workload"
 )
+
+// runExp runs the named registry experiment alone and returns its tables.
+func runExp(o Options, name string) ([]*stats.Table, error) {
+	for _, e := range Registry {
+		if e.Name == name {
+			tables, err := Run(o, name, []Experiment{e})
+			if err != nil {
+				return nil, err
+			}
+			return tables[0], nil
+		}
+	}
+	return nil, fmt.Errorf("no experiment %q", name)
+}
+
+// render prints tables the way mtvpbench does.
+func render(tables []*stats.Table) string {
+	var b strings.Builder
+	for _, t := range tables {
+		b.WriteString(t.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
 
 // tinyOpts runs experiments on two small custom kernels with a short budget
 // so the whole harness is exercised quickly.
@@ -67,7 +93,7 @@ func checkTables(t *testing.T, tables []*stats.Table, wantCols int) {
 }
 
 func TestFig1(t *testing.T) {
-	tables, err := Fig1(tinyOpts())
+	tables, err := runExp(tinyOpts(), "fig1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +104,7 @@ func TestFig1(t *testing.T) {
 }
 
 func TestFig3(t *testing.T) {
-	tables, err := Fig3(tinyOpts())
+	tables, err := runExp(tinyOpts(), "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +112,7 @@ func TestFig3(t *testing.T) {
 }
 
 func TestFig2(t *testing.T) {
-	tables, err := Fig2(tinyOpts())
+	tables, err := runExp(tinyOpts(), "fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +123,15 @@ func TestFig2(t *testing.T) {
 }
 
 func TestStoreBufferSweep(t *testing.T) {
-	tab, err := StoreBufferSweep(tinyOpts())
+	tables, err := runExp(tinyOpts(), "sb")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Columns) != 7 {
-		t.Errorf("%d sizes, want 7", len(tab.Columns))
-	}
+	checkTables(t, tables, 7)
 }
 
 func TestFig4(t *testing.T) {
-	tables, err := Fig4(tinyOpts())
+	tables, err := runExp(tinyOpts(), "fig4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +139,7 @@ func TestFig4(t *testing.T) {
 }
 
 func TestFig5(t *testing.T) {
-	tables, err := Fig5(tinyOpts())
+	tables, err := runExp(tinyOpts(), "fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +153,7 @@ func TestFig5(t *testing.T) {
 }
 
 func TestFig6(t *testing.T) {
-	tables, err := Fig6(tinyOpts())
+	tables, err := runExp(tinyOpts(), "fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +161,7 @@ func TestFig6(t *testing.T) {
 }
 
 func TestMultiValue(t *testing.T) {
-	tables, err := MultiValue(tinyOpts())
+	tables, err := runExp(tinyOpts(), "multival")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +169,7 @@ func TestMultiValue(t *testing.T) {
 }
 
 func TestDFCMCompare(t *testing.T) {
-	tables, err := DFCMCompare(tinyOpts())
+	tables, err := runExp(tinyOpts(), "dfcm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,11 +177,12 @@ func TestDFCMCompare(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	if tables, err := PrefetchAblation(tinyOpts()); err != nil || len(tables) == 0 {
-		t.Errorf("prefetch ablation: %v", err)
-	}
-	if tables, err := SelectorCompare(tinyOpts()); err != nil || len(tables) == 0 {
-		t.Errorf("selector compare: %v", err)
+	for name, cols := range map[string]int{"prefetch": 2, "selector": 3, "sborg": 3} {
+		tables, err := runExp(tinyOpts(), name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkTables(t, tables, cols)
 	}
 }
 
@@ -166,12 +191,12 @@ func TestSweepParallelDeterminism(t *testing.T) {
 	// count (runs are independent; placement must not matter).
 	o := tinyOpts()
 	o.Parallel = 1
-	t1, err := Fig3(o)
+	t1, err := runExp(o, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	o.Parallel = 8
-	t8, err := Fig3(o)
+	t8, err := runExp(o, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +248,7 @@ func TestSweepJournalAndResume(t *testing.T) {
 	o := tinyOpts()
 	o.Journal = journal
 	o.Summary = &harness.Summary{}
-	t1, err := Fig3(o)
+	t1, err := runExp(o, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +256,7 @@ func TestSweepJournalAndResume(t *testing.T) {
 
 	o.Resume = true
 	o.Summary = &harness.Summary{}
-	t2, err := Fig3(o)
+	t2, err := runExp(o, "fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +273,7 @@ func TestSweepJournalAndResume(t *testing.T) {
 
 	// A journal written at different options must be refused, not mixed in.
 	o.Insts = o.Insts * 2
-	if _, err := Fig3(o); err == nil {
+	if _, err := runExp(o, "fig3"); err == nil {
 		t.Error("resume accepted a journal written at different options")
 	}
 }
@@ -272,20 +297,22 @@ func TestGenerateReportTiny(t *testing.T) {
 }
 
 // TestFaultSweepAbortFailsItsCell pins the executor's outcome rule: only
-// the fault campaign counts a structured fault report as a result. The
-// same aborting cell in a -faults sweep fails its campaign with a
-// *harness.FailedError naming that cell, while under the fault campaign's
-// key it is an abort row carrying the report's counters.
+// a cell that declares AbortIsResult (the fault campaign's) counts a
+// structured fault report as a result. The same aborting cell in a
+// -faults sweep fails its campaign with a *harness.FailedError naming that
+// cell, while declared as a fault-campaign cell it is an abort row
+// carrying the report's counters.
 func TestFaultSweepAbortFailsItsCell(t *testing.T) {
 	o := fabricOpts()
 	o.Benchmarks = o.Benchmarks[:1] // mcf
 	o.Insts = 20_000
 	o.Retries = 0
 	o.FaultProfile, o.FaultSeed = "stuck-iq-storm", 1
-	mtvp := core.Hardened(core.MTVP(4, config.PredWangFranklin, config.SelILPPred))
+	mtvp := core.Hardened(mtvpWF(4))
 
-	_, err := o.sweepAgainst("faultsweep", []string{"mtvp4"}, core.Hardened(core.Baseline()),
-		o.Benchmarks, []config.Config{mtvp})
+	s := sweep{name: "faultsweep", labels: []string{"base", "mtvp4"},
+		cfgs: []config.Config{core.Hardened(core.Baseline()), mtvp}}
+	_, err := Run(o, "faultsweep", []Experiment{{Name: "faultsweep", cells: s.cells, tables: s.speedups("")}})
 	var failed *harness.FailedError
 	if !errors.As(err, &failed) {
 		t.Fatalf("sweep error = %v, want a *harness.FailedError", err)
@@ -300,7 +327,8 @@ func TestFaultSweepAbortFailsItsCell(t *testing.T) {
 		t.Fatalf("no failure names faultsweep/mcf/mtvp4 with its fault report: %v", failed.Failures)
 	}
 
-	spec := o.spec(faultCampaign+"/stuck-iq-storm/mtvp/mcf", o.Benchmarks[0], "mtvp", mtvp)
+	spec := o.spec("robust/stuck-iq-storm/mtvp/mcf", o.Benchmarks[0], "mtvp", mtvp)
+	spec.AbortIsResult = true
 	res, err := runCell(context.Background(), o.Benchmarks[0], spec, nil)
 	if err != nil {
 		t.Fatalf("fault-campaign cell: %v, want an abort result", err)
@@ -308,5 +336,82 @@ func TestFaultSweepAbortFailsItsCell(t *testing.T) {
 	if !res.Abort || res.Stats.FaultsInjected == 0 {
 		t.Errorf("fault-campaign cell = abort %v, injected %d; want an abort with its injected count",
 			res.Abort, res.Stats.FaultsInjected)
+	}
+}
+
+// TestOutcomeRuleSplitsCells: a fault-campaign cell and a sweep cell with
+// the same benchmark, seed and config are two cells, not one. Run in one
+// campaign on a machine that aborts, the sweep cell fails while the
+// fault-campaign cell completes as an abort row.
+func TestOutcomeRuleSplitsCells(t *testing.T) {
+	o := fabricOpts()
+	o.Benchmarks = o.Benchmarks[:1] // mcf
+	o.Insts = 20_000
+	o.Retries = 0
+	o.FaultProfile, o.FaultSeed = "stuck-iq-storm", 1
+	o.Summary = &harness.Summary{}
+	mtvp := core.Hardened(mtvpWF(4))
+	declare := func(key string, abortIsResult bool) func(Options) []fabric.JobSpec {
+		return func(o Options) []fabric.JobSpec {
+			s := o.spec(key, o.Benchmarks[0], "mtvp4", mtvp)
+			s.AbortIsResult = abortIsResult
+			return []fabric.JobSpec{s}
+		}
+	}
+	none := func(Options, results) []*stats.Table { return nil }
+	_, err := Run(o, "split", []Experiment{
+		{Name: "sweep", cells: declare("sweep/mcf/mtvp4", false), tables: none},
+		{Name: "robust", cells: declare("robust/mcf/mtvp4", true), tables: none},
+	})
+	var failed *harness.FailedError
+	if !errors.As(err, &failed) || len(failed.Failures) != 1 || failed.Failures[0].Key != "sweep/mcf/mtvp4" {
+		t.Fatalf("err = %v, want exactly the sweep cell failed", err)
+	}
+	if o.Summary.Total != 2 || o.Summary.Completed != 1 {
+		t.Errorf("campaign ran %d cells (%d completed), want 2 (1 completed)", o.Summary.Total, o.Summary.Completed)
+	}
+}
+
+// TestSharedCellsRunOnce: cells that several experiments declare run once
+// per campaign. Figure 1 is Figure 2's 1-cycle sweep, and Figure 2's
+// baseline and STVP columns do not depend on the spawn latency, so both
+// together run Figure 2's 11 distinct cells per benchmark; each renders
+// the same tables as when run alone.
+func TestSharedCellsRunOnce(t *testing.T) {
+	o := tinyOpts()
+	o.Summary = &harness.Summary{}
+	both, err := Run(o, "fig1+fig2", Registry[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 11 * len(o.Benchmarks); o.Summary.Total != want {
+		t.Errorf("fig1+fig2 ran %d cells, want %d", o.Summary.Total, want)
+	}
+	for i, name := range []string{"fig1", "fig2"} {
+		alone, err := runExp(o, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(alone) != render(both[i]) {
+			t.Errorf("%s differs run alone and with fig1+fig2:\n%s\n---\n%s", name, render(alone), render(both[i]))
+		}
+	}
+}
+
+// TestAverageRowsNameTheirSuite: an average row is labelled with its
+// table's suite, also when only one suite ran.
+func TestAverageRowsNameTheirSuite(t *testing.T) {
+	for _, bi := range []int{0, 1} {
+		o := tinyOpts()
+		b := o.Benchmarks[bi]
+		o.Benchmarks = o.Benchmarks[bi : bi+1]
+		want := "AVG " + strings.TrimPrefix(b.Suite.String(), "SPEC ")
+		tables, err := runExp(o, "dfcm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := tables[0].Rows; len(rows) != 1 || rows[0].Name != want {
+			t.Errorf("%s alone: average rows %+v, want one named %q", b.Name, rows, want)
+		}
 	}
 }

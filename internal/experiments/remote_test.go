@@ -79,16 +79,11 @@ func startFabric(t *testing.T, n int, cfg fabric.CoordinatorConfig) (*fabric.Coo
 
 func renderFig2(t *testing.T, o Options) string {
 	t.Helper()
-	tables, err := Fig2(o)
+	tables, err := runExp(o, "fig2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	for _, tab := range tables {
-		b.WriteString(tab.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
+	return render(tables)
 }
 
 // TestRemoteSweepMatchesLocalByteForByte is the acceptance test: one local
@@ -287,7 +282,7 @@ func TestCoordinatorRejectsLocalOnlyOptions(t *testing.T) {
 		o := fabricOpts()
 		o.Coordinator = "http://127.0.0.1:1"
 		tc.set(&o)
-		_, err := Fig2(o)
+		_, err := runExp(o, "fig2")
 		if err == nil {
 			t.Errorf("%s with a coordinator: want an error", tc.opt)
 			continue

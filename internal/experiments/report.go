@@ -42,15 +42,18 @@ func last(v []float64) float64 {
 	return v[len(v)-1]
 }
 
-// GenerateReport runs every experiment and writes an EXPERIMENTS.md-style
-// paper-vs-measured report: for each table and figure, the paper's reported
-// result, the measured tables, and a shape verdict computed from the
-// measurements (orderings and signs, not absolute magnitudes — the
-// workloads are synthetic stand-ins).
+// GenerateReport runs every experiment of Registry as one campaign and
+// writes an EXPERIMENTS.md-style paper-vs-measured report: for each table
+// and figure, the paper's reported result, the measured tables, and a
+// shape verdict computed from the measurements (orderings and signs, not
+// absolute magnitudes — the workloads are synthetic stand-ins).
 func GenerateReport(o Options, w io.Writer) error {
-	pf := func(format string, args ...interface{}) { fmt.Fprintf(w, format, args...) }
 	start := time.Now()
-
+	tables, err := Run(o, "report", Registry)
+	if err != nil {
+		return err
+	}
+	pf := func(format string, args ...interface{}) { fmt.Fprintf(w, format, args...) }
 	pf("# EXPERIMENTS — paper vs. measured\n\n")
 	pf("Reproduction of the evaluation of Tuck & Tullsen, *Multithreaded Value\n")
 	pf("Prediction* (HPCA-11, 2005). Generated by `cmd/mtvpreport` (or\n")
@@ -61,216 +64,21 @@ func GenerateReport(o Options, w io.Writer) error {
 	pf("match the paper (synthetic SPEC stand-ins, see DESIGN.md §2); each\n")
 	pf("experiment's verdict checks the paper's qualitative claim.\n\n")
 
-	// ---- Table 1 ------------------------------------------------------
 	pf("## Table 1 — simulator architectural parameters\n\n")
 	pf("Paper: the machine of Table 1 (30-stage pipe, 8-wide, 256-entry ROB,\n")
 	pf("64KB L1s, 512KB L2, 4MB L3, 1000-cycle memory, 2bcgskew, stride\n")
 	pf("prefetcher with 8 stream buffers).\n\nMeasured (configuration dump):\n\n")
 	pf("```\n%s```\n\n", Table1())
 
-	// ---- Figure 1 -----------------------------------------------------
-	f1, err := Fig1(o)
-	if err != nil {
-		return err
-	}
-	pf("## Figure 1 — oracle value prediction (limit study)\n\n")
-	pf("Paper: with an oracle predictor and ILP-pred selection, STVP gains\n")
-	pf("24%% (INT) and 5%% (FP) geomean; MTVP8 gains ~40%% (INT) and ~50%%\n")
-	pf("(FP); more threads is consistently better; several benchmarks exceed\n")
-	pf("+100%% (mcf 258%%, art 151–215%%).\n\nMeasured:\n\n")
-	for _, t := range f1 {
-		pf("```\n%s```\n\n", t)
-	}
-	intAvg, fpAvg := avgRow(f1[0]), avgRow(f1[1])
-	okOrder := last(intAvg) > intAvg[0] && last(fpAvg) > fpAvg[0]
-	okScale := intAvg[1] <= intAvg[2] && intAvg[2] <= intAvg[3]
-	pf("Verdict: MTVP8 > STVP on both suites: %s; thread scaling monotonic\n",
-		verdict(okOrder))
-	pf("(INT averages %.1f ≤ %.1f ≤ %.1f): %s.\n\n",
-		intAvg[1], intAvg[2], intAvg[3], verdict(okScale))
-
-	// ---- Figure 2 -----------------------------------------------------
-	f2, err := Fig2(o)
-	if err != nil {
-		return err
-	}
-	pf("## Figure 2 — spawn latency sensitivity\n\n")
-	pf("Paper: with 8-cycle spawns the technique keeps ~40–50%% gains; at 16\n")
-	pf("cycles integer programs struggle to beat STVP while FP keeps ~4x the\n")
-	pf("STVP gain; longer latencies reduce the value of extra contexts.\n\nMeasured:\n\n")
-	for _, t := range f2 {
-		pf("```\n%s```\n\n", t)
-	}
-	lat1 := avgRow(f2[0]) // [stvp mtvp2 mtvp4 mtvp8] at 1 cycle, INT avg of first table
-	lat16 := avgRow(f2[2])
-	okLat := last(lat16) <= last(lat1)
-	pf("Verdict: MTVP8 gain at 16-cycle spawns (%.1f%%) does not exceed the\n", last(lat16))
-	pf("1-cycle gain (%.1f%%): %s.\n\n", last(lat1), verdict(okLat))
-
-	// ---- §5.3 store buffer sweep --------------------------------------
-	sb, err := StoreBufferSweep(o)
-	if err != nil {
-		return err
-	}
-	pf("## Section 5.3 — store buffer size\n\n")
-	pf("Paper: performance tails off at 64 entries and below; a 128-entry\n")
-	pf("buffer gets nearly the performance of the largest simulated.\n\nMeasured:\n\n")
-	pf("```\n%s```\n\n", sb)
-	pf("Note: the suite's spawn density keeps per-thread store counts low, so\n")
-	pf("the bound bites mostly on the `resident+miss` kernel (long resident\n")
-	pf("stretches between predictable misses), as discussed in DESIGN.md §6.\n\n")
-
-	// ---- Figure 3 -----------------------------------------------------
-	f3, err := Fig3(o)
-	if err != nil {
-		return err
-	}
-	pf("## Figure 3 — realistic Wang–Franklin predictor\n\n")
-	pf("Paper: ~40%% average speedups on both SPECint and SPECfp with eight\n")
-	pf("threads; some benchmarks exceed the oracle (vpr 224%%, mcf 353%%,\n")
-	pf("swim 131%%); more negative outliers than the oracle study; STVP is\n")
-	pf("small nearly everywhere (and near zero on FP).\n\nMeasured:\n\n")
-	for _, t := range f3 {
-		pf("```\n%s```\n\n", t)
-	}
-	int3, fp3 := avgRow(f3[0]), avgRow(f3[1])
-	okWF := last(int3) > int3[0] && last(fp3) > fp3[0]
-	okFPstvp := fp3[0] < 5
-	pf("Verdict: MTVP8 > STVP on both suites: %s; STVP near zero on FP\n", verdict(okWF))
-	pf("(%.1f%%): %s.\n\n", fp3[0], verdict(okFPstvp))
-
-	// ---- §5.4 DFCM ----------------------------------------------------
-	df, err := DFCMCompare(o)
-	if err != nil {
-		return err
-	}
-	pf("## Section 5.4 — DFCM-3 vs Wang–Franklin\n\n")
-	pf("Paper: the order-3 DFCM was not as good as Wang–Franklin overall —\n")
-	pf("a more aggressive predictor, making more correct *and* more incorrect\n")
-	pf("predictions.\n\nMeasured:\n\n")
-	for _, t := range df {
-		pf("```\n%s```\n\n", t)
-	}
-
-	// ---- Figure 4 -----------------------------------------------------
-	f4, err := Fig4(o)
-	if err != nil {
-		return err
-	}
-	pf("## Figure 4 — fetch policy (single fetch path vs no-stall)\n\n")
-	pf("Paper: allowing the parent to keep fetching after a spawn is highly\n")
-	pf("counterproductive — competition for fetch and execution resources\n")
-	pf("swamps any recovery-time gains.\n\nMeasured:\n\n")
-	for _, t := range f4 {
-		pf("```\n%s```\n\n", t)
-	}
-	i4 := avgRow(f4[0])
-	// Columns: stvp, mtvp4-sfp, mtvp4-nostall, mtvp8-sfp, mtvp8-nostall.
-	okSFP := i4[1] >= i4[2]-2 && i4[3] >= i4[4]-2
-	pf("Verdict: SFP ≥ no-stall on the INT average (4 threads: %.1f vs %.1f;\n",
-		i4[1], i4[2])
-	pf("8 threads: %.1f vs %.1f): %s.\n\n", i4[3], i4[4], verdict(okSFP))
-
-	// ---- Figure 5 -----------------------------------------------------
-	f5, err := Fig5(o)
-	if err != nil {
-		return err
-	}
-	pf("## Figure 5 — multi-value potential\n\n")
-	pf("Paper: for many benchmarks a noticeable fraction (up to ~25%%) of\n")
-	pf("followed predictions had a wrong primary value while the correct\n")
-	pf("value was in the predictor and over threshold.\n\nMeasured\n")
-	pf("(fraction of followed predictions):\n\n")
-	for _, t := range f5 {
-		pf("```\n%s```\n\n", t)
-	}
-
-	// ---- §5.6 multi-value ---------------------------------------------
-	mv, err := MultiValue(o)
-	if err != nil {
-		return err
-	}
-	pf("## Section 5.6 — multiple-value MTVP\n\n")
-	pf("Paper: initial results — with a more liberal predictor and the\n")
-	pf("L3-miss-oracle criticality predictor, swim and parser analogues gain\n")
-	pf("70%% and 40%% where single-value MTVP gave <1%% and 14%%; finding\n")
-	pf("policies that win across the board is left open.\n\nMeasured:\n\n")
-	for _, t := range mv {
-		pf("```\n%s```\n\n", t)
-	}
-	pf("See also examples/multivalue for the scenario where following both\n")
-	pf("modes of a bimodal load clearly beats the best single-value machine.\n\n")
-
-	// ---- Figure 6 -----------------------------------------------------
-	f6, err := Fig6(o)
-	if err != nil {
-		return err
-	}
-	pf("## Figure 6 — wide window vs MTVP vs spawn-only\n\n")
-	pf("Paper: the idealized 8K-ROB checkpoint machine wins on nearly all\n")
-	pf("SPECfp (abundant parallelism); on SPECint MTVP wins — over 7x the\n")
-	pf("checkpoint machine's speedup on vpr, more on mcf — because value\n")
-	pf("prediction creates parallelism instead of just finding it; spawn-only\n")
-	pf("(decoupling without prediction) is quite ineffective alone.\n\nMeasured:\n\n")
-	for _, t := range f6 {
-		pf("```\n%s```\n\n", t)
-	}
-	var mcfRow []float64
-	for _, t := range f6 {
-		if r := rowOf(t, "mcf"); r != nil {
-			mcfRow = r
-		}
-	}
-	if len(mcfRow) == 3 {
-		okMcf := mcfRow[1] > mcfRow[0] && mcfRow[1] > mcfRow[2]
-		pf("Verdict: on mcf, MTVP (%.1f%%) beats both the wide window (%.1f%%)\n",
-			mcfRow[1], mcfRow[0])
-		pf("and spawn-only (%.1f%%): %s.\n\n", mcfRow[2], verdict(okMcf))
-	}
-
-	// ---- Ablations ----------------------------------------------------
-	pf("## Ablations beyond the paper's figures\n\n")
-	ablations := []struct {
-		name string
-		fn   func(Options) ([]*stats.Table, error)
-	}{
-		{"prefetcher disabled (paper: gains larger without it)", PrefetchAblation},
-		{"criticality selector comparison (§5.1)", SelectorCompare},
-		{"store buffer organisation (§3.2 vs §3.3)", StoreBufferOrg},
-	}
-	for _, abl := range ablations {
-		name, fn := abl.name, abl.fn
-		tabs, err := fn(o)
-		if err != nil {
-			return err
-		}
-		pf("### %s\n\n", name)
-		for _, t := range tabs {
+	for i, e := range Registry {
+		pf("%s", e.intro)
+		for _, t := range tables[i] {
 			pf("```\n%s```\n\n", t)
 		}
+		if e.outro != nil {
+			pf("%s", e.outro(tables[i]))
+		}
 	}
-
-	// ---- Robustness ---------------------------------------------------
-	fc, err := FaultCampaign(o)
-	if err != nil {
-		return err
-	}
-	pf("## Robustness — fault-injection campaign\n\n")
-	pf("Beyond the paper: every built-in fault profile (internal/fault) run\n")
-	pf("against the baseline, STVP, and MTVP4 machines with the lockstep\n")
-	pf("oracle checker armed. The contract is that each run either finishes\n")
-	pf("oracle-clean (recovery absorbed the faults) or aborts with a\n")
-	pf("structured fault report — never hangs, never commits a wrong value.\n")
-	pf("Columns: faults injected, recovery-controller deadlock breaks and\n")
-	pf("queue unsticks, degradation-ladder steps down and restorations,\n")
-	pf("predictor quarantine clamps/disables, and the clean-vs-abort tally.\n\nMeasured:\n\n")
-	for _, t := range fc {
-		pf("```\n%s```\n\n", t)
-	}
-	pf("Verdict: all campaign runs recovered or aborted with a structured\n")
-	pf("report (the generator fails outright on a divergence or hang):\n")
-	pf("%s.\n\n", verdict(true))
-
 	pf("---\nGenerated in %s.\n", time.Since(start).Round(time.Second))
 	return nil
 }

@@ -62,6 +62,10 @@ type JobSpec struct {
 	Seed uint64 `json:"seed"`
 	// Config is the complete machine configuration for this cell.
 	Config config.Config `json:"config"`
+	// AbortIsResult is the cell's outcome rule: when set, a run that ends
+	// in a structured fault report is a result (the fault campaign's abort
+	// row), not a failure.
+	AbortIsResult bool `json:"abort_is_result,omitempty"`
 }
 
 // CampaignSpec is a submit request: a named batch of cells plus the

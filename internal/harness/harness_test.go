@@ -336,43 +336,23 @@ func TestParentContextCancelInterrupts(t *testing.T) {
 	}
 }
 
-// TestSummaryMergeAndStats: summaries merge and render as the health table.
-func TestSummaryMergeAndStats(t *testing.T) {
-	a := &Summary{Name: "fig1", Total: 4, Completed: 3, Failed: 1, Retried: 1,
+// TestSummaryTable: a summary renders as the health table, titled with
+// the campaign's name when it has one.
+func TestSummaryTable(t *testing.T) {
+	s := &Summary{Name: "fig1", Total: 4, Completed: 3, Failed: 1, Retried: 1,
 		Retries: 2, Attempts: 6, Timeouts: 1, Stalls: 1, Panics: 1, Wall: time.Second,
-		SimCycles: 100, SimInsts: 50}
-	b := &Summary{Total: 2, Completed: 1, Skipped: 1, Wall: time.Second,
-		SimCycles: 25, SimInsts: 10}
-	a.Merge(b)
-	if a.Total != 6 || a.Completed != 4 || a.Skipped != 1 || a.Wall != 2*time.Second {
-		t.Errorf("merge wrong: %+v", a)
-	}
-	if a.SimCycles != 125 || a.SimInsts != 60 {
-		t.Errorf("simulated-work merge wrong: cycles=%d insts=%d", a.SimCycles, a.SimInsts)
-	}
-
-	tab := a.Table()
+		SimCycles: 125_000_000, SimInsts: 60_000_000}
+	tab := s.Table()
 	if len(tab.Columns) != 11 || len(tab.Rows) != 1 {
-		t.Errorf("summary table shape wrong: %+v", tab)
+		t.Fatalf("summary table shape wrong: %+v", tab)
 	}
-}
-
-// TestSummaryMergeKeepsName: a run-wide summary keeps its own name however
-// many campaigns fold into it, and an unnamed one does not adopt the first
-// campaign's.
-func TestSummaryMergeKeepsName(t *testing.T) {
-	run := &Summary{Name: "report"}
-	run.Merge(&Summary{Name: "fig1", Total: 1})
-	run.Merge(&Summary{Name: "fig2", Total: 1})
-	if run.Name != "report" {
-		t.Errorf("merged summary named %q, want %q", run.Name, "report")
+	if got := tab.Rows[0].Values; got[0] != 3 || got[9] != 125 || got[10] != 60 {
+		t.Errorf("summary row = %v, want 3 completed, 125 Mcycles, 60 Minsts", got)
 	}
-	var unnamed Summary
-	unnamed.Merge(&Summary{Name: "fig1", Total: 1})
-	if unnamed.Name != "" {
-		t.Errorf("unnamed summary adopted %q from the first merged campaign", unnamed.Name)
+	if !strings.Contains(tab.Title, "fig1") {
+		t.Errorf("named summary titled %q", tab.Title)
 	}
-	if title := unnamed.Table().Title; strings.Contains(title, "fig1") {
+	if title := (&Summary{}).Table().Title; strings.Contains(title, "—") {
 		t.Errorf("unnamed summary titled %q", title)
 	}
 }

@@ -10,8 +10,7 @@ import (
 
 // Summary aggregates one campaign's health: how many cells completed, were
 // skipped on resume, retried, failed, or were never run (drained by a
-// shutdown), plus attempt-level counters and wall time. Sweeps merge their
-// summaries so a whole experiment run reports one table.
+// shutdown), plus attempt-level counters and wall time.
 type Summary struct {
 	Name string
 
@@ -38,30 +37,6 @@ type Summary struct {
 
 	// Failures holds the structured records of failed cells, sorted by key.
 	Failures []JobFailure
-}
-
-// Merge folds another campaign's counters into s (wall times add — sweeps
-// within an experiment run back to back). The name stays s's own: a merged
-// summary covers every campaign folded in, not the first.
-func (s *Summary) Merge(o *Summary) {
-	if o == nil {
-		return
-	}
-	s.Total += o.Total
-	s.Completed += o.Completed
-	s.Skipped += o.Skipped
-	s.Retried += o.Retried
-	s.Failed += o.Failed
-	s.Unrun += o.Unrun
-	s.Attempts += o.Attempts
-	s.Retries += o.Retries
-	s.Timeouts += o.Timeouts
-	s.Stalls += o.Stalls
-	s.Panics += o.Panics
-	s.Wall += o.Wall
-	s.SimCycles += o.SimCycles
-	s.SimInsts += o.SimInsts
-	s.Failures = append(s.Failures, o.Failures...)
 }
 
 // Table renders the summary as the campaign health table the CLIs print.

@@ -29,7 +29,8 @@ type DFCM struct {
 type dfcmL1 struct {
 	pc     uint64
 	last   uint64
-	deltas []int64 // most recent first
+	deltas [dfcmOrder]int64 // most recent first; the first n are filled
+	n      uint8
 	valid  bool
 }
 
@@ -53,7 +54,7 @@ func (d *DFCM) l1Index(pc uint64) int {
 // index implements Burtscher's improved (D)FCM index function: each stride
 // in the history is folded and shifted by a different amount before being
 // combined, so older strides contribute fewer bits and the hash stays
-// well distributed.
+// well distributed. Only an entry with a full history is hashed.
 func (d *DFCM) index(e *dfcmL1) uint64 {
 	var h uint64
 	for i, dv := range e.deltas {
@@ -70,7 +71,7 @@ func (d *DFCM) index(e *dfcmL1) uint64 {
 // Lookup implements Predictor. The actual value is ignored.
 func (d *DFCM) Lookup(pc, _ uint64) Prediction {
 	e := d.l1.Peek(d.l1Index(pc))
-	if e == nil || !e.valid || e.pc != pc || len(e.deltas) < dfcmOrder {
+	if e == nil || !e.valid || e.pc != pc || e.n < dfcmOrder {
 		return Prediction{}
 	}
 	var l2 dfcmL2 // a never-trained context predicts stride 0, conf 0
@@ -89,11 +90,11 @@ func (d *DFCM) Lookup(pc, _ uint64) Prediction {
 func (d *DFCM) Train(pc, actual uint64) {
 	e := d.l1.At(d.l1Index(pc))
 	if !e.valid || e.pc != pc {
-		*e = dfcmL1{pc: pc, last: actual, valid: true, deltas: make([]int64, 0, dfcmOrder)}
+		*e = dfcmL1{pc: pc, last: actual, valid: true}
 		return
 	}
 	delta := int64(actual) - int64(e.last)
-	if len(e.deltas) >= dfcmOrder {
+	if e.n == dfcmOrder {
 		l2 := d.l2.At(int(d.index(e)))
 		if l2.delta == delta {
 			if l2.conf < dfcmConfMax {
@@ -108,11 +109,11 @@ func (d *DFCM) Train(pc, actual uint64) {
 		}
 	}
 	// Shift the new stride into the history (most recent first).
-	if len(e.deltas) < dfcmOrder {
-		e.deltas = append(e.deltas, 0)
-	}
-	copy(e.deltas[1:], e.deltas)
+	copy(e.deltas[1:], e.deltas[:dfcmOrder-1])
 	e.deltas[0] = delta
+	if e.n < dfcmOrder {
+		e.n++
+	}
 	e.last = actual
 }
 

@@ -104,6 +104,17 @@ func contextStream(seed uint64, n int) []struct{ pc, value uint64 } {
 	return out
 }
 
+// aliasStream alternates two PCs 4,096 apart, which share an entry of
+// every default-sized table indexed by PC alone, so nearly every training
+// hands the entry to the other PC.
+func aliasStream(n int) []struct{ pc, value uint64 } {
+	out := make([]struct{ pc, value uint64 }, n)
+	for i := range out {
+		out[i] = struct{ pc, value uint64 }{0x4000 + uint64(i%2)*4096, uint64(i) * 8}
+	}
+	return out
+}
+
 // loadStream yields a mixed pc/value stream: per-PC stride sequences with
 // pseudorandom noise and repeats, so every predictor component (last value,
 // stride, learned values, context history) gets exercised.
@@ -249,17 +260,24 @@ func TestConfidenceMonotonicity(t *testing.T) {
 
 // TestBoundedFootprint pins the bounded-table-size invariant: the heap
 // bytes every registered predictor allocates over 100k mixed-stream
-// lookups and trainings, alone and as four contexts' shared tables, stay
-// at or below the full size of its tables. Paged tables allocate on first
-// write, so a predictor that keeps to its tables can never exceed that,
-// while one that grows state with the stream (or allocates per lookup)
-// soon does. The figure is the minimum over three fresh instances, which
-// keeps stray runtime allocations out of it.
+// lookups and trainings, alone, on two aliasing PCs, and as four
+// contexts' shared tables, stay at or below the full size of its tables.
+// Paged tables allocate on first write, so a predictor that keeps to its
+// tables can never exceed that, while one that grows state with the
+// stream (or allocates per lookup) soon does. The figure is the minimum
+// over three fresh instances, which keeps stray runtime allocations out
+// of it.
 func TestBoundedFootprint(t *testing.T) {
 	stream := loadStream(29, 100_000)
 	for _, zc := range registeredZoo(t) {
 		t.Run(zc.name, func(t *testing.T) {
 			checkStreamAlloc(t, zc.build, stream)
+		})
+	}
+	aliased := aliasStream(100_000)
+	for _, zc := range registeredZoo(t) {
+		t.Run("aliased/"+zc.name, func(t *testing.T) {
+			checkStreamAlloc(t, zc.build, aliased)
 		})
 	}
 	shared := contextStream(31, 100_000)
@@ -295,8 +313,7 @@ func checkStreamAlloc(t *testing.T, build func() Predictor, stream []struct{ pc,
 }
 
 // fullTableBytes is the heap size of p's tables with every page written:
-// entries times entry size, plus the stride history each DFCM level-1
-// entry owns.
+// entries times entry size.
 func fullTableBytes(t *testing.T, p Predictor) uint64 {
 	t.Helper()
 	switch p := p.(type) {
@@ -305,7 +322,7 @@ func fullTableBytes(t *testing.T, p Predictor) uint64 {
 	case *WangFranklin:
 		return pagedBytes(&p.vht) + pagedBytes(&p.pht)
 	case *DFCM:
-		return pagedBytes(&p.l1) + uint64(p.l1.Len())*dfcmOrder*8 + pagedBytes(&p.l2)
+		return pagedBytes(&p.l1) + pagedBytes(&p.l2)
 	case *EqualityLCV:
 		return pagedBytes(&p.table)
 	}
@@ -416,7 +433,7 @@ func TestTableAliasingInBounds(t *testing.T) {
 		}
 	}
 	dfcm := preds["dfcm-tiny"].(*DFCM)
-	e := &dfcmL1{pc: ^uint64(0), deltas: []int64{1 << 62, -(1 << 62), -1}}
+	e := &dfcmL1{pc: ^uint64(0), deltas: [dfcmOrder]int64{1 << 62, -(1 << 62), -1}, n: dfcmOrder}
 	if idx := dfcm.index(e); idx >= uint64(dfcm.l2.Len()) {
 		t.Fatalf("DFCM l2 index %d out of bounds", idx)
 	}
