@@ -336,9 +336,9 @@ func TestParentContextCancelInterrupts(t *testing.T) {
 	}
 }
 
-// TestSummaryTable: a summary renders as the health table, titled with
-// the campaign's name when it has one.
-func TestSummaryTable(t *testing.T) {
+// TestSummaryMergeAndStats: a summary carrying the merged counters of a
+// whole run renders as the health table.
+func TestSummaryMergeAndStats(t *testing.T) {
 	s := &Summary{Name: "fig1", Total: 4, Completed: 3, Failed: 1, Retried: 1,
 		Retries: 2, Attempts: 6, Timeouts: 1, Stalls: 1, Panics: 1, Wall: time.Second,
 		SimCycles: 125_000_000, SimInsts: 60_000_000}
@@ -352,7 +352,36 @@ func TestSummaryTable(t *testing.T) {
 	if !strings.Contains(tab.Title, "fig1") {
 		t.Errorf("named summary titled %q", tab.Title)
 	}
-	if title := (&Summary{}).Table().Title; strings.Contains(title, "—") {
+}
+
+// TestSummaryMergeKeepsName: a run that merges the cells of several
+// experiments into one campaign reports one summary named after the
+// campaign, not after the first experiment whose cells it holds, and an
+// unnamed campaign's summary is titled with no name.
+func TestSummaryMergeKeepsName(t *testing.T) {
+	var jobs []Job[int]
+	for _, key := range []string{"fig1/mcf/mtvp4", "fig2/mcf/mtvp8", "fig3/swim/stvp"} {
+		jobs = append(jobs, Job[int]{
+			Key: key,
+			Run: func(ctx context.Context, hb *Heartbeat) (int, error) { return 1, nil },
+		})
+	}
+	camp, err := Run(context.Background(), Config{Name: "report"}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if camp.Summary.Name != "report" || camp.Summary.Total != 3 {
+		t.Errorf("run summary named %q over %d cells, want %q over 3",
+			camp.Summary.Name, camp.Summary.Total, "report")
+	}
+	if title := camp.Summary.Table().Title; !strings.Contains(title, "report") || strings.Contains(title, "fig1") {
+		t.Errorf("run summary titled %q", title)
+	}
+	camp, err = Run(context.Background(), Config{}, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if title := camp.Summary.Table().Title; strings.Contains(title, "—") {
 		t.Errorf("unnamed summary titled %q", title)
 	}
 }
