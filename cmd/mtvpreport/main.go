@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mtvpreport -o EXPERIMENTS.md -insts 100000
+//	mtvpreport -o EXPERIMENTS.md
 //
 // Every experiment of the registry in internal/experiments — Figure 5 and
 // the fault campaign included — runs in one supervised harness campaign
@@ -35,21 +35,24 @@ import (
 	"mtvp/internal/version"
 )
 
+// -insts defaults to the run length EXPERIMENTS.md is generated at, so
+// the plain command regenerates the committed report.
+var (
+	out     = flag.String("o", "EXPERIMENTS.md", "output file (- for stdout)")
+	insts   = flag.Uint64("insts", 100_000, "useful committed instructions per run")
+	seed    = flag.Uint64("seed", 1, "workload seed")
+	jobs    = flag.Int("jobs", runtime.NumCPU(), "campaign worker pool size")
+	timeout = flag.Duration("timeout", 0, "per-cell wall-clock deadline (0 = none)")
+	stall   = flag.Duration("stall", 0, "cancel a cell whose simulated cycles stop advancing for this long (0 = off)")
+	retries = flag.Int("retries", 1, "re-runs per failed or timed-out cell")
+	journal = flag.String("journal", "", "JSONL checkpoint journal path (\"\" = no checkpointing)")
+	resume  = flag.String("resume", "", "resume from this journal: skip done cells, re-run failures")
+	coord   = flag.String("coordinator", "", "run campaigns on this sweep-fabric coordinator (base URL of `mtvpd serve`; \"\" = local worker pool)")
+	token   = flag.String("token", "", "bearer token for the fabric coordinator")
+	showVer = flag.Bool("version", false, "print the build version and exit")
+)
+
 func main() {
-	var (
-		out     = flag.String("o", "EXPERIMENTS.md", "output file (- for stdout)")
-		insts   = flag.Uint64("insts", 150_000, "useful committed instructions per run")
-		seed    = flag.Uint64("seed", 1, "workload seed")
-		jobs    = flag.Int("jobs", runtime.NumCPU(), "campaign worker pool size")
-		timeout = flag.Duration("timeout", 0, "per-cell wall-clock deadline (0 = none)")
-		stall   = flag.Duration("stall", 0, "cancel a cell whose simulated cycles stop advancing for this long (0 = off)")
-		retries = flag.Int("retries", 1, "re-runs per failed or timed-out cell")
-		journal = flag.String("journal", "", "JSONL checkpoint journal path (\"\" = no checkpointing)")
-		resume  = flag.String("resume", "", "resume from this journal: skip done cells, re-run failures")
-		coord   = flag.String("coordinator", "", "run campaigns on this sweep-fabric coordinator (base URL of `mtvpd serve`; \"\" = local worker pool)")
-		token   = flag.String("token", "", "bearer token for the fabric coordinator")
-		showVer = flag.Bool("version", false, "print the build version and exit")
-	)
 	flag.Parse()
 	if *showVer {
 		version.Print(os.Stdout, "mtvpreport")

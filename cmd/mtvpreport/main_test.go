@@ -2,9 +2,32 @@ package main
 
 import (
 	"flag"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// TestInstsDefaultMatchesReport: the committed EXPERIMENTS.md states its
+// run length in its header, and -insts must default to it, so that
+// regenerating the report without flags reproduces it.
+func TestInstsDefaultMatchesReport(t *testing.T) {
+	report, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`with\s+(\d+)\s+useful\s+instructions\s+per\s+run`).FindSubmatch(report)
+	if m == nil {
+		t.Fatal("EXPERIMENTS.md does not state its useful instructions per run")
+	}
+	f := flag.Lookup("insts")
+	if f == nil {
+		t.Fatal("no -insts flag")
+	}
+	if f.DefValue != string(m[1]) {
+		t.Errorf("-insts defaults to %s, EXPERIMENTS.md is generated with %s useful instructions per run", f.DefValue, m[1])
+	}
+}
 
 // TestRetriesRefusedWithCoordinator: an explicit -retries with -coordinator
 // is refused, naming the mtvpd serve flag that sets the budget; either flag

@@ -65,12 +65,12 @@ func TestRunBadInputs(t *testing.T) {
 // TestRunRemovedPredictorRejected: the retired predictors are gone from
 // -vpred, and naming one lists exactly the registered choices.
 func TestRunRemovedPredictorRejected(t *testing.T) {
-	for _, name := range []string{"fcm3", "fcm", "lastvalue", "stride", "vpq-stride", "vpq"} {
+	for _, name := range []string{"fcm3", "fcm", "lastvalue", "stride", "vpq-stride", "vpq", "eqlcv", "eq"} {
 		var out, errw bytes.Buffer
 		if code := run([]string{"-vpred", name}, &out, &errw); code != exitErr {
 			t.Fatalf("-vpred %s exited %d, want %d", name, code, exitErr)
 		}
-		if want := "(valid: oracle, wf, dfcm3, eqlcv)"; !strings.Contains(errw.String(), want) {
+		if want := "(valid: oracle, wf, dfcm3)"; !strings.Contains(errw.String(), want) {
 			t.Errorf("-vpred %s error %q does not list exactly %s", name, errw.String(), want)
 		}
 	}

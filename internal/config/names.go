@@ -12,12 +12,10 @@ var (
 		PredOracle:       "oracle",
 		PredWangFranklin: "wf",
 		PredDFCM:         "dfcm3",
-		PredEqualityLCV:  "eqlcv",
 	}
 	// predictorAliases accepts historical CLI spellings.
 	predictorAliases = map[string]PredictorKind{
 		"dfcm": PredDFCM,
-		"eq":   PredEqualityLCV,
 	}
 	selectorNames = [selKinds]string{
 		SelILPPred:  "ilp-pred",

@@ -25,7 +25,7 @@ func TestParsePredictorRegistry(t *testing.T) {
 	}
 	// Historical CLI aliases keep resolving.
 	for alias, want := range map[string]PredictorKind{
-		"dfcm": PredDFCM, "eq": PredEqualityLCV,
+		"dfcm": PredDFCM,
 	} {
 		if k, err := ParsePredictor(alias); err != nil || k != want {
 			t.Errorf("ParsePredictor(%q) = %v, %v; want %v", alias, k, err, want)
@@ -77,8 +77,6 @@ func TestValidatePredictor(t *testing.T) {
 		{"predictor kind below range", func(c *Config) { c.VP.Predictor = -1 }, "unknown predictor"},
 		{"predictor kind above range", func(c *Config) { c.VP.Predictor = predKinds }, "unknown predictor"},
 		{"predictor kind far above range", func(c *Config) { c.VP.Predictor = 99 }, "oracle"},
-		{"equality without table", func(c *Config) { c.VP.Predictor = PredEqualityLCV; c.VP.Equality.TableEntries = 0 }, "equality"},
-		{"equality without decay period", func(c *Config) { c.VP.Predictor = PredEqualityLCV; c.VP.Equality.DecayPeriod = 0 }, "equality"},
 	}
 	for _, tc := range bad {
 		c := Baseline()

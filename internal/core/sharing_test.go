@@ -15,7 +15,7 @@ import (
 // steers another's lookups, every commit must still verify against the
 // in-order oracle.
 func TestSharingMatrixOracleClean(t *testing.T) {
-	preds := []config.PredictorKind{config.PredWangFranklin, config.PredEqualityLCV}
+	preds := []config.PredictorKind{config.PredWangFranklin}
 	benches := smallBenchmarks()
 	// The full 10-benchmark sweep is TestDifferentialOracle's job; here a
 	// load-heavy subset per cell keeps the matrix affordable.

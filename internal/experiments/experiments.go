@@ -79,9 +79,9 @@ type Options struct {
 	OnEvent func(harness.Event)
 }
 
-// DefaultOptions returns experiment options sized for a complete
-// regeneration at moderate fidelity (~200k instructions per run, as a
-// SimPoint-style steady-state sample), with one retry per flaky cell.
+// DefaultOptions returns experiment options for a complete regeneration:
+// 200k useful instructions per run, seed 1, one worker per CPU and one
+// retry per flaky cell.
 func DefaultOptions() Options {
 	return Options{
 		Insts:    200_000,

@@ -91,18 +91,6 @@ func (c *Client) Results(ctx context.Context, id string) (CampaignResults, error
 	return res, err
 }
 
-// List fetches every campaign's live counters, in submission order.
-func (c *Client) List(ctx context.Context) ([]CampaignStatus, error) {
-	var out []CampaignStatus
-	err := c.do(ctx, http.MethodGet, PathCampaigns, nil, &out)
-	return out, err
-}
-
-// Cancel stops a campaign.
-func (c *Client) Cancel(ctx context.Context, id string) error {
-	return c.do(ctx, http.MethodDelete, PathCampaigns+"/"+id, nil, nil)
-}
-
 // Wait polls the campaign until it leaves StateRunning (or ctx ends),
 // calling onStatus (when non-nil) after every poll, then returns the final
 // results. Transient network errors are retried — the whole point of the

@@ -29,7 +29,6 @@ func registeredZoo(t *testing.T) []zooCase {
 		config.PredOracle:       1 << 20,
 		config.PredWangFranklin: wfConfMax,
 		config.PredDFCM:         dfcmConfMax,
-		config.PredEqualityLCV:  eqCounterMax,
 	}
 	var out []zooCase
 	for _, name := range config.PredictorNames() {
@@ -228,8 +227,6 @@ func TestTrainPredictConsistency(t *testing.T) {
 // TestConfidenceMonotonicity trains a single PC on a constant value: the
 // Lookup-visible confidence must be non-decreasing (no predictor may lose
 // faith in a value that keeps repeating) and must stay within [0, confMax].
-// The training count stays below the equality predictor's decay period,
-// which is the one sanctioned source of downward drift.
 func TestConfidenceMonotonicity(t *testing.T) {
 	for _, zc := range registeredZoo(t) {
 		zc := zc
@@ -266,7 +263,8 @@ func TestConfidenceMonotonicity(t *testing.T) {
 // tables can never exceed that, while one that grows state with the
 // stream (or allocates per lookup) soon does. The figure is the minimum
 // over three fresh instances, which keeps stray runtime allocations out
-// of it.
+// of it. The lookups/ subtests check the read path directly: a lookup
+// never writes a table page.
 func TestBoundedFootprint(t *testing.T) {
 	stream := loadStream(29, 100_000)
 	for _, zc := range registeredZoo(t) {
@@ -286,6 +284,37 @@ func TestBoundedFootprint(t *testing.T) {
 			checkStreamAlloc(t, sc.build, shared)
 		})
 	}
+	for _, zc := range registeredZoo(t) {
+		t.Run("lookups/"+zc.name, func(t *testing.T) {
+			checkLookupWritesNoPage(t, zc.build())
+		})
+	}
+}
+
+// checkLookupWritesNoPage interleaves lookup-only operations (a squashed
+// speculative load, which never trains) with the lookup-and-train of
+// retired loads, and fails when a lookup-only operation grows the number
+// of written table pages. Half the lookup-only operations probe the
+// stream's trained PCs, half fresh PCs whose entries were never written.
+func checkLookupWritesNoPage(t *testing.T, p Predictor) {
+	t.Helper()
+	r := mem.NewRand(37)
+	for i, e := range loadStream(41, 20_000) {
+		if r.Intn(3) > 0 {
+			p.Lookup(e.pc, e.value)
+			p.Train(e.pc, e.value)
+			continue
+		}
+		pc := e.pc
+		if r.Intn(2) == 0 {
+			pc = r.Next() &^ 3
+		}
+		_, before := tableUse(t, p)
+		p.Lookup(pc, e.value)
+		if _, after := tableUse(t, p); after != before {
+			t.Fatalf("step %d: a lookup of pc %#x wrote table pages (%d -> %d)", i, pc, before, after)
+		}
+	}
 }
 
 // checkStreamAlloc runs stream through three fresh predictors and fails
@@ -296,7 +325,7 @@ func checkStreamAlloc(t *testing.T, build func() Predictor, stream []struct{ pc,
 	var limit uint64
 	for i := 0; i < 3; i++ {
 		p := build()
-		limit = fullTableBytes(t, p)
+		limit, _ = tableUse(t, p)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, e := range stream {
@@ -312,27 +341,30 @@ func checkStreamAlloc(t *testing.T, build func() Predictor, stream []struct{ pc,
 	}
 }
 
-// fullTableBytes is the heap size of p's tables with every page written:
-// entries times entry size.
-func fullTableBytes(t *testing.T, p Predictor) uint64 {
+// tableUse reports p's tables: their heap size with every page written
+// (entries times entry size), and the number of pages written so far.
+func tableUse(t *testing.T, p Predictor) (full uint64, pages int) {
 	t.Helper()
 	switch p := p.(type) {
 	case Oracle:
-		return 0
+		return 0, 0
 	case *WangFranklin:
-		return pagedBytes(&p.vht) + pagedBytes(&p.pht)
+		b1, n1 := pagedUse(&p.vht)
+		b2, n2 := pagedUse(&p.pht)
+		return b1 + b2, n1 + n2
 	case *DFCM:
-		return pagedBytes(&p.l1) + pagedBytes(&p.l2)
-	case *EqualityLCV:
-		return pagedBytes(&p.table)
+		b1, n1 := pagedUse(&p.l1)
+		b2, n2 := pagedUse(&p.l2)
+		return b1 + b2, n1 + n2
 	}
 	t.Fatalf("no table size for predictor %T", p)
-	return 0
+	return 0, 0
 }
 
-func pagedBytes[T any](tb *table.Paged[T]) uint64 {
+func pagedUse[T any](tb *table.Paged[T]) (full uint64, pages int) {
 	var zero T
-	return uint64(tb.Len()) * uint64(unsafe.Sizeof(zero))
+	tb.EachPage(func([]T) { pages++ })
+	return uint64(tb.Len()) * uint64(unsafe.Sizeof(zero)), pages
 }
 
 // TestConfidenceBounds scans every confidence counter after every training
@@ -341,7 +373,6 @@ func pagedBytes[T any](tb *table.Paged[T]) uint64 {
 func TestConfidenceBounds(t *testing.T) {
 	wf := NewWangFranklin(config.DefaultWF(), 0)
 	dfcm := NewDFCM(config.DefaultDFCM())
-	eq := NewEqualityLCV(config.DefaultEquality())
 
 	// The checks walk the written pages: entries on pages never written
 	// read as zero, trivially inside every bound.
@@ -367,28 +398,15 @@ func TestConfidenceBounds(t *testing.T) {
 			}
 		})
 	}
-	checkEq := func(step int) {
-		eq.table.EachPage(func(page []eqEntry) {
-			for i := range page {
-				e := &page[i]
-				if e.eq < 0 || e.eq > eqCounterMax || e.neq < 0 || e.neq > eqCounterMax {
-					t.Fatalf("step %d: eqlcv counters (%d,%d) outside [0,%d]",
-						step, e.eq, e.neq, eqCounterMax)
-				}
-			}
-		})
-	}
 
 	for i, s := range loadStream(23, 30_000) {
 		wf.Train(s.pc, s.value)
 		dfcm.Train(s.pc, s.value)
-		eq.Train(s.pc, s.value)
 		// A full table scan per step is quadratic; sample periodically but
 		// always scan the first steps, where saturation bugs surface.
 		if i < 64 || i%997 == 0 {
 			checkWF(i)
 			checkDFCM(i)
-			checkEq(i)
 		}
 	}
 }
@@ -401,13 +419,10 @@ func TestTableAliasingInBounds(t *testing.T) {
 	wfp.VHTEntries, wfp.ValPHTEntries = 8, 16 // force heavy aliasing
 	dp := config.DefaultDFCM()
 	dp.L1Entries, dp.L2Entries = 8, 16
-	eqp := config.DefaultEquality()
-	eqp.TableEntries, eqp.DecayPeriod = 8, 64
 
 	preds := map[string]Predictor{
-		"wf-tiny":    NewWangFranklin(wfp, 0),
-		"dfcm-tiny":  NewDFCM(dp),
-		"eqlcv-tiny": NewEqualityLCV(eqp),
+		"wf-tiny":   NewWangFranklin(wfp, 0),
+		"dfcm-tiny": NewDFCM(dp),
 	}
 	pcs := []uint64{0, 1, ^uint64(0), 1 << 63, 0xdeadbeefdeadbeef, 1<<32 + 7, 3}
 	vals := []uint64{0, 1, ^uint64(0), 1 << 63, 0x8000000000000001, 42}
