@@ -7,7 +7,7 @@
 //	mtvpd work  -coordinator http://sweep-host:8100 -token T -slots 8
 //
 // `serve` runs the coordinator: it accepts campaigns (mtvpbench
-// -coordinator, mtvpreport -coordinator, or any fabric client), shards
+// -coordinator, `-exp all` included, or any fabric client), shards
 // their cells across attached workers with TTL leases, requeues cells
 // whose workers die, dedupes double completions, and persists every
 // finished cell to a per-campaign fsynced journal under -journal-dir so a

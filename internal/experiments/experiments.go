@@ -9,7 +9,9 @@
 // (internal/fabric) when Options.Coordinator is set; either way every cell
 // goes through the same executor (runCell). Tables mirror the paper's:
 // per-benchmark percent speedup in useful IPC over the no-value-prediction
-// baseline, with geometric-mean average rows per suite.
+// baseline, with geometric-mean average rows per suite. WriteSections
+// renders the selected experiments as their EXPERIMENTS.md sections, and
+// GenerateReport renders the whole report.
 //
 // A campaign survives panics, hangs, and flaky cells, can be checkpointed
 // to a journal, and resumes after an interruption by re-running only what
@@ -79,12 +81,12 @@ type Options struct {
 	OnEvent func(harness.Event)
 }
 
-// DefaultOptions returns experiment options for a complete regeneration:
-// 200k useful instructions per run, seed 1, one worker per CPU and one
-// retry per flaky cell.
+// DefaultOptions returns experiment options for a complete regeneration at
+// the run length of the committed EXPERIMENTS.md: 100k useful instructions
+// per run, seed 1, one worker per CPU and one retry per flaky cell.
 func DefaultOptions() Options {
 	return Options{
-		Insts:    200_000,
+		Insts:    100_000,
 		Seed:     1,
 		Parallel: runtime.NumCPU(),
 		Retries:  1,
@@ -230,9 +232,9 @@ type results map[string]cellResult
 type Experiment struct {
 	Name string
 	// cells declares the experiment's cells at o's budget, seed and
-	// benchmarks.
-	cells func(o Options) []fabric.JobSpec
-	// tables renders its tables from its results.
+	// benchmarks; tables renders its tables from its results. Both are
+	// nil for an experiment that simulates nothing (Table 1).
+	cells  func(o Options) []fabric.JobSpec
 	tables func(o Options, r results) []*stats.Table
 	// intro is its EXPERIMENTS.md section up to the measured tables: the
 	// heading and the paper's result. outro, when set, follows the
@@ -246,8 +248,17 @@ type Experiment struct {
 // the same when they name the same benchmark, seed, fully resolved config
 // (fabric.ConfigFingerprint) and outcome rule. The first experiment to
 // declare a cell gives it its campaign key; every experiment reads the
-// result back under its own.
+// result back under its own. A selection that declares no cells starts no
+// campaign. A benchmark named twice in o.Benchmarks is refused: it would
+// count twice in every average.
 func Run(o Options, name string, exps []Experiment) ([][]*stats.Table, error) {
+	for i, b := range o.Benchmarks {
+		for _, prev := range o.Benchmarks[:i] {
+			if prev.Name == b.Name {
+				return nil, fmt.Errorf("benchmark %q is named twice", b.Name)
+			}
+		}
+	}
 	type cellID struct {
 		bench, config string
 		seed          uint64
@@ -258,6 +269,9 @@ func Run(o Options, name string, exps []Experiment) ([][]*stats.Table, error) {
 	own := make([]map[string]string, len(exps)) // experiment's key → campaign key
 	for i, e := range exps {
 		own[i] = map[string]string{}
+		if e.cells == nil {
+			continue
+		}
 		for _, s := range e.cells(o) {
 			id := cellID{s.Bench, fabric.ConfigFingerprint(s), s.Seed, s.AbortIsResult}
 			key, ok := campaignKey[id]
@@ -269,12 +283,18 @@ func Run(o Options, name string, exps []Experiment) ([][]*stats.Table, error) {
 			own[i][s.Key] = key
 		}
 	}
-	res, err := o.runCampaign(name, specs)
-	if err != nil {
-		return nil, err
+	var res map[string]cellResult
+	if len(specs) > 0 {
+		var err error
+		if res, err = o.runCampaign(name, specs); err != nil {
+			return nil, err
+		}
 	}
 	out := make([][]*stats.Table, len(exps))
 	for i, e := range exps {
+		if e.tables == nil {
+			continue
+		}
 		r := make(results, len(own[i]))
 		for k, key := range own[i] {
 			r[k] = res[key]

@@ -30,7 +30,7 @@ func runExp(o Options, name string) ([]*stats.Table, error) {
 	return nil, fmt.Errorf("no experiment %q", name)
 }
 
-// render prints tables the way mtvpbench does.
+// render prints tables one after another, for comparing two runs.
 func render(tables []*stats.Table) string {
 	var b strings.Builder
 	for _, t := range tables {
@@ -285,7 +285,7 @@ func TestGenerateReportTiny(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"# EXPERIMENTS — paper vs. measured",
+		"# EXPERIMENTS — paper vs. measured", "## Table 1",
 		"## Figure 1", "## Figure 2", "## Section 5.3", "## Figure 3",
 		"## Section 5.4", "## Figure 4", "## Figure 5", "## Section 5.6",
 		"## Figure 6", "## Ablations", "Verdict:",
@@ -380,7 +380,7 @@ func TestOutcomeRuleSplitsCells(t *testing.T) {
 func TestSharedCellsRunOnce(t *testing.T) {
 	o := tinyOpts()
 	o.Summary = &harness.Summary{}
-	both, err := Run(o, "fig1+fig2", Registry[:2])
+	both, err := Run(o, "fig1+fig2", Registry[1:3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,6 +395,21 @@ func TestSharedCellsRunOnce(t *testing.T) {
 		if render(alone) != render(both[i]) {
 			t.Errorf("%s differs run alone and with fig1+fig2:\n%s\n---\n%s", name, render(alone), render(both[i]))
 		}
+	}
+}
+
+// TestRunRefusesRepeatedBenchmark: a benchmark named twice would count
+// twice in every average, so Run refuses it and names it.
+func TestRunRefusesRepeatedBenchmark(t *testing.T) {
+	o := tinyOpts()
+	o.Benchmarks = append(o.Benchmarks, o.Benchmarks[0])
+	o.Summary = &harness.Summary{}
+	_, err := runExp(o, "fig3")
+	if err == nil || !strings.Contains(err.Error(), `"x-int"`) {
+		t.Fatalf("x-int named twice: err = %v, want a refusal naming it", err)
+	}
+	if o.Summary.Total != 0 {
+		t.Errorf("refused selection ran a campaign of %d cells", o.Summary.Total)
 	}
 }
 
