@@ -141,3 +141,18 @@ func TestFailedRunKeepsOutput(t *testing.T) {
 		t.Errorf("failed run changed -o to %q, want %q", got, old)
 	}
 }
+
+// TestErrorNamesCampaignOnce: a campaign that fails (here, at submission
+// to an unreachable coordinator) reports the failure on stderr's first
+// line naming the campaign once, not once per layer that passed it up.
+func TestErrorNamesCampaignOnce(t *testing.T) {
+	var out, errw bytes.Buffer
+	args := []string{"-exp", "fig3", "-insts", "1000", "-benchmarks", "mcf", "-coordinator", unreachable}
+	if code := run(args, &out, &errw); code != 1 {
+		t.Fatalf("run against an unreachable coordinator exited %d, want 1: %s", code, errw.String())
+	}
+	first, _, _ := strings.Cut(errw.String(), "\n")
+	if n := strings.Count(first, "fig3:"); n != 1 || !strings.Contains(first, "submit to "+unreachable) {
+		t.Errorf("first stderr line %q names fig3 %d times, want once, before the failed submission", first, n)
+	}
+}

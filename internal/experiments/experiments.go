@@ -320,7 +320,9 @@ func (o Options) bench(name string) (workload.Benchmark, error) {
 // campaign — on the local harness worker pool, or, when o.Coordinator is
 // set, on the fabric — stores the campaign's summary in o.Summary, and
 // returns every cell's result by key. Callers read results by key, never
-// in completion order, so reports cannot depend on scheduling.
+// in completion order, so reports cannot depend on scheduling. Its errors
+// do not name the campaign, as the harness's do not: the caller that
+// reports one names it once.
 func (o Options) runCampaign(name string, specs []fabric.JobSpec) (map[string]cellResult, error) {
 	ctx := context.Background()
 	hc := o.harnessConfig(name)
@@ -334,7 +336,7 @@ func (o Options) runCampaign(name string, specs []fabric.JobSpec) (map[string]ce
 		for i, spec := range specs {
 			b, err := o.bench(spec.Bench)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", name, spec.Key, err)
+				return nil, fmt.Errorf("%s: %w", spec.Key, err)
 			}
 			jobs[i] = harness.Job[cellResult]{
 				Key:  spec.Key,
@@ -351,7 +353,7 @@ func (o Options) runCampaign(name string, specs []fabric.JobSpec) (map[string]ce
 		}
 	} else {
 		if err := o.checkFabricOptions(); err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+			return nil, err
 		}
 		// Submission is idempotent: a resubmission after a client restart
 		// attaches to the in-flight campaign.
@@ -359,7 +361,7 @@ func (o Options) runCampaign(name string, specs []fabric.JobSpec) (map[string]ce
 		start := time.Now()
 		sub, serr := cl.Submit(ctx, fabric.CampaignSpec{Name: name, Fingerprint: hc.Fingerprint, Jobs: specs})
 		if serr != nil {
-			return nil, fmt.Errorf("%s: submit to %s: %w", name, o.Coordinator, serr)
+			return nil, fmt.Errorf("submit to %s: %w", o.Coordinator, serr)
 		}
 		if sub.Attached && o.OnEvent != nil {
 			o.OnEvent(harness.Event{Kind: harness.EventWarn, Key: name,
@@ -368,16 +370,16 @@ func (o Options) runCampaign(name string, specs []fabric.JobSpec) (map[string]ce
 		var final fabric.CampaignStatus
 		res, werr := cl.Wait(ctx, sub.ID, func(st fabric.CampaignStatus) { final = st })
 		if werr != nil {
-			return nil, fmt.Errorf("%s: campaign %s: %w", name, sub.ID, werr)
+			return nil, fmt.Errorf("campaign %s: %w", sub.ID, werr)
 		}
 		if res.State == fabric.StateCancelled {
-			return nil, fmt.Errorf("%s: campaign %s was cancelled on the coordinator", name, sub.ID)
+			return nil, fmt.Errorf("campaign %s was cancelled on the coordinator", sub.ID)
 		}
 		results = make(map[string]cellResult, len(res.Results))
 		for key, raw := range res.Results {
 			var cell cellResult
 			if err := json.Unmarshal(raw, &cell); err != nil {
-				return nil, fmt.Errorf("%s: cell %s: undecodable result: %w", name, key, err)
+				return nil, fmt.Errorf("cell %s: undecodable result: %w", key, err)
 			}
 			results[key] = cell
 		}
@@ -406,7 +408,7 @@ func (o Options) runCampaign(name string, specs []fabric.JobSpec) (map[string]ce
 	}
 	for _, spec := range specs {
 		if _, ok := results[spec.Key]; !ok {
-			return nil, fmt.Errorf("%s: no result for %s", name, spec.Key)
+			return nil, fmt.Errorf("no result for %s", spec.Key)
 		}
 	}
 	return results, nil

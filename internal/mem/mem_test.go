@@ -131,8 +131,8 @@ func TestRegion(t *testing.T) {
 	}
 }
 
-// Region panics over any page that already exists, however it was
-// allocated, and leaves the image as it was.
+// Region and Lazy panic over any page that already exists, however it was
+// allocated or reserved, and leave the image as it was.
 func TestRegionPanicsOverExistingPage(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -140,21 +140,147 @@ func TestRegionPanicsOverExistingPage(t *testing.T) {
 	}{
 		{"store", func(m *Memory) { m.Store(4*PageSize-1, 1, 1) }},
 		{"region", func(m *Memory) { m.Region(4*PageSize-8, 8) }},
+		{"lazy", func(m *Memory) { m.Lazy(4*PageSize-8, 8, pattern) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			m := New()
-			c.prep(m)
-			before := m.Pages()
-			defer func() {
-				if recover() == nil {
-					t.Error("Region over an allocated page did not panic")
+			for _, call := range []struct {
+				name    string
+				reserve func(*Memory)
+			}{
+				{"Region", func(m *Memory) { m.Region(2*PageSize, 2*PageSize+1) }}, // pages 2 to 4
+				{"Lazy", func(m *Memory) { m.Lazy(2*PageSize, 2*PageSize+1, pattern) }},
+			} {
+				m := New()
+				c.prep(m)
+				before, allocated, areas := m.Pages(), len(m.pages), len(m.lazy)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s over an existing page did not panic", call.name)
+						}
+					}()
+					call.reserve(m)
+				}()
+				if m.Pages() != before || len(m.pages) != allocated || len(m.lazy) != areas {
+					t.Errorf("failed %s changed the image", call.name)
 				}
-				if m.Pages() != before {
-					t.Errorf("failed Region left %d pages, want %d", m.Pages(), before)
-				}
-			}()
-			m.Region(2*PageSize, 2*PageSize+1) // pages 2 to 4
+			}
 		})
+	}
+}
+
+// pattern is a fill for reserved pages: byte i of page pn is pn*7+i.
+func pattern(pn uint64, page *[PageSize]byte) {
+	for i := range page {
+		page[i] = byte(pn*7 + uint64(i))
+	}
+}
+
+// A reserved page holds its generated bytes from the start: Pages counts
+// it, and EachPage, Equal and Diff see its bytes without allocating it.
+// The first load or store allocates and fills it, a store on top of the
+// generated bytes. A Clone shares the unfilled pages and copies the
+// filled ones.
+func TestLazy(t *testing.T) {
+	m := New()
+	m.Lazy(0x5000, 0, pattern) // reserves nothing
+	m.Lazy(3*PageSize, 2*PageSize, pattern)
+	m.Store(0x40, 8, 1)
+	if m.Pages() != 3 || len(m.pages) != 1 {
+		t.Fatalf("%d pages, %d allocated; want 3 and 1", m.Pages(), len(m.pages))
+	}
+	var seen []uint64
+	m.EachPage(func(addr uint64, page *[PageSize]byte) {
+		seen = append(seen, addr)
+		if pn := addr / PageSize; pn >= 3 && page[10] != byte(pn*7+10) {
+			t.Errorf("EachPage shows page %d byte 10 as %d", pn, page[10])
+		}
+	})
+	if len(seen) != 3 || seen[0] != 0 || seen[1] != 3*PageSize || seen[2] != 4*PageSize {
+		t.Errorf("EachPage visited %#x, want pages 0, 3 and 4 in order", seen)
+	}
+	c := m.Clone()
+	if !m.Equal(c) || len(m.pages) != 1 || len(c.pages) != 1 {
+		t.Fatalf("clone unequal, or comparing filled pages (%d and %d allocated)", len(m.pages), len(c.pages))
+	}
+	if got := m.Load(3*PageSize+8, 2); got != uint64(byte(21+8))|uint64(byte(21+9))<<8 {
+		t.Errorf("load from a reserved page = %#x", got)
+	}
+	c.Store(4*PageSize+16, 1, 0xEE)
+	if len(m.pages) != 2 || len(c.pages) != 2 || m.Pages() != 3 || c.Pages() != 3 {
+		t.Errorf("fills allocated %d and %d pages, counted %d and %d; want 2, 2, 3, 3", len(m.pages), len(c.pages), m.Pages(), c.Pages())
+	}
+	if c.GetByte(4*PageSize+15) != byte(28+15) || c.GetByte(4*PageSize+17) != byte(28+17) {
+		t.Error("a store into a reserved page lost its generated neighbours")
+	}
+	if addr, diff := m.Diff(c); !diff || addr != 4*PageSize+16 {
+		t.Errorf("Diff = (%#x, %v), want (%#x, true)", addr, diff, 4*PageSize+16)
+	}
+	if len(m.pages) != 2 {
+		t.Error("Diff filled a page")
+	}
+	if o := New(); o.Equal(m) {
+		t.Error("an empty memory equals one with generated pages")
+	}
+}
+
+// Property: a memory whose area is reserved with Lazy behaves exactly like
+// one whose area Region allocated and the same fill wrote eagerly, under
+// any interleaving of loads, stores and clones. Each access may be the
+// first to reach its page, in any order; a store may come before any load.
+func TestLazyMatchesEagerQuick(t *testing.T) {
+	type op struct {
+		Kind uint8
+		Pick uint8
+		Addr uint16
+		Val  uint64
+		Sel  uint8
+	}
+	// The area covers pages 1 to 3 in part: its first and last pages keep
+	// zero bytes outside it.
+	const start, n = PageSize + 100, 2*PageSize + 50
+	fill := func(pn uint64, page *[PageSize]byte) {
+		for a := max(pn*PageSize, start); a < min(pn*PageSize+PageSize, start+n); a++ {
+			page[a&pageMask] = byte(a*131 + a>>8)
+		}
+	}
+	f := func(ops []op) bool {
+		eager := New()
+		slab := eager.Region(start, n)
+		for i := range slab {
+			a := uint64(start + i)
+			slab[i] = byte(a*131 + a>>8)
+		}
+		lazy := New()
+		lazy.Lazy(start, n, fill)
+		pairs := [][2]*Memory{{eager, lazy}}
+		for _, o := range ops {
+			p := pairs[int(o.Pick)%len(pairs)]
+			size := []int{1, 2, 4, 8}[o.Sel%4]
+			addr := uint64(o.Addr) % (5 * PageSize)
+			switch o.Kind % 3 {
+			case 0:
+				p[0].Store(addr, size, o.Val)
+				p[1].Store(addr, size, o.Val)
+			case 1:
+				if p[0].Load(addr, size) != p[1].Load(addr, size) {
+					return false
+				}
+			case 2:
+				if len(pairs) < 6 {
+					pairs = append(pairs, [2]*Memory{p[0].Clone(), p[1].Clone()})
+				}
+			}
+		}
+		for _, p := range pairs {
+			if !p[0].Equal(p[1]) || p[0].Pages() != p[1].Pages() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -42,14 +42,24 @@ func PointerChase(name string, suite Suite, p ChaseParams) Benchmark {
 		order := runPermutation(r, p.Nodes, p.SeqPct)
 		addr := func(i int) uint64 { return dataBase + uint64(i)*uint64(p.NodeBytes) }
 		// Each node holds its next pointer and its payload in its first
-		// 16 bytes; the region ends with the last node's payload.
-		nodes := m.Region(dataBase, (p.Nodes-1)*p.NodeBytes+16)
-		for i := 0; i < p.Nodes; i++ {
-			cur, next := order[i], order[(i+1)%p.Nodes]
-			node := nodes[cur*p.NodeBytes:]
-			binary.LittleEndian.PutUint64(node, addr(next))
-			binary.LittleEndian.PutUint64(node[8:], drawValue(r, pool, p.DominantPct, p.ReusePct, p.FPVal))
+		// 16 bytes; the area ends with the last node's payload. The nodes
+		// are kept as a successor index and a payload, 12 bytes a node,
+		// and a page's nodes are written out when the page is filled.
+		succ := make([]int32, p.Nodes)
+		payload := make([]uint64, p.Nodes)
+		for i, cur := range order {
+			succ[cur] = int32(order[(i+1)%p.Nodes])
+			payload[cur] = drawValue(r, pool, p.DominantPct, p.ReusePct, p.FPVal)
 		}
+		m.Lazy(dataBase, (p.Nodes-1)*p.NodeBytes+16, func(pn uint64, page *[mem.PageSize]byte) {
+			at := pn * mem.PageSize
+			// A node is at least 32 bytes, so none before this one
+			// reaches the page.
+			for i := int((at - dataBase) / uint64(p.NodeBytes)); i < p.Nodes && addr(i) < at+mem.PageSize; i++ {
+				putWord(page, at, addr(i), addr(int(succ[i])))
+				putWord(page, at, addr(i)+8, payload[i])
+			}
+		})
 
 		b := asm.New(name)
 		initFiller(b)
@@ -126,21 +136,48 @@ func Stream(name string, suite Suite, p StreamParams) Benchmark {
 		// The arrays lie back to back. Each is filled in whole words, so
 		// when span is not a multiple of 8 an array's last word spills
 		// into the next array (which overwrites it) or past the last one.
-		arrays := m.Region(dataBase, (nArr-1)*int(span)+int(span+7)&^7)
+		// Each array takes a new value every block words from its first
+		// word. Word k of array a is the (a*words+k)th word written, and
+		// the words' addresses rise in that order.
+		words := int(span+7) / 8
+		n := (nArr-1)*int(span) + 8*words
+		wordAddr := func(a, k int) uint64 { return base(a) + uint64(k)*8 }
+		// Run the generator over the arrays once, one draw per block, and
+		// mark its state before the first word that reaches each page.
+		marks := make([]streamMark, (n+mem.PageSize-1)/mem.PageSize)
+		pageAt := func(pg int) uint64 { return dataBase + uint64(pg)*mem.PageSize }
+		pg := 0
 		for a := 0; a < nArr; a++ {
-			arr := arrays[uint64(a)*span:]
-			// A new value every block words, from each array's first word.
-			var v uint64
-			left := 0
-			for off := uint64(0); off < span; off += 8 {
-				if left == 0 {
-					v = drawValue(r, pool, p.DominantPct, p.ReusePct, p.FP)
-					left = block
+			for k := 0; k < words; k += block {
+				v := drawValue(r, pool, p.DominantPct, p.ReusePct, p.FP)
+				end := min(k+block, words)
+				for ; pg < len(marks) && wordAddr(a, end-1)+8 > pageAt(pg); pg++ {
+					first := k
+					for wordAddr(a, first)+8 <= pageAt(pg) {
+						first++
+					}
+					marks[pg] = streamMark{r: *r, v: v, left: block - (first - k), a: a, k: first}
 				}
-				left--
-				binary.LittleEndian.PutUint64(arr[off:], v)
 			}
 		}
+		m.Lazy(dataBase, n, func(pn uint64, page *[mem.PageSize]byte) {
+			at := pn * mem.PageSize
+			mk := marks[(at-dataBase)/mem.PageSize]
+			r, v, left := mk.r, mk.v, mk.left
+			for a, k := mk.a, mk.k; a < nArr; a, k, left = a+1, 0, 0 {
+				for ; k < words; k++ {
+					if wordAddr(a, k) >= at+mem.PageSize {
+						return
+					}
+					if left == 0 {
+						v = drawValue(&r, pool, p.DominantPct, p.ReusePct, p.FP)
+						left = block
+					}
+					left--
+					putWord(page, at, wordAddr(a, k), v)
+				}
+			}
+		})
 
 		srcRegs := []isa.Reg{
 			isa.R1, isa.R2, isa.R7, isa.R13, isa.R14,
@@ -574,10 +611,23 @@ func BlockSort(name string, suite Suite, p SortParams) Benchmark {
 	return Benchmark{Name: name, Suite: suite, Kind: "sort", build: func(seed uint64) (*isa.Program, *mem.Memory) {
 		r := mem.NewRand(seed)
 		m := mem.New()
-		buf := m.Region(dataBase, p.BufLen*8)
+		// Word i of the buffer is the ith draw. Mark the generator before
+		// each page's first word, and fill a page by replaying its draws.
+		const perPage = mem.PageSize / 8 // dataBase is page-aligned
+		marks := make([]mem.Rand, (p.BufLen+perPage-1)/perPage)
 		for i := 0; i < p.BufLen; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], r.Next()>>40)
+			if i%perPage == 0 {
+				marks[i/perPage] = *r
+			}
+			r.Next()
 		}
+		m.Lazy(dataBase, p.BufLen*8, func(pn uint64, page *[mem.PageSize]byte) {
+			first := int(pn*mem.PageSize-dataBase) / 8
+			r := marks[first/perPage]
+			for i := first; i < min(first+perPage, p.BufLen); i++ {
+				binary.LittleEndian.PutUint64(page[(i-first)*8:], r.Next()>>40)
+			}
+		})
 		mask := int64(p.Window - 1)
 
 		b := asm.New(name)
@@ -637,9 +687,27 @@ func initFiller(b *asm.Builder) {
 	b.Li(isa.R22, 7)
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// streamMark is a stream image's generator state before word k of array
+// a, the first word that reaches some page: the Rand after the draw of the
+// word's block, that draw v, and the words of the block left to write, the
+// word itself included.
+type streamMark struct {
+	r    mem.Rand
+	v    uint64
+	left int
+	a, k int
+}
+
+// putWord writes the bytes of the little-endian word v at addr that fall
+// on the page at pageAddr.
+func putWord(page *[mem.PageSize]byte, pageAddr, addr, v uint64) {
+	if addr >= pageAddr && addr+8 <= pageAddr+mem.PageSize {
+		binary.LittleEndian.PutUint64(page[addr-pageAddr:], v)
+		return
 	}
-	return b
+	for i := uint64(0); i < 8; i++ {
+		if b := addr + i; b >= pageAddr && b < pageAddr+mem.PageSize {
+			page[b-pageAddr] = byte(v >> (8 * i))
+		}
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"mtvp/internal/isa"
 	"mtvp/internal/mem"
 )
 
@@ -18,12 +19,16 @@ var updateDigests = flag.Bool("update", false, "rewrite testdata/image_digests.g
 
 const digestGolden = "testdata/image_digests.golden"
 
-// imageDigest hashes a build's output: every allocated page in address
-// order (its page number, then its bytes), then the program's code base and
-// every instruction. Two builds digest equal only if they allocate the same pages,
-// fill them with the same bytes and assemble the same program.
+// imageDigest hashes a build's output: every page in address order (its
+// page number, then its bytes), then the program's code base and every
+// instruction. Two builds digest equal only if they allocate or reserve the
+// same pages, fill them with the same bytes and assemble the same program.
 func imageDigest(b Benchmark, seed uint64) string {
-	prog, image := b.Build(seed)
+	return digest(b.Build(seed))
+}
+
+// digest is imageDigest of a program and an image already built.
+func digest(prog *isa.Program, image *mem.Memory) string {
 	h := sha256.New()
 	var w [8]byte
 	image.EachPage(func(addr uint64, page *[mem.PageSize]byte) {
@@ -59,19 +64,7 @@ func TestImageDigests(t *testing.T) {
 		}
 		return
 	}
-	f, err := os.Open(digestGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var want []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		want = append(want, sc.Text())
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
+	want := goldenDigests(t)
 	if len(want) != len(lines) {
 		t.Fatalf("golden has %d digests, the builders make %d", len(want), len(lines))
 	}
@@ -80,4 +73,24 @@ func TestImageDigests(t *testing.T) {
 			t.Errorf("digest changed:\n got %s\nwant %s", lines[i], want[i])
 		}
 	}
+}
+
+// goldenDigests returns the lines of testdata/image_digests.golden: a
+// quoted benchmark name, a seed and a digest each.
+func goldenDigests(t *testing.T) []string {
+	t.Helper()
+	f, err := os.Open(digestGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var lines []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		lines = append(lines, sc.Text())
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return lines
 }

@@ -109,7 +109,8 @@ func Names() []string {
 
 // dataBase is where workload data begins; low addresses are left unused so
 // stray null-pointer-style accesses in killed speculative threads read zero
-// pages rather than workload data.
+// pages rather than workload data. It is page-aligned: the lazily filled
+// areas that start there number their pages from it.
 const dataBase = 1 << 20
 
 // valuePool draws k reusable payload values; pool[0] is the dominant value

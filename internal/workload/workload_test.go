@@ -221,8 +221,9 @@ func TestWorkingSetScales(t *testing.T) {
 	}
 }
 
-// BenchmarkBuild builds every stand-in at seed 1: the program assembly and
-// the image writes that make up workload set-up.
+// BenchmarkBuild builds every stand-in at seed 1: the program assembly,
+// the image writes and the lazy areas' generator marks that make up
+// workload set-up.
 func BenchmarkBuild(b *testing.B) {
 	all := All()
 	for i := 0; i < b.N; i++ {
@@ -233,9 +234,10 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // TestBuildAllocatesPerRegion pins the slab build: each builder reserves
-// its data areas with mem.Memory.Region, so one stand-in per archetype
-// must build its image in fewer allocations than the image has pages. A
-// builder that allocated per page would fail.
+// its data areas with mem.Memory.Region or mem.Memory.Lazy, so one
+// stand-in per archetype must build its image in fewer allocations than
+// the image has pages, reserved pages counted. A builder that allocated
+// per page would fail.
 func TestBuildAllocatesPerRegion(t *testing.T) {
 	for _, name := range []string{"mcf", "mgrid", "vpr r", "gzip r", "gcc i", "bzip g", ResidentMiss.Name} {
 		b, err := ByName(name)
