@@ -192,7 +192,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Prefetch.Enabled = false
 	}
 	cfg.MaxInsts = *insts
-	cfg.Seed = *seed
 	cfg.Check = *check
 	cfg.Faults.Profile = *faults
 	cfg.Faults.Seed = *faultSeed

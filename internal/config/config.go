@@ -248,7 +248,6 @@ type Config struct {
 	// Run limits.
 	MaxInsts  uint64 // stop after this many useful committed instructions
 	MaxCycles uint64 // hard safety stop
-	Seed      uint64 // workload/data seed
 
 	// Differential checking (observational; not part of the modelled
 	// machine). Check runs a lockstep in-order oracle alongside the
@@ -335,7 +334,6 @@ func Baseline() Config {
 
 		MaxInsts:  500_000,
 		MaxCycles: 80_000_000,
-		Seed:      1,
 	}
 }
 

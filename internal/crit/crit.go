@@ -171,26 +171,6 @@ func (s *ILPPred) Observe(pc uint64, mode Decision, insts, cycles uint64) {
 	}
 }
 
-// Dump renders the selector's populated entries (for diagnostics/tests).
-func (s *ILPPred) Dump() string {
-	var b []byte
-	s.entries.EachPage(func(page []ilpEntry) {
-		for i := range page {
-			e := &page[i]
-			if !e.valid || e.seen < 32 {
-				continue
-			}
-			b = append(b, []byte(fmt.Sprintf(
-				"pc=%#x seen=%d none{n=%d r=%d} stvp{n=%d r=%d} mtvp{n=%d r=%d}\n",
-				e.pc, e.seen,
-				e.modes[DecideNone].samples, e.modes[DecideNone].rate(),
-				e.modes[DecideSTVP].samples, e.modes[DecideSTVP].rate(),
-				e.modes[DecideMTVP].samples, e.modes[DecideMTVP].rate()))...)
-		}
-	})
-	return string(b)
-}
-
 // L3Oracle is the expected-cache-behaviour selector of §5.1: loads that
 // would miss to memory are followed in a thread, loads that miss the L1 are
 // value predicted in place.

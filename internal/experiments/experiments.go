@@ -102,7 +102,6 @@ func (o Options) benches() []workload.Benchmark {
 
 func (o Options) apply(cfg config.Config) config.Config {
 	cfg.MaxInsts = o.Insts
-	cfg.Seed = o.Seed
 	if o.FaultProfile != "" {
 		cfg = core.WithFaults(cfg, o.FaultProfile, o.FaultSeed)
 	}

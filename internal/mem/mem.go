@@ -34,8 +34,8 @@ const (
 )
 
 // Memory is a sparse 64-bit byte-addressable memory. The zero value is an
-// empty memory where every byte reads as zero. Store and PutByte allocate a
-// page on its first write; Region allocates a whole area's pages as one
+// empty memory where every byte reads as zero. Store allocates a page on
+// its first write; Region allocates a whole area's pages as one
 // slab, and Clone copies all allocated pages into one slab. Each page is
 // still entered in the page map on its own. A page reserved with Lazy is
 // allocated and filled by the first access of any kind that reaches it;
@@ -114,24 +114,12 @@ func (m *Memory) area(pn uint64) *lazyArea {
 	return nil
 }
 
-// GetByte returns the byte at addr (zero if the page is unallocated).
-func (m *Memory) GetByte(addr uint64) byte {
-	if p := m.page(addr, false); p != nil {
-		return p[addr&pageMask]
-	}
-	return 0
-}
-
-// PutByte stores b at addr, allocating the page if needed.
-func (m *Memory) PutByte(addr uint64, b byte) {
-	m.ensurePages()
-	m.page(addr, true)[addr&pageMask] = b
-}
-
 // Load reads size bytes (1, 2, 4, or 8) little-endian starting at addr and
-// zero-extends to uint64. Accesses may straddle page boundaries.
+// zero-extends to uint64. An access inside one page looks the page up once;
+// one that crosses a page boundary splits there.
 func (m *Memory) Load(addr uint64, size int) uint64 {
-	// Fast path: aligned 8-byte access within one page.
+	// Fast path: an aligned word, the flat-memory read behind every
+	// simulated load (storebuf.Overlay.loadWord).
 	if size == 8 && addr&7 == 0 {
 		if p := m.page(addr, false); p != nil {
 			off := addr & pageMask
@@ -139,24 +127,60 @@ func (m *Memory) Load(addr uint64, size int) uint64 {
 		}
 		return 0
 	}
+	off := addr & pageMask
+	if off+uint64(size) > PageSize {
+		n := PageSize - off
+		return m.Load(addr, int(n)) | m.Load(addr+n, size-int(n))<<(8*n)
+	}
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
+	b := p[off : off+uint64(size)]
+	switch size {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	}
 	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(m.GetByte(addr+uint64(i))) << (8 * i)
+	for i := size - 1; i >= 0; i-- {
+		v = v<<8 | uint64(b[i])
 	}
 	return v
 }
 
-// Store writes the low size bytes of val little-endian starting at addr.
+// Store writes the low size bytes of val little-endian starting at addr,
+// allocating the page if needed. Like Load, it looks a page up once and
+// splits an access at a page boundary.
 func (m *Memory) Store(addr uint64, size int, val uint64) {
 	m.ensurePages()
 	if size == 8 && addr&7 == 0 {
-		p := m.page(addr, true)
 		off := addr & pageMask
-		binary.LittleEndian.PutUint64(p[off:off+8], val)
+		binary.LittleEndian.PutUint64(m.page(addr, true)[off:off+8], val)
 		return
 	}
-	for i := 0; i < size; i++ {
-		m.PutByte(addr+uint64(i), byte(val>>(8*i)))
+	off := addr & pageMask
+	if off+uint64(size) > PageSize {
+		n := PageSize - off
+		m.Store(addr, int(n), val)
+		m.Store(addr+n, size-int(n), val>>(8*n))
+		return
+	}
+	b := m.page(addr, true)[off : off+uint64(size)]
+	switch size {
+	case 8:
+		binary.LittleEndian.PutUint64(b, val)
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(val))
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(val))
+	default:
+		for i := range b {
+			b[i] = byte(val >> (8 * i))
+		}
 	}
 }
 

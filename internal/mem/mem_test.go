@@ -16,8 +16,8 @@ func TestZeroFill(t *testing.T) {
 	}
 }
 
-// The zero Memory is usable: reads see zeros, the first store (through
-// Store or PutByte) allocates, and a clone carries the stored page.
+// The zero Memory is usable: reads see zeros, the first store (of a word
+// or of a byte) allocates, and a clone carries the stored page.
 func TestZeroValueMemory(t *testing.T) {
 	var m Memory
 	if v := m.Load(0x10, 8); v != 0 {
@@ -32,9 +32,9 @@ func TestZeroValueMemory(t *testing.T) {
 		t.Fatalf("clone reads %#x with %d pages, want 1 with 1 page", v, c.Pages())
 	}
 	var b Memory
-	b.PutByte(0x20, 7)
-	if v := b.GetByte(0x20); v != 7 {
-		t.Fatalf("GetByte after PutByte = %d, want 7", v)
+	b.Store(0x20, 1, 7)
+	if v := b.Load(0x20, 1); v != 7 {
+		t.Fatalf("byte Load after byte Store = %d, want 7", v)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestRegion(t *testing.T) {
 		b[i] = byte(i)
 	}
 	for i := range b {
-		if got := m.GetByte(PageSize + 100 + uint64(i)); got != byte(i) {
+		if got := m.Load(PageSize+100+uint64(i), 1); got != uint64(byte(i)) {
 			t.Fatalf("byte %d reads %d through the page map, want %d", i, got, byte(i))
 		}
 	}
@@ -210,7 +210,7 @@ func TestLazy(t *testing.T) {
 	if len(m.pages) != 2 || len(c.pages) != 2 || m.Pages() != 3 || c.Pages() != 3 {
 		t.Errorf("fills allocated %d and %d pages, counted %d and %d; want 2, 2, 3, 3", len(m.pages), len(c.pages), m.Pages(), c.Pages())
 	}
-	if c.GetByte(4*PageSize+15) != byte(28+15) || c.GetByte(4*PageSize+17) != byte(28+17) {
+	if c.Load(4*PageSize+15, 1) != 28+15 || c.Load(4*PageSize+17, 1) != 28+17 {
 		t.Error("a store into a reserved page lost its generated neighbours")
 	}
 	if addr, diff := m.Diff(c); !diff || addr != 4*PageSize+16 {
@@ -446,7 +446,7 @@ func TestCloneCacheQuick(t *testing.T) {
 		}
 		for i, m := range mems {
 			for a, b := range refs[i] {
-				if m.GetByte(a) != b {
+				if m.Load(a, 1) != uint64(b) {
 					return false
 				}
 			}

@@ -197,7 +197,7 @@ func (e *Engine) promoteReady() {
 			continue
 		}
 		t.promoted = true
-		e.emitThread(trace.KPromote, t, "non-speculative; store buffer drains")
+		e.emitContext(trace.KPromote, t.id, t, nil, "non-speculative; store buffer drains")
 		kept := t.storeQ[:0]
 		for _, se := range t.storeQ {
 			if se.u == nil || se.u.state == stCommitted {

@@ -176,7 +176,7 @@ func (e *Engine) resolveEvent(ev *vpEvent) {
 		// redundant post-load work the parent did under the no-stall
 		// policy is squashed now.
 		if e.tracer != nil {
-			e.emitThreadPeer(trace.KConfirm, survivor, t, fmt.Sprintf("prediction at pc %d confirmed; T%d/%d retiring",
+			e.emitContext(trace.KConfirm, survivor.id, survivor, t, fmt.Sprintf("prediction at pc %d confirmed; T%d/%d retiring",
 				ev.load.ex.PC, t.id, t.order))
 		}
 		e.squashYoungerThan(t, ev.load.seq)
@@ -412,7 +412,7 @@ func (e *Engine) killOne(t *thread) bool {
 	e.st.Committed -= t.committed
 	e.st.Kills++
 	if e.tracer != nil {
-		e.emitThread(trace.KKill, t, fmt.Sprintf("committed %d discounted", t.committed))
+		e.emitContext(trace.KKill, t.id, t, nil, fmt.Sprintf("committed %d discounted", t.committed))
 	}
 	t.live = false
 	t.killed = true

@@ -108,6 +108,13 @@ type Engine struct {
 	tracer     trace.Tracer       // optional event tracer; nil in normal runs
 	sampler    *telemetry.Sampler // optional time-series sampler; nil in normal runs
 
+	// sampleAt is the sampler's next bucket edge, a cycle both engines
+	// execute (eventForward never jumps past it). gaugeReads counts the
+	// occupancy-gauge snapshots taken, for the test that must prove the
+	// sampler is fed once per bucket rather than once per cycle.
+	sampleAt   int64
+	gaugeReads uint64
+
 	// Robustness: the fault injector (nil-safe; nil when no profile is
 	// armed) and the recovery controller (always present).
 	inj *fault.Injector
@@ -147,51 +154,29 @@ func (e *Engine) emitUop(k trace.Kind, u *uop) {
 	})
 }
 
-// emitThread sends a thread-level event to the tracer, if attached.
-func (e *Engine) emitThread(k trace.Kind, t *thread, text string) {
-	if e.tracer != nil {
-		e.emitThreadEvent(k, t, text)
-	}
-}
-
-// Out of line, so the nil-check wrapper above stays inlinable.
-//
-//go:noinline
-func (e *Engine) emitThreadEvent(k trace.Kind, t *thread, text string) {
-	e.tracer.Emit(trace.Event{
-		Cycle:  e.now,
-		Kind:   k,
-		Thread: t.id,
-		Order:  t.order,
-		PC:     -1,
-		Text:   text,
-	})
-}
-
-// emitThreadPeer is emitThread for pairwise events (spawn, confirm): peer
-// is the other context — the spawning or retiring parent — so
+// emitContext sends a context-level event to the tracer, if attached: slot
+// is the hardware context (-1 for none), t the thread whose speculation
+// order the event carries (nil for a slot event), and peer the other
+// context of a pairwise event (spawn, confirm; nil for none), so
 // machine-readable sinks can draw flow arrows between tracks.
-func (e *Engine) emitThreadPeer(k trace.Kind, t, peer *thread, text string) {
+func (e *Engine) emitContext(k trace.Kind, slot int, t, peer *thread, text string) {
 	if e.tracer != nil {
-		e.emitThreadPeerEvent(k, t, peer, text)
+		e.emitContextEvent(k, slot, t, peer, text)
 	}
 }
 
 // Out of line, so the nil-check wrapper above stays inlinable.
 //
 //go:noinline
-func (e *Engine) emitThreadPeerEvent(k trace.Kind, t, peer *thread, text string) {
-	e.tracer.Emit(trace.Event{
-		Cycle:     e.now,
-		Kind:      k,
-		Thread:    t.id,
-		Order:     t.order,
-		PC:        -1,
-		Text:      text,
-		Peer:      peer.id,
-		PeerOrder: peer.order,
-		HasPeer:   true,
-	})
+func (e *Engine) emitContextEvent(k trace.Kind, slot int, t, peer *thread, text string) {
+	ev := trace.Event{Cycle: e.now, Kind: k, Thread: slot, Order: -1, PC: -1, Text: text}
+	if t != nil {
+		ev.Order = t.order
+	}
+	if peer != nil {
+		ev.Peer, ev.PeerOrder, ev.HasPeer = peer.id, peer.order, true
+	}
+	e.tracer.Emit(ev)
 }
 
 // New builds an engine for prog over memory under cfg. The memory should
@@ -380,8 +365,8 @@ func (e *Engine) runCycle() (stop bool, err error) {
 	e.issue()
 	e.dispatch()
 	e.fetch()
-	if e.sampler != nil {
-		e.telemetryCycle()
+	if e.sampler != nil && e.now == e.sampleAt {
+		e.sample()
 	}
 	if e.auditOn {
 		if err := e.auditCycle(); err != nil {
@@ -445,7 +430,7 @@ func (e *Engine) breakDeadlock() bool {
 	if victim == nil {
 		return false
 	}
-	e.emitThread(trace.KKill, victim, "killed to break resource deadlock")
+	e.emitContext(trace.KKill, victim.id, victim, nil, "killed to break resource deadlock")
 	e.killSubtree(victim)
 	e.lastProgress = e.now
 	return true

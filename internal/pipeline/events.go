@@ -10,9 +10,8 @@ import "math/bits"
 //
 // Soundness rests on one asymmetry: a SPURIOUS wake (the calendar names a
 // cycle where nothing happens) is harmless, because an executed inert cycle
-// is observationally identical to a skipped one — every stage no-ops, fetch
-// counts exactly one FetchBlocked cycle either way, and the telemetry sampler
-// closes the same sample buckets with the same frozen snapshot. A LOST
+// is observationally identical to a skipped one — every stage no-ops and
+// fetch counts exactly one FetchBlocked cycle either way. A LOST
 // wakeup (the calendar sleeps past a cycle where a stage could act) would
 // change simulated behaviour, so every mutation that can make a stage
 // actionable wakes the calendar (the catalog lives in DESIGN.md §16).
@@ -167,12 +166,12 @@ func (e *Engine) wakeStandingEdges() {
 
 // eventForward retires the cycle's fired entries and jumps `now` to the
 // cycle before the earliest pending event, bounded by the computed edges no
-// stage enqueues (the commit-progress watchdog, the Observe poll, the audit
-// stride, the cycle budget). The skipped range is provably inert — every
-// actionable cycle has a calendar entry, by the wake-edge catalog — so its
-// only effects are replayed here: one FetchBlocked count per skipped cycle
-// (fetch counts exactly one per cycle in which no thread is fetch-eligible)
-// and the telemetry sampler's idle-range bucket closes.
+// stage enqueues (the commit-progress watchdog, the Observe poll, the
+// sampler's bucket edge, the audit stride, the cycle budget). The skipped
+// range is provably inert — every actionable cycle has a calendar entry, by
+// the wake-edge catalog — so its one effect is replayed here: one
+// FetchBlocked count per skipped cycle (fetch counts exactly one per cycle
+// in which no thread is fetch-eligible).
 func (e *Engine) eventForward() {
 	q := e.evq
 	q.drain(e.now)
@@ -195,6 +194,9 @@ func (e *Engine) eventForward() {
 			wake = p
 		}
 	}
+	if e.sampler != nil && e.sampleAt < wake {
+		wake = e.sampleAt
+	}
 	if e.auditOn {
 		if a := e.now + auditInterval - e.now%auditInterval; a < wake {
 			wake = a
@@ -208,9 +210,6 @@ func (e *Engine) eventForward() {
 	}
 	if target <= e.now {
 		return
-	}
-	if e.sampler != nil {
-		e.telemetrySkip(e.now+1, target)
 	}
 	skipped := uint64(target - e.now)
 	e.st.FetchBlocked += skipped

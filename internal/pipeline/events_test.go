@@ -187,6 +187,7 @@ type abOutcome struct {
 	now    int64
 	points []telemetry.Point
 	ff     uint64
+	gauges uint64
 	errStr string
 }
 
@@ -214,6 +215,7 @@ func runAB(t *testing.T, cfg config.Config, bench workload.Benchmark, perCycle b
 	out.now = eng.now
 	out.points = sampler.Points()
 	out.ff = eng.ffSkipped
+	out.gauges = eng.gaugeReads
 	return out
 }
 
@@ -361,10 +363,10 @@ func TestEventQueueIsInvisible(t *testing.T) {
 // TestFastForwardIsInvisible pins the calendar's idle-cycle jump itself:
 // on the two archetypes with the longest idle stretches, telemetry buckets
 // close every 37 cycles — far shorter than a memory miss — so nearly every
-// jump skips over bucket boundaries that per-cycle stepping closes one
-// cycle at a time. The skipped spans' replay (telemetrySkip) must produce
-// the same time series, and everything else must stay bit-identical too.
-// The jump must cover a real share of the run, or the test proves nothing.
+// memory stall holds bucket edges that the calendar must stop at and
+// execute instead of jumping over. The time series must match per-cycle
+// stepping, and everything else must stay bit-identical too. The jump must
+// still cover a real share of the run, or the test proves nothing.
 func TestFastForwardIsInvisible(t *testing.T) {
 	const sampleEvery = 37
 	for _, c := range abCases() {
@@ -392,6 +394,29 @@ func TestFastForwardIsInvisible(t *testing.T) {
 			}
 			compareAB(t, fast, slow)
 		})
+	}
+}
+
+// TestSamplerFedOncePerBucket: the engine hands the sampler its gauges
+// once per closed bucket, at the bucket's edge, not on every executed
+// cycle — under per-cycle stepping too, where every cycle executes.
+func TestSamplerFedOncePerBucket(t *testing.T) {
+	const sampleEvery = 37
+	c := abCases()[0]
+	cfg := c.cfg()
+	cfg.MaxInsts = 1 << 62
+	cfg.MaxCycles = 20_000
+	for _, perCycle := range []bool{false, true} {
+		out := runAB(t, cfg, c.bench, perCycle, sampleEvery)
+		buckets := (out.st.Cycles + sampleEvery - 1) / sampleEvery
+		if uint64(len(out.points)) != buckets {
+			t.Errorf("perCycle=%v: %d points over %d cycles, want %d",
+				perCycle, len(out.points), out.st.Cycles, buckets)
+		}
+		if out.gauges != uint64(len(out.points)) {
+			t.Errorf("perCycle=%v: %d gauge snapshots for %d closed buckets",
+				perCycle, out.gauges, len(out.points))
+		}
 	}
 }
 

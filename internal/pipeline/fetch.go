@@ -368,7 +368,7 @@ func (e *Engine) spawn(t *thread, loadU *uop, ev *vpEvent) {
 	e.st.Spawns += uint64(len(ev.children))
 	for i, c := range ev.children {
 		if e.tracer != nil {
-			e.emitThreadPeer(trace.KSpawn, c.t, t, fmt.Sprintf("from T%d/%d at pc %d value %#x",
+			e.emitContext(trace.KSpawn, c.t.id, c.t, t, fmt.Sprintf("from T%d/%d at pc %d value %#x",
 				t.id, t.order, loadU.ex.PC, ev.childVals[i]))
 		}
 	}

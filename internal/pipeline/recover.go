@@ -73,28 +73,6 @@ func newRecovery(cfg *config.Config, clampConf int) *recovery {
 	return r
 }
 
-// emitSlot sends a context-slot-level recovery event to the tracer. Slot -1
-// marks events with no specific context (e.g. a global injection site).
-func (e *Engine) emitSlot(k trace.Kind, slot int, text string) {
-	if e.tracer != nil {
-		e.emitSlotEvent(k, slot, text)
-	}
-}
-
-// Out of line, so the nil-check wrapper above stays inlinable.
-//
-//go:noinline
-func (e *Engine) emitSlotEvent(k trace.Kind, slot int, text string) {
-	e.tracer.Emit(trace.Event{
-		Cycle:  e.now,
-		Kind:   k,
-		Thread: slot,
-		Order:  -1,
-		PC:     -1,
-		Text:   text,
-	})
-}
-
 // injectFault rolls one injection opportunity for fault class k, doing the
 // stats and trace bookkeeping on a hit. All injection sites go through here.
 func (e *Engine) injectFault(k fault.Kind) bool {
@@ -121,7 +99,7 @@ func (e *Engine) injectFault(k fault.Kind) bool {
 		e.st.FaultIQStick++
 	}
 	if e.tracer != nil {
-		e.emitSlot(trace.KFault, -1, "injected "+k.String())
+		e.emitContext(trace.KFault, -1, nil, nil, "injected "+k.String())
 	}
 	return true
 }
@@ -172,7 +150,7 @@ func (e *Engine) noteOutcome(t *thread, correct bool) {
 	was := r.healthy(t.id)
 	if correct {
 		if q.OnCorrect() && e.tracer != nil {
-			e.emitSlot(trace.KQuarantine, t.id, "relaxed to "+q.State().String())
+			e.emitContext(trace.KQuarantine, t.id, nil, nil, "relaxed to "+q.State().String())
 		}
 	} else if q.OnWrong() {
 		switch q.State() {
@@ -182,7 +160,7 @@ func (e *Engine) noteOutcome(t *thread, correct bool) {
 			e.st.QuarantineDisables++
 		}
 		if e.tracer != nil {
-			e.emitSlot(trace.KQuarantine, t.id, "escalated to "+q.State().String())
+			e.emitContext(trace.KQuarantine, t.id, nil, nil, "escalated to "+q.State().String())
 		}
 	}
 	r.updateUnhealthy(t.id, was)
@@ -203,11 +181,11 @@ func (e *Engine) noteCommitProgress() {
 		if l := r.ladders[slot]; l.Progress(1) {
 			e.st.Restorations++
 			if e.tracer != nil {
-				e.emitSlot(trace.KRestore, slot, "speculation restored to "+l.Level().String())
+				e.emitContext(trace.KRestore, slot, nil, nil, "speculation restored to "+l.Level().String())
 			}
 		}
 		if q := r.quars[slot]; q.Tick() && e.tracer != nil {
-			e.emitSlot(trace.KQuarantine, slot, "decayed to "+q.State().String())
+			e.emitContext(trace.KQuarantine, slot, nil, nil, "decayed to "+q.State().String())
 		}
 		if !r.healthy(slot) {
 			kept = append(kept, slot)
@@ -257,7 +235,7 @@ func (e *Engine) unstickQueues() bool {
 	e.wake(e.now + 1)
 	e.st.RecoveryUnsticks += uint64(n)
 	if e.tracer != nil {
-		e.emitSlot(trace.KRecover, -1, fmt.Sprintf("force-cleared %d stuck issue-queue slots", n))
+		e.emitContext(trace.KRecover, -1, nil, nil, fmt.Sprintf("force-cleared %d stuck issue-queue slots", n))
 	}
 	return true
 }
@@ -287,7 +265,7 @@ func (e *Engine) degradeAll() bool {
 		e.rec.updateUnhealthy(slot, was)
 		stepped = true
 		if e.tracer != nil {
-			e.emitSlot(trace.KDegrade, slot, "speculation degraded to "+l.Level().String())
+			e.emitContext(trace.KDegrade, slot, nil, nil, "speculation degraded to "+l.Level().String())
 		}
 	}
 	if !stepped {

@@ -4,26 +4,22 @@ import (
 	"mtvp/internal/telemetry"
 )
 
-// SetSampler attaches a time-series sampler. Like tracing it is strictly
-// observational: the engine feeds it occupancy gauges and cumulative
-// counters but never reads it back, so results are identical with or
-// without it (test-enforced in internal/core).
-func (e *Engine) SetSampler(s *telemetry.Sampler) { e.sampler = s }
-
-// telemetryCycle feeds the sampler one executed cycle: instantaneous
-// occupancy gauges plus the cumulative counter snapshot it differentiates
-// into cycle-bucketed time series.
-func (e *Engine) telemetryCycle() {
-	e.sampler.Tick(e.now, e.telemetryGauges(), e.telemetryCounters())
+// SetSampler attaches a time-series sampler; attach it before Run, so its
+// first bucket starts at cycle 0. Like tracing it is strictly
+// observational: the engine hands it the Stats and occupancy gauges at
+// every bucket edge but never reads it back, so results are identical with
+// or without it (test-enforced in internal/core). Each edge is a computed
+// edge of the event calendar (eventForward never jumps past one), so both
+// engines execute it and sample there.
+func (e *Engine) SetSampler(s *telemetry.Sampler) {
+	e.sampler = s
+	e.sampleAt = s.NextEdge(e.now)
 }
 
-// telemetrySkip feeds the sampler an idle span the calendar skipped [from,
-// to]. The engine's counters and gauges are frozen across the span (that is
-// what made it skippable), so the sampler can close every bucket that would
-// have closed during it from the one snapshot, byte-identically to
-// per-cycle Ticks.
-func (e *Engine) telemetrySkip(from, to int64) {
-	e.sampler.TickIdleRange(from, to, e.telemetryGauges(), e.telemetryCounters())
+// sample closes the bucket ending at this cycle, an edge, and arms the next.
+func (e *Engine) sample() {
+	e.sampler.Sample(e.now, e.st, e.telemetryGauges())
+	e.sampleAt = e.sampler.NextEdge(e.now)
 }
 
 // FinishTelemetry closes the sampler's final partial bucket. Call once,
@@ -33,11 +29,12 @@ func (e *Engine) FinishTelemetry() {
 	if e.sampler == nil {
 		return
 	}
-	e.sampler.Finish(e.now, e.telemetryGauges(), e.telemetryCounters())
+	e.sampler.Finish(e.now, e.st, e.telemetryGauges())
 }
 
-func (e *Engine) telemetryGauges() telemetry.CycleGauges {
-	g := telemetry.CycleGauges{
+func (e *Engine) telemetryGauges() telemetry.Gauges {
+	e.gaugeReads++
+	g := telemetry.Gauges{
 		ROBUsed:    e.robUsed,
 		RenameUsed: e.renameUsed,
 		IQUsed:     e.qUsed[qInt],
@@ -58,18 +55,4 @@ func (e *Engine) telemetryGauges() telemetry.CycleGauges {
 		}
 	}
 	return g
-}
-
-func (e *Engine) telemetryCounters() telemetry.CycleCounters {
-	return telemetry.CycleCounters{
-		Committed: e.st.Committed,
-		Squashed:  e.st.Squashed,
-		Loads:     e.st.Loads,
-		DL1Miss:   e.st.DL1Miss,
-		VPCorrect: e.st.VPCorrect,
-		VPWrong:   e.st.VPWrong,
-		Spawns:    e.st.Spawns,
-		Confirms:  e.st.Confirms,
-		Kills:     e.st.Kills,
-	}
 }

@@ -12,26 +12,13 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"mtvp/internal/stats"
 )
 
-// CycleCounters is the cumulative counter snapshot the pipeline engine
-// hands the sampler every cycle. Plain uint64s passed by value: the
-// per-cycle feed allocates nothing.
-type CycleCounters struct {
-	Committed uint64
-	Squashed  uint64
-	Loads     uint64
-	DL1Miss   uint64
-	VPCorrect uint64
-	VPWrong   uint64
-	Spawns    uint64
-	Confirms  uint64
-	Kills     uint64
-}
-
-// CycleGauges is the instantaneous machine state at a cycle: window and
+// Gauges is the instantaneous machine state at a bucket edge: window and
 // queue occupancy, thread population, and store-buffer pressure.
-type CycleGauges struct {
+type Gauges struct {
 	ROBUsed      int
 	RenameUsed   int
 	IQUsed       int
@@ -40,18 +27,18 @@ type CycleGauges struct {
 	SpecThreads  int
 }
 
-// Sampler accumulates cycle-bucketed time series: every Every cycles it
-// closes a bucket, converting the counter deltas since the previous bucket
-// into rates (useful IPC, VP accuracy) and recording the instantaneous
-// occupancy gauges.
+// Sampler accumulates cycle-bucketed time series. Bucket edges are the
+// multiples of Every; at each edge the engine hands it the run's Stats and
+// the occupancy gauges, and it closes a bucket, converting the counter
+// deltas since the previous edge into rates (useful IPC, VP accuracy) and
+// recording the gauges.
 type Sampler struct {
 	// Every is the bucket width in cycles; <=0 selects 1024.
 	Every int64
 
 	points    []Point
-	started   bool
 	lastCycle int64
-	last      CycleCounters
+	last      stats.Stats
 }
 
 // DefaultSampleEvery is the default time-series bucket width in cycles.
@@ -74,7 +61,7 @@ type Point struct {
 	IPC        float64 `json:"ipc"`    // useful commits per cycle
 	VPAccuracy float64 `json:"vp_acc"` // resolved-prediction accuracy (0 when none resolved)
 
-	// Deltas over the bucket.
+	// Deltas over the bucket, of the stats.Stats fields of the same names.
 	Committed uint64 `json:"committed"`
 	Squashed  uint64 `json:"squashed"`
 	Loads     uint64 `json:"loads"`
@@ -95,62 +82,38 @@ type Point struct {
 // Points returns the closed buckets, oldest first.
 func (s *Sampler) Points() []Point { return s.points }
 
-func (s *Sampler) every() int64 {
-	if s.Every <= 0 {
-		return DefaultSampleEvery
+// NextEdge returns the first bucket edge after cycle.
+func (s *Sampler) NextEdge(cycle int64) int64 {
+	every := s.Every
+	if every <= 0 {
+		every = DefaultSampleEvery
 	}
-	return s.Every
-}
-
-// Tick feeds one simulated cycle: the engine calls it once per executed
-// cycle with the instantaneous gauges and the cumulative counters.
-// Allocation-free except when a sample bucket closes.
-func (s *Sampler) Tick(cycle int64, g CycleGauges, c CycleCounters) {
-	if !s.started {
-		s.started = true
-		s.lastCycle = cycle - 1
-	}
-	if cycle-s.lastCycle < s.every() {
-		return
-	}
-	s.close(cycle, g, c)
-}
-
-// TickIdleRange feeds a skipped idle cycle span [from, to] in one call. The
-// caller guarantees the machine was frozen across the span: the gauges and
-// cumulative counters it passes held at every cycle in it. It closes exactly
-// the buckets per-cycle Ticks would have closed, at the same cycles, with the
-// same data, so the points are byte-identical.
-func (s *Sampler) TickIdleRange(from, to int64, g CycleGauges, c CycleCounters) {
-	if !s.started {
-		s.started = true
-		s.lastCycle = from - 1
-	}
-	for s.lastCycle+s.every() <= to {
-		s.close(s.lastCycle+s.every(), g, c)
-	}
+	return cycle - cycle%every + every
 }
 
 // Finish closes the final partial bucket (call once, when the run ends;
 // later calls with no progress add nothing).
-func (s *Sampler) Finish(cycle int64, g CycleGauges, c CycleCounters) {
-	if !s.started || cycle <= s.lastCycle {
+func (s *Sampler) Finish(cycle int64, st *stats.Stats, g Gauges) {
+	if cycle <= s.lastCycle {
 		return
 	}
-	s.close(cycle, g, c)
+	s.Sample(cycle, st, g)
 }
 
-func (s *Sampler) close(cycle int64, g CycleGauges, c CycleCounters) {
+// Sample closes the bucket that ends at cycle, a bucket edge, from the
+// run's counters and gauges as they stand at the end of that cycle. The
+// engine calls it once per edge.
+func (s *Sampler) Sample(cycle int64, st *stats.Stats, g Gauges) {
 	width := cycle - s.lastCycle
 	p := Point{
 		Cycle:     cycle,
-		Committed: c.Committed - s.last.Committed,
-		Squashed:  c.Squashed - s.last.Squashed,
-		Loads:     c.Loads - s.last.Loads,
-		DL1Miss:   c.DL1Miss - s.last.DL1Miss,
-		Spawns:    c.Spawns - s.last.Spawns,
-		Confirms:  c.Confirms - s.last.Confirms,
-		Kills:     c.Kills - s.last.Kills,
+		Committed: st.Committed - s.last.Committed,
+		Squashed:  st.Squashed - s.last.Squashed,
+		Loads:     st.Loads - s.last.Loads,
+		DL1Miss:   st.DL1Miss - s.last.DL1Miss,
+		Spawns:    st.Spawns - s.last.Spawns,
+		Confirms:  st.Confirms - s.last.Confirms,
+		Kills:     st.Kills - s.last.Kills,
 
 		Occupancy:    g.ROBUsed,
 		RenameUsed:   g.RenameUsed,
@@ -163,20 +126,20 @@ func (s *Sampler) close(cycle int64, g CycleGauges, c CycleCounters) {
 		// Killed threads' commits are discounted retroactively, so a
 		// bucket dominated by kills can go net-negative; clamp to zero
 		// rather than report a negative rate.
-		if c.Committed >= s.last.Committed {
+		if st.Committed >= s.last.Committed {
 			p.IPC = float64(p.Committed) / float64(width)
 		} else {
 			p.Committed = 0
 		}
 	}
-	dc := c.VPCorrect - s.last.VPCorrect
-	dw := c.VPWrong - s.last.VPWrong
-	if c.VPCorrect >= s.last.VPCorrect && c.VPWrong >= s.last.VPWrong && dc+dw > 0 {
+	dc := st.VPCorrect - s.last.VPCorrect
+	dw := st.VPWrong - s.last.VPWrong
+	if st.VPCorrect >= s.last.VPCorrect && st.VPWrong >= s.last.VPWrong && dc+dw > 0 {
 		p.VPAccuracy = float64(dc) / float64(dc+dw)
 	}
 	s.points = append(s.points, p)
 	s.lastCycle = cycle
-	s.last = c
+	s.last = *st
 }
 
 // seriesColumns names the CSV columns, in Point field order.

@@ -3,20 +3,23 @@ package telemetry
 import (
 	"strings"
 	"testing"
+
+	"mtvp/internal/stats"
 )
 
 func TestSamplerBucketsAndRates(t *testing.T) {
 	s := NewSampler(100)
 
-	var c CycleCounters
-	for cycle := int64(1); cycle <= 250; cycle++ {
-		c.Committed = uint64(cycle) * 2 // IPC 2.0 throughout
-		if cycle == 150 {
-			c.VPCorrect, c.VPWrong = 8, 2
+	var st stats.Stats
+	for edge := s.NextEdge(0); edge <= 250; edge = s.NextEdge(edge) {
+		st.Committed = uint64(edge) * 2 // IPC 2.0 throughout
+		if edge == 200 {
+			st.VPCorrect, st.VPWrong = 8, 2
 		}
-		s.Tick(cycle, CycleGauges{ROBUsed: int(cycle), SpecThreads: 1}, c)
+		s.Sample(edge, &st, Gauges{ROBUsed: int(edge), SpecThreads: 1})
 	}
-	s.Finish(250, CycleGauges{ROBUsed: 250, SpecThreads: 1}, c)
+	st.Committed = 500
+	s.Finish(250, &st, Gauges{ROBUsed: 250, SpecThreads: 1})
 
 	pts := s.Points()
 	if len(pts) != 3 {
@@ -42,9 +45,15 @@ func TestSamplerBucketsAndRates(t *testing.T) {
 			pts[0].VPAccuracy, pts[1].VPAccuracy, pts[2].VPAccuracy)
 	}
 	// Finishing twice (or after no progress) adds nothing.
-	s.Finish(250, CycleGauges{}, c)
+	s.Finish(250, &st, Gauges{})
 	if len(s.Points()) != 3 {
 		t.Error("double Finish added a bucket")
+	}
+	// Edges are the multiples of Every, from any cycle.
+	for _, c := range [][2]int64{{0, 100}, {1, 100}, {99, 100}, {100, 200}, {250, 300}} {
+		if got := s.NextEdge(c[0]); got != c[1] {
+			t.Errorf("NextEdge(%d) = %d, want %d", c[0], got, c[1])
+		}
 	}
 }
 
@@ -53,12 +62,11 @@ func TestSamplerBucketsAndRates(t *testing.T) {
 // negative; the sampler clamps it to zero instead of wrapping.
 func TestSamplerNegativeCommitClamp(t *testing.T) {
 	s := NewSampler(10)
-	var c CycleCounters
-	s.Tick(1, CycleGauges{}, c)
-	c.Committed = 100
-	s.Tick(11, CycleGauges{}, c) // first bucket closes with 100 commits
-	c.Committed = 40             // 60 commits discounted by kills
-	s.Tick(21, CycleGauges{}, c)
+	var st stats.Stats
+	st.Committed = 100
+	s.Sample(10, &st, Gauges{}) // first bucket closes with 100 commits
+	st.Committed = 40           // 60 commits discounted by kills
+	s.Sample(20, &st, Gauges{})
 	pts := s.Points()
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
@@ -71,12 +79,10 @@ func TestSamplerNegativeCommitClamp(t *testing.T) {
 
 func TestSeriesCSVAndJSONL(t *testing.T) {
 	s := NewSampler(10)
-	var c CycleCounters
-	c.Committed = 2
-	c.Loads = 3
-	s.Tick(1, CycleGauges{}, c)
-	c.Committed = 22 // 22 commits over the 11-cycle epoch [0,11): IPC 2.0
-	s.Tick(11, CycleGauges{ROBUsed: 5, LiveThreads: 2, SpecThreads: 1}, c)
+	var st stats.Stats
+	st.Committed = 20 // 20 commits over the 10-cycle bucket (0,10]: IPC 2.0
+	st.Loads = 3
+	s.Sample(10, &st, Gauges{ROBUsed: 5, LiveThreads: 2, SpecThreads: 1})
 
 	var csv strings.Builder
 	if err := s.WriteCSV(&csv); err != nil {
@@ -92,7 +98,7 @@ func TestSeriesCSVAndJSONL(t *testing.T) {
 			t.Errorf("csv header missing %q: %s", col, header)
 		}
 	}
-	if !strings.HasPrefix(lines[1], "11,2.000000,") {
+	if !strings.HasPrefix(lines[1], "10,2.000000,") {
 		t.Errorf("csv row wrong: %s", lines[1])
 	}
 
@@ -100,7 +106,7 @@ func TestSeriesCSVAndJSONL(t *testing.T) {
 	if err := s.WriteJSONL(&jl); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"cycle":11`, `"ipc":2`, `"spec_threads":1`} {
+	for _, want := range []string{`"cycle":10`, `"ipc":2`, `"spec_threads":1`} {
 		if !strings.Contains(jl.String(), want) {
 			t.Errorf("jsonl missing %q: %s", want, jl.String())
 		}

@@ -39,16 +39,15 @@ func PointerChase(name string, suite Suite, p ChaseParams) Benchmark {
 		r := mem.NewRand(seed)
 		m := mem.New()
 		pool := valuePool(r, p.PoolSize, p.FPVal)
-		order := runPermutation(r, p.Nodes, p.SeqPct)
+		succ, head := runPermutation(r, p.Nodes, p.SeqPct)
 		addr := func(i int) uint64 { return dataBase + uint64(i)*uint64(p.NodeBytes) }
 		// Each node holds its next pointer and its payload in its first
 		// 16 bytes; the area ends with the last node's payload. The nodes
 		// are kept as a successor index and a payload, 12 bytes a node,
 		// and a page's nodes are written out when the page is filled.
-		succ := make([]int32, p.Nodes)
+		// Payloads are drawn in visiting order.
 		payload := make([]uint64, p.Nodes)
-		for i, cur := range order {
-			succ[cur] = int32(order[(i+1)%p.Nodes])
+		for i, cur := 0, head; i < p.Nodes; i, cur = i+1, succ[cur] {
 			payload[cur] = drawValue(r, pool, p.DominantPct, p.ReusePct, p.FPVal)
 		}
 		m.Lazy(dataBase, (p.Nodes-1)*p.NodeBytes+16, func(pn uint64, page *[mem.PageSize]byte) {
@@ -63,7 +62,7 @@ func PointerChase(name string, suite Suite, p ChaseParams) Benchmark {
 
 		b := asm.New(name)
 		initFiller(b)
-		b.Liu(isa.R1, addr(order[0])) // current node
+		b.Liu(isa.R1, addr(int(head))) // current node
 		b.Li(isa.R4, p.Iters)
 		b.Li(isa.R3, 0) // accumulator
 		b.Label("outer")

@@ -154,49 +154,44 @@ func drawValue(r *mem.Rand, pool []uint64, dominantPct, reusePct int, fp bool) u
 	return r.Next() >> 16
 }
 
-// permutation returns a random permutation of [0, n).
-func permutation(r *mem.Rand, n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// runPermutation returns a visiting order over [0, n) made of
-// address-sequential runs spliced together in random order, such that a
-// fraction seqPct/100 of steps advance to the next index and the rest jump
-// to the start of another run.
-func runPermutation(r *mem.Rand, n, seqPct int) []int {
-	if seqPct <= 0 {
-		return permutation(r, n)
-	}
-	// Cut [0, n) into runs with geometric lengths of mean 1/(1-p).
-	var runs [][2]int // start, len
-	start := 0
-	length := 1
+// runPermutation links [0, n) into one cycle made of address-sequential
+// runs spliced together in random order, such that a fraction seqPct/100 of
+// steps advance to the next index and the rest jump to the start of another
+// run. It returns each index's successor and the first index visited.
+// Cutting the runs draws once per index after the first (none when seqPct
+// is 0: every index is a run), and shuffling them once per run after the
+// first.
+func runPermutation(r *mem.Rand, n, seqPct int) (succ []int32, head int32) {
+	// Cut [0, n) into runs with geometric lengths of mean 1/(1-p). Until
+	// the runs are spliced, a run's last index has successor -1.
+	succ = make([]int32, n)
+	runs := 1
 	for i := 1; i < n; i++ {
-		if r.Intn(100) < seqPct {
-			length++
+		if seqPct > 0 && r.Intn(100) < seqPct {
+			succ[i-1] = int32(i)
 			continue
 		}
-		runs = append(runs, [2]int{start, length})
-		start, length = i, 1
+		succ[i-1] = -1
+		runs++
 	}
-	runs = append(runs, [2]int{start, length})
-	for i := len(runs) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		runs[i], runs[j] = runs[j], runs[i]
-	}
-	order := make([]int, 0, n)
-	for _, run := range runs {
-		for k := 0; k < run[1]; k++ {
-			order = append(order, run[0]+k)
+	succ[n-1] = -1
+	starts := make([]int32, 0, runs)
+	starts = append(starts, 0)
+	for i, s := range succ[:n-1] {
+		if s < 0 {
+			starts = append(starts, int32(i+1))
 		}
 	}
-	return order
+	for i := len(starts) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		starts[i], starts[j] = starts[j], starts[i]
+	}
+	// Splice: each run's last index jumps to the next run's start.
+	for k, s := range starts {
+		for succ[s] >= 0 {
+			s++
+		}
+		succ[s] = starts[(k+1)%len(starts)]
+	}
+	return succ, starts[0]
 }

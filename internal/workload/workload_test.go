@@ -90,26 +90,40 @@ func TestSeedsMixedPerBenchmark(t *testing.T) {
 	}
 }
 
+// visitOrder walks a successor array from head for len(succ) steps.
+func visitOrder(succ []int32, head int32) []int32 {
+	order := make([]int32, 0, len(succ))
+	for cur := head; len(order) < len(succ); cur = succ[cur] {
+		order = append(order, cur)
+	}
+	return order
+}
+
 func TestRunPermutationCoversAll(t *testing.T) {
 	r := mem.NewRand(5)
 	for _, seqPct := range []int{0, 50, 88, 100} {
-		order := runPermutation(r, 1000, seqPct)
-		if len(order) != 1000 {
-			t.Fatalf("seqPct %d: length %d", seqPct, len(order))
+		succ, head := runPermutation(r, 1000, seqPct)
+		if len(succ) != 1000 {
+			t.Fatalf("seqPct %d: length %d", seqPct, len(succ))
 		}
 		seen := make([]bool, 1000)
+		order := visitOrder(succ, head)
 		for _, v := range order {
 			if v < 0 || v >= 1000 || seen[v] {
 				t.Fatalf("seqPct %d: bad or repeated index %d", seqPct, v)
 			}
 			seen[v] = true
 		}
+		if succ[order[len(order)-1]] != head {
+			t.Fatalf("seqPct %d: the walk does not close into one cycle", seqPct)
+		}
 	}
 }
 
 func TestRunPermutationSequentialFraction(t *testing.T) {
 	r := mem.NewRand(7)
-	order := runPermutation(r, 50_000, 85)
+	succ, head := runPermutation(r, 50_000, 85)
+	order := visitOrder(succ, head)
 	seq := 0
 	for i := 1; i < len(order); i++ {
 		if order[i] == order[i-1]+1 {
