@@ -1,9 +1,12 @@
 // Package mem provides the flat, sparsely paged physical memory image that
 // backs every simulation. Workloads initialise it deterministically: a
-// builder reserves each data area either with Region, which allocates the
-// area's pages as one slab for the builder to write directly, or with
-// Lazy, which allocates nothing and fills each page from the builder's
-// generator the first time an access reaches it.
+// builder reserves each data area either with Lazy, which allocates nothing
+// and fills each page from the builder's generator the first time an
+// access reaches it, or with Region, which allocates the area's pages as
+// one slab for the builder to write directly. Areas a kernel sweeps in
+// address order are Lazy, since a run reaches few of their pages; tables
+// it reads at random are Region, since a run reaches most of theirs, as is
+// an area whose values cost more to draw again than to write.
 //
 // During a timing run the image's bytes change in one place only,
 // storebuf.Overlay.Settle. A read may fill a reserved page, but a page
@@ -187,10 +190,13 @@ func (m *Memory) Store(addr uint64, size int, val uint64) {
 // Region allocates every page covering [addr, addr+n) as one zeroed slab,
 // enters each in the page map, and returns the n bytes at addr for the
 // caller to fill. A workload builder reserves a data area this way when
-// its run touches most of the area's pages anyway; after the build, Store
-// is the only write path. It returns nil for n == 0 and panics if any of
-// the pages is already allocated or reserved, which only a builder bug can
-// cause.
+// its kernel reads the area at random, so that a run touches most of its
+// pages anyway (Gather's and Hash's tables, ResidentMiss's side table), or
+// when a page would cost more to generate again than to write now
+// (Branchy's token stream); an area read in address order is otherwise
+// reserved with Lazy. After the build, Store is the only write path.
+// Region returns nil for n == 0 and panics if any of the pages is already
+// allocated or reserved, which only a builder bug can cause.
 func (m *Memory) Region(addr uint64, n int) []byte {
 	if n == 0 {
 		return nil

@@ -490,3 +490,33 @@ func TestRandRanges(t *testing.T) {
 		}
 	}
 }
+
+// TestIntnPowerOfTwoQuick: for n = 2^k, Intn masks instead of dividing, and
+// must return exactly Next() % n from the same state, for any seed and k.
+func TestIntnPowerOfTwoQuick(t *testing.T) {
+	f := func(seed uint64, k uint8) bool {
+		n := 1 << (k % 63)
+		a, b := NewRand(seed), NewRand(seed)
+		for i := 0; i < 16; i++ {
+			if got, want := a.Intn(n), int(b.Next()%uint64(n)); got != want {
+				t.Logf("seed %#x, n %d, draw %d: Intn %d, Next()%%n %d", seed, n, i, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestIntnZeroPanics: n == 0 is not a power of two; Intn(0) must panic as
+// the division always did, not return the masked draw.
+func TestIntnZeroPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("Intn(0) did not panic")
+		}
+	}()
+	NewRand(1).Intn(0)
+}

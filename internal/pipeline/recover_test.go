@@ -6,6 +6,7 @@ import (
 
 	"mtvp/internal/config"
 	"mtvp/internal/fault"
+	"mtvp/internal/trace"
 )
 
 // recoveryCfg arms a fault profile on a checked machine with an impatient
@@ -121,7 +122,8 @@ func TestDegradationLadderEngages(t *testing.T) {
 // always-follow MTVP machine and requires the per-context misprediction
 // storm detector to clamp or disable prediction, suppressing later follows.
 // The oracle checker is armed throughout: the flipped values must never
-// reach architectural state.
+// reach architectural state. Each quarantine change is traced as a slot
+// event (requireSlotEvents).
 func TestQuarantineEngagesUnderPredictorChaos(t *testing.T) {
 	cfg := recoveryCfg(
 		config.Baseline().WithMTVP(4, config.PredWangFranklin, config.SelAlways),
@@ -132,7 +134,13 @@ func TestQuarantineEngagesUnderPredictorChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	events := &trace.Collector{}
+	eng.SetTracer(events)
 	requireRecoveredOrReport(t, eng.Run())
+	quarantines := requireSlotEvents(t, events, trace.KQuarantine, cfg.Contexts)
+	if got, want := uint64(len(quarantines)), st.QuarantineClamps+st.QuarantineDisables; got < want {
+		t.Errorf("%d quarantine events for %d escalations", got, want)
+	}
 	if st.FaultPredBitFlip == 0 {
 		t.Fatal("pred-chaos injected nothing")
 	}
@@ -143,6 +151,52 @@ func TestQuarantineEngagesUnderPredictorChaos(t *testing.T) {
 	if st.QuarantineSuppressed == 0 {
 		t.Fatal("quarantine engaged but suppressed no follows")
 	}
+}
+
+// TestRestoreEventsCarryTheSlot runs the issue-queue storm of
+// TestDegradationLadderEngages with a cool-down short enough that degraded
+// contexts earn speculation back within the run, and requires every
+// degrade and restore to be traced as a slot event, one per counted step.
+func TestRestoreEventsCarryTheSlot(t *testing.T) {
+	cfg := recoveryCfg(mtvpOracleCfg(4), "stuck-iq-storm", 3)
+	cfg.Recovery.DeadlockBudget = 1
+	cfg.Recovery.CooldownCommits = 500
+	prog, image := checkerBench("degrade-chase").Build(9)
+	st := newStats()
+	eng, err := New(&cfg, prog, image, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := &trace.Collector{}
+	eng.SetTracer(events)
+	requireRecoveredOrReport(t, eng.Run())
+	if st.Restorations == 0 {
+		t.Fatalf("cool-down of %d commits restored nothing (%d degradations)", cfg.Recovery.CooldownCommits, st.Degradations)
+	}
+	if got := uint64(len(requireSlotEvents(t, events, trace.KRestore, cfg.Contexts))); got != st.Restorations {
+		t.Errorf("%d restore events for %d restorations", got, st.Restorations)
+	}
+	if got := uint64(len(requireSlotEvents(t, events, trace.KDegrade, cfg.Contexts))); got != st.Degradations {
+		t.Errorf("%d degrade events for %d degradations", got, st.Degradations)
+	}
+}
+
+// requireSlotEvents returns the collected events of kind k and requires at
+// least one, each a slot event: Thread names a hardware context slot in
+// [0, contexts), and Order, PC and Seq say it belongs to no thread and no
+// instruction, with no peer.
+func requireSlotEvents(t *testing.T, c *trace.Collector, k trace.Kind, contexts int) []trace.Event {
+	t.Helper()
+	evs := c.ByKind(k)
+	if len(evs) == 0 {
+		t.Fatalf("no %s event traced", k)
+	}
+	for _, ev := range evs {
+		if ev.Thread < 0 || ev.Thread >= contexts || ev.Order != -1 || ev.PC != -1 || ev.Seq != 0 || ev.HasPeer {
+			t.Errorf("%s event is not a slot event (want slot in [0, %d), order -1, pc -1, no seq, no peer): %+v", k, contexts, ev)
+		}
+	}
+	return evs
 }
 
 // TestEffectiveModeLadderCap pins the mode arithmetic the degradation path

@@ -37,6 +37,11 @@ type Benchmark struct {
 	Name  string
 	Suite Suite
 	Kind  string // archetype name
+	// build is a method value of the archetype's builder (chaseBuilder
+	// and so on). A closure returned by the constructor would be compiled
+	// into the package's init, where the constructors are inlined, and
+	// that copy calls mem.Rand.Intn and binary.LittleEndian.PutUint64 out
+	// of line; a method is compiled on its own and inlines them.
 	build func(seed uint64) (*isa.Program, *mem.Memory)
 }
 

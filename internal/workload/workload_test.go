@@ -237,14 +237,30 @@ func TestWorkingSetScales(t *testing.T) {
 
 // BenchmarkBuild builds every stand-in at seed 1: the program assembly,
 // the image writes and the lazy areas' generator marks that make up
-// workload set-up.
+// workload set-up. Each archetype's stand-ins are one sub-benchmark, named
+// after the archetype, and "suite" builds all 32.
 func BenchmarkBuild(b *testing.B) {
-	all := All()
-	for i := 0; i < b.N; i++ {
-		for _, w := range all {
-			w.Build(1)
+	var kinds []string
+	byKind := map[string][]Benchmark{}
+	for _, w := range All() {
+		if byKind[w.Kind] == nil {
+			kinds = append(kinds, w.Kind)
 		}
+		byKind[w.Kind] = append(byKind[w.Kind], w)
 	}
+	run := func(name string, ws []Benchmark) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, w := range ws {
+					w.Build(1)
+				}
+			}
+		})
+	}
+	for _, kind := range kinds {
+		run(kind, byKind[kind])
+	}
+	run("suite", All())
 }
 
 // TestBuildAllocatesPerRegion pins the slab build: each builder reserves
