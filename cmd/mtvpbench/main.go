@@ -27,7 +27,8 @@
 //
 // The campaign runs on the supervised harness (internal/harness): -jobs
 // bounds the worker pool, -timeout and -stall cancel wedged cells,
-// -retries re-runs flaky ones, and -journal checkpoints every finished
+// -retries re-runs failed ones at once (never a permanent failure such as
+// an oracle divergence), and -journal checkpoints every finished
 // cell to a JSONL file so an interrupted campaign (Ctrl-C or SIGTERM
 // drains cleanly; even a SIGKILL loses only in-flight cells) can be
 // completed with -resume.

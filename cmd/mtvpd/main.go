@@ -8,8 +8,11 @@
 //
 // `serve` runs the coordinator: it accepts campaigns (mtvpbench
 // -coordinator, `-exp all` included, or any fabric client), shards
-// their cells across attached workers with TTL leases, requeues cells
-// whose workers die, dedupes double completions, and persists every
+// their cells across attached workers with TTL leases, requeues at once
+// cells whose workers die or whose simulations stop advancing, and cells
+// that failed, up to -retries times (a permanent failure, such as an
+// oracle divergence, is never requeued), dedupes double completions, and
+// persists every
 // finished cell to a per-campaign fsynced journal under -journal-dir so a
 // coordinator crash or restart resumes campaigns without re-running done
 // cells. The same listener serves an unauthenticated liveness probe on
@@ -17,9 +20,11 @@
 //
 // `work` runs a worker agent: it pulls cell leases from the coordinator,
 // simulates them (the full machine config rides in each lease, so the
-// agent never re-derives experiment presets), heartbeats each lease to
-// keep it alive, and reports results. Any number of agents may attach and
-// detach at any time.
+// agent never re-derives experiment presets) under the same attempt
+// wrapper as a local campaign (internal/harness), heartbeats each lease
+// while the cell's simulated cycles advance, and reports results; a cell
+// that stops advancing loses its lease and is abandoned. Any number of
+// agents may attach and detach at any time.
 //
 // The fleet is trusted: workers are the operator's own machines. Every
 // result still carries an attestation digest over (campaign, cell key,
@@ -109,7 +114,7 @@ func serveCmd(args []string) int {
 		token      = fs.String("token", "", "bearer token required on every /api/v1 request (\"\" disables auth; loopback only)")
 		journalDir = fs.String("journal-dir", "", "directory for per-campaign specs and fsynced result journals (\"\" = in-memory only, no crash resume)")
 		leaseTTL   = fs.Duration("lease-ttl", 15*time.Second, "job lease time-to-live; a lease not heartbeat-extended within it expires and the cell requeues")
-		retries    = fs.Int("retries", 3, "requeue budget per cell (lost workers and reported failures both spend it)")
+		retries    = fs.Int("retries", 3, "requeues per cell (lost workers and reported failures both count; permanent failures are never requeued)")
 		quiet      = fs.Bool("quiet", false, "suppress coordinator event logging on stderr")
 	)
 	fs.Parse(args)
@@ -156,7 +161,6 @@ func workCmd(args []string) int {
 		name        = fs.String("name", "", "stable worker name, recorded in campaign journals (\"\" = host:pid)")
 		slots       = fs.Int("slots", 0, "cells simulated concurrently (0 = GOMAXPROCS)")
 		poll        = fs.Duration("poll", 500*time.Millisecond, "idle backoff between lease attempts when the queue is empty (jittered ±50%)")
-		reportTO    = fs.Duration("report-timeout", 0, "per-attempt timeout for result uploads (0 selects 10s)")
 		quiet       = fs.Bool("quiet", false, "suppress agent event logging on stderr")
 	)
 	fs.Parse(args)
@@ -169,14 +173,13 @@ func workCmd(args []string) int {
 	defer cancel()
 
 	err := fabric.RunWorker(ctx, fabric.WorkerConfig{
-		Coordinator:   *coordinator,
-		Token:         *token,
-		Name:          *name,
-		Slots:         *slots,
-		Poll:          *poll,
-		ReportTimeout: *reportTO,
-		Run:           experiments.RunSpec,
-		Logf:          logf,
+		Coordinator: *coordinator,
+		Token:       *token,
+		Name:        *name,
+		Slots:       *slots,
+		Poll:        *poll,
+		Run:         experiments.RunSpec,
+		Logf:        logf,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

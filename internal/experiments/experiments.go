@@ -371,9 +371,6 @@ func (o Options) runCampaign(name string, specs []fabric.JobSpec) (map[string]ce
 		if werr != nil {
 			return nil, fmt.Errorf("campaign %s: %w", sub.ID, werr)
 		}
-		if res.State == fabric.StateCancelled {
-			return nil, fmt.Errorf("campaign %s was cancelled on the coordinator", sub.ID)
-		}
 		results = make(map[string]cellResult, len(res.Results))
 		for key, raw := range res.Results {
 			var cell cellResult

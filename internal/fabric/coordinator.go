@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"mtvp/internal/fault"
 	"mtvp/internal/harness"
 )
 
@@ -23,10 +22,9 @@ type CoordinatorConfig struct {
 	// before its cell is requeued (0 selects 15s). Workers are told to
 	// heartbeat every TTL/3.
 	LeaseTTL time.Duration
-	// Retries bounds how many times a cell is re-leased after a lost lease
-	// or reported failure before it is marked failed (0 selects 3). The
-	// budget reuses fault.Backoff — worker loss is paced by the same
-	// machinery that paces the simulated machine's own recoveries.
+	// Retries bounds how many times a cell is requeued after a lost lease
+	// or reported failure before it is marked failed (0 selects 3); the
+	// rule is harness.Retry, so a permanent failure is never requeued.
 	Retries int
 	// JournalDir, when non-empty, persists every campaign: the spec as
 	// <id>.spec.json (written atomically at submit) and completions through
@@ -84,7 +82,7 @@ type job struct {
 	lease    *leaseInfo // nil while queued or terminal
 	queued   bool       // currently listed in the campaign queue
 	attempts int
-	budget   *fault.Backoff // requeue budget (worker loss, failures)
+	retried  int // requeues charged to Retries (worker loss, failures)
 	result   json.RawMessage
 	digest   string
 	failure  *harness.JobFailure
@@ -99,7 +97,6 @@ type campaign struct {
 	order       []string // submission order = report order
 	queue       []string // cells wanting a lease, FIFO; requeues go to the back
 	jnl         *harness.Journal
-	cancelled   bool
 	done        int
 	failed      int
 	requeues    int
@@ -108,8 +105,6 @@ type campaign struct {
 
 func (c *campaign) state() CampaignState {
 	switch {
-	case c.cancelled:
-		return StateCancelled
 	case c.done == len(c.order):
 		return StateComplete
 	case c.done+c.failed == len(c.order):
@@ -226,10 +221,7 @@ func (co *Coordinator) installLocked(id string, spec CampaignSpec, prior map[str
 		jobs:        map[string]*job{},
 	}
 	for _, s := range spec.Jobs {
-		j := &job{
-			spec:   s,
-			budget: fault.NewBackoff(co.cfg.retries(), 64),
-		}
+		j := &job{spec: s}
 		if rec := prior[s.Key]; rec != nil && rec.Status == harness.StatusDone && len(rec.Result) > 0 &&
 			co.reverifyLocked(id, s, rec) {
 			j.state = jobDone
@@ -371,7 +363,7 @@ func (co *Coordinator) Lease(worker string) (Lease, bool) {
 	defer co.mu.Unlock()
 	for _, id := range co.order {
 		c := co.campaigns[id]
-		if c.cancelled || len(c.queue) == 0 {
+		if len(c.queue) == 0 {
 			continue
 		}
 		key := c.queue[0]
@@ -399,14 +391,14 @@ func (j *job) heldLease(worker string) *leaseInfo {
 }
 
 // Heartbeat extends a lease. ok is false when the worker no longer owns
-// the lease (expired and requeued, already completed by someone else,
-// campaign cancelled): the worker should abandon the cell.
+// the lease (expired and requeued, already completed by someone else): the
+// worker should abandon the cell.
 func (co *Coordinator) Heartbeat(req HeartbeatRequest) bool {
 	now := co.now()
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	c := co.campaigns[req.Campaign]
-	if c == nil || c.cancelled {
+	if c == nil {
 		return false
 	}
 	j := c.jobs[req.Key]
@@ -439,7 +431,8 @@ func (co *Coordinator) revokeLeaseLocked(j *job, worker string) bool {
 // Result records a cell's terminal outcome. Successful results must carry
 // a valid attestation digest; the first one completes the cell. Corrupt
 // results are rejected without reaching the journal and without charging
-// the cell's retry budget. Failures spend the cell's requeue budget.
+// the cell's retry budget. Failures are requeued or failed by
+// failOrRequeueLocked.
 func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -450,9 +443,6 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	j := c.jobs[req.Key]
 	if j == nil {
 		return ResultResponse{}, fmt.Errorf("fabric: campaign %s has no job %q", req.Campaign, req.Key)
-	}
-	if c.cancelled {
-		return ResultResponse{Accepted: false}, nil
 	}
 	if req.Released {
 		// Voluntary handback (draining worker): requeue at no budget cost.
@@ -477,7 +467,7 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 	if kind == "" {
 		kind = harness.FailError
 	}
-	co.failOrRequeueLocked(c, j, req.Key, req.Worker, harness.JobFailure{
+	co.failOrRequeueLocked(c, j, req.Key, req.Worker, req.Permanent, harness.JobFailure{
 		Key: req.Key, Seed: j.spec.Seed, Kind: kind,
 		Attempts: j.attempts, Err: req.Error,
 	})
@@ -541,11 +531,12 @@ func (co *Coordinator) finalizeLocked(c *campaign, j *job, key, worker, digest s
 	c.jnl.Done(key, j.attempts, json.RawMessage(j.result), worker, digest)
 }
 
-// failOrRequeueLocked spends the cell's requeue budget: requeue while it
-// lasts, mark failed once exhausted. worker is the agent the failure is
+// failOrRequeueLocked requeues a failed cell at once while harness.Retry
+// allows, and marks it failed otherwise. worker is the agent the failure is
 // attributed to in the journal.
-func (co *Coordinator) failOrRequeueLocked(c *campaign, j *job, key, worker string, f harness.JobFailure) {
-	if j.budget.Allow() {
+func (co *Coordinator) failOrRequeueLocked(c *campaign, j *job, key, worker string, permanent bool, f harness.JobFailure) {
+	if harness.Retry(f.Kind, permanent, j.retried, co.cfg.retries()) {
+		j.retried++
 		co.requeueLocked(c, j, key)
 		co.logf("campaign %s: requeued %s after %s (%s), attempt %d", c.id, key, f.Kind, f.Err, f.Attempts)
 		return
@@ -582,7 +573,7 @@ func (co *Coordinator) ExpireLeases() int {
 			}
 			expired++
 			co.dropLeaseLocked(j)
-			co.failOrRequeueLocked(c, j, key, li.worker, harness.JobFailure{
+			co.failOrRequeueLocked(c, j, key, li.worker, false, harness.JobFailure{
 				Key: key, Seed: j.spec.Seed, Kind: FailLostWorker,
 				Attempts: j.attempts,
 				Err:      fmt.Sprintf("lease on %s expired (no heartbeat from %q within %s)", key, li.worker, co.cfg.leaseTTL()),
@@ -661,28 +652,6 @@ func (co *Coordinator) Results(id string) (CampaignResults, error) {
 		}
 	}
 	return out, nil
-}
-
-// Cancel stops a campaign: queued cells are dropped, running workers are
-// told their leases are lost at the next heartbeat, and late results are
-// ignored. Journaled completions are kept.
-func (co *Coordinator) Cancel(id string) error {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	c := co.campaigns[id]
-	if c == nil {
-		return fmt.Errorf("fabric: unknown campaign %q", id)
-	}
-	if !c.cancelled {
-		c.cancelled = true
-		c.queue = nil
-		for _, j := range c.jobs {
-			j.queued = false
-			co.dropLeaseLocked(j)
-		}
-		co.logf("campaign %s (%s): cancelled", c.id, c.name)
-	}
-	return nil
 }
 
 // Close flushes and closes every campaign journal.

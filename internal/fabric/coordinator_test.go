@@ -387,29 +387,6 @@ func TestLeasesFollowSubmissionOrder(t *testing.T) {
 	}
 }
 
-func TestCancelDropsQueueAndRevokesLeases(t *testing.T) {
-	co := newTestCoordinator(t, nil, CoordinatorConfig{})
-	sub, _ := co.Submit(testSpec("cancel", 3))
-	id := sub.ID
-	lease, _ := co.Lease("w1")
-	if err := co.Cancel(id); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := co.Status(id)
-	if st.State != StateCancelled || st.Queued != 0 {
-		t.Fatalf("cancel must drop the queue: %+v", st)
-	}
-	if co.Heartbeat(HeartbeatRequest{Worker: "w1", Campaign: id, Key: lease.Spec.Key}) {
-		t.Fatal("heartbeat on a cancelled campaign must be refused")
-	}
-	if resp, _ := co.Result(ResultRequest{Worker: "w1", Campaign: id, Key: lease.Spec.Key, OK: true, Result: json.RawMessage(`1`)}); resp.Accepted {
-		t.Fatal("late result on a cancelled campaign must be ignored")
-	}
-	if _, ok := co.Lease("w1"); ok {
-		t.Fatal("cancelled campaign must not lease")
-	}
-}
-
 // A heartbeat extends only a lease its sender still holds: it is refused
 // once the lease has expired, from the old holder after the cell is
 // re-leased, and after the cell completes.

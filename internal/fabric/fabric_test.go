@@ -8,10 +8,14 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"mtvp/internal/harness"
 )
 
 // detRun computes a result purely from the spec — the distributed analogue
@@ -310,5 +314,121 @@ func TestHeartbeatRefusalAbandonsCell(t *testing.T) {
 	case <-abandoned:
 	case <-time.After(5 * time.Second):
 		t.Fatal("worker never abandoned the lost lease")
+	}
+}
+
+// A remote cell whose run reports a permanent error (an oracle divergence
+// in the sweeps) runs exactly once: the worker tells the coordinator the
+// failure is permanent, and harness.Retry refuses to requeue it.
+func TestRemotePermanentFailureRunsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins real workers")
+	}
+	co, srv := startServer(t, CoordinatorConfig{Retries: 3}, ServerConfig{})
+	var runs atomic.Int64
+	startWorker(t, srv.URL(), "", "w", 1, func(context.Context, JobSpec, func(uint64, uint64)) (json.RawMessage, error) {
+		runs.Add(1)
+		return nil, harness.Permanent(errors.New("committed a wrong value"))
+	})
+	spec := testSpec("permanent", 1)
+	res, _ := runCampaign(t, srv.URL(), "", spec)
+	st, _ := co.Status(CampaignID(spec))
+	if n := runs.Load(); n != 1 || st.Requeues != 0 {
+		t.Fatalf("permanent failure ran %d times with %d requeues, want 1 and 0", n, st.Requeues)
+	}
+	if res.State != StateFailed || len(res.Failures) != 1 ||
+		res.Failures[0].Kind != harness.FailError || res.Failures[0].Attempts != 1 {
+		t.Fatalf("want one failed cell (error, 1 attempt): %+v", res)
+	}
+}
+
+// A remote cell whose simulated cycles stop moving on a live worker loses
+// its lease: the worker stops renewing it, the coordinator expires and
+// requeues the cell as a lost worker's, and the worker abandons the run.
+// With Retries 1 the second wedge fails the cell.
+func TestStalledRemoteCellLosesLease(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins real workers")
+	}
+	co, srv := startServer(t, CoordinatorConfig{LeaseTTL: 300 * time.Millisecond, Retries: 1},
+		ServerConfig{ExpireEvery: 20 * time.Millisecond})
+	var abandoned atomic.Int64
+	startWorker(t, srv.URL(), "", "w", 1, func(ctx context.Context, _ JobSpec, progress func(uint64, uint64)) (json.RawMessage, error) {
+		// Advance, then wedge: the cycle count stops while the run goes on.
+		for cycles := uint64(1); cycles <= 3; cycles++ {
+			if progress != nil {
+				progress(cycles*1024, 0)
+			}
+		}
+		<-ctx.Done()
+		abandoned.Add(1)
+		return nil, ctx.Err()
+	})
+	spec := testSpec("wedge", 1)
+	res, _ := runCampaign(t, srv.URL(), "", spec)
+	st, _ := co.Status(CampaignID(spec))
+	if st.Requeues != 1 || res.State != StateFailed || len(res.Failures) != 1 || res.Failures[0].Kind != FailLostWorker {
+		t.Fatalf("wedged cell must expire, requeue once, then fail as a lost worker: %+v %+v", st, res)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for abandoned.Load() < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("worker never abandoned the wedged cell")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// Both campaign executors run a cell under one contract: the same error,
+// panic and permanent cells fail with the same kind after the same number
+// of attempts on harness.Run and on a coordinator with a worker.
+func TestExecutorsAgreeOnFailures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins real workers")
+	}
+	const retries = 2
+	cells := []struct {
+		key      string
+		run      func() error
+		kind     harness.FailKind
+		attempts int
+	}{
+		{"agree/error", func() error { return errors.New("flaky host") }, harness.FailError, 1 + retries},
+		{"agree/panic", func() error { panic("injected panic") }, harness.FailPanic, 1 + retries},
+		{"agree/permanent", func() error { return harness.Permanent(errors.New("divergence")) }, harness.FailError, 1},
+	}
+	byKey := map[string]func() error{}
+	var jobs []harness.Job[int]
+	spec := CampaignSpec{Name: "agree", Fingerprint: "fp"}
+	for _, c := range cells {
+		run := c.run
+		byKey[c.key] = run
+		jobs = append(jobs, harness.Job[int]{Key: c.key, Run: func(context.Context, *harness.Heartbeat) (int, error) {
+			return 0, run()
+		}})
+		spec.Jobs = append(spec.Jobs, JobSpec{Key: c.key, Bench: "mcf", Preset: "mtvp4"})
+	}
+
+	camp, err := harness.Run(context.Background(), harness.Config{Workers: 1, Retries: retries}, jobs)
+	if err == nil {
+		t.Fatal("harness.Run: every cell must fail")
+	}
+	_, srv := startServer(t, CoordinatorConfig{Retries: retries}, ServerConfig{})
+	startWorker(t, srv.URL(), "", "w", 1, func(_ context.Context, spec JobSpec, _ func(uint64, uint64)) (json.RawMessage, error) {
+		return nil, byKey[spec.Key]()
+	})
+	res, _ := runCampaign(t, srv.URL(), "", spec)
+
+	for name, failures := range map[string][]harness.JobFailure{"local": camp.Summary.Failures, "remote": res.Failures} {
+		got := map[string]harness.JobFailure{}
+		for _, f := range failures {
+			got[f.Key] = f
+		}
+		for _, c := range cells {
+			f, ok := got[c.key]
+			if !ok || f.Kind != c.kind || f.Attempts != c.attempts {
+				t.Errorf("%s %s: failure %+v, want kind %s after %d attempt(s)", name, c.key, f, c.kind, c.attempts)
+			}
+		}
 	}
 }

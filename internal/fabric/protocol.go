@@ -15,11 +15,15 @@
 //
 // Work distribution is pull-based leasing, modeled on agent/ingest
 // architectures: workers poll for a lease, run the cell, stream periodic
-// heartbeats, and report the result. A heartbeat extends the lease, and a
-// refused one tells the worker its lease is gone. A lease whose heartbeat
-// stops expires and the cell is requeued through a bounded fault.Backoff
-// retry budget — worker loss is just another fault class. Each cell holds
-// at most one lease at a time; campaigns are served in submission order.
+// heartbeats while its simulated cycles move, and report the result. A
+// heartbeat extends the lease, and a refused one tells the worker its lease
+// is gone. A lease whose heartbeat stops (a lost worker, or a cell that no
+// longer advances) expires and the cell is requeued — worker loss is just
+// another fault class. Workers run each cell through harness.Attempt and
+// the coordinator decides requeue or failure with harness.Retry, the same
+// contract the local harness runs cells under: requeues are immediate, and
+// a permanent failure is never requeued. Each cell holds at most one lease
+// at a time; campaigns are served in submission order.
 //
 // The fleet is trusted; what the fabric checks is input from outside its
 // process. Every result carries an attestation digest (attest.go) that the
@@ -39,7 +43,7 @@ import (
 // API routes (all under the coordinator's listener; every /api/v1 route
 // requires the bearer token when one is configured).
 const (
-	PathCampaigns = "/api/v1/campaigns" // POST submit, GET list; /{id} GET status, DELETE cancel; /{id}/results GET
+	PathCampaigns = "/api/v1/campaigns" // POST submit, GET list; /{id} GET status; /{id}/results GET
 	PathLease     = "/api/v1/lease"     // POST: worker pulls a job lease
 	PathHeartbeat = "/api/v1/heartbeat" // POST: worker extends a lease
 	PathResult    = "/api/v1/result"    // POST: worker reports a terminal outcome
@@ -96,10 +100,9 @@ type CampaignState string
 
 // Campaign states.
 const (
-	StateRunning   CampaignState = "running"   // cells queued or leased
-	StateComplete  CampaignState = "complete"  // every cell done
-	StateFailed    CampaignState = "failed"    // finished, but cells exhausted retries
-	StateCancelled CampaignState = "cancelled" // cancelled by the client
+	StateRunning  CampaignState = "running"  // cells queued or leased
+	StateComplete CampaignState = "complete" // every cell done
+	StateFailed   CampaignState = "failed"   // finished, but cells exhausted retries
 )
 
 // CampaignStatus is the live view of one campaign.
@@ -155,7 +158,7 @@ type HeartbeatRequest struct {
 }
 
 // HeartbeatResponse tells the worker whether it still owns the lease. Lost
-// leases (expired and requeued, campaign cancelled, coordinator restarted)
+// leases (expired and requeued, coordinator restarted)
 // mean the worker should abandon the cell; if it finishes anyway, the
 // result report is deduped idempotently.
 type HeartbeatResponse struct {
@@ -173,6 +176,10 @@ type ResultRequest struct {
 	Result   json.RawMessage  `json:"result,omitempty"`
 	Error    string           `json:"error,omitempty"`
 	FailKind harness.FailKind `json:"fail_kind,omitempty"`
+	// Permanent marks a failure that running the cell again would
+	// reproduce (harness.Permanent): the coordinator fails the cell
+	// without requeueing it.
+	Permanent bool `json:"permanent,omitempty"`
 	// Digest attests the result: ResultDigest(Campaign, spec, Result)
 	// computed worker-side over the exact bytes sent. The coordinator
 	// recomputes it; a missing or mismatching digest is a corrupt result —

@@ -39,7 +39,7 @@ func (c ServerConfig) maxBody() int64 {
 }
 
 // Server exposes a Coordinator over HTTP: the campaign API (submit /
-// status / results / cancel), the worker protocol (lease / heartbeat /
+// status / results), the worker protocol (lease / heartbeat /
 // result), and an unauthenticated /healthz liveness probe.
 type Server struct {
 	co     *Coordinator
@@ -63,7 +63,6 @@ func NewServer(co *Coordinator, cfg ServerConfig) (*Server, error) {
 	mux.HandleFunc("GET "+PathCampaigns, s.auth(s.handleList))
 	mux.HandleFunc("GET "+PathCampaigns+"/{id}", s.auth(s.handleStatus))
 	mux.HandleFunc("GET "+PathCampaigns+"/{id}/results", s.auth(s.handleResults))
-	mux.HandleFunc("DELETE "+PathCampaigns+"/{id}", s.auth(s.handleCancel))
 	mux.HandleFunc("POST "+PathLease, s.auth(s.handleLease))
 	mux.HandleFunc("POST "+PathHeartbeat, s.auth(s.handleHeartbeat))
 	mux.HandleFunc("POST "+PathResult, s.auth(s.handleResult))
@@ -190,14 +189,6 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, res)
-}
-
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if err := s.co.Cancel(r.PathValue("id")); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {

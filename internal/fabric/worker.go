@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -16,11 +15,13 @@ import (
 	"mtvp/internal/harness"
 )
 
-// RunFunc executes one leased cell. The worker agent passes a nil
-// progress; an implementation must accept nil and may ignore the
-// parameter. The returned JSON is passed to the coordinator untouched — it
-// must depend only on the spec, never on the worker, so reports stay
-// byte-identical across fleets.
+// RunFunc executes one leased cell. The worker agent passes a progress
+// callback that records the cell's simulated cycles (commits are ignored);
+// the agent renews the cell's lease only while those cycles move, or before
+// the first call. An implementation that never calls it keeps its lease for
+// as long as the agent heartbeats. The returned JSON is passed to the
+// coordinator untouched — it must depend only on the spec, never on the
+// worker, so reports stay byte-identical across fleets.
 type RunFunc func(ctx context.Context, spec JobSpec, progress func(cycles, commits uint64)) (json.RawMessage, error)
 
 // WorkerConfig tunes one worker agent.
@@ -38,10 +39,6 @@ type WorkerConfig struct {
 	// are jittered ±50% from a per-slot seeded stream so a worker's slots
 	// never poll in lockstep.
 	Poll time.Duration
-	// ReportTimeout bounds each attempt to deliver a finished cell's result
-	// (0 selects 10s). Raise it for coordinators behind slow links; lease
-	// expiry covers the loss either way.
-	ReportTimeout time.Duration
 	// Run executes a cell (required).
 	Run RunFunc
 	// Logf, when non-nil, receives agent progress lines.
@@ -73,12 +70,9 @@ func (c WorkerConfig) poll() time.Duration {
 	return c.Poll
 }
 
-func (c WorkerConfig) reportTimeout() time.Duration {
-	if c.ReportTimeout <= 0 {
-		return 10 * time.Second
-	}
-	return c.ReportTimeout
-}
+// reportTimeout bounds each attempt to deliver a finished cell's result;
+// lease expiry covers a report that never arrives.
+const reportTimeout = 10 * time.Second
 
 // errLeaseLost cancels a running cell whose lease the coordinator revoked.
 var errLeaseLost = errors.New("fabric: lease lost")
@@ -156,14 +150,19 @@ func (w *worker) slotLoop(ctx context.Context, slot int) {
 	}
 }
 
-// runLease executes one leased cell under a heartbeat stream.
+// runLease executes one leased cell through harness.Attempt under a
+// heartbeat stream that renews the lease while the cell makes progress.
 func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 	jctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 
-	// Heartbeat stream: extend the lease. A refused heartbeat means the
-	// lease is gone (expired and requeued, campaign cancelled) and the cell
-	// must be abandoned mid-run.
+	// Heartbeat stream: extend the lease while the cell's simulated cycles
+	// move (or before it first reports any). A refused heartbeat means the
+	// lease is gone (expired and requeued) and the cell must be abandoned
+	// mid-run. A cell that stops moving is not renewed: its lease expires
+	// and the coordinator requeues it as a lost worker's, and the cell is
+	// abandoned once the lease has run out.
+	hb := &harness.Heartbeat{}
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
@@ -173,11 +172,21 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 		}
 		t := time.NewTicker(every)
 		defer t.Stop()
+		var last uint64
+		renewed := time.Now()
 		for {
 			select {
 			case <-jctx.Done():
 				return
-			case <-t.C:
+			case now := <-t.C:
+				cur, moved := hb.Since(last)
+				if !moved {
+					if now.Sub(renewed) >= lease.TTL {
+						cancel(errLeaseLost)
+						return
+					}
+					continue
+				}
 				var resp HeartbeatResponse
 				err := w.client.do(jctx, http.MethodPost, PathHeartbeat, HeartbeatRequest{
 					Worker: w.name, Campaign: lease.Campaign, Key: lease.Spec.Key,
@@ -191,11 +200,14 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 					cancel(errLeaseLost)
 					return
 				}
+				last, renewed = cur, now
 			}
 		}
 	}()
 
-	result, err := w.runIsolated(jctx, lease.Spec)
+	result, f := harness.Attempt(jctx, func(ctx context.Context) (json.RawMessage, error) {
+		return w.cfg.Run(ctx, lease.Spec, func(cycles, _ uint64) { hb.Beat(cycles) })
+	})
 	cancel(nil)
 	<-hbDone
 
@@ -205,19 +217,19 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 		// The coordinator already requeued the cell; anything we produced
 		// would be deduped, so only report a success (it is free to accept
 		// or dedup) and drop failures silently.
-		if err == nil {
+		if f == nil {
 			w.report(w.okReport(lease, result), dice)
 		}
-	case ctx.Err() != nil && err != nil:
+	case ctx.Err() != nil && f != nil:
 		// Draining shutdown: hand the lease back without burning budget.
 		w.report(ResultRequest{Worker: w.name, Campaign: lease.Campaign, Key: key, Released: true}, dice)
 		w.logf("worker %s: released %s (draining)", w.name, key)
-	case err != nil:
+	case f != nil:
 		w.report(ResultRequest{
 			Worker: w.name, Campaign: lease.Campaign, Key: key,
-			OK: false, Error: err.Error(), FailKind: failKind(err),
+			OK: false, Error: f.Err.Error(), FailKind: f.Kind, Permanent: f.Permanent,
 		}, dice)
-		w.logf("worker %s: %s failed: %v", w.name, key, err)
+		w.logf("worker %s: %s failed: %v", w.name, key, f.Err)
 	default:
 		w.report(w.okReport(lease, result), dice)
 	}
@@ -232,17 +244,6 @@ func (w *worker) okReport(lease Lease, result json.RawMessage) ResultRequest {
 	}
 }
 
-// runIsolated runs the cell with panic capture: a panicking simulation
-// becomes a structured failure report, not agent death.
-func (w *worker) runIsolated(ctx context.Context, spec JobSpec) (res json.RawMessage, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = &harness.PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
-		}
-	}()
-	return w.cfg.Run(ctx, spec, nil)
-}
-
 // report delivers a terminal outcome with bounded retries — the result of
 // a finished cell is worth a few attempts, but a worker must never wedge
 // on an unreachable coordinator (lease expiry covers the loss). Retry
@@ -250,7 +251,7 @@ func (w *worker) runIsolated(ctx context.Context, spec JobSpec) (res json.RawMes
 func (w *worker) report(req ResultRequest, dice *fault.Dice) {
 	// Detached from the worker ctx: drain-time reports must still go out.
 	for attempt := 0; attempt < 3; attempt++ {
-		ctx, cancel := context.WithTimeout(context.Background(), w.cfg.reportTimeout())
+		ctx, cancel := context.WithTimeout(context.Background(), reportTimeout)
 		var resp ResultResponse
 		err := w.client.do(ctx, http.MethodPost, PathResult, req, &resp)
 		cancel()
@@ -260,15 +261,6 @@ func (w *worker) report(req ResultRequest, dice *fault.Dice) {
 		time.Sleep(jitter(dice, time.Duration(attempt+1)*200*time.Millisecond))
 	}
 	w.logf("worker %s: failed to report %s (lease expiry will recover it)", w.name, req.Key)
-}
-
-// failKind classifies a cell error for the coordinator.
-func failKind(err error) harness.FailKind {
-	var pe *harness.PanicError
-	if errors.As(err, &pe) {
-		return harness.FailPanic
-	}
-	return harness.FailError
 }
 
 // sleepCtx sleeps for d or until ctx ends.

@@ -10,9 +10,10 @@
 //     config.Config.Observe).
 //   - A panic inside a job is captured in the worker — stack, job key, seed
 //     — and becomes a structured JobFailure record instead of process death.
-//   - Failed and timed-out attempts are retried with exponential backoff and
-//     a bounded budget, reusing internal/fault's Backoff machinery (the same
-//     state machine that paces the simulated machine's own recoveries).
+//   - Failed and timed-out attempts are re-run at once, up to Config.Retries
+//     times; a Permanent error or an interrupt is never re-run. The attempt
+//     wrapper (Attempt) and the retry rule (Retry) are the cell contract the
+//     distributed sweep fabric (internal/fabric) runs its cells under too.
 //   - Progress checkpoints stream to a JSONL journal, so a campaign cut down
 //     by a crash or SIGKILL resumes by skipping already-completed cells and
 //     re-running only the failures. A graceful-shutdown handler (SIGINT /
@@ -35,8 +36,6 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
-
-	"mtvp/internal/fault"
 )
 
 // Sentinel causes attached to job contexts and campaign errors.
@@ -90,13 +89,9 @@ type Config struct {
 	// to Timeout.
 	StallTimeout time.Duration
 	// Retries is how many times a failed or timed-out job is re-run after
-	// its first attempt.
+	// its first attempt. A retry starts as soon as the attempt before it
+	// ends.
 	Retries int
-	// BackoffBase is the delay before the first retry; each further retry
-	// doubles it via the fault.Backoff multiplier, capped at BackoffMax.
-	// Zero selects 100ms (and 10s for BackoffMax).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
 	// Grace is how long a worker waits, after canceling an attempt, for the
 	// job function to return cooperatively before abandoning its goroutine
 	// and moving on (a truly wedged job leaks one goroutine instead of
@@ -127,20 +122,6 @@ func (c Config) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return c.Workers
-}
-
-func (c Config) backoffBase() time.Duration {
-	if c.BackoffBase <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.BackoffBase
-}
-
-func (c Config) backoffMax() time.Duration {
-	if c.BackoffMax <= 0 {
-		return 10 * time.Second
-	}
-	return c.BackoffMax
 }
 
 func (c Config) grace() time.Duration {
@@ -449,28 +430,19 @@ func (c Config) emit(ev Event) {
 	}
 }
 
-// execute runs one cell to its final verdict: attempts with supervision,
-// retries with exponential backoff on a bounded fault.Backoff budget.
+// execute runs one cell to its final verdict: supervised attempts, each
+// failed one re-run at once while Retry allows.
 func execute[R any](ctx context.Context, cfg Config, j Job[R]) outcome[R] {
 	var o outcome[R]
-	// Budget of cfg.Retries re-runs; the multiplier doubles per retry, the
-	// same machinery that paces the simulator's own deadlock recoveries.
-	// (fault.NewBackoff treats <=0 as "default budget", so only build one
-	// when retries were actually requested.)
-	var bo *fault.Backoff
-	if cfg.Retries > 0 {
-		bo = fault.NewBackoff(cfg.Retries, 64)
-	}
 	for {
 		o.attempts++
-		res, err, cause := attempt(ctx, cfg, j)
-		if err == nil {
+		res, f := attempt(ctx, cfg, j)
+		if f == nil {
 			o.res = res
 			o.fail = nil
 			return o
 		}
-		fail := classify(j, err, cause, o.attempts)
-		switch fail.Kind {
+		switch f.Kind {
 		case FailTimeout:
 			o.timeouts++
 		case FailStall:
@@ -478,30 +450,24 @@ func execute[R any](ctx context.Context, cfg Config, j Job[R]) outcome[R] {
 		case FailPanic:
 			o.panics++
 		}
+		fail := JobFailure{Key: j.Key, Seed: j.Seed, Kind: f.Kind, Attempts: o.attempts, Err: f.Err.Error()}
+		var pe *PanicError
+		if errors.As(f.Err, &pe) {
+			fail.Stack = pe.Stack
+		}
 		o.fail = &fail
-
-		var perm *permanentError
-		retryable := fail.Kind != FailInterrupted && !errors.As(err, &perm)
-		if !retryable || ctx.Err() != nil || bo == nil || !bo.Allow() {
+		if ctx.Err() != nil || !Retry(f.Kind, f.Permanent, o.attempts-1, cfg.Retries) {
 			return o
 		}
 		cfg.emit(Event{Kind: EventRetry, Key: j.Key, Attempt: o.attempts, Err: fail.Err})
-		delay := cfg.backoffBase() * time.Duration(bo.Multiplier())
-		if max := cfg.backoffMax(); delay > max {
-			delay = max
-		}
-		if !sleepCtx(ctx, delay) {
-			return o
-		}
 	}
 }
 
-// attempt runs the job once under its deadline and stall watchdog, capturing
-// panics. It returns the job's result or error plus the context cause that
-// canceled the attempt (nil when the job ended on its own). The job runs in
-// its own goroutine so a wedged job that ignores cancellation is abandoned
-// after a grace period instead of wedging the worker.
-func attempt[R any](ctx context.Context, cfg Config, j Job[R]) (res R, err error, cause error) {
+// attempt runs the job once under its deadline and stall watchdog, through
+// Attempt. The job runs in its own goroutine so a wedged job that ignores
+// cancellation is abandoned after a grace period instead of wedging the
+// worker.
+func attempt[R any](ctx context.Context, cfg Config, j Job[R]) (R, *Failure) {
 	jctx := ctx
 	var cancelT context.CancelFunc
 	if cfg.Timeout > 0 {
@@ -517,49 +483,74 @@ func attempt[R any](ctx context.Context, cfg Config, j Job[R]) (res R, err error
 
 	type ret struct {
 		res R
-		err error
+		f   *Failure
 	}
 	done := make(chan ret, 1)
 	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				done <- ret{err: &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}}
-			}
-		}()
-		r, e := j.Run(jctx, hb)
-		done <- ret{res: r, err: e}
+		r, f := Attempt(jctx, func(ctx context.Context) (R, error) { return j.Run(ctx, hb) })
+		done <- ret{r, f}
 	}()
 
-	var out ret
 	select {
-	case out = <-done:
+	case out := <-done:
+		return out.res, out.f
 	case <-jctx.Done():
-		// Give the job a grace period to notice cancellation (the simulator
-		// polls its Observe hook every ~1024 cycles, so this is normally
-		// microseconds); a job that never returns is abandoned.
-		t := time.NewTimer(cfg.grace())
-		defer t.Stop()
-		select {
-		case out = <-done:
-		case <-t.C:
-			out = ret{err: fmt.Errorf("job abandoned: did not return within %s of cancellation", cfg.grace())}
-		}
 	}
-	if jctx.Err() != nil {
-		cause = context.Cause(jctx)
+	// Give the job a grace period to notice cancellation (the simulator
+	// polls its Observe hook every ~1024 cycles, so this is normally
+	// microseconds); a job that never returns is abandoned.
+	t := time.NewTimer(cfg.grace())
+	defer t.Stop()
+	select {
+	case out := <-done:
+		return out.res, out.f
+	case <-t.C:
+		var zero R
+		err := fmt.Errorf("job abandoned: did not return within %s of cancellation", cfg.grace())
+		return zero, classify(err, context.Cause(jctx))
 	}
-	return out.res, out.err, cause
 }
 
-// classify folds an attempt error and its cancellation cause into a
-// structured failure record.
-func classify[R any](j Job[R], err, cause error, attempts int) JobFailure {
-	f := JobFailure{Key: j.Key, Seed: j.Seed, Attempts: attempts, Err: err.Error(), Kind: FailError}
+// Failure is one failed attempt of a cell, classified the same way by both
+// campaign executors, Run and the fabric's worker agents.
+type Failure struct {
+	Kind FailKind
+	// Permanent is set when the error was marked with Permanent: running
+	// the cell again would reproduce it.
+	Permanent bool
+	Err       error
+}
+
+// Attempt is the one attempt wrapper: it runs one attempt of a cell, run
+// under ctx, capturing a panic as a *PanicError with its stack. It returns
+// run's result, or a non-nil classified failure. A failure's kind is
+// FailPanic for a panic; otherwise it follows the cause that canceled ctx
+// (FailTimeout for ErrDeadline, FailStall for ErrStalled, FailInterrupted
+// for any other), and is FailError when ctx is live.
+func Attempt[R any](ctx context.Context, run func(context.Context) (R, error)) (res R, f *Failure) {
+	err := func() (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = &PanicError{Value: fmt.Sprint(p), Stack: string(debug.Stack())}
+			}
+		}()
+		res, err = run(ctx)
+		return err
+	}()
+	if err == nil {
+		return res, nil
+	}
+	return res, classify(err, context.Cause(ctx))
+}
+
+// classify folds an attempt error and the cause that canceled its context
+// (nil while it is live) into a Failure.
+func classify(err, cause error) *Failure {
+	f := &Failure{Kind: FailError, Err: err}
 	var pe *PanicError
 	switch {
 	case errors.As(err, &pe):
 		f.Kind = FailPanic
-		f.Stack = pe.Stack
 	case errors.Is(cause, ErrDeadline):
 		f.Kind = FailTimeout
 	case errors.Is(cause, ErrStalled):
@@ -567,20 +558,16 @@ func classify[R any](j Job[R], err, cause error, attempts int) JobFailure {
 	case cause != nil:
 		f.Kind = FailInterrupted
 	}
+	var perm *permanentError
+	f.Permanent = errors.As(err, &perm)
 	return f
 }
 
-// sleepCtx sleeps for d, returning false if ctx ended first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+// Retry is the one retry rule: a cell whose latest attempt failed with kind
+// may run again unless the error was permanent or the attempt was
+// interrupted, and only while it has been re-run fewer than retries times.
+// A retry runs at once: waiting changes neither a deterministic failure nor
+// a lost worker.
+func Retry(kind FailKind, permanent bool, reruns, retries int) bool {
+	return !permanent && kind != FailInterrupted && reruns < retries
 }

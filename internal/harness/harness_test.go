@@ -14,7 +14,7 @@ import (
 )
 
 // fastCfg is a campaign config with aggressive supervision for tests:
-// short deadlines, a short stall watchdog, quick backoff.
+// short deadlines, a short stall watchdog.
 func fastCfg(journal string) Config {
 	return Config{
 		Name:         "test",
@@ -22,8 +22,6 @@ func fastCfg(journal string) Config {
 		Timeout:      300 * time.Millisecond,
 		StallTimeout: 50 * time.Millisecond,
 		Retries:      2,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   5 * time.Millisecond,
 		Grace:        50 * time.Millisecond,
 		Journal:      journal,
 	}

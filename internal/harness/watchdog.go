@@ -34,6 +34,20 @@ func (h *Heartbeat) Load() uint64 {
 	return h.v.Load()
 }
 
+// Since reports whether the job has advanced past last, a progress value
+// read from it earlier, and returns the value now. A heartbeat never beaten
+// counts as advancing: a job that has reported no progress yet (a workload
+// still being built) cannot be judged stalled. Both executors' liveness
+// rules read it: the stall watchdog here and the fabric worker's lease
+// renewal.
+func (h *Heartbeat) Since(last uint64) (cur uint64, moved bool) {
+	if h == nil {
+		return 0, true
+	}
+	cur = h.v.Load()
+	return cur, h.beats.Load() == 0 || cur != last
+}
+
 // watch starts the simulated-cycle progress watchdog: once the job has
 // beaten at least once, if the heartbeat value then fails to advance for
 // stall, onStall fires (the runner cancels the attempt's context with
@@ -51,11 +65,8 @@ func watch(ctx context.Context, hb *Heartbeat, stall time.Duration, onStall func
 	go func() {
 		t := time.NewTicker(poll)
 		defer t.Stop()
-		var (
-			armed      bool
-			last       uint64
-			lastChange time.Time
-		)
+		var last uint64
+		lastChange := time.Now()
 		for {
 			select {
 			case <-ctx.Done():
@@ -63,15 +74,10 @@ func watch(ctx context.Context, hb *Heartbeat, stall time.Duration, onStall func
 			case <-stopCh:
 				return
 			case now := <-t.C:
-				if hb.beats.Load() == 0 {
-					continue // not armed until the first beat
-				}
-				cur := hb.Load()
-				if !armed || cur != last {
-					armed, last, lastChange = true, cur, now
-					continue
-				}
-				if now.Sub(lastChange) > stall {
+				cur, moved := hb.Since(last)
+				if moved {
+					last, lastChange = cur, now
+				} else if now.Sub(lastChange) > stall {
 					onStall()
 					return
 				}

@@ -250,7 +250,11 @@ func (m *Memory) Pages() int { return len(m.pageNumbers()) }
 // pageNumbers returns, in no order, the number of every page m holds:
 // each allocated page and each reserved one not yet filled.
 func (m *Memory) pageNumbers() []uint64 {
-	pns := make([]uint64, 0, len(m.pages))
+	n := len(m.pages)
+	for _, a := range m.lazy {
+		n += int(a.last - a.first + 1)
+	}
+	pns := make([]uint64, 0, n)
 	for pn := range m.pages {
 		if m.area(pn) == nil {
 			pns = append(pns, pn)

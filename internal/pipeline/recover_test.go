@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"mtvp/internal/config"
 	"mtvp/internal/fault"
 	"mtvp/internal/trace"
+	"mtvp/internal/workload"
 )
 
 // recoveryCfg arms a fault profile on a checked machine with an impatient
@@ -178,6 +180,42 @@ func TestRestoreEventsCarryTheSlot(t *testing.T) {
 	}
 	if got := uint64(len(requireSlotEvents(t, events, trace.KDegrade, cfg.Contexts))); got != st.Degradations {
 		t.Errorf("%d degrade events for %d degradations", got, st.Degradations)
+	}
+}
+
+// TestQuarantineDecayIsASlotEvent runs the predictor chaos of
+// TestQuarantineEngagesUnderPredictorChaos on a chase long enough (20
+// passes) for quarantined contexts to decay by passive commit ticks
+// (noteCommitProgress), and requires the decays to be traced as slot
+// events naming the state they decayed to.
+func TestQuarantineDecayIsASlotEvent(t *testing.T) {
+	cfg := recoveryCfg(
+		config.Baseline().WithMTVP(4, config.PredWangFranklin, config.SelAlways),
+		"pred-chaos", 17)
+	cfg.MaxInsts = 400_000
+	prog, image := workload.PointerChase("decay-chase", workload.INT, workload.ChaseParams{
+		Nodes: 256, NodeBytes: 64, PoolSize: 8, DominantPct: 85, ReusePct: 5, Iters: 20,
+	}).Build(5)
+	eng, err := New(&cfg, prog, image, newStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := &trace.Collector{}
+	eng.SetTracer(events)
+	requireRecoveredOrReport(t, eng.Run())
+	decays := 0
+	for _, ev := range requireSlotEvents(t, events, trace.KQuarantine, cfg.Contexts) {
+		state, ok := strings.CutPrefix(ev.Text, "decayed to ")
+		if !ok {
+			continue
+		}
+		decays++
+		if state != fault.QClamped.String() && state != fault.QHealthy.String() {
+			t.Errorf("quarantine decayed to %q, want clamped or healthy", state)
+		}
+	}
+	if decays == 0 {
+		t.Fatal("no quarantine decay traced")
 	}
 }
 

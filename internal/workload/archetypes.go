@@ -306,11 +306,7 @@ func (g gatherBuilder) build(seed uint64) (*isa.Program, *mem.Memory) {
 	idxBase := uint64(dataBase)
 	tabBase := idxBase + uint64(p.Items)*8 + 4096
 	outBase := tabBase + uint64(p.TableLen)*8 + 4096
-	sweep{base: idxBase, n: p.Items, stride: 8, draw: func(r *mem.Rand, v []uint64) {
-		for i := range v {
-			v[i] = uint64(r.Intn(p.TableLen))
-		}
-	}}.reserve(m, r)
+	sweep{base: idxBase, n: p.Items, stride: 8, intn: p.TableLen}.reserve(m, r)
 	// The table is read at random, so a run touches most of its pages.
 	tab := m.Region(tabBase, p.TableLen*8)
 	for i := 0; i < p.TableLen; i++ {
@@ -400,11 +396,7 @@ func (g blockedBuilder) build(seed uint64) (*isa.Program, *mem.Memory) {
 	m := mem.New()
 	elems := p.WorkingSet / 16
 	// Each element is a value word and a zero result word.
-	sweep{base: dataBase, n: elems, stride: 16, draw: func(r *mem.Rand, v []uint64) {
-		for i := range v {
-			v[i] = uint64(r.Intn(1 << 12))
-		}
-	}}.reserve(m, r)
+	sweep{base: dataBase, n: elems, stride: 16, intn: 1 << 12}.reserve(m, r)
 	sideBase := uint64(dataBase) + uint64(p.WorkingSet) + 1<<20
 	if p.SideTableLen > 0 {
 		// The side table is read at random, so a run touches most of
@@ -526,11 +518,7 @@ func (g hashBuilder) build(seed uint64) (*isa.Program, *mem.Memory) {
 
 	inBase := uint64(dataBase)
 	tabBase := inBase + uint64(p.InputLen)*8 + 4096
-	sweep{base: inBase, n: p.InputLen, stride: 8, draw: func(r *mem.Rand, v []uint64) {
-		for i := range v {
-			v[i] = r.Next() >> 8
-		}
-	}}.reserve(m, r)
+	sweep{base: inBase, n: p.InputLen, stride: 8, shift: 8}.reserve(m, r)
 	// The table is read at random, so a run touches most of its pages.
 	tab := m.Region(tabBase, p.TableLen*8)
 	for i := 0; i < p.TableLen; i++ {
@@ -616,11 +604,7 @@ func (g branchyBuilder) build(seed uint64) (*isa.Program, *mem.Memory) {
 	}
 	// The kernel indexes the side table by token address, so it too is
 	// read in address order.
-	sweep{base: tabBase, n: p.TableLen, stride: 8, draw: func(r *mem.Rand, v []uint64) {
-		for i := range v {
-			v[i] = uint64(r.Intn(1 << 10))
-		}
-	}}.reserve(m, r)
+	sweep{base: tabBase, n: p.TableLen, stride: 8, intn: 1 << 10}.reserve(m, r)
 	mask := int64(p.TableLen - 1)
 
 	b := asm.New(g.name)
@@ -688,11 +672,7 @@ func (g sortBuilder) build(seed uint64) (*isa.Program, *mem.Memory) {
 	p := g.p
 	r := mem.NewRand(seed)
 	m := mem.New()
-	sweep{base: dataBase, n: p.BufLen, stride: 8, draw: func(r *mem.Rand, v []uint64) {
-		for i := range v {
-			v[i] = r.Next() >> 40
-		}
-	}}.reserve(m, r)
+	sweep{base: dataBase, n: p.BufLen, stride: 8, shift: 40}.reserve(m, r)
 	mask := int64(p.Window - 1)
 
 	b := asm.New(g.name)
@@ -784,15 +764,30 @@ type sweep struct {
 	base   uint64
 	n      int
 	stride int // 8 or more
-	// draw draws the next len(v) elements into v. It may take any number
-	// of values from r per element and must read nothing that changes
-	// after the build. Drawing a run of elements per call keeps each
-	// archetype's draw loop compiled with the generator inlined.
-	draw func(r *mem.Rand, v []uint64)
+	// Each element takes one draw: uint64(r.Intn(intn)) when intn > 0,
+	// else r.Next() >> shift.
+	intn  int
+	shift uint
 }
 
 // sweepChunk is the most elements one call of draw draws.
 const sweepChunk = 64
+
+// draw draws the next len(v) elements into v. A direct call with the
+// element loop inside keeps the generator inlined and lets v live on the
+// caller's stack, so a page fill allocates nothing but the page.
+func (s sweep) draw(r *mem.Rand, v []uint64) {
+	if n := s.intn; n > 0 {
+		for i := range v {
+			v[i] = uint64(r.Intn(n))
+		}
+		return
+	}
+	shift := s.shift & 63
+	for i := range v {
+		v[i] = r.Next() >> shift
+	}
+}
 
 // reserve reserves the area's n*stride bytes with m.Lazy. It runs r through
 // every draw of the area, so r ends where writing the area eagerly would
@@ -805,7 +800,7 @@ func (s sweep) reserve(m *mem.Memory, r *mem.Rand) {
 	}
 	first := s.base / mem.PageSize
 	marks := make([]mem.Rand, (s.base+uint64(s.n*s.stride)-1)/mem.PageSize-first+1)
-	buf := make([]uint64, sweepChunk)
+	var buf [sweepChunk]uint64
 	for pg := range marks {
 		marks[pg] = *r
 		at := (first + uint64(pg)) * mem.PageSize
@@ -816,7 +811,7 @@ func (s sweep) reserve(m *mem.Memory, r *mem.Rand) {
 	m.Lazy(s.base, s.n*s.stride, func(pn uint64, page *[mem.PageSize]byte) {
 		at := pn * mem.PageSize
 		r := marks[pn-first]
-		buf := make([]uint64, sweepChunk)
+		var buf [sweepChunk]uint64
 		// The elements that reach the page and start on it: an element
 		// starts past the page exactly when its last byte is at or after
 		// at+PageSize+7.

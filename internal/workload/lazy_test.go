@@ -200,38 +200,34 @@ func TestClonesFillConcurrently(t *testing.T) {
 
 // TestSweepMatchesEager reserves sweeps of several layouts (elements
 // straddling pages, gaps between elements, lengths that end mid-chunk and
-// mid-page) and requires each to read as the area written element by
-// element from the same generator, and the builder's generator to end in
-// the same state. The stand-ins' areas are all page-aligned; these are
-// not.
+// mid-page) and both kinds of draw, and requires each to read as the area
+// written element by element from the same generator, and the builder's
+// generator to end in the same state. The stand-ins' areas are all
+// page-aligned; these are not.
 func TestSweepMatchesEager(t *testing.T) {
-	draw := func(r *mem.Rand, v []uint64) {
-		for i := range v {
-			v[i] = r.Next()
-			if v[i]%3 == 0 { // a second draw for some elements
-				v[i] ^= r.Next() >> 7
-			}
-		}
-	}
 	for _, c := range []struct {
 		off       uint64
 		n, stride int
+		intn      int
+		shift     uint
 	}{
-		{0, 1500, 8},
-		{3, 1500, 8},
-		{4092, 700, 16},
-		{5, 2000, 24},
-		{8, 1, 8},
+		{0, 1500, 8, 0, 0},
+		{3, 1500, 8, 1000, 0},
+		{4092, 700, 16, 0, 7},
+		{5, 2000, 24, 1 << 12, 0},
+		{8, 1, 8, 0, 40},
 	} {
 		base := dataBase + c.off
 		lazy, eager := mem.New(), mem.New()
 		rl, re := mem.NewRand(9), mem.NewRand(9)
-		sweep{base: base, n: c.n, stride: c.stride, draw: draw}.reserve(lazy, rl)
+		sweep{base: base, n: c.n, stride: c.stride, intn: c.intn, shift: c.shift}.reserve(lazy, rl)
 		area := eager.Region(base, c.n*c.stride)
-		v := make([]uint64, 1)
 		for i := 0; i < c.n; i++ {
-			draw(re, v)
-			binary.LittleEndian.PutUint64(area[i*c.stride:], v[0])
+			v := re.Next() >> c.shift
+			if c.intn > 0 {
+				v %= uint64(c.intn)
+			}
+			binary.LittleEndian.PutUint64(area[i*c.stride:], v)
 		}
 		if rl.Next() != re.Next() {
 			t.Errorf("%+v: the walk leaves the generator elsewhere than the eager fill", c)
@@ -239,6 +235,33 @@ func TestSweepMatchesEager(t *testing.T) {
 		touch(lazy, 1, lazy.Pages())
 		if addr, diff := lazy.Diff(eager); diff {
 			t.Errorf("%+v: lazy area differs from the eager one at %#x", c, addr)
+		}
+	}
+}
+
+// TestFillsAllocateNothing: a reserved page's fill writes the page it is
+// given and allocates nothing else. EachPage generates each reserved page
+// of an image on one scratch page, and on a clone whose every page is
+// filled it generates none, so the two walks must allocate the same; a
+// fill that allocated (the sweeps once took a 512-byte draw buffer from the
+// heap per page) would add one object a page.
+func TestFillsAllocateNothing(t *testing.T) {
+	walk := func(image *mem.Memory) float64 {
+		return testing.AllocsPerRun(3, func() {
+			image.EachPage(func(uint64, *[mem.PageSize]byte) {})
+		})
+	}
+	for _, lc := range lazyCases {
+		b, err := ByName(lc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, image := b.Build(1)
+		filled := image.Clone()
+		touch(filled, 1, filled.Pages())
+		if got, want := walk(image), walk(filled); got != want {
+			t.Errorf("%s: generating its %d pages allocated %.0f objects, want %.0f, as with every page filled",
+				lc.name, image.Pages(), got, want)
 		}
 	}
 }
