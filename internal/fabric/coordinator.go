@@ -445,8 +445,11 @@ func (co *Coordinator) Result(req ResultRequest) (ResultResponse, error) {
 		return ResultResponse{}, fmt.Errorf("fabric: campaign %s has no job %q", req.Campaign, req.Key)
 	}
 	if req.Released {
-		// Voluntary handback (draining worker): requeue at no budget cost.
+		// Voluntary handback (draining worker): requeue at no budget cost,
+		// and uncount the grant, so a failure record later counts the same
+		// attempts harness.Run would.
 		if j.state == jobPending && co.revokeLeaseLocked(j, req.Worker) {
+			j.attempts--
 			co.requeueLocked(c, j, req.Key)
 			co.logf("campaign %s: %s released by draining worker %s, requeued", c.id, req.Key, req.Worker)
 			return ResultResponse{Accepted: true}, nil

@@ -337,6 +337,17 @@ func TestReleasedHandbackSkipsBudget(t *testing.T) {
 	if st.Failed != 0 || st.Queued != 1 || st.Requeues != 5 {
 		t.Fatalf("releases must requeue without failing: %+v", st)
 	}
+
+	// Released grants are not attempts: the two failures Retries 1 allows
+	// end in a record of 2 attempts, as harness.Run would report.
+	for i := 0; i < 2; i++ {
+		co.Lease("w1")
+		co.Result(ResultRequest{Worker: "w1", Campaign: id, Key: key, Error: "boom"})
+	}
+	res, _ := co.Results(id)
+	if len(res.Failures) != 1 || res.Failures[0].Attempts != 2 {
+		t.Fatalf("released leases counted as attempts: %+v", res.Failures)
+	}
 }
 
 func TestReportedFailureSpendsBudget(t *testing.T) {

@@ -14,10 +14,12 @@
 // completion).
 //
 // Work distribution is pull-based leasing, modeled on agent/ingest
-// architectures: workers poll for a lease, run the cell, stream periodic
-// heartbeats while its simulated cycles move, and report the result. A
-// heartbeat extends the lease, and a refused one tells the worker its lease
-// is gone. A lease whose heartbeat stops (a lost worker, or a cell that no
+// architectures: each worker slot runs a leased cell, streaming periodic
+// heartbeats while its simulated cycles move, while a fetcher beside it
+// holds the next cell's lease in reserve (renewed on every heartbeat tick)
+// and the last cell's result is reported in the background. A heartbeat
+// extends the lease, and a refused one tells the worker its lease is
+// gone. A lease whose heartbeat stops (a lost worker, or a cell that no
 // longer advances) expires and the cell is requeued — worker loss is just
 // another fault class. Workers run each cell through harness.Attempt and
 // the coordinator decides requeue or failure with harness.Retry, the same
@@ -186,8 +188,9 @@ type ResultRequest struct {
 	// rejected, never journaled, and requeued without spending budget.
 	Digest string `json:"digest,omitempty"`
 	// Released hands the lease back voluntarily (a draining worker shutting
-	// down on SIGTERM): the cell requeues immediately WITHOUT spending its
-	// retry budget — an orderly departure is not a fault.
+	// down on SIGTERM, running or reserved leases alike): the cell requeues
+	// immediately WITHOUT spending its retry budget, and the grant is not
+	// counted as an attempt — an orderly departure is not a fault.
 	Released bool `json:"released,omitempty"`
 }
 

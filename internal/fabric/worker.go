@@ -33,11 +33,12 @@ type WorkerConfig struct {
 	// Name is the agent's stable self-identification; "" selects host:pid.
 	Name string
 	// Slots is the number of cells run concurrently (<1 selects GOMAXPROCS).
+	// Each slot also holds at most one reserved lease, its next cell.
 	Slots int
 	// Poll is the idle backoff between lease attempts when the coordinator
 	// has nothing queued or is unreachable (0 selects 500ms). Actual sleeps
-	// are jittered ±50% from a per-slot seeded stream so a worker's slots
-	// never poll in lockstep.
+	// are jittered ±50% from each slot's own seeded stream so a worker's
+	// slots never poll in lockstep.
 	Poll time.Duration
 	// Run executes a cell (required).
 	Run RunFunc
@@ -74,32 +75,45 @@ func (c WorkerConfig) poll() time.Duration {
 // lease expiry covers a report that never arrives.
 const reportTimeout = 10 * time.Second
 
+// slotRequests is how many requests one slot can have in flight at once:
+// its fetcher's lease or renewal, its running cell's heartbeat and its
+// reporter's result. The worker keeps that many idle connections per slot.
+const slotRequests = 3
+
 // errLeaseLost cancels a running cell whose lease the coordinator revoked.
 var errLeaseLost = errors.New("fabric: lease lost")
 
-// RunWorker runs the agent loop until ctx is cancelled: every slot pulls a
-// lease, runs the cell under a heartbeat stream, and reports the outcome
-// with its attestation digest. On shutdown, in-flight cells are cancelled
-// and their leases handed back (released) so they requeue immediately
-// without spending retry budget. Worker death without the handback is also
-// safe — that is what lease expiry is for — the release is just faster.
+// RunWorker runs the agent loop until ctx is cancelled. Every slot runs
+// one leased cell at a time under a heartbeat stream, while its fetcher
+// leases the next cell in reserve and its reporter delivers the previous
+// outcome with its attestation digest, so neither round trip holds up the
+// simulation. On shutdown, in-flight cells are cancelled, and their leases
+// and the reserved ones are handed back (released) so they requeue
+// immediately without spending retry budget. RunWorker returns once every
+// report has been delivered or given up. Worker death without the handback
+// is also safe — that is what lease expiry is for — the release is just
+// faster.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Run == nil {
 		return fmt.Errorf("fabric: worker needs a Run function")
 	}
+	slots := cfg.slots()
 	w := &worker{
 		cfg:    cfg,
 		name:   cfg.name(),
-		client: NewClient(cfg.Coordinator, cfg.Token),
+		client: newPooledClient(cfg.Coordinator, cfg.Token, slots*slotRequests),
+		claims: map[string]*claim{},
 	}
-	w.logf("worker %s: %d slot(s), coordinator %s", w.name, cfg.slots(), cfg.Coordinator)
+	defer w.client.hc.CloseIdleConnections()
+	w.logf("worker %s: %d slot(s), coordinator %s", w.name, slots, cfg.Coordinator)
+	w.leasing.Add(slots)
 	var wg sync.WaitGroup
-	for i := 0; i < cfg.slots(); i++ {
+	for i := 0; i < slots; i++ {
 		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.slotLoop(ctx, i)
+			w.slot(ctx, i)
 		}()
 	}
 	wg.Wait()
@@ -111,6 +125,50 @@ type worker struct {
 	cfg    WorkerConfig
 	name   string
 	client *Client
+
+	mu     sync.Mutex
+	claims map[string]*claim // by campaign and cell key
+
+	// leasing counts the fetchers that may still send a lease request. A
+	// drain sends its releases only once it is zero, so that a released
+	// cell cannot be leased straight back to this worker.
+	leasing sync.WaitGroup
+}
+
+// claim is a lease the worker holds, running or reserved. The coordinator
+// grants a cell only while no lease on it is live, so a second grant of a
+// claimed cell means the older lease expired behind the worker's back. A
+// heartbeat names only the worker and the cell, so the older holder's
+// heartbeats would renew the new lease: the new claim cancels the old one
+// with errLeaseLost instead.
+type claim struct {
+	lease  Lease
+	key    string          // campaign and cell key
+	ctx    context.Context // ends when superseded or when the worker drains
+	cancel context.CancelCauseFunc
+}
+
+// claim registers a granted lease, superseding an older claim on its cell.
+func (w *worker) claim(ctx context.Context, lease Lease) *claim {
+	c := &claim{lease: lease, key: lease.Campaign + "\x00" + lease.Spec.Key}
+	c.ctx, c.cancel = context.WithCancelCause(ctx)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if old := w.claims[c.key]; old != nil {
+		old.cancel(errLeaseLost)
+	}
+	w.claims[c.key] = c
+	return c
+}
+
+// unclaim forgets c once its lease is settled.
+func (w *worker) unclaim(c *claim) {
+	w.mu.Lock()
+	if w.claims[c.key] == c {
+		delete(w.claims, c.key)
+	}
+	w.mu.Unlock()
+	c.cancel(nil)
 }
 
 func (w *worker) logf(format string, args ...any) {
@@ -119,7 +177,7 @@ func (w *worker) logf(format string, args ...any) {
 	}
 }
 
-// jitter spreads d over [d/2, 3d/2) from the slot's seeded stream.
+// jitter spreads d over [d/2, 3d/2) from a seeded stream.
 func jitter(dice *fault.Dice, d time.Duration) time.Duration {
 	if d <= 0 {
 		return d
@@ -127,50 +185,155 @@ func jitter(dice *fault.Dice, d time.Duration) time.Duration {
 	return d/2 + time.Duration(dice.Rand64()%uint64(d))
 }
 
-// slotLoop pulls and runs leases until ctx ends. Each slot derives its own
-// jitter stream so sleeps are reproducible per slot yet decorrelated across
-// slots.
-func (w *worker) slotLoop(ctx context.Context, slot int) {
-	dice := fault.NewDice(uint64(slot+1) * 0x9e3779b97f4a7c15)
+// slot runs the cells its fetcher hands over, one at a time, and passes
+// each outcome to its reporter, until ctx ends and the fetcher has let go
+// of its reservation; it returns once the last report is settled. The
+// reporter takes one outcome at a time through an unbuffered channel, so
+// at most one report is in flight and the slot waits only when the last
+// one is still out. The fetcher and the reporter each draw jitter from
+// their own seeded stream, since a fault.Dice is not safe for concurrent
+// use; the slot draws none.
+func (w *worker) slot(ctx context.Context, slot int) {
+	seed := uint64(slot+1) * 0x9e3779b97f4a7c15
+	leases := make(chan *claim)
+	fetched := make(chan struct{})
+	go func() {
+		defer close(fetched)
+		w.fetch(ctx, leases, fault.NewDice(seed))
+	}()
+	reports := make(chan ResultRequest)
+	reported := make(chan struct{})
+	go func() {
+		defer close(reported)
+		dice := fault.NewDice(^seed)
+		for req := range reports {
+			w.report(req, dice)
+		}
+	}()
+	defer func() {
+		close(reports)
+		<-reported
+	}()
+	for {
+		select {
+		case c := <-leases:
+			req, ok := w.runLease(ctx, c)
+			w.unclaim(c)
+			if req.Released {
+				w.leasing.Wait()
+			}
+			if ok {
+				reports <- req
+			}
+		case <-fetched:
+			return
+		}
+	}
+}
+
+// fetch leases cells for one slot until ctx ends, holding at most one at a
+// time: the slot's reservation, taken while the slot's current cell runs.
+// A reservation still held at the drain is released.
+func (w *worker) fetch(ctx context.Context, leases chan<- *claim, dice *fault.Dice) {
+	// A lease request outlives a drain, bounded by the client's timeout, so
+	// a lease granted in flight is released instead of stranded until it
+	// expires.
+	rctx := context.WithoutCancel(ctx)
+	renew := time.NewTicker(time.Hour) // reset by hold for each reservation
+	defer renew.Stop()
+	var kept *claim
 	for ctx.Err() == nil {
 		var lease Lease
-		err := w.client.do(ctx, http.MethodPost, PathLease, LeaseRequest{Worker: w.name}, &lease)
+		err := w.client.do(rctx, http.MethodPost, PathLease, LeaseRequest{Worker: w.name}, &lease)
 		switch {
 		case errors.Is(err, errNoContent):
 			sleepCtx(ctx, jitter(dice, w.cfg.poll())) // nothing queued
-			continue
 		case err != nil:
 			if ctx.Err() == nil {
 				w.logf("worker %s: lease: %v (retrying)", w.name, err)
 			}
 			sleepCtx(ctx, jitter(dice, w.cfg.poll()))
-			continue
+		default:
+			if c := w.claim(ctx, lease); w.hold(c, leases, renew) {
+				kept = c
+			}
 		}
-		w.runLease(ctx, lease, dice)
+	}
+	w.leasing.Done()
+	if kept != nil {
+		w.leasing.Wait()
+		w.unclaim(kept)
+		w.report(w.release(kept.lease), dice)
+		w.logf("worker %s: released reserved %s (draining)", w.name, kept.lease.Spec.Key)
 	}
 }
 
-// runLease executes one leased cell through harness.Attempt under a
-// heartbeat stream that renews the lease while the cell makes progress.
-func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
-	jctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
+// hold keeps a reserved lease until the slot takes it through the
+// unbuffered leases channel. It renews the lease on every heartbeat tick,
+// since a cell that has not started cannot stall. A refused renewal or a
+// superseded claim means the lease expired behind the worker's back: the
+// cell is dropped unrun. held is true when the worker drains with the
+// reservation still held, for the caller to release.
+func (w *worker) hold(c *claim, leases chan<- *claim, renew *time.Ticker) (held bool) {
+	renew.Reset(c.lease.heartbeatEvery())
+	for {
+		select {
+		case leases <- c:
+			return false
+		case <-renew.C:
+			if ok, err := w.heartbeat(c.ctx, c.lease); err == nil && !ok {
+				w.unclaim(c)
+				w.logf("worker %s: reserved lease on %s lost, dropped", w.name, c.lease.Spec.Key)
+				return false
+			}
+		case <-c.ctx.Done():
+			if errors.Is(context.Cause(c.ctx), errLeaseLost) {
+				w.unclaim(c)
+				return false
+			}
+			return true
+		}
+	}
+}
+
+// heartbeatEvery is the lease's renewal period (1 s when unset).
+func (l Lease) heartbeatEvery() time.Duration {
+	if l.HeartbeatEvery <= 0 {
+		return time.Second
+	}
+	return l.HeartbeatEvery
+}
+
+// heartbeat renews lease once. ok is false when the coordinator refused:
+// the lease is gone. A network error is returned for the caller to
+// tolerate — the coordinator expires the lease if the worker stays
+// unreachable, which is the designed outcome.
+func (w *worker) heartbeat(ctx context.Context, lease Lease) (ok bool, err error) {
+	var resp HeartbeatResponse
+	err = w.client.do(ctx, http.MethodPost, PathHeartbeat, HeartbeatRequest{
+		Worker: w.name, Campaign: lease.Campaign, Key: lease.Spec.Key,
+	}, &resp)
+	return resp.OK, err
+}
+
+// runLease executes one claimed cell through harness.Attempt, in the
+// claim's context, under a heartbeat stream that renews the lease while
+// the cell makes progress, and returns the report to deliver; ok is false
+// when there is none.
+func (w *worker) runLease(ctx context.Context, c *claim) (req ResultRequest, ok bool) {
+	lease, jctx, cancel := c.lease, c.ctx, c.cancel
 
 	// Heartbeat stream: extend the lease while the cell's simulated cycles
-	// move (or before it first reports any). A refused heartbeat means the
-	// lease is gone (expired and requeued) and the cell must be abandoned
-	// mid-run. A cell that stops moving is not renewed: its lease expires
-	// and the coordinator requeues it as a lost worker's, and the cell is
-	// abandoned once the lease has run out.
+	// move (or before it first reports any). A refused heartbeat or a
+	// superseded claim means the lease is gone (expired and requeued) and
+	// the cell must be abandoned mid-run. A cell that stops moving is not
+	// renewed: its lease expires and the coordinator requeues it as a lost
+	// worker's, and the cell is abandoned once the lease has run out.
 	hb := &harness.Heartbeat{}
 	hbDone := make(chan struct{})
 	go func() {
 		defer close(hbDone)
-		every := lease.HeartbeatEvery
-		if every <= 0 {
-			every = time.Second
-		}
-		t := time.NewTicker(every)
+		t := time.NewTicker(lease.heartbeatEvery())
 		defer t.Stop()
 		var last uint64
 		renewed := time.Now()
@@ -187,16 +350,11 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 					}
 					continue
 				}
-				var resp HeartbeatResponse
-				err := w.client.do(jctx, http.MethodPost, PathHeartbeat, HeartbeatRequest{
-					Worker: w.name, Campaign: lease.Campaign, Key: lease.Spec.Key,
-				}, &resp)
+				ok, err := w.heartbeat(jctx, lease)
 				if err != nil {
-					// Network errors are tolerated: the coordinator will expire
-					// us if we stay unreachable, which is the designed outcome.
 					continue
 				}
-				if !resp.OK {
+				if !ok {
 					cancel(errLeaseLost)
 					return
 				}
@@ -217,21 +375,22 @@ func (w *worker) runLease(ctx context.Context, lease Lease, dice *fault.Dice) {
 		// The coordinator already requeued the cell; anything we produced
 		// would be deduped, so only report a success (it is free to accept
 		// or dedup) and drop failures silently.
-		if f == nil {
-			w.report(w.okReport(lease, result), dice)
+		if f != nil {
+			return ResultRequest{}, false
 		}
+		return w.okReport(lease, result), true
 	case ctx.Err() != nil && f != nil:
 		// Draining shutdown: hand the lease back without burning budget.
-		w.report(ResultRequest{Worker: w.name, Campaign: lease.Campaign, Key: key, Released: true}, dice)
 		w.logf("worker %s: released %s (draining)", w.name, key)
+		return w.release(lease), true
 	case f != nil:
-		w.report(ResultRequest{
+		w.logf("worker %s: %s failed: %v", w.name, key, f.Err)
+		return ResultRequest{
 			Worker: w.name, Campaign: lease.Campaign, Key: key,
 			OK: false, Error: f.Err.Error(), FailKind: f.Kind, Permanent: f.Permanent,
-		}, dice)
-		w.logf("worker %s: %s failed: %v", w.name, key, f.Err)
+		}, true
 	default:
-		w.report(w.okReport(lease, result), dice)
+		return w.okReport(lease, result), true
 	}
 }
 
@@ -244,10 +403,15 @@ func (w *worker) okReport(lease Lease, result json.RawMessage) ResultRequest {
 	}
 }
 
+// release builds the report that hands a lease back unrun or cancelled.
+func (w *worker) release(lease Lease) ResultRequest {
+	return ResultRequest{Worker: w.name, Campaign: lease.Campaign, Key: lease.Spec.Key, Released: true}
+}
+
 // report delivers a terminal outcome with bounded retries — the result of
 // a finished cell is worth a few attempts, but a worker must never wedge
 // on an unreachable coordinator (lease expiry covers the loss). Retry
-// pacing is jittered from the slot's seeded stream.
+// pacing is jittered from the caller's seeded stream.
 func (w *worker) report(req ResultRequest, dice *fault.Dice) {
 	// Detached from the worker ctx: drain-time reports must still go out.
 	for attempt := 0; attempt < 3; attempt++ {
