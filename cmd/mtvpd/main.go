@@ -23,10 +23,10 @@
 // agent never re-derives experiment presets) under the same attempt
 // wrapper as a local campaign (internal/harness), heartbeats each lease
 // while the cell's simulated cycles advance, and reports results; a cell
-// that stops advancing loses its lease and is abandoned. Each slot leases
-// its next cell while the current one simulates and reports the last
-// result in the background; a drain hands back the running and the
-// reserved leases alike. Any number of agents may attach and detach at
+// that stops advancing loses its lease and is abandoned. Each slot
+// reports the last result in the background and, after a short cell,
+// leases its next cell while the current one simulates; a drain hands
+// back the running and the reserved leases alike. Any number of agents may attach and detach at
 // any time.
 //
 // The fleet is trusted: workers are the operator's own machines. Every
@@ -162,7 +162,7 @@ func workCmd(args []string) int {
 		coordinator = fs.String("coordinator", "http://127.0.0.1:8100", "coordinator base URL")
 		token       = fs.String("token", "", "bearer token for the coordinator")
 		name        = fs.String("name", "", "stable worker name, recorded in campaign journals (\"\" = host:pid)")
-		slots       = fs.Int("slots", 0, "cells simulated concurrently (0 = GOMAXPROCS); each slot also holds the lease of its next cell in reserve")
+		slots       = fs.Int("slots", 0, "cells simulated concurrently (0 = GOMAXPROCS); a slot whose cells are short also holds its next cell's lease in reserve")
 		poll        = fs.Duration("poll", 500*time.Millisecond, "idle backoff between lease attempts when the queue is empty (jittered ±50%)")
 		quiet       = fs.Bool("quiet", false, "suppress agent event logging on stderr")
 	)

@@ -29,19 +29,6 @@ func NewClient(base, token string) *Client {
 	return &Client{base: base, token: token, hc: &http.Client{Timeout: 30 * time.Second}}
 }
 
-// newPooledClient is NewClient with its own transport, which keeps up to
-// conns idle connections to the coordinator: one for each request the
-// caller can have in flight at once. http.DefaultTransport keeps two per
-// host, so a caller with more concurrent requests would dial a new
-// connection for most of them.
-func newPooledClient(base, token string, conns int) *Client {
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = conns, conns
-	c := NewClient(base, token)
-	c.hc.Transport = tr
-	return c
-}
-
 // do runs one JSON round trip. A nil in body means no payload; a nil out
 // skips decoding. Status 204 returns errNoContent.
 var errNoContent = fmt.Errorf("fabric: no content")

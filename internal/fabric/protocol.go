@@ -15,13 +15,13 @@
 //
 // Work distribution is pull-based leasing, modeled on agent/ingest
 // architectures: each worker slot runs a leased cell, streaming periodic
-// heartbeats while its simulated cycles move, while a fetcher beside it
-// holds the next cell's lease in reserve (renewed on every heartbeat tick)
-// and the last cell's result is reported in the background. A heartbeat
-// extends the lease, and a refused one tells the worker its lease is
-// gone. A lease whose heartbeat stops (a lost worker, or a cell that no
-// longer advances) expires and the cell is requeued — worker loss is just
-// another fault class. Workers run each cell through harness.Attempt and
+// heartbeats while its simulated cycles move. When the slot's last cell
+// was short, a fetcher beside it holds the next cell's lease in reserve
+// (renewed on every heartbeat tick), and the last cell's result is
+// reported in the background. A heartbeat extends the lease, and a
+// refused one tells the worker its lease is gone. A lease whose heartbeat
+// stops (a lost worker, or a cell that no longer advances) expires and the
+// cell is requeued — worker loss is just another fault class. Workers run each cell through harness.Attempt and
 // the coordinator decides requeue or failure with harness.Retry, the same
 // contract the local harness runs cells under: requeues are immediate, and
 // a permanent failure is never requeued. Each cell holds at most one lease

@@ -33,7 +33,8 @@ type WorkerConfig struct {
 	// Name is the agent's stable self-identification; "" selects host:pid.
 	Name string
 	// Slots is the number of cells run concurrently (<1 selects GOMAXPROCS).
-	// Each slot also holds at most one reserved lease, its next cell.
+	// A slot whose cells are short also holds its next cell's lease in
+	// reserve while the current one runs.
 	Slots int
 	// Poll is the idle backoff between lease attempts when the coordinator
 	// has nothing queued or is unreachable (0 selects 500ms). Actual sleeps
@@ -80,19 +81,37 @@ const reportTimeout = 10 * time.Second
 // reporter's result. The worker keeps that many idle connections per slot.
 const slotRequests = 3
 
+// reserveRounds decides when a slot's fetcher leases the next cell while
+// the current one runs: only after a cell that took less than this many
+// lease round trips, smoothed over the fetcher's grants since a round
+// trip varies tenfold on a loaded host, where the coordinator competes
+// with the simulating slots for the CPU. Only after such a cell does the
+// round trip hold up a noticeable share of the slot's time. Behind a
+// longer cell a reservation would save little and, at a campaign's tail,
+// leave a cell waiting while other slots sit idle. A slot's first cell
+// therefore never has one reserved behind it, and a reserved cell waits
+// behind at most one cell that follows a short one.
+const reserveRounds = 30
+
+// leaseGrace is how long a lease request in flight at a drain may still
+// take: a lease granted within it is released instead of stranded until
+// it expires, and the drain's releases wait for it at most that long.
+const leaseGrace = time.Second
+
 // errLeaseLost cancels a running cell whose lease the coordinator revoked.
 var errLeaseLost = errors.New("fabric: lease lost")
 
 // RunWorker runs the agent loop until ctx is cancelled. Every slot runs
 // one leased cell at a time under a heartbeat stream, while its fetcher
-// leases the next cell in reserve and its reporter delivers the previous
-// outcome with its attestation digest, so neither round trip holds up the
-// simulation. On shutdown, in-flight cells are cancelled, and their leases
-// and the reserved ones are handed back (released) so they requeue
-// immediately without spending retry budget. RunWorker returns once every
-// report has been delivered or given up. Worker death without the handback
-// is also safe — that is what lease expiry is for — the release is just
-// faster.
+// leases the next cell in reserve when cells are short and its reporter
+// delivers the previous outcome with its attestation digest, so neither
+// round trip holds up the simulation. On shutdown, in-flight cells are
+// cancelled, and their leases and the reserved ones are handed back
+// (released) so they requeue immediately without spending retry budget.
+// RunWorker returns once every report has been delivered or given up.
+// Worker death without the handback is also safe — that is what lease
+// expiry is for — but slower, and it charges every cell the worker held a
+// retry, a reserved one included.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Run == nil {
 		return fmt.Errorf("fabric: worker needs a Run function")
@@ -101,9 +120,14 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	w := &worker{
 		cfg:    cfg,
 		name:   cfg.name(),
-		client: newPooledClient(cfg.Coordinator, cfg.Token, slots*slotRequests),
+		client: NewClient(cfg.Coordinator, cfg.Token),
 		claims: map[string]*claim{},
 	}
+	// Keep an idle connection for every request the slots can have in
+	// flight at once; http.DefaultTransport keeps two per host.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns, tr.MaxIdleConnsPerHost = slots*slotRequests, slots*slotRequests
+	w.client.hc.Transport = tr
 	defer w.client.hc.CloseIdleConnections()
 	w.logf("worker %s: %d slot(s), coordinator %s", w.name, slots, cfg.Coordinator)
 	w.leasing.Add(slots)
@@ -130,8 +154,9 @@ type worker struct {
 	claims map[string]*claim // by campaign and cell key
 
 	// leasing counts the fetchers that may still send a lease request. A
-	// drain sends its releases only once it is zero, so that a released
-	// cell cannot be leased straight back to this worker.
+	// drain sends its releases only once it is zero, at most leaseGrace
+	// after the drain, so that a released cell cannot be leased straight
+	// back to this worker.
 	leasing sync.WaitGroup
 }
 
@@ -143,6 +168,7 @@ type worker struct {
 // with errLeaseLost instead.
 type claim struct {
 	lease  Lease
+	rtt    time.Duration   // the fetcher's smoothed lease round trip
 	key    string          // campaign and cell key
 	ctx    context.Context // ends when superseded or when the worker drains
 	cancel context.CancelCauseFunc
@@ -188,18 +214,24 @@ func jitter(dice *fault.Dice, d time.Duration) time.Duration {
 // slot runs the cells its fetcher hands over, one at a time, and passes
 // each outcome to its reporter, until ctx ends and the fetcher has let go
 // of its reservation; it returns once the last report is settled. The
-// reporter takes one outcome at a time through an unbuffered channel, so
-// at most one report is in flight and the slot waits only when the last
-// one is still out. The fetcher and the reporter each draw jitter from
-// their own seeded stream, since a fault.Dice is not safe for concurrent
-// use; the slot draws none.
+// slot asks its fetcher for its next cell through want: as a cell starts
+// when the slot's last cell was short (the reservation), otherwise once
+// the cell is done. The reporter takes one outcome at a time through an
+// unbuffered channel, so at most one report is in flight and the slot
+// waits only when the last one is still out. The fetcher and the reporter
+// each draw jitter from their own seeded stream, since a fault.Dice is not
+// safe for concurrent use; the slot draws none.
 func (w *worker) slot(ctx context.Context, slot int) {
 	seed := uint64(slot+1) * 0x9e3779b97f4a7c15
+	// One ask to start and one per cell taken; the fetcher consumes each
+	// before it hands a cell over, so an ask never blocks.
+	want := make(chan struct{}, 1)
+	want <- struct{}{}
 	leases := make(chan *claim)
 	fetched := make(chan struct{})
 	go func() {
 		defer close(fetched)
-		w.fetch(ctx, leases, fault.NewDice(seed))
+		w.fetch(ctx, want, leases, fault.NewDice(seed))
 	}()
 	reports := make(chan ResultRequest)
 	reported := make(chan struct{})
@@ -214,10 +246,20 @@ func (w *worker) slot(ctx context.Context, slot int) {
 		close(reports)
 		<-reported
 	}()
+	short := false // the last cell took under reserveRounds round trips
 	for {
 		select {
 		case c := <-leases:
+			reserve := short
+			if reserve {
+				want <- struct{}{}
+			}
+			start := time.Now()
 			req, ok := w.runLease(ctx, c)
+			short = time.Since(start) < reserveRounds*c.rtt
+			if !reserve {
+				want <- struct{}{}
+			}
 			w.unclaim(c)
 			if req.Released {
 				w.leasing.Wait()
@@ -231,18 +273,32 @@ func (w *worker) slot(ctx context.Context, slot int) {
 	}
 }
 
-// fetch leases cells for one slot until ctx ends, holding at most one at a
-// time: the slot's reservation, taken while the slot's current cell runs.
-// A reservation still held at the drain is released.
-func (w *worker) fetch(ctx context.Context, leases chan<- *claim, dice *fault.Dice) {
-	// A lease request outlives a drain, bounded by the client's timeout, so
-	// a lease granted in flight is released instead of stranded until it
+// fetch leases the cells its slot asks for, one at a time, until ctx ends.
+// A lease taken while the slot's current cell runs is the slot's
+// reservation; one still held at the drain is released.
+func (w *worker) fetch(ctx context.Context, want <-chan struct{}, leases chan<- *claim, dice *fault.Dice) {
+	// A lease request outlives a drain by up to leaseGrace, so that a
+	// lease granted in flight is released instead of stranded until it
 	// expires.
-	rctx := context.WithoutCancel(ctx)
-	renew := time.NewTicker(time.Hour) // reset by hold for each reservation
+	rctx, rcancel := context.WithCancel(context.WithoutCancel(ctx))
+	defer rcancel()
+	stop := context.AfterFunc(ctx, func() { time.AfterFunc(leaseGrace, rcancel) })
+	defer stop()
+	renew := time.NewTicker(time.Hour) // reset by hold for each lease
 	defer renew.Stop()
 	var kept *claim
+	var rtt time.Duration // smoothed over the fetcher's grants, weight 1/8
+	wanted := false
 	for ctx.Err() == nil {
+		if !wanted {
+			select {
+			case <-want:
+				wanted = true
+			case <-ctx.Done():
+				continue
+			}
+		}
+		start := time.Now()
 		var lease Lease
 		err := w.client.do(rctx, http.MethodPost, PathLease, LeaseRequest{Worker: w.name}, &lease)
 		switch {
@@ -254,7 +310,16 @@ func (w *worker) fetch(ctx context.Context, leases chan<- *claim, dice *fault.Di
 			}
 			sleepCtx(ctx, jitter(dice, w.cfg.poll()))
 		default:
-			if c := w.claim(ctx, lease); w.hold(c, leases, renew) {
+			if took := time.Since(start); rtt == 0 {
+				rtt = took
+			} else {
+				rtt += (took - rtt) / 8
+			}
+			c := w.claim(ctx, lease)
+			c.rtt = rtt
+			handed, held := w.hold(c, leases, renew)
+			wanted = !handed
+			if held {
 				kept = c
 			}
 		}
@@ -268,30 +333,30 @@ func (w *worker) fetch(ctx context.Context, leases chan<- *claim, dice *fault.Di
 	}
 }
 
-// hold keeps a reserved lease until the slot takes it through the
-// unbuffered leases channel. It renews the lease on every heartbeat tick,
-// since a cell that has not started cannot stall. A refused renewal or a
-// superseded claim means the lease expired behind the worker's back: the
-// cell is dropped unrun. held is true when the worker drains with the
-// reservation still held, for the caller to release.
-func (w *worker) hold(c *claim, leases chan<- *claim, renew *time.Ticker) (held bool) {
+// hold keeps a lease until the slot takes it through the unbuffered leases
+// channel, which is at once unless it is a reservation. It renews the
+// lease on every heartbeat tick, since a cell that has not started cannot
+// stall. A refused renewal or a superseded claim means the lease expired
+// behind the worker's back: the cell is dropped unrun. held is true when
+// the worker drains with the lease still held, for the caller to release.
+func (w *worker) hold(c *claim, leases chan<- *claim, renew *time.Ticker) (handed, held bool) {
 	renew.Reset(c.lease.heartbeatEvery())
 	for {
 		select {
 		case leases <- c:
-			return false
+			return true, false
 		case <-renew.C:
 			if ok, err := w.heartbeat(c.ctx, c.lease); err == nil && !ok {
 				w.unclaim(c)
 				w.logf("worker %s: reserved lease on %s lost, dropped", w.name, c.lease.Spec.Key)
-				return false
+				return false, false
 			}
 		case <-c.ctx.Done():
 			if errors.Is(context.Cause(c.ctx), errLeaseLost) {
 				w.unclaim(c)
-				return false
+				return false, false
 			}
-			return true
+			return false, true
 		}
 	}
 }
